@@ -10,10 +10,12 @@
 use crate::error::EvalError;
 use crate::expr::{Alg, CmpOp, Operand, Pred};
 use crate::funcs::{FnRegistry, SkolemRegistry};
+use crate::passing::{BatchAnswer, PassedBindings};
 use crate::tab::Tab;
 use crate::template::Template;
 use crate::value::Value;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use yat_model::{Atom, Forest, MatchOptions, Model, Node, Tree};
 use yat_obs::Collector;
 
@@ -44,12 +46,28 @@ impl SourceCatalog for Forest {
 /// the reference semantics.
 pub trait PushHandler {
     /// Executes `plan` at `source` under the outer bindings `env`.
-    fn execute_push(
+    fn execute_push(&self, source: &str, plan: &Arc<Alg>, env: &Env) -> Result<Tab, EvalError>;
+
+    /// Executes `plan` at `source` once per binding of `bindings` — what
+    /// a `DJoin` whose dependent side is a `Push` asks for, instead of
+    /// calling [`PushHandler::execute_push`] per left row. This default
+    /// *is* that per-row loop, kept as the reference semantics; a handler
+    /// that talks to remote sources overrides it to ship the bindings
+    /// together.
+    fn execute_push_batch(
         &self,
         source: &str,
-        plan: &Alg,
-        env: &std::collections::BTreeMap<String, Value>,
-    ) -> Result<Tab, EvalError>;
+        plan: &Arc<Alg>,
+        bindings: &PassedBindings,
+    ) -> Result<BatchAnswer, EvalError> {
+        let tabs = (0..bindings.rows.len())
+            .map(|ordinal| self.execute_push(source, plan, &bindings.env(ordinal)))
+            .collect::<Result<Vec<Tab>, EvalError>>()?;
+        Ok(BatchAnswer {
+            batches: tabs.len() as u64,
+            tabs,
+        })
+    }
 }
 
 /// Everything evaluation needs besides the plan.
@@ -242,9 +260,7 @@ fn eval_node(plan: &Alg, ctx: &EvalCtx<'_>, env: &Env) -> Result<EvalOut, EvalEr
 
         Alg::DJoin { left, right } => {
             let lt = eval_env(left, ctx, env)?.tab(plan)?;
-            Ok(EvalOut::Tab(djoin_loop(&lt, env, |inner_env| {
-                eval_env(right, ctx, inner_env)?.tab(plan)
-            })?))
+            Ok(EvalOut::Tab(eval_dependent(plan, &lt, right, ctx, env)?))
         }
 
         Alg::Union { left, right } => {
@@ -295,6 +311,26 @@ fn eval_node(plan: &Alg, ctx: &EvalCtx<'_>, env: &Env) -> Result<EvalOut, EvalEr
             Some(handler) => Ok(EvalOut::Tab(handler.execute_push(source, sub, env)?)),
             None => eval_env(sub, ctx, env),
         },
+    }
+}
+
+/// The dependent side of a `DJoin` over the evaluated left table `lt`.
+/// Its own function so the recursive [`eval_node`] frame stays small.
+fn eval_dependent(
+    djoin: &Alg,
+    lt: &Tab,
+    right: &Alg,
+    ctx: &EvalCtx<'_>,
+    env: &Env,
+) -> Result<Tab, EvalError> {
+    match (right, ctx.push) {
+        (Alg::Push { source, plan: frag }, Some(handler)) => {
+            let label = || right.describe();
+            djoin_push(lt, env, source, frag, label, handler, ctx.obs)
+        }
+        _ => djoin_loop(lt, env, |inner_env| {
+            eval_env(right, ctx, inner_env)?.tab(djoin)
+        }),
     }
 }
 
@@ -460,35 +496,101 @@ pub(crate) fn djoin_loop(
             inner_env.insert(c.clone(), row[i].clone());
         }
         let rt = eval_right(&inner_env)?;
-        let out = out.get_or_insert_with(|| {
-            let mut cols = lt.columns().to_vec();
-            for c in rt.columns() {
-                if !cols.contains(c) {
-                    cols.push(c.clone());
-                }
-            }
-            Tab::new(cols)
-        });
-        let new_cols: Vec<(usize, usize)> = out
-            .columns()
-            .iter()
-            .enumerate()
-            .skip(lt.columns().len())
-            .filter_map(|(oi, c)| rt.col(c).map(|ri| (oi, ri)))
-            .collect();
-        let width = out.columns().len();
-        for rrow in rt.rows() {
-            let mut newrow = vec![Value::Null; width];
-            newrow[..row.len()].clone_from_slice(row);
-            for (oi, ri) in &new_cols {
-                newrow[*oi] = rrow[*ri].clone();
-            }
-            out.push(newrow);
-        }
+        splice_right(&mut out, lt, row, &rt);
     }
     // no left rows: columns are the left's alone (right was never
     // evaluated; its columns are unknowable without evaluation)
     Ok(out.unwrap_or_else(|| Tab::new(lt.columns().to_vec())))
+}
+
+/// Appends `row × rt` to a `DJoin` output: the left row followed by the
+/// right table's new columns. The first right table fixes the output
+/// columns; later ones are matched to them by name.
+fn splice_right(out: &mut Option<Tab>, lt: &Tab, row: &[Value], rt: &Tab) {
+    let out = out.get_or_insert_with(|| {
+        let mut cols = lt.columns().to_vec();
+        for c in rt.columns() {
+            if !cols.contains(c) {
+                cols.push(c.clone());
+            }
+        }
+        Tab::new(cols)
+    });
+    let new_cols: Vec<(usize, usize)> = out
+        .columns()
+        .iter()
+        .enumerate()
+        .skip(lt.columns().len())
+        .filter_map(|(oi, c)| rt.col(c).map(|ri| (oi, ri)))
+        .collect();
+    let width = out.columns().len();
+    for rrow in rt.rows() {
+        let mut newrow = vec![Value::Null; width];
+        newrow[..row.len()].clone_from_slice(row);
+        for (oi, ri) in &new_cols {
+            newrow[*oi] = rrow[*ri].clone();
+        }
+        out.push(newrow);
+    }
+}
+
+/// `DJoin` into a `Push` with a handler installed: set-oriented
+/// information passing. The left table is reduced to its distinct
+/// binding tuples, the handler answers them together, and the answers
+/// are spliced per left row — the same rows in the same order as
+/// [`djoin_loop`] shipping the fragment once per row.
+///
+/// The whole exchange records one `operator` span for the `Push` node
+/// (`label` is its `describe()`), carrying the left cardinality, the
+/// distinct bindings and the requests the handler shipped.
+pub(crate) fn djoin_push(
+    lt: &Tab,
+    env: &Env,
+    source: &str,
+    frag: &Arc<Alg>,
+    label: impl FnOnce() -> String,
+    handler: &dyn PushHandler,
+    obs: Option<&Collector>,
+) -> Result<Tab, EvalError> {
+    if lt.is_empty() {
+        return Ok(Tab::new(lt.columns().to_vec()));
+    }
+    let mut span = obs.map(|o| o.span(yat_obs::kind::OPERATOR, label()));
+    let (bindings, ordinals) = PassedBindings::collect(lt, env, frag);
+    let answer = match handler.execute_push_batch(source, frag, &bindings) {
+        Ok(answer) if answer.tabs.len() == bindings.rows.len() => Ok(answer),
+        Ok(answer) => Err(EvalError::Function {
+            name: source.to_string(),
+            message: format!(
+                "push handler answered {} of {} bindings",
+                answer.tabs.len(),
+                bindings.rows.len()
+            ),
+        }),
+        Err(e) => Err(e),
+    };
+    let answer = match answer {
+        Ok(answer) => answer,
+        Err(e) => {
+            if let Some(span) = span.as_mut() {
+                span.record_str(yat_obs::attr::ERROR, e.to_string());
+            }
+            return Err(e);
+        }
+    };
+    let mut out: Option<Tab> = None;
+    for (row, &ordinal) in lt.rows().zip(&ordinals) {
+        splice_right(&mut out, lt, row, &answer.tabs[ordinal]);
+    }
+    let out = out.expect("the left table has rows");
+    if let Some(span) = span.as_mut() {
+        // every right row became exactly one output row
+        span.record_u64(yat_obs::attr::ROWS_OUT, out.len() as u64);
+        span.record_u64(yat_obs::attr::BINDINGS, lt.len() as u64);
+        span.record_u64(yat_obs::attr::DISTINCT, bindings.rows.len() as u64);
+        span.record_u64(yat_obs::attr::BATCHES, answer.batches);
+    }
+    Ok(out)
 }
 
 /// Set union: compatible columns, concatenation, dedup.

@@ -40,6 +40,7 @@ pub mod eval;
 pub mod expr;
 pub mod funcs;
 pub mod keys;
+pub mod passing;
 pub mod stream;
 pub mod tab;
 pub mod template;
@@ -52,6 +53,7 @@ pub use error::EvalError;
 pub use eval::{eval, eval_env, Env, EvalCtx, EvalOut, PushHandler, SourceCatalog};
 pub use expr::{Alg, CmpOp, Operand, Pred, SortDir};
 pub use funcs::{FnRegistry, SkolemRegistry};
+pub use passing::{passed_vars, substitute_env, BatchAnswer, PassedBindings};
 pub use stream::{BatchSink, CollectSink, Stage};
 pub use tab::Tab;
 pub use template::Template;

@@ -168,9 +168,29 @@ fn exec_kind(
         }
         OpKind::DJoin { sub } => {
             let lt = pop_tab(stack)?;
-            EvalOut::Tab(eval::djoin_loop(&lt, env, |inner_env| {
-                run_program(sub, ctx, inner_env, counters)?.tab_named(|| step.label.clone())
-            })?)
+            // a sub-program that is nothing but a PUSH passes its
+            // bindings set-oriented, exactly as the interpreter does
+            let out = match (sub.steps.as_slice(), ctx.push) {
+                (
+                    [push @ Step {
+                        kind: OpKind::Push { source, plan },
+                        ..
+                    }],
+                    Some(handler),
+                ) => {
+                    let label = || push.label.clone();
+                    let out = eval::djoin_push(&lt, env, source, plan, label, handler, ctx.obs)?;
+                    if !lt.is_empty() {
+                        counters[push.id].0 += 1;
+                        counters[push.id].1 += out.len() as u64;
+                    }
+                    out
+                }
+                _ => eval::djoin_loop(&lt, env, |inner_env| {
+                    run_program(sub, ctx, inner_env, counters)?.tab_named(|| step.label.clone())
+                })?,
+            };
+            EvalOut::Tab(out)
         }
         OpKind::Union => {
             let rt = pop_tab(stack)?;

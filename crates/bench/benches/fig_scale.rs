@@ -170,7 +170,7 @@ impl PushHandler for MemTab {
     fn execute_push(
         &self,
         _source: &str,
-        _plan: &Alg,
+        _plan: &std::sync::Arc<Alg>,
         _env: &std::collections::BTreeMap<String, Value>,
     ) -> Result<Tab, EvalError> {
         Ok(self.0.clone())

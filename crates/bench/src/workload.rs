@@ -387,13 +387,15 @@ impl FedScenario {
     }
 }
 
-/// The text of a work's `style` element (empty when absent).
+/// The text of a work's `style` element (empty when absent). Reads the
+/// atom itself: a label's `Display` quotes strings, and a quoted style
+/// is nobody's.
 fn style_of(work: &Tree) -> String {
     work.children
         .iter()
         .find(|c| matches!(&c.label, Label::Sym(s) if s.as_str() == "style"))
-        .and_then(|c| c.children.first())
-        .map(|v| format!("{}", v.label))
+        .and_then(|c| c.value_atom())
+        .map(|style| style.to_string())
         .unwrap_or_default()
 }
 
@@ -507,6 +509,32 @@ mod tests {
                 assert!(seen.contains_key(style), "style {style} unowned");
                 assert!(!sc.shards_owning(style).is_empty());
             }
+        }
+    }
+
+    #[test]
+    fn every_shard_serves_its_own_styles_and_only_those() {
+        for members in [4usize, 8, 10] {
+            let sc = FedScenario::new(members, 60);
+            let docs = sc.shard_docs();
+            assert_eq!(docs.len(), sc.shard_count());
+            for (i, doc) in docs.iter().enumerate() {
+                assert!(
+                    !doc.children.is_empty(),
+                    "shard {i} of {} is empty",
+                    sc.shard_count()
+                );
+                let owned = sc.shard_styles(i);
+                for work in &doc.children {
+                    let style = style_of(work);
+                    assert!(
+                        owned.contains(&style),
+                        "shard {i} (owning {owned:?}) holds a {style:?} work"
+                    );
+                }
+            }
+            let dealt: usize = docs.iter().map(|d| d.children.len()).sum();
+            assert_eq!(dealt, 60, "every work lands on exactly one shard");
         }
     }
 

@@ -70,17 +70,17 @@ impl fmt::Display for IndexPolicy {
     }
 }
 
-/// What one pushed-plan execution did inside a wrapper: how many index
+/// What one pushed-plan request did inside a wrapper: how many index
 /// probes ran, how many candidates they seeded, and how much of the
-/// collection was actually examined. Purely observational — reported
+/// collection was actually examined — summed over the plan evaluations
+/// the request asked for (one for an `execute`, one per binding for an
+/// `execute-batch`). Purely observational — reported
 /// out-of-band next to the wire protocol (never *on* it), aggregated
 /// into the `EXPLAIN ANALYZE` index section.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IndexReport {
     /// The collection/extent the plan ran over.
     pub collection: String,
-    /// Whether an index drove the evaluation (`false` = scan path).
-    pub indexed: bool,
     /// Index lookups performed (posting-list probes, path-hash probes,
     /// field-index probes).
     pub probes: u64,
@@ -88,10 +88,23 @@ pub struct IndexReport {
     pub candidates: u64,
     /// Documents/objects actually examined to produce the answer.
     pub scanned: u64,
-    /// Total size of the collection the plan addressed.
+    /// Total size of the collection the plan addressed, once per
+    /// evaluation.
     pub collection_size: u64,
     /// Result rows produced.
     pub rows: u64,
+    /// Plan evaluations the report covers.
+    pub evaluations: u64,
+    /// How many of those fell back to a scan.
+    pub scans: u64,
+}
+
+impl IndexReport {
+    /// Whether an index drove any of the evaluations (`false` = every
+    /// one took the scan path).
+    pub fn indexed(&self) -> bool {
+        self.scans < self.evaluations
+    }
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! The mediator ↔ wrapper message protocol. Three requests cover the
+//! The mediator ↔ wrapper message protocol. Four requests cover the
 //! paper's interaction patterns (Section 2 / Fig. 2):
 //!
 //! * `<get-interface/>` — import structural metadata and query
@@ -6,20 +6,161 @@
 //! * `<get-document name="..."/>` — fetch a whole exported document (the
 //!   naive strategy: materialize at the mediator);
 //! * `<execute>plan</execute>` — evaluate a pushed plan at the source
-//!   (capability-based evaluation, Section 5.3).
+//!   (capability-based evaluation, Section 5.3);
+//! * `<execute-batch>plan bindings</execute-batch>` — evaluate a pushed
+//!   plan once per row of a bindings table (set-oriented information
+//!   passing: a `DJoin` ships its distinct left-hand values together
+//!   instead of one `execute` per value).
 //!
 //! Every message is an XML element; transports move the serialized bytes
 //! and account for them.
 
 use crate::interface::Interface;
 use crate::plan_xml::{plan_from_xml, plan_to_xml};
-use crate::tab_xml::{tab_from_xml, tab_to_xml};
+use crate::tab_xml::{tab_from_xml, tab_to_xml, value_from_xml, value_to_xml};
 use crate::xml::{interface_from_xml, interface_to_xml, WireError};
 use std::sync::Arc;
-use yat_algebra::{Alg, EvalOut, Tab};
+use yat_algebra::{Alg, EvalOut, Tab, Value};
 use yat_model::xml_convert::{tree_from_xml, tree_to_xml};
-use yat_model::Tree;
+use yat_model::{Atom, Tree};
 use yat_xml::Element;
+
+/// The most bindings one `execute-batch` may carry — the VM's row-batch
+/// size. A constant on purpose: it bounds the message size and the heap
+/// a batch pins on both sides, the mediator cuts larger binding sets
+/// into several requests, and a wrapper refuses anything longer.
+pub const MAX_BATCH_BINDINGS: usize = yat_algebra::vm::BATCH_ROWS;
+
+/// The column an `execute-batch` result is tagged with: each row's
+/// first cell is the ordinal (an `Int`) of the binding that produced it.
+/// Not a legal variable name, so it cannot collide with a plan column.
+pub const BATCH_ORDINAL: &str = "#";
+
+/// The bindings table of an `execute-batch`: the values a `DJoin`
+/// passes to a pushed plan, one row per distinct binding. Every row
+/// binds every variable — substituting row *i* into the plan gives
+/// exactly the plan an `execute` for that binding would have carried.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Bindings {
+    /// The bound variables.
+    pub vars: Vec<String>,
+    /// One value per variable, per binding.
+    pub rows: Vec<Vec<Atom>>,
+}
+
+impl Bindings {
+    /// The one binding of no variables — what a plain `execute`
+    /// evaluates its plan under.
+    pub fn unit() -> Bindings {
+        Bindings {
+            vars: Vec::new(),
+            rows: vec![Vec::new()],
+        }
+    }
+
+    /// Serializes the table:
+    /// `<bindings vars="a t"><b><a type=".." value=".."/>..</b>..</bindings>`
+    /// (cells are encoded like the atoms of a result table).
+    pub fn to_xml(&self) -> Element {
+        let mut el = Element::new("bindings").with_attr("vars", self.vars.join(" "));
+        for row in &self.rows {
+            let mut b = Element::new("b");
+            for a in row {
+                b.push_element(value_to_xml(&Value::Atom(a.clone())));
+            }
+            el.push_element(b);
+        }
+        el
+    }
+
+    /// Parses the table, refusing rows of the wrong arity, non-atomic
+    /// cells, and more than [`MAX_BATCH_BINDINGS`] rows.
+    pub fn from_xml(el: &Element) -> Result<Bindings, WireError> {
+        if el.name != "bindings" {
+            return Err(WireError::Malformed(format!(
+                "expected <bindings>, found <{}>",
+                el.name
+            )));
+        }
+        let vars: Vec<String> = el
+            .attr("vars")
+            .unwrap_or("")
+            .split_whitespace()
+            .map(str::to_string)
+            .collect();
+        let mut rows = Vec::new();
+        for b in el.children_named("b") {
+            if rows.len() == MAX_BATCH_BINDINGS {
+                return Err(WireError::Malformed(format!(
+                    "<bindings> carries more than {MAX_BATCH_BINDINGS} rows"
+                )));
+            }
+            let row: Vec<Atom> = b
+                .elements()
+                .map(|cell| match value_from_xml(cell)? {
+                    Value::Atom(a) => Ok(a),
+                    other => Err(WireError::Malformed(format!(
+                        "a binding must be atomic, found {other}"
+                    ))),
+                })
+                .collect::<Result<_, _>>()?;
+            if row.len() != vars.len() {
+                return Err(WireError::Malformed(format!(
+                    "binding arity {} does not match {} variables",
+                    row.len(),
+                    vars.len()
+                )));
+            }
+            rows.push(row);
+        }
+        Ok(Bindings { vars, rows })
+    }
+}
+
+/// The columns of a batch result whose plan produces `columns`.
+pub fn batch_columns(columns: &[String]) -> Vec<String> {
+    let mut cols = Vec::with_capacity(columns.len() + 1);
+    cols.push(BATCH_ORDINAL.to_string());
+    cols.extend_from_slice(columns);
+    cols
+}
+
+/// One row of a batch result: `values` tagged with the binding that
+/// produced them.
+pub fn batch_row(ordinal: usize, values: impl IntoIterator<Item = Value>) -> Vec<Value> {
+    let mut row = vec![Value::Atom(Atom::Int(ordinal as i64))];
+    row.extend(values);
+    row
+}
+
+/// Splits a batch result back into one table per binding (`bindings` of
+/// them, empty tables for bindings that matched nothing), refusing a
+/// table that is not tagged or names a binding that was never sent.
+pub fn split_batch_result(tab: Tab, bindings: usize) -> Result<Vec<Tab>, WireError> {
+    let Some((tag, columns)) = tab.columns().split_first() else {
+        return Err(WireError::Malformed("batch result has no columns".into()));
+    };
+    if tag != BATCH_ORDINAL {
+        return Err(WireError::Malformed(format!(
+            "batch result is not tagged: first column is `{tag}`"
+        )));
+    }
+    let mut tabs: Vec<Tab> = (0..bindings).map(|_| Tab::new(columns.to_vec())).collect();
+    for mut row in tab.into_rows() {
+        let rest = row.split_off(1);
+        match &row[0] {
+            Value::Atom(Atom::Int(i)) if (0..bindings as i64).contains(i) => {
+                tabs[*i as usize].push(rest)
+            }
+            other => {
+                return Err(WireError::Malformed(format!(
+                    "batch result row tagged `{other}`, expected a binding ordinal below {bindings}"
+                )))
+            }
+        }
+    }
+    Ok(tabs)
+}
 
 /// A request from the mediator to a wrapper.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,6 +177,16 @@ pub enum Request {
         /// The plan (wrapper-local `Source` names).
         plan: Arc<Alg>,
     },
+    /// Execute a pushed plan once per binding. The answer is one
+    /// [`Response::Result`] whose first column is [`BATCH_ORDINAL`]: the
+    /// rows of binding 0, then of binding 1, … — each group exactly the
+    /// table an `Execute` of the substituted plan would have returned.
+    ExecuteBatch {
+        /// The *unsubstituted* plan.
+        plan: Arc<Alg>,
+        /// The values to substitute, one row per binding.
+        bindings: Bindings,
+    },
 }
 
 impl Request {
@@ -47,6 +198,7 @@ impl Request {
             Request::GetInterface => "get-interface",
             Request::GetDocument { .. } => "get-document",
             Request::Execute { .. } => "execute",
+            Request::ExecuteBatch { .. } => "execute-batch",
         }
     }
 
@@ -58,6 +210,9 @@ impl Request {
                 Element::new(self.kind()).with_attr("name", name.clone())
             }
             Request::Execute { plan } => Element::new(self.kind()).with_child(plan_to_xml(plan)),
+            Request::ExecuteBatch { plan, bindings } => Element::new(self.kind())
+                .with_child(plan_to_xml(plan))
+                .with_child(bindings.to_xml()),
         }
     }
 
@@ -81,6 +236,19 @@ impl Request {
                 })?;
                 Ok(Request::Execute {
                     plan: plan_from_xml(body)?,
+                })
+            }
+            "execute-batch" => {
+                let mut parts = el.elements();
+                let (Some(plan), Some(bindings)) = (parts.next(), parts.next()) else {
+                    return Err(WireError::Missing {
+                        element: "execute-batch".into(),
+                        what: "a plan and a bindings table".into(),
+                    });
+                };
+                Ok(Request::ExecuteBatch {
+                    plan: plan_from_xml(plan)?,
+                    bindings: Bindings::from_xml(bindings)?,
                 })
             }
             other => Err(WireError::UnknownVerb(format!("unknown request <{other}>"))),
@@ -733,6 +901,16 @@ mod tests {
             Request::Execute {
                 plan: Alg::source("works"),
             },
+            Request::ExecuteBatch {
+                plan: Alg::source("works"),
+                bindings: Bindings {
+                    vars: vec!["a".into(), "t'".into()],
+                    rows: vec![
+                        vec![Atom::Str("Claude Monet".into()), Atom::Int(1897)],
+                        vec![Atom::Str("x".into()), Atom::Float(0.5)],
+                    ],
+                },
+            },
         ];
         for r in reqs {
             let back = Request::from_xml(&r.to_xml()).unwrap();
@@ -741,6 +919,118 @@ mod tests {
         }
         let bad = yat_xml::parse_element("<nonsense/>").unwrap();
         assert!(Request::from_xml(&bad).is_err());
+    }
+
+    fn survives_the_wire(r: &Request) -> Request {
+        let text = r.to_xml().to_xml();
+        Request::from_xml(&yat_xml::parse_element(&text).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn batch_bindings_survive_escaping_and_typing() {
+        // markup, quotes, entities and non-ASCII inside values; every
+        // atom type keeps its type (`1` and `1.0` stay distinct)
+        let bindings = Bindings {
+            vars: vec!["t".into(), "n".into()],
+            rows: vec![
+                vec![
+                    Atom::Str("<b a=\"1\">Tom & 'Jerry'</b>".into()),
+                    Atom::Int(1),
+                ],
+                vec![Atom::Str("Cézanne — \u{1F3A8}".into()), Atom::Float(1.0)],
+                vec![Atom::Str("true".into()), Atom::Bool(true)],
+            ],
+        };
+        let req = Request::ExecuteBatch {
+            plan: Alg::source("works"),
+            bindings: bindings.clone(),
+        };
+        let Request::ExecuteBatch { bindings: back, .. } = survives_the_wire(&req) else {
+            panic!("an execute-batch comes back as one")
+        };
+        assert_eq!(back, bindings);
+        assert!(matches!(back.rows[0][1], Atom::Int(1)));
+        assert!(matches!(back.rows[1][1], Atom::Float(_)));
+        assert!(matches!(back.rows[2][0], Atom::Str(_)));
+    }
+
+    #[test]
+    fn batch_bindings_may_be_empty_either_way() {
+        // no rows (nothing left to ask) and no variables (one binding
+        // that substitutes nothing) are both legal tables
+        for bindings in [
+            Bindings {
+                vars: vec!["t".into()],
+                rows: vec![],
+            },
+            Bindings::unit(),
+        ] {
+            let req = Request::ExecuteBatch {
+                plan: Alg::source("works"),
+                bindings,
+            };
+            assert_eq!(survives_the_wire(&req), req);
+        }
+    }
+
+    #[test]
+    fn malformed_batch_requests_are_refused() {
+        let parse = |xml: &str| Request::from_xml(&yat_xml::parse_element(xml).unwrap());
+        let plan = plan_to_xml(&Alg::source("works")).to_xml();
+        // no bindings table
+        assert!(parse(&format!("<execute-batch>{plan}</execute-batch>")).is_err());
+        // row arity differs from the variable list
+        let short = format!(
+            "<execute-batch>{plan}<bindings vars=\"a b\">\
+             <b><a type=\"Int\" value=\"1\"/></b></bindings></execute-batch>"
+        );
+        assert!(parse(&short).unwrap_err().to_string().contains("arity"));
+        // a binding must be atomic
+        let tree = format!(
+            "<execute-batch>{plan}<bindings vars=\"a\"><b><n/></b></bindings></execute-batch>"
+        );
+        assert!(parse(&tree).unwrap_err().to_string().contains("atomic"));
+        // one row more than a batch may carry
+        let rows = "<b><a type=\"Int\" value=\"1\"/></b>".repeat(MAX_BATCH_BINDINGS + 1);
+        let long =
+            format!("<execute-batch>{plan}<bindings vars=\"a\">{rows}</bindings></execute-batch>");
+        assert!(parse(&long).unwrap_err().to_string().contains("more than"));
+    }
+
+    #[test]
+    fn batch_results_split_by_ordinal() {
+        let mut tab = Tab::new(batch_columns(&["t".to_string()]));
+        let cell = |s: &str| [yat_algebra::Value::Atom(Atom::Str(s.into()))];
+        tab.push(batch_row(2, cell("c")));
+        tab.push(batch_row(0, cell("a1")));
+        tab.push(batch_row(0, cell("a2")));
+        let tabs = split_batch_result(tab.clone(), 3).unwrap();
+        assert_eq!(tabs.iter().map(Tab::len).collect::<Vec<_>>(), [2, 0, 1]);
+        assert!(tabs.iter().all(|t| t.columns() == ["t".to_string()]));
+        assert_eq!(tabs[0].row(1), &cell("a2"));
+        // a binding that was never sent, and an untagged table
+        assert!(split_batch_result(tab, 2).is_err());
+        assert!(split_batch_result(Tab::new(vec!["t".into()]), 1).is_err());
+    }
+
+    #[test]
+    fn a_wrapper_refusing_a_batch_answers_with_an_error() {
+        struct NoBatches;
+        impl WrapperServer for NoBatches {
+            fn name(&self) -> &str {
+                "nobatch"
+            }
+            fn handle(&self, request: &Request) -> Response {
+                Response::Error(format!("cannot run <{}>", request.kind()))
+            }
+        }
+        let req = Request::ExecuteBatch {
+            plan: Alg::source("works"),
+            bindings: Bindings::unit(),
+        };
+        let reply = NoBatches.handle(&survives_the_wire(&req)).to_xml().to_xml();
+        let reply = Response::from_xml(&yat_xml::parse_element(&reply).unwrap()).unwrap();
+        assert_eq!(reply, Response::Error("cannot run <execute-batch>".into()));
     }
 
     #[test]

@@ -720,6 +720,15 @@ fn corrupted_wire_bytes_never_panic_the_decoders() {
         .to_xml()
         .to_xml(),
         Request::Execute { plan: plan.clone() }.to_xml().to_xml(),
+        Request::ExecuteBatch {
+            plan: plan.clone(),
+            bindings: crate::protocol::Bindings {
+                vars: vec!["t".into()],
+                rows: vec![vec![yat_model::Atom::Str("Nympheas".into())]],
+            },
+        }
+        .to_xml()
+        .to_xml(),
         Response::Result(tab).to_xml().to_xml(),
         Response::Error("nope".into()).to_xml().to_xml(),
         ClientRequest::Query {

@@ -7,7 +7,8 @@ use yat_capability::protocol::{Request, Response, WrapperServer};
 /// Narrows a wrapper to a fetch-only capability profile: its interface
 /// is re-exported with no operations and no equivalences, so the
 /// optimizer can neither push fragments to it nor introduce `contains`
-/// for it, and `Execute` requests are refused. Documents still serve.
+/// for it, and `Execute`/`ExecuteBatch` requests are refused. Documents
+/// still serve.
 pub struct FetchOnly<W: WrapperServer>(pub W);
 
 impl<W: WrapperServer> WrapperServer for FetchOnly<W> {
@@ -25,7 +26,7 @@ impl<W: WrapperServer> WrapperServer for FetchOnly<W> {
                 }
                 other => other,
             },
-            Request::Execute { .. } => Response::Error(format!(
+            Request::Execute { .. } | Request::ExecuteBatch { .. } => Response::Error(format!(
                 "source `{}` is fetch-only and cannot execute plans",
                 self.0.name()
             )),
@@ -75,7 +76,9 @@ mod tests {
                     name: name.clone(),
                     tree: doc(),
                 },
-                Request::Execute { .. } => Response::Result(yat_algebra::Tab::new(vec![])),
+                Request::Execute { .. } | Request::ExecuteBatch { .. } => {
+                    Response::Result(yat_algebra::Tab::new(vec![]))
+                }
             }
         }
     }
@@ -99,6 +102,13 @@ mod tests {
         assert!(matches!(
             w.handle(&Request::Execute {
                 plan: yat_algebra::Alg::source("d")
+            }),
+            Response::Error(_)
+        ));
+        assert!(matches!(
+            w.handle(&Request::ExecuteBatch {
+                plan: yat_algebra::Alg::source("d"),
+                bindings: yat_capability::protocol::Bindings::unit(),
             }),
             Response::Error(_)
         ));

@@ -12,21 +12,29 @@
 //! prefetched forest and a push-result cache, then local evaluation
 //! proceeds exactly as in sequential mode, taking pushed results from
 //! the cache instead of the wire. Dependent pushes (the `DJoin`
-//! right-hand side, re-shipped once per left row with fresh bindings)
-//! still go to the wire inline, so information passing is untouched.
+//! right-hand side) still go to the wire inline, but set-oriented: the
+//! join hands the push handler its distinct bindings at once and they
+//! ship as `execute-batch` requests — per-binding cache keys, failover
+//! and partition pruning preserved (see `ship_bindings`).
 
 use crate::compose::mediator_side_sources;
 use crate::transport::Connection;
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{mpsc, Arc};
 use yat_algebra::eval::{eval_env, Env, EvalCtx, PushHandler};
-use yat_algebra::{Alg, EvalError, EvalOut, FnRegistry, Operand, Pred, SkolemRegistry, Tab, Value};
+use yat_algebra::{
+    substitute_env, Alg, BatchAnswer, EvalError, EvalOut, FnRegistry, PassedBindings,
+    SkolemRegistry, Tab,
+};
 use yat_cache::{AnswerCache, CachedAnswer, Signature};
 use yat_capability::interface::Interface;
-use yat_capability::protocol::{Request, Response};
-use yat_federate::{GroupKind, PartialFailure, ProvLog, SourceRegistry};
-use yat_model::{Forest, Node, Pattern, Tree};
+use yat_capability::protocol::{
+    split_batch_result, Bindings, Request, Response, MAX_BATCH_BINDINGS,
+};
+use yat_federate::{constraints_of, GroupKind, PartialFailure, ProvLog, SourceRegistry};
+use yat_model::{Forest, Node, Tree};
 use yat_obs::{attr, kind, Collector};
 
 /// How the executor dispatches independent source work.
@@ -1210,8 +1218,12 @@ fn run_job(
         Job::Fetch { source, names } => fetch_batch(source, names, fed).map(JobOut::Docs),
         Job::Push { source, plan, sig } => {
             let epoch = fed.epoch_of(source);
-            push_resolved(source, plan, fed)
-                .map(|(tab, complete)| {
+            // an independent fragment is the one-binding case of the
+            // batched path: nothing to substitute, shipped as it is
+            let unit = PassedBindings::unit();
+            ship_bindings(source, &PassedFragment::new(plan, &unit), &[0], fed, &mut 0)
+                .map(|mut shipped| {
+                    let (tab, complete) = shipped.pop().expect("one binding, one answer");
                     // a degraded (incomplete) result must never be served
                     // to later queries as if it were the real answer
                     if complete {
@@ -1240,30 +1252,86 @@ fn run_job(
     out
 }
 
-/// Ships one already-substituted fragment to the source it names,
-/// resolving federation groups: a replica group fails over across its
-/// executing members in cost order, a partition group fans out to every
-/// member and unites the results (the algebra's `Union` semantics).
-/// Returns the table and whether it is *complete* — an answer missing a
+/// One dependent fragment with the bindings it is passed. Substituted
+/// plans are built lazily, per binding, only for what is keyed by them:
+/// cache signatures, partition pruning and degraded column layouts — a
+/// plain cache-off push never substitutes mediator-side at all.
+struct PassedFragment<'b> {
+    plan: &'b Arc<Alg>,
+    bindings: &'b PassedBindings,
+    substituted: Vec<OnceCell<Arc<Alg>>>,
+}
+
+impl<'b> PassedFragment<'b> {
+    fn new(plan: &'b Arc<Alg>, bindings: &'b PassedBindings) -> Self {
+        PassedFragment {
+            plan,
+            bindings,
+            substituted: vec![OnceCell::new(); bindings.rows.len()],
+        }
+    }
+
+    /// The plan a per-binding `execute` of binding `ordinal` would carry.
+    fn plan_of(&self, ordinal: usize) -> &Arc<Alg> {
+        self.substituted[ordinal]
+            .get_or_init(|| substitute_env(self.plan, &self.bindings.env(ordinal)))
+    }
+
+    /// Whether binding `ordinal` substitutes anything at all.
+    fn is_symbolic(&self, ordinal: usize) -> bool {
+        self.bindings.rows[ordinal].iter().all(Option::is_none)
+    }
+
+    /// The empty answer a degraded binding falls back to, when its
+    /// plan's column layout is knowable without evaluation.
+    fn empty_answer(&self, ordinal: usize) -> Option<Tab> {
+        self.plan_of(ordinal).out_vars().map(Tab::new)
+    }
+}
+
+/// Answers the bindings `ordinals` of a fragment from the source it
+/// names, resolving federation groups, and returns per ordinal (in
+/// order) the table and whether it is *complete* — an answer missing a
 /// degraded member's contribution must not enter the cross-query cache.
-fn push_resolved(
+///
+/// * a plain source or member is shipped to directly;
+/// * a replica group fails over across its executing members in cost
+///   order, re-shipping the *whole* set to the next one;
+/// * a partition group buckets the bindings by the members each one's
+///   substituted plan prunes to (a binding that substitutes nothing
+///   keeps the plan-time decision: every member), ships every member its
+///   bucket, and unites the contributions per binding (the algebra's
+///   `Union` semantics).
+///
+/// `batches` counts the requests put on the wire.
+fn ship_bindings(
     source: &str,
-    plan: &Arc<Alg>,
+    fragment: &PassedFragment<'_>,
+    ordinals: &[usize],
     fed: &FedCtx<'_>,
-) -> Result<(Tab, bool), EvalError> {
-    match fed.registry.group_kind(source) {
-        None => match push_fragment(source, plan, fed) {
-            Ok(tab) => Ok((tab, true)),
-            Err(e) if fed.degrade() && !matches!(e, EvalError::UnknownSource { .. }) => {
-                match plan.out_vars() {
-                    Some(cols) => {
-                        fed.miss(source, &e.to_string());
-                        Ok((Tab::new(cols), false))
-                    }
-                    None => Err(e),
-                }
+    batches: &mut u64,
+) -> Result<Vec<(Tab, bool)>, EvalError> {
+    // under `Degrade`, a source failure answers every binding empty
+    let degraded = |failed: &[(String, String)]| -> Option<Vec<(Tab, bool)>> {
+        if !fed.degrade() {
+            return None;
+        }
+        let empty: Option<Vec<(Tab, bool)>> = ordinals
+            .iter()
+            .map(|&o| Some((fragment.empty_answer(o)?, false)))
+            .collect();
+        if empty.is_some() {
+            for (member, e) in failed {
+                fed.miss(member, e);
             }
-            Err(e) => Err(e),
+        }
+        empty
+    };
+    match fed.registry.group_kind(source) {
+        None => match ship_to_member(source, fragment, ordinals, fed, batches) {
+            Ok(tabs) => Ok(tabs.into_iter().map(|t| (t, true)).collect()),
+            Err(e) if matches!(e, EvalError::UnknownSource { .. }) => Err(e),
+            Err(e) => degraded(&[(source.to_string(), e.to_string())]).ok_or(e),
         },
         Some(GroupKind::Replicated) => {
             let members = fed.registry.replicas_in_cost_order(source, true);
@@ -1276,61 +1344,88 @@ fn push_resolved(
             let mut first_err: Option<EvalError> = None;
             let mut failed: Vec<(String, String)> = Vec::new();
             for member in members {
-                match push_fragment(&member, plan, fed) {
-                    Ok(tab) => return Ok((tab, true)),
+                match ship_to_member(&member, fragment, ordinals, fed, batches) {
+                    Ok(tabs) => return Ok(tabs.into_iter().map(|t| (t, true)).collect()),
                     Err(e) => {
                         failed.push((member, e.to_string()));
                         first_err.get_or_insert(e);
                     }
                 }
             }
-            if fed.degrade() {
-                if let Some(cols) = plan.out_vars() {
-                    for (member, e) in &failed {
-                        fed.miss(member, e);
-                    }
-                    return Ok((Tab::new(cols), false));
-                }
-            }
-            Err(first_err.expect("replica list was non-empty"))
+            degraded(&failed).ok_or_else(|| first_err.expect("replica list was non-empty"))
         }
         Some(GroupKind::Partitioned) => {
-            let mut merged: Option<Tab> = None;
-            let mut parts = 0usize;
-            let mut complete = true;
-            for m in fed.registry.members_of(source) {
-                match push_fragment(&m.name, plan, fed) {
-                    Ok(tab) => {
-                        parts += 1;
-                        match merged.as_mut() {
-                            None => merged = Some(tab),
-                            Some(acc) => merge_union(acc, &tab, source)?,
+            let all: Vec<String> = fed
+                .registry
+                .members_of(source)
+                .iter()
+                .map(|m| m.name.clone())
+                .collect();
+            // which members each binding still needs once its values
+            // are known
+            let wanted: Vec<Vec<String>> = ordinals
+                .iter()
+                .map(|&o| {
+                    if fragment.is_symbolic(o) {
+                        all.clone()
+                    } else {
+                        fed.registry
+                            .prune(source, &constraints_of(fragment.plan_of(o)))
+                    }
+                })
+                .collect();
+            let mut merged: Vec<Option<Tab>> = vec![None; ordinals.len()];
+            let mut parts = vec![0usize; ordinals.len()];
+            let mut complete = vec![true; ordinals.len()];
+            for member in &all {
+                let bucket: Vec<usize> = (0..ordinals.len())
+                    .filter(|&pos| wanted[pos].contains(member))
+                    .collect();
+                if bucket.is_empty() {
+                    continue;
+                }
+                let bucket_ordinals: Vec<usize> = bucket.iter().map(|&pos| ordinals[pos]).collect();
+                match ship_to_member(member, fragment, &bucket_ordinals, fed, batches) {
+                    Ok(tabs) => {
+                        for (pos, tab) in bucket.into_iter().zip(tabs) {
+                            parts[pos] += 1;
+                            match merged[pos].as_mut() {
+                                None => merged[pos] = Some(tab),
+                                Some(acc) => merge_union(acc, &tab, source)?,
+                            }
                         }
                     }
                     Err(e) if fed.degrade() && !matches!(e, EvalError::UnknownSource { .. }) => {
-                        fed.miss(&m.name, &e.to_string());
-                        complete = false;
+                        fed.miss(member, &e.to_string());
+                        for pos in bucket {
+                            complete[pos] = false;
+                        }
                     }
                     Err(e) => return Err(e),
                 }
             }
-            match merged {
-                Some(mut tab) => {
-                    // set semantics across shards, like the algebra's
-                    // Union; a single contribution is already a set
-                    if parts > 1 {
-                        tab.dedup();
-                    }
-                    Ok((tab, complete))
-                }
-                None => match plan.out_vars() {
-                    Some(cols) => Ok((Tab::new(cols), complete)),
-                    None => Err(EvalError::Function {
-                        name: source.to_string(),
-                        message: "no partition member answered".into(),
-                    }),
-                },
+            let mut out = Vec::with_capacity(ordinals.len());
+            for (pos, tab) in merged.into_iter().enumerate() {
+                let tab =
+                    match tab {
+                        Some(mut tab) => {
+                            // set semantics across shards, like the algebra's
+                            // Union; a single contribution is already a set
+                            if parts[pos] > 1 {
+                                tab.dedup();
+                            }
+                            tab
+                        }
+                        None => fragment.empty_answer(ordinals[pos]).ok_or_else(|| {
+                            EvalError::Function {
+                                name: source.to_string(),
+                                message: "no partition member answered".into(),
+                            }
+                        })?,
+                    };
+                out.push((tab, complete[pos]));
             }
+            Ok(out)
         }
     }
 }
@@ -1354,35 +1449,92 @@ fn merge_union(acc: &mut Tab, tab: &Tab, group: &str) -> Result<(), EvalError> {
     Ok(())
 }
 
-/// Ships one already-substituted fragment to one concrete wrapper.
-fn push_fragment(source: &str, plan: &Arc<Alg>, fed: &FedCtx<'_>) -> Result<Tab, EvalError> {
+/// Ships the bindings `ordinals` of a fragment to one concrete wrapper
+/// and returns their tables, in order. Bindings of one *shape* — the
+/// same cells atom-valued — substitute into the same positions of the
+/// plan, so they travel together: the unsubstituted fragment once plus
+/// their values, at most [`MAX_BATCH_BINDINGS`] per `execute-batch`. A
+/// binding with nothing to substitute ships as the plain `execute` it
+/// always was.
+fn ship_to_member(
+    member: &str,
+    fragment: &PassedFragment<'_>,
+    ordinals: &[usize],
+    fed: &FedCtx<'_>,
+    batches: &mut u64,
+) -> Result<Vec<Tab>, EvalError> {
     let conn = fed
         .connections
-        .get(source)
+        .get(member)
         .ok_or_else(|| EvalError::UnknownSource {
-            source: Some(source.to_string()),
+            source: Some(member.to_string()),
             name: "<push>".into(),
         })?;
-    let response = conn
-        .call_traced(&Request::Execute { plan: plan.clone() }, fed.obs)
-        .map_err(|e| EvalError::Function {
-            name: source.to_string(),
-            message: e.to_string(),
-        })?;
-    match response {
-        Response::Result(tab) => {
-            fed.touch(source);
-            Ok(tab)
+    let failure = |message: String| EvalError::Function {
+        name: member.to_string(),
+        message,
+    };
+    let mut call = |request: Request| -> Result<Tab, EvalError> {
+        *batches += 1;
+        match conn.call_traced(&request, fed.obs) {
+            Ok(Response::Result(tab)) => Ok(tab),
+            Ok(Response::Error(m)) => Err(failure(m)),
+            Ok(other) => Err(failure(format!("unexpected response {other:?}"))),
+            Err(e) => Err(failure(e.to_string())),
         }
-        Response::Error(m) => Err(EvalError::Function {
-            name: source.to_string(),
-            message: m,
-        }),
-        other => Err(EvalError::Function {
-            name: source.to_string(),
-            message: format!("unexpected response {other:?}"),
-        }),
+    };
+
+    let rows = &fragment.bindings.rows;
+    let mut shapes: Vec<(Vec<bool>, Vec<usize>)> = Vec::new();
+    for (pos, &o) in ordinals.iter().enumerate() {
+        let shape: Vec<bool> = rows[o].iter().map(Option::is_some).collect();
+        match shapes.iter_mut().find(|(s, _)| *s == shape) {
+            Some((_, positions)) => positions.push(pos),
+            None => shapes.push((shape, vec![pos])),
+        }
     }
+    let mut out: Vec<Option<Tab>> = vec![None; ordinals.len()];
+    for (shape, positions) in shapes {
+        let vars: Vec<String> = fragment
+            .bindings
+            .vars
+            .iter()
+            .zip(&shape)
+            .filter(|(_, bound)| **bound)
+            .map(|(v, _)| v.clone())
+            .collect();
+        if vars.is_empty() {
+            for pos in positions {
+                out[pos] = Some(call(Request::Execute {
+                    plan: fragment.plan.clone(),
+                })?);
+            }
+            continue;
+        }
+        for chunk in positions.chunks(MAX_BATCH_BINDINGS) {
+            let bindings = Bindings {
+                vars: vars.clone(),
+                rows: chunk
+                    .iter()
+                    .map(|&pos| rows[ordinals[pos]].iter().flatten().cloned().collect())
+                    .collect(),
+            };
+            let tagged = call(Request::ExecuteBatch {
+                plan: fragment.plan.clone(),
+                bindings,
+            })?;
+            let tabs =
+                split_batch_result(tagged, chunk.len()).map_err(|e| failure(e.to_string()))?;
+            for (&pos, tab) in chunk.iter().zip(tabs) {
+                out[pos] = Some(tab);
+            }
+        }
+    }
+    fed.touch(member);
+    Ok(out
+        .into_iter()
+        .map(|t| t.expect("every binding belongs to one shape"))
+        .collect())
 }
 
 /// Documents fetched for this execution: a shared forest addressed by
@@ -1420,235 +1572,93 @@ struct Pusher<'a> {
 }
 
 impl<'a> PushHandler for Pusher<'a> {
-    fn execute_push(
+    /// One binding is a batch of one: the same cache, federation and
+    /// wire handling, and a fragment that substitutes nothing still
+    /// ships as a plain `execute`.
+    fn execute_push(&self, source: &str, plan: &Arc<Alg>, env: &Env) -> Result<Tab, EvalError> {
+        let answer = self.execute_push_batch(source, plan, &PassedBindings::single(plan, env))?;
+        Ok(answer
+            .tabs
+            .into_iter()
+            .next()
+            .expect("one binding, one table"))
+    }
+
+    fn execute_push_batch(
         &self,
         source: &str,
-        plan: &Alg,
-        env: &BTreeMap<String, Value>,
-    ) -> Result<Tab, EvalError> {
+        plan: &Arc<Alg>,
+        bindings: &PassedBindings,
+    ) -> Result<BatchAnswer, EvalError> {
         let fed = &self.fed;
-        // information passing first: bindings inline as constants, so the
-        // shipped form (which the signature hashes) carries their values
-        let plan = substitute_env(&Arc::new(plan.clone()), env);
-        // signatures cost a serialization — skip when no consumer exists
-        let sig = (fed.cache.policy().is_enabled() || !self.pushed.is_empty())
-            .then(|| Signature::execute(source, &plan));
-        if let Some(sig) = sig {
-            // an independent fragment (no information passing) may
-            // already have been shipped by a scatter lane
-            if env.is_empty() {
-                if let Some(tab) = self.pushed.get(&sig) {
-                    return Ok(tab.clone());
-                }
-            }
-            // then the cross-query cache, against the live epoch (a
-            // group's epoch aggregates over its members)
-            match fed.cache.lookup(sig, source, fed.epoch_of(source), fed.obs) {
-                Some(CachedAnswer::Result(tab)) => {
-                    fed.touch(source);
-                    fed.observe_cache(source, true);
-                    return Ok(tab);
-                }
-                _ => fed.observe_cache(source, false),
-            }
-        }
+        let fragment = PassedFragment::new(plan, bindings);
+        let cache_on = fed.cache.policy().is_enabled();
+        // the live epoch (a group's aggregates over its members), read
+        // once: before the lookups it validates and the round trips whose
+        // answers it tags
         let epoch = fed.epoch_of(source);
-        let (tab, complete) = push_resolved(source, &plan, fed)?;
-        if complete {
-            if let Some(sig) = sig {
-                fed.cache.insert(
-                    sig,
-                    source,
-                    epoch,
-                    CachedAnswer::Result(tab.clone()),
-                    fed.obs,
-                );
+        let mut tabs: Vec<Option<Tab>> = vec![None; bindings.rows.len()];
+        let mut sigs: Vec<Option<Signature>> = vec![None; bindings.rows.len()];
+        let mut misses: Vec<usize> = Vec::new();
+        for ordinal in 0..bindings.rows.len() {
+            // a binding that substitutes nothing is the fragment as the
+            // scatter step may already have shipped it
+            let memoized = fragment.is_symbolic(ordinal) && !self.pushed.is_empty();
+            // signatures cost a substitution and a hash — skip them when
+            // no consumer exists
+            if cache_on || memoized {
+                let sig = Signature::execute(source, fragment.plan_of(ordinal));
+                sigs[ordinal] = Some(sig);
+                if let Some(tab) = self.pushed.get(&sig).filter(|_| memoized) {
+                    tabs[ordinal] = Some(tab.clone());
+                    continue;
+                }
+                // then the cross-query cache
+                match fed.cache.lookup(sig, source, epoch, fed.obs) {
+                    Some(CachedAnswer::Result(tab)) => {
+                        fed.touch(source);
+                        fed.observe_cache(source, true);
+                        tabs[ordinal] = Some(tab);
+                        continue;
+                    }
+                    _ => fed.observe_cache(source, false),
+                }
             }
+            misses.push(ordinal);
         }
-        Ok(tab)
-    }
-}
 
-/// Information passing (Section 5.3): outer bindings referenced by the
-/// pushed plan become constants before shipping — "values of variables
-/// passed from the left-hand side to the right-hand side".
-pub fn substitute_env(plan: &Arc<Alg>, env: &BTreeMap<String, Value>) -> Arc<Alg> {
-    if env.is_empty() {
-        return plan.clone();
-    }
-    match plan.as_ref() {
-        Alg::Select { input, pred } => {
-            let produced = input.out_vars().unwrap_or_default();
-            let pred = subst_pred(pred, env, &produced);
-            Alg::select(substitute_env(input, env), pred)
-        }
-        Alg::Join { left, right, pred } => {
-            let mut produced = left.out_vars().unwrap_or_default();
-            produced.extend(right.out_vars().unwrap_or_default());
-            let pred = subst_pred(pred, env, &produced);
-            Alg::join(substitute_env(left, env), substitute_env(right, env), pred)
-        }
-        Alg::Bind {
-            input,
-            filter,
-            over,
-        } => {
-            // a filter variable bound in the environment becomes an
-            // inline constant — the O2 wrapper then emits `where title =
-            // "…"` (Fig. 9's nested-loop information passing)
-            let filter = subst_filter(filter, env);
-            let input = substitute_env(input, env);
-            match over {
-                Some(col) => Alg::bind_over(input, col.clone(), filter),
-                None => Alg::bind(input, filter),
+        // only the misses enter the batch
+        let mut batches = 0;
+        if !misses.is_empty() {
+            let shipped = ship_bindings(source, &fragment, &misses, fed, &mut batches)?;
+            for (ordinal, (tab, complete)) in misses.into_iter().zip(shipped) {
+                if let (true, Some(sig)) = (complete, sigs[ordinal]) {
+                    fed.cache.insert(
+                        sig,
+                        source,
+                        epoch,
+                        CachedAnswer::Result(tab.clone()),
+                        fed.obs,
+                    );
+                }
+                tabs[ordinal] = Some(tab);
             }
         }
-        Alg::Map { input, col, expr } => {
-            let produced = input.out_vars().unwrap_or_default();
-            Arc::new(Alg::Map {
-                input: substitute_env(input, env),
-                col: col.clone(),
-                expr: subst_operand(expr, env, &produced),
-            })
-        }
-        _ => {
-            let kids = plan
-                .children()
+        Ok(BatchAnswer {
+            tabs: tabs
                 .into_iter()
-                .map(|c| substitute_env(c, env))
-                .collect();
-            Arc::new(plan.with_children(kids))
-        }
-    }
-}
-
-fn subst_pred(pred: &Pred, env: &BTreeMap<String, Value>, produced: &[String]) -> Pred {
-    match pred {
-        Pred::True => Pred::True,
-        Pred::And(a, b) => Pred::And(
-            Box::new(subst_pred(a, env, produced)),
-            Box::new(subst_pred(b, env, produced)),
-        ),
-        Pred::Or(a, b) => Pred::Or(
-            Box::new(subst_pred(a, env, produced)),
-            Box::new(subst_pred(b, env, produced)),
-        ),
-        Pred::Not(p) => Pred::Not(Box::new(subst_pred(p, env, produced))),
-        Pred::Cmp { op, left, right } => Pred::Cmp {
-            op: *op,
-            left: subst_operand(left, env, produced),
-            right: subst_operand(right, env, produced),
-        },
-        Pred::Call { name, args } => Pred::Call {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| subst_operand(a, env, produced))
+                .map(|t| t.expect("every binding hit or was shipped"))
                 .collect(),
-        },
-    }
-}
-
-fn subst_operand(o: &Operand, env: &BTreeMap<String, Value>, produced: &[String]) -> Operand {
-    match o {
-        Operand::Var(v) if !produced.contains(v) => match env.get(v).and_then(Value::atom) {
-            Some(a) => Operand::Const(a),
-            None => o.clone(),
-        },
-        Operand::Call { name, args } => Operand::Call {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| subst_operand(a, env, produced))
-                .collect(),
-        },
-        _ => o.clone(),
-    }
-}
-
-fn subst_filter(filter: &Pattern, env: &BTreeMap<String, Value>) -> Pattern {
-    match filter {
-        Pattern::TreeVar(v) => match env.get(v).and_then(Value::atom) {
-            Some(a) => Pattern::constant(a),
-            None => filter.clone(),
-        },
-        Pattern::Node { label, edges } => Pattern::Node {
-            label: label.clone(),
-            edges: edges
-                .iter()
-                .map(|e| yat_model::Edge {
-                    occ: e.occ,
-                    star_var: e.star_var.clone(),
-                    pattern: subst_filter(&e.pattern, env),
-                })
-                .collect(),
-        },
-        Pattern::Union(bs) => Pattern::Union(bs.iter().map(|b| subst_filter(b, env)).collect()),
-        other => other.clone(),
+            batches,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use yat_algebra::CmpOp;
-    use yat_model::Atom;
+    use yat_algebra::Pred;
     use yat_yatl::parse_filter;
-
-    fn env(pairs: &[(&str, Atom)]) -> BTreeMap<String, Value> {
-        pairs
-            .iter()
-            .map(|(k, v)| (k.to_string(), Value::Atom(v.clone())))
-            .collect()
-    }
-
-    #[test]
-    fn predicates_substitute_free_vars_only() {
-        let plan = Alg::select(
-            Alg::bind(
-                Alg::source("artifacts"),
-                parse_filter("set *class: artifact: tuple [ title: $t2 ]").unwrap(),
-            ),
-            Pred::cmp(CmpOp::Eq, Operand::var("t2"), Operand::var("t")),
-        );
-        let out = substitute_env(&plan, &env(&[("t", Atom::Str("Nympheas".into()))]));
-        let Alg::Select { pred, .. } = out.as_ref() else {
-            panic!()
-        };
-        // $t2 is produced inside, $t came from the environment
-        assert_eq!(pred.to_string(), "$t2 = \"Nympheas\"");
-    }
-
-    #[test]
-    fn filters_substitute_shared_vars() {
-        let plan = Alg::bind(
-            Alg::source("artifacts"),
-            parse_filter("set *class: artifact: tuple [ title: $t ]").unwrap(),
-        );
-        let out = substitute_env(&plan, &env(&[("t", Atom::Str("X".into()))]));
-        let Alg::Bind { filter, .. } = out.as_ref() else {
-            panic!()
-        };
-        assert!(filter.to_string().contains("title[\"X\"]"), "{filter}");
-    }
-
-    #[test]
-    fn tree_valued_bindings_stay_symbolic() {
-        let plan = Alg::select(
-            Alg::bind(Alg::source("d"), parse_filter("d *$x").unwrap()),
-            Pred::var_eq("x", "w"),
-        );
-        let mut e = BTreeMap::new();
-        e.insert(
-            "w".to_string(),
-            Value::Tree(yat_model::Node::sym("work", vec![])),
-        );
-        let out = substitute_env(&plan, &e);
-        let Alg::Select { pred, .. } = out.as_ref() else {
-            panic!()
-        };
-        assert_eq!(pred.to_string(), "$x = $w", "tree values cannot inline");
-    }
 
     #[test]
     fn exec_mode_parses_the_env_syntax() {
@@ -1856,6 +1866,254 @@ mod tests {
         );
     }
 
+    /// The per-binding loop the batched path replaces: it forwards
+    /// single pushes only, so the trait's default `execute_push_batch`
+    /// ships every binding on its own through the real [`Pusher`].
+    struct PerRow<'a>(&'a dyn PushHandler);
+
+    impl PushHandler for PerRow<'_> {
+        fn execute_push(&self, source: &str, plan: &Arc<Alg>, env: &Env) -> Result<Tab, EvalError> {
+            self.0.execute_push(source, plan, env)
+        }
+    }
+
+    /// A source that serves one fixed document, `seed`.
+    struct Seed(Tree);
+
+    impl yat_capability::protocol::WrapperServer for Seed {
+        fn name(&self) -> &str {
+            "seed"
+        }
+
+        fn handle(&self, request: &Request) -> Response {
+            match request {
+                Request::GetInterface => Response::Interface(Interface::new("seed")),
+                Request::GetDocument { name } => Response::Document {
+                    name: name.clone(),
+                    tree: self.0.clone(),
+                },
+                _ => Response::Error("seed only serves its document".into()),
+            }
+        }
+    }
+
+    /// `seed` next to the Fig. 1 O2 database. The seed document holds
+    /// one numbered `row` per entry of `keys` (`Bind` answers are sets —
+    /// the number keeps equal keys apart), with a `k` child where the
+    /// entry has content.
+    fn seeded_connections(keys: Vec<Option<Tree>>) -> BTreeMap<String, Connection> {
+        let rows = keys
+            .into_iter()
+            .enumerate()
+            .map(|(n, key)| {
+                let mut row = vec![Node::elem("n", n as i64)];
+                row.extend(key.map(|content| Node::sym("k", vec![content])));
+                Node::sym("row", row)
+            })
+            .collect();
+        let mut connections = BTreeMap::new();
+        connections.insert(
+            "seed".to_string(),
+            Connection::new(Box::new(Seed(Node::sym("seed", rows)))),
+        );
+        connections.insert(
+            "o2artifact".to_string(),
+            Connection::new(Box::new(yat_oql::O2Wrapper::new(
+                "o2artifact",
+                yat_oql::art::fig1_store(),
+            ))),
+        );
+        connections
+    }
+
+    /// `seed *row [ n: $n, ?k: $<var> ]` over the seed document: one
+    /// left row per `row`, `Null` where it has no `k`.
+    fn seed_rows(var: &str) -> Arc<Alg> {
+        use yat_model::{Edge, Pattern};
+        Alg::bind(
+            Alg::source_at("seed", "seed"),
+            Pattern::sym(
+                "seed",
+                vec![Edge::star(Pattern::sym(
+                    "row",
+                    vec![
+                        Edge::one(Pattern::elem_var("n", "n")),
+                        Edge::opt(Pattern::elem_var("k", var)),
+                    ],
+                ))],
+            ),
+        )
+    }
+
+    /// Executes `plan` through the real pusher — batched, or forced
+    /// through the per-row loop — and reports the answer with the O2
+    /// round trips it took.
+    fn run_passing(
+        plan: &Alg,
+        connections: &BTreeMap<String, Connection>,
+        engine: ExecEngine,
+        cache: &AnswerCache,
+        per_row: bool,
+    ) -> (Result<EvalOut, EvalError>, u64) {
+        let (interfaces, funcs, skolems, registry) = (
+            BTreeMap::new(),
+            FnRegistry::with_builtins(),
+            SkolemRegistry::new(),
+            SourceRegistry::new(),
+        );
+        let spec = ExecSpec {
+            connections,
+            interfaces: &interfaces,
+            funcs: &funcs,
+            skolems: &skolems,
+            obs: None,
+            mode: ExecMode::Sequential,
+            cache,
+            engine,
+            program: None,
+            registry: &registry,
+            partial: PartialFailure::Strict,
+            sched: SchedPolicy::Static,
+            prov: None,
+            bind_index: None,
+        };
+        let (catalog, pusher) = prepare(plan, &spec).expect("the seed document fetches");
+        let per_row_loop = PerRow(&pusher);
+        let ctx = EvalCtx {
+            catalog: &catalog,
+            model: None,
+            funcs: &funcs,
+            skolems: &skolems,
+            push: Some(if per_row { &per_row_loop } else { &pusher }),
+            obs: None,
+            bind_index: None,
+        };
+        let o2 = connections["o2artifact"].meter();
+        let before = o2.snapshot().round_trips;
+        let out = run_engine(plan, engine, None, &ctx, &Env::new());
+        (out, o2.snapshot().round_trips - before)
+    }
+
+    #[test]
+    fn batched_passing_equals_the_per_row_loop_on_mixed_bindings() {
+        let connections = seeded_connections(vec![
+            Some(Node::atom("Nympheas")),
+            Some(Node::atom("Waterloo Bridge")),
+            Some(Node::atom("Nympheas")),
+            None,
+            Some(Node::sym("work", vec![Node::elem("title", "Nympheas")])),
+            Some(Node::atom(1897)),
+        ]);
+        let artifacts =
+            |filter: &str| Alg::bind(Alg::source("artifacts"), parse_filter(filter).unwrap());
+        // the filter shares `$t`: atoms inline as constants, the `Null`
+        // and tree-valued rows leave it a plain filter variable
+        let shared = Alg::djoin(
+            seed_rows("t"),
+            Alg::push(
+                "o2artifact",
+                artifacts("set *class: artifact: tuple [ title: $t, price: $p ]"),
+            ),
+        );
+        // a free predicate variable: the symbolic rows leave `$k`
+        // dangling, which O2 refuses — per row or batched alike
+        let by_title = Alg::push(
+            "o2artifact",
+            Alg::select(
+                artifacts("set *class: artifact: tuple [ title: $t, year: $y ]"),
+                Pred::var_eq("t", "k"),
+            ),
+        );
+        let dangling = Alg::djoin(seed_rows("k"), by_title.clone());
+        let atoms_only = Alg::djoin(
+            Alg::select(seed_rows("k"), Pred::eq_const("k", "Nympheas")),
+            by_title.clone(),
+        );
+        let no_rows = Alg::djoin(
+            Alg::select(seed_rows("k"), Pred::eq_const("k", "nothing")),
+            by_title,
+        );
+        // (plan, O2 round trips batched, O2 round trips of the loop): the
+        // six rows hold four distinct bindings — two titles, a number,
+        // and one symbolic binding for the `Null` and the tree alike —
+        // which travel as one batch per shape, or one request each
+        let cases = [
+            (&shared, 2, 4),
+            (&dangling, 2, 3),
+            (&atoms_only, 1, 1),
+            (&no_rows, 0, 0),
+        ];
+        for (plan, batched_trips, per_row_trips) in cases {
+            for engine in [ExecEngine::Interp, ExecEngine::Vm] {
+                let off = AnswerCache::off();
+                let (batched, trips) = run_passing(plan, &connections, engine, &off, false);
+                assert_eq!(trips, batched_trips, "batched trips of {plan:?}");
+                let (per_row, trips) = run_passing(plan, &connections, engine, &off, true);
+                assert_eq!(trips, per_row_trips, "per-row trips of {plan:?}");
+                match (&batched, &per_row) {
+                    (Ok(a), Ok(b)) => assert_eq!(a, b, "{engine} on {plan:?}"),
+                    (Err(_), Err(_)) => {}
+                    other => panic!("{engine} disagrees on success for {plan:?}: {other:?}"),
+                }
+                // and with per-binding cache keys: cold equals the
+                // uncached answer, warm ships nothing
+                let cache = AnswerCache::new(yat_cache::CachePolicy::bounded());
+                let (cold, _) = run_passing(plan, &connections, engine, &cache, false);
+                let (warm, trips) = run_passing(plan, &connections, engine, &cache, false);
+                if let Ok(batched) = &batched {
+                    assert_eq!(cold.as_ref().ok(), Some(batched));
+                    assert_eq!(warm.as_ref().ok(), Some(batched));
+                    assert_eq!(trips, 0, "every binding of {plan:?} hit the cache");
+                } else {
+                    assert!(cold.is_err() && warm.is_err());
+                }
+            }
+        }
+        // the shared-variable plan really mixed shapes: the two titles
+        // once each, and every artifact for each of the two symbolic rows
+        let (out, _) = run_passing(
+            &shared,
+            &connections,
+            ExecEngine::Interp,
+            &AnswerCache::off(),
+            false,
+        );
+        let tab = out.unwrap();
+        assert_eq!(tab.as_tab().unwrap().len(), 3 + 2 * 2);
+    }
+
+    #[test]
+    fn more_bindings_than_a_batch_carries_ship_in_chunks() {
+        let years = 1..=(MAX_BATCH_BINDINGS as i64 + 900);
+        let connections = seeded_connections(years.clone().map(|y| Some(Node::atom(y))).collect());
+        let plan = Alg::djoin(
+            seed_rows("k"),
+            Alg::push(
+                "o2artifact",
+                Alg::select(
+                    Alg::bind(
+                        Alg::source("artifacts"),
+                        parse_filter("set *class: artifact: tuple [ title: $t, year: $y ]")
+                            .unwrap(),
+                    ),
+                    Pred::var_eq("y", "k"),
+                ),
+            ),
+        );
+        let off = AnswerCache::off();
+        let (batched, trips) = run_passing(&plan, &connections, ExecEngine::Vm, &off, false);
+        assert_eq!(trips, 2, "two chunks, however many bindings");
+        let (per_row, trips) = run_passing(&plan, &connections, ExecEngine::Vm, &off, true);
+        assert_eq!(trips, years.count() as u64);
+        let batched = batched.unwrap();
+        assert_eq!(batched, per_row.unwrap());
+        assert_eq!(
+            batched.as_tab().unwrap().len(),
+            2,
+            "Fig. 1's two artifacts (1897, 1903) are found by the second chunk"
+        );
+    }
+
     #[test]
     fn dependency_analysis_skips_djoin_right() {
         let filter = parse_filter("works *$w").unwrap();
@@ -1881,15 +2139,5 @@ mod tests {
             found.iter().map(|(s, _)| s.as_str()).collect::<Vec<_>>(),
             ["wais"]
         );
-    }
-
-    #[test]
-    fn empty_env_is_identity() {
-        let plan = Alg::select(
-            Alg::bind(Alg::source("d"), parse_filter("d *$x").unwrap()),
-            Pred::eq_const("x", 1),
-        );
-        let out = substitute_env(&plan, &BTreeMap::new());
-        assert!(Arc::ptr_eq(&plan, &out));
     }
 }

@@ -526,6 +526,11 @@ fn profile_to_xml(node: &ProfileNode) -> Element {
     if let Some(rows) = node.rows {
         el.set_attr("rows", rows.to_string());
     }
+    if let Some(p) = node.passing {
+        el.set_attr("bindings", p.bindings.to_string());
+        el.set_attr("distinct", p.distinct.to_string());
+        el.set_attr("batches", p.batches.to_string());
+    }
     if node.round_trips > 0 {
         el.set_attr("round-trips", node.round_trips.to_string());
         el.set_attr("bytes-sent", node.bytes_sent.to_string());

@@ -731,17 +731,19 @@ impl Mediator {
                 }
             }
             // index events are labeled "<collection> @<source>" (pushed)
-            // or "bind <root> @local"; probes > 0 means the evaluation
-            // was answered through an index
+            // or "bind <root> @local". A pushed event says how many plan
+            // evaluations it covers and how many of them scanned; a local
+            // one is a single evaluation, answered through an index iff
+            // it issued probes
             if span.kind == yat_obs::kind::INDEX {
-                let counter = |name| span.attr(name).and_then(|v| v.as_u64()).unwrap_or(0);
+                let attr = |name| span.attr(name).and_then(|v| v.as_u64());
+                let counter = |name| attr(name).unwrap_or(0);
                 let line = index.entry(span.label.clone()).or_default();
                 let probes = counter(yat_obs::attr::PROBES);
-                if probes > 0 {
-                    line.indexed += 1;
-                } else {
-                    line.scans += 1;
-                }
+                let evaluations = attr(yat_obs::attr::EVALUATIONS).unwrap_or(1);
+                let scans = attr(yat_obs::attr::SCAN_EVALUATIONS).unwrap_or(u64::from(probes == 0));
+                line.indexed += evaluations - scans.min(evaluations);
+                line.scans += scans;
                 line.probes += probes;
                 line.candidates += counter(yat_obs::attr::CANDIDATES);
                 line.scanned += counter(yat_obs::attr::SCANNED);

@@ -1172,14 +1172,18 @@ fn epoch_bump_during_a_parallel_run_is_seen_by_later_jobs() {
     m.set_exec_mode(ExecMode::parallel());
     m.set_cache_policy(CachePolicy::bounded());
 
-    // Q2 at the capability level: one independent wais push, then one
-    // dependent o2 push per row of its result
+    // Q2 at the capability level: one independent wais push, then the
+    // dependent o2 push — one batch carrying a binding per row of its
+    // result
     let plan = m.plan_query(paper::Q2).unwrap();
     let (opt, _) = m.optimize(&plan, OptimizerOptions::default());
     let o2_before = m.traffic_of("o2artifact").unwrap();
     let cold = m.execute(&opt).unwrap();
     let cold_o2 = m.traffic_of("o2artifact").unwrap() - o2_before;
-    assert_eq!(cold_o2.round_trips, 2, "two dependent pushes shipped cold");
+    assert_eq!(
+        cold_o2.round_trips, 1,
+        "both bindings shipped cold, together"
+    );
 
     // force the wais fragment back to the wire: its round trip bumps
     // o2's epoch while this very execution is in flight
@@ -1193,9 +1197,12 @@ fn epoch_bump_during_a_parallel_run_is_seen_by_later_jobs() {
         wais_before.round_trips + 1,
         "the stale wais fragment re-shipped"
     );
+    // the same two-binding batch goes out again, byte for byte: a
+    // stale hit on either binding would have shrunk the request
     let rerun_o2 = m.traffic_of("o2artifact").unwrap() - o2_before;
     assert_eq!(
-        rerun_o2.round_trips, 2,
+        (rerun_o2.round_trips, rerun_o2.bytes_sent),
+        (1, cold_o2.bytes_sent),
         "the mid-run bump stops both stale o2 answers"
     );
 }

@@ -332,15 +332,17 @@ impl Connection {
                 // request with an error would never trip quarantine.
                 let ok = !matches!(response, Response::Error(_));
                 // Index accounting travels out-of-band: the wrapper keeps
-                // a report per Execute and the transport drains it every
-                // round trip (even untraced, so a stale report never
-                // attaches to a later query).
+                // a report per Execute/ExecuteBatch and the transport
+                // drains it every round trip (even untraced, so a stale
+                // report never attaches to a later query).
                 let report = self.server.take_index_report();
                 let storage = self.server.take_storage_report();
-                if ok && matches!(request, Request::Execute { .. }) {
+                let executed = matches!(
+                    request,
+                    Request::Execute { .. } | Request::ExecuteBatch { .. }
+                );
+                if ok && executed {
                     if let (Some(obs), Some(r)) = (obs, report) {
-                        // `probes > 0` ⇔ the wrapper answered off its
-                        // index; a scan records zero probes.
                         obs.event(
                             kind::INDEX,
                             format!("{} @{}", r.collection, self.name()),
@@ -350,6 +352,8 @@ impl Connection {
                                 (attr::SCANNED, AttrValue::Uint(r.scanned)),
                                 (attr::COLLECTION_SIZE, AttrValue::Uint(r.collection_size)),
                                 (attr::ROWS_OUT, AttrValue::Uint(r.rows)),
+                                (attr::EVALUATIONS, AttrValue::Uint(r.evaluations)),
+                                (attr::SCAN_EVALUATIONS, AttrValue::Uint(r.scans)),
                             ],
                         );
                     }
@@ -357,12 +361,7 @@ impl Connection {
                 // Storage accounting travels the same way, for document
                 // fetches as well as pushed plans: only store-backed
                 // sources ever produce a report.
-                if ok
-                    && matches!(
-                        request,
-                        Request::Execute { .. } | Request::GetDocument { .. }
-                    )
-                {
+                if ok && (executed || matches!(request, Request::GetDocument { .. })) {
                     if let (Some(obs), Some(r)) = (obs, storage) {
                         obs.event(
                             kind::STORAGE,

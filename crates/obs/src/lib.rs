@@ -107,8 +107,16 @@ pub mod attr {
     /// Index of the server worker thread that executed a request.
     pub const WORKER: &str = "worker";
     /// Row batches a compiled-program instruction processed during one
-    /// VM run (`0` for an instruction that never executed).
+    /// VM run (`0` for an instruction that never executed); on the
+    /// `operator` span of a dependent `Push`, the requests shipped to
+    /// sources for its bindings.
     pub const BATCHES: &str = "batches";
+    /// Left rows a `DJoin` passed bindings for (the `operator` span of
+    /// its dependent `Push`).
+    pub const BINDINGS: &str = "bindings";
+    /// Distinct binding tuples among those rows — what actually had to
+    /// be answered.
+    pub const DISTINCT: &str = "distinct";
     /// Answer chunks a streamed delivery emitted (`stream` spans).
     pub const CHUNKS: &str = "chunks";
     /// Rows per answer chunk a streamed delivery was configured with.
@@ -129,6 +137,12 @@ pub mod attr {
     pub const SCANNED: &str = "scanned";
     /// Total size of the collection/extent the evaluation addressed.
     pub const COLLECTION_SIZE: &str = "collection_size";
+    /// Plan evaluations one `index` event covers (a batched request
+    /// evaluates its plan once per binding). Absent means one.
+    pub const EVALUATIONS: &str = "evaluations";
+    /// How many of those evaluations fell back to a scan. Absent means
+    /// the event's single evaluation scanned iff it issued no probes.
+    pub const SCAN_EVALUATIONS: &str = "scan_evaluations";
     /// Live segments in a source's persistent store (`storage` events).
     pub const SEGMENTS: &str = "segments";
     /// Segments resident in the store's LRU after the execution.

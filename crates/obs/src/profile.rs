@@ -31,6 +31,9 @@ pub struct ProfileNode {
     /// Total output rows across all calls, when the spans recorded
     /// cardinality ([`attr::ROWS_OUT`]).
     pub rows: Option<u64>,
+    /// Set-oriented information passing totals, when the spans recorded
+    /// them — the `Push` on the dependent side of a `DJoin`.
+    pub passing: Option<Passing>,
     /// Total wall time across all calls (inclusive of children).
     pub elapsed: Duration,
     /// Request bytes sent by this subtree (inclusive).
@@ -45,6 +48,17 @@ pub struct ProfileNode {
     pub errors: u64,
     /// Aggregated children, in first-execution order.
     pub children: Vec<ProfileNode>,
+}
+
+/// What a dependent `Push` was passed, summed over its calls.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Passing {
+    /// Left rows bindings were passed for ([`attr::BINDINGS`]).
+    pub bindings: u64,
+    /// Distinct binding tuples among them ([`attr::DISTINCT`]).
+    pub distinct: u64,
+    /// Requests shipped to sources for them ([`attr::BATCHES`]).
+    pub batches: u64,
 }
 
 impl ProfileNode {
@@ -75,6 +89,12 @@ impl ProfileNode {
         out.push_str(&format!("calls={}", self.calls));
         if let Some(rows) = self.rows {
             out.push_str(&format!(" rows={rows}"));
+        }
+        if let Some(p) = self.passing {
+            out.push_str(&format!(
+                " bindings={} distinct={} batches={}",
+                p.bindings, p.distinct, p.batches
+            ));
         }
         out.push_str(&format!(" time={}", fmt_duration(self.elapsed)));
         if self.round_trips > 0 {
@@ -150,6 +170,12 @@ fn aggregate(spans: &[SpanData], children: &[Vec<usize>], ids: &[usize]) -> Vec<
                 node.elapsed += span.elapsed;
                 if let Some(rows) = span.attr(attr::ROWS_OUT).and_then(AttrValue::as_u64) {
                     node.rows = Some(node.rows.unwrap_or(0) + rows);
+                }
+                if span.attr(attr::BINDINGS).is_some() {
+                    let p = node.passing.get_or_insert_with(Passing::default);
+                    p.bindings += counter(span, attr::BINDINGS);
+                    p.distinct += counter(span, attr::DISTINCT);
+                    p.batches += counter(span, attr::BATCHES);
                 }
                 node.bytes_sent += counter(span, attr::BYTES_SENT);
                 node.bytes_received += counter(span, attr::BYTES_RECEIVED);
@@ -247,6 +273,34 @@ mod tests {
         assert!(text.contains("rpc=2 sent=200B recv=400B docs=5"), "{text}");
         // indentation reflects tree depth
         assert!(text.contains("\n  Push -> wais"), "{text}");
+    }
+
+    #[test]
+    fn passing_totals_render_on_the_push_row() {
+        let c = Collector::new();
+        {
+            let _root = c.span(kind::OPERATOR, "DJoin");
+            let mut push = c.span(kind::OPERATOR, "Push -> o2");
+            push.record_u64(attr::ROWS_OUT, 7);
+            push.record_u64(attr::BINDINGS, 180);
+            push.record_u64(attr::DISTINCT, 42);
+            push.record_u64(attr::BATCHES, 1);
+        }
+        let profile = build(&c.spans());
+        assert_eq!(profile[0].passing, None, "only the Push recorded passing");
+        assert_eq!(
+            profile[0].children[0].passing,
+            Some(Passing {
+                bindings: 180,
+                distinct: 42,
+                batches: 1
+            })
+        );
+        let text = render(&profile);
+        assert!(
+            text.contains("rows=7 bindings=180 distinct=42 batches=1 time="),
+            "{text}"
+        );
     }
 
     #[test]

@@ -10,12 +10,14 @@
 //! ```
 //!
 //! Dependent ranges (`O in A.owners`), path navigation through references
-//! and method calls (`A.current_price`) are supported. Keywords are
-//! case-insensitive, as in OQL.
+//! and method calls (`A.current_price`) are supported, and so are ODMG
+//! query parameters (`$1`, `$2`, …): a query is parsed once and evaluated
+//! under many parameter rows. Keywords are case-insensitive, as in OQL.
 
-use crate::findex::{intersect_entries, Entry};
+use crate::findex::{intersect_entries, Entry, FieldIndex};
 use crate::store::{Object, OqlError, Store};
 use crate::value::OVal;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Bound;
@@ -38,6 +40,8 @@ pub enum Expr {
     Path(Path),
     /// A literal.
     Const(Atom),
+    /// A query parameter (`$1` is `Param(0)`), bound at evaluation time.
+    Param(usize),
 }
 
 impl fmt::Display for Expr {
@@ -46,6 +50,7 @@ impl fmt::Display for Expr {
             Expr::Path(p) => write!(f, "{p}"),
             Expr::Const(Atom::Str(s)) => write!(f, "{s:?}"),
             Expr::Const(a) => write!(f, "{a}"),
+            Expr::Param(i) => write!(f, "${}", i + 1),
         }
     }
 }
@@ -168,6 +173,12 @@ fn lex(src: &str) -> Result<Vec<String>, OqlError> {
         } else if c.is_ascii_digit() {
             let mut s = String::new();
             while matches!(cs.peek(), Some(c) if c.is_ascii_digit() || *c == '.') {
+                s.push(cs.next().expect("peeked"));
+            }
+            out.push(s);
+        } else if c == '$' {
+            let mut s = String::from(cs.next().expect("peeked"));
+            while matches!(cs.peek(), Some(c) if c.is_ascii_digit()) {
                 s.push(cs.next().expect("peeked"));
             }
             out.push(s);
@@ -339,6 +350,15 @@ impl P {
                 self.pos += 1;
                 Ok(Expr::Const(a))
             }
+            Some(t) if t.starts_with('$') => {
+                let n: usize = t[1..]
+                    .parse()
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or_else(|| OqlError(format!("bad parameter `{t}`")))?;
+                self.pos += 1;
+                Ok(Expr::Param(n - 1))
+            }
             Some("true") => {
                 self.pos += 1;
                 Ok(Expr::Const(Atom::Bool(true)))
@@ -428,37 +448,80 @@ pub struct QueryStats {
     pub scanned: u64,
 }
 
-/// Evaluates a query against a store, returning a bag of rows.
+/// Evaluates a parameterless query against a store, returning a bag of
+/// rows.
 pub fn eval(q: &Query, store: &Store) -> Result<Vec<Row>, OqlError> {
     Ok(eval_stats(q, store)?.0)
 }
 
 /// Like [`eval`], also returning the index accounting.
 pub fn eval_stats(q: &Query, store: &Store) -> Result<(Vec<Row>, QueryStats), OqlError> {
-    let mut rows = Vec::new();
-    let mut env: BTreeMap<String, OVal> = BTreeMap::new();
-    let mut stats = QueryStats::default();
-    eval_ranges(q, store, 0, &mut env, &mut rows, &mut stats)?;
-    Ok((rows, stats))
+    Prepared::new(q, store).eval(&[])
+}
+
+/// A parsed query readied for evaluation under many parameter rows
+/// against one store. What does not depend on the parameters is worked
+/// out once and shared by every [`Prepared::eval`]: the candidates the
+/// *literal* conjuncts of the condition probe out of each extent.
+pub struct Prepared<'a> {
+    q: &'a Query,
+    store: &'a Store,
+    /// Per extent range variable: the intersection of its
+    /// parameter-free probes (`None` when no such conjunct is
+    /// probeable), filled on first use.
+    fixed: RefCell<BTreeMap<String, Option<Vec<Entry>>>>,
+}
+
+impl<'a> Prepared<'a> {
+    /// Readies `q` for evaluation against `store`.
+    pub fn new(q: &'a Query, store: &'a Store) -> Self {
+        Prepared {
+            q,
+            store,
+            fixed: RefCell::new(BTreeMap::new()),
+        }
+    }
+
+    /// Evaluates the query under the parameter row `params` (`$1` is
+    /// `params[0]`), returning a bag of rows and the index accounting of
+    /// this evaluation. Probes shared across evaluations are accounted
+    /// to the one that issued them.
+    pub fn eval(&self, params: &[Atom]) -> Result<(Vec<Row>, QueryStats), OqlError> {
+        let mut rows = Vec::new();
+        let mut env: BTreeMap<String, OVal> = BTreeMap::new();
+        let mut stats = QueryStats::default();
+        let run = Run {
+            prepared: self,
+            params,
+        };
+        eval_ranges(&run, 0, &mut env, &mut rows, &mut stats)?;
+        Ok((rows, stats))
+    }
+}
+
+/// One evaluation: a prepared query and the parameter row it runs under.
+struct Run<'a> {
+    prepared: &'a Prepared<'a>,
+    params: &'a [Atom],
 }
 
 fn eval_ranges(
-    q: &Query,
-    store: &Store,
+    b: &Run<'_>,
     depth: usize,
     env: &mut BTreeMap<String, OVal>,
     rows: &mut Vec<Row>,
     stats: &mut QueryStats,
 ) -> Result<(), OqlError> {
+    let (q, store) = (b.prepared.q, b.prepared.store);
     if depth == q.ranges.len() {
         if let Some(c) = &q.cond {
-            if !eval_cond(c, store, env)? {
+            if !eval_cond(c, b, env)? {
                 return Ok(());
             }
         }
         let mut row = Row::new();
         for (name, e) in &q.projections {
-            row.insert(name.clone(), eval_expr(e, store, env)?);
+            row.insert(name.clone(), eval_expr(e, b, env)?);
         }
         rows.push(row);
         return Ok(());
@@ -471,14 +534,14 @@ fn eval_ranges(
     // combination, so a candidate superset never widens the answer.
     if path.0.len() == 1 && !env.contains_key(&path.0[0]) {
         if let Some(members) = store.extent(&path.0[0]) {
-            let elements: Vec<OVal> = match extent_candidates(q, store, var, &path.0[0], stats) {
+            let elements: Vec<OVal> = match extent_candidates(b, var, &path.0[0], stats) {
                 Some(cands) => cands.into_iter().map(OVal::Ref).collect(),
                 None => members.iter().map(|o| OVal::Ref(o.clone())).collect(),
             };
             stats.scanned += elements.len() as u64;
             for e in elements {
                 env.insert(var.clone(), e);
-                eval_ranges(q, store, depth + 1, env, rows, stats)?;
+                eval_ranges(b, depth + 1, env, rows, stats)?;
             }
             env.remove(var);
             return Ok(());
@@ -495,7 +558,7 @@ fn eval_ranges(
     };
     for e in elements {
         env.insert(var.clone(), e);
-        eval_ranges(q, store, depth + 1, env, rows, stats)?;
+        eval_ranges(b, depth + 1, env, rows, stats)?;
     }
     env.remove(var);
     Ok(())
@@ -503,67 +566,99 @@ fn eval_ranges(
 
 /// Candidates for `var in extent` under the pushed condition, or `None`
 /// when no conjunct can be probed (policy off, no usable `var.field op
-/// const` conjunct, or an index that cannot prove it saw every member).
+/// value` conjunct, or an index that cannot prove it saw every member).
 ///
 /// A probe is sound only when (a) the `(extent, field)` index holds one
 /// posting per extent member — so no member hides the field, stores a
 /// non-atomic value there, or would make the scan error out — and (b)
 /// the field name cannot resolve to a method, which navigation prefers
 /// over stored state.
+///
+/// Conjuncts comparing against a literal probe once per [`Prepared`]
+/// query; only those comparing against a parameter probe per evaluation,
+/// and their (typically short) postings are then cut by the shared set.
 fn extent_candidates(
-    q: &Query,
-    store: &Store,
+    b: &Run<'_>,
     var: &str,
     extent: &str,
     stats: &mut QueryStats,
 ) -> Option<Vec<Oid>> {
+    let store = b.prepared.store;
     if !store.index_policy().is_on() {
         return None;
     }
     let members = store.extent(extent)?;
     let mut conjuncts = Vec::new();
-    collect_conjuncts(q.cond.as_ref()?, &mut conjuncts);
-    let mut result: Option<Vec<Entry>> = None;
-    for c in conjuncts {
-        let Cond::Cmp(op, l, r) = c else { continue };
-        let (op, field, value) = match (l, r) {
-            (Expr::Path(p), Expr::Const(a)) => match p.0.as_slice() {
-                [v, f] if v == var => (*op, f, a),
-                _ => continue,
-            },
-            (Expr::Const(a), Expr::Path(p)) => match p.0.as_slice() {
-                [v, f] if v == var => (flip(*op), f, a),
-                _ => continue,
-            },
-            _ => continue,
-        };
-        if op == Op::Ne || store.has_method(field) {
-            continue;
-        }
-        let Some(ix) = store.field_index(extent, field) else {
-            continue;
-        };
-        if ix.entries() != members.len() {
-            continue;
-        }
-        let hits = match op {
+    collect_conjuncts(b.prepared.q.cond.as_ref()?, &mut conjuncts);
+    // the probeable conjuncts, as `(op, index, value expression)`
+    let probes: Vec<(Op, &FieldIndex, &Expr)> = conjuncts
+        .into_iter()
+        .filter_map(|c| {
+            let Cond::Cmp(op, l, r) = c else { return None };
+            let (op, path, value) = match (l, r) {
+                (Expr::Path(p), value @ (Expr::Const(_) | Expr::Param(_))) => (*op, p, value),
+                (value @ (Expr::Const(_) | Expr::Param(_)), Expr::Path(p)) => (flip(*op), p, value),
+                _ => return None,
+            };
+            let field = match path.0.as_slice() {
+                [v, f] if v == var => f,
+                _ => return None,
+            };
+            if op == Op::Ne || store.has_method(field) {
+                return None;
+            }
+            let ix = store.field_index(extent, field)?;
+            (ix.entries() == members.len()).then_some((op, ix, value))
+        })
+        .collect();
+    let mut probe = |op: Op, ix: &FieldIndex, value: &Atom| {
+        stats.probes += 1;
+        match op {
             Op::Eq => ix.eq_candidates(value),
             Op::Lt => ix.range_candidates(Bound::Unbounded, Bound::Excluded(value)),
             Op::Le => ix.range_candidates(Bound::Unbounded, Bound::Included(value)),
             Op::Gt => ix.range_candidates(Bound::Excluded(value), Bound::Unbounded),
             Op::Ge => ix.range_candidates(Bound::Included(value), Bound::Unbounded),
             Op::Ne => unreachable!("filtered above"),
-        };
-        stats.probes += 1;
-        result = Some(match result {
-            None => hits,
-            Some(prev) => intersect_entries(&prev, &hits),
-        });
-        if result.as_ref().is_some_and(Vec::is_empty) {
-            break;
         }
-    }
-    let result = result?;
+    };
+    // intersects the probes of `values` in order, stopping at empty
+    let mut conjoin = |values: &mut dyn Iterator<Item = (Op, &FieldIndex, &Atom)>| {
+        let mut result: Option<Vec<Entry>> = None;
+        for (op, ix, value) in values {
+            let hits = probe(op, ix, value);
+            result = Some(match result {
+                None => hits,
+                Some(prev) => intersect_entries(&prev, &hits),
+            });
+            if result.as_ref().is_some_and(Vec::is_empty) {
+                break;
+            }
+        }
+        result
+    };
+
+    let passed = conjoin(
+        &mut probes.iter().filter_map(|(op, ix, value)| match value {
+            Expr::Param(i) => Some((*op, *ix, b.params.get(*i)?)),
+            _ => None,
+        }),
+    );
+    let mut fixed = b.prepared.fixed.borrow_mut();
+    let fixed = fixed.entry(var.to_string()).or_insert_with(|| {
+        conjoin(
+            &mut probes.iter().filter_map(|(op, ix, value)| match value {
+                Expr::Const(a) => Some((*op, *ix, a)),
+                _ => None,
+            }),
+        )
+    });
+    let result = match (passed, fixed.as_ref()) {
+        (Some(passed), Some(fixed)) => intersect_entries(&passed, fixed),
+        (Some(only), None) => only,
+        (None, Some(only)) => only.clone(),
+        (None, None) => return None,
+    };
     stats.indexed = true;
     stats.candidates += result.len() as u64;
     Some(result.into_iter().map(|(_, o)| o).collect())
@@ -612,16 +707,21 @@ fn eval_range_source(
     navigate(start, &path.0[1..], store)
 }
 
-fn eval_expr(e: &Expr, store: &Store, env: &BTreeMap<String, OVal>) -> Result<OVal, OqlError> {
+fn eval_expr(e: &Expr, b: &Run<'_>, env: &BTreeMap<String, OVal>) -> Result<OVal, OqlError> {
     match e {
         Expr::Const(a) => Ok(OVal::Atom(a.clone())),
+        Expr::Param(i) => b
+            .params
+            .get(*i)
+            .map(|a| OVal::Atom(a.clone()))
+            .ok_or_else(|| OqlError(format!("parameter ${} is not bound", i + 1))),
         Expr::Path(p) => {
             let head = &p.0[0];
             let start = env
                 .get(head)
                 .cloned()
                 .ok_or_else(|| OqlError(format!("unknown variable `{head}`")))?;
-            navigate(start, &p.0[1..], store)
+            navigate(start, &p.0[1..], b.prepared.store)
         }
     }
 }
@@ -661,14 +761,14 @@ fn obj_has_method(store: &Store, obj: &Object, name: &str) -> bool {
         && store.has_method(name)
 }
 
-fn eval_cond(c: &Cond, store: &Store, env: &BTreeMap<String, OVal>) -> Result<bool, OqlError> {
+fn eval_cond(c: &Cond, b: &Run<'_>, env: &BTreeMap<String, OVal>) -> Result<bool, OqlError> {
     match c {
-        Cond::And(a, b) => Ok(eval_cond(a, store, env)? && eval_cond(b, store, env)?),
-        Cond::Or(a, b) => Ok(eval_cond(a, store, env)? || eval_cond(b, store, env)?),
-        Cond::Not(x) => Ok(!eval_cond(x, store, env)?),
+        Cond::And(l, r) => Ok(eval_cond(l, b, env)? && eval_cond(r, b, env)?),
+        Cond::Or(l, r) => Ok(eval_cond(l, b, env)? || eval_cond(r, b, env)?),
+        Cond::Not(x) => Ok(!eval_cond(x, b, env)?),
         Cond::Cmp(op, l, r) => {
-            let lv = eval_expr(l, store, env)?;
-            let rv = eval_expr(r, store, env)?;
+            let lv = eval_expr(l, b, env)?;
+            let rv = eval_expr(r, b, env)?;
             let (Some(la), Some(ra)) = (lv.atom(), rv.atom()) else {
                 // object equality by identity
                 return match op {
@@ -762,6 +862,54 @@ mod tests {
         assert_eq!(stats.probes, 2, "both conjuncts probed");
         assert!(stats.candidates < 50, "intersection pruned the extent");
         assert_eq!(rows.len() as u64, stats.candidates, "exact candidates");
+    }
+
+    #[test]
+    fn parameters_evaluate_like_the_literals_they_stand_for() {
+        let store = art_store(&ArtSpec::default()).with_index_policy(IndexPolicy::On);
+        let literal = parse(
+            "select t: A.title from A in artifacts \
+             where A.creator = 'Claude Monet' and A.year >= 1850",
+        )
+        .unwrap();
+        let q =
+            parse("select t: A.title from A in artifacts where A.creator = $1 and A.year >= $2")
+                .unwrap();
+        assert_eq!(
+            q.to_string(),
+            "select t: A.title from A in artifacts where A.creator = $1 and A.year >= $2"
+        );
+        let params = [Atom::Str("Claude Monet".into()), Atom::Int(1850)];
+        let prepared = Prepared::new(&q, &store);
+        let (rows, stats) = prepared.eval(&params).unwrap();
+        let (want, want_stats) = eval_stats(&literal, &store).unwrap();
+        assert!(!rows.is_empty());
+        assert_eq!(rows, want);
+        assert_eq!(stats, want_stats, "parameters probe the field indexes too");
+        // a row that binds too few parameters is an error, not a guess
+        let err = prepared.eval(&params[..1]).unwrap_err();
+        assert!(err.to_string().contains("$2"), "{err}");
+        assert!(parse("select t: A.title from A in artifacts where A.year = $0").is_err());
+    }
+
+    #[test]
+    fn literal_conjuncts_probe_once_per_prepared_query() {
+        let store = art_store(&ArtSpec::default()).with_index_policy(IndexPolicy::On);
+        let q =
+            parse("select t: A.title from A in artifacts where A.creator = $1 and A.year >= 1850")
+                .unwrap();
+        let prepared = Prepared::new(&q, &store);
+        let monet = [Atom::Str("Claude Monet".into())];
+        let (first, s1) = prepared.eval(&monet).unwrap();
+        let (again, s2) = prepared.eval(&monet).unwrap();
+        assert_eq!(first, again);
+        assert_eq!(s1.probes, 2, "the creator and, once, the year range");
+        assert_eq!(s2.probes, 1, "the year candidates are shared");
+        assert_eq!(s1.candidates, s2.candidates);
+        assert!(s2.indexed);
+        // and the shared set never leaks into another parameter row
+        let (nobody, _) = prepared.eval(&[Atom::Str("nobody".into())]).unwrap();
+        assert!(nobody.is_empty());
     }
 
     #[test]

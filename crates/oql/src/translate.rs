@@ -7,6 +7,11 @@
 //! bound variables become path expressions, and `Select` predicates move
 //! to `where` — exactly the translation the paper shows for the left-hand
 //! side of Fig. 5.
+//!
+//! A fragment that receives information-passing bindings translates
+//! *once*: [`plan_to_oql_passing`] renders every position the mediator
+//! would have substituted a passed value into as an OQL parameter
+//! (`$1`, `$2`, …), and the parsed query is then evaluated per binding.
 
 use crate::store::OqlError;
 use std::collections::BTreeMap;
@@ -26,9 +31,21 @@ pub struct OqlPlan {
 
 /// Translates a pushed plan into OQL.
 pub fn plan_to_oql(plan: &Alg) -> Result<OqlPlan, OqlError> {
-    // peel Project / Select / Bind / Source
+    plan_to_oql_passing(plan, &[])
+}
+
+/// Translates a pushed plan that is passed a value for each of `passed`
+/// (`passed[i]` becomes parameter `$i+1`). The result is the translation
+/// of `yat_algebra::substitute_env(plan, env)` for *any* `env` binding
+/// exactly `passed` to atoms, with the atoms left open: a passed variable
+/// turns into a parameter wherever substitution would inline it — as a
+/// `Bind` filter's tree variable, and as a predicate operand no input
+/// below that predicate produces.
+pub fn plan_to_oql_passing(plan: &Alg, passed: &[String]) -> Result<OqlPlan, OqlError> {
+    // peel Project / Select / Bind / Source; each predicate remembers the
+    // variables its input produces (those never take a passed value)
     let mut projections: Option<Vec<(String, String)>> = None;
-    let mut selects: Vec<Pred> = Vec::new();
+    let mut selects: Vec<(&Pred, Vec<String>)> = Vec::new();
     let mut cursor = plan;
     loop {
         match cursor {
@@ -40,7 +57,7 @@ pub fn plan_to_oql(plan: &Alg) -> Result<OqlPlan, OqlError> {
                 cursor = input;
             }
             Alg::Select { input, pred } => {
-                selects.push(pred.clone());
+                selects.push((pred, input.out_vars().unwrap_or_default()));
                 cursor = input;
             }
             Alg::Bind {
@@ -53,7 +70,7 @@ pub fn plan_to_oql(plan: &Alg) -> Result<OqlPlan, OqlError> {
                         "Bind must read an exported extent directly".into(),
                     ));
                 };
-                return assemble(name, filter, &selects, projections);
+                return assemble(name, filter, &selects, projections, passed);
             }
             other => {
                 return Err(OqlError(format!(
@@ -68,14 +85,16 @@ pub fn plan_to_oql(plan: &Alg) -> Result<OqlPlan, OqlError> {
 fn assemble(
     extent: &str,
     filter: &Pattern,
-    selects: &[Pred],
+    selects: &[(&Pred, Vec<String>)],
     projections: Option<Vec<(String, String)>>,
+    passed: &[String],
 ) -> Result<OqlPlan, OqlError> {
     let mut tr = Translator {
         ranges: Vec::new(),
         paths: BTreeMap::new(),
         filter_conds: Vec::new(),
         next: 0,
+        passed,
     };
     // the filter root must be the extent's collection pattern
     match filter {
@@ -112,8 +131,8 @@ fn assemble(
 
     // where: filter-inline constants + pushed selections
     let mut conds: Vec<String> = tr.filter_conds.clone();
-    for p in selects {
-        conds.push(tr.pred(p)?);
+    for (p, produced) in selects {
+        conds.push(tr.pred(p, produced)?);
     }
 
     // select clause
@@ -168,7 +187,9 @@ fn assemble(
     })
 }
 
-struct Translator {
+struct Translator<'a> {
+    /// Variables receiving passed values; `passed[i]` renders as `$i+1`.
+    passed: &'a [String],
     /// `(range var, source path)` in dependency order.
     ranges: Vec<(String, String)>,
     /// YATL variable → OQL path.
@@ -178,7 +199,13 @@ struct Translator {
     next: usize,
 }
 
-impl Translator {
+impl Translator<'_> {
+    /// The parameter a passed variable renders as.
+    fn param(&self, var: &str) -> Option<String> {
+        let i = self.passed.iter().position(|p| p == var)?;
+        Some(format!("${}", i + 1))
+    }
+
     fn fresh_range(&mut self, source: String) -> String {
         // A, B, C, ... then R10, R11, ...
         let var = if self.next < 26 {
@@ -195,6 +222,11 @@ impl Translator {
     /// `path` (a range variable or a dotted path).
     fn element(&mut self, path: &str, pat: &Pattern) -> Result<(), OqlError> {
         match pat {
+            // a whole element compared to a passed atom: the constant
+            // pattern substitution leaves here has no OQL form either
+            Pattern::TreeVar(v) if self.param(v).is_some() => Err(OqlError(format!(
+                "unsupported element pattern `{pat}` for OQL translation"
+            ))),
             Pattern::TreeVar(v) => {
                 self.paths.insert(v.clone(), path.to_string());
                 Ok(())
@@ -250,9 +282,12 @@ impl Translator {
         let fpath = format!("{path}.{field}");
         for e in edges {
             match (&e.occ, &e.pattern) {
-                (_, Pattern::TreeVar(v)) => {
-                    self.paths.insert(v.clone(), fpath.clone());
-                }
+                (_, Pattern::TreeVar(v)) => match self.param(v) {
+                    Some(param) => self.filter_conds.push(format!("{fpath} = {param}")),
+                    None => {
+                        self.paths.insert(v.clone(), fpath.clone());
+                    }
+                },
                 (
                     _,
                     Pattern::Node {
@@ -307,17 +342,26 @@ impl Translator {
         Ok(())
     }
 
-    fn pred(&self, p: &Pred) -> Result<String, OqlError> {
+    /// `produced`: the variables the predicate's input produces.
+    fn pred(&self, p: &Pred, produced: &[String]) -> Result<String, OqlError> {
         match p {
             Pred::True => Ok("true = true".into()),
-            Pred::And(a, b) => Ok(format!("{} and {}", self.pred(a)?, self.pred(b)?)),
-            Pred::Or(a, b) => Ok(format!("({} or {})", self.pred(a)?, self.pred(b)?)),
-            Pred::Not(x) => Ok(format!("not ({})", self.pred(x)?)),
+            Pred::And(a, b) => Ok(format!(
+                "{} and {}",
+                self.pred(a, produced)?,
+                self.pred(b, produced)?
+            )),
+            Pred::Or(a, b) => Ok(format!(
+                "({} or {})",
+                self.pred(a, produced)?,
+                self.pred(b, produced)?
+            )),
+            Pred::Not(x) => Ok(format!("not ({})", self.pred(x, produced)?)),
             Pred::Cmp { op, left, right } => Ok(format!(
                 "{} {} {}",
-                self.operand(left)?,
+                self.operand(left, produced)?,
                 cmp(*op),
-                self.operand(right)?
+                self.operand(right, produced)?
             )),
             Pred::Call { name, .. } => Err(OqlError(format!(
                 "boolean predicate `{name}` has no OQL form"
@@ -325,13 +369,18 @@ impl Translator {
         }
     }
 
-    fn operand(&self, o: &Operand) -> Result<String, OqlError> {
+    fn operand(&self, o: &Operand, produced: &[String]) -> Result<String, OqlError> {
         match o {
-            Operand::Var(v) => self
-                .paths
-                .get(v)
-                .cloned()
-                .ok_or_else(|| OqlError(format!("variable ${v} is not bound by the filter"))),
+            Operand::Var(v) => {
+                let passed = if produced.contains(v) {
+                    None
+                } else {
+                    self.param(v)
+                };
+                passed
+                    .or_else(|| self.paths.get(v).cloned())
+                    .ok_or_else(|| OqlError(format!("variable ${v} is not bound by the filter")))
+            }
             Operand::Const(a) => Ok(lit(a)),
             Operand::Call { name, args } => {
                 // methods render as path steps: current_price($x) → x.current_price
@@ -340,7 +389,7 @@ impl Translator {
                         "method `{name}` must take exactly its receiver"
                     )));
                 };
-                Ok(format!("{}.{}", self.operand(recv)?, name))
+                Ok(format!("{}.{}", self.operand(recv, produced)?, name))
             }
         }
     }
@@ -462,6 +511,46 @@ mod tests {
         assert_eq!(t.columns, vec!["t'"]);
         let store = fig1_store();
         assert_eq!(run(&t.oql, &store).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn passed_variables_become_parameters() {
+        // Fig. 9's dependent fragment: `$a` and `$t'` arrive from the
+        // left-hand side, `$t`/`$c`/`$y` are the filter's own
+        let plan = Alg::select(
+            Alg::select(
+                Alg::bind(Alg::source("artifacts"), view_filter()),
+                Pred::cmp(CmpOp::Gt, Operand::var("y"), Operand::cst(1800)),
+            ),
+            Pred::var_eq("c", "a").and(Pred::var_eq("t", "t'")),
+        );
+        let passed = ["a".to_string(), "t'".to_string()];
+        let t = plan_to_oql_passing(&plan, &passed).unwrap();
+        assert!(
+            t.oql
+                .ends_with("where A.creator = $1 and A.title = $2 and A.year > 1800"),
+            "{}",
+            t.oql
+        );
+        assert_eq!(t.columns, vec!["t", "y", "c", "p", "o", "au"]);
+        // the text parses back, parameters included
+        let q = crate::oql::parse(&t.oql).unwrap();
+        assert_eq!(q.to_string(), t.oql);
+        // without the values passed, the same plan does not translate:
+        // `$a` is nobody's variable
+        assert!(plan_to_oql(&plan).is_err());
+    }
+
+    #[test]
+    fn a_passed_filter_variable_is_a_condition_not_a_column() {
+        let f = parse_filter("set *class: artifact: tuple [ title: $t, year: $y ]").unwrap();
+        let plan = Alg::bind(Alg::source("artifacts"), f);
+        let t = plan_to_oql_passing(&plan, &["y".to_string()]).unwrap();
+        assert_eq!(
+            t.oql,
+            "select t: A.title from A in artifacts where A.year = $1"
+        );
+        assert_eq!(t.columns, vec!["t"]);
     }
 
     #[test]

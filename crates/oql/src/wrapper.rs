@@ -5,14 +5,16 @@
 use crate::export::{extent_tree, object_tree, schema_model, value_tree};
 use crate::oql;
 use crate::store::Store;
-use crate::translate::plan_to_oql;
+use crate::translate::plan_to_oql_passing;
 use crate::value::OVal;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use yat_algebra::{Tab, Value};
 use yat_capability::fpattern::o2_fmodel;
 use yat_capability::interface::{ExportDecl, Interface, OpKind, OperationDecl, SigItem};
-use yat_capability::protocol::{Request, Response, WrapperServer};
+use yat_capability::protocol::{
+    batch_columns, batch_row, Bindings, Request, Response, WrapperServer,
+};
 use yat_capability::{IndexReport, StorageReport};
 
 /// The O2 wrapper: a [`WrapperServer`] over an object [`Store`].
@@ -130,10 +132,15 @@ impl O2Wrapper {
         i
     }
 
-    fn execute(&self, plan: &yat_algebra::Alg) -> Response {
+    /// Evaluates a pushed plan once per binding: the plan is translated
+    /// to (parameterized) OQL and parsed *once*, then evaluated — field
+    /// indexes probed — under each row of `bindings`. A plain `Execute`
+    /// is the one-empty-binding case; `tagged` results carry the binding
+    /// ordinal column of an `ExecuteBatch`.
+    fn execute(&self, plan: &yat_algebra::Alg, bindings: &Bindings, tagged: bool) -> Response {
         let store = self.store();
         let storage_before = store.backing_store().map(|s| s.stats());
-        let translated = match plan_to_oql(plan) {
+        let translated = match plan_to_oql_passing(plan, &bindings.vars) {
             Ok(t) => t,
             Err(e) => return Response::Error(format!("cannot translate plan: {e}")),
         };
@@ -141,42 +148,61 @@ impl O2Wrapper {
             Ok(q) => q,
             Err(e) => return Response::Error(format!("OQL evaluation failed: {e}")),
         };
-        let (rows, stats) = match oql::eval_stats(&query, &store) {
-            Ok(r) => r,
-            Err(e) => return Response::Error(format!("OQL evaluation failed: {e}")),
-        };
-        let mut tab = Tab::new(translated.columns.clone());
-        for row in rows {
-            let values: Vec<Value> = translated
-                .columns
-                .iter()
-                .map(|c| {
-                    // sanitized name used in the OQL text
-                    let safe = c.replace('\'', "_prime");
-                    row.get(&safe)
+        // the names the OQL text projects under (primes are not valid
+        // OQL identifiers), computed once for all rows of all bindings
+        let safe: Vec<String> = translated
+            .columns
+            .iter()
+            .map(|c| c.replace('\'', "_prime"))
+            .collect();
+        let mut tab = Tab::new(if tagged {
+            batch_columns(&translated.columns)
+        } else {
+            translated.columns
+        });
+        let mut total = oql::QueryStats::default();
+        let mut scans = 0u64;
+        let prepared = oql::Prepared::new(&query, &store);
+        for (ordinal, params) in bindings.rows.iter().enumerate() {
+            let (rows, stats) = match prepared.eval(params) {
+                Ok(r) => r,
+                Err(e) => return Response::Error(format!("OQL evaluation failed: {e}")),
+            };
+            for row in rows {
+                let values = safe.iter().map(|c| {
+                    row.get(c)
                         .map(|v| self.to_value(&store, v))
                         .unwrap_or(Value::Null)
-                })
-                .collect();
-            tab.push(values);
+                });
+                tab.push(if tagged {
+                    batch_row(ordinal, values)
+                } else {
+                    values.collect()
+                });
+            }
+            total.probes += stats.probes;
+            total.candidates += stats.candidates;
+            total.scanned += stats.scanned;
+            scans += u64::from(!stats.indexed);
         }
         let extent = query
             .ranges
             .first()
             .map(|(_, p)| p.0[0].clone())
             .unwrap_or_default();
+        let evaluations = bindings.rows.len() as u64;
         let collection_size = store.extent(&extent).map(<[_]>::len).unwrap_or(0) as u64;
-        let extent_name = extent.clone();
+        self.record_storage(&extent, storage_before, &store);
         *self.report.lock().unwrap_or_else(|e| e.into_inner()) = Some(IndexReport {
             collection: extent,
-            indexed: stats.indexed,
-            probes: stats.probes,
-            candidates: stats.candidates,
-            scanned: stats.scanned,
-            collection_size,
+            probes: total.probes,
+            candidates: total.candidates,
+            scanned: total.scanned,
+            collection_size: collection_size * evaluations,
             rows: tab.len() as u64,
+            evaluations,
+            scans,
         });
-        self.record_storage(&extent_name, storage_before, &store);
         Response::Result(tab)
     }
 
@@ -238,7 +264,8 @@ impl WrapperServer for O2Wrapper {
                     None => Response::Error(format!("no extent `{name}`")),
                 }
             }
-            Request::Execute { plan } => self.execute(plan),
+            Request::Execute { plan } => self.execute(plan, &Bindings::unit(), false),
+            Request::ExecuteBatch { plan, bindings } => self.execute(plan, bindings, true),
         }
     }
 
@@ -265,6 +292,7 @@ impl WrapperServer for O2Wrapper {
 mod tests {
     use super::*;
     use crate::art::fig1_store;
+    use std::sync::Arc;
     use yat_algebra::{Alg, CmpOp, Operand, Pred};
     use yat_capability::matcher::pushable;
     use yat_yatl::parse_filter;
@@ -367,7 +395,7 @@ mod tests {
         assert!(w.take_index_report().is_none(), "nothing executed yet");
         w.handle(&Request::Execute { plan: fig5_plan() });
         let r = w.take_index_report().unwrap();
-        assert!(r.indexed, "the year predicate probed the field index");
+        assert!(r.indexed(), "the year predicate probed the field index");
         assert_eq!(r.collection, "artifacts");
         assert_eq!(r.probes, 1);
         assert_eq!(r.candidates, 2, "both artifacts are post-1800");
@@ -391,7 +419,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         let r = scan.take_index_report().unwrap();
-        assert!(!r.indexed);
+        assert!(!r.indexed());
         assert_eq!(r.scanned, 2, "the scan path touched every artifact");
     }
 
@@ -450,6 +478,182 @@ mod tests {
             "in-memory databases never report storage"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Runs `plan` as one `ExecuteBatch` over `bindings` and as one
+    /// `Execute` of the substituted plan per binding: the batch must
+    /// answer every binding exactly as its own request would have been
+    /// answered, or fail when they fail.
+    fn assert_batch_matches_per_binding(w: &O2Wrapper, plan: &Arc<Alg>, bindings: &Bindings) {
+        use yat_capability::protocol::split_batch_result;
+        let per_binding: Vec<Response> = bindings
+            .rows
+            .iter()
+            .map(|row| {
+                let env = bindings
+                    .vars
+                    .iter()
+                    .cloned()
+                    .zip(row.iter().cloned().map(Value::Atom))
+                    .collect();
+                w.handle(&Request::Execute {
+                    plan: yat_algebra::substitute_env(plan, &env),
+                })
+            })
+            .collect();
+        let batch = w.handle(&Request::ExecuteBatch {
+            plan: plan.clone(),
+            bindings: bindings.clone(),
+        });
+        match batch {
+            Response::Result(tab) => {
+                let tabs = split_batch_result(tab, bindings.rows.len()).unwrap();
+                for (i, (tab, single)) in tabs.into_iter().zip(per_binding).enumerate() {
+                    assert_eq!(Response::Result(tab), single, "binding {i} of {plan:?}");
+                }
+            }
+            Response::Error(_) => assert!(
+                per_binding.iter().all(|r| matches!(r, Response::Error(_))),
+                "the batch failed but some binding alone succeeds: {plan:?}"
+            ),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn batches_answer_like_per_binding_executes() {
+        use crate::art::{art_store, ArtSpec};
+        use yat_model::Atom;
+        let w = O2Wrapper::new("o2artifact", art_store(&ArtSpec::default()));
+        // real values to pass: the first artifacts' fields
+        let seed = Alg::bind(
+            Alg::source("artifacts"),
+            parse_filter("set *class: artifact: tuple [ title: $t, year: $y, creator: $c ]")
+                .unwrap(),
+        );
+        let Response::Result(rows) = w.handle(&Request::Execute { plan: seed }) else {
+            panic!("the seed plan runs")
+        };
+        let atom = |r: usize, c: &str| rows.get(r, c).unwrap().atom().unwrap();
+        let year_as_float = Atom::Float(atom(0, "y").as_f64().unwrap());
+
+        let artifacts =
+            |filter: &str| Alg::bind(Alg::source("artifacts"), parse_filter(filter).unwrap());
+        let by_creator = Alg::select(
+            artifacts("set *class: artifact: tuple [ title: $t2, creator: $c, price: $p ]"),
+            Pred::var_eq("c", "a"),
+        );
+        let cases: Vec<(Arc<Alg>, Bindings)> = vec![
+            // a free predicate variable; duplicates and a value nobody has
+            (
+                by_creator.clone(),
+                Bindings {
+                    vars: vec!["a".into()],
+                    rows: vec![
+                        vec![atom(0, "c")],
+                        vec![Atom::Str("nobody at all".into())],
+                        vec![atom(3, "c")],
+                        vec![atom(0, "c")],
+                    ],
+                },
+            ),
+            // Fig. 9's shape: two passed variables over an inner select,
+            // one of them primed
+            (
+                Alg::select(
+                    Alg::select(
+                        artifacts(
+                            "set *class: artifact: tuple [ title: $t, year: $y, creator: $c ]",
+                        ),
+                        Pred::cmp(CmpOp::Gt, Operand::var("y"), Operand::cst(1800)),
+                    ),
+                    Pred::var_eq("c", "a").and(Pred::var_eq("t", "t'")),
+                ),
+                Bindings {
+                    vars: vec!["a".into(), "t'".into()],
+                    rows: vec![
+                        vec![atom(0, "c"), atom(0, "t")],
+                        vec![atom(1, "c"), atom(0, "t")],
+                        vec![atom(2, "c"), atom(2, "t")],
+                    ],
+                },
+            ),
+            // a variable the filter shares: passed values become filter
+            // constants and the column disappears; int and float alike
+            (
+                artifacts("set *class: artifact: tuple [ title: $t, year: $y ]"),
+                Bindings {
+                    vars: vec!["y".into()],
+                    rows: vec![vec![atom(0, "y")], vec![year_as_float], vec![Atom::Int(1)]],
+                },
+            ),
+            // under a projection
+            (
+                Alg::project(by_creator.clone(), vec![("t2".into(), "title".into())]),
+                Bindings {
+                    vars: vec!["a".into()],
+                    rows: vec![vec![atom(1, "c")], vec![atom(2, "c")]],
+                },
+            ),
+            // a passed variable the predicate's input also produces is
+            // *not* substituted there, and its filter occurrence is — the
+            // predicate then dangles, batch or not
+            (
+                Alg::select(
+                    artifacts("set *class: artifact: tuple [ title: $t, creator: $c ]"),
+                    Pred::var_eq("c", "t"),
+                ),
+                Bindings {
+                    vars: vec!["t".into()],
+                    rows: vec![vec![atom(0, "t")]],
+                },
+            ),
+            // nothing to ask
+            (
+                by_creator,
+                Bindings {
+                    vars: vec!["a".into()],
+                    rows: vec![],
+                },
+            ),
+        ];
+        for (plan, bindings) in &cases {
+            assert_batch_matches_per_binding(&w, plan, bindings);
+        }
+    }
+
+    #[test]
+    fn a_batch_probes_its_literal_conjuncts_once() {
+        use crate::art::{art_store, ArtSpec};
+        let store =
+            art_store(&ArtSpec::default()).with_index_policy(yat_capability::IndexPolicy::On);
+        let w = O2Wrapper::new("o2artifact", store);
+        let plan = Alg::select(
+            Alg::bind(
+                Alg::source("artifacts"),
+                parse_filter("set *class: artifact: tuple [ title: $t, year: $y, creator: $c ]")
+                    .unwrap(),
+            ),
+            Pred::var_eq("c", "a").and(Pred::cmp(CmpOp::Gt, Operand::var("y"), Operand::cst(1800))),
+        );
+        let creators = ["Claude Monet", "Paul Cézanne", "nobody"];
+        let bindings = Bindings {
+            vars: vec!["a".into()],
+            rows: creators
+                .iter()
+                .map(|c| vec![yat_model::Atom::Str(c.to_string())])
+                .collect(),
+        };
+        w.handle(&Request::ExecuteBatch { plan, bindings });
+        let r = w.take_index_report().unwrap();
+        assert_eq!((r.evaluations, r.scans), (3, 0));
+        assert!(r.indexed());
+        assert_eq!(
+            r.probes, 4,
+            "one creator probe per binding, the year range probed once"
+        );
+        assert_eq!(r.collection_size, 3 * 50, "once per evaluation");
+        assert_eq!(r.scanned, r.candidates, "only candidates were examined");
     }
 
     #[test]

@@ -11,7 +11,9 @@ use yat_capability::fpattern::wais_fmodel;
 use yat_capability::interface::{
     Equivalence, ExportDecl, Interface, OpKind, OperationDecl, SigItem,
 };
-use yat_capability::protocol::{Request, Response, WrapperServer};
+use yat_capability::protocol::{
+    batch_columns, batch_row, Bindings, Request, Response, WrapperServer,
+};
 use yat_capability::{IndexReport, StorageReport};
 use yat_model::{AtomType, Edge, Model, Occ, PLabel, Pattern, StarBind};
 
@@ -140,113 +142,81 @@ impl WaisWrapper {
         i
     }
 
-    /// Evaluates a pushed plan: `Select*(Bind(Source))` where every
-    /// selection predicate is a `contains($w, "…")` conjunct. Under an
-    /// `On` index policy the conjunction resolves by intersecting sorted
-    /// posting lists, so only matching documents are touched; under
-    /// `Off` each conjunct scans the collection — identical answers, and
-    /// the accounting lands in an [`IndexReport`] either way.
-    fn execute(&self, plan: &Alg) -> Response {
+    /// Evaluates a pushed plan once per binding: `Select*(Bind(Source))`
+    /// where every selection predicate is a `contains($w, "…")` conjunct
+    /// (the needle a constant, or a variable `bindings` passes a value
+    /// for). The plan is analyzed *once*; each binding then resolves its
+    /// needles and, under an `On` index policy, intersects their sorted
+    /// posting lists so only matching documents are touched — under
+    /// `Off` each conjunct scans the collection. Identical answers, and
+    /// the accounting lands in an [`IndexReport`] either way. A plain
+    /// `Execute` is the one-empty-binding case; `tagged` results carry
+    /// the binding ordinal column of an `ExecuteBatch`.
+    fn execute(&self, plan: &Alg, bindings: &Bindings, tagged: bool) -> Response {
         let source = self.source();
         let storage_before = source.store().map(|s| s.stats());
-        let mut needles: Vec<String> = Vec::new();
-        let doc_var: String;
-        let mut cursor = plan;
-        loop {
-            match cursor {
-                Alg::Select { input, pred } => {
-                    for c in pred.conjuncts() {
-                        match c {
-                            Pred::Call { name, args } if name == "contains" => {
-                                match args.as_slice() {
-                                    [Operand::Var(_), Operand::Const(a)] => {
-                                        needles.push(a.to_string())
-                                    }
-                                    _ => {
-                                        return Response::Error(
-                                            "contains takes a document variable and a string"
-                                                .into(),
-                                        )
-                                    }
-                                }
-                            }
-                            other => {
-                                return Response::Error(format!(
-                                    "predicate `{other}` is beyond Wais capabilities"
-                                ))
-                            }
-                        }
-                    }
-                    cursor = input;
-                }
-                Alg::Bind {
-                    input,
-                    filter,
-                    over: None,
-                } => {
-                    let Alg::Source { name, .. } = input.as_ref() else {
-                        return Response::Error("Bind must read the works collection".into());
-                    };
-                    if *name != source.collection {
-                        return Response::Error(format!("no collection `{name}`"));
-                    }
-                    match doc_binding_var(filter, &source.collection) {
-                        Some(v) => doc_var = v,
-                        None => {
-                            return Response::Error(format!(
-                                "filter `{filter}` exceeds Wais binding capabilities"
-                            ))
-                        }
-                    }
-                    break;
-                }
-                other => {
-                    return Response::Error(format!(
-                        "operator beyond Wais capabilities: {}",
-                        other.describe()
-                    ))
-                }
-            }
-        }
-        let var = doc_var;
-
-        // resolve candidates: posting-list intersection (or the scan
-        // oracle, per the source's index policy) per conjunct
-        let mut probes = 0u64;
-        let mut ids: Option<Vec<DocId>> = None;
-        for needle in &needles {
-            probes += tokenize(needle).len() as u64;
-            let hits = match source.contains(needle) {
-                Ok(h) => h,
-                Err(e) => return Response::Error(e),
-            };
-            ids = Some(match ids {
-                None => hits,
-                Some(prev) => intersect_sorted(&prev, &hits),
-            });
-        }
-        let indexed = source.index_policy().is_on() && !needles.is_empty();
-        let ids: Vec<DocId> = match ids {
-            Some(set) => set,
-            None => source.ids(),
+        let (var, needles) = match analyze(plan, &source.collection, &bindings.vars) {
+            Ok(analyzed) => analyzed,
+            Err(message) => return Response::Error(message),
         };
-        let candidates = ids.len() as u64;
+        let indexed = source.index_policy().is_on() && !needles.is_empty();
         let collection_size = source.len() as u64;
+        let evaluations = bindings.rows.len() as u64;
+        let (mut probes, mut candidates) = (0u64, 0u64);
 
-        let mut tab = Tab::new(vec![var]);
-        for id in ids {
-            if let Some(doc) = source.fetch(id) {
-                tab.push(vec![Value::Tree(doc)]);
+        let mut tab = Tab::new(if tagged {
+            batch_columns(&[var])
+        } else {
+            vec![var]
+        });
+        for (ordinal, passed) in bindings.rows.iter().enumerate() {
+            // resolve candidates: posting-list intersection (or the scan
+            // oracle, per the source's index policy) per conjunct
+            let mut ids: Option<Vec<DocId>> = None;
+            for needle in &needles {
+                let needle = match needle {
+                    Needle::Text(text) => std::borrow::Cow::Borrowed(text.as_str()),
+                    Needle::Passed(i) => std::borrow::Cow::Owned(passed[*i].to_string()),
+                };
+                probes += tokenize(&needle).len() as u64;
+                let hits = match source.contains(&needle) {
+                    Ok(h) => h,
+                    Err(e) => return Response::Error(e),
+                };
+                ids = Some(match ids {
+                    None => hits,
+                    Some(prev) => intersect_sorted(&prev, &hits),
+                });
+            }
+            let ids: Vec<DocId> = match ids {
+                Some(set) => set,
+                None => source.ids(),
+            };
+            candidates += ids.len() as u64;
+            for id in ids {
+                if let Some(doc) = source.fetch(id) {
+                    let doc = [Value::Tree(doc)];
+                    tab.push(if tagged {
+                        batch_row(ordinal, doc)
+                    } else {
+                        doc.into()
+                    });
+                }
             }
         }
         *self.report.lock().unwrap_or_else(|e| e.into_inner()) = Some(IndexReport {
             collection: source.collection.clone(),
-            indexed,
             probes: if indexed { probes } else { 0 },
             candidates,
-            scanned: if indexed { candidates } else { collection_size },
-            collection_size,
+            scanned: if indexed {
+                candidates
+            } else {
+                collection_size * evaluations
+            },
+            collection_size: collection_size * evaluations,
             rows: tab.len() as u64,
+            evaluations,
+            scans: if indexed { 0 } else { evaluations },
         });
         self.record_storage(&source, storage_before);
         Response::Result(tab)
@@ -266,6 +236,75 @@ impl WaisWrapper {
                 evictions: after.evictions - before.evictions,
                 bytes_read: after.bytes_read - before.bytes_read,
             });
+        }
+    }
+}
+
+/// A `contains` needle: inline text, or the value passed for the
+/// `.0`-th variable of the request's bindings.
+enum Needle {
+    Text(String),
+    Passed(usize),
+}
+
+/// Checks `plan` against the declared capability and returns the
+/// document variable plus the conjunctive needle list. A needle operand
+/// that is one of the `passed` variables (and not produced below its
+/// predicate — exactly where substitution would have inlined the passed
+/// value) resolves per binding.
+fn analyze(
+    plan: &Alg,
+    collection: &str,
+    passed: &[String],
+) -> Result<(String, Vec<Needle>), String> {
+    let mut needles: Vec<Needle> = Vec::new();
+    let mut cursor = plan;
+    loop {
+        match cursor {
+            Alg::Select { input, pred } => {
+                let produced = input.out_vars().unwrap_or_default();
+                for c in pred.conjuncts() {
+                    let Pred::Call { name, args } = c else {
+                        return Err(format!("predicate `{c}` is beyond Wais capabilities"));
+                    };
+                    if name != "contains" {
+                        return Err(format!("predicate `{c}` is beyond Wais capabilities"));
+                    }
+                    let needle = match args.as_slice() {
+                        [Operand::Var(_), Operand::Const(a)] => Some(Needle::Text(a.to_string())),
+                        [Operand::Var(_), Operand::Var(v)] if !produced.contains(v) => {
+                            passed.iter().position(|p| p == v).map(Needle::Passed)
+                        }
+                        _ => None,
+                    };
+                    needles.push(needle.ok_or("contains takes a document variable and a string")?);
+                }
+                cursor = input;
+            }
+            Alg::Bind {
+                input,
+                filter,
+                over: None,
+            } => {
+                let Alg::Source { name, .. } = input.as_ref() else {
+                    return Err("Bind must read the works collection".into());
+                };
+                if name != collection {
+                    return Err(format!("no collection `{name}`"));
+                }
+                return match doc_binding_var(filter, collection) {
+                    Some(var) => Ok((var, needles)),
+                    None => Err(format!(
+                        "filter `{filter}` exceeds Wais binding capabilities"
+                    )),
+                };
+            }
+            other => {
+                return Err(format!(
+                    "operator beyond Wais capabilities: {}",
+                    other.describe()
+                ))
+            }
         }
     }
 }
@@ -324,7 +363,8 @@ impl WrapperServer for WaisWrapper {
                     Response::Error(format!("no collection `{name}`"))
                 }
             }
-            Request::Execute { plan } => self.execute(plan),
+            Request::Execute { plan } => self.execute(plan, &Bindings::unit(), false),
+            Request::ExecuteBatch { plan, bindings } => self.execute(plan, bindings, true),
         }
     }
 
@@ -471,6 +511,79 @@ mod tests {
     }
 
     #[test]
+    fn batches_answer_like_per_binding_executes() {
+        use yat_capability::protocol::split_batch_result;
+        use yat_model::Atom;
+        // `contains($w, "Impressionist") ∧ contains($w, $x)`: one inline
+        // needle, one passed per binding
+        let plan = Alg::select(
+            Alg::select(
+                Alg::bind(Alg::source("works"), parse_filter("works *$w").unwrap()),
+                Pred::Call {
+                    name: "contains".into(),
+                    args: vec![Operand::var("w"), Operand::cst("Impressionist")],
+                },
+            ),
+            Pred::Call {
+                name: "contains".into(),
+                args: vec![Operand::var("w"), Operand::var("x")],
+            },
+        );
+        let bindings = Bindings {
+            vars: vec!["x".into()],
+            rows: ["Giverny", "Monet", "nowhere", "Giverny"]
+                .iter()
+                .map(|x| vec![Atom::Str(x.to_string())])
+                .collect(),
+        };
+        for policy in [
+            yat_capability::IndexPolicy::On,
+            yat_capability::IndexPolicy::Off,
+        ] {
+            let w = WaisWrapper::new(
+                "xmlartwork",
+                WaisSource::new("works", &fig1_works()).with_index_policy(policy),
+            );
+            let Response::Result(tagged) = w.handle(&Request::ExecuteBatch {
+                plan: plan.clone(),
+                bindings: bindings.clone(),
+            }) else {
+                panic!("the batch runs under {policy}")
+            };
+            let r = w.take_index_report().unwrap();
+            assert_eq!(r.evaluations, 4);
+            assert_eq!(r.scans, if policy.is_on() { 0 } else { 4 });
+            assert_eq!(r.collection_size, 4 * 2, "once per evaluation");
+            let tabs = split_batch_result(tagged, 4).unwrap();
+            assert_eq!(tabs.iter().map(Tab::len).collect::<Vec<_>>(), [1, 2, 0, 1]);
+            for (row, tab) in bindings.rows.iter().zip(tabs) {
+                let env = [("x".to_string(), Value::Atom(row[0].clone()))].into();
+                let single = w.handle(&Request::Execute {
+                    plan: yat_algebra::substitute_env(&plan, &env),
+                });
+                assert_eq!(
+                    Response::Result(tab),
+                    single,
+                    "binding {row:?} under {policy}"
+                );
+            }
+        }
+        // a needle variable nobody passes is still beyond Wais, batch or not
+        let w = wrapper();
+        assert!(matches!(
+            w.handle(&Request::ExecuteBatch {
+                plan: plan.clone(),
+                bindings: Bindings::unit(),
+            }),
+            Response::Error(_)
+        ));
+        assert!(matches!(
+            w.handle(&Request::Execute { plan }),
+            Response::Error(_)
+        ));
+    }
+
+    #[test]
     fn execute_records_an_index_report() {
         let w = wrapper();
         let plan = Alg::select(
@@ -483,7 +596,7 @@ mod tests {
         assert!(w.take_index_report().is_none(), "nothing executed yet");
         w.handle(&Request::Execute { plan });
         let r = w.take_index_report().unwrap();
-        assert!(r.indexed);
+        assert!(r.indexed());
         assert_eq!(r.collection, "works");
         assert_eq!(r.probes, 1);
         assert_eq!(r.candidates, 1);
@@ -515,7 +628,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         let r = scan.take_index_report().unwrap();
-        assert!(!r.indexed);
+        assert!(!r.indexed());
         assert_eq!(r.scanned, 2, "the scan path touched every document");
     }
 

@@ -214,3 +214,58 @@ fn store_mutation_invalidates_cached_answers() {
         "the removed artifact must vanish from the answer: {fresh}"
     );
 }
+
+/// Set-oriented information passing keeps per-binding cache keys: once
+/// Q2's dependent join is warm, a rerun finds every binding cached and
+/// ships nothing, and a source-epoch bump re-ships exactly the bindings
+/// of the source it invalidated — as one batch again — while the other
+/// source's answers stay cached.
+#[test]
+fn warm_djoin_ships_no_bindings_and_an_epoch_bump_reships_only_its_source() {
+    let (m, _o2, _wais) = shared_mediator();
+    let plan = m.plan_query(paper::Q2).unwrap();
+    let (opt, _) = m.optimize(&plan, OptimizerOptions::default());
+    assert!(
+        opt.explain().contains("DJoin"),
+        "Q2 optimizes to a dependent join:\n{}",
+        opt.explain()
+    );
+    let traffic = |m: &Mediator| {
+        (
+            m.traffic_of("xmlartwork").unwrap(),
+            m.traffic_of("o2artifact").unwrap(),
+        )
+    };
+
+    // cold: the driving wais push, then both bindings in one o2 batch
+    let (wais0, o20) = traffic(&m);
+    let cold = tree_of(m.execute(&opt).unwrap());
+    let (wais1, o21) = traffic(&m);
+    let (cold_wais, cold_o2) = (wais1 - wais0, o21 - o20);
+    assert_eq!((cold_wais.round_trips, cold_o2.round_trips), (1, 1));
+
+    // warm: every binding hits, the batch is empty and never leaves
+    assert_eq!(tree_of(m.execute(&opt).unwrap()), cold);
+    assert_eq!(traffic(&m), (wais1, o21), "a warm DJoin ships nothing");
+
+    // o2's data is declared changed: its bindings — all of them, the
+    // request is the cold one byte for byte — go out again; the wais
+    // fragment is still served from the cache
+    m.bump_source_epoch("o2artifact").unwrap();
+    assert_eq!(tree_of(m.execute(&opt).unwrap()), cold);
+    let (wais2, o22) = traffic(&m);
+    assert_eq!(wais2, wais1, "the wais answer was not invalidated");
+    assert_eq!(
+        ((o22 - o21).round_trips, (o22 - o21).bytes_sent),
+        (1, cold_o2.bytes_sent),
+        "exactly o2's bindings re-shipped"
+    );
+
+    // and the other way around: a wais bump re-ships the driving push,
+    // whose unchanged rows find their o2 bindings still cached
+    m.bump_source_epoch("xmlartwork").unwrap();
+    assert_eq!(tree_of(m.execute(&opt).unwrap()), cold);
+    let (wais3, o23) = traffic(&m);
+    assert_eq!((wais3 - wais2).round_trips, 1);
+    assert_eq!(o23, o22, "no o2 binding was invalidated");
+}

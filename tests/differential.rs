@@ -11,12 +11,18 @@
 //! and reports the master seed plus the smallest failing query.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use yat::yat_algebra::CollectSink;
-use yat::yat_capability::protocol::ServerReply;
+use std::sync::Arc;
+use yat::yat_algebra::{
+    Alg, CollectSink, EvalCtx, EvalOut, FnRegistry, Operand, PassedBindings, Pred, SkolemRegistry,
+    Template,
+};
+use yat::yat_capability::protocol::{Request, Response, ServerReply, MAX_BATCH_BINDINGS};
 use yat::yat_capability::IndexPolicy;
 use yat::yat_mediator::{
-    CachePolicy, ExecEngine, ExecMode, MediatorError, OptimizerOptions, StreamPolicy,
+    CachePolicy, ExecEngine, ExecMode, Mediator, MediatorError, OptimizerOptions, StreamPolicy,
 };
+use yat::yat_model::Forest;
+use yat::yat_yatl::parse_filter;
 use yat_bench::workload::Scenario;
 use yat_prng::Rng;
 
@@ -987,6 +993,301 @@ fn vm_cache_off_cold_and_warm_agree_on_random_plans() {
             );
         }
     }
+}
+
+/// A hand-built `DJoin` whose dependent side is a `Push` — the shape
+/// set-oriented information passing applies to — with a left side that
+/// carries what a real driving table carries: duplicate bindings, a
+/// tree-valued column, optionally a `Null` column, and sometimes no rows
+/// at all.
+#[derive(Clone, Debug)]
+struct PassingCase {
+    scale: usize,
+    scenario_seed: u64,
+    lanes: usize,
+    /// The dependent fragment and what the left side passes it.
+    right: Passed,
+    /// Style the left side is restricted to; `"Nonexistent"` empties it.
+    style: Option<&'static str>,
+    /// Whether the left side carries an all-`Null` column.
+    null_column: bool,
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Passed {
+    /// O2 fragment with `$a` free in its predicate.
+    Creator,
+    /// O2 fragment with `$a` and `$t2` free (Fig. 9's shape).
+    CreatorAndTitle,
+    /// O2 fragment whose *filter* shares `$c` with the left side.
+    SharedFilterVar,
+    /// Wais fragment `contains($w, $c)`, re-checked mediator-side (the
+    /// full-text and the substring readings of `contains` differ, the
+    /// equality on top of them does not).
+    WaisNeedle,
+}
+
+impl PassingCase {
+    fn generate(rng: &mut Rng) -> PassingCase {
+        PassingCase {
+            scale: rng.gen_range(8..24usize),
+            scenario_seed: rng.gen_range(0..1000u64),
+            lanes: rng.gen_range(1..5usize),
+            right: *rng.choose(&[
+                Passed::Creator,
+                Passed::CreatorAndTitle,
+                Passed::SharedFilterVar,
+                Passed::WaisNeedle,
+            ]),
+            style: *rng.choose(&[
+                None,
+                None,
+                Some("Impressionist"),
+                Some("Cubist"),
+                Some("Nonexistent"),
+            ]),
+            null_column: rng.gen_bool(0.5),
+        }
+    }
+
+    /// `(left, dependent push, answer template)`.
+    fn parts(&self) -> (Arc<Alg>, Arc<Alg>, Template) {
+        let filter = |f: &str| parse_filter(f).expect("the case's filters are well-formed");
+        let artifacts = "set *class: artifact: tuple [ title: $t, creator: $c, price: $p ]";
+        let answer = |vars: &[&str]| {
+            let fields = vars.iter().map(|v| Template::elem_var(*v, *v)).collect();
+            Template::sym(
+                "out",
+                vec![Template::group(vars, Template::sym("r", fields))],
+            )
+        };
+        if matches!(self.right, Passed::WaisNeedle) {
+            // artifacts drive, whole objects riding along as trees (never
+            // emptied: the re-check above the join reads `$w`, a column
+            // a `DJoin` over no rows does not have)
+            let left = Alg::bind(
+                Alg::source_at("o2artifact", "artifacts"),
+                filter("set *$x: class: artifact: tuple [ title: $t, creator: $c ]"),
+            );
+            let push = Alg::push(
+                "xmlartwork",
+                Alg::select(
+                    Alg::bind(Alg::source("works"), filter("works *$w")),
+                    Pred::Call {
+                        name: "contains".into(),
+                        args: vec![Operand::var("w"), Operand::var("c")],
+                    },
+                ),
+            );
+            return (left, push, answer(&["t", "c", "t2"]));
+        }
+        // works drive, whole documents riding along as trees; artists
+        // repeat, so bindings do
+        let mut left = Alg::bind(
+            Alg::source_at("xmlartwork", "works"),
+            filter("works *$w: work [ title: $t2, artist: $a, style: $s ]"),
+        );
+        if let Some(style) = self.style {
+            left = Alg::select(left, Pred::eq_const("s", style));
+        }
+        let (push, vars): (Arc<Alg>, &[&str]) = match self.right {
+            Passed::Creator => (
+                Alg::select(
+                    Alg::bind(Alg::source("artifacts"), filter(artifacts)),
+                    Pred::var_eq("c", "a"),
+                ),
+                &["t2", "a", "t", "p"],
+            ),
+            Passed::CreatorAndTitle => (
+                Alg::select(
+                    Alg::bind(Alg::source("artifacts"), filter(artifacts)),
+                    Pred::var_eq("c", "a").and(Pred::var_eq("t", "t2")),
+                ),
+                &["t2", "a", "p"],
+            ),
+            Passed::SharedFilterVar => {
+                left = Alg::project(
+                    left,
+                    vec![
+                        ("w".into(), "w".into()),
+                        ("t2".into(), "t2".into()),
+                        ("a".into(), "c".into()),
+                    ],
+                );
+                (
+                    Alg::bind(Alg::source("artifacts"), filter(artifacts)),
+                    &["t2", "c", "t", "p"],
+                )
+            }
+            Passed::WaisNeedle => unreachable!("handled above"),
+        };
+        (left, Alg::push("o2artifact", push), answer(vars))
+    }
+
+    /// The whole plan: the answer template over the `DJoin`.
+    fn plan(&self) -> Arc<Alg> {
+        let (mut left, push, template) = self.parts();
+        if self.null_column {
+            let mut cols: Vec<(String, String)> = left
+                .out_vars()
+                .expect("the left side's columns are static")
+                .into_iter()
+                .map(|c| (c.clone(), c))
+                .collect();
+            cols.push(("no_such_column".into(), "gone".into()));
+            left = Alg::project(left, cols);
+        }
+        let mut joined = Alg::djoin(left, push);
+        if matches!(self.right, Passed::WaisNeedle) {
+            joined = Alg::select(
+                Alg::bind_over(
+                    joined,
+                    "w",
+                    parse_filter("work [ title: $t2, artist: $a2 ]").expect("well-formed"),
+                ),
+                Pred::var_eq("a2", "c"),
+            );
+        }
+        Alg::tree(joined, template)
+    }
+
+    /// The source the dependent fragment ships to.
+    fn pushed_to(&self) -> &'static str {
+        match self.right {
+            Passed::WaisNeedle => "xmlartwork",
+            _ => "o2artifact",
+        }
+    }
+
+    /// Handler-batched execution under every {Sequential, Parallel} ×
+    /// {Interp, Vm} × {cache off, bounded} combination must serialize to
+    /// exactly the bytes of in-place reference evaluation (no
+    /// `PushHandler`: the fragment evaluated per left row over fetched
+    /// documents), and the dependent side must cost at most
+    /// `1 + ⌈distinct / chunk⌉` round trips however many rows drive it.
+    /// `Ok` says whether the join produced any answer rows.
+    fn run(&self) -> Result<bool, String> {
+        let mut sc = Scenario::at_scale(self.scale);
+        sc.seed = self.scenario_seed;
+        let plan = self.plan();
+        let (left, push, _) = self.parts();
+        let Alg::Push { plan: frag, .. } = push.as_ref() else {
+            unreachable!("parts() builds a Push")
+        };
+
+        // the reference: every export fetched, everything evaluated in
+        // place by the handler-less interpreter
+        let oracle = sc.mediator();
+        let mut forest = Forest::new();
+        for (source, iface) in oracle.interfaces() {
+            let conn = oracle.connection(source).expect("imported sources connect");
+            for export in &iface.exports {
+                match conn.call(&Request::GetDocument {
+                    name: export.name.clone(),
+                }) {
+                    Ok(Response::Document { name, tree }) => forest.insert(name, tree),
+                    other => return Err(format!("fetching {}: {other:?}", export.name)),
+                }
+            }
+        }
+        let (funcs, skolems) = (FnRegistry::with_builtins(), SkolemRegistry::new());
+        let ctx = EvalCtx::local(&forest, &funcs, &skolems);
+        let bytes = |out: EvalOut| ServerReply::answer(out).to_xml().to_xml();
+        let want =
+            bytes(yat::yat_algebra::eval(&plan, &ctx).map_err(|e| format!("reference eval: {e}"))?);
+        let driving = yat::yat_algebra::eval(&left, &ctx)
+            .map_err(|e| format!("reference left: {e}"))?
+            .tab(&left)
+            .map_err(|e| e.to_string())?;
+        let (bindings, _) = PassedBindings::collect(&driving, &Default::default(), frag);
+        let distinct = bindings.rows.len() as u64;
+        let bound = if driving.is_empty() {
+            0
+        } else {
+            1 + distinct.div_ceil(MAX_BATCH_BINDINGS as u64)
+        };
+
+        for engine in [ExecEngine::Interp, ExecEngine::Vm] {
+            for mode in [
+                ExecMode::Sequential,
+                ExecMode::Parallel {
+                    max_in_flight: self.lanes,
+                },
+            ] {
+                for cache in [CachePolicy::Off, CachePolicy::bounded()] {
+                    let mut m = sc.mediator();
+                    m.set_exec_mode(mode);
+                    m.set_exec_engine(engine);
+                    m.set_cache_policy(cache);
+                    m.set_stream_policy(StreamPolicy::Off);
+                    let tag = format!("{mode}/{engine}/cache {cache}");
+                    let shipped = |m: &Mediator| {
+                        m.traffic_of(self.pushed_to())
+                            .expect("source is connected")
+                            .round_trips
+                    };
+                    // the left side's mediator-side read may fetch from
+                    // the pushed-to source as well; only WaisNeedle's
+                    // left reads O2, and its push goes to Wais
+                    let before = shipped(&m);
+                    let got = m.execute(&plan).map_err(|e| format!("{tag}: {e}"))?;
+                    let trips = shipped(&m) - before;
+                    if bytes(got) != want {
+                        return Err(format!("{tag}: answer diverges from in-place evaluation"));
+                    }
+                    if trips > bound {
+                        return Err(format!(
+                            "{tag}: {trips} round trips for {} rows / {distinct} distinct                              bindings (bound {bound})",
+                            driving.len()
+                        ));
+                    }
+                    if cache.is_enabled() {
+                        let before = shipped(&m);
+                        let warm = m.execute(&plan).map_err(|e| format!("{tag} warm: {e}"))?;
+                        if bytes(warm) != want {
+                            return Err(format!("{tag}: warm answer diverges"));
+                        }
+                        if shipped(&m) != before {
+                            return Err(format!("{tag}: warm rerun shipped bindings again"));
+                        }
+                    }
+                }
+            }
+        }
+        Ok(want.contains("<r>"))
+    }
+}
+
+/// The information-passing axis: seeded `DJoin`-into-`Push` plans whose
+/// left side has duplicate, tree-valued, `Null` and zero bindings. The
+/// handler-batched answer must equal in-place reference evaluation byte
+/// for byte in every mode × engine × cache combination, and a dependent
+/// join must cost O(1) round trips, not one per driving row.
+#[test]
+fn batched_passing_agrees_with_in_place_evaluation_on_random_djoins() {
+    let master = std::env::var("YAT_DIFF_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(DEFAULT_SEED);
+    let mut rng = Rng::seed_from_u64(master ^ 0xD301);
+    let cases = CASES / 5;
+    let mut answered = 0;
+    for i in 0..cases {
+        let case = PassingCase::generate(&mut rng);
+        match case.run() {
+            Ok(rows) => answered += usize::from(rows),
+            Err(msg) => panic!(
+                "passing differential case {i}/{cases} (YAT_DIFF_SEED={master}) failed: {msg}\n\
+                 case: {case:?}\nplan:\n{}",
+                case.plan().explain()
+            ),
+        }
+    }
+    println!("passing differential sweep: {cases} cases, {answered} with answer rows");
+    assert!(
+        answered > cases / 4,
+        "generator degenerated: only {answered}/{cases} joins produced any row"
+    );
 }
 
 /// The same harness must be stable across reruns: the default seed plus

@@ -88,9 +88,10 @@ fn capability_round_cuts_documents_transferred() {
 }
 
 #[test]
-fn information_passing_trades_round_trips_for_documents() {
-    // the Fig. 9 plan contacts O2 once per driving row but ships only
-    // matching artifacts — fewer documents, more round trips
+fn information_passing_cuts_documents_without_adding_round_trips() {
+    // the Fig. 9 plan passes the driving rows' values to O2 as one
+    // batch and ships only matching artifacts — fewer documents in as
+    // many round trips as the two independent pushes took
     let m = Scenario::at_scale(100).mediator();
     let plan = m.plan_query(paper::Q2).unwrap();
 
@@ -104,6 +105,6 @@ fn information_passing_trades_round_trips_for_documents() {
     m.execute(&full).unwrap();
     let passing = m.traffic();
 
-    assert!(passing.round_trips > capability.round_trips);
+    assert!(passing.round_trips <= capability.round_trips);
     assert!(passing.documents_received <= capability.documents_received);
 }
