@@ -7,15 +7,17 @@
 //! ```
 //!
 //! Drives the Q1/Q2 mix. With `--verify-scale N` it answers the same
-//! seeded scenario in-process first and compares every wire answer
-//! byte-for-byte (streamed answers are reassembled first). Exits nonzero on protocol errors, server errors,
-//! verification mismatches, or a p99 above `--p99-max-ms` — which is
-//! what lets CI use it as a gate. `--shutdown` sends the drain verb when
-//! the run completes; `--json` writes the report machine-readably.
+//! seeded scenario in-process first (built under the same `YAT_*`
+//! [`yat_bench::settings`] the server reads) and compares every wire
+//! answer byte-for-byte (streamed answers are reassembled first). Exits
+//! nonzero on protocol errors, server errors, verification mismatches,
+//! or a p99 above `--p99-max-ms` — which is what lets CI use it as a
+//! gate. `--shutdown` sends the drain verb when the run completes;
+//! `--json` writes the report machine-readably.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, ToSocketAddrs};
-use yat_bench::workload::Scenario;
+use yat_bench::settings::Settings;
 use yat_capability::protocol::ServerReply;
 use yat_mediator::OptimizerOptions;
 use yat_server::{load, Client, LoadMode, LoadSpec};
@@ -91,7 +93,13 @@ fn main() {
     if let Some(scale) = verify_scale {
         // answer the same seeded scenario in-process: the wire must
         // reproduce these bytes exactly
-        let reference = Scenario::at_scale(scale).mediator();
+        let reference = match Settings::from_env().scenario(scale) {
+            Ok(reference) => reference,
+            Err(e) => {
+                eprintln!("yat-load: cannot mount the reference store: {e}");
+                std::process::exit(1);
+            }
+        };
         let mut expected = HashMap::new();
         for query in &spec.mix {
             let out = reference

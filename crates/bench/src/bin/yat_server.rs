@@ -14,15 +14,17 @@
 //! * `--latency-ms` — simulated per-source round-trip delay (default 0).
 //! * `--federate` — serve an N-member federation registry instead of the
 //!   plain two-source scenario: `N/2` O2 replicas, the rest style
-//!   shards of the Wais collection. `YAT_PARTIAL` / `YAT_SCHED` select
-//!   the partial-failure and scheduling policies as everywhere else.
+//!   shards of the Wais collection.
 //!
-//! Execution mode and cache policy come from `YAT_EXEC_MODE` / `YAT_CACHE`
-//! as everywhere else. Prints one `listening on <addr>` line once ready —
-//! the CI smoke job and `yat-load --shutdown` drive it from there.
+//! Every policy comes from the eight `YAT_*` variables of
+//! [`yat_bench::settings`] (`YAT_EXEC_MODE`, `YAT_EXEC_ENGINE`,
+//! `YAT_STREAM`, `YAT_CACHE`, `YAT_PARTIAL`, `YAT_SCHED`, `YAT_INDEX`,
+//! `YAT_STORE`), read once at startup. Prints one `listening on <addr>`
+//! line once ready — the CI smoke job and `yat-load --shutdown` drive it
+//! from there.
 
 use std::time::Duration;
-use yat_bench::workload::{FedScenario, Scenario};
+use yat_bench::settings::Settings;
 use yat_mediator::Latency;
 use yat_server::{Server, ServerConfig};
 
@@ -67,14 +69,20 @@ fn main() {
         }
     }
 
+    let settings = Settings::from_env();
     let (mediator, sources) = if federate > 0 {
-        let sc = FedScenario::new(federate, scale);
-        (sc.mediator(), sc.member_names())
+        settings.federation(federate, scale)
     } else {
-        (
-            Scenario::at_scale(scale).mediator(),
-            vec!["o2artifact".into(), "xmlartwork".into()],
-        )
+        match settings.scenario(scale) {
+            Ok(mediator) => (mediator, vec!["o2artifact".into(), "xmlartwork".into()]),
+            Err(e) => {
+                eprintln!(
+                    "yat-server: cannot mount the store ({}): {e}",
+                    settings.store
+                );
+                std::process::exit(1);
+            }
+        }
     };
     if latency_ms > 0 {
         for source in &sources {

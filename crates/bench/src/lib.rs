@@ -11,6 +11,8 @@
 //!   pair, the Fig. 7 equivalence pairs (before/after of each rewriting),
 //!   and the Fig. 8/9 pipelines at every optimization level;
 //! * [`harness`] — a std-only timing harness;
+//! * [`settings`] — the `YAT_*` settings of the `yat-server` /
+//!   `yat-load` binaries: the one place the environment is read;
 //! * `benches/` — `harness = false` benchmarks regenerating the
 //!   performance claim behind each figure;
 //! * `src/bin/report.rs` — prints the plans, traffic and result
@@ -20,4 +22,5 @@ pub mod baseline;
 pub mod figures;
 pub mod harness;
 pub mod json;
+pub mod settings;
 pub mod workload;

@@ -1,10 +1,9 @@
 //! Seeded scenario builders for the cultural-goods federation.
 
 use std::collections::{BTreeSet, HashMap};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use yat_capability::protocol::WrapperServer;
-use yat_capability::{IndexPolicy, StorePolicy};
+use yat_capability::IndexPolicy;
 use yat_mediator::{Dead, FetchOnly, Mediator, MemberRole};
 use yat_model::{Label, Node, Tree};
 use yat_oql::art::{art_store, art_store_at, fig1_store, ArtSpec};
@@ -12,26 +11,6 @@ use yat_oql::O2Wrapper;
 use yat_store::{StoreError, StoreOptions};
 use yat_wais::{fig1_works, generate_works, WaisSource, WaisWrapper, WorksSpec};
 use yat_yatl::paper;
-
-/// Process-wide counter giving every store-backed scenario its own
-/// subdirectory, so concurrent tests under one `YAT_STORE` root never
-/// collide.
-static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// A fresh, unique store root under `path` for one scenario mount.
-fn unique_store_root(path: &str, tag: &str) -> PathBuf {
-    let n = STORE_SEQ.fetch_add(1, Ordering::SeqCst);
-    Path::new(path).join(format!("{tag}-{}-{n}", std::process::id()))
-}
-
-/// [`StoreOptions`] for a `YAT_STORE` budget (default options when
-/// unset).
-fn store_opts(budget: Option<u64>) -> StoreOptions {
-    match budget {
-        Some(b) => StoreOptions::with_budget(b),
-        None => StoreOptions::default(),
-    }
-}
 
 /// One end-to-end scenario configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,9 +27,9 @@ pub struct Scenario {
     pub giverny_pct: u8,
     /// RNG seed.
     pub seed: u64,
-    /// Index policy pinned on the mediator and both sources (defaults
-    /// to `YAT_INDEX`). The differential's index axis sets it per
-    /// instance so indexed and scan federations coexist in one process.
+    /// Index policy pinned on the mediator and both sources (`On` by
+    /// default). The differential's index axis sets it per instance so
+    /// indexed and scan federations coexist in one process.
     pub index: IndexPolicy,
 }
 
@@ -65,7 +44,7 @@ impl Scenario {
             optional_pct: 60,
             giverny_pct: 30,
             seed: 42,
-            index: IndexPolicy::from_env(),
+            index: IndexPolicy::default(),
         }
     }
 
@@ -87,35 +66,9 @@ impl Scenario {
         )
     }
 
-    /// Builds the full federation: O2 wrapper + Wais wrapper + view1.
-    ///
-    /// Honors `YAT_STORE`: under a `dir:` policy both sources mount
-    /// persistent stores in a unique subdirectory of the given root
-    /// (answers stay byte-identical to the in-memory build); a mount
-    /// failure warns and falls back to in-memory, like `YAT_INDEX`.
+    /// Builds the full federation in memory: O2 wrapper + Wais wrapper +
+    /// view1 — the oracle every store-backed build is held to.
     pub fn mediator(&self) -> Mediator {
-        match StorePolicy::from_env() {
-            StorePolicy::Off => self.mediator_mem(),
-            StorePolicy::Dir { path, budget } => {
-                let root = unique_store_root(&path, "scenario");
-                match self.mediator_store(&root, store_opts(budget)) {
-                    Ok(m) => m,
-                    Err(e) => {
-                        yat_obs::warn(format!(
-                            "YAT_STORE mount under `{}` failed ({e}); \
-                             falling back to in-memory sources",
-                            root.display()
-                        ));
-                        self.mediator_mem()
-                    }
-                }
-            }
-        }
-    }
-
-    /// The in-memory federation — the oracle every store-backed build is
-    /// held to.
-    pub fn mediator_mem(&self) -> Mediator {
         let (art, works) = self.specs();
         let mut m = Mediator::new();
         m.set_index_policy(self.index);
@@ -200,6 +153,9 @@ pub struct FedScenario {
     pub dead: Vec<String>,
     /// RNG seed.
     pub seed: u64,
+    /// Index policy pinned on the mediator and every member source
+    /// (`On` by default), like [`Scenario::index`].
+    pub index: IndexPolicy,
 }
 
 impl FedScenario {
@@ -214,6 +170,7 @@ impl FedScenario {
             fetch_only_every: 0,
             dead: Vec::new(),
             seed: 42,
+            index: IndexPolicy::default(),
         }
     }
 
@@ -346,8 +303,9 @@ impl FedScenario {
         let spec = self.art_spec();
         let docs = self.shard_docs();
         let mut m = Mediator::new();
+        m.set_index_policy(self.index);
         for name in &self.replica_names() {
-            let wrapper = O2Wrapper::new(name, art_store(&spec));
+            let wrapper = O2Wrapper::new(name, art_store(&spec).with_index_policy(self.index));
             m.connect_member(
                 self.boxed(wrapper, self.dead.iter().any(|d| d == name), false),
                 "art",
@@ -356,7 +314,10 @@ impl FedScenario {
             .expect("fresh mediator accepts every replica");
         }
         for ((i, name), doc) in self.shard_names().iter().enumerate().zip(&docs) {
-            let wrapper = WaisWrapper::new(name, WaisSource::new("works", doc));
+            let wrapper = WaisWrapper::new(
+                name,
+                WaisSource::new("works", doc).with_index_policy(self.index),
+            );
             let fetch_only = self.fetch_only_every > 0 && (i + 1) % self.fetch_only_every == 0;
             m.connect_member(
                 self.boxed(wrapper, self.dead.iter().any(|d| d == name), fetch_only),
@@ -438,7 +399,7 @@ mod tests {
         let sc = Scenario::at_scale(20);
         let root = std::env::temp_dir().join(format!("yat-scenario-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
-        let mem = sc.mediator_mem();
+        let mem = sc.mediator();
         let disk = sc.mediator_store(&root, StoreOptions::default()).unwrap();
         for query in [paper::Q1, paper::Q2] {
             assert_eq!(fp(&disk, query), fp(&mem, query), "{query}");
@@ -471,7 +432,7 @@ mod tests {
         assert!(xml.contains("<storage"), "{xml}");
 
         // the in-memory oracle executes the same plan with no storage section
-        let mem = sc.mediator_mem();
+        let mem = sc.mediator();
         let plan = mem.plan_query(paper::Q2).unwrap();
         let explain = mem.explain(&plan).unwrap();
         assert!(explain.storage.is_empty(), "in-memory has no storage");

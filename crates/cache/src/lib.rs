@@ -22,7 +22,7 @@
 //!   results. Every lookup/insert emits a `cache` observability event
 //!   (`hit @src` / `miss @src` / `evict @src`) with byte attributes.
 //! * [`CachePolicy`] — `Off` or `Bounded{max_bytes, ttl_epochs}`,
-//!   parseable from the `YAT_CACHE` environment variable.
+//!   parseable from text (`FromStr`).
 //!
 //! The cache never stores partial work: the executor only inserts after
 //! a round trip fully succeeded, so a transport timeout, wire fault or
@@ -192,61 +192,36 @@ impl CachePolicy {
     pub fn is_enabled(&self) -> bool {
         !matches!(self, CachePolicy::Off)
     }
+}
 
-    /// The policy selected by the `YAT_CACHE` environment variable
-    /// (`off`, `bounded`, or `bounded:<bytes>[:<ttl>[:noneg]]` where
-    /// `<bytes>` accepts `k`/`m`/`g` suffixes); `Off` when unset. An
-    /// *invalid* value also falls back to `Off`, but loudly: a warning
-    /// goes through [`yat_obs::warn`] naming the rejected value and the
-    /// accepted syntax.
-    pub fn from_env() -> Self {
-        Self::from_env_value(std::env::var("YAT_CACHE").ok().as_deref())
-    }
+/// `off`/`none`/`0`, `bounded`/`on`, or `bounded:<bytes>[:<ttl>[:noneg]]`
+/// where `<bytes>` accepts `k`/`m`/`g` suffixes.
+impl std::str::FromStr for CachePolicy {
+    type Err = ();
 
-    /// [`CachePolicy::from_env`] on an explicit value (`None` = unset) —
-    /// split out so the warning path is testable without mutating the
-    /// process environment.
-    pub fn from_env_value(value: Option<&str>) -> Self {
-        let Some(value) = value else {
-            return CachePolicy::default();
-        };
-        match Self::parse(value) {
-            Some(policy) => policy,
-            None => {
-                yat_obs::warn(format!(
-                    "YAT_CACHE=`{value}` is not a valid cache policy; accepted values are \
-                     `off`, `bounded`, or `bounded:<bytes>[:<ttl>[:noneg]]` (`<bytes>` takes \
-                     k/m/g suffixes) — falling back to off"
-                ));
-                CachePolicy::default()
-            }
-        }
-    }
-
-    /// Parses the `YAT_CACHE` syntax.
-    pub fn parse(text: &str) -> Option<Self> {
+    fn from_str(text: &str) -> Result<Self, ()> {
         let text = text.trim().to_ascii_lowercase();
         match text.as_str() {
-            "off" | "none" | "0" => return Some(CachePolicy::Off),
-            "bounded" | "on" => return Some(CachePolicy::bounded()),
+            "off" | "none" | "0" => return Ok(CachePolicy::Off),
+            "bounded" | "on" => return Ok(CachePolicy::bounded()),
             _ => {}
         }
-        let rest = text.strip_prefix("bounded:")?;
+        let rest = text.strip_prefix("bounded:").ok_or(())?;
         let mut parts = rest.split(':');
-        let max_bytes = parse_bytes(parts.next()?)?;
+        let max_bytes = parts.next().and_then(parse_bytes).ok_or(())?;
         let ttl_epochs = match parts.next() {
-            Some(t) => t.parse::<u64>().ok().filter(|&t| t > 0)?,
+            Some(t) => t.parse::<u64>().ok().filter(|&t| t > 0).ok_or(())?,
             None => 1,
         };
         let negative = match parts.next() {
             Some("noneg") => false,
-            Some(_) => return None,
+            Some(_) => return Err(()),
             None => true,
         };
         if parts.next().is_some() {
-            return None;
+            return Err(());
         }
-        Some(CachePolicy::Bounded {
+        Ok(CachePolicy::Bounded {
             max_bytes,
             ttl_epochs,
             negative,
@@ -916,87 +891,5 @@ mod tests {
         assert_eq!(stats.hits, per_src.hits);
         assert_eq!(stats.misses, per_src.misses);
         assert_eq!(stats.bytes_saved, stats.hits * per_entry);
-    }
-
-    #[test]
-    fn invalid_cache_env_values_warn_and_fall_back() {
-        use std::sync::{Arc, Mutex as StdMutex};
-        let seen = Arc::new(StdMutex::new(Vec::<String>::new()));
-        let sink = seen.clone();
-        yat_obs::set_warn_sink(Some(Box::new(move |m| {
-            sink.lock().unwrap().push(m.to_string());
-        })));
-        assert_eq!(CachePolicy::from_env_value(None), CachePolicy::Off);
-        assert_eq!(
-            CachePolicy::from_env_value(Some("bounded")),
-            CachePolicy::bounded()
-        );
-        assert!(seen.lock().unwrap().is_empty(), "valid values are silent");
-        assert_eq!(
-            CachePolicy::from_env_value(Some("unbounded")),
-            CachePolicy::Off
-        );
-        yat_obs::set_warn_sink(None);
-        let warnings = seen.lock().unwrap();
-        assert_eq!(warnings.len(), 1);
-        assert!(
-            warnings[0].contains("YAT_CACHE")
-                && warnings[0].contains("unbounded")
-                && warnings[0].contains("bounded:<bytes>"),
-            "{warnings:?}"
-        );
-    }
-
-    #[test]
-    fn policy_parses_the_env_syntax() {
-        assert_eq!(CachePolicy::parse("off"), Some(CachePolicy::Off));
-        assert_eq!(CachePolicy::parse(" NONE "), Some(CachePolicy::Off));
-        assert_eq!(CachePolicy::parse("bounded"), Some(CachePolicy::bounded()));
-        assert_eq!(CachePolicy::parse("on"), Some(CachePolicy::bounded()));
-        assert_eq!(
-            CachePolicy::parse("bounded:4m"),
-            Some(CachePolicy::Bounded {
-                max_bytes: 4 << 20,
-                ttl_epochs: 1,
-                negative: true
-            })
-        );
-        assert_eq!(
-            CachePolicy::parse("bounded:512k:2:noneg"),
-            Some(CachePolicy::Bounded {
-                max_bytes: 512 << 10,
-                ttl_epochs: 2,
-                negative: false
-            })
-        );
-        assert_eq!(
-            CachePolicy::parse("bounded:1g:5"),
-            Some(CachePolicy::Bounded {
-                max_bytes: 1 << 30,
-                ttl_epochs: 5,
-                negative: true
-            })
-        );
-        assert_eq!(
-            CachePolicy::parse("bounded:9999"),
-            Some(CachePolicy::Bounded {
-                max_bytes: 9999,
-                ttl_epochs: 1,
-                negative: true
-            })
-        );
-        assert_eq!(CachePolicy::parse("bounded:0"), None, "zero budget");
-        assert_eq!(CachePolicy::parse("bounded:4m:0"), None, "zero ttl");
-        assert_eq!(CachePolicy::parse("bounded:4m:1:bogus"), None);
-        assert_eq!(CachePolicy::parse("unbounded"), None);
-        assert_eq!(
-            CachePolicy::bounded().to_string(),
-            "bounded(67108864B, ttl 1)"
-        );
-        assert_eq!(CachePolicy::Off.to_string(), "off");
-        assert!(CachePolicy::parse("bounded:1k:1:noneg")
-            .unwrap()
-            .to_string()
-            .ends_with("no-negative"));
     }
 }

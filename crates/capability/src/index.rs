@@ -1,4 +1,4 @@
-//! The index plane's control surface: the `YAT_INDEX` switch and the
+//! The index plane's control surface: the [`IndexPolicy`] switch and the
 //! per-execution accounting wrappers report back for `EXPLAIN ANALYZE`.
 //!
 //! The policy gates *evaluation strategy only*. A wrapper accepts and
@@ -22,42 +22,22 @@ pub enum IndexPolicy {
 }
 
 impl IndexPolicy {
-    /// The policy selected by the `YAT_INDEX` environment variable
-    /// (`on` or `off`); indexed when unset. An invalid value falls back
-    /// to indexed, loudly via [`yat_obs::warn`].
-    pub fn from_env() -> Self {
-        Self::from_env_value(std::env::var("YAT_INDEX").ok().as_deref())
-    }
-
-    /// [`IndexPolicy::from_env`] on an explicit value (`None` = unset).
-    pub fn from_env_value(value: Option<&str>) -> Self {
-        let Some(value) = value else {
-            return IndexPolicy::default();
-        };
-        match Self::parse(value) {
-            Some(policy) => policy,
-            None => {
-                yat_obs::warn(format!(
-                    "YAT_INDEX=`{value}` is not a valid index policy; accepted \
-                     values are `on` or `off` — falling back to on"
-                ));
-                IndexPolicy::default()
-            }
-        }
-    }
-
-    /// Parses the `YAT_INDEX` syntax.
-    pub fn parse(text: &str) -> Option<Self> {
-        match text.trim().to_ascii_lowercase().as_str() {
-            "on" | "indexed" => Some(IndexPolicy::On),
-            "off" | "scan" => Some(IndexPolicy::Off),
-            _ => None,
-        }
-    }
-
     /// Whether indexes are consulted.
     pub fn is_on(self) -> bool {
         self == IndexPolicy::On
+    }
+}
+
+/// `on`/`indexed` or `off`/`scan`.
+impl std::str::FromStr for IndexPolicy {
+    type Err = ();
+
+    fn from_str(text: &str) -> Result<Self, ()> {
+        match text.trim().to_ascii_lowercase().as_str() {
+            "on" | "indexed" => Ok(IndexPolicy::On),
+            "off" | "scan" => Ok(IndexPolicy::Off),
+            _ => Err(()),
+        }
     }
 }
 
@@ -112,31 +92,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_and_default() {
-        assert_eq!(IndexPolicy::parse("on"), Some(IndexPolicy::On));
-        assert_eq!(IndexPolicy::parse("OFF"), Some(IndexPolicy::Off));
-        assert_eq!(IndexPolicy::parse(" scan "), Some(IndexPolicy::Off));
-        assert_eq!(IndexPolicy::parse("indexed"), Some(IndexPolicy::On));
-        assert_eq!(IndexPolicy::parse("maybe"), None);
-        assert_eq!(IndexPolicy::from_env_value(None), IndexPolicy::On);
-        assert_eq!(IndexPolicy::from_env_value(Some("off")), IndexPolicy::Off);
-        // invalid value: warn + fall back to on
-        let warnings = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let sink = warnings.clone();
-        yat_obs::set_warn_sink(Some(Box::new(move |msg| {
-            sink.lock().unwrap().push(msg.to_string());
-        })));
-        assert_eq!(IndexPolicy::from_env_value(Some("banana")), IndexPolicy::On);
-        yat_obs::set_warn_sink(None);
-        let got = warnings.lock().unwrap();
-        assert_eq!(got.len(), 1);
-        assert!(got[0].contains("YAT_INDEX"), "{}", got[0]);
-    }
-
-    #[test]
     fn display_round_trips() {
         for p in [IndexPolicy::On, IndexPolicy::Off] {
-            assert_eq!(IndexPolicy::parse(&p.to_string()), Some(p));
+            assert_eq!(p.to_string().parse(), Ok(p));
         }
     }
 }

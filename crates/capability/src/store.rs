@@ -1,11 +1,11 @@
-//! The storage plane's control surface: the `YAT_STORE` switch and the
-//! per-execution storage accounting wrappers report for
+//! The storage plane's control surface: the [`StorePolicy`] switch and
+//! the per-execution storage accounting wrappers report for
 //! `EXPLAIN ANALYZE`.
 //!
-//! Like `YAT_INDEX`, the policy gates *where collections live only*. A
-//! store-backed source accepts and rejects exactly the same plans,
-//! produces byte-identical answers and moves identical wire traffic as
-//! the in-memory source — in-memory mode stays the oracle the
+//! Like [`crate::IndexPolicy`], the policy gates *where collections live
+//! only*. A store-backed source accepts and rejects exactly the same
+//! plans, produces byte-identical answers and moves identical wire
+//! traffic as the in-memory source — in-memory mode stays the oracle the
 //! differential harness holds the store-backed paths to.
 
 use std::fmt;
@@ -28,63 +28,42 @@ pub enum StorePolicy {
 }
 
 impl StorePolicy {
-    /// The policy selected by the `YAT_STORE` environment variable
-    /// (`off` or `dir:<path>[:<budget-bytes>]`); off when unset. An
-    /// invalid value falls back to off, loudly via [`yat_obs::warn`].
-    pub fn from_env() -> Self {
-        Self::from_env_value(std::env::var("YAT_STORE").ok().as_deref())
+    /// Whether sources should mount persistent stores.
+    pub fn is_on(&self) -> bool {
+        !matches!(self, StorePolicy::Off)
     }
+}
 
-    /// [`StorePolicy::from_env`] on an explicit value (`None` = unset).
-    pub fn from_env_value(value: Option<&str>) -> Self {
-        let Some(value) = value else {
-            return StorePolicy::default();
-        };
-        match Self::parse(value) {
-            Some(policy) => policy,
-            None => {
-                yat_obs::warn(format!(
-                    "YAT_STORE=`{value}` is not a valid store policy; accepted \
-                     values are `off` or `dir:<path>[:<budget-bytes>]` — \
-                     falling back to off (in-memory)"
-                ));
-                StorePolicy::default()
-            }
-        }
-    }
+/// `off`/`mem` or `dir:<path>[:<budget-bytes>]`.
+impl std::str::FromStr for StorePolicy {
+    type Err = ();
 
-    /// Parses the `YAT_STORE` syntax.
-    pub fn parse(text: &str) -> Option<Self> {
+    fn from_str(text: &str) -> Result<Self, ()> {
         let text = text.trim();
         if text.eq_ignore_ascii_case("off") || text.eq_ignore_ascii_case("mem") {
-            return Some(StorePolicy::Off);
+            return Ok(StorePolicy::Off);
         }
-        let rest = text.strip_prefix("dir:")?;
+        let rest = text.strip_prefix("dir:").ok_or(())?;
         if rest.is_empty() {
-            return None;
+            return Err(());
         }
         // The budget is the suffix after the *last* colon, when numeric —
         // paths may themselves contain colons.
         if let Some((path, tail)) = rest.rsplit_once(':') {
             if let Ok(budget) = tail.parse::<u64>() {
                 if path.is_empty() {
-                    return None;
+                    return Err(());
                 }
-                return Some(StorePolicy::Dir {
+                return Ok(StorePolicy::Dir {
                     path: path.to_string(),
                     budget: Some(budget),
                 });
             }
         }
-        Some(StorePolicy::Dir {
+        Ok(StorePolicy::Dir {
             path: rest.to_string(),
             budget: None,
         })
-    }
-
-    /// Whether sources should mount persistent stores.
-    pub fn is_on(&self) -> bool {
-        !matches!(self, StorePolicy::Off)
     }
 }
 
@@ -127,51 +106,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_and_default() {
-        assert_eq!(StorePolicy::parse("off"), Some(StorePolicy::Off));
-        assert_eq!(StorePolicy::parse(" MEM "), Some(StorePolicy::Off));
-        assert_eq!(
-            StorePolicy::parse("dir:/tmp/stores"),
-            Some(StorePolicy::Dir {
-                path: "/tmp/stores".into(),
-                budget: None
-            })
-        );
-        assert_eq!(
-            StorePolicy::parse("dir:/tmp/stores:1048576"),
-            Some(StorePolicy::Dir {
-                path: "/tmp/stores".into(),
-                budget: Some(1_048_576)
-            })
-        );
-        // a colon in the path with no numeric suffix is part of the path
-        assert_eq!(
-            StorePolicy::parse("dir:/tmp/a:b"),
-            Some(StorePolicy::Dir {
-                path: "/tmp/a:b".into(),
-                budget: None
-            })
-        );
-        assert_eq!(StorePolicy::parse("dir:"), None);
-        assert_eq!(StorePolicy::parse("disk"), None);
-        assert_eq!(StorePolicy::from_env_value(None), StorePolicy::Off);
-        // invalid value: warn + fall back to off
-        let warnings = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let sink = warnings.clone();
-        yat_obs::set_warn_sink(Some(Box::new(move |msg| {
-            sink.lock().unwrap().push(msg.to_string());
-        })));
-        assert_eq!(
-            StorePolicy::from_env_value(Some("banana")),
-            StorePolicy::Off
-        );
-        yat_obs::set_warn_sink(None);
-        let got = warnings.lock().unwrap();
-        assert_eq!(got.len(), 1);
-        assert!(got[0].contains("YAT_STORE"), "{}", got[0]);
-    }
-
-    #[test]
     fn display_round_trips() {
         for p in [
             StorePolicy::Off,
@@ -184,7 +118,7 @@ mod tests {
                 budget: Some(4096),
             },
         ] {
-            assert_eq!(StorePolicy::parse(&p.to_string()), Some(p));
+            assert_eq!(p.to_string().parse(), Ok(p));
         }
     }
 }

@@ -36,7 +36,7 @@ pub use prune::{constraints_of, Constraints};
 pub use registry::{GroupKind, Member, MemberRole, SourceRegistry};
 
 /// What a per-source failure does to the query (Section "partial
-/// failure"; the env knob is `YAT_PARTIAL`).
+/// failure"). Set through `Mediator::set_partial_failure`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PartialFailure {
     /// Any source failure fails the whole query — today's semantics.
@@ -47,34 +47,15 @@ pub enum PartialFailure {
     Degrade,
 }
 
-impl PartialFailure {
-    /// Reads `YAT_PARTIAL` (`strict` | `degrade`). Unset or invalid
-    /// values fall back to [`PartialFailure::Strict`], invalid ones
-    /// loudly via [`yat_obs::warn`].
-    pub fn from_env() -> Self {
-        Self::from_env_value(std::env::var("YAT_PARTIAL").ok().as_deref())
-    }
+/// `strict` or `degrade`/`degraded`.
+impl std::str::FromStr for PartialFailure {
+    type Err = ();
 
-    /// [`PartialFailure::from_env`] on an explicit value (testable).
-    pub fn from_env_value(value: Option<&str>) -> Self {
-        match value {
-            None => PartialFailure::Strict,
-            Some(v) => Self::parse(v).unwrap_or_else(|| {
-                yat_obs::warn(format!(
-                    "YAT_PARTIAL: unrecognized value {v:?} (expected \
-                     \"strict\" or \"degrade\"); using strict"
-                ));
-                PartialFailure::Strict
-            }),
-        }
-    }
-
-    /// Parses a policy string.
-    pub fn parse(value: &str) -> Option<Self> {
-        match value.trim().to_ascii_lowercase().as_str() {
-            "strict" => Some(PartialFailure::Strict),
-            "degrade" | "degraded" => Some(PartialFailure::Degrade),
-            _ => None,
+    fn from_str(text: &str) -> Result<Self, ()> {
+        match text.trim().to_ascii_lowercase().as_str() {
+            "strict" => Ok(PartialFailure::Strict),
+            "degrade" | "degraded" => Ok(PartialFailure::Degrade),
+            _ => Err(()),
         }
     }
 }
@@ -176,41 +157,6 @@ impl ProvLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
-
-    #[test]
-    fn partial_failure_parses_and_defaults() {
-        assert_eq!(
-            PartialFailure::parse("strict"),
-            Some(PartialFailure::Strict)
-        );
-        assert_eq!(
-            PartialFailure::parse(" Degrade "),
-            Some(PartialFailure::Degrade)
-        );
-        assert_eq!(PartialFailure::parse("???"), None);
-        assert_eq!(PartialFailure::from_env_value(None), PartialFailure::Strict);
-        assert_eq!(
-            PartialFailure::from_env_value(Some("degrade")),
-            PartialFailure::Degrade
-        );
-    }
-
-    #[test]
-    fn partial_failure_invalid_value_warns_and_falls_back() {
-        let (tx, rx) = mpsc::channel();
-        yat_obs::set_warn_sink(Some(Box::new(move |m| {
-            let _ = tx.send(m.to_string());
-        })));
-        assert_eq!(
-            PartialFailure::from_env_value(Some("lenient")),
-            PartialFailure::Strict
-        );
-        let msg = rx.recv().expect("a warning is emitted");
-        assert!(msg.contains("YAT_PARTIAL"), "{msg}");
-        assert!(msg.contains("lenient"), "{msg}");
-        yat_obs::set_warn_sink(None);
-    }
 
     #[test]
     fn provenance_attrs_round_trip() {

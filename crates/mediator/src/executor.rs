@@ -37,342 +37,7 @@ use yat_federate::{constraints_of, GroupKind, PartialFailure, ProvLog, SourceReg
 use yat_model::{Forest, Node, Tree};
 use yat_obs::{attr, kind, Collector};
 
-/// How the executor dispatches independent source work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// One round trip at a time, in plan order.
-    #[default]
-    Sequential,
-    /// Scatter/gather: independent fragments run concurrently on up to
-    /// `max_in_flight` worker lanes.
-    Parallel {
-        /// Upper bound on concurrently running scatter jobs.
-        max_in_flight: usize,
-    },
-}
-
-impl ExecMode {
-    /// Default lane bound of [`ExecMode::parallel`].
-    pub const DEFAULT_LANES: usize = 8;
-
-    /// Parallel mode with the default lane bound.
-    pub fn parallel() -> Self {
-        ExecMode::Parallel {
-            max_in_flight: Self::DEFAULT_LANES,
-        }
-    }
-
-    /// True for any `Parallel` variant.
-    pub fn is_parallel(&self) -> bool {
-        matches!(self, ExecMode::Parallel { .. })
-    }
-
-    /// The mode selected by the `YAT_EXEC_MODE` environment variable
-    /// (`sequential`/`seq`, `parallel`/`par`, or `parallel:<lanes>`);
-    /// sequential when unset. An *invalid* value also falls back to
-    /// sequential, but loudly: a warning goes through [`yat_obs::warn`]
-    /// naming the rejected value and the accepted syntax.
-    pub fn from_env() -> Self {
-        Self::from_env_value(std::env::var("YAT_EXEC_MODE").ok().as_deref())
-    }
-
-    /// [`ExecMode::from_env`] on an explicit value (`None` = unset) —
-    /// split out so the warning path is testable without mutating the
-    /// process environment.
-    pub fn from_env_value(value: Option<&str>) -> Self {
-        let Some(value) = value else {
-            return ExecMode::default();
-        };
-        match Self::parse(value) {
-            Some(mode) => mode,
-            None => {
-                yat_obs::warn(format!(
-                    "YAT_EXEC_MODE=`{value}` is not a valid execution mode; accepted values \
-                     are `sequential`/`seq`, `parallel`/`par`, or `parallel:<lanes>` — \
-                     falling back to sequential"
-                ));
-                ExecMode::default()
-            }
-        }
-    }
-
-    /// Parses the `YAT_EXEC_MODE` syntax.
-    pub fn parse(text: &str) -> Option<Self> {
-        let text = text.trim().to_ascii_lowercase();
-        match text.as_str() {
-            "sequential" | "seq" => Some(ExecMode::Sequential),
-            "parallel" | "par" => Some(ExecMode::parallel()),
-            _ => text
-                .strip_prefix("parallel:")
-                .and_then(|n| n.parse().ok())
-                .filter(|&n| n > 0)
-                .map(|n| ExecMode::Parallel { max_in_flight: n }),
-        }
-    }
-}
-
-impl std::fmt::Display for ExecMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecMode::Sequential => write!(f, "sequential"),
-            ExecMode::Parallel { max_in_flight } => write!(f, "parallel({max_in_flight})"),
-        }
-    }
-}
-
-/// Which engine evaluates the local (mediator-side) part of a plan.
-///
-/// Orthogonal to [`ExecMode`]: the mode decides how *source* work is
-/// dispatched (sequential or scatter/gather), the engine decides how the
-/// local algebra in between is evaluated. The interpreter is the
-/// semantics oracle; the VM runs compiled programs and must match it
-/// bit-for-bit (`tests/differential.rs` enforces this over hundreds of
-/// seeded plans, on both axes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecEngine {
-    /// The recursive reference interpreter ([`yat_algebra::eval()`]).
-    #[default]
-    Interp,
-    /// Compiled execution: plans are lowered once into flat stack
-    /// programs ([`yat_algebra::compile()`]) and run batched
-    /// ([`yat_algebra::vm::run`]).
-    Vm,
-}
-
-impl ExecEngine {
-    /// The engine selected by the `YAT_EXEC_ENGINE` environment variable
-    /// (`interp`/`interpreter`, or `vm`/`compiled`); the interpreter
-    /// when unset. An *invalid* value also falls back to the
-    /// interpreter, but loudly: a warning goes through [`yat_obs::warn`]
-    /// naming the rejected value and the accepted syntax.
-    pub fn from_env() -> Self {
-        Self::from_env_value(std::env::var("YAT_EXEC_ENGINE").ok().as_deref())
-    }
-
-    /// [`ExecEngine::from_env`] on an explicit value (`None` = unset) —
-    /// split out so the warning path is testable without mutating the
-    /// process environment.
-    pub fn from_env_value(value: Option<&str>) -> Self {
-        let Some(value) = value else {
-            return ExecEngine::default();
-        };
-        match Self::parse(value) {
-            Some(engine) => engine,
-            None => {
-                yat_obs::warn(format!(
-                    "YAT_EXEC_ENGINE=`{value}` is not a valid execution engine; accepted \
-                     values are `interp`/`interpreter` or `vm`/`compiled` — falling back \
-                     to the interpreter"
-                ));
-                ExecEngine::default()
-            }
-        }
-    }
-
-    /// Parses the `YAT_EXEC_ENGINE` syntax.
-    pub fn parse(text: &str) -> Option<Self> {
-        match text.trim().to_ascii_lowercase().as_str() {
-            "interp" | "interpreter" => Some(ExecEngine::Interp),
-            "vm" | "compiled" => Some(ExecEngine::Vm),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for ExecEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecEngine::Interp => write!(f, "interp"),
-            ExecEngine::Vm => write!(f, "vm"),
-        }
-    }
-}
-
-/// How answers leave the mediator: one materialized value, or a stream
-/// of row batches (`yat_algebra::stream`).
-///
-/// Orthogonal to both [`ExecMode`] and [`ExecEngine`]: the plan prefix
-/// is still evaluated by the chosen engine under the chosen dispatch
-/// mode; streaming changes only the *answer boundary* — the streamable
-/// operator chain on top of the plan runs batch-at-a-time and each batch
-/// is delivered as soon as it exists. The materialized path stays the
-/// semantics oracle: concatenating the delivered batches must reproduce
-/// it byte-for-byte (`tests/differential.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StreamPolicy {
-    /// Materialize the whole answer before returning it (the default).
-    #[default]
-    Off,
-    /// Deliver the answer as row batches.
-    Chunked {
-        /// Rows per delivered batch.
-        batch_rows: usize,
-        /// Upper bound on delivered-but-unconsumed batches a streaming
-        /// consumer (the server's wire writer) may buffer before the
-        /// producer blocks — the per-query memory budget.
-        max_pending: usize,
-    },
-}
-
-impl StreamPolicy {
-    /// Default rows per batch — the VM's internal batching granularity.
-    pub const DEFAULT_BATCH_ROWS: usize = yat_algebra::stream::DEFAULT_BATCH_ROWS;
-    /// Default bound on buffered, unconsumed batches.
-    pub const DEFAULT_MAX_PENDING: usize = 8;
-
-    /// Chunked delivery with the default batch size and pending bound.
-    pub fn chunked() -> Self {
-        StreamPolicy::Chunked {
-            batch_rows: Self::DEFAULT_BATCH_ROWS,
-            max_pending: Self::DEFAULT_MAX_PENDING,
-        }
-    }
-
-    /// True for any `Chunked` variant.
-    pub fn is_chunked(&self) -> bool {
-        matches!(self, StreamPolicy::Chunked { .. })
-    }
-
-    /// The policy selected by the `YAT_STREAM` environment variable
-    /// (`off`, `chunked`, `chunked:<rows>`, or
-    /// `chunked:<rows>:<pending>`); off when unset. An *invalid* value
-    /// also falls back to off, but loudly: a warning goes through
-    /// [`yat_obs::warn`] naming the rejected value and the accepted
-    /// syntax.
-    pub fn from_env() -> Self {
-        Self::from_env_value(std::env::var("YAT_STREAM").ok().as_deref())
-    }
-
-    /// [`StreamPolicy::from_env`] on an explicit value (`None` = unset)
-    /// — split out so the warning path is testable without mutating the
-    /// process environment.
-    pub fn from_env_value(value: Option<&str>) -> Self {
-        let Some(value) = value else {
-            return StreamPolicy::default();
-        };
-        match Self::parse(value) {
-            Some(policy) => policy,
-            None => {
-                yat_obs::warn(format!(
-                    "YAT_STREAM=`{value}` is not a valid stream policy; accepted values \
-                     are `off`, `chunked`, `chunked:<rows>`, or `chunked:<rows>:<pending>` \
-                     — falling back to off"
-                ));
-                StreamPolicy::default()
-            }
-        }
-    }
-
-    /// Parses the `YAT_STREAM` syntax.
-    pub fn parse(text: &str) -> Option<Self> {
-        let text = text.trim().to_ascii_lowercase();
-        match text.as_str() {
-            "off" | "materialized" => return Some(StreamPolicy::Off),
-            "chunked" | "on" => return Some(StreamPolicy::chunked()),
-            _ => {}
-        }
-        let rest = text.strip_prefix("chunked:")?;
-        let (rows, pending) = match rest.split_once(':') {
-            Some((rows, pending)) => (rows, Some(pending)),
-            None => (rest, None),
-        };
-        // a zero is clamped to 1 rather than rejected: the caller asked
-        // for chunked delivery, and 1-row batches honor that while a
-        // rejection would silently disable streaming altogether
-        let clamp = |what: &str, n: usize| {
-            if n == 0 {
-                yat_obs::warn(format!(
-                    "YAT_STREAM: `{what}` must be at least 1; clamping 0 to 1"
-                ));
-                1
-            } else {
-                n
-            }
-        };
-        let batch_rows: usize = clamp("rows", rows.parse().ok()?);
-        let max_pending = match pending {
-            Some(p) => clamp("pending", p.parse().ok()?),
-            None => Self::DEFAULT_MAX_PENDING,
-        };
-        Some(StreamPolicy::Chunked {
-            batch_rows,
-            max_pending,
-        })
-    }
-}
-
-impl std::fmt::Display for StreamPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamPolicy::Off => write!(f, "off"),
-            StreamPolicy::Chunked {
-                batch_rows,
-                max_pending,
-            } => write!(f, "chunked({batch_rows} rows, {max_pending} pending)"),
-        }
-    }
-}
-
-/// How scatter jobs are ordered onto worker lanes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedPolicy {
-    /// Longest-expected-first: jobs are ordered by the registry's
-    /// observed cost records (EWMA latency + bytes, discounted by cache
-    /// hit rate) before lane assignment, so the most expensive round
-    /// trips start earliest and the critical path shrinks. With no
-    /// observations every job costs 0 and the order — and therefore the
-    /// whole execution — is identical to `Static`.
-    #[default]
-    Cost,
-    /// Plan order with static round-robin lanes — the pre-federation
-    /// behavior, kept as the benchmark baseline.
-    Static,
-}
-
-impl SchedPolicy {
-    /// The policy selected by the `YAT_SCHED` environment variable
-    /// (`cost` or `static`/`round-robin`); cost-ordered when unset. An
-    /// invalid value falls back to cost-ordered, loudly via
-    /// [`yat_obs::warn`].
-    pub fn from_env() -> Self {
-        Self::from_env_value(std::env::var("YAT_SCHED").ok().as_deref())
-    }
-
-    /// [`SchedPolicy::from_env`] on an explicit value (`None` = unset).
-    pub fn from_env_value(value: Option<&str>) -> Self {
-        let Some(value) = value else {
-            return SchedPolicy::default();
-        };
-        match Self::parse(value) {
-            Some(policy) => policy,
-            None => {
-                yat_obs::warn(format!(
-                    "YAT_SCHED=`{value}` is not a valid scheduling policy; accepted \
-                     values are `cost` or `static`/`round-robin` — falling back to cost"
-                ));
-                SchedPolicy::default()
-            }
-        }
-    }
-
-    /// Parses the `YAT_SCHED` syntax.
-    pub fn parse(text: &str) -> Option<Self> {
-        match text.trim().to_ascii_lowercase().as_str() {
-            "cost" => Some(SchedPolicy::Cost),
-            "static" | "round-robin" => Some(SchedPolicy::Static),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for SchedPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SchedPolicy::Cost => write!(f, "cost"),
-            SchedPolicy::Static => write!(f, "static"),
-        }
-    }
-}
+pub use crate::policy::{ExecEngine, ExecMode, SchedPolicy, StreamPolicy};
 
 /// Everything one execution runs against: the connection/interface maps
 /// and registries of the mediator, the selected mode/engine/policies,
@@ -521,63 +186,24 @@ impl From<EvalError> for ExecError {
     }
 }
 
-/// Executes a plan against the connected wrappers.
+/// Executes a plan against the connected wrappers, under the spec's
+/// [`ExecMode`], answer cache, engine, federation registry, and
+/// partial-failure policy.
 ///
 /// Mediator-side `Source` reads fetch whole documents. Because fetched
 /// data may hold references into a source's *other* documents (Fig. 1's
 /// `owners refs="p1 p2 p3"`), every export of a touched source is
 /// mirrored so references dereference — part of the naive strategy's
 /// cost that pushdown avoids.
-pub fn execute(
-    plan: &Alg,
-    connections: &BTreeMap<String, Connection>,
-    interfaces: &BTreeMap<String, Interface>,
-    funcs: &FnRegistry,
-    skolems: &SkolemRegistry,
-) -> Result<EvalOut, ExecError> {
-    execute_traced(plan, connections, interfaces, funcs, skolems, None)
-}
-
-/// [`execute`] with an optional span collector. When present, document
-/// prefetch runs under a `phase` span, every protocol round trip records
-/// an `rpc` span, and local evaluation records one `operator` span per
-/// operator execution — the raw material of `EXPLAIN ANALYZE`.
-pub fn execute_traced(
-    plan: &Alg,
-    connections: &BTreeMap<String, Connection>,
-    interfaces: &BTreeMap<String, Interface>,
-    funcs: &FnRegistry,
-    skolems: &SkolemRegistry,
-    obs: Option<&Collector>,
-) -> Result<EvalOut, ExecError> {
-    let cache = AnswerCache::off();
-    let registry = SourceRegistry::new();
-    let spec = ExecSpec {
-        connections,
-        interfaces,
-        funcs,
-        skolems,
-        obs,
-        mode: ExecMode::Sequential,
-        cache: &cache,
-        engine: ExecEngine::Interp,
-        program: None,
-        registry: &registry,
-        partial: PartialFailure::Strict,
-        sched: SchedPolicy::Static,
-        prov: None,
-        bind_index: None,
-    };
-    execute_mode(plan, &spec)
-}
-
-/// [`execute_traced`] generalized over an [`ExecSpec`]: explicit
-/// [`ExecMode`], answer cache, engine, federation registry, and
-/// partial-failure policy. In `Parallel` mode the prefetch and every
-/// independent push fragment run as scatter jobs under a `scatter` phase
-/// span; each job span records the worker lane that executed it
-/// (`attr::LANE`), and under [`SchedPolicy::Cost`] jobs are ordered
-/// longest-expected-first using the registry's cost records.
+///
+/// With a span collector in the spec, document prefetch runs under a
+/// `phase` span, every protocol round trip records an `rpc` span, and
+/// local evaluation records one `operator` span per operator execution —
+/// the raw material of `EXPLAIN ANALYZE`. In `Parallel` mode the
+/// prefetch and every independent push fragment run as scatter jobs
+/// under a `scatter` phase span; each job span records the worker lane
+/// that executed it (`attr::LANE`), and under [`SchedPolicy::Cost`] jobs
+/// are ordered longest-expected-first using the registry's cost records.
 ///
 /// When the cache is enabled, every unit of source work — a document
 /// fetch or a pushed fragment, dependent ones included — is looked up
@@ -1659,212 +1285,6 @@ mod tests {
     use super::*;
     use yat_algebra::Pred;
     use yat_yatl::parse_filter;
-
-    #[test]
-    fn exec_mode_parses_the_env_syntax() {
-        assert_eq!(ExecMode::parse("sequential"), Some(ExecMode::Sequential));
-        assert_eq!(ExecMode::parse(" SEQ "), Some(ExecMode::Sequential));
-        assert_eq!(ExecMode::parse("parallel"), Some(ExecMode::parallel()));
-        assert_eq!(
-            ExecMode::parse("parallel:3"),
-            Some(ExecMode::Parallel { max_in_flight: 3 })
-        );
-        assert_eq!(ExecMode::parse("parallel:0"), None, "zero lanes rejected");
-        assert_eq!(ExecMode::parse("warp-speed"), None);
-        assert_eq!(ExecMode::parallel().to_string(), "parallel(8)");
-        assert_eq!(ExecMode::Sequential.to_string(), "sequential");
-        assert!(ExecMode::parallel().is_parallel() && !ExecMode::Sequential.is_parallel());
-    }
-
-    #[test]
-    fn invalid_exec_mode_env_values_warn_and_fall_back() {
-        use std::sync::{Arc, Mutex};
-        let seen = Arc::new(Mutex::new(Vec::<String>::new()));
-        let sink = seen.clone();
-        yat_obs::set_warn_sink(Some(Box::new(move |m| {
-            sink.lock().unwrap().push(m.to_string());
-        })));
-        // valid and unset values stay silent
-        assert_eq!(ExecMode::from_env_value(None), ExecMode::Sequential);
-        assert_eq!(
-            ExecMode::from_env_value(Some("parallel:3")),
-            ExecMode::Parallel { max_in_flight: 3 }
-        );
-        assert!(seen.lock().unwrap().is_empty());
-        // an invalid value falls back to sequential, loudly
-        assert_eq!(
-            ExecMode::from_env_value(Some("warp-speed")),
-            ExecMode::Sequential
-        );
-        yat_obs::set_warn_sink(None);
-        let warnings = seen.lock().unwrap();
-        assert_eq!(warnings.len(), 1);
-        assert!(
-            warnings[0].contains("YAT_EXEC_MODE")
-                && warnings[0].contains("warp-speed")
-                && warnings[0].contains("parallel:<lanes>"),
-            "{warnings:?}"
-        );
-    }
-
-    #[test]
-    fn exec_engine_parses_the_env_syntax() {
-        assert_eq!(ExecEngine::parse("interp"), Some(ExecEngine::Interp));
-        assert_eq!(ExecEngine::parse(" INTERPRETER "), Some(ExecEngine::Interp));
-        assert_eq!(ExecEngine::parse("vm"), Some(ExecEngine::Vm));
-        assert_eq!(ExecEngine::parse("Compiled"), Some(ExecEngine::Vm));
-        assert_eq!(ExecEngine::parse("jit"), None);
-        assert_eq!(ExecEngine::Interp.to_string(), "interp");
-        assert_eq!(ExecEngine::Vm.to_string(), "vm");
-        assert_eq!(ExecEngine::default(), ExecEngine::Interp);
-    }
-
-    #[test]
-    fn invalid_exec_engine_env_values_warn_and_fall_back() {
-        use std::sync::{Arc, Mutex};
-        let seen = Arc::new(Mutex::new(Vec::<String>::new()));
-        let sink = seen.clone();
-        yat_obs::set_warn_sink(Some(Box::new(move |m| {
-            sink.lock().unwrap().push(m.to_string());
-        })));
-        // valid and unset values stay silent
-        assert_eq!(ExecEngine::from_env_value(None), ExecEngine::Interp);
-        assert_eq!(ExecEngine::from_env_value(Some("vm")), ExecEngine::Vm);
-        assert!(seen.lock().unwrap().is_empty());
-        // an invalid value falls back to the interpreter, loudly
-        assert_eq!(
-            ExecEngine::from_env_value(Some("turbo")),
-            ExecEngine::Interp
-        );
-        yat_obs::set_warn_sink(None);
-        let warnings = seen.lock().unwrap();
-        assert_eq!(warnings.len(), 1);
-        assert!(
-            warnings[0].contains("YAT_EXEC_ENGINE")
-                && warnings[0].contains("turbo")
-                && warnings[0].contains("`vm`/`compiled`"),
-            "{warnings:?}"
-        );
-    }
-
-    #[test]
-    fn stream_policy_parses_the_env_syntax() {
-        assert_eq!(StreamPolicy::parse("off"), Some(StreamPolicy::Off));
-        assert_eq!(
-            StreamPolicy::parse(" Materialized "),
-            Some(StreamPolicy::Off)
-        );
-        assert_eq!(
-            StreamPolicy::parse("chunked"),
-            Some(StreamPolicy::chunked())
-        );
-        assert_eq!(StreamPolicy::parse("on"), Some(StreamPolicy::chunked()));
-        assert_eq!(
-            StreamPolicy::parse("chunked:256"),
-            Some(StreamPolicy::Chunked {
-                batch_rows: 256,
-                max_pending: StreamPolicy::DEFAULT_MAX_PENDING
-            })
-        );
-        assert_eq!(
-            StreamPolicy::parse("chunked:256:4"),
-            Some(StreamPolicy::Chunked {
-                batch_rows: 256,
-                max_pending: 4
-            })
-        );
-        assert_eq!(StreamPolicy::parse("firehose"), None);
-        assert_eq!(
-            StreamPolicy::chunked().to_string(),
-            "chunked(1024 rows, 8 pending)"
-        );
-        assert_eq!(StreamPolicy::Off.to_string(), "off");
-        assert!(StreamPolicy::chunked().is_chunked() && !StreamPolicy::Off.is_chunked());
-    }
-
-    #[test]
-    fn stream_policy_clamps_zero_to_one_with_a_warning() {
-        use std::sync::{Arc, Mutex};
-        let seen = Arc::new(Mutex::new(Vec::<String>::new()));
-        let sink = seen.clone();
-        yat_obs::set_warn_sink(Some(Box::new(move |m| {
-            sink.lock().unwrap().push(m.to_string());
-        })));
-        assert_eq!(
-            StreamPolicy::parse("chunked:0"),
-            Some(StreamPolicy::Chunked {
-                batch_rows: 1,
-                max_pending: StreamPolicy::DEFAULT_MAX_PENDING
-            }),
-            "zero rows clamp to 1 instead of disabling streaming"
-        );
-        assert_eq!(
-            StreamPolicy::parse("chunked:64:0"),
-            Some(StreamPolicy::Chunked {
-                batch_rows: 64,
-                max_pending: 1
-            }),
-            "zero pending clamps to 1"
-        );
-        yat_obs::set_warn_sink(None);
-        let warnings = seen.lock().unwrap();
-        assert_eq!(warnings.len(), 2, "{warnings:?}");
-        assert!(
-            warnings[0].contains("YAT_STREAM") && warnings[0].contains("clamping 0 to 1"),
-            "{warnings:?}"
-        );
-    }
-
-    #[test]
-    fn stream_policy_rejects_overflow_and_garbage_suffixes() {
-        // a count that overflows usize is invalid, not silently truncated
-        assert_eq!(StreamPolicy::parse("chunked:99999999999999999999"), None);
-        assert_eq!(StreamPolicy::parse("chunked:64:99999999999999999999"), None);
-        // trailing garbage after the number is invalid
-        assert_eq!(StreamPolicy::parse("chunked:64k"), None);
-        assert_eq!(StreamPolicy::parse("chunked:64:8mb"), None);
-        assert_eq!(StreamPolicy::parse("chunked:"), None);
-        assert_eq!(StreamPolicy::parse("chunked:64:"), None);
-        // and the invalid forms warn through the from_env path
-        assert_eq!(
-            StreamPolicy::from_env_value(Some("chunked:64k")),
-            StreamPolicy::Off
-        );
-    }
-
-    #[test]
-    fn invalid_stream_policy_env_values_warn_and_fall_back() {
-        use std::sync::{Arc, Mutex};
-        let seen = Arc::new(Mutex::new(Vec::<String>::new()));
-        let sink = seen.clone();
-        yat_obs::set_warn_sink(Some(Box::new(move |m| {
-            sink.lock().unwrap().push(m.to_string());
-        })));
-        // valid and unset values stay silent
-        assert_eq!(StreamPolicy::from_env_value(None), StreamPolicy::Off);
-        assert_eq!(
-            StreamPolicy::from_env_value(Some("chunked:512")),
-            StreamPolicy::Chunked {
-                batch_rows: 512,
-                max_pending: 8
-            }
-        );
-        assert!(seen.lock().unwrap().is_empty());
-        // an invalid value falls back to off, loudly
-        assert_eq!(
-            StreamPolicy::from_env_value(Some("firehose")),
-            StreamPolicy::Off
-        );
-        yat_obs::set_warn_sink(None);
-        let warnings = seen.lock().unwrap();
-        assert_eq!(warnings.len(), 1);
-        assert!(
-            warnings[0].contains("YAT_STREAM")
-                && warnings[0].contains("firehose")
-                && warnings[0].contains("chunked:<rows>:<pending>"),
-            "{warnings:?}"
-        );
-    }
 
     /// The per-binding loop the batched path replaces: it forwards
     /// single pushes only, so the trait's default `execute_push_batch`

@@ -23,6 +23,10 @@
 //!   source predicates locally when they could not be pushed; under
 //!   [`ExecMode::Parallel`] independent fragments and the prefetch
 //!   scatter across `std::thread::scope` worker lanes;
+//! * [`policy`] — the executor's four policy values ([`ExecMode`],
+//!   [`ExecEngine`], [`StreamPolicy`], [`SchedPolicy`]): plain data with
+//!   documented defaults, set through `Mediator::set_*` — nothing in the
+//!   library reads the environment;
 //! * [`explain`] — `EXPLAIN ANALYZE`: execution with a span collector
 //!   attached, returning the annotated operator tree with per-operator
 //!   cardinalities, wall times and wire traffic;
@@ -35,14 +39,16 @@ pub mod executor;
 pub mod explain;
 pub mod mediator;
 pub mod optimizer;
+pub mod policy;
 pub mod rules;
 pub mod session;
 pub mod transport;
 
-pub use executor::{ExecEngine, ExecError, ExecMode, SchedPolicy, StreamPolicy};
+pub use executor::ExecError;
 pub use explain::{CacheLine, Explain, FederationLine, LaneJob, ProgramLine, StorageLine};
 pub use mediator::{Mediator, MediatorError};
 pub use optimizer::{optimize, optimize_with_registry, OptimizerOptions, RuleFiring, Trace};
+pub use policy::{ExecEngine, ExecMode, SchedPolicy, StreamPolicy};
 pub use session::Session;
 pub use transport::{Connection, Latency, Meter, MeterSnapshot};
 pub use yat_cache::{AnswerCache, CachePolicy, CacheStats, CachedAnswer, Signature, SourceStats};

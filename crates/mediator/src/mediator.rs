@@ -126,23 +126,15 @@ impl ProgramCache {
 
 impl Mediator {
     /// A mediator with the built-in compensation functions registered
-    /// (`contains` evaluates locally when it cannot be pushed). The
-    /// execution mode defaults to whatever `YAT_EXEC_MODE` selects
-    /// (sequential when unset); the execution engine to whatever
-    /// `YAT_EXEC_ENGINE` selects (the interpreter when unset); the
-    /// answer-cache policy to whatever `YAT_CACHE` selects (off when
-    /// unset); the stream policy to whatever `YAT_STREAM` selects (off —
-    /// materialized answers — when unset).
+    /// (`contains` evaluates locally when it cannot be pushed) and every
+    /// policy at its fixed default, whatever the environment says:
+    /// sequential dispatch, the interpreter, answer cache off, stream
+    /// policy off, strict partial failure, cost-ordered scatter
+    /// scheduling, local `Bind` indexes on. Change any of them through
+    /// the `set_*` methods.
     pub fn new() -> Self {
         Mediator {
             funcs: FnRegistry::with_builtins(),
-            exec_mode: ExecMode::from_env(),
-            exec_engine: ExecEngine::from_env(),
-            stream: StreamPolicy::from_env(),
-            cache: AnswerCache::new(CachePolicy::from_env()),
-            partial: PartialFailure::from_env(),
-            sched: SchedPolicy::from_env(),
-            index_policy: IndexPolicy::from_env(),
             ..Default::default()
         }
     }
@@ -155,8 +147,8 @@ impl Mediator {
     /// Selects whether mediator-local `Bind`s consult structural indexes
     /// (`On`) or always walk (`Off`, the scan oracle). Wrapper-side
     /// indexes are governed by each source's own policy; both default to
-    /// `YAT_INDEX`. Either way, answers and wire traffic are identical —
-    /// only evaluation strategy changes.
+    /// `On`. Either way, answers and wire traffic are identical — only
+    /// evaluation strategy changes.
     pub fn set_index_policy(&mut self, policy: IndexPolicy) {
         self.index_policy = policy;
     }
@@ -187,11 +179,9 @@ impl Mediator {
         self.stream
     }
 
-    /// Selects how answers leave the mediator: materialized whole, or
-    /// delivered as row batches. Under a `Chunked` policy
-    /// [`Mediator::execute`] routes through the streaming pipeline and
-    /// reassembles the batches, so the whole test suite exercises the
-    /// streamed dataflow when `YAT_STREAM=chunked` is set.
+    /// Sets the batch size [`Mediator::execute_stream`] delivers in and
+    /// the pending bound a streaming consumer (the server's wire writer)
+    /// buffers up to. [`Mediator::execute`] always materializes.
     pub fn set_stream_policy(&mut self, policy: StreamPolicy) {
         self.stream = policy;
     }
@@ -455,11 +445,8 @@ impl Mediator {
         optimize_with_registry(plan, &self.interfaces, options, Some(&self.registry))
     }
 
-    /// Executes a plan under the current [`ExecMode`], [`ExecEngine`],
-    /// cache policy, and [`StreamPolicy`]. Under a `Chunked` stream
-    /// policy the answer is produced by the streaming pipeline and
-    /// reassembled in process — byte-identical to the materialized
-    /// answer by construction (and by `tests/differential.rs`).
+    /// Executes a plan under the current [`ExecMode`], [`ExecEngine`]
+    /// and cache policy, returning the materialized answer.
     pub fn execute(&self, plan: &Alg) -> Result<EvalOut, MediatorError> {
         self.execute_with_prov(plan, None)
     }
@@ -480,16 +467,6 @@ impl Mediator {
         plan: &Alg,
         prov: Option<&ProvLog>,
     ) -> Result<EvalOut, MediatorError> {
-        if self.stream.is_chunked() {
-            let plan = Arc::new(plan.clone());
-            let mut sink = yat_algebra::CollectSink::new();
-            self.execute_stream_inner(&plan, &mut sink, None, prov)?;
-            return sink.into_answer().ok_or_else(|| {
-                MediatorError::Exec(ExecError::Wire(
-                    "streamed execution delivered no answer".into(),
-                ))
-            });
-        }
         let program = self.program_for(plan);
         let spec = self.exec_spec(None, program.as_deref(), prov);
         Ok(execute_mode(plan, &spec)?)

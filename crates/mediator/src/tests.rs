@@ -584,10 +584,6 @@ fn wais_fig1() -> WaisWrapper {
 #[test]
 fn parallel_execution_matches_sequential() {
     let mut m = fig1_mediator();
-    // this test reruns the SAME plan in both modes and asserts equal
-    // traffic — an enabled answer cache (YAT_CACHE in the environment)
-    // would serve the second run from memory
-    m.set_cache_policy(CachePolicy::Off);
     for (query, options) in [
         (paper::Q1, OptimizerOptions::full()),
         (paper::Q1, OptimizerOptions::default()),
@@ -934,13 +930,6 @@ fn regen_explain_goldens() {
 fn golden_explain_analyze_under_parallel_mode() {
     let mut m = fig1_mediator();
     m.set_exec_mode(ExecMode::Parallel { max_in_flight: 2 });
-    // the goldens pin exact byte counts per round trip and the
-    // `engine="interp"` attribute; a YAT_CACHE environment override
-    // would remove trips (see the cached golden test for the
-    // enabled-cache rendering) and a YAT_EXEC_ENGINE override would
-    // add the compiled-program section
-    m.set_cache_policy(CachePolicy::Off);
-    m.set_exec_engine(ExecEngine::Interp);
     for (query, options, text_golden, xml_golden) in [
         (
             paper::Q1,
@@ -1299,9 +1288,6 @@ fn golden_explain_analyze_with_a_warm_cache() {
     let mut m = fig1_mediator();
     m.set_exec_mode(ExecMode::Parallel { max_in_flight: 2 });
     m.set_cache_policy(CachePolicy::bounded());
-    // the golden pins `engine="interp"`, so override any ambient
-    // YAT_EXEC_ENGINE default
-    m.set_exec_engine(ExecEngine::Interp);
     let plan = m.plan_query(paper::Q1).unwrap();
     let (opt, _) = m.optimize(&plan, OptimizerOptions::full());
     m.execute(&opt).unwrap(); // warm the cache
@@ -1852,24 +1838,6 @@ fn member_epoch_bump_only_stales_that_member() {
             "epoch bump of wais-imp must not stale {s}"
         );
     }
-}
-
-#[test]
-fn sched_policy_parses_and_warns() {
-    use crate::executor::SchedPolicy;
-    assert_eq!(SchedPolicy::parse("cost"), Some(SchedPolicy::Cost));
-    assert_eq!(SchedPolicy::parse(" Static "), Some(SchedPolicy::Static));
-    assert_eq!(SchedPolicy::parse("round-robin"), Some(SchedPolicy::Static));
-    assert_eq!(SchedPolicy::parse("lifo"), None);
-    assert_eq!(SchedPolicy::from_env_value(None), SchedPolicy::Cost);
-    let (tx, rx) = std::sync::mpsc::channel();
-    yat_obs::set_warn_sink(Some(Box::new(move |m| {
-        let _ = tx.send(m.to_string());
-    })));
-    assert_eq!(SchedPolicy::from_env_value(Some("lifo")), SchedPolicy::Cost);
-    let msg = rx.recv().unwrap();
-    assert!(msg.contains("YAT_SCHED") && msg.contains("lifo"), "{msg}");
-    yat_obs::set_warn_sink(None);
 }
 
 #[test]

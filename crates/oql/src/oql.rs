@@ -48,10 +48,31 @@ impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Expr::Path(p) => write!(f, "{p}"),
-            Expr::Const(Atom::Str(s)) => write!(f, "{s:?}"),
-            Expr::Const(a) => write!(f, "{a}"),
+            Expr::Const(a) => f.write_str(&literal(a)),
             Expr::Param(i) => write!(f, "${}", i + 1),
         }
+    }
+}
+
+/// The OQL text of a literal — the one escape writer and lexer agree on:
+/// strings are double-quoted with `\"` and `\\` backslash-escaped and
+/// every other character (non-ASCII and control characters included)
+/// verbatim.
+pub(crate) fn literal(a: &Atom) -> String {
+    match a {
+        Atom::Str(s) => {
+            let mut out = String::with_capacity(s.len() + 2);
+            out.push('"');
+            for c in s.chars() {
+                if c == '"' || c == '\\' {
+                    out.push('\\');
+                }
+                out.push(c);
+            }
+            out.push('"');
+            out
+        }
+        other => other.to_string(),
     }
 }
 
@@ -185,11 +206,14 @@ fn lex(src: &str) -> Result<Vec<String>, OqlError> {
         } else if c == '"' || c == '\'' {
             cs.next();
             let mut s = String::from("\u{2}"); // string marker
+            let unterminated = || OqlError("unterminated string".into());
             loop {
                 match cs.next() {
                     Some(q) if q == c => break,
+                    // a backslash takes the next character literally
+                    Some('\\') => s.push(cs.next().ok_or_else(unterminated)?),
                     Some(x) => s.push(x),
-                    None => return Err(OqlError("unterminated string".into())),
+                    None => return Err(unterminated()),
                 }
             }
             out.push(s);
@@ -800,6 +824,35 @@ mod tests {
     use super::*;
     use crate::art::{art_store, ArtSpec};
     use yat_capability::IndexPolicy;
+
+    #[test]
+    fn string_literals_round_trip_through_writer_and_lexer() {
+        for text in [
+            "plain",
+            "say \"cheese\"",
+            "it's",
+            "back\\slash",
+            "trailing\\",
+            "\\\"",
+            "Nymphéas — 睡蓮",
+            "tab\tnewline\nbell\u{7}",
+            "",
+        ] {
+            let atom = Atom::Str(text.to_string());
+            let src = format!(
+                "select t: A.title from A in artifacts where A.title = {}",
+                literal(&atom)
+            );
+            let query = parse(&src).unwrap_or_else(|e| panic!("{src:?}: {e:?}"));
+            let Some(Cond::Cmp(Op::Eq, _, Expr::Const(got))) = &query.cond else {
+                panic!("{src:?} parsed to {query:?}");
+            };
+            assert_eq!(got, &atom, "{src:?}");
+            // the AST prints with the same writer, so it re-parses to itself
+            assert_eq!(parse(&query.to_string()).unwrap(), query, "{src:?}");
+        }
+        assert!(parse("select t: A.title from A in artifacts where A.title = \"open\\").is_err());
+    }
 
     // eq probes, range probes, conjunctions, flipped comparisons,
     // dependent ranges, un-probeable shapes (`!=`, `or`, methods)

@@ -92,7 +92,7 @@ impl Store {
             methods: BTreeMap::new(),
             indexes: BTreeMap::new(),
             seq: 0,
-            index_policy: IndexPolicy::from_env(),
+            index_policy: IndexPolicy::default(),
             epochs: Vec::new(),
         }
     }
@@ -136,7 +136,7 @@ impl Store {
             extents: BTreeMap::new(),
             methods: BTreeMap::new(),
             indexes: BTreeMap::new(),
-            index_policy: IndexPolicy::from_env(),
+            index_policy: IndexPolicy::default(),
             epochs: Vec::new(),
         };
         for (seq, oid, class, atoms) in rows {

@@ -13,11 +13,12 @@
 //! would have substituted a passed value into as an OQL parameter
 //! (`$1`, `$2`, …), and the parsed query is then evaluated per binding.
 
+use crate::oql::literal;
 use crate::store::OqlError;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use yat_algebra::{Alg, CmpOp, Operand, Pred};
-use yat_model::{Atom, Occ, PLabel, Pattern};
+use yat_model::{Occ, PLabel, Pattern};
 
 /// The outcome of translating a plan: the OQL text plus the output
 /// columns of the resulting `Tab`, in order.
@@ -295,7 +296,7 @@ impl Translator<'_> {
                         edges,
                     },
                 ) if edges.is_empty() => {
-                    self.filter_conds.push(format!("{fpath} = {}", lit(a)));
+                    self.filter_conds.push(format!("{fpath} = {}", literal(a)));
                 }
                 (
                     _,
@@ -381,7 +382,7 @@ impl Translator<'_> {
                     .or_else(|| self.paths.get(v).cloned())
                     .ok_or_else(|| OqlError(format!("variable ${v} is not bound by the filter")))
             }
-            Operand::Const(a) => Ok(lit(a)),
+            Operand::Const(a) => Ok(literal(a)),
             Operand::Call { name, args } => {
                 // methods render as path steps: current_price($x) → x.current_price
                 let [recv] = args.as_slice() else {
@@ -392,13 +393,6 @@ impl Translator<'_> {
                 Ok(format!("{}.{}", self.operand(recv, produced)?, name))
             }
         }
-    }
-}
-
-fn lit(a: &Atom) -> String {
-    match a {
-        Atom::Str(s) => format!("{s:?}"),
-        other => other.to_string(),
     }
 }
 

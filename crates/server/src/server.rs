@@ -707,10 +707,14 @@ fn serve_streamed(
     span.record_u64(attr::IN_FLIGHT, in_flight);
     let chunks_sent = AtomicU64::new(0);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut sink = WireSink {
+        let sink = WireSink {
             events: &stream.events,
             chunks: &chunks_sent,
         };
+        // tests latch production on what the client has observed
+        #[cfg(test)]
+        let sink = crate::tests::GatedSink::new(sink, shared.addr);
+        let mut sink = sink;
         shared
             .mediator
             .query_stream_federated(text, OptimizerOptions::default(), &mut sink)

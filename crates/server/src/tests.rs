@@ -1,18 +1,20 @@
 //! End-to-end tests: a real `yat-server` on a loopback socket, real
 //! clients, the paper's cultural-goods federation behind it.
 
-use crate::client::read_streamed_reply;
+use crate::client::{read_streamed_reply, StreamedReply};
 use crate::load::{LoadMode, LoadSpec};
 use crate::{load, Client, Server, ServerConfig};
-use std::collections::HashMap;
-use std::io::Cursor;
-use std::net::TcpStream;
-use std::time::{Duration, Instant};
-use yat_algebra::{CollectSink, EvalOut, Tab, Value};
+use std::collections::{BTreeMap, HashMap};
+use std::io::{Cursor, Read};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::Mutex;
+use std::time::Duration;
+use yat_algebra::{BatchSink, CollectSink, EvalError, EvalOut, Tab, Value};
 use yat_capability::framing;
 use yat_capability::protocol::{ClientRequest, ServerReply, StreamFrame};
 use yat_capability::xml::WireError;
-use yat_mediator::{ExecMode, Latency, Mediator, OptimizerOptions, StreamPolicy};
+use yat_mediator::{ExecMode, Mediator, OptimizerOptions, StreamPolicy};
 use yat_model::Node;
 use yat_obs::{attr, kind};
 use yat_oql::art::{art_store, ArtSpec};
@@ -50,6 +52,17 @@ fn federation(scale: usize) -> Mediator {
     .expect("fresh mediator accepts the Wais wrapper");
     m.load_program(paper::VIEW1).expect("view1 is well-formed");
     m
+}
+
+/// Spins until `condition` holds — the tests' way of ordering themselves
+/// behind a server-side state change they cannot be told about. Bounded,
+/// so a condition that never comes is a failure, not a hang.
+fn wait_until(what: &str, condition: impl Fn() -> bool) {
+    let start = std::time::Instant::now();
+    while !condition() {
+        assert!(start.elapsed() < LATCH_PATIENCE, "gave up waiting: {what}");
+        std::thread::yield_now();
+    }
 }
 
 /// Serialized reply bytes for an in-process answer — the byte-identity
@@ -122,17 +135,8 @@ fn eight_clients_two_hundred_seeded_queries_all_verified() {
 
 #[test]
 fn overload_sheds_only_when_the_queue_is_saturated() {
-    let mediator = federation(6);
-    // slow both sources down so one query occupies the single worker
-    // long enough for the flood to pile up behind it
-    for source in ["o2artifact", "xmlartwork"] {
-        mediator
-            .connection(source)
-            .expect("source connected")
-            .set_latency(Some(Latency::fixed(Duration::from_millis(30))));
-    }
     let handle = Server::spawn(
-        mediator,
+        federation(6),
         ServerConfig {
             workers: 1,
             queue_capacity: 1,
@@ -151,43 +155,35 @@ fn overload_sheds_only_when_the_queue_is_saturated() {
     }
     assert_eq!(handle.stats().shed, 0, "no shedding without saturation");
 
-    // saturated: 6 concurrent clients against 1 worker + queue of 1
-    let outcomes: Vec<ServerReply> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..6)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut client = Client::connect(addr).expect("client connects");
-                    client.query(paper::Q1).expect("query round-trips")
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    // saturated: the one worker parked on a latched stream, the one
+    // queue slot taken — every further query is shed at the door
+    let parked = ParkedStream::open(&handle, paper::Q1);
+    std::thread::scope(|scope| {
+        let queued = scope.spawn(move || {
+            let mut client = Client::connect(addr).expect("client connects");
+            client.query(paper::Q1).expect("query round-trips")
+        });
+        wait_until("1 queued", || handle.stats().queue_depth >= 1);
+        for _ in 0..4 {
+            let reply = solo.query(paper::Q1).expect("query round-trips");
+            assert!(
+                matches!(reply, ServerReply::Overloaded { retry_after_ms: 5 }),
+                "a saturated queue sheds at the door: {reply:?}"
+            );
+        }
+        // the worker kept serving what it had admitted
+        let streamed = parked.finish();
+        assert!(matches!(streamed.reply, ServerReply::Answer { .. }));
+        let reply = queued.join().unwrap();
+        assert!(matches!(reply, ServerReply::Answer { .. }), "{reply:?}");
     });
-    let answered = outcomes
-        .iter()
-        .filter(|r| matches!(r, ServerReply::Answer { .. }))
-        .count();
-    let overloaded = outcomes
-        .iter()
-        .filter(|r| matches!(r, ServerReply::Overloaded { retry_after_ms: 5 }))
-        .count();
-    assert_eq!(answered + overloaded, 6, "{outcomes:?}");
-    assert!(answered >= 1, "the worker kept serving under the flood");
-    assert!(overloaded >= 1, "a saturated queue sheds at the door");
-    assert_eq!(handle.stats().shed as usize, overloaded);
+    assert_eq!(handle.stats().shed, 4);
 }
 
 #[test]
 fn deadlines_expire_in_the_queue_without_executing() {
-    let mediator = federation(6);
-    for source in ["o2artifact", "xmlartwork"] {
-        mediator
-            .connection(source)
-            .expect("source connected")
-            .set_latency(Some(Latency::fixed(Duration::from_millis(40))));
-    }
     let handle = Server::spawn(
-        mediator,
+        federation(6),
         ServerConfig {
             workers: 1,
             queue_capacity: 8,
@@ -196,28 +192,27 @@ fn deadlines_expire_in_the_queue_without_executing() {
     )
     .expect("server binds");
     let addr = handle.addr();
+    // occupy the lone worker
+    let parked = ParkedStream::open(&handle, paper::Q1);
     std::thread::scope(|scope| {
-        // occupy the lone worker
-        let blocker = scope.spawn(move || {
-            let mut client = Client::connect(addr).expect("client connects");
-            client.query(paper::Q1).expect("query round-trips")
+        let hurried = scope.spawn(move || {
+            Client::connect(addr)
+                .expect("client connects")
+                .query_with_deadline(paper::Q1, 1)
+                .expect("deadline refusal still round-trips")
         });
-        std::thread::sleep(Duration::from_millis(10));
-        // this one's budget is gone before the worker frees up
-        let reply = Client::connect(addr)
-            .expect("client connects")
-            .query_with_deadline(paper::Q1, 1)
-            .expect("deadline refusal still round-trips");
-        match &reply {
+        wait_until("1 queued", || handle.stats().queue_depth >= 1);
+        // a lower bound, not a race: the queued query has now waited out
+        // its 1 ms budget before the worker frees up
+        std::thread::sleep(Duration::from_millis(5));
+        let blocker = parked.finish();
+        assert!(matches!(blocker.reply, ServerReply::Answer { .. }));
+        match hurried.join().unwrap() {
             ServerReply::Error { message } => {
                 assert!(message.contains("deadline expired"), "{message}")
             }
             other => panic!("expected a deadline error, got {other:?}"),
         }
-        assert!(matches!(
-            blocker.join().unwrap(),
-            ServerReply::Answer { .. }
-        ));
     });
     let stats = handle.stats();
     assert!(stats.errors >= 1);
@@ -294,25 +289,21 @@ fn hostile_frames_leave_the_server_alive_and_the_connection_usable() {
 
 #[test]
 fn graceful_shutdown_drains_in_flight_queries() {
-    let mediator = federation(6);
-    for source in ["o2artifact", "xmlartwork"] {
-        mediator
-            .connection(source)
-            .expect("source connected")
-            .set_latency(Some(Latency::fixed(Duration::from_millis(25))));
-    }
+    // one worker, parked on a latched stream, so the three queries
+    // behind it provably sit in the queue when the drain begins
     let handle = Server::spawn(
-        mediator,
+        federation(6),
         ServerConfig {
-            workers: 2,
+            workers: 1,
             queue_capacity: 16,
             ..ServerConfig::default()
         },
     )
     .expect("server binds");
     let addr = handle.addr();
-    let (drained, outcomes) = std::thread::scope(|scope| {
-        let queriers: Vec<_> = (0..4)
+    let parked = ParkedStream::open(&handle, paper::Q2);
+    let (drained, streamed, outcomes) = std::thread::scope(|scope| {
+        let queriers: Vec<_> = (0..3)
             .map(|_| {
                 scope.spawn(move || {
                     let mut client = Client::connect(addr).expect("client connects");
@@ -320,20 +311,25 @@ fn graceful_shutdown_drains_in_flight_queries() {
                 })
             })
             .collect();
-        // let the queries reach the queue/workers, then pull the plug
-        std::thread::sleep(Duration::from_millis(15));
-        let drained = Client::connect(addr)
-            .expect("client connects")
-            .shutdown()
-            .expect("shutdown round-trips");
+        wait_until("3 queued", || handle.stats().queue_depth >= 3);
+        let drain = scope.spawn(move || {
+            Client::connect(addr)
+                .expect("client connects")
+                .shutdown()
+                .expect("shutdown round-trips")
+        });
+        wait_until("the drain begins", || handle.stats().draining);
+        let stats = handle.stats();
+        assert_eq!((stats.in_flight, stats.queue_depth), (1, 3), "{stats:?}");
+        let streamed = parked.finish();
         let outcomes: Vec<_> = queriers.into_iter().map(|h| h.join().unwrap()).collect();
-        (drained, outcomes)
+        (drain.join().unwrap(), streamed, outcomes)
     });
-    assert!(drained >= 1, "shutdown found work to drain");
-    for reply in &outcomes {
+    assert_eq!(drained, 4, "shutdown found the four queries to drain");
+    for reply in outcomes.iter().chain([&streamed.reply]) {
         assert!(
             matches!(reply, ServerReply::Answer { .. }),
-            "in-flight queries complete through the drain: {reply:?}"
+            "queued and in-flight queries complete through the drain: {reply:?}"
         );
     }
     let stats = handle.stats();
@@ -379,6 +375,11 @@ fn serving_spans_stitch_queue_wait_and_execute_under_one_request() {
     let handle = Server::spawn(federation(6), ServerConfig::default()).expect("server binds");
     let mut client = Client::connect(handle.addr()).expect("client connects");
     client.query(paper::Q1).expect("query round-trips");
+    // a connection serves its requests strictly in order, and the `serve
+    // query` span closes (recording its attributes) only after the reply
+    // is written — so a second round trip on the same connection is the
+    // latch that orders this thread after that close
+    client.stats().expect("stats round-trips");
     let spans = handle.spans();
     let serve = spans
         .iter()
@@ -679,45 +680,134 @@ fn corrupted_chunk_streams_yield_typed_errors_never_short_answers() {
     assert!(matches!(err, WireError::FrameTooLarge { .. }), "{err}");
 }
 
+/// Latches by server address. The first streamed query a server with a
+/// registered latch executes stops producing right after it has queued
+/// its first chunk, until the test sends on (or drops) the latch — so
+/// "the client saw chunk 0 while the answer was still incomplete" is an
+/// ordering the test forces, not one it hopes the clock shows.
+static FIRST_CHUNK_LATCHES: Mutex<BTreeMap<SocketAddr, Receiver<()>>> = Mutex::new(BTreeMap::new());
+
+/// What `serve_streamed` wraps its wire sink in under `cfg(test)`.
+pub(crate) struct GatedSink<S> {
+    inner: S,
+    latch: Option<Receiver<()>>,
+}
+
+impl<S: BatchSink> GatedSink<S> {
+    pub(crate) fn new(inner: S, server: SocketAddr) -> Self {
+        let latch = FIRST_CHUNK_LATCHES.lock().unwrap().remove(&server);
+        GatedSink { inner, latch }
+    }
+
+    fn after_chunk(&mut self) -> Result<(), EvalError> {
+        match self.latch.take().map(|l| l.recv_timeout(LATCH_PATIENCE)) {
+            Some(Err(RecvTimeoutError::Timeout)) => Err(EvalError::Sink(
+                "the test never released the first-chunk latch".into(),
+            )),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Far beyond any scheduling delay: a latch that times out is a test
+/// that forgot to release it, reported as a stream abort, not a hang.
+const LATCH_PATIENCE: Duration = Duration::from_secs(60);
+
+impl<S: BatchSink> BatchSink for GatedSink<S> {
+    fn on_columns(&mut self, columns: &[String]) -> Result<(), EvalError> {
+        self.inner.on_columns(columns)
+    }
+
+    fn on_batch(&mut self, batch: Tab) -> Result<(), EvalError> {
+        self.inner.on_batch(batch)?;
+        self.after_chunk()
+    }
+
+    fn on_tree(&mut self, tree: &yat_model::Tree) -> Result<(), EvalError> {
+        self.inner.on_tree(tree)?;
+        self.after_chunk()
+    }
+}
+
+/// A streamed query whose worker is parked behind its server's
+/// first-chunk latch: the first `answer-chunk` frame has been read off
+/// the socket, the rest of the answer is unproduced.
+struct ParkedStream {
+    release: Sender<()>,
+    socket: TcpStream,
+    first: yat_xml::Element,
+}
+
+impl ParkedStream {
+    /// Registers a first-chunk latch on `handle`'s server, sends `query`
+    /// streamed over a raw socket and reads up to the first chunk.
+    fn open(handle: &crate::ServerHandle, query: &str) -> ParkedStream {
+        let (release, latch) = channel();
+        FIRST_CHUNK_LATCHES
+            .lock()
+            .unwrap()
+            .insert(handle.addr(), latch);
+        let mut socket = TcpStream::connect(handle.addr()).expect("client connects");
+        let request = ClientRequest::Query {
+            text: query.to_string(),
+            deadline_ms: None,
+            stream: true,
+        };
+        framing::write_element(&mut socket, &request.to_xml()).expect("request is written");
+        let first = framing::read_element(&mut socket)
+            .expect("first frame reads")
+            .expect("server answers");
+        assert!(
+            matches!(
+                StreamFrame::from_xml(&first),
+                Ok(StreamFrame::Chunk { seq: 0, .. })
+            ),
+            "{first:?}"
+        );
+        ParkedStream {
+            release,
+            socket,
+            first,
+        }
+    }
+
+    /// Opens the latch and reads the rest of the stream, replaying the
+    /// frame already consumed in front of what is still on the wire.
+    fn finish(self) -> StreamedReply {
+        self.release
+            .send(())
+            .expect("the worker is waiting on the latch");
+        let mut head = Vec::new();
+        framing::write_element(&mut head, &self.first).expect("frame re-encodes");
+        read_streamed_reply(&mut Cursor::new(head).chain(&self.socket))
+            .expect("the rest of the stream arrives once the latch opens")
+    }
+}
+
 #[test]
-fn first_chunk_lands_before_the_materialized_answer_completes() {
-    // a large answer over slow sources: the streamed client must see its
-    // first chunk strictly before a materializing client would see any
-    // bytes at all (the single frame is serialized, shipped, and parsed
-    // whole). 25 ms of simulated source latency is paid identically by
-    // both paths, so the margin is the answer-size-proportional tail.
-    let mut mediator = works_federation(4000, 8);
-    mediator.set_cache_policy(yat_mediator::CachePolicy::Off);
+fn first_chunk_lands_before_the_answer_completes() {
+    // 200 subtrees in 16-subtree chunks: 13 chunks, of which the worker
+    // may produce only the first until the latch opens
+    let reference = works_federation(200, 8);
+    let mut mediator = works_federation(200, 8);
     mediator.set_stream_policy(StreamPolicy::Chunked {
-        batch_rows: 64,
+        batch_rows: 16,
         max_pending: 8,
     });
-    for source in ["o2artifact", "xmlartwork"] {
-        mediator
-            .connection(source)
-            .expect("source connected")
-            .set_latency(Some(Latency::fixed(Duration::from_millis(25))));
-    }
     let handle = Server::spawn(mediator, ServerConfig::default()).expect("server binds");
-    let mut client = Client::connect(handle.addr()).expect("client connects");
-    // one unmeasured warmup so first-use costs bias neither run; the
-    // streamed run goes second-to-last so any residual warming favors
-    // the materialized side
-    client.query(WORKS_SCAN).expect("warmup round-trips");
-    let streamed = client
-        .query_streamed(WORKS_SCAN)
-        .expect("stream round-trips");
-    assert!(matches!(streamed.reply, ServerReply::Answer { .. }));
-    assert!(streamed.chunks >= 2, "4000 subtrees / 64 per batch");
-    let start = Instant::now();
-    let reply = client.query(WORKS_SCAN).expect("query round-trips");
-    let materialized_total = start.elapsed();
-    assert!(matches!(reply, ServerReply::Answer { .. }));
-    assert!(
-        streamed.ttfr < materialized_total,
-        "time-to-first-row {:?} must beat the materialized time-to-last-row {:?}",
-        streamed.ttfr,
-        materialized_total
+    let parked = ParkedStream::open(&handle, WORKS_SCAN);
+    // chunk 0 is in the client's hands and the worker is parked behind
+    // the latch with twelve chunks still to produce: the query cannot
+    // have retired
+    let stats = handle.stats();
+    assert_eq!((stats.in_flight, stats.served), (1, 0), "{stats:?}");
+
+    let streamed = parked.finish();
+    assert_eq!(streamed.chunks, 13, "200 subtrees / 16 per batch");
+    assert_eq!(
+        streamed.reply.to_xml().to_xml(),
+        expected_answer(&reference, WORKS_SCAN),
+        "the latched stream reassembles to the materialized answer"
     );
 }
 
@@ -729,12 +819,6 @@ fn graceful_shutdown_finishes_in_flight_streams_before_bye() {
         batch_rows: 2,
         max_pending: 2,
     });
-    for source in ["o2artifact", "xmlartwork"] {
-        mediator
-            .connection(source)
-            .expect("source connected")
-            .set_latency(Some(Latency::fixed(Duration::from_millis(25))));
-    }
     let handle = Server::spawn(
         mediator,
         ServerConfig {
@@ -745,25 +829,22 @@ fn graceful_shutdown_finishes_in_flight_streams_before_bye() {
     )
     .expect("server binds");
     let addr = handle.addr();
+    let parked = ParkedStream::open(&handle, paper::Q2);
     let (drained, streamed) = std::thread::scope(|scope| {
-        let streamer = scope.spawn(move || {
-            let mut client = Client::connect(addr).expect("client connects");
-            client
-                .query_streamed(paper::Q2)
-                .expect("the in-flight stream survives the drain")
+        let drain = scope.spawn(move || {
+            Client::connect(addr)
+                .expect("client connects")
+                .shutdown()
+                .expect("shutdown round-trips")
         });
-        // let the streamed query reach a worker, then pull the plug
-        std::thread::sleep(Duration::from_millis(15));
-        let drained = Client::connect(addr)
-            .expect("client connects")
-            .shutdown()
-            .expect("shutdown round-trips");
-        (drained, streamer.join().unwrap())
+        // the drain has begun and the stream is still in the house: only
+        // now may it finish
+        wait_until("the drain begins", || handle.stats().draining);
+        assert_eq!(handle.stats().in_flight, 1, "the parked stream");
+        let streamed = parked.finish();
+        (drain.join().unwrap(), streamed)
     });
-    assert!(
-        drained >= 1,
-        "the stream was in flight when the drain began"
-    );
+    assert_eq!(drained, 1, "nothing but the stream was in the house");
     assert!(
         matches!(streamed.reply, ServerReply::Answer { .. }),
         "a partially streamed answer finishes through the drain: {:?}",

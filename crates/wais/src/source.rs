@@ -47,8 +47,8 @@ impl FieldPolicy {
 
 /// The full-text source: a document collection with its inverted index.
 ///
-/// Search dispatches on the source's [`IndexPolicy`] (defaulting to
-/// `YAT_INDEX`): `On` resolves queries through the inverted index, `Off`
+/// Search dispatches on the source's [`IndexPolicy`] (`On` unless set
+/// otherwise): `On` resolves queries through the inverted index, `Off`
 /// scans every live document with identical token semantics — the oracle
 /// the differential tests hold the index to. Either way the answer is
 /// the same ascending id list.
@@ -121,7 +121,7 @@ impl WaisSource {
             },
             index,
             policy: FieldPolicy::open(),
-            index_policy: IndexPolicy::from_env(),
+            index_policy: IndexPolicy::default(),
             epochs: Vec::new(),
         }
     }
@@ -189,7 +189,7 @@ impl WaisSource {
             },
             index,
             policy: FieldPolicy::open(),
-            index_policy: IndexPolicy::from_env(),
+            index_policy: IndexPolicy::default(),
             epochs: Vec::new(),
         })
     }
