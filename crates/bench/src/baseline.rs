@@ -1,16 +1,14 @@
-//! Reference string-key implementations of the set-based operators.
+//! Reference string-key implementations of the set-based operators: the
+//! test oracle for the hashed-key data plane.
 //!
 //! Before the hashed-key data plane, DupElim/Intersection/Difference/
 //! GroupBy and the hash join all keyed rows by concatenated canonical
 //! [`Value::group_key`] strings. These functions preserve that
 //! implementation — with the separator bug fixed (each per-cell key is
 //! length-prefixed, so adversarial strings cannot re-split the
-//! concatenation) — to serve two purposes:
-//!
-//! * the `fig_scale` benchmark times them against the hashed operators,
-//!   quantifying what the hashes buy at each scale;
-//! * the property tests use them as the semantics oracle: on random
-//!   inputs the hashed operators must produce byte-identical `Tab`s.
+//! concatenation) — as the semantics oracle of `tests/prop_hash_keys.rs`:
+//! on random inputs the hashed operators must produce byte-identical
+//! `Tab`s.
 
 use std::collections::{BTreeMap, BTreeSet};
 use yat_algebra::{Tab, Value};
@@ -42,9 +40,7 @@ pub fn dedup(tab: &Tab) -> Tab {
 }
 
 /// The keying core of [`dedup`]: indices of the rows a string-keyed
-/// DupElim keeps, in order. The kernel the `fig_scale` benchmark times
-/// against the hashed data plane (output construction is identical on
-/// both sides, so the kernels are what meaningfully differ).
+/// DupElim keeps, in order.
 pub fn dedup_indices(tab: &Tab) -> Vec<usize> {
     let mut seen = BTreeSet::new();
     let mut keep = Vec::new();
@@ -119,7 +115,7 @@ pub fn group(tab: &Tab, keys: &[String]) -> Tab {
 
 /// The keying core of [`group`]: the string-keyed partition of row
 /// indices into groups, first-occurrence order — the counterpart of
-/// `yat_algebra::keys::group_indices` that `fig_scale` times it against.
+/// `yat_algebra::keys::group_indices`.
 pub fn group_indices(tab: &Tab, kidx: &[usize]) -> Vec<Vec<usize>> {
     let mut order: Vec<String> = Vec::new();
     let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();

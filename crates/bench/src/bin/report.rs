@@ -18,17 +18,6 @@ use yat_yatl::{paper, translate};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `bench-diff <old.json> <new.json>` is a CI gate, not a figure:
-    // dispatch before the figure fan-out and exit with its verdict.
-    if args.first().map(String::as_str) == Some("bench-diff") {
-        match bench_diff(args.get(1), args.get(2)) {
-            Ok(()) => return,
-            Err(msg) => {
-                eprintln!("bench-diff: {msg}");
-                std::process::exit(1);
-            }
-        }
-    }
     let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
 
     if want("fig1") {
@@ -296,115 +285,6 @@ fn fig9() {
     }
 }
 
-/// Compares two `BENCH_scale.json` files (old baseline, new run) on the
-/// *speedup* column — hashed-vs-string ratios are machine-independent,
-/// so a checked-in baseline from one machine still gates CI on another.
-/// Fails when any matching entry's speedup regressed by more than 25%
-/// (new < old × 0.75). End-to-end entries carry no ratio — no `speedup`
-/// key (older baselines wrote `baseline_ns: 0` with a placeholder 1.0;
-/// both spellings are skipped) — and are reported informationally only.
-fn bench_diff(old_path: Option<&String>, new_path: Option<&String>) -> Result<(), String> {
-    let (old_path, new_path) = match (old_path, new_path) {
-        (Some(o), Some(n)) => (o, n),
-        _ => return Err("usage: report bench-diff <old.json> <new.json>".into()),
-    };
-    // rows are (name, n, baseline_ns, speedup-if-ratio-gated)
-    type Row = (String, u64, f64, Option<f64>);
-    let load = |path: &str| -> Result<Vec<Row>, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let json = yat_bench::json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        let arr = json
-            .as_arr()
-            .ok_or_else(|| format!("{path}: expected a top-level array"))?;
-        arr.iter()
-            .map(|e| {
-                let field = |k: &str| {
-                    e.get(k)
-                        .and_then(yat_bench::json::Json::as_f64)
-                        .ok_or_else(|| format!("{path}: entry missing numeric \"{k}\""))
-                };
-                let base = field("baseline_ns")?;
-                // a baseline-less row's ratio is meaningless whether or
-                // not an old writer stamped a placeholder there
-                let speedup = if base == 0.0 {
-                    None
-                } else {
-                    e.get("speedup").and_then(yat_bench::json::Json::as_f64)
-                };
-                Ok((
-                    e.get("name")
-                        .and_then(yat_bench::json::Json::as_str)
-                        .ok_or_else(|| format!("{path}: entry missing \"name\""))?
-                        .to_string(),
-                    field("n")? as u64,
-                    base,
-                    speedup,
-                ))
-            })
-            .collect()
-    };
-    let old = load(old_path)?;
-    let new = load(new_path)?;
-
-    // Disjoint name sets are not a regression — the two files measure
-    // different benchmarks (a baseline from before a bench was added, or
-    // a bench that was renamed). Note it and exit clean; the gate only
-    // judges rows both files share.
-    if !old.is_empty()
-        && !new.is_empty()
-        && old
-            .iter()
-            .all(|(name, n, _, _)| !new.iter().any(|(nn, nnn, _, _)| nn == name && nnn == n))
-    {
-        println!(
-            "bench-diff: no comparable rows — {old_path} and {new_path} share no (name, n) entries"
-        );
-        return Ok(());
-    }
-
-    let mut regressions = Vec::new();
-    let mut compared = 0usize;
-    for (name, n, _, old_speedup) in &old {
-        let Some((_, _, _, new_speedup)) =
-            new.iter().find(|(nn, nnn, _, _)| nn == name && nnn == n)
-        else {
-            regressions.push(format!("{name} n={n}: missing from {new_path}"));
-            continue;
-        };
-        let Some(old_speedup) = old_speedup else {
-            println!("{name:<8} n={n:<6} end-to-end only, no ratio gate");
-            continue;
-        };
-        let Some(new_speedup) = new_speedup else {
-            regressions.push(format!(
-                "{name} n={n}: baseline has a ratio but the new run carries none"
-            ));
-            continue;
-        };
-        compared += 1;
-        let verdict = if *new_speedup < old_speedup * 0.75 {
-            regressions.push(format!(
-                "{name} n={n}: speedup {new_speedup:.2}x < 75% of baseline {old_speedup:.2}x"
-            ));
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!(
-            "{name:<8} n={n:<6} speedup {old_speedup:>7.2}x -> {new_speedup:>7.2}x   {verdict}"
-        );
-    }
-    if compared == 0 {
-        return Err("no ratio-gated entries in common — wrong files?".into());
-    }
-    if regressions.is_empty() {
-        println!("bench-diff: {compared} ratio-gated entries, none regressed >25%");
-        Ok(())
-    } else {
-        Err(regressions.join("\n"))
-    }
-}
-
 fn profile_report() {
     heading("EXPLAIN ANALYZE — per-operator profiles of Q1 and Q2");
     let m = fig1_mediator();
@@ -428,56 +308,4 @@ fn profile_report() {
     let ex = m.explain(&opt).expect("Q1 explains");
     println!("\n-- Q1 optimized profile as XML --");
     println!("{}", ex.to_xml().to_pretty_xml());
-}
-
-#[cfg(test)]
-mod tests {
-    use super::bench_diff;
-
-    fn write(name: &str, body: &str) -> String {
-        let path =
-            std::env::temp_dir().join(format!("yat-bench-diff-{}-{name}", std::process::id()));
-        std::fs::write(&path, body).unwrap();
-        path.to_string_lossy().into_owned()
-    }
-
-    /// Two files that share no (name, n) rows compare nothing: the diff
-    /// notes it and exits zero instead of reporting every row missing.
-    #[test]
-    fn disjoint_name_sets_are_not_a_regression() {
-        let old = write(
-            "old.json",
-            r#"[{"name": "fig8", "n": 100, "baseline_ns": 10, "speedup": 2.0}]"#,
-        );
-        let new = write(
-            "new.json",
-            r#"[{"name": "fig9", "n": 100, "baseline_ns": 10, "speedup": 2.0}]"#,
-        );
-        bench_diff(Some(&old), Some(&new)).expect("disjoint sets exit clean");
-        let _ = std::fs::remove_file(&old);
-        let _ = std::fs::remove_file(&new);
-    }
-
-    /// Overlapping files still gate: a shared row that regressed past the
-    /// 25% envelope fails, and a row missing from the new run is named.
-    #[test]
-    fn overlapping_sets_still_gate_regressions() {
-        let old = write(
-            "old-gate.json",
-            r#"[{"name": "fig8", "n": 100, "baseline_ns": 10, "speedup": 2.0},
-                {"name": "fig8", "n": 200, "baseline_ns": 10, "speedup": 2.0}]"#,
-        );
-        let new = write(
-            "new-gate.json",
-            r#"[{"name": "fig8", "n": 100, "baseline_ns": 10, "speedup": 1.0}]"#,
-        );
-        let err = bench_diff(Some(&old), Some(&new)).expect_err("a 2x->1x fall regresses");
-        assert!(err.contains("fig8 n=100"), "the fallen row is named: {err}");
-        assert!(
-            err.contains("fig8 n=200") && err.contains("missing"),
-            "the missing row is named: {err}"
-        );
-        let _ = std::fs::remove_file(&old);
-        let _ = std::fs::remove_file(&new);
-    }
 }

@@ -1,9 +1,8 @@
-//! `yat-load` — seeded closed/open-loop load against a live `yat-server`.
+//! `yat-load` — seeded closed-loop load against a live `yat-server`.
 //!
 //! ```text
 //! yat-load --addr HOST:PORT [--clients N] [--queries N] [--seed N]
-//!          [--mode closed|open:QPS] [--deadline-ms N] [--stream]
-//!          [--verify-scale N] [--p99-max-ms X] [--shutdown] [--json PATH]
+//!          [--stream] [--verify-scale N] [--p99-max-ms X] [--shutdown]
 //! ```
 //!
 //! Drives the Q1/Q2 mix. With `--verify-scale N` it answers the same
@@ -12,22 +11,20 @@
 //! answer byte-for-byte (streamed answers are reassembled first). Exits
 //! nonzero on protocol errors, server errors, verification mismatches,
 //! or a p99 above `--p99-max-ms` — which is what lets CI use it as a
-//! gate. `--shutdown` sends the drain verb when the run completes;
-//! `--json` writes the report machine-readably.
+//! gate. `--shutdown` sends the drain verb when the run completes.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, ToSocketAddrs};
 use yat_bench::settings::Settings;
 use yat_capability::protocol::ServerReply;
 use yat_mediator::OptimizerOptions;
-use yat_server::{load, Client, LoadMode, LoadSpec};
+use yat_server::{load, Client, LoadSpec};
 use yat_yatl::paper;
 
 fn usage() -> ! {
     eprintln!(
         "usage: yat-load --addr HOST:PORT [--clients N] [--queries N] [--seed N] \
-         [--mode closed|open:QPS] [--deadline-ms N] [--stream] [--verify-scale N] \
-         [--p99-max-ms X] [--shutdown] [--json PATH]"
+         [--stream] [--verify-scale N] [--p99-max-ms X] [--shutdown]"
     );
     std::process::exit(2);
 }
@@ -38,7 +35,6 @@ fn main() {
     let mut verify_scale: Option<usize> = None;
     let mut p99_max_ms: Option<f64> = None;
     let mut shutdown = false;
-    let mut json_path: Option<String> = None;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
@@ -57,18 +53,6 @@ fn main() {
             "--clients" => spec.clients = value("--clients").parse().unwrap_or_else(|_| usage()),
             "--queries" => spec.queries = value("--queries").parse().unwrap_or_else(|_| usage()),
             "--seed" => spec.seed = value("--seed").parse().unwrap_or_else(|_| usage()),
-            "--mode" => {
-                spec.mode = match value("--mode") {
-                    "closed" => LoadMode::Closed,
-                    open => match open.strip_prefix("open:").map(str::parse) {
-                        Some(Ok(offered_qps)) => LoadMode::Open { offered_qps },
-                        _ => usage(),
-                    },
-                }
-            }
-            "--deadline-ms" => {
-                spec.deadline_ms = Some(value("--deadline-ms").parse().unwrap_or_else(|_| usage()))
-            }
             "--verify-scale" => {
                 verify_scale = Some(value("--verify-scale").parse().unwrap_or_else(|_| usage()))
             }
@@ -77,7 +61,6 @@ fn main() {
             }
             "--stream" => spec.stream = true,
             "--shutdown" => shutdown = true,
-            "--json" => json_path = Some(value("--json").to_string()),
             _ => usage(),
         }
     }
@@ -133,33 +116,6 @@ fn main() {
             report.ttfr_percentile_ms(0.95),
             report.ttfr_percentile_ms(0.99),
         );
-    }
-
-    if let Some(path) = json_path {
-        let json = format!(
-            "{{\"answered\": {}, \"sent\": {}, \"elapsed_s\": {:.3}, \"throughput_qps\": {:.3}, \
-             \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \"p99_ms\": {:.3}, \"overloaded\": {}, \
-             \"errors\": {}, \"protocol_errors\": {}, \"mismatches\": {}, \
-             \"stream\": {}, \"ttfr_p50_ms\": {:.3}, \"ttfr_p99_ms\": {:.3}}}\n",
-            report.answered,
-            report.sent,
-            report.elapsed.as_secs_f64(),
-            report.throughput_qps(),
-            report.p50_ms(),
-            report.p95_ms(),
-            report.p99_ms(),
-            report.overloaded,
-            report.errors,
-            report.protocol_errors,
-            report.mismatches,
-            spec.stream,
-            report.ttfr_percentile_ms(0.50),
-            report.ttfr_percentile_ms(0.99),
-        );
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("yat-load: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
     }
 
     if shutdown {

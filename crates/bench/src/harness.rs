@@ -16,24 +16,10 @@ const WINDOW: Duration = Duration::from_millis(600);
 
 /// Measures `f`, printing `label`, the median and mean wall time per
 /// iteration, and the iteration count.
-pub fn run<T, F: FnMut() -> T>(label: &str, mut f: F) {
-    let warm_start = Instant::now();
-    let mut warm_iters = 0u64;
-    while warm_start.elapsed() < WARMUP || warm_iters == 0 {
-        std::hint::black_box(f());
-        warm_iters += 1;
-    }
-    let per = warm_start.elapsed().as_secs_f64() / warm_iters as f64;
-    let iters = ((WINDOW.as_secs_f64() / per).ceil() as u64).clamp(5, 100_000);
-
-    let mut samples: Vec<Duration> = Vec::with_capacity(iters as usize);
-    for _ in 0..iters {
-        let t = Instant::now();
-        std::hint::black_box(f());
-        samples.push(t.elapsed());
-    }
-    samples.sort();
-    let median = samples[samples.len() / 2];
+pub fn run<T, F: FnMut() -> T>(label: &str, f: F) {
+    let samples = samples(f);
+    let iters = samples.len();
+    let median = samples[iters / 2];
     let mean = samples.iter().sum::<Duration>() / iters as u32;
     println!(
         "{label:<48} median {:>9}   mean {:>9}   ({iters} iters)",
@@ -48,9 +34,16 @@ pub fn group(name: &str) {
 }
 
 /// Measures `f` like [`run`] but returns the median wall time per
-/// iteration instead of printing — machine-readable benches
-/// (`fig_scale`) aggregate these into JSON.
-pub fn measure<T, F: FnMut() -> T>(mut f: F) -> Duration {
+/// iteration instead of printing — for benches that print their own
+/// rows (`fig_index`, `fig_store`).
+pub fn measure<T, F: FnMut() -> T>(f: F) -> Duration {
+    let samples = samples(f);
+    samples[samples.len() / 2]
+}
+
+/// Warms `f` up, then times enough iterations to fill the measurement
+/// window; returns the per-iteration wall times, sorted.
+fn samples<T, F: FnMut() -> T>(mut f: F) -> Vec<Duration> {
     let warm_start = Instant::now();
     let mut warm_iters = 0u64;
     while warm_start.elapsed() < WARMUP || warm_iters == 0 {
@@ -66,5 +59,5 @@ pub fn measure<T, F: FnMut() -> T>(mut f: F) -> Duration {
         samples.push(t.elapsed());
     }
     samples.sort();
-    samples[samples.len() / 2]
+    samples
 }

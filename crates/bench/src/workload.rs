@@ -133,7 +133,7 @@ pub const FED_STYLES: [&str; 5] = [
 /// shard `i` owns the styles `j ≡ i (mod S)` and S caps at the 5-style
 /// vocabulary — past that, extra members replicate the O2 database. A
 /// query constrained to one style needs only that style's owner — the
-/// pruning the `fig_federate` sweep measures.
+/// plan-time pruning `tests/federated.rs` checks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FedScenario {
     /// Total member count: `members / 2` (min 1) replicas, the rest

@@ -76,7 +76,7 @@ pub fn matches(tree: &Tree, filter: &Filter, opts: MatchOptions<'_>) -> bool {
 }
 
 /// What one indexed matching call did — the candidate accounting behind
-/// `EXPLAIN ANALYZE`'s index section and the `fig_index` sweep.
+/// `EXPLAIN ANALYZE`'s index section.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexStats {
     /// Whether the index covered the filter. `false` means the call fell

@@ -107,26 +107,9 @@ impl Client {
     /// failure) answers with a single frame, which is returned as-is
     /// with `chunks == 0`.
     pub fn query_streamed(&mut self, text: impl Into<String>) -> Result<StreamedReply, WireError> {
-        self.stream_roundtrip(text.into(), None)
-    }
-
-    /// [`Client::query_streamed`] with a per-request deadline.
-    pub fn query_streamed_with_deadline(
-        &mut self,
-        text: impl Into<String>,
-        deadline_ms: u64,
-    ) -> Result<StreamedReply, WireError> {
-        self.stream_roundtrip(text.into(), Some(deadline_ms))
-    }
-
-    fn stream_roundtrip(
-        &mut self,
-        text: String,
-        deadline_ms: Option<u64>,
-    ) -> Result<StreamedReply, WireError> {
         let request = ClientRequest::Query {
-            text,
-            deadline_ms,
+            text: text.into(),
+            deadline_ms: None,
             stream: true,
         };
         framing::write_element(&mut self.stream, &request.to_xml())?;

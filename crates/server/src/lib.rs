@@ -17,9 +17,8 @@
 //! * [`Client`] — a blocking client for the wire protocol
 //!   ([`yat_capability::protocol::ClientRequest`] /
 //!   [`yat_capability::protocol::ServerReply`]).
-//! * [`load`] — a closed/open-loop load generator with latency
-//!   percentiles, used by the `yat-load` binary and the `fig_serve`
-//!   bench.
+//! * [`load`] — a closed-loop load generator with latency percentiles,
+//!   used by the `yat-load` binary and the server tests.
 //!
 //! The serving layer is federation-agnostic: it takes whatever
 //! `Mediator` you hand it. Wiring up the paper's cultural-goods sources
@@ -31,7 +30,7 @@ pub mod load;
 mod server;
 
 pub use client::{backoff_delay, read_streamed_reply, Client, StreamedReply};
-pub use load::{LoadMode, LoadReport, LoadSpec};
+pub use load::{LoadReport, LoadSpec};
 pub use server::{Server, ServerConfig, ServerHandle};
 
 #[cfg(test)]

@@ -1,12 +1,9 @@
-//! Closed/open-loop load generation against a live `yat-server`.
+//! Closed-loop load generation against a live `yat-server`.
 //!
-//! A *closed* loop models a fixed population of clients that each wait
-//! for an answer before asking again — throughput adapts to the server,
-//! latency stays honest. An *open* loop fires requests on a fixed
-//! schedule regardless of completions, the way independent users arrive;
-//! latency is measured from the *scheduled* send time, so queueing
-//! behind a slow server is charged to the server (no coordinated
-//! omission).
+//! A fixed population of clients each wait for an answer before asking
+//! again — throughput adapts to the server, latency stays honest. This
+//! is the smoke verifier behind `yat-load` and the server tests; the
+//! open-loop generator is the repo benchmark's (`yat-benchmark`).
 //!
 //! Everything is seeded: the per-client query mix is a pure function of
 //! `seed` and the client index, so two runs against equivalent servers
@@ -20,21 +17,6 @@ use yat_capability::protocol::ServerReply;
 use yat_capability::xml::WireError;
 use yat_prng::Rng;
 
-/// How the generator paces its requests.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LoadMode {
-    /// Each client sends its next query as soon as the previous one is
-    /// answered.
-    Closed,
-    /// The client population sends `offered_qps` queries per second in
-    /// aggregate, on a fixed schedule, whether or not earlier queries
-    /// have completed.
-    Open {
-        /// Aggregate offered load, queries per second.
-        offered_qps: f64,
-    },
-}
-
 /// One load-generation run.
 #[derive(Debug, Clone)]
 pub struct LoadSpec {
@@ -44,10 +26,6 @@ pub struct LoadSpec {
     pub queries: usize,
     /// Seed for the per-client query mix.
     pub seed: u64,
-    /// Pacing.
-    pub mode: LoadMode,
-    /// Per-request deadline forwarded to the server, if any.
-    pub deadline_ms: Option<u64>,
     /// Negotiate `stream="chunked"` on every query: answers arrive as
     /// chunk frames and are reassembled client-side (byte-verification
     /// against `expected` still applies to the reassembled answer), and
@@ -68,8 +46,6 @@ impl LoadSpec {
             clients: 8,
             queries: 200,
             seed: 20260807,
-            mode: LoadMode::Closed,
-            deadline_ms: None,
             stream: false,
             mix,
             expected: None,
@@ -216,38 +192,15 @@ fn run_client(addr: SocketAddr, spec: &LoadSpec, index: usize) -> LoadReport {
     };
     let mut rng =
         Rng::seed_from_u64(spec.seed ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    // open-loop schedule: this client's slice of the aggregate rate
-    let interval = match spec.mode {
-        LoadMode::Closed => None,
-        LoadMode::Open { offered_qps } => Some(Duration::from_secs_f64(
-            clients as f64 / offered_qps.max(0.001),
-        )),
-    };
-    let started = Instant::now();
-    for i in 0..share {
+    for _ in 0..share {
         let text = spec.mix[rng.gen_range(0..spec.mix.len())].clone();
-        // the moment this query was *supposed* to leave, which for an
-        // open loop may already be in the past
-        let scheduled = match interval {
-            None => Instant::now(),
-            Some(step) => {
-                let at = started + step.mul_f64(i as f64);
-                if let Some(wait) = at.checked_duration_since(Instant::now()) {
-                    std::thread::sleep(wait);
-                }
-                at
-            }
-        };
+        let sent = Instant::now();
         report.sent += 1;
         loop {
             // streamed queries reassemble chunk frames and record
             // time-to-first-row; otherwise identical bookkeeping
             let (reply, ttfr) = if spec.stream {
-                let streamed = match spec.deadline_ms {
-                    Some(ms) => client.query_streamed_with_deadline(text.clone(), ms),
-                    None => client.query_streamed(text.clone()),
-                };
-                match streamed {
+                match client.query_streamed(text.clone()) {
                     Ok(s) => (Ok(s.reply), Some(s.ttfr)),
                     Err(WireError::Stream(_)) => {
                         // a typed stream failure (abort, short stream):
@@ -260,18 +213,12 @@ fn run_client(addr: SocketAddr, spec: &LoadSpec, index: usize) -> LoadReport {
                     Err(e) => (Err(e), None),
                 }
             } else {
-                let reply = match spec.deadline_ms {
-                    Some(ms) => client.query_with_deadline(text.clone(), ms),
-                    None => client.query(text.clone()),
-                };
-                (reply, None)
+                (client.query(text.clone()), None)
             };
             match reply {
                 Ok(ServerReply::Answer { out, .. }) => {
                     report.answered += 1;
-                    report
-                        .latencies_ms
-                        .push(scheduled.elapsed().as_secs_f64() * 1e3);
+                    report.latencies_ms.push(sent.elapsed().as_secs_f64() * 1e3);
                     if let Some(t) = ttfr {
                         report.ttfr_ms.push(t.as_secs_f64() * 1e3);
                     }

@@ -2,7 +2,7 @@
 //! clients, the paper's cultural-goods federation behind it.
 
 use crate::client::{read_streamed_reply, StreamedReply};
-use crate::load::{LoadMode, LoadSpec};
+use crate::load::LoadSpec;
 use crate::{load, Client, Server, ServerConfig};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{Cursor, Read};
@@ -406,28 +406,6 @@ fn serving_spans_stitch_queue_wait_and_execute_under_one_request() {
     assert!(spans
         .iter()
         .any(|s| s.kind == kind::SERVER && s.label == "respond"));
-}
-
-#[test]
-fn open_loop_load_measures_from_the_schedule() {
-    let handle = Server::spawn(federation(6), ServerConfig::default()).expect("server binds");
-    let report = load::run(
-        handle.addr(),
-        &LoadSpec {
-            clients: 2,
-            queries: 10,
-            seed: 7,
-            mode: LoadMode::Open { offered_qps: 200.0 },
-            deadline_ms: None,
-            stream: false,
-            mix: vec![paper::Q1.to_string()],
-            expected: None,
-        },
-    );
-    assert_eq!(report.answered, 10, "{report:?}");
-    assert!(report.clean());
-    assert!(report.p50_ms() > 0.0);
-    assert!(report.p99_ms() >= report.p50_ms());
 }
 
 /// A federation like [`federation`], but with independently sized

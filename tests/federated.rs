@@ -35,6 +35,10 @@ fn answer_fp(out: &EvalOut) -> Vec<String> {
     }
 }
 
+fn answer_bytes(out: EvalOut) -> String {
+    ServerReply::answer(out).to_xml().to_xml()
+}
+
 fn oracle_fp(m: &Mediator, query: &str) -> Vec<String> {
     answer_fp(
         &m.query(query, OptimizerOptions::default())
@@ -167,9 +171,41 @@ fn killing_replicas_is_lossless_until_the_last() {
 
 #[test]
 fn pruned_dead_shards_are_never_consulted_so_never_missed() {
-    // Q2 is constrained to Impressionist: a dead shard that owns no
-    // Impressionist works is pruned at plan time, so the answer is
-    // complete and the provenance stays empty
+    // Q2 is constrained to Impressionist: plan-time pruning must leave
+    // every other shard uncontacted and answer byte-identically to the
+    // unpruned plan
+    let q2 = yat::yat_yatl::paper::Q2;
+    let unpruned = OptimizerOptions {
+        prune_partitions: false,
+        ..OptimizerOptions::default()
+    };
+    for members in [2usize, 8] {
+        let sc = FedScenario::new(members, SCALE);
+        let owners = sc.shards_owning("Impressionist");
+        for (mode, engine) in combos() {
+            let mut m = sc.mediator();
+            m.set_exec_mode(mode);
+            m.set_exec_engine(engine);
+            m.set_cache_policy(CachePolicy::Off);
+            let plan = m.plan_query(q2).expect("Q2 plans");
+            let want = answer_bytes(m.execute(&m.optimize(&plan, unpruned).0).unwrap());
+            m.reset_traffic();
+            let (pruned, _) = m.optimize(&plan, OptimizerOptions::default());
+            let got = answer_bytes(m.execute(&pruned).expect("pruned Q2 executes"));
+            let ctx = format!("members={members} {mode:?}/{engine:?}");
+            assert_eq!(got, want, "pruned and unpruned Q2 diverge ({ctx})");
+            for shard in sc.shard_names() {
+                let trips = m.traffic_of(&shard).unwrap().round_trips;
+                assert!(
+                    trips == 0 || owners.contains(&shard),
+                    "pruned Q2 contacted excluded shard {shard} {trips} times ({ctx})"
+                );
+            }
+        }
+    }
+
+    // a dead shard that owns no Impressionist works is pruned at plan
+    // time, so the answer is complete and the provenance stays empty
     let mut sc = FedScenario::new(8, SCALE);
     let victim = sc
         .shard_names()
@@ -179,8 +215,8 @@ fn pruned_dead_shards_are_never_consulted_so_never_missed() {
         .map(|(_, n)| n)
         .expect("some shard owns no Impressionist works");
     sc.dead = vec![victim];
-    let want = oracle_fp(&sc.plain_twin(&[]), yat::yat_yatl::paper::Q2);
-    check_kill_set(&sc, yat::yat_yatl::paper::Q2, &want, &[]);
+    let want = oracle_fp(&sc.plain_twin(&[]), q2);
+    check_kill_set(&sc, q2, &want, &[]);
 }
 
 #[test]
@@ -216,10 +252,6 @@ use yat::yat_algebra::{Alg, Operand, Pred, Template};
 use yat::yat_capability::protocol::{Request, Response, WrapperServer, MAX_BATCH_BINDINGS};
 use yat::yat_mediator::MemberRole;
 use yat::yat_yatl::parse_filter;
-
-fn answer_bytes(out: EvalOut) -> String {
-    ServerReply::answer(out).to_xml().to_xml()
-}
 
 /// A replica that answers its first `healthy` `execute-batch` requests
 /// and fails every one after — a member lost in the middle of a batch.
