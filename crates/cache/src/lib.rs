@@ -33,10 +33,10 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 use yat_algebra::{Alg, Tab};
-use yat_capability::tab_xml::tab_to_xml;
-use yat_model::xml_convert::tree_to_xml;
+use yat_capability::codec::{write_document, write_result};
 use yat_model::Tree;
 use yat_obs::{attr, kind, AttrValue, Collector};
+use yat_xml::ByteCount;
 
 /// FNV-1a offset basis (the repo's stock content hash, shared with
 /// Skolem OID generation and transport latency jitter).
@@ -134,19 +134,17 @@ pub enum CachedAnswer {
 
 impl CachedAnswer {
     /// Serialized size of the response this answer replaces, in bytes —
-    /// computed over the exact wire form (`<document>`/`<result>`
-    /// elements), so a hit's "bytes saved" equals the `bytes_received`
-    /// the avoided round trip would have metered.
+    /// the wire codec's length for the exact `<document>`/`<result>`
+    /// frame, counted without storing it, so a hit's "bytes saved"
+    /// equals the `bytes_received` the avoided round trip would have
+    /// metered.
     pub fn wire_bytes(&self) -> u64 {
-        let el = match self {
-            CachedAnswer::Document { name, tree } => yat_xml::Element::new("document")
-                .with_attr("name", name.clone())
-                .with_child(tree_to_xml(tree)),
-            CachedAnswer::Result(tab) => {
-                yat_xml::Element::new("result").with_child(tab_to_xml(tab))
-            }
-        };
-        el.to_xml().len() as u64
+        let mut len = ByteCount::default();
+        match self {
+            CachedAnswer::Document { name, tree } => write_document(name, tree, &mut len),
+            CachedAnswer::Result(tab) => write_result(tab, &mut len),
+        }
+        len.0
     }
 
     /// True for an empty result table — a candidate for *negative*
@@ -464,7 +462,7 @@ impl AnswerCache {
         if answer.is_negative() && !negative {
             return;
         }
-        // serialize outside the lock; worker lanes insert concurrently
+        // measure outside the lock; worker lanes insert concurrently
         let bytes = answer.wire_bytes();
         if bytes > max_bytes {
             return;

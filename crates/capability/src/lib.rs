@@ -26,10 +26,14 @@
 //! * [`protocol`] — the mediator↔wrapper verbs (`get-interface`,
 //!   `get-document`, `execute`) and the client↔server verbs (`query`,
 //!   `explain`, `stats`, `shutdown`) the serving layer speaks.
+//! * [`codec`] — the DOM-free encoder and decoder for the frames that
+//!   carry data (`<document>`, `<result>`, `<answer>`, `<answer-chunk>`),
+//!   byte-identical to the `Element` path kept as their reference.
 //! * [`framing`] — length-prefixed frames carrying those messages over a
 //!   byte stream, with typed [`xml::WireError`]s for every way hostile
 //!   bytes can fail to decode.
 
+pub mod codec;
 pub mod flags;
 pub mod fpattern;
 pub mod framing;

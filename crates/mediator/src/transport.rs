@@ -7,7 +7,9 @@
 //! costs observable: every request and response crosses the boundary as
 //! serialized XML text which is parsed again on the other side — exactly
 //! the work a networked deployment would do — and a [`Meter`] accumulates
-//! the traffic. When a [`yat_obs::Collector`] is attached
+//! the traffic. Data responses (`<document>`, `<result>`) cross through
+//! the DOM-free [`yat_capability::codec`]; requests, interfaces and
+//! errors through the `Element` path. When a [`yat_obs::Collector`] is attached
 //! ([`Connection::call_traced`]) each round trip additionally records an
 //! `rpc` span carrying the request kind and the same byte/document
 //! counts, nested under whatever operator span is currently open.
@@ -436,8 +438,8 @@ impl Connection {
                     .unwrap_or_else(|| "unknown panic".into());
                 WireError::Remote(format!("wrapper `{}` panicked: {msg}", self.name()))
             })?;
-        #[allow(unused_mut)]
-        let mut response_text = response.to_xml().to_xml();
+        let mut response_text = String::new();
+        response.encode(&mut response_text);
         // -------------------------------------------------------------------
 
         #[cfg(test)]
@@ -445,9 +447,8 @@ impl Connection {
             corrupt(&mut response_text);
         }
         let received = response_text.len() as u64;
-        let parsed = yat_xml::parse_element(&response_text)
-            .map_err(|e| WireError::Malformed(format!("response did not survive the wire: {e}")))?;
-        let response = Response::from_xml(&parsed)?;
+        let response = Response::decode(&response_text)
+            .map_err(|e| e.in_context("response did not survive the wire"))?;
         let documents = match &response {
             // a fetched collection counts its member documents — the unit
             // the paper's conversion overhead scales with

@@ -1,5 +1,6 @@
 //! Atomic values and atomic types of the YAT model.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -76,6 +77,14 @@ impl Atom {
         match self {
             Atom::Str(s) => Some(s),
             _ => None,
+        }
+    }
+
+    /// The `Display` text, borrowed for strings — what the wire writes.
+    pub fn text(&self) -> Cow<'_, str> {
+        match self {
+            Atom::Str(s) => Cow::Borrowed(s),
+            other => Cow::Owned(other.to_string()),
         }
     }
 

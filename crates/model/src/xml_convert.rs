@@ -12,11 +12,22 @@
 //! * the inverse direction maps symbol nodes back to elements, `@`-children
 //!   back to attributes, atoms to text, identified nodes to `id`
 //!   attributes and reference leaves to `<ref id=../>` elements.
+//!
+//! The encoding exists twice, on purpose. [`tree_to_xml`] and
+//! [`tree_from_xml`] go through an [`Element`] DOM: they are the
+//! reference. [`write_tree`] and [`read_tree`] are the wire codec: they
+//! write a tree's bytes straight onto an [`Out`] and build a tree straight
+//! from the events of a [`Reader`], with no DOM in between. The codec
+//! writes exactly `tree_to_xml(t).to_xml()` and reads exactly what
+//! `tree_from_xml(&parse_element(..))` reads (`tests/prop_wire_codec.rs`).
 
 use crate::atom::Atom;
 use crate::oid::Oid;
+use crate::symbol::Symbol;
 use crate::tree::{Label, Node, Tree};
-use yat_xml::{Content, Element};
+use std::borrow::Cow;
+use std::collections::HashMap;
+use yat_xml::{push_attribute, push_text, Content, Element, Event, Out, ParseError, Reader};
 
 /// Prefix marking attribute-derived children.
 pub const ATTR_PREFIX: char = '@';
@@ -125,8 +136,232 @@ fn fill_children(el: &mut Element, children: &[Tree]) {
 }
 
 /// Parses an XML string straight into a tree.
-pub fn parse_tree(xml: &str) -> Result<Tree, yat_xml::ParseError> {
+pub fn parse_tree(xml: &str) -> Result<Tree, ParseError> {
     Ok(tree_from_xml(&yat_xml::parse_element(xml)?))
+}
+
+// ------------------------------------------------------------ wire codec
+
+/// Writes the compact serialization of `tree_to_xml(tree)` onto `out`
+/// without building the element.
+pub fn write_tree(tree: &Tree, out: &mut impl Out) {
+    Shape::of(tree).write(out);
+}
+
+/// The top level of the element [`tree_to_xml`] would build for a tree:
+/// its name and attributes (which depend on the children) and where its
+/// content comes from. The content is written from the tree itself.
+struct Shape<'t> {
+    name: &'t str,
+    /// In document order, with `Element::set_attr`'s replace-in-place.
+    attrs: Vec<(&'t str, Cow<'t, str>)>,
+    body: Body<'t>,
+}
+
+enum Body<'t> {
+    /// `<ref id=".."/>`.
+    Empty,
+    /// A bare atom's `<value>` text (present even when empty).
+    Text(Cow<'t, str>),
+    /// What [`fill_children`] does with the children that are not
+    /// attributes.
+    Children(&'t [Tree]),
+}
+
+impl<'t> Shape<'t> {
+    fn of(tree: &'t Tree) -> Shape<'t> {
+        match &tree.label {
+            Label::Sym(name) => {
+                let mut shape = Shape::new(name, Body::Children(&tree.children));
+                shape.attrs_from(&tree.children);
+                shape
+            }
+            Label::Oid(oid) => match tree.children.as_slice() {
+                [only] => {
+                    let mut shape = Shape::of(only);
+                    shape.set_attr("id", Cow::Borrowed(oid.as_str()));
+                    shape
+                }
+                children => {
+                    let mut shape = Shape::new("object", Body::Children(children));
+                    shape.set_attr("id", Cow::Borrowed(oid.as_str()));
+                    shape.attrs_from(children);
+                    shape
+                }
+            },
+            Label::Ref(oid) => {
+                let mut shape = Shape::new("ref", Body::Empty);
+                shape.set_attr("id", Cow::Borrowed(oid.as_str()));
+                shape
+            }
+            Label::Atom(a) => Shape::new("value", Body::Text(a.text())),
+        }
+    }
+
+    fn new(name: &'t str, body: Body<'t>) -> Shape<'t> {
+        Shape {
+            name,
+            attrs: Vec::new(),
+            body,
+        }
+    }
+
+    fn set_attr(&mut self, name: &'t str, value: Cow<'t, str>) {
+        match self.attrs.iter_mut().find(|(n, _)| *n == name) {
+            Some(slot) => slot.1 = value,
+            None => self.attrs.push((name, value)),
+        }
+    }
+
+    /// The attribute half of [`fill_children`].
+    fn attrs_from(&mut self, children: &'t [Tree]) {
+        if let Some(refs) = ref_list(children) {
+            self.set_attr("refs", Cow::Owned(refs));
+            return;
+        }
+        for c in children {
+            if let Some((name, value)) = as_attribute(c) {
+                self.set_attr(name, value.text());
+            }
+        }
+    }
+
+    fn write(&self, out: &mut impl Out) {
+        out.push_str("<");
+        out.push_str(self.name);
+        for (name, value) in &self.attrs {
+            push_attribute(out, name, value);
+        }
+        match &self.body {
+            Body::Text(text) => {
+                out.push_str(">");
+                push_text(out, text);
+            }
+            Body::Children(children) if has_content(children) => {
+                out.push_str(">");
+                for c in *children {
+                    match &c.label {
+                        Label::Atom(a) if c.children.is_empty() => push_text(out, &a.text()),
+                        _ if as_attribute(c).is_some() => {}
+                        _ => write_tree(c, out),
+                    }
+                }
+            }
+            _ => {
+                out.push_str("/>");
+                return;
+            }
+        }
+        out.push_str("</");
+        out.push_str(self.name);
+        out.push_str(">");
+    }
+}
+
+/// `@name[atom]` — a child [`fill_children`] turns into an attribute.
+fn as_attribute(c: &Tree) -> Option<(&str, &Atom)> {
+    match (&c.label, c.children.as_slice()) {
+        (Label::Sym(s), [only]) if s.starts_with(ATTR_PREFIX) => only
+            .label
+            .as_atom()
+            .map(|a| (&s[ATTR_PREFIX.len_utf8()..], a)),
+        _ => None,
+    }
+}
+
+/// The `refs` attribute of children that are all references.
+fn ref_list(children: &[Tree]) -> Option<String> {
+    let first = children.first()?;
+    let Label::Ref(oid) = &first.label else {
+        return None;
+    };
+    let mut refs = oid.as_str().to_string();
+    for c in &children[1..] {
+        let Label::Ref(oid) = &c.label else {
+            return None;
+        };
+        refs.push(' ');
+        refs.push_str(oid.as_str());
+    }
+    Some(refs)
+}
+
+/// Whether [`fill_children`] leaves the element any content.
+fn has_content(children: &[Tree]) -> bool {
+    !children.iter().all(|c| matches!(c.label, Label::Ref(_)))
+        && children.iter().any(|c| as_attribute(c).is_none())
+}
+
+/// One frame's symbol table: each distinct tag or attribute name of the
+/// frame takes the global interner's lock once, however often it recurs.
+/// The names come off the wire, so the maps keep the default (keyed)
+/// hasher.
+#[derive(Default)]
+pub struct Symbols<'a> {
+    tags: HashMap<&'a str, Symbol>,
+    attrs: HashMap<&'a str, Symbol>,
+}
+
+impl<'a> Symbols<'a> {
+    fn tag(&mut self, name: &'a str) -> Symbol {
+        self.tags
+            .entry(name)
+            .or_insert_with(|| Symbol::intern(name))
+            .clone()
+    }
+
+    fn attr(&mut self, name: &'a str) -> Symbol {
+        self.attrs
+            .entry(name)
+            .or_insert_with(|| Symbol::intern(&format!("{ATTR_PREFIX}{name}")))
+            .clone()
+    }
+}
+
+/// Reads the element whose `Start(name)` `reader` just returned — through
+/// its `End` — into the tree `tree_from_xml` would build from it.
+pub fn read_tree<'a>(
+    reader: &mut Reader<'a>,
+    name: &'a str,
+    symbols: &mut Symbols<'a>,
+) -> Result<Tree, ParseError> {
+    let mut children: Vec<Tree> = Vec::new();
+    let mut id: Option<Oid> = None;
+    for a in reader.attrs() {
+        match a.name {
+            "id" => id = Some(Oid::new(a.value.as_ref())),
+            "refs" => {
+                for r in a.value.split_whitespace() {
+                    children.push(Node::reference(Oid::new(r)));
+                }
+            }
+            _ => children.push(Node::sym(
+                symbols.attr(a.name),
+                vec![Node::atom(Atom::parse_guess(&a.value))],
+            )),
+        }
+    }
+    loop {
+        match reader.next()? {
+            Event::Start(child) => children.push(read_tree(reader, child, symbols)?),
+            Event::Text(t) => push_atom(&mut children, &t),
+            Event::CData(t) => push_atom(&mut children, t),
+            Event::Comment(_) | Event::Pi { .. } => {}
+            Event::End(_) => break,
+            Event::Eof => return Err(reader.error("document ended inside an element")),
+        }
+    }
+    let body = Node::sym(symbols.tag(name), children);
+    Ok(match id {
+        Some(oid) => Node::oid(oid, vec![body]),
+        None => body,
+    })
+}
+
+fn push_atom(children: &mut Vec<Tree>, text: &str) {
+    if !text.trim().is_empty() {
+        children.push(Node::atom(Atom::parse_guess(text)));
+    }
 }
 
 #[cfg(test)]

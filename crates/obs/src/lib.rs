@@ -25,7 +25,7 @@
 
 pub mod profile;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
@@ -242,7 +242,13 @@ impl SpanData {
 
 #[derive(Debug, Default)]
 struct Inner {
-    spans: Vec<SpanData>,
+    /// The retained spans, oldest first.
+    spans: VecDeque<SpanData>,
+    /// The id of `spans[0]`: in a bounded collector, the spans before it
+    /// have aged out.
+    first: usize,
+    /// How many spans a bounded collector keeps.
+    cap: Option<usize>,
     /// Open-span stacks, one per thread: a span opened on a worker thread
     /// nests under the innermost span *of that thread*, never under
     /// whatever another thread happens to have open at the same instant.
@@ -252,6 +258,26 @@ struct Inner {
 impl Inner {
     fn stack(&mut self) -> &mut Vec<usize> {
         self.stacks.entry(std::thread::current().id()).or_default()
+    }
+
+    fn next_id(&self) -> usize {
+        self.first + self.spans.len()
+    }
+
+    /// Appends a span, aging out the oldest one when the collector is
+    /// full.
+    fn push(&mut self, span: SpanData) {
+        if self.cap.is_some_and(|cap| self.spans.len() >= cap) {
+            self.spans.pop_front();
+            self.first += 1;
+        }
+        self.spans.push_back(span);
+    }
+
+    /// The span with id `id`, unless it aged out.
+    fn get_mut(&mut self, id: usize) -> Option<&mut SpanData> {
+        let index = id.checked_sub(self.first)?;
+        self.spans.get_mut(index)
     }
 }
 
@@ -287,9 +313,19 @@ impl std::fmt::Debug for Collector {
 }
 
 impl Collector {
-    /// A fresh, empty collector.
+    /// A fresh, empty collector that keeps every span.
     pub fn new() -> Self {
         Collector::default()
+    }
+
+    /// A collector that keeps only the most recent `cap` spans — for a
+    /// long-running process that records spans forever. Ids stay
+    /// monotonic; closing a span that aged out while open, or opening one
+    /// under an aged-out parent, records nothing about the lost span.
+    pub fn bounded(cap: usize) -> Self {
+        let c = Collector::default();
+        c.lock().cap = Some(cap.max(1));
+        c
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -325,12 +361,12 @@ impl Collector {
 
     fn open(&self, kind: &'static str, label: String, explicit: Option<Option<usize>>) -> Span<'_> {
         let mut inner = self.lock();
-        let id = inner.spans.len();
+        let id = inner.next_id();
         let parent = match explicit {
             Some(parent) => parent,
             None => inner.stack().last().copied(),
         };
-        inner.spans.push(SpanData {
+        inner.push(SpanData {
             id,
             parent,
             kind,
@@ -357,9 +393,9 @@ impl Collector {
         attrs: Vec<(&'static str, AttrValue)>,
     ) {
         let mut inner = self.lock();
-        let id = inner.spans.len();
+        let id = inner.next_id();
         let parent = inner.stack().last().copied();
-        inner.spans.push(SpanData {
+        inner.push(SpanData {
             id,
             parent,
             kind,
@@ -370,12 +406,13 @@ impl Collector {
         });
     }
 
-    /// A snapshot of all spans recorded so far, in creation order.
+    /// A snapshot of the spans recorded so far (the retained ones, for a
+    /// bounded collector), in creation order.
     pub fn spans(&self) -> Vec<SpanData> {
-        self.lock().spans.clone()
+        self.lock().spans.iter().cloned().collect()
     }
 
-    /// Number of spans recorded.
+    /// Number of spans recorded (retained, for a bounded collector).
     pub fn len(&self) -> usize {
         self.lock().spans.len()
     }
@@ -390,6 +427,7 @@ impl Collector {
     pub fn clear(&self) {
         let mut inner = self.lock();
         inner.spans.clear();
+        inner.first = 0;
         inner.stacks.clear();
     }
 
@@ -416,7 +454,9 @@ impl Collector {
                 inner.stacks.remove(&thread);
             }
         }
-        let span = &mut inner.spans[id];
+        let Some(span) = inner.get_mut(id) else {
+            return; // aged out of a bounded collector while open
+        };
         span.attrs.extend(attrs);
         span.elapsed = elapsed;
         span.closed = true;
@@ -595,6 +635,32 @@ mod tests {
         set_warn_sink(None);
         warn("after removal this goes to stderr, not the sink");
         assert_eq!(*seen.lock().unwrap(), ["first", "second"]);
+    }
+
+    #[test]
+    fn bounded_collectors_keep_the_most_recent_spans() {
+        let c = Collector::bounded(3);
+        let outer = c.span(kind::SERVER, "serve query");
+        let outer_id = outer.id();
+        for i in 0..5 {
+            c.event(kind::SERVER, format!("e{i}"), vec![]);
+        }
+        // the open outer span aged out: closing it is a no-op, and a span
+        // opened under it still records its parent's id
+        drop(outer);
+        let late = c.span_under(Some(outer_id), kind::SERVER, "execute");
+        let late_id = late.id();
+        drop(late);
+        let spans = c.spans();
+        assert_eq!(c.len(), 3);
+        assert_eq!(
+            spans.iter().map(|s| s.id).collect::<Vec<_>>(),
+            [4, 5, late_id],
+            "ids stay monotonic"
+        );
+        assert_eq!(late_id, 6);
+        assert_eq!(spans[2].parent, Some(outer_id));
+        assert!(spans.iter().all(|s| s.closed));
     }
 
     #[test]

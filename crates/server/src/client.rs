@@ -68,8 +68,8 @@ impl Client {
     /// Sends one request and reads its reply.
     pub fn roundtrip(&mut self, request: &ClientRequest) -> Result<ServerReply, WireError> {
         framing::write_element(&mut self.stream, &request.to_xml())?;
-        match framing::read_element(&mut self.stream)? {
-            Some(el) => ServerReply::from_xml(&el),
+        match framing::read_frame(&mut self.stream)? {
+            Some(text) => Ok(ServerReply::decode(&text)?),
             None => Err(WireError::Io(
                 "server closed the connection before replying".into(),
             )),
@@ -196,14 +196,14 @@ pub struct StreamedReply {
 /// from in-memory byte streams.
 pub fn read_streamed_reply(reader: &mut impl Read) -> Result<StreamedReply, WireError> {
     let start = Instant::now();
-    let first = framing::read_element(reader)?
+    let first = framing::read_frame(reader)?
         .ok_or_else(|| WireError::Io("server closed the connection before replying".into()))?;
     let ttfr = start.elapsed();
-    let mut frame = match StreamFrame::from_xml(&first) {
+    let mut frame = match StreamFrame::decode(&first).map_err(WireError::from) {
         Ok(frame) => frame,
         Err(WireError::UnknownVerb(_)) => {
             return Ok(StreamedReply {
-                reply: ServerReply::from_xml(&first)?,
+                reply: ServerReply::decode(&first)?,
                 chunks: 0,
                 ttfr,
             })
@@ -292,12 +292,12 @@ pub fn read_streamed_reply(reader: &mut impl Read) -> Result<StreamedReply, Wire
                 )))
             }
         }
-        let el = framing::read_element(reader)?.ok_or_else(|| {
+        let text = framing::read_frame(reader)?.ok_or_else(|| {
             WireError::Stream(format!(
                 "connection closed mid-stream after {chunks} chunks, before answer-end"
             ))
         })?;
-        frame = StreamFrame::from_xml(&el).map_err(|e| match e {
+        frame = StreamFrame::decode(&text).map_err(|e| match e.into() {
             WireError::UnknownVerb(v) => {
                 WireError::Stream(format!("unexpected <{v}> frame mid-stream"))
             }

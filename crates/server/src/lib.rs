@@ -31,7 +31,7 @@ mod server;
 
 pub use client::{backoff_delay, read_streamed_reply, Client, StreamedReply};
 pub use load::{LoadReport, LoadSpec};
-pub use server::{Server, ServerConfig, ServerHandle};
+pub use server::{Server, ServerConfig, ServerHandle, SPAN_LOG_CAP};
 
 #[cfg(test)]
 mod tests;

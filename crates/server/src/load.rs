@@ -223,7 +223,8 @@ fn run_client(addr: SocketAddr, spec: &LoadSpec, index: usize) -> LoadReport {
                         report.ttfr_ms.push(t.as_secs_f64() * 1e3);
                     }
                     if let Some(expected) = &spec.expected {
-                        let got = ServerReply::answer(out).to_xml().to_xml();
+                        let mut got = String::new();
+                        ServerReply::answer(out).encode(&mut got);
                         if expected.get(&text).map(String::as_str) != Some(got.as_str()) {
                             report.mismatches += 1;
                         }

@@ -50,6 +50,13 @@ const _: () = {
     assert_send_sync::<Mediator>();
 };
 
+/// How many serving-layer spans a server keeps: the most recent ones,
+/// about [`SPAN_LOG_CAP`] / 4 queries' worth (`serve query`, `queue-wait`,
+/// `execute`, `respond`). A constant, not a setting — the log is for
+/// looking at recent requests, and an unbounded one grows by every query
+/// a long-running server ever served.
+pub const SPAN_LOG_CAP: usize = 1024;
+
 /// Tuning knobs for one [`Server`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
@@ -111,7 +118,7 @@ struct StreamJob {
 }
 
 /// One message from a worker to the connection thread of a streamed
-/// query. Frames are pre-serialized on the worker so the connection
+/// query. Frames are pre-encoded on the worker so the connection
 /// thread only writes bytes.
 enum StreamEvent {
     /// Fall back to one ordinary reply frame: errors before the first
@@ -188,7 +195,7 @@ impl Server {
             mediator,
             config,
             addr,
-            obs: Collector::new(),
+            obs: Collector::bounded(SPAN_LOG_CAP),
             sender: Mutex::new(Some(tx)),
             stop: AtomicBool::new(false),
             draining: AtomicBool::new(false),
@@ -253,8 +260,8 @@ impl ServerHandle {
         &self.shared.mediator
     }
 
-    /// The serving-layer spans recorded so far (`serve query` →
-    /// `queue-wait` / `execute`, `respond`, `accept`).
+    /// The most recent [`SPAN_LOG_CAP`] serving-layer spans (`serve query`
+    /// → `queue-wait` / `execute`, `respond`, `accept`).
     pub fn spans(&self) -> Vec<SpanData> {
         self.shared.obs.spans()
     }
@@ -566,7 +573,8 @@ fn stream_reply(
 /// Writes one reply frame under a `respond` span.
 fn respond(shared: &Shared, writer: &mut TcpStream, reply: &ServerReply) -> Result<(), WireError> {
     let mut span = shared.obs.span(kind::SERVER, "respond");
-    let text = reply.to_xml().to_xml();
+    let mut text = String::new();
+    reply.encode(&mut text);
     span.record_u64(attr::BYTES_SENT, text.len() as u64);
     let result = framing::write_frame(writer, &text);
     if let Err(e) = &result {
@@ -724,19 +732,13 @@ fn serve_streamed(
     let (event, served) = match outcome {
         Ok(Ok((stats, prov))) => {
             let (answered_by, missing) = wire_prov(&prov);
-            (
-                StreamEvent::End(
-                    StreamFrame::End {
-                        chunks: stats.chunks,
-                        rows: stats.rows,
-                        answered_by,
-                        missing,
-                    }
-                    .to_xml()
-                    .to_xml(),
-                ),
-                true,
-            )
+            let end = StreamFrame::End {
+                chunks: stats.chunks,
+                rows: stats.rows,
+                answered_by,
+                missing,
+            };
+            (StreamEvent::End(encode(&end)), true)
         }
         Ok(Err(e)) => {
             let message = e.to_string();
@@ -762,11 +764,18 @@ fn stream_failure(chunks_sent: u64, message: String) -> StreamEvent {
     if chunks_sent == 0 {
         StreamEvent::Reply(ServerReply::Error { message })
     } else {
-        StreamEvent::End(StreamFrame::Abort { message }.to_xml().to_xml())
+        StreamEvent::End(encode(&StreamFrame::Abort { message }))
     }
 }
 
-/// The wire-side [`BatchSink`]: each batch becomes one pre-serialized
+/// One stream frame, encoded for the wire.
+fn encode(frame: &StreamFrame) -> String {
+    let mut text = String::new();
+    frame.encode(&mut text);
+    text
+}
+
+/// The wire-side [`BatchSink`]: each batch becomes one pre-encoded
 /// `answer-chunk` frame pushed through the job's bounded event channel.
 /// A full channel blocks the producer (backpressure); a closed one (the
 /// client hung up, a write failed) surfaces as a sink refusal that stops
@@ -779,7 +788,7 @@ struct WireSink<'a> {
 impl WireSink<'_> {
     fn push(&mut self, payload: EvalOut) -> Result<(), EvalError> {
         let seq = self.chunks.load(Ordering::SeqCst);
-        let frame = StreamFrame::Chunk { seq, payload }.to_xml().to_xml();
+        let frame = encode(&StreamFrame::Chunk { seq, payload });
         self.events
             .send(StreamEvent::Chunk(frame))
             .map_err(|_| EvalError::Sink("client connection closed mid-stream".into()))?;

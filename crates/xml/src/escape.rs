@@ -1,6 +1,7 @@
 //! Entity escaping and unescaping for the five predefined XML entities and
 //! numeric character references.
 
+use crate::writer::Out;
 use std::borrow::Cow;
 
 /// Escapes character data for element content: `&`, `<`, `>`.
@@ -18,21 +19,37 @@ pub fn escape_attr(s: &str) -> Cow<'_, str> {
 }
 
 fn escape_with(s: &str, attr: bool) -> Cow<'_, str> {
-    let needs = |c: char| matches!(c, '&' | '<' | '>') || (attr && c == '"');
-    if !s.chars().any(needs) {
+    if !s.bytes().any(|b| entity(b, attr).is_some()) {
         return Cow::Borrowed(s);
     }
     let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' if attr => out.push_str("&quot;"),
-            _ => out.push(c),
+    push_escaped(&mut out, s, attr);
+    Cow::Owned(out)
+}
+
+/// The entity replacing byte `b`, if it needs one.
+fn entity(b: u8, attr: bool) -> Option<&'static str> {
+    match b {
+        b'&' => Some("&amp;"),
+        b'<' => Some("&lt;"),
+        b'>' => Some("&gt;"),
+        b'"' if attr => Some("&quot;"),
+        _ => None,
+    }
+}
+
+/// Appends `s` escaped, copying the runs between special characters
+/// whole.
+pub(crate) fn push_escaped(out: &mut impl Out, s: &str, attr: bool) {
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if let Some(entity) = entity(b, attr) {
+            out.push_str(&s[clean..i]);
+            out.push_str(entity);
+            clean = i + 1;
         }
     }
-    Cow::Owned(out)
+    out.push_str(&s[clean..]);
 }
 
 /// Expands entity and character references in `s`.

@@ -8,10 +8,13 @@
 //!
 //! * [`Element`] / [`Content`] — an ordered-tree document model with
 //!   attributes, text, comments, CDATA and processing instructions;
-//! * [`parse`] / [`parse_element`] — a recursive-descent parser with
-//!   line/column error reporting;
+//! * [`Reader`] — a byte-level pull tokenizer over borrowed input, the
+//!   one XML grammar of the workspace, with line/column error reporting;
+//! * [`parse`] / [`parse_element`] — a DOM builder over that tokenizer;
 //! * [`Element::to_xml`] and [`Element::to_pretty_xml`] — serializers that
-//!   round-trip with the parser;
+//!   round-trip with the parser, and the [`Out`]/[`push_text`]/
+//!   [`push_attribute`] primitives that let wire encoders write the same
+//!   bytes without building an `Element`;
 //! * entity escaping/unescaping (the five predefined entities plus numeric
 //!   character references).
 //!
@@ -33,12 +36,14 @@
 mod escape;
 mod node;
 mod parser;
+mod reader;
 mod writer;
 
 pub use escape::{escape_attr, escape_text, unescape};
 pub use node::{Attribute, Content, Element};
-pub use parser::{parse, parse_element, ParseError, Position};
-pub use writer::{write_pretty, write_xml};
+pub use parser::{parse, parse_element};
+pub use reader::{Attr, Event, ParseError, Position, Reader};
+pub use writer::{push_attribute, push_text, write_pretty, write_xml, ByteCount, Out};
 
 #[cfg(test)]
 mod tests;

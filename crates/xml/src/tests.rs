@@ -118,6 +118,87 @@ fn errors_carry_positions() {
 
     let err = parse_element("<a><!DOCTYPE x></a>").unwrap_err();
     assert!(err.message.contains("DTD"), "{err}");
+
+    // The tokenizer computes positions from its byte offset only when it
+    // fails; these are the line:column pairs the character-stepping
+    // parser it replaced reported, over multi-line, CRLF and non-ASCII
+    // inputs (columns count characters, `\r` included).
+    let cases: &[(&str, (u32, u32), &str)] = &[
+        ("<a>\n  <b></c>\n</a>", (2, 9), "mismatched"),
+        ("<a>\r\n<b>\r\n</a>", (3, 4), "mismatched"),
+        (
+            "<œuvre>\n  <é x=\"1\" y=2/>\n</œuvre>",
+            (2, 14),
+            "quoted attribute",
+        ),
+        ("<a>\n  x &bogus; y\n</a>", (3, 1), "unknown entity"),
+        ("<a\n b=\"&zz;\">", (2, 10), "unknown entity"),
+        (
+            "\r\n<?xml version=\"1.0\"?>\r\n<a>café</a>\r\n<b/>",
+            (4, 1),
+            "after document root",
+        ),
+        ("<a>\n\t<!-- never closed", (2, 6), "unterminated comment"),
+        ("<a>\n<b>éé</a>", (2, 9), "mismatched"),
+        ("<a>\n  <![CDATA[x</a>", (2, 12), "unterminated CDATA"),
+        ("<a>\n<b>", (2, 4), "unexpected end of input inside <b>"),
+        ("   \n  <1a/>", (2, 4), "expected a name"),
+        ("<ü>\r\n\r\n  <!DOCTYPE x>", (3, 3), "DTD"),
+        (
+            "<a>\u{2003}<b\u{2003}c='1'\u{2003}/>\n<c></a>",
+            (2, 7),
+            "mismatched",
+        ),
+        ("  <!-- open\n<a/>", (1, 7), "expected `<`"),
+        (
+            "<a></a>\n<!-- trailing never closed",
+            (2, 5),
+            "after document root",
+        ),
+        ("<a x='1' x='2'>\n<b>\nλ&#xZZ;</b></a>", (3, 8), "bad hex"),
+        ("<a>\n  <?pi never", (2, 5), "unterminated processing"),
+        ("\u{feff}<a/>", (1, 1), "expected `<`"),
+    ];
+    for (input, (line, column), message) in cases {
+        let err = parse_element(input).unwrap_err();
+        assert_eq!(
+            (err.position.line, err.position.column),
+            (*line, *column),
+            "{input:?}: {err}"
+        );
+        assert!(err.message.contains(message), "{input:?}: {err}");
+    }
+}
+
+#[test]
+fn reader_events_borrow_and_balance() {
+    let mut r = Reader::new("<?xml version=\"1.0\"?><a k=\"v&amp;w\"><b/>x&lt;y<![CDATA[z]]></a>");
+    assert_eq!(r.next().unwrap(), Event::Start("a"));
+    assert_eq!(r.attr("k"), Some("v&w"));
+    assert_eq!(r.next().unwrap(), Event::Start("b"));
+    assert!(r.attrs().is_empty());
+    assert_eq!(r.next().unwrap(), Event::End("b"), "self-closing tags end");
+    assert_eq!(r.next().unwrap(), Event::Text("x<y".into()));
+    assert_eq!(r.next().unwrap(), Event::CData("z"));
+    assert_eq!(r.next().unwrap(), Event::End("a"));
+    assert_eq!(r.next().unwrap(), Event::Eof);
+    assert_eq!(r.next().unwrap(), Event::Eof, "Eof repeats");
+
+    let mut r = Reader::new("<a><b><c/>t</b><d/></a>");
+    assert_eq!(r.next().unwrap(), Event::Start("a"));
+    assert_eq!(r.next().unwrap(), Event::Start("b"));
+    r.skip_element().unwrap();
+    assert_eq!(r.next().unwrap(), Event::Start("d"));
+    r.finish().unwrap();
+    assert!(Reader::new("<a><b></a>").finish().is_err());
+}
+
+#[test]
+fn byte_count_measures_what_a_string_receives() {
+    let el = parse_element(r#"<n a="say &quot;hi&quot;">Tom &amp; é</n>"#).unwrap();
+    let mut count = ByteCount::default();
+    write_xml(&el, &mut count);
+    assert_eq!(count.0, el.to_xml().len() as u64);
 }
 
 #[test]

@@ -1,38 +1,75 @@
 //! Serializers: compact (wire format, round-trips exactly) and pretty
-//! (indented, for transcripts and EXPLAIN output).
+//! (indented, for transcripts and EXPLAIN output), plus the escaping
+//! primitives the DOM-free wire encoders write with.
 
-use crate::escape::{escape_attr, escape_text};
+use crate::escape::push_escaped;
 use crate::node::{Content, Element};
+
+/// Where compact XML goes: a `String`, or a [`ByteCount`] that only
+/// measures.
+pub trait Out {
+    /// Appends `s`.
+    fn push_str(&mut self, s: &str);
+}
+
+impl Out for String {
+    fn push_str(&mut self, s: &str) {
+        String::push_str(self, s);
+    }
+}
+
+/// An [`Out`] that counts the bytes it is given and stores none: the
+/// serialized length of a message without the message.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ByteCount(pub u64);
+
+impl Out for ByteCount {
+    fn push_str(&mut self, s: &str) {
+        self.0 += s.len() as u64;
+    }
+}
+
+/// Appends character data, escaping `&`, `<` and `>` — the bytes
+/// [`crate::escape_text`] would produce, without an intermediate string.
+pub fn push_text(out: &mut impl Out, s: &str) {
+    push_escaped(out, s, false);
+}
+
+/// Appends ` name="value"`, escaping the value like
+/// [`crate::escape_attr`].
+pub fn push_attribute(out: &mut impl Out, name: &str, value: &str) {
+    out.push_str(" ");
+    out.push_str(name);
+    out.push_str("=\"");
+    push_escaped(out, value, true);
+    out.push_str("\"");
+}
 
 /// Writes `el` compactly onto `out`. No whitespace is introduced, so
 /// `parse(write(el)) == el`.
-pub fn write_xml(el: &Element, out: &mut String) {
-    out.push('<');
+pub fn write_xml(el: &Element, out: &mut impl Out) {
+    out.push_str("<");
     out.push_str(&el.name);
     for a in &el.attributes {
-        out.push(' ');
-        out.push_str(&a.name);
-        out.push_str("=\"");
-        out.push_str(&escape_attr(&a.value));
-        out.push('"');
+        push_attribute(out, &a.name, &a.value);
     }
     if el.children.is_empty() {
         out.push_str("/>");
         return;
     }
-    out.push('>');
+    out.push_str(">");
     for c in &el.children {
         write_content(c, out);
     }
     out.push_str("</");
     out.push_str(&el.name);
-    out.push('>');
+    out.push_str(">");
 }
 
-fn write_content(c: &Content, out: &mut String) {
+fn write_content(c: &Content, out: &mut impl Out) {
     match c {
         Content::Element(e) => write_xml(e, out),
-        Content::Text(t) => out.push_str(&escape_text(t)),
+        Content::Text(t) => push_text(out, t),
         Content::CData(t) => {
             out.push_str("<![CDATA[");
             out.push_str(t);
@@ -47,7 +84,7 @@ fn write_content(c: &Content, out: &mut String) {
             out.push_str("<?");
             out.push_str(target);
             if !data.is_empty() {
-                out.push(' ');
+                out.push_str(" ");
                 out.push_str(data);
             }
             out.push_str("?>");
@@ -78,11 +115,7 @@ pub fn write_pretty(el: &Element, out: &mut String, indent: usize) {
     out.push('<');
     out.push_str(&el.name);
     for a in &el.attributes {
-        out.push(' ');
-        out.push_str(&a.name);
-        out.push_str("=\"");
-        out.push_str(&escape_attr(&a.value));
-        out.push('"');
+        push_attribute(out, &a.name, &a.value);
     }
     out.push_str(">\n");
     for c in &el.children {
