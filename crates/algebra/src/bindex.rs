@@ -5,7 +5,7 @@
 //! matches, never *what* it returns. A [`BindIndexCache`] memoizes one
 //! [`TreeIndex`] per collection tree (keyed by the tree's `Arc` pointer
 //! identity) so repeated `Bind`s over the same document — across
-//! queries, engines and optimizer levels — pay the one-walk build cost
+//! queries and optimizer levels — pay the one-walk build cost
 //! once. The evaluator consults it only for trees wide enough that a
 //! seeded match can beat a scan ([`INDEX_MIN_CHILDREN`]); below that the
 //! walker is already effectively free.

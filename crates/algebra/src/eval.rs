@@ -126,32 +126,21 @@ pub enum EvalOut {
 impl EvalOut {
     /// The table, or a kind error mentioning `op`.
     pub fn tab(self, op: &Alg) -> Result<Tab, EvalError> {
-        self.tab_named(|| op.describe())
-    }
-
-    /// The tree, or a kind error mentioning `op`.
-    pub fn tree(self, op: &Alg) -> Result<Tree, EvalError> {
-        self.tree_named(|| op.describe())
-    }
-
-    /// Like [`EvalOut::tab`] but with a lazily-built operator description
-    /// (the VM carries pre-rendered labels instead of `Alg` nodes).
-    pub(crate) fn tab_named(self, op_desc: impl FnOnce() -> String) -> Result<Tab, EvalError> {
         match self {
             EvalOut::Tab(t) => Ok(t),
             EvalOut::Tree(_) => Err(EvalError::Kind {
-                op: op_desc(),
+                op: op.describe(),
                 expected: "Tab",
             }),
         }
     }
 
-    /// Like [`EvalOut::tree`] but with a lazily-built operator description.
-    pub(crate) fn tree_named(self, op_desc: impl FnOnce() -> String) -> Result<Tree, EvalError> {
+    /// The tree, or a kind error mentioning `op`.
+    pub fn tree(self, op: &Alg) -> Result<Tree, EvalError> {
         match self {
             EvalOut::Tree(t) => Ok(t),
             EvalOut::Tab(_) => Err(EvalError::Kind {
-                op: op_desc(),
+                op: op.describe(),
                 expected: "tree",
             }),
         }
@@ -266,19 +255,19 @@ fn eval_node(plan: &Alg, ctx: &EvalCtx<'_>, env: &Env) -> Result<EvalOut, EvalEr
         Alg::Union { left, right } => {
             let lt = eval_env(left, ctx, env)?.tab(plan)?;
             let rt = eval_env(right, ctx, env)?.tab(plan)?;
-            Ok(EvalOut::Tab(union_tabs(lt, &rt, || plan.describe())?))
+            Ok(EvalOut::Tab(union_tabs(lt, &rt, plan)?))
         }
 
         Alg::Intersect { left, right } => {
             let lt = eval_env(left, ctx, env)?.tab(plan)?;
             let rt = eval_env(right, ctx, env)?.tab(plan)?;
-            Ok(EvalOut::Tab(intersect_tabs(&lt, &rt, || plan.describe())?))
+            Ok(EvalOut::Tab(intersect_tabs(&lt, &rt, plan)?))
         }
 
         Alg::Diff { left, right } => {
             let lt = eval_env(left, ctx, env)?.tab(plan)?;
             let rt = eval_env(right, ctx, env)?.tab(plan)?;
-            Ok(EvalOut::Tab(diff_tabs(&lt, &rt, || plan.describe())?))
+            Ok(EvalOut::Tab(diff_tabs(&lt, &rt, plan)?))
         }
 
         Alg::Group { input, keys } => {
@@ -323,30 +312,33 @@ fn eval_dependent(
     ctx: &EvalCtx<'_>,
     env: &Env,
 ) -> Result<Tab, EvalError> {
-    match (right, ctx.push) {
-        (Alg::Push { source, plan: frag }, Some(handler)) => {
-            let label = || right.describe();
-            djoin_push(lt, env, source, frag, label, handler, ctx.obs)
-        }
-        _ => djoin_loop(lt, env, |inner_env| {
-            eval_env(right, ctx, inner_env)?.tab(djoin)
-        }),
+    if let (Alg::Push { source, plan: frag }, Some(handler)) = (right, ctx.push) {
+        return djoin_push(lt, env, right, source, frag, handler, ctx.obs);
     }
+    // for each left row, evaluate the right side under the extended
+    // environment and splice its new columns onto the left row
+    let mut out: Option<Tab> = None;
+    for row in lt.rows() {
+        let mut inner_env = env.clone();
+        for (i, c) in lt.columns().iter().enumerate() {
+            inner_env.insert(c.clone(), row[i].clone());
+        }
+        let rt = eval_env(right, ctx, &inner_env)?.tab(djoin)?;
+        splice_right(&mut out, lt, row, &rt);
+    }
+    // no left rows: columns are the left's alone (right was never
+    // evaluated; its columns are unknowable without evaluation)
+    Ok(out.unwrap_or_else(|| Tab::new(lt.columns().to_vec())))
 }
 
 // ---------------------------------------------------------------------
-// Shared operator kernels.
-//
-// Both engines — the recursive interpreter above and the bytecode VM in
-// `crate::vm` — execute operators through the helpers below, so they
-// cannot drift apart on data-plane semantics (row order, dedup
-// discipline, environment constraining). What the VM compiles away is
-// the *control* plane: AST dispatch, per-row column resolution, and
-// predicate/operand recursion.
+// Operator kernels: the data-plane half of each operator (row order,
+// dedup discipline, environment constraining), kept out of `eval_node`
+// so its recursive frame stays small.
 // ---------------------------------------------------------------------
 
 /// `MATCH` options induced by an evaluation context.
-pub(crate) fn match_opts<'a>(ctx: &EvalCtx<'a>) -> MatchOptions<'a> {
+fn match_opts<'a>(ctx: &EvalCtx<'a>) -> MatchOptions<'a> {
     MatchOptions {
         model: ctx.model,
         forest: ctx.catalog.deref_forest(),
@@ -358,12 +350,7 @@ pub(crate) fn match_opts<'a>(ctx: &EvalCtx<'a>) -> MatchOptions<'a> {
 /// With an index cache in the context, wide collection trees are matched
 /// through a structural index (identical rows, fewer subtrees walked);
 /// each indexed evaluation leaves an `index` event for `EXPLAIN ANALYZE`.
-pub(crate) fn bind_tree(
-    tree: &Tree,
-    filter: &yat_model::Filter,
-    env: &Env,
-    ctx: &EvalCtx<'_>,
-) -> Tab {
+fn bind_tree(tree: &Tree, filter: &yat_model::Filter, env: &Env, ctx: &EvalCtx<'_>) -> Tab {
     let opts = match_opts(ctx);
     let rows = match ctx.bind_index.and_then(|cache| cache.get_or_build(tree)) {
         Some(index) => {
@@ -413,7 +400,7 @@ pub(crate) fn bind_tree(
 /// `Bind … over col`: re-match the filter against the trees held in one
 /// column of an existing table, appending the newly bound variables.
 /// Variables shared with existing columns act as equality constraints.
-pub(crate) fn bind_over(
+fn bind_over(
     tab: &Tab,
     col: &str,
     filter: &yat_model::Filter,
@@ -471,36 +458,13 @@ pub(crate) fn bind_over(
 /// instantiation at the root yields exactly one tree for Sym roots;
 /// grouped roots may yield several, which are wrapped under a
 /// `collection` node to keep the output a single tree.
-pub(crate) fn construct_tree(tab: &Tab, template: &Template, ctx: &EvalCtx<'_>) -> Tree {
+fn construct_tree(tab: &Tab, template: &Template, ctx: &EvalCtx<'_>) -> Tree {
     let all: Vec<usize> = (0..tab.len()).collect();
     let trees = instantiate(template, &all, tab, ctx);
     match trees.len() {
         1 => trees.into_iter().next().expect("len checked"),
         _ => Node::sym("collection", trees),
     }
-}
-
-/// The `DJoin` outer loop: for each left row, evaluate the right side
-/// under the extended environment (via `eval_right` — the interpreter
-/// recurses, the VM runs a compiled sub-program) and splice its new
-/// columns onto the left row.
-pub(crate) fn djoin_loop(
-    lt: &Tab,
-    env: &Env,
-    mut eval_right: impl FnMut(&Env) -> Result<Tab, EvalError>,
-) -> Result<Tab, EvalError> {
-    let mut out: Option<Tab> = None;
-    for row in lt.rows() {
-        let mut inner_env = env.clone();
-        for (i, c) in lt.columns().iter().enumerate() {
-            inner_env.insert(c.clone(), row[i].clone());
-        }
-        let rt = eval_right(&inner_env)?;
-        splice_right(&mut out, lt, row, &rt);
-    }
-    // no left rows: columns are the left's alone (right was never
-    // evaluated; its columns are unknowable without evaluation)
-    Ok(out.unwrap_or_else(|| Tab::new(lt.columns().to_vec())))
 }
 
 /// Appends `row × rt` to a `DJoin` output: the left row followed by the
@@ -538,24 +502,24 @@ fn splice_right(out: &mut Option<Tab>, lt: &Tab, row: &[Value], rt: &Tab) {
 /// information passing. The left table is reduced to its distinct
 /// binding tuples, the handler answers them together, and the answers
 /// are spliced per left row — the same rows in the same order as
-/// [`djoin_loop`] shipping the fragment once per row.
+/// [`eval_dependent`]'s per-row loop shipping the fragment once per row.
 ///
-/// The whole exchange records one `operator` span for the `Push` node
-/// (`label` is its `describe()`), carrying the left cardinality, the
-/// distinct bindings and the requests the handler shipped.
-pub(crate) fn djoin_push(
+/// The whole exchange records one `operator` span for the `push` node,
+/// carrying the left cardinality, the distinct bindings and the requests
+/// the handler shipped.
+fn djoin_push(
     lt: &Tab,
     env: &Env,
+    push: &Alg,
     source: &str,
     frag: &Arc<Alg>,
-    label: impl FnOnce() -> String,
     handler: &dyn PushHandler,
     obs: Option<&Collector>,
 ) -> Result<Tab, EvalError> {
     if lt.is_empty() {
         return Ok(Tab::new(lt.columns().to_vec()));
     }
-    let mut span = obs.map(|o| o.span(yat_obs::kind::OPERATOR, label()));
+    let mut span = obs.map(|o| o.span(yat_obs::kind::OPERATOR, push.describe()));
     let (bindings, ordinals) = PassedBindings::collect(lt, env, frag);
     let answer = match handler.execute_push_batch(source, frag, &bindings) {
         Ok(answer) if answer.tabs.len() == bindings.rows.len() => Ok(answer),
@@ -594,12 +558,8 @@ pub(crate) fn djoin_push(
 }
 
 /// Set union: compatible columns, concatenation, dedup.
-pub(crate) fn union_tabs(
-    lt: Tab,
-    rt: &Tab,
-    op_desc: impl FnOnce() -> String,
-) -> Result<Tab, EvalError> {
-    check_compat(&lt, rt, op_desc)?;
+fn union_tabs(lt: Tab, rt: &Tab, op: &Alg) -> Result<Tab, EvalError> {
+    check_compat(&lt, rt, op)?;
     let mut out = lt;
     for row in rt.rows() {
         out.push(row.to_vec());
@@ -609,12 +569,8 @@ pub(crate) fn union_tabs(
 }
 
 /// Set intersection via hashed membership, preserving left order.
-pub(crate) fn intersect_tabs(
-    lt: &Tab,
-    rt: &Tab,
-    op_desc: impl FnOnce() -> String,
-) -> Result<Tab, EvalError> {
-    check_compat(lt, rt, op_desc)?;
+fn intersect_tabs(lt: &Tab, rt: &Tab, op: &Alg) -> Result<Tab, EvalError> {
+    check_compat(lt, rt, op)?;
     let member = row_set(rt);
     let mut out = Tab::new(lt.columns().to_vec());
     for row in lt.rows() {
@@ -627,12 +583,8 @@ pub(crate) fn intersect_tabs(
 }
 
 /// Set difference via hashed membership, preserving left order.
-pub(crate) fn diff_tabs(
-    lt: &Tab,
-    rt: &Tab,
-    op_desc: impl FnOnce() -> String,
-) -> Result<Tab, EvalError> {
-    check_compat(lt, rt, op_desc)?;
+fn diff_tabs(lt: &Tab, rt: &Tab, op: &Alg) -> Result<Tab, EvalError> {
+    check_compat(lt, rt, op)?;
     let member = row_set(rt);
     let mut out = Tab::new(lt.columns().to_vec());
     for row in lt.rows() {
@@ -647,7 +599,7 @@ pub(crate) fn diff_tabs(
 /// `Group`: key columns first, remaining columns become collections,
 /// groups in first-occurrence order (see `crate::keys` for the
 /// confirm-on-hash-hit discipline).
-pub(crate) fn group_tab(tab: &Tab, keys: &[String]) -> Result<Tab, EvalError> {
+fn group_tab(tab: &Tab, keys: &[String]) -> Result<Tab, EvalError> {
     let kidx: Vec<usize> = keys
         .iter()
         .map(|k| {
@@ -676,10 +628,7 @@ pub(crate) fn group_tab(tab: &Tab, keys: &[String]) -> Result<Tab, EvalError> {
 }
 
 /// `Sort`: stable multi-key sort with [`Atom::total_cmp`] semantics.
-pub(crate) fn sort_tab(
-    tab: Tab,
-    keys: &[(String, crate::expr::SortDir)],
-) -> Result<Tab, EvalError> {
+fn sort_tab(tab: Tab, keys: &[(String, crate::expr::SortDir)]) -> Result<Tab, EvalError> {
     let kidx: Vec<(usize, crate::expr::SortDir)> = keys
         .iter()
         .map(|(k, d)| {
@@ -755,10 +704,10 @@ fn row_set(tab: &Tab) -> impl Fn(&[Value]) -> bool + '_ {
     }
 }
 
-fn check_compat(l: &Tab, r: &Tab, op_desc: impl FnOnce() -> String) -> Result<(), EvalError> {
+fn check_compat(l: &Tab, r: &Tab, op: &Alg) -> Result<(), EvalError> {
     if l.columns() != r.columns() {
         return Err(EvalError::Incompatible {
-            op: op_desc(),
+            op: op.describe(),
             message: format!("column mismatch: {:?} vs {:?}", l.columns(), r.columns()),
         });
     }
@@ -834,13 +783,11 @@ pub fn eval_pred(
     }
 }
 
-/// The comparison kernel both engines share: query equality for `=`/`!=`
+/// The comparison kernel: query equality for `=`/`!=`
 /// ([`Value::query_eq`]); ordered comparisons through the atom total
 /// order, with values lacking a numeric/string interpretation comparing
-/// `false` (three-valued logic collapsed to false, as in SQL). Borrows
-/// both operands — the VM's fused compare relies on that to skip operand
-/// materialization entirely.
-pub(crate) fn cmp_values(op: CmpOp, l: &Value, r: &Value) -> bool {
+/// `false` (three-valued logic collapsed to false, as in SQL).
+fn cmp_values(op: CmpOp, l: &Value, r: &Value) -> bool {
     match op {
         CmpOp::Eq => l.query_eq(r),
         CmpOp::Ne => !l.query_eq(r),
@@ -861,13 +808,7 @@ pub(crate) fn cmp_values(op: CmpOp, l: &Value, r: &Value) -> bool {
 }
 
 /// Hash join on equality conjuncts when possible, nested loops otherwise.
-pub(crate) fn join(
-    lt: &Tab,
-    rt: &Tab,
-    pred: &Pred,
-    env: &Env,
-    ctx: &EvalCtx<'_>,
-) -> Result<Tab, EvalError> {
+fn join(lt: &Tab, rt: &Tab, pred: &Pred, env: &Env, ctx: &EvalCtx<'_>) -> Result<Tab, EvalError> {
     let cols = Tab::joined_columns(lt, rt);
     let joined_tab_for_pred = Tab::new(cols.clone());
     let mut out = Tab::new(cols);

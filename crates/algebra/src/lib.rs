@@ -34,7 +34,6 @@
 //! intercepting `Push` nodes.
 
 pub mod bindex;
-pub mod compile;
 pub mod error;
 pub mod eval;
 pub mod expr;
@@ -45,10 +44,8 @@ pub mod stream;
 pub mod tab;
 pub mod template;
 pub mod value;
-pub mod vm;
 
 pub use bindex::BindIndexCache;
-pub use compile::{compile, Instr, Program};
 pub use error::EvalError;
 pub use eval::{eval, eval_env, Env, EvalCtx, EvalOut, PushHandler, SourceCatalog};
 pub use expr::{Alg, CmpOp, Operand, Pred, SortDir};

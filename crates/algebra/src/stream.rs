@@ -8,20 +8,17 @@
 //! operator that genuinely needs its whole input — joins, grouping,
 //! sorting, set operations, frontier construction) and a suffix chain of
 //! *streamable stages* (`Select`, `Map`, `Project` — stateless per-row
-//! operators). The prefix is evaluated by whichever engine the executor
-//! chose; its rows are then cut into batches of `batch_rows`, each batch
-//! run through the stage chain with the same per-row kernels the
-//! interpreter uses ([`crate::eval::eval_pred`],
-//! [`crate::eval::eval_operand`], [`Tab::project`]), and delivered to a
-//! [`BatchSink`] as soon as it exists — no stage ever sees more than one
-//! batch at a time. This is the batching discipline the bytecode VM
-//! already applies internally (`BATCH_ROWS`-row batches between
-//! instructions), surfaced at the answer boundary.
+//! operators). The prefix is evaluated by the interpreter; its rows are
+//! then cut into batches of `batch_rows`, each batch run through the
+//! stage chain with the same per-row kernels the interpreter uses
+//! ([`crate::eval::eval_pred`], [`crate::eval::eval_operand`],
+//! [`Tab::project`]), and delivered to a [`BatchSink`] as soon as it
+//! exists — no stage ever sees more than one batch at a time.
 //!
 //! The materializing path stays untouched as the semantics oracle:
 //! concatenating every delivered batch must reproduce the materialized
 //! answer byte-for-byte, which `tests/differential.rs` enforces over
-//! hundreds of seeded plans in both exec modes and both engines.
+//! hundreds of seeded plans in both exec modes.
 
 use crate::error::EvalError;
 use crate::eval::{eval_operand, eval_pred, Env, EvalCtx, EvalOut};
@@ -30,9 +27,8 @@ use crate::tab::Tab;
 use std::sync::Arc;
 use yat_model::Tree;
 
-/// The default number of rows per delivered batch — the same granularity
-/// the VM batches rows between instructions ([`crate::vm::BATCH_ROWS`]).
-pub const DEFAULT_BATCH_ROWS: usize = crate::compile::BATCH_ROWS;
+/// The default number of rows per delivered batch.
+pub const DEFAULT_BATCH_ROWS: usize = 1024;
 
 /// A consumer of incrementally delivered answers. Implementations
 /// include the wire serializer in `yat-server` (each batch becomes an
@@ -83,8 +79,8 @@ pub enum Stage {
 
 impl Stage {
     /// Applies this stage to one batch, using the interpreter's per-row
-    /// kernels — the same code both engines share, so stage application
-    /// cannot drift from either oracle.
+    /// kernels, so stage application cannot drift from the materialized
+    /// oracle.
     pub fn apply(&self, batch: &Tab, env: &Env, ctx: &EvalCtx<'_>) -> Result<Tab, EvalError> {
         match self {
             Stage::Select(pred) => {

@@ -765,33 +765,11 @@ mod properties {
     }
 }
 
-// ------------------------------------------------ compiled engine edge cases
+// ------------------------------------------------------- evaluator edge cases
 
-mod vm_edges {
+mod eval_edges {
     use super::*;
-    use crate::compile::compile;
-    use crate::eval::EvalOut;
-    use crate::vm;
     use yat_model::Atom;
-
-    fn ctx_parts() -> (Forest, FnRegistry, SkolemRegistry) {
-        (
-            works_forest(),
-            FnRegistry::with_builtins(),
-            SkolemRegistry::new(),
-        )
-    }
-
-    /// Runs `plan` through both engines and asserts agreement, returning
-    /// the (shared) output.
-    fn both(plan: &Alg, forest: &Forest, funcs: &FnRegistry) -> EvalOut {
-        let skolems = SkolemRegistry::new();
-        let ctx = EvalCtx::local(forest, funcs, &skolems);
-        let interp = eval(plan, &ctx).unwrap();
-        let compiled = vm::run(&compile(plan), &ctx, &Default::default()).unwrap();
-        assert_eq!(interp, compiled, "engines diverge");
-        compiled
-    }
 
     fn titles_bind() -> Arc<Alg> {
         Alg::bind(
@@ -808,8 +786,7 @@ mod vm_edges {
 
     #[test]
     fn empty_input_preserves_columns() {
-        let (forest, funcs, _) = ctx_parts();
-        // nothing matches, so Select and Map both see zero batches — the
+        // nothing matches, so Select and Map both see zero rows — the
         // schema must still flow through
         let plan = Alg::Map {
             input: Alg::select(
@@ -819,72 +796,31 @@ mod vm_edges {
             col: "flag".into(),
             expr: Operand::cst(true),
         };
-        let out = both(&plan, &forest, &funcs);
-        let tab = out.as_tab().unwrap();
+        let tab = Ctx::new(works_forest()).eval_tab(&plan);
         assert_eq!(tab.len(), 0);
         assert_eq!(tab.columns(), ["t", "flag"]);
     }
 
     #[test]
-    fn single_row_batches() {
-        let (forest, funcs, _) = ctx_parts();
+    fn single_row_input() {
         let plan = Alg::select(
             titles_bind(),
             Pred::cmp(CmpOp::Eq, Operand::var("t"), Operand::cst("Nympheas")),
         );
-        let out = both(&plan, &forest, &funcs);
-        assert_eq!(out.as_tab().unwrap().len(), 1);
+        let tab = Ctx::new(works_forest()).eval_tab(&plan);
+        assert_eq!(tab.len(), 1);
     }
 
     #[test]
-    fn constant_pool_dedups_by_bit_pattern() {
-        // `1` twice, `1.0`, `0.0` and `-0.0`: query equality would merge
-        // all five (Int(1) == Float(1.0), -0.0 == 0.0) but the pool must
-        // keep exactly four — dedup only on the exact bit pattern
-        let pred = Pred::And(
-            Box::new(Pred::And(
-                Box::new(Pred::cmp(CmpOp::Ge, Operand::var("t"), Operand::cst(1i64))),
-                Box::new(Pred::cmp(CmpOp::Ge, Operand::var("t"), Operand::cst(1i64))),
-            )),
-            Box::new(Pred::And(
-                Box::new(Pred::cmp(
-                    CmpOp::Ge,
-                    Operand::var("t"),
-                    Operand::cst(1.0f64),
-                )),
-                Box::new(Pred::And(
-                    Box::new(Pred::cmp(
-                        CmpOp::Ge,
-                        Operand::var("t"),
-                        Operand::cst(0.0f64),
-                    )),
-                    Box::new(Pred::cmp(
-                        CmpOp::Ge,
-                        Operand::var("t"),
-                        Operand::cst(-0.0f64),
-                    )),
-                )),
-            )),
-        );
-        let program = compile(&Alg::select(titles_bind(), pred));
-        assert_eq!(program.const_pool_len(), 4);
-        // the name pool interned `t` once across all five loads
-        assert_eq!(program.name_pool_len(), 1);
-    }
-
-    #[test]
-    fn deep_plans_and_wide_calls_run_within_the_preallocated_stack() {
-        let (forest, mut funcs, _) = (works_forest(), FnRegistry::with_builtins(), ());
-        funcs.register("all_strings", |args: &[Value]| {
+    fn deep_plans_and_wide_calls() {
+        let mut ctx = Ctx::new(works_forest());
+        ctx.funcs.register("all_strings", |args: &[Value]| {
             Ok(Value::Atom(Atom::Bool(
                 args.iter().all(|v| matches!(v.atom(), Some(Atom::Str(_)))),
             )))
         });
-        // 120 stacked Selects (deep instruction list, no recursion in
-        // the VM — the interpreter's recursion here is what bounds the
-        // depth a debug build can check the oracle at), the innermost
-        // predicate a 64-argument call (deep operand stack, preallocated
-        // from `max_stack`)
+        // 120 stacked Selects (the interpreter recurses once per
+        // operator), the innermost predicate a 64-argument call
         let wide = Pred::Call {
             name: "all_strings".into(),
             args: vec![Operand::var("t"); 64],
@@ -893,17 +829,13 @@ mod vm_edges {
         for _ in 0..120 {
             plan = Alg::select(plan, Pred::True);
         }
-        let program = compile(&plan);
-        assert_eq!(program.op_count(), 123); // SOURCE, BIND, 121 SELECTs
-        let out = both(&plan, &forest, &funcs);
-        assert_eq!(out.as_tab().unwrap().len(), 3);
+        assert_eq!(ctx.eval_tab(&plan).len(), 3);
     }
 
     #[test]
-    fn negative_zero_stays_distinct_through_compilation() {
+    fn negative_zero_stays_distinct_in_grouping() {
         // two prices whose grouping keys are -0.0 and 0.0: query
-        // equality treats them as equal, grouping keys must not — and
-        // compilation must not fold the distinction away
+        // equality treats them as equal, grouping keys must not
         let mut forest = Forest::new();
         forest.insert(
             "prices",
@@ -927,7 +859,7 @@ mod vm_edges {
                 ],
             ),
         );
-        let funcs = FnRegistry::with_builtins();
+        let ctx = Ctx::new(forest);
         let bind = Alg::bind(
             Alg::source("prices"),
             Pattern::sym(
@@ -943,29 +875,17 @@ mod vm_edges {
         );
 
         // under query equality (Select), -0.0 = 0.0: both rows pass
-        let selected = both(
-            &Alg::select(
-                Arc::clone(&bind),
-                Pred::cmp(CmpOp::Eq, Operand::var("a"), Operand::cst(0.0f64)),
-            ),
-            &forest,
-            &funcs,
-        );
-        assert_eq!(selected.as_tab().unwrap().len(), 2);
+        let selected = ctx.eval_tab(&Alg::select(
+            Arc::clone(&bind),
+            Pred::cmp(CmpOp::Eq, Operand::var("a"), Operand::cst(0.0f64)),
+        ));
+        assert_eq!(selected.len(), 2);
 
         // under grouping-key equality, they are distinct groups
-        let grouped = both(
-            &Alg::Group {
-                input: bind,
-                keys: vec!["a".into()],
-            },
-            &forest,
-            &funcs,
-        );
-        assert_eq!(
-            grouped.as_tab().unwrap().len(),
-            2,
-            "-0.0 and 0.0 group apart"
-        );
+        let grouped = ctx.eval_tab(&Alg::Group {
+            input: bind,
+            keys: vec!["a".into()],
+        });
+        assert_eq!(grouped.len(), 2, "-0.0 and 0.0 group apart");
     }
 }

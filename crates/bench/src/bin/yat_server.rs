@@ -16,12 +16,11 @@
 //!   plain two-source scenario: `N/2` O2 replicas, the rest style
 //!   shards of the Wais collection.
 //!
-//! Every policy comes from the eight `YAT_*` variables of
-//! [`yat_bench::settings`] (`YAT_EXEC_MODE`, `YAT_EXEC_ENGINE`,
-//! `YAT_STREAM`, `YAT_CACHE`, `YAT_PARTIAL`, `YAT_SCHED`, `YAT_INDEX`,
-//! `YAT_STORE`), read once at startup. Prints one `listening on <addr>`
-//! line once ready — the CI smoke job and `yat-load --shutdown` drive it
-//! from there.
+//! Every policy comes from the seven `YAT_*` variables of
+//! [`yat_bench::settings`] (`YAT_EXEC_MODE`, `YAT_STREAM`, `YAT_CACHE`,
+//! `YAT_PARTIAL`, `YAT_SCHED`, `YAT_INDEX`, `YAT_STORE`), read once at
+//! startup. Prints one `listening on <addr>` line once ready — the CI
+//! smoke job and `yat-load --shutdown` drive it from there.
 
 use std::time::Duration;
 use yat_bench::settings::Settings;

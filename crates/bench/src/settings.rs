@@ -1,5 +1,5 @@
 //! Settings of the `yat-server` / `yat-load` binaries — the one place in
-//! the workspace that reads the eight `YAT_*` policy variables.
+//! the workspace that reads the seven `YAT_*` policy variables.
 //!
 //! Library constructors (`Mediator::new`, `Store::new`,
 //! `WaisSource::new`, `Scenario::at_scale`) use their documented
@@ -14,9 +14,7 @@ use std::fmt::Display;
 use std::path::Path;
 use std::str::FromStr;
 use yat_capability::{IndexPolicy, StorePolicy};
-use yat_mediator::{
-    CachePolicy, ExecEngine, ExecMode, Mediator, PartialFailure, SchedPolicy, StreamPolicy,
-};
+use yat_mediator::{CachePolicy, ExecMode, Mediator, PartialFailure, SchedPolicy, StreamPolicy};
 use yat_store::{StoreError, StoreOptions};
 
 /// A policy variable: its name, and the accepted syntax as quoted by the
@@ -26,10 +24,6 @@ pub type Var = (&'static str, &'static str);
 const EXEC_MODE: Var = (
     "YAT_EXEC_MODE",
     "`sequential`/`seq`, `parallel`/`par`, or `parallel:<lanes>`",
-);
-const EXEC_ENGINE: Var = (
-    "YAT_EXEC_ENGINE",
-    "`interp`/`interpreter` or `vm`/`compiled`",
 );
 const STREAM: Var = (
     "YAT_STREAM",
@@ -100,8 +94,6 @@ fn stream_or_default(value: Option<&str>) -> StreamPolicy {
 pub struct Settings {
     /// `YAT_EXEC_MODE`.
     pub exec_mode: ExecMode,
-    /// `YAT_EXEC_ENGINE`.
-    pub exec_engine: ExecEngine,
     /// `YAT_STREAM`.
     pub stream: StreamPolicy,
     /// `YAT_CACHE`.
@@ -117,11 +109,10 @@ pub struct Settings {
 }
 
 impl Settings {
-    /// Reads the eight variables from the process environment.
+    /// Reads the seven variables from the process environment.
     pub fn from_env() -> Self {
         Settings {
             exec_mode: env_or_default(EXEC_MODE),
-            exec_engine: env_or_default(EXEC_ENGINE),
             stream: stream_or_default(read(STREAM).as_deref()),
             cache: env_or_default(CACHE),
             partial: env_or_default(PARTIAL),
@@ -131,12 +122,11 @@ impl Settings {
         }
     }
 
-    /// Sets the seven mediator-side policies on `mediator`. (The store
+    /// Sets the six mediator-side policies on `mediator`. (The store
     /// policy decides how sources are *built* — see
     /// [`Settings::scenario`].)
     pub fn apply(&self, mediator: &mut Mediator) {
         mediator.set_exec_mode(self.exec_mode);
-        mediator.set_exec_engine(self.exec_engine);
         mediator.set_stream_policy(self.stream);
         mediator.set_cache_policy(self.cache);
         mediator.set_partial_failure(self.partial);
@@ -215,7 +205,6 @@ mod tests {
         // unset: the documented default, silently
         let unset = Settings {
             exec_mode: parse_or_default(EXEC_MODE, None),
-            exec_engine: parse_or_default(EXEC_ENGINE, None),
             stream: stream_or_default(None),
             cache: parse_or_default(CACHE, None),
             partial: parse_or_default(PARTIAL, None),
@@ -225,7 +214,6 @@ mod tests {
         };
         assert_eq!(unset, Settings::default());
         assert_eq!(unset.exec_mode, ExecMode::Sequential);
-        assert_eq!(unset.exec_engine, ExecEngine::Interp);
         assert_eq!(unset.stream, StreamPolicy::Off);
         assert_eq!(unset.cache, CachePolicy::Off);
         assert_eq!(unset.partial, PartialFailure::Strict);
@@ -240,11 +228,6 @@ mod tests {
         check(EXEC_MODE, "parallel", Ok(ExecMode::parallel()));
         check(EXEC_MODE, "par", Ok(ExecMode::parallel()));
         check(EXEC_MODE, "parallel:3", Ok(lanes(3)));
-
-        check(EXEC_ENGINE, "interp", Ok(ExecEngine::Interp));
-        check(EXEC_ENGINE, " INTERPRETER ", Ok(ExecEngine::Interp));
-        check(EXEC_ENGINE, "vm", Ok(ExecEngine::Vm));
-        check(EXEC_ENGINE, "Compiled", Ok(ExecEngine::Vm));
 
         let chunked = |batch_rows, max_pending| StreamPolicy::Chunked {
             batch_rows,
@@ -343,8 +326,6 @@ mod tests {
         }
         invalid::<ExecMode>(EXEC_MODE, "parallel:0", &seen); // zero lanes
         invalid::<ExecMode>(EXEC_MODE, "warp-speed", &seen);
-        invalid::<ExecEngine>(EXEC_ENGINE, "jit", &seen);
-        invalid::<ExecEngine>(EXEC_ENGINE, "turbo", &seen);
         invalid::<StreamPolicy>(STREAM, "firehose", &seen);
         // a count that overflows usize is invalid, not silently truncated
         invalid::<StreamPolicy>(STREAM, "chunked:99999999999999999999", &seen);
@@ -370,7 +351,6 @@ mod tests {
 
         // the syntax fragments the per-enum warnings used to spell out
         assert!(EXEC_MODE.1.contains("parallel:<lanes>"));
-        assert!(EXEC_ENGINE.1.contains("`vm`/`compiled`"));
         assert!(STREAM.1.contains("chunked:<rows>:<pending>"));
         assert!(CACHE.1.contains("bounded:<bytes>"));
 
@@ -378,8 +358,6 @@ mod tests {
         assert_eq!(ExecMode::parallel().to_string(), "parallel(8)");
         assert_eq!(ExecMode::Sequential.to_string(), "sequential");
         assert!(ExecMode::parallel().is_parallel() && !ExecMode::Sequential.is_parallel());
-        assert_eq!(ExecEngine::Interp.to_string(), "interp");
-        assert_eq!(ExecEngine::Vm.to_string(), "vm");
         assert_eq!(
             StreamPolicy::chunked().to_string(),
             "chunked(1024 rows, 8 pending)"
@@ -400,7 +378,6 @@ mod tests {
     fn settings_apply_to_a_mediator_and_pin_the_scenario_sources() {
         let settings = Settings {
             exec_mode: ExecMode::Parallel { max_in_flight: 3 },
-            exec_engine: ExecEngine::Vm,
             stream: StreamPolicy::Chunked {
                 batch_rows: 16,
                 max_pending: 2,
@@ -416,7 +393,6 @@ mod tests {
             settings.federation(4, 6).0,
         ] {
             assert_eq!(m.exec_mode(), settings.exec_mode);
-            assert_eq!(m.exec_engine(), settings.exec_engine);
             assert_eq!(m.stream_policy(), settings.stream);
             assert_eq!(m.cache_policy(), settings.cache);
             assert_eq!(m.partial_failure(), settings.partial);

@@ -32,6 +32,8 @@
 //! * [`framing`] — length-prefixed frames carrying those messages over a
 //!   byte stream, with typed [`xml::WireError`]s for every way hostile
 //!   bytes can fail to decode.
+//! * [`slot`] — the per-thread slot a wrapper files its index and storage
+//!   reports in until the transport takes them.
 
 pub mod codec;
 pub mod flags;
@@ -42,6 +44,7 @@ pub mod interface;
 pub mod matcher;
 pub mod plan_xml;
 pub mod protocol;
+pub mod slot;
 pub mod store;
 pub mod tab_xml;
 pub mod xml;
@@ -51,6 +54,7 @@ pub use fpattern::{FEdge, FLabel, FOcc, FPattern, Fmodel};
 pub use index::{IndexPolicy, IndexReport};
 pub use interface::{Equivalence, ExportDecl, Interface, OpKind, OperationDecl, SigItem};
 pub use matcher::{accepts_filter, pushable, Rejection};
+pub use slot::ReportSlot;
 pub use store::{StorageReport, StorePolicy};
 
 #[cfg(test)]

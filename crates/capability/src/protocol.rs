@@ -25,11 +25,12 @@ use yat_model::xml_convert::{tree_from_xml, tree_to_xml};
 use yat_model::{Atom, Tree};
 use yat_xml::Element;
 
-/// The most bindings one `execute-batch` may carry — the VM's row-batch
-/// size. A constant on purpose: it bounds the message size and the heap
-/// a batch pins on both sides, the mediator cuts larger binding sets
-/// into several requests, and a wrapper refuses anything longer.
-pub const MAX_BATCH_BINDINGS: usize = yat_algebra::vm::BATCH_ROWS;
+/// The most bindings one `execute-batch` may carry — a wire limit the
+/// request parser enforces. A constant on purpose: it bounds the message
+/// size and the heap a batch pins on both sides, the mediator cuts larger
+/// binding sets into several requests, and a wrapper refuses anything
+/// longer.
+pub const MAX_BATCH_BINDINGS: usize = 1024;
 
 /// The column an `execute-batch` result is tagged with: each row's
 /// first cell is the ordinal (an `Int`) of the binding that produced it.

@@ -37,10 +37,10 @@ use yat_federate::{constraints_of, GroupKind, PartialFailure, ProvLog, SourceReg
 use yat_model::{Forest, Node, Tree};
 use yat_obs::{attr, kind, Collector};
 
-pub use crate::policy::{ExecEngine, ExecMode, SchedPolicy, StreamPolicy};
+pub use crate::policy::{ExecMode, SchedPolicy, StreamPolicy};
 
 /// Everything one execution runs against: the connection/interface maps
-/// and registries of the mediator, the selected mode/engine/policies,
+/// and registries of the mediator, the selected mode and policies,
 /// and the optional observability and provenance collectors.
 ///
 /// With an empty [`SourceRegistry`] and [`PartialFailure::Strict`] the
@@ -61,10 +61,6 @@ pub struct ExecSpec<'a> {
     pub mode: ExecMode,
     /// The cross-query answer cache.
     pub cache: &'a AnswerCache,
-    /// Local evaluation engine.
-    pub engine: ExecEngine,
-    /// Pre-compiled program for the plan (VM engine only).
-    pub program: Option<&'a yat_algebra::Program>,
     /// The federation registry (empty for plain mediators).
     pub registry: &'a SourceRegistry,
     /// What a per-source failure does to the query.
@@ -187,7 +183,7 @@ impl From<EvalError> for ExecError {
 }
 
 /// Executes a plan against the connected wrappers, under the spec's
-/// [`ExecMode`], answer cache, engine, federation registry, and
+/// [`ExecMode`], answer cache, federation registry, and
 /// partial-failure policy.
 ///
 /// Mediator-side `Source` reads fetch whole documents. Because fetched
@@ -211,11 +207,6 @@ impl From<EvalError> for ExecError {
 /// long execution stops stale answers immediately) and inserted after a
 /// fully successful round trip. In parallel mode lookups happen at
 /// scheduling time: a hit removes the job from the lane schedule.
-///
-/// The local algebra between source round trips is evaluated by the
-/// spec's engine; under [`ExecEngine::Vm`] a pre-compiled program (the
-/// mediator's cross-query program cache) is used when supplied, or the
-/// plan is compiled on the spot.
 pub fn execute_mode(plan: &Alg, spec: &ExecSpec<'_>) -> Result<EvalOut, ExecError> {
     let (catalog, pusher) = prepare(plan, spec)?;
     let ctx = EvalCtx {
@@ -228,7 +219,7 @@ pub fn execute_mode(plan: &Alg, spec: &ExecSpec<'_>) -> Result<EvalOut, ExecErro
         bind_index: spec.bind_index,
     };
     let env = Env::new();
-    run_engine(plan, spec.engine, spec.program, &ctx, &env).map_err(ExecError::from)
+    eval_env(plan, &ctx, &env).map_err(ExecError::from)
 }
 
 /// [`execute_mode`] with a streamed answer boundary: `prefix` (the plan
@@ -237,9 +228,7 @@ pub fn execute_mode(plan: &Alg, spec: &ExecSpec<'_>) -> Result<EvalOut, ExecErro
 /// its result is cut into `batch_rows`-row batches, run through
 /// `stages`, and delivered to `sink` one batch at a time.
 ///
-/// The supplied `program`, if any, must be compiled for **`prefix`**,
-/// not the full plan — the mediator's program cache is keyed
-/// accordingly. Source work is identical to the materialized path
+/// Source work is identical to the materialized path
 /// (stages contain no `Source` or `Push` nodes by construction), which
 /// is what makes the equal-traffic differential assertion meaningful.
 ///
@@ -263,7 +252,7 @@ pub fn execute_stream_mode(
         bind_index: spec.bind_index,
     };
     let env = Env::new();
-    let prefix_out = run_engine(prefix, spec.engine, spec.program, &ctx, &env)?;
+    let prefix_out = eval_env(prefix, &ctx, &env)?;
     let obs = spec.obs;
     let mut span = obs.map(|o| {
         let mut s = o.span(kind::STREAM, "stream answer".to_string());
@@ -326,32 +315,6 @@ fn prepare<'a>(plan: &Alg, spec: &ExecSpec<'a>) -> Result<(RemoteCatalog, Pusher
     };
 
     Ok((RemoteCatalog { forest, by_member }, Pusher { fed, pushed }))
-}
-
-/// Evaluates `plan` with the chosen engine: the interpreter directly, or
-/// the VM on a pre-compiled `program` (compiling on the spot when the
-/// caller has none).
-fn run_engine(
-    plan: &Alg,
-    engine: ExecEngine,
-    program: Option<&yat_algebra::Program>,
-    ctx: &EvalCtx<'_>,
-    env: &Env,
-) -> Result<EvalOut, EvalError> {
-    match engine {
-        ExecEngine::Interp => eval_env(plan, ctx, env),
-        ExecEngine::Vm => {
-            let compiled;
-            let program = match program {
-                Some(p) => p,
-                None => {
-                    compiled = yat_algebra::compile(plan);
-                    &compiled
-                }
-            };
-            yat_algebra::vm::run(program, ctx, env)
-        }
-    }
 }
 
 /// Documents fetched for a specific member (a plan requalified to read
@@ -1371,7 +1334,6 @@ mod tests {
     fn run_passing(
         plan: &Alg,
         connections: &BTreeMap<String, Connection>,
-        engine: ExecEngine,
         cache: &AnswerCache,
         per_row: bool,
     ) -> (Result<EvalOut, EvalError>, u64) {
@@ -1389,8 +1351,6 @@ mod tests {
             obs: None,
             mode: ExecMode::Sequential,
             cache,
-            engine,
-            program: None,
             registry: &registry,
             partial: PartialFailure::Strict,
             sched: SchedPolicy::Static,
@@ -1410,7 +1370,7 @@ mod tests {
         };
         let o2 = connections["o2artifact"].meter();
         let before = o2.snapshot().round_trips;
-        let out = run_engine(plan, engine, None, &ctx, &Env::new());
+        let out = eval_env(plan, &ctx, &Env::new());
         (out, o2.snapshot().round_trips - before)
     }
 
@@ -1464,40 +1424,32 @@ mod tests {
             (&no_rows, 0, 0),
         ];
         for (plan, batched_trips, per_row_trips) in cases {
-            for engine in [ExecEngine::Interp, ExecEngine::Vm] {
-                let off = AnswerCache::off();
-                let (batched, trips) = run_passing(plan, &connections, engine, &off, false);
-                assert_eq!(trips, batched_trips, "batched trips of {plan:?}");
-                let (per_row, trips) = run_passing(plan, &connections, engine, &off, true);
-                assert_eq!(trips, per_row_trips, "per-row trips of {plan:?}");
-                match (&batched, &per_row) {
-                    (Ok(a), Ok(b)) => assert_eq!(a, b, "{engine} on {plan:?}"),
-                    (Err(_), Err(_)) => {}
-                    other => panic!("{engine} disagrees on success for {plan:?}: {other:?}"),
-                }
-                // and with per-binding cache keys: cold equals the
-                // uncached answer, warm ships nothing
-                let cache = AnswerCache::new(yat_cache::CachePolicy::bounded());
-                let (cold, _) = run_passing(plan, &connections, engine, &cache, false);
-                let (warm, trips) = run_passing(plan, &connections, engine, &cache, false);
-                if let Ok(batched) = &batched {
-                    assert_eq!(cold.as_ref().ok(), Some(batched));
-                    assert_eq!(warm.as_ref().ok(), Some(batched));
-                    assert_eq!(trips, 0, "every binding of {plan:?} hit the cache");
-                } else {
-                    assert!(cold.is_err() && warm.is_err());
-                }
+            let off = AnswerCache::off();
+            let (batched, trips) = run_passing(plan, &connections, &off, false);
+            assert_eq!(trips, batched_trips, "batched trips of {plan:?}");
+            let (per_row, trips) = run_passing(plan, &connections, &off, true);
+            assert_eq!(trips, per_row_trips, "per-row trips of {plan:?}");
+            match (&batched, &per_row) {
+                (Ok(a), Ok(b)) => assert_eq!(a, b, "{plan:?}"),
+                (Err(_), Err(_)) => {}
+                other => panic!("disagreement on success for {plan:?}: {other:?}"),
+            }
+            // and with per-binding cache keys: cold equals the uncached
+            // answer, warm ships nothing
+            let cache = AnswerCache::new(yat_cache::CachePolicy::bounded());
+            let (cold, _) = run_passing(plan, &connections, &cache, false);
+            let (warm, trips) = run_passing(plan, &connections, &cache, false);
+            if let Ok(batched) = &batched {
+                assert_eq!(cold.as_ref().ok(), Some(batched));
+                assert_eq!(warm.as_ref().ok(), Some(batched));
+                assert_eq!(trips, 0, "every binding of {plan:?} hit the cache");
+            } else {
+                assert!(cold.is_err() && warm.is_err());
             }
         }
         // the shared-variable plan really mixed shapes: the two titles
         // once each, and every artifact for each of the two symbolic rows
-        let (out, _) = run_passing(
-            &shared,
-            &connections,
-            ExecEngine::Interp,
-            &AnswerCache::off(),
-            false,
-        );
+        let (out, _) = run_passing(&shared, &connections, &AnswerCache::off(), false);
         let tab = out.unwrap();
         assert_eq!(tab.as_tab().unwrap().len(), 3 + 2 * 2);
     }
@@ -1521,9 +1473,9 @@ mod tests {
             ),
         );
         let off = AnswerCache::off();
-        let (batched, trips) = run_passing(&plan, &connections, ExecEngine::Vm, &off, false);
+        let (batched, trips) = run_passing(&plan, &connections, &off, false);
         assert_eq!(trips, 2, "two chunks, however many bindings");
-        let (per_row, trips) = run_passing(&plan, &connections, ExecEngine::Vm, &off, true);
+        let (per_row, trips) = run_passing(&plan, &connections, &off, true);
         assert_eq!(trips, years.count() as u64);
         let batched = batched.unwrap();
         assert_eq!(batched, per_row.unwrap());

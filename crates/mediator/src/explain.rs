@@ -8,7 +8,7 @@
 //! carries the whole Wais-side cost (one `execute` round trip, measured
 //! bytes and documents) while the O2 branch is simply absent.
 
-use crate::executor::{ExecEngine, ExecMode};
+use crate::executor::ExecMode;
 use crate::optimizer::Trace;
 use crate::transport::MeterSnapshot;
 use std::collections::BTreeMap;
@@ -33,16 +33,13 @@ pub struct LaneJob {
     pub elapsed: Duration,
 }
 
-/// One instruction of the compiled program a VM execution ran, with its
-/// batch/row counters — `EXPLAIN ANALYZE`'s "compiled program" section.
+/// One operator execution, in the order the `operator` spans were
+/// opened, with the rows it produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProgramLine {
-    /// Rendered instruction: `#<id> <OPCODE> <operator description>`,
-    /// indented two spaces per dependent-join nesting level.
+    /// The operator's description ([`Alg::describe`]).
     pub label: String,
-    /// Row batches this instruction processed.
-    pub batches: u64,
-    /// Rows this instruction produced.
+    /// Rows this execution produced (`1` for a tree).
     pub rows: u64,
 }
 
@@ -135,10 +132,8 @@ pub struct Explain {
     pub traffic: BTreeMap<String, MeterSnapshot>,
     /// The execution mode the plan ran under.
     pub mode: ExecMode,
-    /// The execution engine the plan ran under.
-    pub engine: ExecEngine,
-    /// The compiled program's instruction listing with per-instruction
-    /// batch/row counters (empty under the interpreter).
+    /// Every operator execution with its output rows; their sum is the
+    /// rows all operators produced.
     pub program: Vec<ProgramLine>,
     /// The scatter jobs of a parallel execution (empty when sequential
     /// or when the plan had no independent source work).
@@ -292,18 +287,6 @@ impl Explain {
                 ));
             }
         }
-        if self.engine == ExecEngine::Vm {
-            out.push_str(&format!(
-                "compiled program: {} instructions\n",
-                self.program.len()
-            ));
-            for line in &self.program {
-                out.push_str(&format!(
-                    "  {}  [batches={} rows={}]\n",
-                    line.label, line.batches, line.rows
-                ));
-            }
-        }
         if self.mode.is_parallel() {
             out.push_str(&format!("execution: {}\n", self.mode));
             if self.lanes.is_empty() {
@@ -381,8 +364,7 @@ impl Explain {
         let mut el = Element::new("explain")
             .with_attr("rows", self.rows.to_string())
             .with_attr("plan-nodes", self.plan.node_count().to_string())
-            .with_attr("mode", self.mode.to_string())
-            .with_attr("engine", self.engine.to_string());
+            .with_attr("mode", self.mode.to_string());
         let mut profile = Element::new("profile");
         for node in &self.profile {
             profile.push_element(profile_to_xml(node));
@@ -445,19 +427,6 @@ impl Explain {
                 );
             }
             el.push_element(storage);
-        }
-        if self.engine == ExecEngine::Vm {
-            let mut program =
-                Element::new("program").with_attr("instructions", self.program.len().to_string());
-            for line in &self.program {
-                program.push_element(
-                    Element::new("instruction")
-                        .with_attr("label", line.label.clone())
-                        .with_attr("batches", line.batches.to_string())
-                        .with_attr("rows", line.rows.to_string()),
-                );
-            }
-            el.push_element(program);
         }
         if self.mode.is_parallel() {
             let mut scatter = Element::new("scatter")

@@ -3,17 +3,14 @@
 
 use crate::compose::{compose, qualify};
 use crate::executor::{
-    execute_mode, execute_stream_mode, ExecEngine, ExecError, ExecMode, ExecSpec, SchedPolicy,
-    StreamPolicy,
+    execute_mode, execute_stream_mode, ExecError, ExecMode, ExecSpec, SchedPolicy, StreamPolicy,
 };
-use crate::explain::{CacheLine, Explain, IndexLine, LaneJob, StorageLine};
+use crate::explain::{CacheLine, Explain, IndexLine, LaneJob, ProgramLine, StorageLine};
 use crate::optimizer::{optimize_with_registry, OptimizerOptions, Trace};
 use crate::transport::{Connection, MeterSnapshot};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
-use yat_algebra::{Alg, BindIndexCache, EvalOut, FnRegistry, Program, SkolemRegistry};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+use yat_algebra::{Alg, BindIndexCache, EvalOut, FnRegistry, SkolemRegistry};
 use yat_cache::{AnswerCache, CachePolicy, CacheStats};
 use yat_capability::interface::Interface;
 use yat_capability::protocol::{Request, Response, WrapperServer};
@@ -73,10 +70,8 @@ pub struct Mediator {
     funcs: FnRegistry,
     skolems: SkolemRegistry,
     exec_mode: ExecMode,
-    exec_engine: ExecEngine,
     stream: StreamPolicy,
     cache: AnswerCache,
-    programs: ProgramCache,
     registry: SourceRegistry,
     partial: PartialFailure,
     sched: SchedPolicy,
@@ -88,50 +83,13 @@ pub struct Mediator {
     bind_index: BindIndexCache,
 }
 
-/// Compiled programs keyed by plan hash, confirmed against the stored
-/// plan on hit so hash collisions cannot serve the wrong program. The
-/// cache sits behind a `Mutex` so `&self` execution paths — including
-/// the shared-`Mediator` workers of yat-server — reuse one compilation
-/// of a hot plan instead of recompiling per query.
-#[derive(Default)]
-struct ProgramCache {
-    slots: Mutex<HashMap<u64, Vec<ProgramSlot>>>,
-    compiles: Mutex<u64>,
-}
-
-/// One compiled plan: the plan retained for collision confirmation, and
-/// its shared program.
-type ProgramSlot = (Arc<Alg>, Arc<Program>);
-
-impl ProgramCache {
-    fn get(&self, plan: &Alg) -> Arc<Program> {
-        let mut hasher = DefaultHasher::new();
-        plan.hash(&mut hasher);
-        let key = hasher.finish();
-        let mut slots = self.slots.lock().unwrap();
-        let bucket = slots.entry(key).or_default();
-        if let Some((_, program)) = bucket.iter().find(|(p, _)| p.as_ref() == plan) {
-            return program.clone();
-        }
-        let program = Arc::new(yat_algebra::compile(plan));
-        bucket.push((Arc::new(plan.clone()), program.clone()));
-        *self.compiles.lock().unwrap() += 1;
-        program
-    }
-
-    fn compiles(&self) -> u64 {
-        *self.compiles.lock().unwrap()
-    }
-}
-
 impl Mediator {
     /// A mediator with the built-in compensation functions registered
     /// (`contains` evaluates locally when it cannot be pushed) and every
     /// policy at its fixed default, whatever the environment says:
-    /// sequential dispatch, the interpreter, answer cache off, stream
-    /// policy off, strict partial failure, cost-ordered scatter
-    /// scheduling, local `Bind` indexes on. Change any of them through
-    /// the `set_*` methods.
+    /// sequential dispatch, answer cache off, stream policy off, strict
+    /// partial failure, cost-ordered scatter scheduling, local `Bind`
+    /// indexes on. Change any of them through the `set_*` methods.
     pub fn new() -> Self {
         Mediator {
             funcs: FnRegistry::with_builtins(),
@@ -163,17 +121,6 @@ impl Mediator {
         self.exec_mode = mode;
     }
 
-    /// The current execution engine.
-    pub fn exec_engine(&self) -> ExecEngine {
-        self.exec_engine
-    }
-
-    /// Selects how [`Mediator::execute`] evaluates plans: the tree
-    /// interpreter, or compiled programs run on the VM.
-    pub fn set_exec_engine(&mut self, engine: ExecEngine) {
-        self.exec_engine = engine;
-    }
-
     /// The current stream policy.
     pub fn stream_policy(&self) -> StreamPolicy {
         self.stream
@@ -184,13 +131,6 @@ impl Mediator {
     /// buffers up to. [`Mediator::execute`] always materializes.
     pub fn set_stream_policy(&mut self, policy: StreamPolicy) {
         self.stream = policy;
-    }
-
-    /// How many distinct plans have been compiled for the VM so far.
-    /// Stays flat while cached programs are being reused — the
-    /// compile-once / execute-many counter.
-    pub fn programs_compiled(&self) -> u64 {
-        self.programs.compiles()
     }
 
     /// The current answer-cache policy.
@@ -445,8 +385,8 @@ impl Mediator {
         optimize_with_registry(plan, &self.interfaces, options, Some(&self.registry))
     }
 
-    /// Executes a plan under the current [`ExecMode`], [`ExecEngine`]
-    /// and cache policy, returning the materialized answer.
+    /// Executes a plan under the current [`ExecMode`] and cache policy,
+    /// returning the materialized answer.
     pub fn execute(&self, plan: &Alg) -> Result<EvalOut, MediatorError> {
         self.execute_with_prov(plan, None)
     }
@@ -467,16 +407,13 @@ impl Mediator {
         plan: &Alg,
         prov: Option<&ProvLog>,
     ) -> Result<EvalOut, MediatorError> {
-        let program = self.program_for(plan);
-        let spec = self.exec_spec(None, program.as_deref(), prov);
-        Ok(execute_mode(plan, &spec)?)
+        Ok(execute_mode(plan, &self.exec_spec(None, prov))?)
     }
 
     /// The execution spec for this mediator's current configuration.
     fn exec_spec<'a>(
         &'a self,
         obs: Option<&'a yat_obs::Collector>,
-        program: Option<&'a Program>,
         prov: Option<&'a ProvLog>,
     ) -> ExecSpec<'a> {
         ExecSpec {
@@ -487,8 +424,6 @@ impl Mediator {
             obs,
             mode: self.exec_mode,
             cache: &self.cache,
-            engine: self.exec_engine,
-            program,
             registry: &self.registry,
             partial: self.partial,
             sched: self.sched,
@@ -500,14 +435,10 @@ impl Mediator {
     /// Executes a plan with a streamed answer boundary: the plan is
     /// split into a prefix and its streamable top chain
     /// ([`yat_algebra::stream::split`]), the prefix runs under the
-    /// current mode/engine/cache exactly like [`Mediator::execute`], and
+    /// current mode and cache exactly like [`Mediator::execute`], and
     /// the answer is delivered to `sink` in batches of the stream
     /// policy's `batch_rows` (the default batch size when the policy is
     /// `Off` — callers asking to stream get streaming).
-    ///
-    /// Compiled programs are cached per *prefix*, so a plan executes
-    /// through the same cached program whether it streams or not
-    /// whenever its streamable chain is empty.
     pub fn execute_stream(
         &self,
         plan: &Arc<Alg>,
@@ -554,20 +485,10 @@ impl Mediator {
             StreamPolicy::Chunked { batch_rows, .. } => batch_rows,
             StreamPolicy::Off => StreamPolicy::DEFAULT_BATCH_ROWS,
         };
-        let program = self.program_for(&prefix);
-        let spec = self.exec_spec(obs, program.as_deref(), prov);
+        let spec = self.exec_spec(obs, prov);
         Ok(execute_stream_mode(
             &prefix, &stages, &spec, batch_rows, sink,
         )?)
-    }
-
-    /// The cached compiled program for `plan` under the VM engine
-    /// (compiling on first sight); `None` under the interpreter.
-    fn program_for(&self, plan: &Alg) -> Option<Arc<Program>> {
-        match self.exec_engine {
-            ExecEngine::Interp => None,
-            ExecEngine::Vm => Some(self.programs.get(plan)),
-        }
     }
 
     /// Plan → optimize → execute, end to end.
@@ -636,12 +557,8 @@ impl Mediator {
         trace: Option<Trace>,
     ) -> Result<Explain, MediatorError> {
         let obs = yat_obs::Collector::new();
-        let program = self.program_for(plan);
         let prov = ProvLog::new();
-        let output = {
-            let spec = self.exec_spec(Some(&obs), program.as_deref(), Some(&prov));
-            execute_mode(plan, &spec)?
-        };
+        let output = execute_mode(plan, &self.exec_spec(Some(&obs), Some(&prov)))?;
         let rows = match &output {
             EvalOut::Tab(t) => t.len() as u64,
             EvalOut::Tree(_) => 1,
@@ -654,15 +571,14 @@ impl Mediator {
         let mut storage: BTreeMap<String, StorageLine> = BTreeMap::new();
         let mut program_lines = Vec::new();
         for span in &spans {
-            // VM-instruction events carry the compiled-program listing
-            // with per-instruction batch/row counters (emission order is
-            // instruction order)
-            if span.kind == yat_obs::kind::VM {
-                let counter = |name| span.attr(name).and_then(|v| v.as_u64()).unwrap_or(0);
-                program_lines.push(crate::explain::ProgramLine {
+            // one line per operator execution, with the rows it produced
+            if span.kind == yat_obs::kind::OPERATOR {
+                program_lines.push(ProgramLine {
                     label: span.label.clone(),
-                    batches: counter(yat_obs::attr::BATCHES),
-                    rows: counter(yat_obs::attr::ROWS_OUT),
+                    rows: span
+                        .attr(yat_obs::attr::ROWS_OUT)
+                        .and_then(|v| v.as_u64())
+                        .unwrap_or(0),
                 });
             }
             // rpc spans are labeled "<request-kind> @<source>"; a span
@@ -766,7 +682,6 @@ impl Mediator {
             profile: yat_obs::profile::build(&spans),
             traffic,
             mode: self.exec_mode,
-            engine: self.exec_engine,
             program: program_lines,
             lanes,
             cache,
@@ -836,5 +751,97 @@ impl Mediator {
     /// extra compensations).
     pub fn funcs_mut(&mut self) -> &mut FnRegistry {
         &mut self.funcs
+    }
+}
+
+/// What the frozen benchmark package (`yat-benchmark/`) still names of
+/// the retired bytecode VM: it pins an engine per workload and reads a
+/// compile counter. The interpreter is the only engine, so pinning one
+/// changes nothing and nothing is ever compiled. ROADMAP item 1(a)
+/// deletes this block together with the fixtures' calls.
+#[doc(hidden)]
+pub mod bench_compat {
+    use super::Mediator;
+
+    /// The retired engine choice; every variant runs the interpreter.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum ExecEngine {
+        /// The interpreter.
+        Interp,
+        /// Also the interpreter.
+        Vm,
+    }
+
+    impl Mediator {
+        /// Does nothing: there is one engine.
+        pub fn set_exec_engine(&mut self, _engine: ExecEngine) {}
+
+        /// Always 0: nothing is compiled.
+        pub fn programs_compiled(&self) -> u64 {
+            0
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::ExecEngine;
+        use crate::tests::{fig1_mediator, generated_mediator};
+        use crate::{Mediator, OptimizerOptions};
+        use yat_obs::{attr, kind};
+        use yat_yatl::paper;
+
+        /// Q1 at the Fig. 8 level and Q2 at the Fig. 9 level, on the
+        /// Fig. 1 data and on generated data: whatever engine the
+        /// benchmark pins, the answer bytes and per-source traffic are
+        /// the interpreter's, nothing is compiled, and `Explain::program`
+        /// is one line per operator execution.
+        #[test]
+        fn a_pinned_engine_serves_the_interpreter() {
+            type Build = fn() -> Mediator;
+            let builds: [Build; 2] = [fig1_mediator, || generated_mediator(40, 60, 7)];
+            for build in builds {
+                for (query, options) in [
+                    (paper::Q1, OptimizerOptions::full()),
+                    (paper::Q2, OptimizerOptions::default()),
+                ] {
+                    let run = |engine| {
+                        let mut m = build();
+                        m.set_exec_engine(engine);
+                        m.reset_traffic();
+                        let out = m.query(query, options).unwrap();
+                        let traffic: Vec<_> = ["o2artifact", "xmlartwork"]
+                            .map(|s| m.traffic_of(s).unwrap())
+                            .into();
+                        let answer = yat_capability::protocol::ServerReply::answer(out)
+                            .to_xml()
+                            .to_xml();
+                        (answer, traffic, m)
+                    };
+                    let (interp, interp_traffic, _) = run(ExecEngine::Interp);
+                    let (vm, vm_traffic, m) = run(ExecEngine::Vm);
+                    assert_eq!(vm, interp, "answer bytes of {query}");
+                    assert_eq!(vm_traffic, interp_traffic, "traffic of {query}");
+                    assert_eq!(m.programs_compiled(), 0);
+
+                    let plan = m.plan_query(query).unwrap();
+                    let (opt, _) = m.optimize(&plan, options);
+                    let obs = yat_obs::Collector::new();
+                    let mut sink = yat_algebra::CollectSink::new();
+                    m.execute_stream_traced(&opt, &mut sink, Some(&obs))
+                        .unwrap();
+                    let operator_rows: u64 = obs
+                        .spans()
+                        .iter()
+                        .filter(|s| s.kind == kind::OPERATOR)
+                        .filter_map(|s| s.attr(attr::ROWS_OUT).and_then(|v| v.as_u64()))
+                        .sum();
+                    let ex = m.explain(&opt).unwrap();
+                    let program_rows: u64 = ex.program.iter().map(|l| l.rows).sum();
+                    assert!(program_rows > 0, "{query}");
+                    assert_eq!(program_rows, operator_rows, "{query}");
+                    assert_eq!(m.programs_compiled(), 0);
+                }
+            }
+        }
     }
 }

@@ -1,7 +1,6 @@
-//! The executor's four policy switches: how source work is dispatched
-//! ([`ExecMode`]), which engine evaluates local algebra ([`ExecEngine`]),
-//! how answers leave the mediator ([`StreamPolicy`]), and how scatter
-//! jobs are ordered onto lanes ([`SchedPolicy`]).
+//! The executor's three policy switches: how source work is dispatched
+//! ([`ExecMode`]), how answers leave the mediator ([`StreamPolicy`]), and
+//! how scatter jobs are ordered onto lanes ([`SchedPolicy`]).
 //!
 //! Each is a plain value with a documented `Default`, set through the
 //! matching `Mediator::set_*`. The text syntax (`FromStr`) is what the
@@ -70,55 +69,13 @@ impl std::fmt::Display for ExecMode {
     }
 }
 
-/// Which engine evaluates the local (mediator-side) part of a plan.
-///
-/// Orthogonal to [`ExecMode`]: the mode decides how *source* work is
-/// dispatched (sequential or scatter/gather), the engine decides how the
-/// local algebra in between is evaluated. The interpreter is the
-/// semantics oracle; the VM runs compiled programs and must match it
-/// bit-for-bit (`tests/differential.rs` enforces this over hundreds of
-/// seeded plans, on both axes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecEngine {
-    /// The recursive reference interpreter ([`yat_algebra::eval()`]).
-    #[default]
-    Interp,
-    /// Compiled execution: plans are lowered once into flat stack
-    /// programs ([`yat_algebra::compile()`]) and run batched
-    /// ([`yat_algebra::vm::run`]).
-    Vm,
-}
-
-/// `interp`/`interpreter` or `vm`/`compiled`.
-impl FromStr for ExecEngine {
-    type Err = ();
-
-    fn from_str(text: &str) -> Result<Self, ()> {
-        match text.trim().to_ascii_lowercase().as_str() {
-            "interp" | "interpreter" => Ok(ExecEngine::Interp),
-            "vm" | "compiled" => Ok(ExecEngine::Vm),
-            _ => Err(()),
-        }
-    }
-}
-
-impl std::fmt::Display for ExecEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecEngine::Interp => write!(f, "interp"),
-            ExecEngine::Vm => write!(f, "vm"),
-        }
-    }
-}
-
 /// How answers leave the mediator: one materialized value, or a stream
 /// of row batches (`yat_algebra::stream`).
 ///
-/// Orthogonal to both [`ExecMode`] and [`ExecEngine`]: the plan prefix
-/// is still evaluated by the chosen engine under the chosen dispatch
-/// mode; streaming changes only the *answer boundary* — the streamable
-/// operator chain on top of the plan runs batch-at-a-time and each batch
-/// is delivered as soon as it exists. The materialized path stays the
+/// Orthogonal to [`ExecMode`]: the plan prefix is still evaluated under
+/// the chosen dispatch mode; streaming changes only the *answer
+/// boundary* — the streamable operator chain on top of the plan runs
+/// batch-at-a-time and each batch is delivered as soon as it exists. The materialized path stays the
 /// semantics oracle: concatenating the delivered batches must reproduce
 /// it byte-for-byte (`tests/differential.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -141,7 +98,7 @@ pub enum StreamPolicy {
 }
 
 impl StreamPolicy {
-    /// Default rows per batch — the VM's internal batching granularity.
+    /// Default rows per batch.
     pub const DEFAULT_BATCH_ROWS: usize = yat_algebra::stream::DEFAULT_BATCH_ROWS;
     /// Default bound on buffered, unconsumed batches.
     pub const DEFAULT_MAX_PENDING: usize = 8;

@@ -1,7 +1,7 @@
 //! A Fig. 2-style session transcript: the three installation steps
 //! (wrappers, mediator, imports) rendered as the paper shows them.
 
-use crate::executor::{ExecEngine, ExecMode, StreamPolicy};
+use crate::executor::{ExecMode, StreamPolicy};
 use crate::mediator::{Mediator, MediatorError};
 use crate::optimizer::OptimizerOptions;
 use std::fmt::Write as _;
@@ -80,13 +80,6 @@ impl Session {
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
         self.mediator.set_exec_mode(mode);
         let _ = writeln!(self.transcript, "yat> set execution {mode};");
-    }
-
-    /// Selects the execution engine for subsequent queries, logging the
-    /// step (`yat> set engine vm;`).
-    pub fn set_exec_engine(&mut self, engine: ExecEngine) {
-        self.mediator.set_exec_engine(engine);
-        let _ = writeln!(self.transcript, "yat> set engine {engine};");
     }
 
     /// Selects the answer-cache policy for subsequent queries, logging

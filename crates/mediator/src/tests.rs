@@ -2,7 +2,7 @@
 //! pipelines over real O2 and Wais wrappers, and naive-vs-optimized
 //! equivalence.
 
-use crate::executor::{ExecEngine, ExecMode};
+use crate::executor::ExecMode;
 use crate::mediator::Mediator;
 use crate::optimizer::OptimizerOptions;
 use crate::session::Session;
@@ -18,7 +18,7 @@ use yat_wais::{fig1_works, generate_works, WaisSource, WaisWrapper, WorksSpec};
 use yat_yatl::paper;
 
 /// A mediator over the Fig. 1 data.
-fn fig1_mediator() -> Mediator {
+pub(crate) fn fig1_mediator() -> Mediator {
     let mut m = Mediator::new();
     m.connect(Box::new(O2Wrapper::new("o2artifact", fig1_store())))
         .unwrap();
@@ -32,7 +32,7 @@ fn fig1_mediator() -> Mediator {
 }
 
 /// A mediator over generated data.
-fn generated_mediator(artifacts: usize, works: usize, seed: u64) -> Mediator {
+pub(crate) fn generated_mediator(artifacts: usize, works: usize, seed: u64) -> Mediator {
     let mut m = Mediator::new();
     m.connect(Box::new(O2Wrapper::new(
         "o2artifact",
@@ -891,7 +891,6 @@ fn regen_explain_goldens() {
     let mut m = fig1_mediator();
     m.set_exec_mode(ExecMode::Parallel { max_in_flight: 2 });
     m.set_cache_policy(CachePolicy::Off);
-    m.set_exec_engine(ExecEngine::Interp);
     for (query, options, stem) in [
         (paper::Q1, OptimizerOptions::full(), "q1_parallel"),
         (paper::Q2, OptimizerOptions::default(), "q2_parallel"),
@@ -909,7 +908,6 @@ fn regen_explain_goldens() {
     let mut m = fig1_mediator();
     m.set_exec_mode(ExecMode::Parallel { max_in_flight: 2 });
     m.set_cache_policy(CachePolicy::bounded());
-    m.set_exec_engine(ExecEngine::Interp);
     let plan = m.plan_query(paper::Q1).unwrap();
     let (opt, _) = m.optimize(&plan, OptimizerOptions::full());
     m.execute(&opt).unwrap();
@@ -1308,141 +1306,6 @@ fn golden_explain_analyze_with_a_warm_cache() {
     assert_eq!(cache.attr("policy"), Some("bounded(67108864B, ttl 1)"));
 }
 
-// ---------------------------------------------------------------- VM engine
-
-#[test]
-fn vm_engine_matches_the_interpreter_end_to_end() {
-    for (query, options) in [
-        (paper::Q1, OptimizerOptions::naive()),
-        (paper::Q1, OptimizerOptions::default()),
-        (paper::Q1, OptimizerOptions::full()),
-        (paper::Q2, OptimizerOptions::default()),
-        (paper::Q2, OptimizerOptions::full()),
-    ] {
-        let mut m = fig1_mediator();
-        let plan = m.plan_query(query).unwrap();
-        let (opt, _) = m.optimize(&plan, options);
-
-        m.reset_traffic(); // drop the connect/import handshake traffic
-        let interp = m.execute(&opt);
-        let interp_traffic = m.traffic();
-        m.reset_traffic();
-
-        m.set_exec_engine(ExecEngine::Vm);
-        let vm = m.execute(&opt);
-        let vm_traffic = m.traffic();
-
-        match (interp, vm) {
-            (Ok(interp), Ok(vm)) => {
-                assert_eq!(
-                    result_fingerprint(&tree_of(interp)),
-                    result_fingerprint(&tree_of(vm)),
-                    "answers diverge on {query}"
-                );
-                assert_eq!(
-                    interp_traffic, vm_traffic,
-                    "wire traffic diverges on {query}"
-                );
-            }
-            // some (query, options) pairs ship a fragment the wrapper
-            // rejects — then both engines must reject it identically
-            (Err(interp), Err(vm)) => {
-                assert_eq!(interp.to_string(), vm.to_string(), "on {query}");
-            }
-            (interp, vm) => {
-                panic!("engines disagree on acceptance of {query}: {interp:?} vs {vm:?}")
-            }
-        }
-    }
-}
-
-#[test]
-fn vm_explain_lists_the_compiled_program() {
-    let mut m = fig1_mediator();
-    // pin the starting engine: the test drives the switch itself
-    m.set_exec_engine(ExecEngine::Interp);
-    let plan = m.plan_query(paper::Q1).unwrap();
-    let (opt, _) = m.optimize(&plan, OptimizerOptions::full());
-
-    // under the interpreter the section is absent
-    let interp = m.explain(&opt).unwrap();
-    assert_eq!(interp.engine, ExecEngine::Interp);
-    assert!(interp.program.is_empty());
-    assert!(!interp.render().contains("compiled program"));
-    assert!(interp.to_xml().child("program").is_none());
-
-    // under the VM every instruction appears with its counters, in id
-    // order, and the profile rows still mirror the interpreter's
-    m.set_exec_engine(ExecEngine::Vm);
-    let ex = m.explain(&opt).unwrap();
-    assert_eq!(ex.engine, ExecEngine::Vm);
-    assert!(!ex.program.is_empty());
-    assert!(ex.program.iter().any(|l| l.rows > 0), "counters recorded");
-    let text = ex.render();
-    assert!(
-        text.contains(&format!(
-            "compiled program: {} instructions",
-            ex.program.len()
-        )),
-        "{text}"
-    );
-    assert!(text.contains("#00 "), "instruction ids rendered: {text}");
-    assert!(text.contains("batches="), "{text}");
-    let xml = ex.to_xml();
-    assert_eq!(xml.attr("engine"), Some("vm"));
-    let program = xml.child("program").expect("program element");
-    assert_eq!(
-        program.children_named("instruction").count(),
-        ex.program.len()
-    );
-    assert_eq!(
-        result_fingerprint(&tree_of(ex.output.clone())),
-        result_fingerprint(&tree_of(interp.output.clone())),
-    );
-    assert_eq!(interp.traffic, ex.traffic, "explain traffic matches");
-}
-
-#[test]
-fn compiled_programs_are_reused_across_executions() {
-    let mut m = fig1_mediator();
-    m.set_exec_engine(ExecEngine::Vm);
-    assert_eq!(m.programs_compiled(), 0);
-    let plan = m.plan_query(paper::Q1).unwrap();
-    let (opt, _) = m.optimize(&plan, OptimizerOptions::full());
-    m.execute(&opt).unwrap();
-    assert_eq!(m.programs_compiled(), 1, "first execution compiles");
-    m.execute(&opt).unwrap();
-    m.explain(&opt).unwrap();
-    assert_eq!(m.programs_compiled(), 1, "later executions reuse");
-    // a structurally identical but distinct Arc still hits the cache
-    let (opt2, _) = m.optimize(&plan, OptimizerOptions::full());
-    assert!(!Arc::ptr_eq(&opt, &opt2));
-    m.execute(&opt2).unwrap();
-    assert_eq!(m.programs_compiled(), 1, "equal plans share a program");
-    // a different plan compiles its own program
-    let (naive, _) = m.optimize(&plan, OptimizerOptions::naive());
-    assert_ne!(*naive, *opt, "the naive plan is a different shape");
-    m.execute(&naive).unwrap();
-    assert_eq!(m.programs_compiled(), 2);
-    // the interpreter never compiles
-    m.set_exec_engine(ExecEngine::Interp);
-    m.execute(&opt).unwrap();
-    assert_eq!(m.programs_compiled(), 2);
-}
-
-#[test]
-fn session_logs_the_exec_engine() {
-    let mut s = Session::start();
-    s.connect("cosmos.inria.fr", Box::new(wais_fig1())).unwrap();
-    s.set_exec_engine(ExecEngine::Vm);
-    assert!(
-        s.transcript().contains("yat> set engine vm;"),
-        "{}",
-        s.transcript()
-    );
-    assert_eq!(s.mediator().exec_engine(), ExecEngine::Vm);
-}
-
 // ---------------------------------------------------------- federation
 
 use yat_federate::{Dead, MemberRole, PartialFailure};
@@ -1644,22 +1507,19 @@ fn federated_answers_match_the_plain_mediator() {
     for options in [OptimizerOptions::naive(), OptimizerOptions::default()] {
         let q1 = fingerprint_of(&plain, paper::Q1, options);
         let q2 = fingerprint_of(&plain, paper::Q2, options);
-        for engine in [ExecEngine::Interp, ExecEngine::Vm] {
-            for mode in [ExecMode::Sequential, ExecMode::parallel()] {
-                let mut fed = federated_mediator(seed, &[]);
-                fed.set_exec_engine(engine);
-                fed.set_exec_mode(mode);
-                assert_eq!(
-                    fingerprint_of(&fed, paper::Q1, options),
-                    q1,
-                    "Q1 {options:?} {engine:?} {mode:?}"
-                );
-                assert_eq!(
-                    fingerprint_of(&fed, paper::Q2, options),
-                    q2,
-                    "Q2 {options:?} {engine:?} {mode:?}"
-                );
-            }
+        for mode in [ExecMode::Sequential, ExecMode::parallel()] {
+            let mut fed = federated_mediator(seed, &[]);
+            fed.set_exec_mode(mode);
+            assert_eq!(
+                fingerprint_of(&fed, paper::Q1, options),
+                q1,
+                "Q1 {options:?} {mode:?}"
+            );
+            assert_eq!(
+                fingerprint_of(&fed, paper::Q2, options),
+                q2,
+                "Q2 {options:?} {mode:?}"
+            );
         }
     }
 }

@@ -315,6 +315,12 @@ impl Connection {
         let outcome = self.round_trip(request);
         let elapsed = started.elapsed();
         self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        // Index and storage accounting travel out-of-band: the wrapper
+        // files a report per request under the calling thread, and the
+        // transport drains it every round trip — failed and untraced ones
+        // included — so a report never outlives its request.
+        let report = self.server.take_index_report();
+        let storage = self.server.take_storage_report();
         let observe = |bytes: u64, ok: bool| {
             if let Some(cost) = &*self.cost.lock().unwrap_or_else(|e| e.into_inner()) {
                 cost.observe(elapsed, bytes, ok);
@@ -333,12 +339,6 @@ impl Connection {
                 // record must see it, or a member that answers every data
                 // request with an error would never trip quarantine.
                 let ok = !matches!(response, Response::Error(_));
-                // Index accounting travels out-of-band: the wrapper keeps
-                // a report per Execute/ExecuteBatch and the transport
-                // drains it every round trip (even untraced, so a stale
-                // report never attaches to a later query).
-                let report = self.server.take_index_report();
-                let storage = self.server.take_storage_report();
                 let executed = matches!(
                     request,
                     Request::Execute { .. } | Request::ExecuteBatch { .. }

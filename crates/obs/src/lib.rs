@@ -48,13 +48,6 @@ pub mod kind {
     /// A serving-layer phase of one client request (`accept`,
     /// `queue-wait`, `execute`, `respond`), recorded by `yat-server`.
     pub const SERVER: &str = "server";
-    /// A compiled-program instruction report emitted by the bytecode VM
-    /// after a run (label = `#id OPCODE describe`, one event per
-    /// instruction, carrying [`crate::attr::BATCHES`] and
-    /// [`crate::attr::ROWS_OUT`] totals). Excluded from
-    /// [`crate::profile::build`]: `EXPLAIN ANALYZE` renders these in a
-    /// dedicated "compiled program" section, not as operator rows.
-    pub const VM: &str = "vm";
     /// A streamed-answer delivery (label = `stream answer`), recorded by
     /// the mediator's streaming executor around batch delivery. Carries
     /// [`crate::attr::CHUNKS`], [`crate::attr::BATCH_ROWS`] and
@@ -106,10 +99,8 @@ pub mod attr {
     pub const IN_FLIGHT: &str = "in_flight";
     /// Index of the server worker thread that executed a request.
     pub const WORKER: &str = "worker";
-    /// Row batches a compiled-program instruction processed during one
-    /// VM run (`0` for an instruction that never executed); on the
-    /// `operator` span of a dependent `Push`, the requests shipped to
-    /// sources for its bindings.
+    /// On the `operator` span of a dependent `Push`, the requests shipped
+    /// to sources for its bindings.
     pub const BATCHES: &str = "batches";
     /// Left rows a `DJoin` passed bindings for (the `operator` span of
     /// its dependent `Push`).

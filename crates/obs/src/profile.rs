@@ -119,14 +119,10 @@ pub fn build(spans: &[SpanData]) -> Vec<ProfileNode> {
     let mut children: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
     let mut roots: Vec<usize> = Vec::new();
     for span in spans {
-        // cache and VM-instruction events are bookkeeping, not plan work:
+        // cache, stream and index events are bookkeeping, not plan work:
         // EXPLAIN reports them in dedicated sections instead of as
         // profile rows
-        if span.kind == kind::CACHE
-            || span.kind == kind::VM
-            || span.kind == kind::STREAM
-            || span.kind == kind::INDEX
-        {
+        if span.kind == kind::CACHE || span.kind == kind::STREAM || span.kind == kind::INDEX {
             continue;
         }
         match span.parent {

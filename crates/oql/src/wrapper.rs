@@ -8,14 +8,14 @@ use crate::store::Store;
 use crate::translate::plan_to_oql_passing;
 use crate::value::OVal;
 use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 use yat_algebra::{Tab, Value};
 use yat_capability::fpattern::o2_fmodel;
 use yat_capability::interface::{ExportDecl, Interface, OpKind, OperationDecl, SigItem};
 use yat_capability::protocol::{
     batch_columns, batch_row, Bindings, Request, Response, WrapperServer,
 };
-use yat_capability::{IndexReport, StorageReport};
+use yat_capability::{IndexReport, ReportSlot, StorageReport};
 
 /// The O2 wrapper: a [`WrapperServer`] over an object [`Store`].
 ///
@@ -27,12 +27,12 @@ pub struct O2Wrapper {
     name: String,
     store: Arc<RwLock<Store>>,
     model_name: String,
-    /// Index accounting of the most recent `Execute`, taken by the
-    /// transport for `EXPLAIN ANALYZE` (never on the wire).
-    report: Mutex<Option<IndexReport>>,
-    /// Storage accounting of the most recent `Execute` or `GetDocument`
-    /// (store-backed databases only), taken the same way.
-    storage: Mutex<Option<StorageReport>>,
+    /// Index accounting of each thread's most recent `Execute`, taken by
+    /// the transport for `EXPLAIN ANALYZE` (never on the wire).
+    report: ReportSlot<IndexReport>,
+    /// Storage accounting of each thread's most recent `Execute` or
+    /// `GetDocument` (store-backed databases only), taken the same way.
+    storage: ReportSlot<StorageReport>,
 }
 
 impl O2Wrapper {
@@ -49,8 +49,8 @@ impl O2Wrapper {
             name: name.into(),
             store,
             model_name: "art".into(),
-            report: Mutex::new(None),
-            storage: Mutex::new(None),
+            report: ReportSlot::default(),
+            storage: ReportSlot::default(),
         }
     }
 
@@ -193,7 +193,7 @@ impl O2Wrapper {
         let evaluations = bindings.rows.len() as u64;
         let collection_size = store.extent(&extent).map(<[_]>::len).unwrap_or(0) as u64;
         self.record_storage(&extent, storage_before, &store);
-        *self.report.lock().unwrap_or_else(|e| e.into_inner()) = Some(IndexReport {
+        self.report.put(IndexReport {
             collection: extent,
             probes: total.probes,
             candidates: total.candidates,
@@ -217,7 +217,7 @@ impl O2Wrapper {
     ) {
         if let (Some(before), Some(backing)) = (before, store.backing_store()) {
             let after = backing.stats();
-            *self.storage.lock().unwrap_or_else(|e| e.into_inner()) = Some(StorageReport {
+            self.storage.put(StorageReport {
                 collection: collection.to_string(),
                 segments: after.segments,
                 resident: after.resident,
@@ -270,14 +270,11 @@ impl WrapperServer for O2Wrapper {
     }
 
     fn take_index_report(&self) -> Option<IndexReport> {
-        self.report.lock().unwrap_or_else(|e| e.into_inner()).take()
+        self.report.take()
     }
 
     fn take_storage_report(&self) -> Option<StorageReport> {
-        self.storage
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
+        self.storage.take()
     }
 
     fn register_epoch(&self, cell: Arc<AtomicU64>) {
@@ -402,6 +399,36 @@ mod tests {
         assert_eq!(r.collection_size, 2);
         assert_eq!(r.rows, 4);
         assert!(w.take_index_report().is_none(), "a report is taken once");
+    }
+
+    #[test]
+    fn concurrent_requests_each_take_their_own_index_report() {
+        // two distinguishable requests against one shared wrapper: an
+        // indexed artifacts probe and a persons scan. Each thread handles
+        // its request, waits until the other has handled too, then takes
+        // its report — as two served workers would interleave
+        let w = wrapper();
+        let persons = Alg::bind(
+            Alg::source("persons"),
+            parse_filter("set *class: person: tuple [ name: $n, auction: $au ]").unwrap(),
+        );
+        let requests = [fig5_plan(), persons].map(|plan| Request::Execute { plan });
+        let alone = requests.clone().map(|request| {
+            w.handle(&request);
+            w.take_index_report().expect("an execute files a report")
+        });
+        assert_ne!(alone[0], alone[1], "the two reports are distinguishable");
+        let barrier = std::sync::Barrier::new(requests.len());
+        std::thread::scope(|scope| {
+            for (request, want) in requests.iter().zip(&alone) {
+                let (w, barrier) = (&w, &barrier);
+                scope.spawn(move || {
+                    w.handle(request);
+                    barrier.wait();
+                    assert_eq!(w.take_index_report().as_ref(), Some(want));
+                });
+            }
+        });
     }
 
     #[test]

@@ -949,51 +949,6 @@ fn gather_gauge_stays_within_the_lane_budget_on_multi_source_plans() {
     );
 }
 
-#[test]
-fn workers_share_one_compiled_program_per_plan() {
-    // the VM engine on a shared mediator: concurrent workers answering
-    // the same queries must reuse one compiled program per distinct
-    // optimized plan (compile once, execute many), and the wire answers
-    // must stay byte-identical to the interpreter's
-    let reference = federation(12);
-    let mut vm_mediator = federation(12);
-    vm_mediator.set_exec_engine(yat_mediator::ExecEngine::Vm);
-    let handle = Server::spawn(
-        vm_mediator,
-        ServerConfig {
-            workers: 4,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("server binds");
-    let addr = handle.addr();
-    let reference = &reference;
-    std::thread::scope(|scope| {
-        for _ in 0..4 {
-            scope.spawn(move || {
-                let mut client = Client::connect(addr).expect("client connects");
-                for _ in 0..3 {
-                    for query in [paper::Q1, paper::Q2] {
-                        let reply = client.query(query).expect("query round-trips");
-                        assert_eq!(
-                            reply.to_xml().to_xml(),
-                            expected_answer(reference, query),
-                            "vm wire answer must match the interpreter's"
-                        );
-                    }
-                }
-            });
-        }
-    });
-    assert_eq!(
-        handle.mediator().programs_compiled(),
-        2,
-        "24 queries over 4 workers compile exactly one program per distinct plan"
-    );
-    handle.shutdown();
-    handle.join();
-}
-
 // ---------------------------------------------------------- federation
 
 /// [`federation`] with the works collection split into a two-shard

@@ -5,7 +5,7 @@
 use crate::index::{intersect_sorted, tokenize, DocId};
 use crate::source::WaisSource;
 use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 use yat_algebra::{Alg, Operand, Pred, Tab, Value};
 use yat_capability::fpattern::wais_fmodel;
 use yat_capability::interface::{
@@ -14,7 +14,7 @@ use yat_capability::interface::{
 use yat_capability::protocol::{
     batch_columns, batch_row, Bindings, Request, Response, WrapperServer,
 };
-use yat_capability::{IndexReport, StorageReport};
+use yat_capability::{IndexReport, ReportSlot, StorageReport};
 use yat_model::{AtomType, Edge, Model, Occ, PLabel, Pattern, StarBind};
 
 /// The xmlwais wrapper: a [`WrapperServer`] over a [`WaisSource`].
@@ -26,12 +26,12 @@ use yat_model::{AtomType, Edge, Model, Occ, PLabel, Pattern, StarBind};
 pub struct WaisWrapper {
     name: String,
     source: Arc<RwLock<WaisSource>>,
-    /// Index accounting of the most recent `Execute`, taken by the
-    /// transport for `EXPLAIN ANALYZE` (never on the wire).
-    report: Mutex<Option<IndexReport>>,
-    /// Storage accounting of the most recent `Execute` or `GetDocument`
-    /// (store-backed sources only), taken the same way.
-    storage: Mutex<Option<StorageReport>>,
+    /// Index accounting of each thread's most recent `Execute`, taken by
+    /// the transport for `EXPLAIN ANALYZE` (never on the wire).
+    report: ReportSlot<IndexReport>,
+    /// Storage accounting of each thread's most recent `Execute` or
+    /// `GetDocument` (store-backed sources only), taken the same way.
+    storage: ReportSlot<StorageReport>,
 }
 
 impl WaisWrapper {
@@ -47,8 +47,8 @@ impl WaisWrapper {
         WaisWrapper {
             name: name.into(),
             source,
-            report: Mutex::new(None),
-            storage: Mutex::new(None),
+            report: ReportSlot::default(),
+            storage: ReportSlot::default(),
         }
     }
 
@@ -204,7 +204,7 @@ impl WaisWrapper {
                 }
             }
         }
-        *self.report.lock().unwrap_or_else(|e| e.into_inner()) = Some(IndexReport {
+        self.report.put(IndexReport {
             collection: source.collection.clone(),
             probes: if indexed { probes } else { 0 },
             candidates,
@@ -228,7 +228,7 @@ impl WaisWrapper {
     fn record_storage(&self, source: &WaisSource, before: Option<yat_store::StoreStats>) {
         if let (Some(before), Some(store)) = (before, source.store()) {
             let after = store.stats();
-            *self.storage.lock().unwrap_or_else(|e| e.into_inner()) = Some(StorageReport {
+            self.storage.put(StorageReport {
                 collection: source.collection.clone(),
                 segments: after.segments,
                 resident: after.resident,
@@ -369,14 +369,11 @@ impl WrapperServer for WaisWrapper {
     }
 
     fn take_index_report(&self) -> Option<IndexReport> {
-        self.report.lock().unwrap_or_else(|e| e.into_inner()).take()
+        self.report.take()
     }
 
     fn take_storage_report(&self) -> Option<StorageReport> {
-        self.storage
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
+        self.storage.take()
     }
 
     fn register_epoch(&self, cell: Arc<AtomicU64>) {
@@ -604,6 +601,38 @@ mod tests {
         assert_eq!(r.collection_size, 2);
         assert_eq!(r.rows, 1);
         assert!(w.take_index_report().is_none(), "a report is taken once");
+    }
+
+    #[test]
+    fn concurrent_requests_each_take_their_own_index_report() {
+        // two distinguishable `contains` probes against one shared
+        // wrapper; each thread takes its report only after both handled
+        let w = wrapper();
+        let requests = ["Giverny", "Impressionist"].map(|needle| Request::Execute {
+            plan: Alg::select(
+                Alg::bind(Alg::source("works"), parse_filter("works *$w").unwrap()),
+                Pred::Call {
+                    name: "contains".into(),
+                    args: vec![Operand::var("w"), Operand::cst(needle)],
+                },
+            ),
+        });
+        let alone = requests.clone().map(|request| {
+            w.handle(&request);
+            w.take_index_report().expect("an execute files a report")
+        });
+        assert_ne!(alone[0], alone[1], "the two reports are distinguishable");
+        let barrier = std::sync::Barrier::new(requests.len());
+        std::thread::scope(|scope| {
+            for (request, want) in requests.iter().zip(&alone) {
+                let (w, barrier) = (&w, &barrier);
+                scope.spawn(move || {
+                    w.handle(request);
+                    barrier.wait();
+                    assert_eq!(w.take_index_report().as_ref(), Some(want));
+                });
+            }
+        });
     }
 
     #[test]

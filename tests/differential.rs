@@ -19,7 +19,7 @@ use yat::yat_algebra::{
 use yat::yat_capability::protocol::{Request, Response, ServerReply, MAX_BATCH_BINDINGS};
 use yat::yat_capability::IndexPolicy;
 use yat::yat_mediator::{
-    CachePolicy, ExecEngine, ExecMode, Mediator, MediatorError, OptimizerOptions, StreamPolicy,
+    CachePolicy, ExecMode, Mediator, MediatorError, OptimizerOptions, StreamPolicy,
 };
 use yat::yat_model::Forest;
 use yat::yat_yatl::parse_filter;
@@ -268,81 +268,7 @@ impl Case {
         }
     }
 
-    /// Runs the case under both engines (interpreter vs compiled VM) in
-    /// both exec modes, on identically-seeded federations with the cache
-    /// pinned off: the engines must produce identical answers and move
-    /// identical per-source traffic — the compiled engine's semantics
-    /// oracle.
-    fn run_engine_axis(&self) -> Result<(), String> {
-        let q = self.query_text();
-        let mut sc = Scenario::at_scale(self.scale);
-        sc.seed = self.scenario_seed;
-
-        for mode in [
-            ExecMode::Sequential,
-            ExecMode::Parallel {
-                max_in_flight: self.lanes,
-            },
-        ] {
-            let mut interp = sc.mediator();
-            interp.set_exec_mode(mode);
-            interp.set_exec_engine(ExecEngine::Interp);
-            interp.set_cache_policy(CachePolicy::Off);
-            let mut vm = sc.mediator();
-            vm.set_exec_mode(mode);
-            vm.set_exec_engine(ExecEngine::Vm);
-            vm.set_cache_policy(CachePolicy::Off);
-            interp.reset_traffic();
-            vm.reset_traffic();
-
-            let ri = interp.query(&q, self.options());
-            let rv = vm.query(&q, self.options());
-            match (ri, rv) {
-                (Ok(a), Ok(b)) => {
-                    if a != b {
-                        return Err(format!(
-                            "engines diverge under {mode}:\n  interp: {a:?}\n  vm: {b:?}"
-                        ));
-                    }
-                    for src in ["o2artifact", "xmlartwork"] {
-                        let mi = interp.traffic_of(src).expect("source is connected");
-                        let mv = vm.traffic_of(src).expect("source is connected");
-                        if mi.round_trips != mv.round_trips
-                            || mi.documents_received != mv.documents_received
-                        {
-                            return Err(format!(
-                                "traffic diverges at `{src}` under {mode}: \
-                                 interp {} trips/{} docs, vm {} trips/{} docs",
-                                mi.round_trips,
-                                mi.documents_received,
-                                mv.round_trips,
-                                mv.documents_received
-                            ));
-                        }
-                    }
-                }
-                // both engines reject the query the same way: acceptable
-                (Err(a), Err(b)) if refusal(&a) && refusal(&b) => {
-                    REJECTED.fetch_add(1, Ordering::Relaxed);
-                }
-                (Ok(a), Err(b)) => {
-                    return Err(format!("interp {a:?} but vm failed under {mode}: {b}"))
-                }
-                (Err(a), Ok(b)) => {
-                    return Err(format!("vm {b:?} but interp failed under {mode}: {a}"))
-                }
-                (Err(a), Err(b)) => {
-                    return Err(format!(
-                        "failed, but not by a wrapper refusing the plan:\n  interp: {a}\n  vm: {b}"
-                    ))
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Runs the case streamed and materialized in every
-    /// {Sequential, Parallel} × {Interp, Vm} combination, on
+    /// Runs the case streamed and materialized in both exec modes, on
     /// identically-seeded federations with the cache pinned off. The
     /// streamed answer — reassembled from batches by [`CollectSink`] —
     /// must serialize to exactly the bytes the materialized answer
@@ -355,84 +281,80 @@ impl Case {
         let mut sc = Scenario::at_scale(self.scale);
         sc.seed = self.scenario_seed;
 
-        for engine in [ExecEngine::Interp, ExecEngine::Vm] {
-            for mode in [
-                ExecMode::Sequential,
-                ExecMode::Parallel {
-                    max_in_flight: self.lanes,
-                },
-            ] {
-                // the materialized side pins streaming *off* explicitly,
-                // so the axis stays honest even when the suite itself
-                // runs under `YAT_STREAM=chunked`
-                let mut mat = sc.mediator();
-                mat.set_exec_mode(mode);
-                mat.set_exec_engine(engine);
-                mat.set_cache_policy(CachePolicy::Off);
-                mat.set_stream_policy(StreamPolicy::Off);
-                let mut st = sc.mediator();
-                st.set_exec_mode(mode);
-                st.set_exec_engine(engine);
-                st.set_cache_policy(CachePolicy::Off);
-                st.set_stream_policy(StreamPolicy::chunked());
-                mat.reset_traffic();
-                st.reset_traffic();
+        for mode in [
+            ExecMode::Sequential,
+            ExecMode::Parallel {
+                max_in_flight: self.lanes,
+            },
+        ] {
+            // the materialized side pins streaming *off* explicitly,
+            // so the axis stays honest even when the suite itself
+            // runs under `YAT_STREAM=chunked`
+            let mut mat = sc.mediator();
+            mat.set_exec_mode(mode);
+            mat.set_cache_policy(CachePolicy::Off);
+            mat.set_stream_policy(StreamPolicy::Off);
+            let mut st = sc.mediator();
+            st.set_exec_mode(mode);
+            st.set_cache_policy(CachePolicy::Off);
+            st.set_stream_policy(StreamPolicy::chunked());
+            mat.reset_traffic();
+            st.reset_traffic();
 
-                let rm = mat.query(&q, self.options());
-                let mut sink = CollectSink::new();
-                let rs = st.query_stream(&q, self.options(), &mut sink);
-                match (rm, rs) {
-                    (Ok(a), Ok(stats)) => {
-                        let b = sink.into_answer().ok_or_else(|| {
-                            format!("streamed run delivered no answer under {mode}/{engine}")
-                        })?;
-                        let mat_bytes = ServerReply::answer(a).to_xml().to_xml();
-                        let st_bytes = ServerReply::answer(b).to_xml().to_xml();
-                        if mat_bytes != st_bytes {
+            let rm = mat.query(&q, self.options());
+            let mut sink = CollectSink::new();
+            let rs = st.query_stream(&q, self.options(), &mut sink);
+            match (rm, rs) {
+                (Ok(a), Ok(stats)) => {
+                    let b = sink
+                        .into_answer()
+                        .ok_or_else(|| format!("streamed run delivered no answer under {mode}"))?;
+                    let mat_bytes = ServerReply::answer(a).to_xml().to_xml();
+                    let st_bytes = ServerReply::answer(b).to_xml().to_xml();
+                    if mat_bytes != st_bytes {
+                        return Err(format!(
+                            "streamed answer diverges from materialized under \
+                             {mode} ({} chunks, {} rows):\n  \
+                             materialized: {mat_bytes}\n  streamed: {st_bytes}",
+                            stats.chunks, stats.rows
+                        ));
+                    }
+                    for src in ["o2artifact", "xmlartwork"] {
+                        let mm = mat.traffic_of(src).expect("source is connected");
+                        let ms = st.traffic_of(src).expect("source is connected");
+                        if mm.round_trips != ms.round_trips
+                            || mm.documents_received != ms.documents_received
+                        {
                             return Err(format!(
-                                "streamed answer diverges from materialized under \
-                                 {mode}/{engine} ({} chunks, {} rows):\n  \
-                                 materialized: {mat_bytes}\n  streamed: {st_bytes}",
-                                stats.chunks, stats.rows
+                                "traffic diverges at `{src}` under {mode}: \
+                                 materialized {} trips/{} docs, streamed {} trips/{} docs",
+                                mm.round_trips,
+                                mm.documents_received,
+                                ms.round_trips,
+                                ms.documents_received
                             ));
                         }
-                        for src in ["o2artifact", "xmlartwork"] {
-                            let mm = mat.traffic_of(src).expect("source is connected");
-                            let ms = st.traffic_of(src).expect("source is connected");
-                            if mm.round_trips != ms.round_trips
-                                || mm.documents_received != ms.documents_received
-                            {
-                                return Err(format!(
-                                    "traffic diverges at `{src}` under {mode}/{engine}: \
-                                     materialized {} trips/{} docs, streamed {} trips/{} docs",
-                                    mm.round_trips,
-                                    mm.documents_received,
-                                    ms.round_trips,
-                                    ms.documents_received
-                                ));
-                            }
-                        }
                     }
-                    // both paths reject the query: acceptable
-                    (Err(a), Err(b)) if refusal(&a) && refusal(&b) => {
-                        REJECTED.fetch_add(1, Ordering::Relaxed);
-                    }
-                    (Err(a), Err(b)) => {
-                        return Err(format!(
-                            "failed, but not by a wrapper refusing the plan, under \
-                             {mode}/{engine}:\n  materialized: {a}\n  streamed: {b}"
-                        ))
-                    }
-                    (Ok(a), Err(b)) => {
-                        return Err(format!(
-                            "materialized {a:?} but streamed failed under {mode}/{engine}: {b}"
-                        ))
-                    }
-                    (Err(a), Ok(_)) => {
-                        return Err(format!(
-                            "streamed answered but materialized failed under {mode}/{engine}: {a}"
-                        ))
-                    }
+                }
+                // both paths reject the query: acceptable
+                (Err(a), Err(b)) if refusal(&a) && refusal(&b) => {
+                    REJECTED.fetch_add(1, Ordering::Relaxed);
+                }
+                (Err(a), Err(b)) => {
+                    return Err(format!(
+                        "failed, but not by a wrapper refusing the plan, under \
+                         {mode}:\n  materialized: {a}\n  streamed: {b}"
+                    ))
+                }
+                (Ok(a), Err(b)) => {
+                    return Err(format!(
+                        "materialized {a:?} but streamed failed under {mode}: {b}"
+                    ))
+                }
+                (Err(a), Ok(_)) => {
+                    return Err(format!(
+                        "streamed answered but materialized failed under {mode}: {a}"
+                    ))
                 }
             }
         }
@@ -440,8 +362,8 @@ impl Case {
     }
 
     /// Runs the case indexed (`YAT_INDEX=on` pinned per instance) against
-    /// the scan oracle (`off`) in every {Sequential, Parallel} × {Interp,
-    /// Vm} combination, on identically-seeded federations with the cache
+    /// the scan oracle (`off`) in both exec modes, on identically-seeded
+    /// federations with the cache
     /// pinned off. The index plane switches *evaluation strategy only*:
     /// the two answers must serialize to byte-identical wire bytes and
     /// the two runs must move identical per-source traffic. Error
@@ -454,79 +376,71 @@ impl Case {
         let mut scan_sc = ix_sc;
         scan_sc.index = IndexPolicy::Off;
 
-        for engine in [ExecEngine::Interp, ExecEngine::Vm] {
-            for mode in [
-                ExecMode::Sequential,
-                ExecMode::Parallel {
-                    max_in_flight: self.lanes,
-                },
-            ] {
-                let mut ix = ix_sc.mediator();
-                ix.set_exec_mode(mode);
-                ix.set_exec_engine(engine);
-                ix.set_cache_policy(CachePolicy::Off);
-                let mut scan = scan_sc.mediator();
-                scan.set_exec_mode(mode);
-                scan.set_exec_engine(engine);
-                scan.set_cache_policy(CachePolicy::Off);
-                ix.reset_traffic();
-                scan.reset_traffic();
+        for mode in [
+            ExecMode::Sequential,
+            ExecMode::Parallel {
+                max_in_flight: self.lanes,
+            },
+        ] {
+            let mut ix = ix_sc.mediator();
+            ix.set_exec_mode(mode);
+            ix.set_cache_policy(CachePolicy::Off);
+            let mut scan = scan_sc.mediator();
+            scan.set_exec_mode(mode);
+            scan.set_cache_policy(CachePolicy::Off);
+            ix.reset_traffic();
+            scan.reset_traffic();
 
-                let ri = ix.query(&q, self.options());
-                let rs = scan.query(&q, self.options());
-                match (ri, rs) {
-                    (Ok(a), Ok(b)) => {
-                        let ix_bytes = ServerReply::answer(a).to_xml().to_xml();
-                        let scan_bytes = ServerReply::answer(b).to_xml().to_xml();
-                        if ix_bytes != scan_bytes {
+            let ri = ix.query(&q, self.options());
+            let rs = scan.query(&q, self.options());
+            match (ri, rs) {
+                (Ok(a), Ok(b)) => {
+                    let ix_bytes = ServerReply::answer(a).to_xml().to_xml();
+                    let scan_bytes = ServerReply::answer(b).to_xml().to_xml();
+                    if ix_bytes != scan_bytes {
+                        return Err(format!(
+                            "indexed answer diverges from the scan oracle under \
+                             {mode}:\n  indexed: {ix_bytes}\n  scan: {scan_bytes}"
+                        ));
+                    }
+                    for src in ["o2artifact", "xmlartwork"] {
+                        let mi = ix.traffic_of(src).expect("source is connected");
+                        let ms = scan.traffic_of(src).expect("source is connected");
+                        if mi.round_trips != ms.round_trips
+                            || mi.documents_received != ms.documents_received
+                            || mi.bytes_sent != ms.bytes_sent
+                            || mi.bytes_received != ms.bytes_received
+                        {
                             return Err(format!(
-                                "indexed answer diverges from the scan oracle under \
-                                 {mode}/{engine}:\n  indexed: {ix_bytes}\n  scan: {scan_bytes}"
+                                "traffic diverges at `{src}` under {mode}: \
+                                 indexed {} trips/{} docs/{}+{} bytes, \
+                                 scan {} trips/{} docs/{}+{} bytes",
+                                mi.round_trips,
+                                mi.documents_received,
+                                mi.bytes_sent,
+                                mi.bytes_received,
+                                ms.round_trips,
+                                ms.documents_received,
+                                ms.bytes_sent,
+                                ms.bytes_received
                             ));
                         }
-                        for src in ["o2artifact", "xmlartwork"] {
-                            let mi = ix.traffic_of(src).expect("source is connected");
-                            let ms = scan.traffic_of(src).expect("source is connected");
-                            if mi.round_trips != ms.round_trips
-                                || mi.documents_received != ms.documents_received
-                                || mi.bytes_sent != ms.bytes_sent
-                                || mi.bytes_received != ms.bytes_received
-                            {
-                                return Err(format!(
-                                    "traffic diverges at `{src}` under {mode}/{engine}: \
-                                     indexed {} trips/{} docs/{}+{} bytes, \
-                                     scan {} trips/{} docs/{}+{} bytes",
-                                    mi.round_trips,
-                                    mi.documents_received,
-                                    mi.bytes_sent,
-                                    mi.bytes_received,
-                                    ms.round_trips,
-                                    ms.documents_received,
-                                    ms.bytes_sent,
-                                    ms.bytes_received
-                                ));
-                            }
-                        }
                     }
-                    // both settings reject the query alike: acceptable
-                    (Err(a), Err(b)) if refusal(&a) && refusal(&b) => {
-                        REJECTED.fetch_add(1, Ordering::Relaxed);
-                    }
-                    (Ok(a), Err(b)) => {
-                        return Err(format!(
-                            "indexed {a:?} but scan failed under {mode}/{engine}: {b}"
-                        ))
-                    }
-                    (Err(a), Ok(b)) => {
-                        return Err(format!(
-                            "scan {b:?} but indexed failed under {mode}/{engine}: {a}"
-                        ))
-                    }
-                    (Err(a), Err(b)) => {
-                        return Err(format!(
-                            "failed, but not by a wrapper refusing the plan:\n  indexed: {a}\n  scan: {b}"
-                        ))
-                    }
+                }
+                // both settings reject the query alike: acceptable
+                (Err(a), Err(b)) if refusal(&a) && refusal(&b) => {
+                    REJECTED.fetch_add(1, Ordering::Relaxed);
+                }
+                (Ok(a), Err(b)) => {
+                    return Err(format!("indexed {a:?} but scan failed under {mode}: {b}"))
+                }
+                (Err(a), Ok(b)) => {
+                    return Err(format!("scan {b:?} but indexed failed under {mode}: {a}"))
+                }
+                (Err(a), Err(b)) => {
+                    return Err(format!(
+                    "failed, but not by a wrapper refusing the plan:\n  indexed: {a}\n  scan: {b}"
+                ))
                 }
             }
         }
@@ -538,12 +452,6 @@ impl Case {
     /// the warm rerun must ship no more per-source traffic than the cold
     /// run did.
     fn run_cache_axis(&self) -> Result<(), String> {
-        self.run_cache_axis_with(ExecEngine::Interp)
-    }
-
-    /// [`Case::run_cache_axis`] under an explicit engine — the VM must
-    /// interact with the answer cache exactly as the interpreter does.
-    fn run_cache_axis_with(&self, engine: ExecEngine) -> Result<(), String> {
         let q = self.query_text();
         let mut sc = Scenario::at_scale(self.scale);
         sc.seed = self.scenario_seed;
@@ -556,11 +464,9 @@ impl Case {
         ] {
             let mut off = sc.mediator();
             off.set_exec_mode(mode);
-            off.set_exec_engine(engine);
             off.set_cache_policy(CachePolicy::Off);
             let mut cached = sc.mediator();
             cached.set_exec_mode(mode);
-            cached.set_exec_engine(engine);
             cached.set_cache_policy(CachePolicy::bounded());
             off.reset_traffic();
             cached.reset_traffic();
@@ -611,8 +517,8 @@ impl Case {
     }
 
     /// Runs the case store-backed (sources mounted from persistent
-    /// segmented stores) against the in-memory oracle in every
-    /// {Sequential, Parallel} × {Interp, Vm} combination, with the index
+    /// segmented stores) against the in-memory oracle in both exec modes,
+    /// with the index
     /// plane both off and on, on identically-seeded federations with the
     /// cache pinned off. One store root serves all combinations — the
     /// first build populates it, later builds remount the committed
@@ -638,83 +544,79 @@ impl Case {
             let mut sc = Scenario::at_scale(self.scale);
             sc.seed = self.scenario_seed;
             sc.index = index;
-            for engine in [ExecEngine::Interp, ExecEngine::Vm] {
-                for mode in [
-                    ExecMode::Sequential,
-                    ExecMode::Parallel {
-                        max_in_flight: self.lanes,
-                    },
-                ] {
-                    let mut mem = sc.mediator();
-                    mem.set_exec_mode(mode);
-                    mem.set_exec_engine(engine);
-                    mem.set_cache_policy(CachePolicy::Off);
-                    let mut disk = sc
-                        .mediator_store(root, yat::yat_store::StoreOptions::default())
-                        .map_err(|e| format!("store mount failed under {index:?}: {e}"))?;
-                    disk.set_exec_mode(mode);
-                    disk.set_exec_engine(engine);
-                    disk.set_cache_policy(CachePolicy::Off);
-                    mem.reset_traffic();
-                    disk.reset_traffic();
+            for mode in [
+                ExecMode::Sequential,
+                ExecMode::Parallel {
+                    max_in_flight: self.lanes,
+                },
+            ] {
+                let mut mem = sc.mediator();
+                mem.set_exec_mode(mode);
+                mem.set_cache_policy(CachePolicy::Off);
+                let mut disk = sc
+                    .mediator_store(root, yat::yat_store::StoreOptions::default())
+                    .map_err(|e| format!("store mount failed under {index:?}: {e}"))?;
+                disk.set_exec_mode(mode);
+                disk.set_cache_policy(CachePolicy::Off);
+                mem.reset_traffic();
+                disk.reset_traffic();
 
-                    let rm = mem.query(&q, self.options());
-                    let rd = disk.query(&q, self.options());
-                    match (rm, rd) {
-                        (Ok(a), Ok(b)) => {
-                            let mem_bytes = ServerReply::answer(a).to_xml().to_xml();
-                            let disk_bytes = ServerReply::answer(b).to_xml().to_xml();
-                            if mem_bytes != disk_bytes {
+                let rm = mem.query(&q, self.options());
+                let rd = disk.query(&q, self.options());
+                match (rm, rd) {
+                    (Ok(a), Ok(b)) => {
+                        let mem_bytes = ServerReply::answer(a).to_xml().to_xml();
+                        let disk_bytes = ServerReply::answer(b).to_xml().to_xml();
+                        if mem_bytes != disk_bytes {
+                            return Err(format!(
+                                "store-backed answer diverges from the in-memory \
+                                 oracle under {mode}/{index:?}:\n  \
+                                 memory: {mem_bytes}\n  store: {disk_bytes}"
+                            ));
+                        }
+                        for src in ["o2artifact", "xmlartwork"] {
+                            let mm = mem.traffic_of(src).expect("source is connected");
+                            let md = disk.traffic_of(src).expect("source is connected");
+                            if mm.round_trips != md.round_trips
+                                || mm.documents_received != md.documents_received
+                                || mm.bytes_sent != md.bytes_sent
+                                || mm.bytes_received != md.bytes_received
+                            {
                                 return Err(format!(
-                                    "store-backed answer diverges from the in-memory \
-                                     oracle under {mode}/{engine}/{index:?}:\n  \
-                                     memory: {mem_bytes}\n  store: {disk_bytes}"
+                                    "traffic diverges at `{src}` under \
+                                     {mode}/{index:?}: \
+                                     memory {} trips/{} docs/{}+{} bytes, \
+                                     store {} trips/{} docs/{}+{} bytes",
+                                    mm.round_trips,
+                                    mm.documents_received,
+                                    mm.bytes_sent,
+                                    mm.bytes_received,
+                                    md.round_trips,
+                                    md.documents_received,
+                                    md.bytes_sent,
+                                    md.bytes_received
                                 ));
                             }
-                            for src in ["o2artifact", "xmlartwork"] {
-                                let mm = mem.traffic_of(src).expect("source is connected");
-                                let md = disk.traffic_of(src).expect("source is connected");
-                                if mm.round_trips != md.round_trips
-                                    || mm.documents_received != md.documents_received
-                                    || mm.bytes_sent != md.bytes_sent
-                                    || mm.bytes_received != md.bytes_received
-                                {
-                                    return Err(format!(
-                                        "traffic diverges at `{src}` under \
-                                         {mode}/{engine}/{index:?}: \
-                                         memory {} trips/{} docs/{}+{} bytes, \
-                                         store {} trips/{} docs/{}+{} bytes",
-                                        mm.round_trips,
-                                        mm.documents_received,
-                                        mm.bytes_sent,
-                                        mm.bytes_received,
-                                        md.round_trips,
-                                        md.documents_received,
-                                        md.bytes_sent,
-                                        md.bytes_received
-                                    ));
-                                }
-                            }
                         }
-                        // both substrates reject the query alike: acceptable
-                        (Err(a), Err(b)) if refusal(&a) && refusal(&b) => {
-                            REJECTED.fetch_add(1, Ordering::Relaxed);
-                        }
-                        (Ok(a), Err(b)) => {
-                            return Err(format!(
-                                "memory {a:?} but store failed under {mode}/{engine}/{index:?}: {b}"
-                            ))
-                        }
-                        (Err(a), Ok(b)) => {
-                            return Err(format!(
-                                "store {b:?} but memory failed under {mode}/{engine}/{index:?}: {a}"
-                            ))
-                        }
-                        (Err(a), Err(b)) => {
-                            return Err(format!(
-                                "failed, but not by a wrapper refusing the plan:\n  memory: {a}\n  store: {b}"
-                            ))
-                        }
+                    }
+                    // both substrates reject the query alike: acceptable
+                    (Err(a), Err(b)) if refusal(&a) && refusal(&b) => {
+                        REJECTED.fetch_add(1, Ordering::Relaxed);
+                    }
+                    (Ok(a), Err(b)) => {
+                        return Err(format!(
+                            "memory {a:?} but store failed under {mode}/{index:?}: {b}"
+                        ))
+                    }
+                    (Err(a), Ok(b)) => {
+                        return Err(format!(
+                            "store {b:?} but memory failed under {mode}/{index:?}: {a}"
+                        ))
+                    }
+                    (Err(a), Err(b)) => {
+                        return Err(format!(
+                            "failed, but not by a wrapper refusing the plan:\n  memory: {a}\n  store: {b}"
+                        ))
                     }
                 }
             }
@@ -829,49 +731,10 @@ fn cache_off_cold_and_warm_agree_on_random_plans() {
     }
 }
 
-/// The engine axis of the sweep: the interpreter and the compiled VM
-/// must agree — identical answers, identical per-source traffic — on
-/// every seeded plan, under both exec modes. This is the differential
-/// oracle that gates the compiled engine.
-#[test]
-fn interpreter_and_vm_agree_on_random_plans() {
-    let master = std::env::var("YAT_DIFF_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SEED);
-    let mut rng = Rng::seed_from_u64(master);
-    REJECTED.store(0, Ordering::Relaxed);
-    for i in 0..CASES {
-        let case = Case::generate(&mut rng);
-        if let Err(msg) = case.run_engine_axis() {
-            let minimal = case.shrink_by(&Case::run_engine_axis);
-            panic!(
-                "engine differential case {i}/{CASES} (YAT_DIFF_SEED={master}) failed: {msg}\n\
-                 query: {}\n\
-                 shrunk query: {}\n\
-                 knobs: {:?} lanes={} opt_level={} scale={} scenario_seed={}",
-                case.query_text(),
-                minimal.query_text(),
-                case.shape,
-                case.lanes,
-                case.opt_level,
-                case.scale,
-                case.scenario_seed
-            );
-        }
-    }
-    let rejected = REJECTED.load(Ordering::Relaxed);
-    println!("engine differential sweep: {CASES} cases, {rejected} rejected by both engines");
-    assert!(
-        rejected < CASES,
-        "generator degenerated: {rejected}/{CASES} cases never produced an answer"
-    );
-}
-
 /// The streaming axis of the sweep: every seeded plan, streamed through
 /// the batch pipeline and reassembled, must serialize to byte-identical
 /// answer bytes and ship identical per-source traffic as the
-/// materialized run — under both exec modes and both engines. This is
+/// materialized run — under both exec modes. This is
 /// the oracle that gates the streaming dataflow: the materialized path
 /// defines the semantics, the streamed path must merely reproduce them
 /// incrementally.
@@ -913,7 +776,7 @@ fn streamed_and_materialized_agree_on_random_plans() {
 /// The index axis of the sweep: every seeded plan answered with the
 /// index plane on must serialize to byte-identical wire bytes and move
 /// identical per-source traffic as the scan oracle — under both exec
-/// modes and both engines. `YAT_INDEX` switches evaluation strategy
+/// modes. `YAT_INDEX` switches evaluation strategy
 /// only; this is the oracle that gates the whole index plane.
 #[test]
 fn indexed_and_scan_agree_on_random_plans() {
@@ -953,7 +816,7 @@ fn indexed_and_scan_agree_on_random_plans() {
 /// The store axis of the sweep: every seeded plan answered by sources
 /// mounted from persistent segmented stores must serialize to
 /// byte-identical wire bytes and move identical per-source traffic as
-/// the in-memory oracle — under both exec modes, both engines, and with
+/// the in-memory oracle — under both exec modes, and with
 /// the index plane off and on. The store is a data plane only; this is
 /// the oracle that gates it.
 #[test]
@@ -986,44 +849,9 @@ fn store_backed_and_in_memory_agree_on_random_plans() {
     let rejected = REJECTED.load(Ordering::Relaxed);
     println!("store differential sweep: {CASES} cases, {rejected} rejected by both substrates");
     assert!(
-        rejected < CASES * 4,
+        rejected < CASES * 2,
         "generator degenerated: {rejected} rejections across {CASES} cases never answered"
     );
-}
-
-/// The cache axis under the compiled engine: {off, cold, warm} on both
-/// exec modes must agree on every answer with the VM evaluating the
-/// local algebra, and a warm cache never ships more than a cold one.
-#[test]
-fn vm_cache_off_cold_and_warm_agree_on_random_plans() {
-    let master = std::env::var("YAT_DIFF_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SEED);
-    // the same case stream as the interpreter cache sweep, so any
-    // divergence is attributable to the engine alone
-    let mut rng = Rng::seed_from_u64(master ^ 0xCAC4E);
-    let run = |case: &Case| case.run_cache_axis_with(ExecEngine::Vm);
-    let cases = CASES / 2;
-    for i in 0..cases {
-        let case = Case::generate(&mut rng);
-        if let Err(msg) = run(&case) {
-            let minimal = case.shrink_by(&run);
-            panic!(
-                "vm cache differential case {i}/{cases} (YAT_DIFF_SEED={master}) failed: {msg}\n\
-                 query: {}\n\
-                 shrunk query: {}\n\
-                 knobs: {:?} lanes={} opt_level={} scale={} scenario_seed={}",
-                case.query_text(),
-                minimal.query_text(),
-                case.shape,
-                case.lanes,
-                case.opt_level,
-                case.scale,
-                case.scenario_seed
-            );
-        }
-    }
 }
 
 /// A hand-built `DJoin` whose dependent side is a `Push` — the shape
@@ -1191,7 +1019,7 @@ impl PassingCase {
     }
 
     /// Handler-batched execution under every {Sequential, Parallel} ×
-    /// {Interp, Vm} × {cache off, bounded} combination must serialize to
+    /// {cache off, bounded} combination must serialize to
     /// exactly the bytes of in-place reference evaluation (no
     /// `PushHandler`: the fragment evaluated per left row over fetched
     /// documents), and the dependent side must cost at most
@@ -1238,49 +1066,46 @@ impl PassingCase {
             1 + distinct.div_ceil(MAX_BATCH_BINDINGS as u64)
         };
 
-        for engine in [ExecEngine::Interp, ExecEngine::Vm] {
-            for mode in [
-                ExecMode::Sequential,
-                ExecMode::Parallel {
-                    max_in_flight: self.lanes,
-                },
-            ] {
-                for cache in [CachePolicy::Off, CachePolicy::bounded()] {
-                    let mut m = sc.mediator();
-                    m.set_exec_mode(mode);
-                    m.set_exec_engine(engine);
-                    m.set_cache_policy(cache);
-                    m.set_stream_policy(StreamPolicy::Off);
-                    let tag = format!("{mode}/{engine}/cache {cache}");
-                    let shipped = |m: &Mediator| {
-                        m.traffic_of(self.pushed_to())
-                            .expect("source is connected")
-                            .round_trips
-                    };
-                    // the left side's mediator-side read may fetch from
-                    // the pushed-to source as well; only WaisNeedle's
-                    // left reads O2, and its push goes to Wais
+        for mode in [
+            ExecMode::Sequential,
+            ExecMode::Parallel {
+                max_in_flight: self.lanes,
+            },
+        ] {
+            for cache in [CachePolicy::Off, CachePolicy::bounded()] {
+                let mut m = sc.mediator();
+                m.set_exec_mode(mode);
+                m.set_cache_policy(cache);
+                m.set_stream_policy(StreamPolicy::Off);
+                let tag = format!("{mode}/cache {cache}");
+                let shipped = |m: &Mediator| {
+                    m.traffic_of(self.pushed_to())
+                        .expect("source is connected")
+                        .round_trips
+                };
+                // the left side's mediator-side read may fetch from
+                // the pushed-to source as well; only WaisNeedle's
+                // left reads O2, and its push goes to Wais
+                let before = shipped(&m);
+                let got = m.execute(&plan).map_err(|e| format!("{tag}: {e}"))?;
+                let trips = shipped(&m) - before;
+                if bytes(got) != want {
+                    return Err(format!("{tag}: answer diverges from in-place evaluation"));
+                }
+                if trips > bound {
+                    return Err(format!(
+                        "{tag}: {trips} round trips for {} rows / {distinct} distinct                              bindings (bound {bound})",
+                        driving.len()
+                    ));
+                }
+                if cache.is_enabled() {
                     let before = shipped(&m);
-                    let got = m.execute(&plan).map_err(|e| format!("{tag}: {e}"))?;
-                    let trips = shipped(&m) - before;
-                    if bytes(got) != want {
-                        return Err(format!("{tag}: answer diverges from in-place evaluation"));
+                    let warm = m.execute(&plan).map_err(|e| format!("{tag} warm: {e}"))?;
+                    if bytes(warm) != want {
+                        return Err(format!("{tag}: warm answer diverges"));
                     }
-                    if trips > bound {
-                        return Err(format!(
-                            "{tag}: {trips} round trips for {} rows / {distinct} distinct                              bindings (bound {bound})",
-                            driving.len()
-                        ));
-                    }
-                    if cache.is_enabled() {
-                        let before = shipped(&m);
-                        let warm = m.execute(&plan).map_err(|e| format!("{tag} warm: {e}"))?;
-                        if bytes(warm) != want {
-                            return Err(format!("{tag}: warm answer diverges"));
-                        }
-                        if shipped(&m) != before {
-                            return Err(format!("{tag}: warm rerun shipped bindings again"));
-                        }
+                    if shipped(&m) != before {
+                        return Err(format!("{tag}: warm rerun shipped bindings again"));
                     }
                 }
             }
@@ -1292,7 +1117,7 @@ impl PassingCase {
 /// The information-passing axis: seeded `DJoin`-into-`Push` plans whose
 /// left side has duplicate, tree-valued, `Null` and zero bindings. The
 /// handler-batched answer must equal in-place reference evaluation byte
-/// for byte in every mode × engine × cache combination, and a dependent
+/// for byte in every mode × cache combination, and a dependent
 /// join must cost O(1) round trips, not one per driving row.
 #[test]
 fn batched_passing_agrees_with_in_place_evaluation_on_random_djoins() {

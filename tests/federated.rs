@@ -4,7 +4,7 @@
 //! shards (killed replicas are lossless via failover), its provenance
 //! must name exactly the killed members that were actually consulted,
 //! and all of it must hold identically across
-//! {Sequential, Parallel} × {Interp, Vm} × streamed/materialized.
+//! {Sequential, Parallel} × streamed/materialized.
 //!
 //! Deterministic by construction: the master seed is fixed (override
 //! with `YAT_DIFF_SEED=<u64>`) and the kill sets are drawn from it.
@@ -12,7 +12,7 @@
 use yat::yat_algebra::{CollectSink, EvalOut};
 use yat::yat_capability::protocol::ServerReply;
 use yat::yat_mediator::{
-    CachePolicy, ExecEngine, ExecMode, Mediator, OptimizerOptions, PartialFailure, StreamPolicy,
+    CachePolicy, ExecMode, Mediator, OptimizerOptions, PartialFailure, StreamPolicy,
 };
 use yat_bench::figures::fingerprint;
 use yat_bench::workload::FedScenario;
@@ -46,24 +46,15 @@ fn oracle_fp(m: &Mediator, query: &str) -> Vec<String> {
     )
 }
 
-/// Every {mode, engine} × {materialized, streamed} combination.
-fn combos() -> Vec<(ExecMode, ExecEngine)> {
-    let mut v = Vec::new();
-    for engine in [ExecEngine::Interp, ExecEngine::Vm] {
-        for mode in [
-            ExecMode::Sequential,
-            ExecMode::Parallel { max_in_flight: 4 },
-        ] {
-            v.push((mode, engine));
-        }
-    }
-    v
-}
+/// Both exec modes; each runs materialized and streamed.
+const MODES: [ExecMode; 2] = [
+    ExecMode::Sequential,
+    ExecMode::Parallel { max_in_flight: 4 },
+];
 
-fn degrade_mediator(sc: &FedScenario, mode: ExecMode, engine: ExecEngine) -> Mediator {
+fn degrade_mediator(sc: &FedScenario, mode: ExecMode) -> Mediator {
     let mut m = sc.mediator();
     m.set_exec_mode(mode);
-    m.set_exec_engine(engine);
     m.set_cache_policy(CachePolicy::Off);
     m.set_partial_failure(PartialFailure::Degrade);
     m
@@ -77,8 +68,8 @@ fn check_kill_set(sc: &FedScenario, query: &str, want: &[String], expect_missing
     // the materialized degraded answer must be byte-identical across
     // every combination; the streamed reassembly must match it
     let mut wire: Option<String> = None;
-    for (mode, engine) in combos() {
-        let m = degrade_mediator(sc, mode, engine);
+    for mode in MODES {
+        let m = degrade_mediator(sc, mode);
         let plan = m.plan_query(query).expect("query plans");
         let (opt, _) = m.optimize(&plan, OptimizerOptions::default());
         let (out, prov) = m
@@ -90,15 +81,10 @@ fn check_kill_set(sc: &FedScenario, query: &str, want: &[String], expect_missing
         let bytes = ServerReply::answer(out).to_xml().to_xml();
         match &wire {
             None => wire = Some(bytes),
-            Some(w) => assert_eq!(
-                &bytes,
-                w,
-                "answer bytes diverge under {mode:?}/{engine:?} ({})",
-                ctx()
-            ),
+            Some(w) => assert_eq!(&bytes, w, "answer bytes diverge under {mode:?} ({})", ctx()),
         }
 
-        let mut st = degrade_mediator(sc, mode, engine);
+        let mut st = degrade_mediator(sc, mode);
         st.set_stream_policy(StreamPolicy::chunked());
         let mut sink = CollectSink::new();
         let (_, prov) = st
@@ -182,17 +168,16 @@ fn pruned_dead_shards_are_never_consulted_so_never_missed() {
     for members in [2usize, 8] {
         let sc = FedScenario::new(members, SCALE);
         let owners = sc.shards_owning("Impressionist");
-        for (mode, engine) in combos() {
+        for mode in MODES {
             let mut m = sc.mediator();
             m.set_exec_mode(mode);
-            m.set_exec_engine(engine);
             m.set_cache_policy(CachePolicy::Off);
             let plan = m.plan_query(q2).expect("Q2 plans");
             let want = answer_bytes(m.execute(&m.optimize(&plan, unpruned).0).unwrap());
             m.reset_traffic();
             let (pruned, _) = m.optimize(&plan, OptimizerOptions::default());
             let got = answer_bytes(m.execute(&pruned).expect("pruned Q2 executes"));
-            let ctx = format!("members={members} {mode:?}/{engine:?}");
+            let ctx = format!("members={members} {mode:?}");
             assert_eq!(got, want, "pruned and unpruned Q2 diverge ({ctx})");
             for shard in sc.shard_names() {
                 let trips = m.traffic_of(&shard).unwrap().round_trips;
@@ -224,17 +209,16 @@ fn strict_mode_fails_fast_when_a_killed_shard_is_consulted() {
     let mut sc = FedScenario::new(6, SCALE);
     let killed = sc.shard_names().remove(0);
     sc.dead = vec![killed.clone()];
-    for (mode, engine) in combos() {
+    for mode in MODES {
         let mut m = sc.mediator();
         m.set_exec_mode(mode);
-        m.set_exec_engine(engine);
         m.set_cache_policy(CachePolicy::Off);
         let err = m
             .query(yat::yat_yatl::paper::Q1, OptimizerOptions::default())
             .expect_err("strict mode must fail when a consulted shard is dead");
         assert!(
             err.to_string().contains(&killed),
-            "error must name the dead member under {mode:?}/{engine:?}: {err}"
+            "error must name the dead member under {mode:?}: {err}"
         );
     }
 }
@@ -342,7 +326,7 @@ fn a_replica_lost_mid_batch_fails_the_whole_batch_over() {
     let want = answer_bytes(plain.execute(&plan("xmlartwork", "o2artifact")).unwrap());
     assert!(want.matches("<r>").count() >= scale, "every title joins");
 
-    for (mode, engine) in combos() {
+    for mode in MODES {
         let mut m = Mediator::new();
         m.connect_member(
             Box::new(DiesMidBatch {
@@ -366,7 +350,6 @@ fn a_replica_lost_mid_batch_fails_the_whole_batch_over() {
         )))
         .unwrap();
         m.set_exec_mode(mode);
-        m.set_exec_engine(engine);
         m.set_cache_policy(CachePolicy::Off);
 
         let before = |m: &Mediator, member: &str| m.traffic_of(member).unwrap().round_trips;
@@ -374,8 +357,8 @@ fn a_replica_lost_mid_batch_fails_the_whole_batch_over() {
         // strict mode: the failover alone must save the query
         let (out, prov) = m
             .execute_federated(&plan("xmlartwork", "art"))
-            .unwrap_or_else(|e| panic!("failover must answer under {mode:?}/{engine:?}: {e}"));
-        assert_eq!(answer_bytes(out), want, "{mode:?}/{engine:?}");
+            .unwrap_or_else(|e| panic!("failover must answer under {mode:?}: {e}"));
+        assert_eq!(answer_bytes(out), want, "{mode:?}");
         assert!(prov.missing.is_empty(), "a lossless failover misses nobody");
         // art-0 took the first chunk and refused the second; art-1 was
         // then shipped *both* chunks, not just the one that failed
@@ -454,10 +437,9 @@ fn a_batch_on_a_partition_group_contacts_only_the_shards_its_bindings_need() {
         "{want}"
     );
 
-    for (mode, engine) in combos() {
+    for mode in MODES {
         let mut m = sc.mediator();
         m.set_exec_mode(mode);
-        m.set_exec_engine(engine);
         m.set_cache_policy(CachePolicy::Off);
         let trips = |m: &Mediator, shard: &String| m.traffic_of(shard).unwrap().round_trips;
         let before: Vec<u64> = sc.shard_names().iter().map(|s| trips(&m, s)).collect();
@@ -468,8 +450,8 @@ fn a_batch_on_a_partition_group_contacts_only_the_shards_its_bindings_need() {
         // strict: a consulted dead shard would fail the query
         let (out, prov) = m
             .execute_federated(&plan("art", "wais"))
-            .unwrap_or_else(|e| panic!("pruned shards are never asked ({mode:?}/{engine:?}): {e}"));
-        assert_eq!(answer_bytes(out), want, "{mode:?}/{engine:?}");
+            .unwrap_or_else(|e| panic!("pruned shards are never asked ({mode:?}): {e}"));
+        assert_eq!(answer_bytes(out), want, "{mode:?}");
         assert!(prov.missing.is_empty());
         for shard in &excluded {
             assert_eq!(

@@ -3,10 +3,10 @@
 //! Q1 and Q2 at each optimization level of Figs. 8 and 9, and the view
 //! queries behind Figs. 4 and 7, are answered by mediators configured —
 //! through setters, the way `yat-benchmark`'s fixtures configure theirs —
-//! as `serve_mix`/`scan_stream` (sequential, VM, cache off),
-//! `churn_dashboard` (sequential, VM, bounded cache) and `fed_tail`
-//! (parallel(4), VM, cache off), plus the parallel interpreter streaming
-//! through `query_stream`. Each must match the plain in-memory
+//! as `churn_dashboard` (sequential, bounded cache) and `fed_tail`
+//! (parallel(4), cache off), plus parallel streaming through
+//! `query_stream`. (`serve_mix`/`scan_stream`, sequential with the cache
+//! off, is the reference itself.) Each must match the plain in-memory
 //! sequential interpreter byte for byte on the wire form of the answer
 //! and trip for trip, document for document, byte for byte in what it
 //! asks of each source.
@@ -14,7 +14,7 @@
 use yat::yat_algebra::CollectSink;
 use yat::yat_capability::protocol::ServerReply;
 use yat::yat_mediator::{
-    CachePolicy, ExecEngine, ExecMode, Mediator, MeterSnapshot, OptimizerOptions, StreamPolicy,
+    CachePolicy, ExecMode, Mediator, MeterSnapshot, OptimizerOptions, StreamPolicy,
 };
 use yat::yat_yatl::paper;
 use yat_bench::figures::pipeline::LEVELS;
@@ -46,31 +46,21 @@ MATCH works WITH works *work [ title: $t, artist: $a, style: $s, size: $si, *($f
 struct Config {
     name: &'static str,
     mode: ExecMode,
-    engine: ExecEngine,
     cache: CachePolicy,
     streamed: bool,
 }
 
-fn configs() -> [Config; 4] {
+fn configs() -> [Config; 3] {
     [
         Config {
-            name: "sequential/vm/cache-off",
+            name: "sequential/interp/bounded-cache",
             mode: ExecMode::Sequential,
-            engine: ExecEngine::Vm,
-            cache: CachePolicy::Off,
-            streamed: false,
-        },
-        Config {
-            name: "sequential/vm/bounded-cache",
-            mode: ExecMode::Sequential,
-            engine: ExecEngine::Vm,
             cache: CachePolicy::bounded(),
             streamed: false,
         },
         Config {
-            name: "parallel(4)/vm/cache-off",
+            name: "parallel(4)/interp/cache-off",
             mode: ExecMode::Parallel { max_in_flight: 4 },
-            engine: ExecEngine::Vm,
             cache: CachePolicy::Off,
             streamed: false,
         },
@@ -79,7 +69,6 @@ fn configs() -> [Config; 4] {
             mode: ExecMode::Parallel {
                 max_in_flight: ExecMode::DEFAULT_LANES,
             },
-            engine: ExecEngine::Interp,
             cache: CachePolicy::Off,
             streamed: true,
         },
@@ -142,7 +131,6 @@ fn every_served_configuration_matches_the_in_memory_sequential_interpreter() {
         for config in &configs {
             let mut m = scenario.mediator();
             m.set_exec_mode(config.mode);
-            m.set_exec_engine(config.engine);
             m.set_cache_policy(config.cache);
             if config.streamed {
                 m.set_stream_policy(StreamPolicy::Chunked {
