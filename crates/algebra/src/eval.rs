@@ -10,13 +10,16 @@
 use crate::error::EvalError;
 use crate::expr::{Alg, CmpOp, Operand, Pred};
 use crate::funcs::{FnRegistry, SkolemRegistry};
+use crate::keys::Partition;
 use crate::passing::{BatchAnswer, PassedBindings};
 use crate::tab::Tab;
 use crate::template::Template;
-use crate::value::Value;
+use crate::value::{AtomView, Value};
 use std::collections::BTreeMap;
+use std::hash::Hasher;
 use std::sync::Arc;
-use yat_model::{Atom, Forest, MatchOptions, Model, Node, Tree};
+use yat_model::hash::Fnv64;
+use yat_model::{Atom, Binder, Forest, MatchOptions, Model, Node, Symbol, Tree};
 use yat_obs::Collector;
 
 /// Resolves the named documents plans read from (`Source` nodes) and the
@@ -227,13 +230,7 @@ fn eval_node(plan: &Alg, ctx: &EvalCtx<'_>, env: &Env) -> Result<EvalOut, EvalEr
 
         Alg::Select { input, pred } => {
             let tab = eval_env(input, ctx, env)?.tab(plan)?;
-            let mut out = Tab::new(tab.columns().to_vec());
-            for row in tab.rows() {
-                if eval_pred(pred, &tab, row, env, ctx)? {
-                    out.push(row.to_vec());
-                }
-            }
-            Ok(EvalOut::Tab(out))
+            Ok(EvalOut::Tab(select(tab, pred, env, ctx)?))
         }
 
         Alg::Project { input, cols } => {
@@ -282,16 +279,7 @@ fn eval_node(plan: &Alg, ctx: &EvalCtx<'_>, env: &Env) -> Result<EvalOut, EvalEr
 
         Alg::Map { input, col, expr } => {
             let tab = eval_env(input, ctx, env)?.tab(plan)?;
-            let mut cols = tab.columns().to_vec();
-            cols.push(col.clone());
-            let mut out = Tab::new(cols);
-            for row in tab.rows() {
-                let v = eval_operand(expr, &tab, row, env, ctx)?;
-                let mut newrow = row.to_vec();
-                newrow.push(v);
-                out.push(newrow);
-            }
-            Ok(EvalOut::Tab(out))
+            Ok(EvalOut::Tab(map(tab, col, expr, env, ctx)?))
         }
 
         // Reference semantics of Push: evaluate in place. The mediator's
@@ -337,6 +325,36 @@ fn eval_dependent(
 // so its recursive frame stays small.
 // ---------------------------------------------------------------------
 
+/// The `Select` kernel, shared with [`crate::stream::Stage`]: keeps the
+/// rows `pred` holds on, in order, moving them.
+pub(crate) fn select(
+    mut tab: Tab,
+    pred: &Pred,
+    env: &Env,
+    ctx: &EvalCtx<'_>,
+) -> Result<Tab, EvalError> {
+    tab.try_retain(|cols, row| eval_pred(pred, cols, row, env, ctx))?;
+    Ok(tab)
+}
+
+/// The `Map` kernel, shared with [`crate::stream::Stage`]: appends
+/// `expr`'s value to every row as column `col`, moving the rows.
+pub(crate) fn map(
+    tab: Tab,
+    col: &str,
+    expr: &Operand,
+    env: &Env,
+    ctx: &EvalCtx<'_>,
+) -> Result<Tab, EvalError> {
+    let (mut cols, mut rows) = tab.into_parts();
+    for row in &mut rows {
+        let v = eval_operand(expr, &cols, row, env, ctx)?;
+        row.push(v);
+    }
+    cols.push(col.to_string());
+    Ok(Tab::from_rows(cols, rows))
+}
+
 /// `MATCH` options induced by an evaluation context.
 fn match_opts<'a>(ctx: &EvalCtx<'a>) -> MatchOptions<'a> {
     MatchOptions {
@@ -351,10 +369,10 @@ fn match_opts<'a>(ctx: &EvalCtx<'a>) -> MatchOptions<'a> {
 /// through a structural index (identical rows, fewer subtrees walked);
 /// each indexed evaluation leaves an `index` event for `EXPLAIN ANALYZE`.
 fn bind_tree(tree: &Tree, filter: &yat_model::Filter, env: &Env, ctx: &EvalCtx<'_>) -> Tab {
-    let opts = match_opts(ctx);
+    let mut binder = Binder::new(filter, match_opts(ctx));
     let rows = match ctx.bind_index.and_then(|cache| cache.get_or_build(tree)) {
         Some(index) => {
-            let (rows, stats) = yat_model::match_filter_indexed(tree, filter, opts, &index);
+            let (rows, stats) = binder.bind_indexed(tree, &index);
             if let Some(obs) = ctx.obs {
                 let root = tree.label.as_sym().unwrap_or("?");
                 obs.event(
@@ -390,9 +408,9 @@ fn bind_tree(tree: &Tree, filter: &yat_model::Filter, env: &Env, ctx: &EvalCtx<'
             }
             rows
         }
-        None => yat_model::match_filter(tree, filter, opts),
+        None => binder.bind(tree),
     };
-    let mut tab = Tab::from_binding_rows(filter.variables(), rows);
+    let mut tab = Tab::from_slot_rows(filter.variables(), rows);
     constrain_env(&mut tab, env);
     tab
 }
@@ -400,6 +418,8 @@ fn bind_tree(tree: &Tree, filter: &yat_model::Filter, env: &Env, ctx: &EvalCtx<'
 /// `Bind … over col`: re-match the filter against the trees held in one
 /// column of an existing table, appending the newly bound variables.
 /// Variables shared with existing columns act as equality constraints.
+/// One binder serves every row, and each match's slots move straight
+/// into the output row.
 fn bind_over(
     tab: &Tab,
     col: &str,
@@ -407,45 +427,58 @@ fn bind_over(
     env: &Env,
     ctx: &EvalCtx<'_>,
 ) -> Result<Tab, EvalError> {
-    let opts = match_opts(ctx);
-    let fvars = filter.variables();
     let ci = tab
         .col(col)
         .ok_or_else(|| EvalError::UnknownColumn(col.to_string()))?;
-    // output columns: input columns + new filter vars
+    let mut binder = Binder::new(filter, match_opts(ctx));
+    // output columns: input columns + new filter vars (the filter's own
+    // variables lead the binder's slots)
     let mut cols: Vec<String> = tab.columns().to_vec();
-    let new_vars: Vec<String> = fvars
-        .iter()
-        .filter(|v| !cols.contains(v))
-        .cloned()
-        .collect();
-    let shared: Vec<String> = fvars.iter().filter(|v| cols.contains(v)).cloned().collect();
-    cols.extend(new_vars.iter().cloned());
+    let mut new_slots = Vec::new();
+    let mut shared = Vec::new();
+    for (slot, v) in filter.variables().into_iter().enumerate() {
+        match tab.col(&v) {
+            Some(i) => shared.push((slot, i)),
+            None => {
+                new_slots.push(slot);
+                cols.push(v);
+            }
+        }
+    }
     let mut out = Tab::new(cols);
+    let mut vals: Vec<Value> = Vec::new();
     for row in tab.rows() {
-        let targets: Vec<Tree> = match &row[ci] {
-            Value::Tree(t) => vec![t.clone()],
-            Value::Coll(c) => c.iter().filter_map(|v| v.as_tree().cloned()).collect(),
-            _ => vec![],
+        let targets = match &row[ci] {
+            Value::Coll(c) => c.as_slice(),
+            cell => std::slice::from_ref(cell),
         };
-        for target in targets {
-            for brow in yat_model::match_filter(&target, filter, opts) {
-                let mut vals: BTreeMap<String, Value> = brow
-                    .into_iter()
-                    .map(|(k, v)| (k, Value::from_binding(v)))
-                    .collect();
-                // shared variables act as equality constraints
-                let consistent = shared.iter().all(|v| match (vals.get(v), tab.col(v)) {
-                    (Some(nv), Some(i)) => nv.query_eq(&row[i]),
-                    _ => true,
-                });
-                if !consistent {
+        for target in targets.iter().filter_map(Value::as_tree) {
+            let rows = binder.bind(target);
+            let (len, width) = (rows.len(), rows.width());
+            let mut cells = rows.drain();
+            for _ in 0..len {
+                vals.clear();
+                vals.extend(
+                    cells
+                        .by_ref()
+                        .take(width)
+                        .map(|c| c.map_or(Value::Null, Value::from_binding)),
+                );
+                // shared variables act as equality constraints (an
+                // unbound one constrains nothing)
+                if !shared
+                    .iter()
+                    .all(|&(slot, i)| vals[slot].is_null() || vals[slot].query_eq(&row[i]))
+                {
                     continue;
                 }
-                let mut newrow: Vec<Value> = row.to_vec();
-                for v in &new_vars {
-                    newrow.push(vals.remove(v).unwrap_or(Value::Null));
-                }
+                let mut newrow = Vec::with_capacity(row.len() + new_slots.len());
+                newrow.extend_from_slice(row);
+                newrow.extend(
+                    new_slots
+                        .iter()
+                        .map(|&slot| std::mem::replace(&mut vals[slot], Value::Null)),
+                );
                 out.push(newrow);
             }
         }
@@ -460,9 +493,15 @@ fn bind_over(
 /// `collection` node to keep the output a single tree.
 fn construct_tree(tab: &Tab, template: &Template, ctx: &EvalCtx<'_>) -> Tree {
     let all: Vec<usize> = (0..tab.len()).collect();
-    let trees = instantiate(template, &all, tab, ctx);
+    let mut trees = Vec::new();
+    Builder {
+        tab,
+        skolems: ctx.skolems,
+        syms: Vec::new(),
+    }
+    .instantiate(template, &all, &mut trees);
     match trees.len() {
-        1 => trees.into_iter().next().expect("len checked"),
+        1 => trees.pop().expect("len checked"),
         _ => Node::sym("collection", trees),
     }
 }
@@ -714,41 +753,103 @@ fn check_compat(l: &Tab, r: &Tab, op: &Alg) -> Result<(), EvalError> {
     Ok(())
 }
 
-/// Evaluates an operand against a row (+outer env).
+/// The index of column `name` in `cols`.
+fn col_of(cols: &[String], name: &str) -> Option<usize> {
+    cols.iter().position(|c| c == name)
+}
+
+/// Evaluates an operand against a row (+outer env); `cols` names the
+/// row's cells.
 pub fn eval_operand(
     op: &Operand,
-    tab: &Tab,
+    cols: &[String],
     row: &[Value],
     env: &Env,
     ctx: &EvalCtx<'_>,
 ) -> Result<Value, EvalError> {
-    match op {
-        Operand::Var(v) => match tab.col(v) {
-            Some(i) => Ok(row[i].clone()),
-            None => env
-                .get(v)
-                .cloned()
-                .ok_or_else(|| EvalError::UnknownColumn(v.clone())),
-        },
-        Operand::Const(a) => Ok(Value::Atom(a.clone())),
-        Operand::Call { name, args } => {
-            let vals: Vec<Value> = args
-                .iter()
-                .map(|a| eval_operand(a, tab, row, env, ctx))
-                .collect::<Result<_, _>>()?;
-            ctx.funcs.call(name, &vals)
+    match arg(op, cols, row, env, ctx)? {
+        Arg::Value(v) => Ok(v.clone()),
+        Arg::Const(a) => Ok(Value::Atom(a.clone())),
+        Arg::Owned(v) => Ok(v),
+    }
+}
+
+/// An operand's value for one row: borrowed from the row, the outer
+/// environment or the plan's constants, owned only when a function
+/// computed it.
+enum Arg<'a> {
+    Value(&'a Value),
+    Const(&'a Atom),
+    Owned(Value),
+}
+
+impl Arg<'_> {
+    /// The atomic content the value coerces to ([`Value::atom`]).
+    fn view(&self) -> Option<AtomView<'_>> {
+        match self {
+            Arg::Value(v) => v.atom_view(),
+            Arg::Const(a) => Some(AtomView::Atom(a)),
+            Arg::Owned(v) => v.atom_view(),
+        }
+    }
+
+    fn value(&self) -> Option<&Value> {
+        match self {
+            Arg::Value(v) => Some(v),
+            Arg::Owned(v) => Some(v),
+            Arg::Const(_) => None,
+        }
+    }
+
+    /// [`Value::query_eq`], without boxing a constant into a `Value`.
+    fn query_eq(&self, other: &Arg<'_>) -> bool {
+        match (self.value(), other.value()) {
+            (Some(a), Some(b)) => a.query_eq(b),
+            // a constant equals only values coercing to an equal atom
+            _ => match (self.view(), other.view()) {
+                (Some(a), Some(b)) => a.value_eq(&b),
+                _ => false,
+            },
         }
     }
 }
 
-/// Evaluates a predicate against a row (+outer env).
+fn arg<'a>(
+    op: &'a Operand,
+    cols: &[String],
+    row: &'a [Value],
+    env: &'a Env,
+    ctx: &EvalCtx<'_>,
+) -> Result<Arg<'a>, EvalError> {
+    match op {
+        Operand::Var(v) => match col_of(cols, v) {
+            Some(i) => Ok(Arg::Value(&row[i])),
+            None => env
+                .get(v)
+                .map(Arg::Value)
+                .ok_or_else(|| EvalError::UnknownColumn(v.clone())),
+        },
+        Operand::Const(a) => Ok(Arg::Const(a)),
+        Operand::Call { name, args } => {
+            let vals: Vec<Value> = args
+                .iter()
+                .map(|a| eval_operand(a, cols, row, env, ctx))
+                .collect::<Result<_, _>>()?;
+            Ok(Arg::Owned(ctx.funcs.call(name, &vals)?))
+        }
+    }
+}
+
+/// Evaluates a predicate against a row (+outer env); `cols` names the
+/// row's cells.
 ///
 /// Comparison follows the query semantics of [`Value::query_eq`]; ordered
 /// comparisons between values lacking a numeric/string interpretation are
-/// `false` (three-valued logic collapsed to false, as in SQL).
+/// `false` (three-valued logic collapsed to false, as in SQL). Operands
+/// are compared where they live — nothing is cloned per row.
 pub fn eval_pred(
     pred: &Pred,
-    tab: &Tab,
+    cols: &[String],
     row: &[Value],
     env: &Env,
     ctx: &EvalCtx<'_>,
@@ -756,21 +857,21 @@ pub fn eval_pred(
     match pred {
         Pred::True => Ok(true),
         Pred::And(a, b) => {
-            Ok(eval_pred(a, tab, row, env, ctx)? && eval_pred(b, tab, row, env, ctx)?)
+            Ok(eval_pred(a, cols, row, env, ctx)? && eval_pred(b, cols, row, env, ctx)?)
         }
         Pred::Or(a, b) => {
-            Ok(eval_pred(a, tab, row, env, ctx)? || eval_pred(b, tab, row, env, ctx)?)
+            Ok(eval_pred(a, cols, row, env, ctx)? || eval_pred(b, cols, row, env, ctx)?)
         }
-        Pred::Not(p) => Ok(!eval_pred(p, tab, row, env, ctx)?),
+        Pred::Not(p) => Ok(!eval_pred(p, cols, row, env, ctx)?),
         Pred::Cmp { op, left, right } => {
-            let l = eval_operand(left, tab, row, env, ctx)?;
-            let r = eval_operand(right, tab, row, env, ctx)?;
-            Ok(cmp_values(*op, &l, &r))
+            let l = arg(left, cols, row, env, ctx)?;
+            let r = arg(right, cols, row, env, ctx)?;
+            Ok(cmp_args(*op, &l, &r))
         }
         Pred::Call { name, args } => {
             let vals: Vec<Value> = args
                 .iter()
-                .map(|a| eval_operand(a, tab, row, env, ctx))
+                .map(|a| eval_operand(a, cols, row, env, ctx))
                 .collect::<Result<_, _>>()?;
             match ctx.funcs.call(name, &vals)? {
                 Value::Atom(Atom::Bool(b)) => Ok(b),
@@ -787,11 +888,11 @@ pub fn eval_pred(
 /// ([`Value::query_eq`]); ordered comparisons through the atom total
 /// order, with values lacking a numeric/string interpretation comparing
 /// `false` (three-valued logic collapsed to false, as in SQL).
-fn cmp_values(op: CmpOp, l: &Value, r: &Value) -> bool {
+fn cmp_args(op: CmpOp, l: &Arg<'_>, r: &Arg<'_>) -> bool {
     match op {
         CmpOp::Eq => l.query_eq(r),
         CmpOp::Ne => !l.query_eq(r),
-        _ => match (l.atom(), r.atom()) {
+        _ => match (l.view(), r.view()) {
             (Some(a), Some(b)) => {
                 let ord = a.total_cmp(&b);
                 match op {
@@ -810,8 +911,7 @@ fn cmp_values(op: CmpOp, l: &Value, r: &Value) -> bool {
 /// Hash join on equality conjuncts when possible, nested loops otherwise.
 fn join(lt: &Tab, rt: &Tab, pred: &Pred, env: &Env, ctx: &EvalCtx<'_>) -> Result<Tab, EvalError> {
     let cols = Tab::joined_columns(lt, rt);
-    let joined_tab_for_pred = Tab::new(cols.clone());
-    let mut out = Tab::new(cols);
+    let mut out = Tab::new(cols.clone());
 
     // Extract equi-join keys: conjuncts `$l = $r` with $l from the left
     // columns and $r from the right (possibly primed) columns.
@@ -854,7 +954,7 @@ fn join(lt: &Tab, rt: &Tab, pred: &Pred, env: &Env, ctx: &EvalCtx<'_>) -> Result
             for rrow in rt.rows() {
                 let mut row = lrow.to_vec();
                 row.extend(rrow.iter().cloned());
-                if eval_pred(pred, &joined_tab_for_pred, &row, env, ctx)? {
+                if eval_pred(pred, &cols, &row, env, ctx)? {
                     out.push(row);
                 }
             }
@@ -872,7 +972,7 @@ fn join(lt: &Tab, rt: &Tab, pred: &Pred, env: &Env, ctx: &EvalCtx<'_>) -> Result
         } else {
             let mut row = lrow.to_vec();
             row.extend(rrow.iter().cloned());
-            if eval_pred(&residual, &joined_tab_for_pred, &row, env, ctx)? {
+            if eval_pred(&residual, &cols, &row, env, ctx)? {
                 out.push(row);
             }
         }
@@ -892,133 +992,147 @@ fn right_col(rt: &Tab, lt: &Tab, name: &str) -> Option<usize> {
     rt.col(name)
 }
 
-/// Instantiates a template over the rows `rows` (indices into `tab`),
-/// producing the constructed forest in order.
-pub fn instantiate(tmpl: &Template, rows: &[usize], tab: &Tab, ctx: &EvalCtx<'_>) -> Vec<Tree> {
-    match tmpl {
-        Template::Text(t) => vec![Node::atom(Atom::Str(t.clone()))],
-        Template::Sym { name, children } => {
-            let kids: Vec<Tree> = children
-                .iter()
-                .flat_map(|c| instantiate(c, rows, tab, ctx))
-                .collect();
-            vec![Node::sym(name.clone(), kids)]
+/// The `Tree` operator's construction over one table: instantiates
+/// templates into caller-supplied forests, interning each template
+/// symbol once per evaluation.
+struct Builder<'t> {
+    tab: &'t Tab,
+    skolems: &'t SkolemRegistry,
+    /// Template symbols seen so far, by the address of their name.
+    syms: Vec<(&'t str, Symbol)>,
+}
+
+/// The key a grouping column missing from the table contributes.
+static MISSING: Value = Value::Null;
+
+impl<'t> Builder<'t> {
+    fn sym(&mut self, name: &'t str) -> Symbol {
+        if let Some((_, sym)) = self.syms.iter().find(|(n, _)| std::ptr::eq(*n, name)) {
+            return sym.clone();
         }
-        Template::Var(v) => {
-            let Some(ci) = tab.col(v) else {
-                return vec![];
-            };
-            // distinct values among the in-scope rows, first-occurrence
-            // order; keyed by structural hash, confirmed by key_eq
-            let mut seen: std::collections::HashMap<u64, Vec<usize>> =
-                std::collections::HashMap::new();
-            let mut out = Vec::new();
-            for &ri in rows {
-                let val = &tab.row(ri)[ci];
-                let bucket = seen.entry(val.key_hash()).or_default();
-                if bucket.iter().any(|&k| tab.row(k)[ci].key_eq(val)) {
-                    continue;
+        let sym = Symbol::intern(name);
+        self.syms.push((name, sym.clone()));
+        sym
+    }
+
+    /// Instantiates `tmpl` over the rows `rows` (indices into the
+    /// table), appending the constructed forest to `out` in order.
+    fn instantiate(&mut self, tmpl: &'t Template, rows: &[usize], out: &mut Vec<Tree>) {
+        let tab = self.tab;
+        match tmpl {
+            Template::Text(t) => out.push(Node::atom(Atom::Str(t.clone()))),
+            Template::Sym { name, children } => {
+                let sym = self.sym(name);
+                let mut kids = Vec::with_capacity(children.len());
+                for c in children {
+                    self.instantiate(c, rows, &mut kids);
                 }
-                bucket.push(ri);
-                out.extend(val.splice());
+                out.push(Node::sym(sym, kids));
             }
-            out
-        }
-        Template::LabelVar { var, children } => {
-            let Some(ci) = tab.col(var) else {
-                return vec![];
-            };
-            let mut seen = std::collections::BTreeSet::new();
-            let mut out = Vec::new();
-            for &ri in rows {
-                let val = &tab.row(ri)[ci];
-                let label = match val {
-                    Value::Label(l) => l.clone(),
-                    other => match other.atom() {
-                        Some(a) => a.to_string(),
-                        None => continue,
-                    },
+            Template::Var(v) => {
+                let Some(ci) = tab.col(v) else {
+                    return;
                 };
-                if seen.insert(label.clone()) {
-                    let group: Vec<usize> = rows
-                        .iter()
-                        .copied()
-                        .filter(|&r| match &tab.row(r)[ci] {
-                            Value::Label(l) => *l == label,
-                            other => other
-                                .atom()
-                                .map(|a| a.to_string() == label)
-                                .unwrap_or(false),
-                        })
-                        .collect();
-                    let kids: Vec<Tree> = children
-                        .iter()
-                        .flat_map(|c| instantiate(c, &group, tab, ctx))
-                        .collect();
-                    out.push(Node::sym(label, kids));
+                if let [ri] = rows {
+                    tab.row(*ri)[ci].splice_into(out);
+                    return;
+                }
+                // distinct values among the in-scope rows, first-occurrence
+                // order; keyed by structural hash, confirmed by key_eq
+                let cell = |k: usize| &tab.row(rows[k])[ci];
+                let distinct = Partition::by_key(
+                    rows.len(),
+                    |k| cell(k).key_hash(),
+                    |a, b| cell(a).key_eq(cell(b)),
+                );
+                for group in distinct.groups() {
+                    cell(group[0]).splice_into(out);
                 }
             }
-            out
-        }
-        Template::Group { key, skolem, body } => {
-            let kidx: Vec<Option<usize>> = key.iter().map(|k| tab.col(k)).collect();
-            // hashed grouping over the (possibly missing) key columns;
-            // first-occurrence order, hash hits confirmed against the
-            // group's first member
-            let gk_hash = |ri: usize| {
-                use std::hash::Hasher;
-                let mut h = yat_model::hash::Fnv64::new();
-                h.write_u64(kidx.len() as u64);
-                for i in &kidx {
-                    match i {
-                        Some(i) => {
-                            h.write_u8(1);
-                            tab.row(ri)[*i].key_hash_into(&mut h);
+            Template::LabelVar { var, children } => {
+                let Some(ci) = tab.col(var) else {
+                    return;
+                };
+                // one pass: each row's label text, then rows grouped by
+                // it in first-occurrence order (`Label("3")` and `Int(3)`
+                // share the label `3`); rows without a label are skipped
+                let mut labeled: Vec<(usize, std::borrow::Cow<'t, str>)> = Vec::new();
+                for &ri in rows {
+                    let label = match &tab.row(ri)[ci] {
+                        Value::Label(l) => std::borrow::Cow::Borrowed(l.as_str()),
+                        other => match other.atom() {
+                            Some(a) => std::borrow::Cow::Owned(a.to_string()),
+                            None => continue,
+                        },
+                    };
+                    labeled.push((ri, label));
+                }
+                let by_label = Partition::by_key(
+                    labeled.len(),
+                    |k| {
+                        let mut h = Fnv64::new();
+                        h.write(labeled[k].1.as_bytes());
+                        h.finish()
+                    },
+                    |a, b| labeled[a].1 == labeled[b].1,
+                );
+                let mut group = Vec::new();
+                for members in by_label.groups() {
+                    group.clear();
+                    group.extend(members.iter().map(|&k| labeled[k].0));
+                    let mut kids = Vec::new();
+                    for c in children {
+                        self.instantiate(c, &group, &mut kids);
+                    }
+                    out.push(Node::sym(labeled[members[0]].1.as_ref(), kids));
+                }
+            }
+            Template::Group { key, skolem, body } => {
+                let kidx: Vec<Option<usize>> = key.iter().map(|k| tab.col(k)).collect();
+                let key_of = |ri: usize| {
+                    kidx.iter()
+                        .map(move |i| i.map_or(&MISSING, |i| &tab.row(ri)[i]))
+                };
+                // hashed grouping over the (possibly missing) key columns;
+                // first-occurrence order, hash hits confirmed against the
+                // group's first member
+                let groups = Partition::by_key(
+                    rows.len(),
+                    |k| {
+                        let mut h = Fnv64::new();
+                        h.write_u64(kidx.len() as u64);
+                        for i in &kidx {
+                            match i {
+                                Some(i) => {
+                                    h.write_u8(1);
+                                    tab.row(rows[k])[*i].key_hash_into(&mut h);
+                                }
+                                None => h.write_u8(0),
+                            }
                         }
-                        None => h.write_u8(0),
-                    }
-                }
-                h.finish()
-            };
-            let gk_eq = |a: usize, b: usize| {
-                kidx.iter().all(|i| match i {
-                    Some(i) => tab.row(a)[*i].key_eq(&tab.row(b)[*i]),
-                    None => true,
-                })
-            };
-            let mut buckets: std::collections::HashMap<u64, Vec<usize>> =
-                std::collections::HashMap::with_capacity(rows.len());
-            let mut groups: Vec<Vec<usize>> = Vec::new();
-            for &ri in rows {
-                let bucket = buckets.entry(gk_hash(ri)).or_default();
-                match bucket.iter().copied().find(|&g| gk_eq(groups[g][0], ri)) {
-                    Some(g) => groups[g].push(ri),
-                    None => {
-                        bucket.push(groups.len());
-                        groups.push(vec![ri]);
+                        h.finish()
+                    },
+                    |a, b| {
+                        key_of(rows[a])
+                            .zip(key_of(rows[b]))
+                            .all(|(x, y)| x.key_eq(y))
+                    },
+                );
+                let mut members = Vec::new();
+                for group in groups.groups() {
+                    members.clear();
+                    members.extend(group.iter().map(|&k| rows[k]));
+                    match skolem {
+                        Some(name) => {
+                            let mut built = Vec::new();
+                            self.instantiate(body, &members, &mut built);
+                            let oid = self.skolems.apply_refs(name, key_of(members[0]));
+                            out.push(Node::oid(oid, built));
+                        }
+                        None => self.instantiate(body, &members, out),
                     }
                 }
             }
-            let mut out = Vec::new();
-            for members in &groups {
-                let built = instantiate(body, members, tab, ctx);
-                match skolem {
-                    Some(name) => {
-                        let first = members[0];
-                        let args: Vec<Value> = kidx
-                            .iter()
-                            .map(|i| match i {
-                                Some(i) => tab.row(first)[*i].clone(),
-                                None => Value::Null,
-                            })
-                            .collect();
-                        let oid = ctx.skolems.apply(name, &args);
-                        out.push(Node::oid(oid, built));
-                    }
-                    None => out.extend(built),
-                }
-            }
-            out
         }
     }
 }

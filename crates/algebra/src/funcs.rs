@@ -3,8 +3,10 @@
 use crate::error::EvalError;
 use crate::value::Value;
 use std::collections::BTreeMap;
-use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::fmt::{self, Write as _};
+use std::hash::Hasher;
+use std::sync::Arc;
+use yat_model::hash::Fnv64;
 use yat_model::{Atom, Oid};
 
 /// The signature of a registered external function: operations a source
@@ -130,75 +132,67 @@ pub fn value_text(v: &Value) -> String {
     }
 }
 
-/// The Skolem-function registry: mints one identifier per distinct
-/// `(function, argument-tuple)` pair, memoized for the lifetime of an
-/// integration session so that repeated rule evaluations converge on the
-/// same identifiers ("Skolem functions do not create values but have side
-/// effects on the integrated view", Section 3.1).
+/// The Skolem functions: mint one identifier per distinct
+/// `(function, argument-tuple)` pair, so that repeated rule evaluations
+/// converge on the same identifiers ("Skolem functions do not create
+/// values but have side effects on the integrated view", Section 3.1).
 ///
-/// Identifiers are *content-derived* (an FNV-1a hash of the function
-/// name and argument keys) rather than sequence numbers, so the OID a
+/// Identifiers are *content-derived* — an FNV-1a hash of the function
+/// name and the length-prefixed [`Value::group_key`] of each argument —
+/// rather than sequence numbers, so minting is a pure function: the OID a
 /// tuple receives does not depend on how many identifiers were minted
-/// before it — two queries running concurrently on one mediator mint the
-/// same OIDs they would have minted alone, in any interleaving.
+/// before it, two queries running concurrently on one mediator mint the
+/// same OIDs they would have minted alone, and nothing is remembered
+/// between calls (a long-lived server keeps no per-key state).
 #[derive(Debug, Default)]
-pub struct SkolemRegistry {
-    inner: Mutex<SkolemInner>,
-}
-
-#[derive(Debug, Default)]
-struct SkolemInner {
-    memo: BTreeMap<(String, String), Oid>,
-}
+pub struct SkolemRegistry;
 
 impl SkolemRegistry {
-    /// An empty registry.
+    /// The Skolem functions.
     pub fn new() -> Self {
-        Self::default()
+        SkolemRegistry
     }
 
-    /// Applies Skolem function `name` to `args`, returning the memoized or
-    /// freshly minted identifier.
+    /// Applies Skolem function `name` to `args`.
     pub fn apply(&self, name: &str, args: &[Value]) -> Oid {
-        // Length-prefix each argument key: a bare separator would let
-        // adversarial strings re-split the concatenation (f("a\u{1}b")
-        // aliasing f("a","b")) and merge identities that should differ.
-        let key_args: String = args
-            .iter()
-            .map(|v| {
-                let k = v.group_key();
-                format!("{}\u{1}{}\u{2}", k.len(), k)
-            })
-            .collect();
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(oid) = inner.memo.get(&(name.to_string(), key_args.clone())) {
-            return oid.clone();
+        self.apply_refs(name, args)
+    }
+
+    /// [`SkolemRegistry::apply`] over borrowed arguments.
+    pub fn apply_refs<'v>(&self, name: &str, args: impl IntoIterator<Item = &'v Value>) -> Oid {
+        /// Counts the bytes of a written key.
+        struct Len(usize);
+        impl fmt::Write for Len {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0 += s.len();
+                Ok(())
+            }
         }
-        // FNV-1a over name and argument keys; 64 bits is plenty for the
-        // identifier populations a session mints
-        use std::hash::Hasher;
-        let mut h = yat_model::hash::Fnv64::new();
+        /// Feeds written text straight into the hash.
+        struct Feed<'h>(&'h mut Fnv64);
+        impl fmt::Write for Feed<'_> {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0.write(s.as_bytes());
+                Ok(())
+            }
+        }
+        // FNV-1a over the name, a 0 byte, then per argument its key's
+        // byte length in decimal, \u{1}, the key, \u{2}. The length
+        // prefix keeps adversarial strings from re-splitting the keys
+        // (f("a\u{1}b") aliasing f("a","b")). 64 bits is plenty for the
+        // identifier populations a session mints.
+        let mut h = Fnv64::new();
         h.write(name.as_bytes());
         h.write_u8(0);
-        h.write(key_args.as_bytes());
-        let h = h.finish();
-        let oid = Oid::new(format!("{name}:{h:016x}"));
-        inner.memo.insert((name.to_string(), key_args), oid.clone());
-        oid
-    }
-
-    /// Number of identifiers minted.
-    pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .memo
-            .len()
-    }
-
-    /// True when no identifiers have been minted.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        for v in args {
+            let mut len = Len(0);
+            let _ = v.write_group_key(&mut len);
+            let mut feed = Feed(&mut h);
+            let _ = write!(feed, "{}\u{1}", len.0);
+            let _ = v.write_group_key(&mut feed);
+            h.write_u8(2);
+        }
+        Oid::new(format!("{name}:{:016x}", h.finish()))
     }
 }
 
@@ -251,18 +245,73 @@ mod tests {
             .is_err());
     }
 
+    /// The exact identifiers minting produces, pinned: the hash runs
+    /// over the same length-prefixed key bytes it always has, so OIDs in
+    /// stored answers and on the wire never change.
     #[test]
-    fn skolem_memoization() {
+    fn skolem_oids_are_pinned() {
         let s = SkolemRegistry::new();
-        let a1 = s.apply("artwork", &[Value::Atom(Atom::Str("Nympheas".into()))]);
-        let a2 = s.apply("artwork", &[Value::Atom(Atom::Str("Nympheas".into()))]);
-        let b = s.apply("artwork", &[Value::Atom(Atom::Str("Waterloo".into()))]);
-        assert_eq!(a1, a2, "same args → same identifier");
-        assert_ne!(a1, b);
-        // different function name, same args → different identifier
-        let c = s.apply("artist", &[Value::Atom(Atom::Str("Nympheas".into()))]);
-        assert_ne!(a1, c);
-        assert_eq!(s.len(), 3);
+        let str_ = |x: &str| Value::Atom(Atom::Str(x.into()));
+        let cases: Vec<(&str, Vec<Value>, &str)> = vec![
+            (
+                "artwork",
+                vec![str_("Nympheas")],
+                "artwork:17c1a41138df89ec",
+            ),
+            (
+                "artwork",
+                vec![str_("Waterloo")],
+                "artwork:bdf52901402fb054",
+            ),
+            ("artist", vec![str_("Nympheas")], "artist:61a8971a09f742ab"),
+            ("f", vec![Value::Atom(Atom::Int(3))], "f:186443f5d56f99a1"),
+            (
+                "f",
+                vec![Value::Atom(Atom::Float(3.0))],
+                "f:186443f5d56f99a1",
+            ),
+            (
+                "f",
+                vec![Value::Atom(Atom::Float(2.5))],
+                "f:51cdb4f1d5534399",
+            ),
+            (
+                "f",
+                vec![Value::Label("Nympheas".into())],
+                "f:13512336b4172406",
+            ),
+            ("f", vec![str_("Nympheas")], "f:13512336b4172406"),
+            (
+                "f",
+                vec![Value::Tree(Node::elem("title", "Nympheas"))],
+                "f:13512336b4172406",
+            ),
+            (
+                "f",
+                vec![Value::Tree(Node::sym(
+                    "work",
+                    vec![Node::elem("title", "x"), Node::elem("year", 1897)],
+                ))],
+                "f:00341d0b83e68855",
+            ),
+            ("f", vec![str_("a\u{1}b")], "f:9724af33fbbd90fa"),
+            ("f", vec![str_("a"), str_("b")], "f:cbdb3a31eb932c6c"),
+            (
+                "artwork",
+                vec![str_("Nympheas"), Value::Atom(Atom::Int(1897)), Value::Null],
+                "artwork:9de526850f930713",
+            ),
+        ];
+        for (name, args, oid) in &cases {
+            assert_eq!(s.apply(name, args).as_str(), *oid, "{name}{args:?}");
+            assert_eq!(s.apply_refs(name, args.iter()).as_str(), *oid);
+        }
+        // minting twice gives the same identifier; distinct tuples differ
+        assert_eq!(
+            s.apply("artwork", &cases[0].1),
+            s.apply("artwork", &cases[0].1)
+        );
+        assert_ne!(cases[10].2, cases[11].2, "length prefixes keep the split");
     }
 
     #[test]

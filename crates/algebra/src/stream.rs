@@ -10,10 +10,10 @@
 //! *streamable stages* (`Select`, `Map`, `Project` — stateless per-row
 //! operators). The prefix is evaluated by the interpreter; its rows are
 //! then cut into batches of `batch_rows`, each batch run through the
-//! stage chain with the same per-row kernels the interpreter uses
-//! ([`crate::eval::eval_pred`], [`crate::eval::eval_operand`],
-//! [`Tab::project`]), and delivered to a [`BatchSink`] as soon as it
-//! exists — no stage ever sees more than one batch at a time.
+//! stage chain with the same operator kernels the interpreter uses
+//! (`Select`, `Map`, [`Tab::project`]), and delivered to a [`BatchSink`]
+//! as soon as it exists — no stage ever sees more than one batch at a
+//! time.
 //!
 //! The materializing path stays untouched as the semantics oracle:
 //! concatenating every delivered batch must reproduce the materialized
@@ -21,7 +21,7 @@
 //! hundreds of seeded plans in both exec modes.
 
 use crate::error::EvalError;
-use crate::eval::{eval_operand, eval_pred, Env, EvalCtx, EvalOut};
+use crate::eval::{self, Env, EvalCtx, EvalOut};
 use crate::expr::{Alg, Operand, Pred};
 use crate::tab::Tab;
 use std::sync::Arc;
@@ -78,32 +78,13 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// Applies this stage to one batch, using the interpreter's per-row
-    /// kernels, so stage application cannot drift from the materialized
-    /// oracle.
-    pub fn apply(&self, batch: &Tab, env: &Env, ctx: &EvalCtx<'_>) -> Result<Tab, EvalError> {
+    /// Applies this stage to one batch, moving its rows, through the
+    /// interpreter's own operator kernels — stage application cannot
+    /// drift from the materialized oracle.
+    pub fn apply(&self, batch: Tab, env: &Env, ctx: &EvalCtx<'_>) -> Result<Tab, EvalError> {
         match self {
-            Stage::Select(pred) => {
-                let mut out = Tab::new(batch.columns().to_vec());
-                for row in batch.rows() {
-                    if eval_pred(pred, batch, row, env, ctx)? {
-                        out.push(row.to_vec());
-                    }
-                }
-                Ok(out)
-            }
-            Stage::Map { col, expr } => {
-                let mut cols = batch.columns().to_vec();
-                cols.push(col.clone());
-                let mut out = Tab::new(cols);
-                for row in batch.rows() {
-                    let v = eval_operand(expr, batch, row, env, ctx)?;
-                    let mut newrow = row.to_vec();
-                    newrow.push(v);
-                    out.push(newrow);
-                }
-                Ok(out)
-            }
+            Stage::Select(pred) => eval::select(batch, pred, env, ctx),
+            Stage::Map { col, expr } => eval::map(batch, col, expr, env, ctx),
             Stage::Project(cols) => Ok(batch.project(cols)),
         }
     }
@@ -208,7 +189,7 @@ pub fn deliver(
     // and exactly what the materialized path's column list would be
     let mut probe = Tab::new(tab.columns().to_vec());
     for stage in stages {
-        probe = stage.apply(&probe, env, ctx)?;
+        probe = stage.apply(probe, env, ctx)?;
     }
     sink.on_columns(probe.columns())?;
 
@@ -230,7 +211,7 @@ pub fn deliver(
         }
         let mut out = batch;
         for stage in stages {
-            out = stage.apply(&out, env, ctx)?;
+            out = stage.apply(out, env, ctx)?;
         }
         stats.chunks += 1;
         stats.rows += out.len() as u64;

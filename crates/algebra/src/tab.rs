@@ -2,7 +2,7 @@
 
 use crate::value::Value;
 use std::fmt;
-use yat_model::BindingRow;
+use yat_model::SlotRows;
 
 /// A table of variable bindings — "comparable to a ¬1NF relation"
 /// (Section 3.1, Fig. 4). Columns are variable names; cells are
@@ -22,24 +22,62 @@ impl Tab {
         }
     }
 
-    /// Builds a table from match-produced binding rows, with columns in
-    /// `columns` order (a variable missing from a row — union branches —
-    /// becomes `Null`).
-    pub fn from_binding_rows(columns: Vec<String>, rows: Vec<BindingRow>) -> Self {
-        let mut tab = Tab::new(columns);
-        for mut row in rows {
-            let values = tab
-                .columns
-                .iter()
-                .map(|c| {
-                    row.remove(c)
-                        .map(Value::from_binding)
-                        .unwrap_or(Value::Null)
-                })
-                .collect();
-            tab.rows.push(values);
+    /// Builds a table from match-produced slot rows, moving their
+    /// bindings: column `i` takes slot `i` (slots past the columns are
+    /// dropped; an unbound slot — union branches — becomes `Null`).
+    pub fn from_slot_rows(columns: Vec<String>, rows: &mut SlotRows) -> Self {
+        let (len, width, ncols) = (rows.len(), rows.width(), columns.len());
+        let mut cells = rows.drain();
+        let mut tab = Tab {
+            columns,
+            rows: Vec::with_capacity(len),
+        };
+        for _ in 0..len {
+            let mut row = Vec::with_capacity(ncols);
+            for (j, cell) in cells.by_ref().take(width).enumerate() {
+                if j < ncols {
+                    row.push(cell.map_or(Value::Null, Value::from_binding));
+                }
+            }
+            tab.push(row);
         }
         tab
+    }
+
+    /// A table over `rows`; panics if a row's arity differs from the
+    /// columns' (see [`Tab::push`]).
+    pub fn from_rows(columns: Vec<String>, rows: Vec<Vec<Value>>) -> Self {
+        let tab = Tab { columns, rows };
+        for row in &tab.rows {
+            tab.check_arity(row);
+        }
+        tab
+    }
+
+    /// The columns and the rows, by value.
+    pub fn into_parts(self) -> (Vec<String>, Vec<Vec<Value>>) {
+        (self.columns, self.rows)
+    }
+
+    /// Keeps the rows `keep` accepts, in order, without copying any;
+    /// the first error stops the scan and is returned (the table is then
+    /// unspecified).
+    pub fn try_retain<E>(
+        &mut self,
+        mut keep: impl FnMut(&[String], &[Value]) -> Result<bool, E>,
+    ) -> Result<(), E> {
+        let mut failure = None;
+        let columns = &self.columns;
+        self.rows.retain(|row| {
+            if failure.is_some() {
+                return false;
+            }
+            keep(columns, row).unwrap_or_else(|e| {
+                failure = Some(e);
+                false
+            })
+        });
+        failure.map_or(Ok(()), Err)
     }
 
     /// Column names, in order.
@@ -80,6 +118,11 @@ impl Tab {
     /// Appends a row; panics if the arity differs (an internal invariant —
     /// operators always construct rows from the table's own column list).
     pub fn push(&mut self, row: Vec<Value>) {
+        self.check_arity(&row);
+        self.rows.push(row);
+    }
+
+    fn check_arity(&self, row: &[Value]) {
         assert_eq!(
             row.len(),
             self.columns.len(),
@@ -87,7 +130,6 @@ impl Tab {
             row.len(),
             self.columns
         );
-        self.rows.push(row);
     }
 
     /// Takes ownership of the rows.
@@ -102,16 +144,27 @@ impl Tab {
 
     /// Projection with renaming: `(src, dst)` pairs. Unknown sources
     /// project as `Null` columns — the permissive behaviour XML queries
-    /// need when a union branch lacks a variable.
-    pub fn project(&self, cols: &[(String, String)]) -> Tab {
+    /// need when a union branch lacks a variable. Cells move into the
+    /// result; only a column projected twice is copied.
+    pub fn project(self, cols: &[(String, String)]) -> Tab {
         let idx: Vec<Option<usize>> = cols.iter().map(|(s, _)| self.col(s)).collect();
+        // the last use of a source column takes its cell, earlier ones copy
+        let moves: Vec<bool> = (0..idx.len())
+            .map(|k| idx[k].is_some() && !idx[k + 1..].contains(&idx[k]))
+            .collect();
         let mut out = Tab::new(cols.iter().map(|(_, d)| d.clone()).collect());
-        for row in &self.rows {
-            out.rows.push(
-                idx.iter()
-                    .map(|i| i.map(|i| row[i].clone()).unwrap_or(Value::Null))
-                    .collect(),
-            );
+        out.rows.reserve(self.rows.len());
+        for mut row in self.rows {
+            let projected = idx
+                .iter()
+                .zip(&moves)
+                .map(|(i, &take)| match i {
+                    Some(i) if take => std::mem::replace(&mut row[*i], Value::Null),
+                    Some(i) => row[*i].clone(),
+                    None => Value::Null,
+                })
+                .collect();
+            out.rows.push(projected);
         }
         out
     }
@@ -209,7 +262,7 @@ impl fmt::Display for Tab {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use yat_model::{Atom, Binding, Node};
+    use yat_model::{Atom, Binder, Edge, MatchOptions, Node, Pattern};
 
     fn sample() -> Tab {
         let mut t = Tab::new(vec!["t".into(), "a".into()]);
@@ -245,13 +298,21 @@ mod tests {
     }
 
     #[test]
-    fn from_binding_rows_fills_nulls() {
-        let mut r1 = BindingRow::new();
-        r1.insert("x".into(), Binding::Tree(Node::atom(1)));
-        let r2 = BindingRow::new(); // x unbound
-        let t = Tab::from_binding_rows(vec!["x".into()], vec![r1, r2]);
+    fn from_slot_rows_fills_nulls() {
+        // d[* (y[$x] ∨ _)]: the first child binds $x, the second matches
+        // the wildcard branch and leaves it unbound
+        let filter = Pattern::sym(
+            "d",
+            vec![Edge::star(Pattern::Union(vec![
+                Pattern::elem_var("y", "x"),
+                Pattern::Wildcard,
+            ]))],
+        );
+        let tree = Node::sym("d", vec![Node::elem("y", 1), Node::sym("z", vec![])]);
+        let mut binder = Binder::new(&filter, MatchOptions::default());
+        let t = Tab::from_slot_rows(vec!["x".into()], binder.bind(&tree));
         assert_eq!(t.len(), 2);
-        assert!(!t.row(0)[0].is_null());
+        assert_eq!(t.row(0)[0], Value::Tree(Node::atom(1)));
         assert!(t.row(1)[0].is_null());
     }
 

@@ -889,3 +889,86 @@ mod eval_edges {
         assert_eq!(grouped.len(), 2, "-0.0 and 0.0 group apart");
     }
 }
+
+/// `~$n[...]` groups rows by label text in first-occurrence order, one
+/// node per distinct text: `Label("3")` and `Int(3)` share the label `3`,
+/// `Float(3.0)` prints `3.0` and stays apart, and a tree binding labels
+/// by its atom. The rows arrive interleaved (sorted by `$v`), so every
+/// group collects members from all over the table.
+#[test]
+fn label_var_groups_interleaved_labels_by_text() {
+    let mut forest = Forest::new();
+    forest.insert(
+        "d",
+        Node::sym(
+            "d",
+            vec![
+                Node::elem("a", 1),
+                Node::elem("3", 5),
+                Node::elem("b", 3),
+                Node::elem("a", 4),
+            ],
+        ),
+    );
+    let r = |n: Tree, v: i64| Node::sym("r", vec![Node::sym("n", vec![n]), Node::elem("v", v)]);
+    forest.insert(
+        "e",
+        Node::sym(
+            "e",
+            vec![
+                r(Node::atom(3), 2),
+                r(Node::atom("b"), 7),
+                r(Node::atom(3.0), 8),
+                r(Node::elem("x", 1), 6),
+            ],
+        ),
+    );
+    let ctx = Ctx::new(forest);
+    let labels = Alg::bind(
+        Alg::source("d"),
+        Pattern::sym(
+            "d",
+            vec![Edge::star(Pattern::Node {
+                label: yat_model::PLabel::Var("n".into()),
+                edges: vec![Edge::one(Pattern::TreeVar("v".into()))],
+            })],
+        ),
+    );
+    let atoms = Alg::bind(
+        Alg::source("e"),
+        Pattern::sym(
+            "e",
+            vec![Edge::star(Pattern::sym(
+                "r",
+                vec![
+                    Edge::one(Pattern::sym(
+                        "n",
+                        vec![Edge::one(Pattern::TreeVar("n".into()))],
+                    )),
+                    Edge::one(Pattern::elem_var("v", "v")),
+                ],
+            ))],
+        ),
+    );
+    let rows = Arc::new(Alg::Sort {
+        input: Arc::new(Alg::Union {
+            left: labels,
+            right: atoms,
+        }),
+        keys: vec![("v".into(), SortDir::Asc)],
+    });
+    let plan = Alg::tree(
+        rows,
+        Template::sym(
+            "root",
+            vec![Template::LabelVar {
+                var: "n".into(),
+                children: vec![Template::Var("v".into())],
+            }],
+        ),
+    );
+    assert_eq!(
+        ctx.eval_tree(&plan).to_string(),
+        "root[a[1, 4], 3[2, 5], b[3, 7], 1[6], 3.0[8]]"
+    );
+}

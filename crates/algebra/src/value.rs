@@ -1,5 +1,7 @@
 //! Values held in `Tab` cells.
 
+use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::fmt;
 use std::hash::Hasher;
 use yat_model::hash::{write_len_str, Fnv64};
@@ -69,7 +71,7 @@ impl Value {
     /// atom compares equal to that atom (so `$t = $t'` holds between a
     /// bound `title` element and a bound title string).
     pub fn query_eq(&self, other: &Value) -> bool {
-        if let (Some(a), Some(b)) = (self.atom(), other.atom()) {
+        if let (Some(a), Some(b)) = (self.atom_view(), other.atom_view()) {
             return a.value_eq(&b);
         }
         match (self, other) {
@@ -85,24 +87,35 @@ impl Value {
     /// A grouping/join key: equal keys ⟺ [`Value::query_eq`]. Uses the
     /// atom coercion first so `title["x"]` and `"x"` group together.
     pub fn group_key(&self) -> String {
-        match self.atom() {
-            Some(Atom::Int(i)) => format!("n{}", i as f64),
-            Some(Atom::Float(f)) => format!("n{f}"),
-            Some(Atom::Bool(b)) => format!("b{b}"),
-            Some(Atom::Str(s)) => format!("t{s}"),
+        let mut s = String::new();
+        self.write_group_key(&mut s)
+            .expect("writing to a String cannot fail");
+        s
+    }
+
+    /// Writes [`Value::group_key`]'s text into `out` without building it.
+    pub fn write_group_key(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        match self.atom_view() {
+            Some(AtomView::Atom(a)) => a.write_key(out),
+            Some(AtomView::Str(s)) => {
+                out.write_char('t')?;
+                out.write_str(s)
+            }
             None => match self {
-                Value::Tree(t) => format!("T{}", Node::group_key(t)),
-                Value::Coll(c) => {
-                    let mut s = String::from("C[");
-                    for v in c {
-                        s.push_str(&v.group_key());
-                        s.push(';');
-                    }
-                    s.push(']');
-                    s
+                Value::Tree(t) => {
+                    out.write_char('T')?;
+                    Node::write_group_key(t, out)
                 }
-                Value::Null => "N".to_string(),
-                // Atom/Label always produce Some(atom) above
+                Value::Coll(c) => {
+                    out.write_str("C[")?;
+                    for v in c {
+                        v.write_group_key(out)?;
+                        out.write_char(';')?;
+                    }
+                    out.write_char(']')
+                }
+                Value::Null => out.write_char('N'),
+                // Atom/Label always produce a view above
                 Value::Atom(_) | Value::Label(_) => unreachable!(),
             },
         }
@@ -110,7 +123,7 @@ impl Value {
 
     /// Borrowed view of the atomic content this value coerces to — the
     /// same coercion as [`Value::atom`], but without cloning strings.
-    fn key_atom_view(&self) -> Option<AtomView<'_>> {
+    pub(crate) fn atom_view(&self) -> Option<AtomView<'_>> {
         match self {
             Value::Atom(a) => Some(AtomView::Atom(a)),
             Value::Tree(t) => t.value_atom().map(AtomView::Atom),
@@ -132,7 +145,7 @@ impl Value {
 
     /// Writes this value's grouping key into `h` (see [`Value::key_hash`]).
     pub fn key_hash_into(&self, h: &mut impl Hasher) {
-        match self.key_atom_view() {
+        match self.atom_view() {
             Some(AtomView::Atom(a)) => a.key_hash_into(h),
             // a Label coerces to a Str atom; mirror Atom's encoding so
             // Label("x"), Atom::Str("x") and title["x"] share one key
@@ -164,7 +177,7 @@ impl Value {
     /// floats (see [`Atom::key_eq`]); used to confirm candidate matches
     /// after a hash hit in the set-based operators.
     pub fn key_eq(&self, other: &Value) -> bool {
-        match (self.key_atom_view(), other.key_atom_view()) {
+        match (self.atom_view(), other.atom_view()) {
             (Some(a), Some(b)) => a.key_eq(&b),
             (None, None) => match (self, other) {
                 (Value::Tree(a), Value::Tree(b)) => Node::key_eq(a, b),
@@ -178,11 +191,12 @@ impl Value {
         }
     }
 
-    /// Total order for `Sort`: atoms by [`Atom::total_cmp`], then trees by
-    /// display, nulls first.
-    pub fn total_cmp(&self, other: &Value) -> std::cmp::Ordering {
-        use std::cmp::Ordering;
-        match (self.atom(), other.atom()) {
+    /// Total order for `Sort`: atoms by [`Atom::total_cmp`], then the
+    /// rest by [`Value::group_key`] text, nulls first. Atoms compare
+    /// through borrowed views and keys byte by byte as they are written,
+    /// so no comparison builds a string.
+    pub fn total_cmp(&self, other: &Value) -> Ordering {
+        match (self.atom_view(), other.atom_view()) {
             (Some(a), Some(b)) => a.total_cmp(&b),
             (Some(_), None) => Ordering::Less,
             (None, Some(_)) => Ordering::Greater,
@@ -190,7 +204,7 @@ impl Value {
                 (Value::Null, Value::Null) => Ordering::Equal,
                 (Value::Null, _) => Ordering::Less,
                 (_, Value::Null) => Ordering::Greater,
-                _ => self.group_key().cmp(&other.group_key()),
+                _ => cmp_group_keys(self, other),
             },
         }
     }
@@ -199,31 +213,113 @@ impl Value {
     /// operator splices cell values into templates. Collections splice
     /// element-wise; atoms become atom leaves.
     pub fn splice(&self) -> Vec<Tree> {
+        let mut out = Vec::new();
+        self.splice_into(&mut out);
+        out
+    }
+
+    /// [`Value::splice`], appending to `out`.
+    pub fn splice_into(&self, out: &mut Vec<Tree>) {
         match self {
-            Value::Tree(t) => vec![t.clone()],
-            Value::Atom(a) => vec![Node::atom(a.clone())],
-            Value::Label(l) => vec![Node::sym(l.clone(), vec![])],
-            Value::Coll(c) => c.iter().flat_map(|v| v.splice()).collect(),
-            Value::Null => vec![],
+            Value::Tree(t) => out.push(t.clone()),
+            Value::Atom(a) => out.push(Node::atom(a.clone())),
+            Value::Label(l) => out.push(Node::sym(l.as_str(), vec![])),
+            Value::Coll(c) => c.iter().for_each(|v| v.splice_into(out)),
+            Value::Null => {}
         }
     }
 }
 
-/// Borrowed atomic coercion (see [`Value::key_atom_view`]).
-enum AtomView<'a> {
+/// Compares the [`Value::group_key`] texts of `a` and `b`: `a`'s is
+/// written into a reused buffer, `b`'s is compared against it as it is
+/// written and abandoned at the first differing byte.
+fn cmp_group_keys(a: &Value, b: &Value) -> Ordering {
+    /// Compares written text against `rest`, the unmatched tail of `a`'s key.
+    struct Against<'k> {
+        rest: &'k [u8],
+        ord: Ordering,
+    }
+    impl fmt::Write for Against<'_> {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            let s = s.as_bytes();
+            let n = s.len().min(self.rest.len());
+            let ord = self.rest[..n].cmp(&s[..n]);
+            if ord.is_ne() {
+                self.ord = ord;
+                return Err(fmt::Error);
+            }
+            if n < s.len() {
+                // `a`'s key is a proper prefix of `b`'s
+                self.ord = Ordering::Less;
+                return Err(fmt::Error);
+            }
+            self.rest = &self.rest[n..];
+            Ok(())
+        }
+    }
+    thread_local! {
+        static KEY: RefCell<String> = const { RefCell::new(String::new()) };
+    }
+    KEY.with(|key| {
+        let mut key = key.borrow_mut();
+        key.clear();
+        a.write_group_key(&mut *key)
+            .expect("writing to a String cannot fail");
+        let mut against = Against {
+            rest: key.as_bytes(),
+            ord: Ordering::Equal,
+        };
+        if b.write_group_key(&mut against).is_ok() && !against.rest.is_empty() {
+            // `b`'s key is a proper prefix of `a`'s
+            return Ordering::Greater;
+        }
+        against.ord
+    })
+}
+
+/// Borrowed atomic coercion (see [`Value::atom_view`]): what predicates,
+/// keys and `Sort` compare, without cloning a string.
+#[derive(Clone, Copy)]
+pub(crate) enum AtomView<'a> {
     Atom(&'a Atom),
     /// A label, coerced to its text (an implicit `Str` atom).
     Str(&'a str),
 }
 
 impl AtomView<'_> {
+    fn as_str(&self) -> Option<&str> {
+        match self {
+            AtomView::Atom(a) => a.as_str(),
+            AtomView::Str(s) => Some(s),
+        }
+    }
+
+    /// [`Atom::value_eq`] on the viewed atoms.
+    pub(crate) fn value_eq(&self, other: &AtomView<'_>) -> bool {
+        match (self, other) {
+            (AtomView::Atom(a), AtomView::Atom(b)) => a.value_eq(b),
+            _ => self.as_str().is_some() && self.as_str() == other.as_str(),
+        }
+    }
+
+    /// [`Atom::key_eq`] on the viewed atoms.
     fn key_eq(&self, other: &AtomView<'_>) -> bool {
         match (self, other) {
             (AtomView::Atom(a), AtomView::Atom(b)) => a.key_eq(b),
-            (AtomView::Str(a), AtomView::Str(b)) => a == b,
-            (AtomView::Atom(a), AtomView::Str(s)) | (AtomView::Str(s), AtomView::Atom(a)) => {
-                a.as_str() == Some(s)
-            }
+            _ => self.as_str().is_some() && self.as_str() == other.as_str(),
+        }
+    }
+
+    /// [`Atom::total_cmp`] on the viewed atoms: a label sorts as the
+    /// string it coerces to, after every bool and number.
+    pub(crate) fn total_cmp(&self, other: &AtomView<'_>) -> Ordering {
+        match (self, other) {
+            (AtomView::Atom(a), AtomView::Atom(b)) => a.total_cmp(b),
+            _ => match (self.as_str(), other.as_str()) {
+                (Some(a), Some(b)) => a.cmp(b),
+                (Some(_), None) => Ordering::Greater,
+                (None, _) => Ordering::Less,
+            },
         }
     }
 }
@@ -326,6 +422,60 @@ mod tests {
             Value::Label("x".into()).key_hash(),
             Value::Tree(Node::elem("title", "x")).key_hash()
         );
+    }
+
+    /// `Sort`'s order through borrowed views equals the order of the
+    /// cloning definition it replaced: atoms by [`Atom::total_cmp`] on
+    /// clones, everything else by comparing built `group_key` strings.
+    #[test]
+    fn total_cmp_matches_the_cloning_order() {
+        fn reference(a: &Value, b: &Value) -> Ordering {
+            match (a.atom(), b.atom()) {
+                (Some(x), Some(y)) => x.total_cmp(&y),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (None, None) => match (a, b) {
+                    (Value::Null, Value::Null) => Ordering::Equal,
+                    (Value::Null, _) => Ordering::Less,
+                    (_, Value::Null) => Ordering::Greater,
+                    _ => a.group_key().cmp(&b.group_key()),
+                },
+            }
+        }
+        let str_ = |s: &str| Value::Atom(Atom::Str(s.into()));
+        let tree = |kids: Vec<Tree>| Value::Tree(Node::sym("w", kids));
+        let values = vec![
+            Value::Label("b".into()),
+            str_("b"),
+            Value::Label("3".into()),
+            Value::Atom(Atom::Int(3)),
+            Value::Atom(Atom::Float(2.5)),
+            Value::Atom(Atom::Bool(true)),
+            Value::Label("".into()),
+            str_("ab"),
+            Value::Tree(Node::elem("title", "a")),
+            Value::Tree(Node::elem("year", 1897)),
+            tree(vec![]),
+            tree(vec![Node::elem("a", 1), Node::elem("b", 2)]),
+            tree(vec![Node::elem("a", 1)]),
+            tree(vec![Node::elem("a", "x;"), Node::elem("b", 2)]),
+            tree(vec![Node::elem("a", "x!"), Node::elem("b", 2)]),
+            Value::Coll(vec![str_("ta"), str_("b")]),
+            Value::Coll(vec![str_("ta;x")]),
+            Value::Coll(vec![str_("ta!x")]),
+            Value::Coll(vec![]),
+            Value::Null,
+        ];
+        for a in &values {
+            for b in &values {
+                assert_eq!(a.total_cmp(b), reference(a, b), "{a} vs {b}");
+            }
+        }
+        let mut sorted = values.clone();
+        sorted.sort_by(Value::total_cmp);
+        let mut expected = values;
+        expected.sort_by(reference);
+        assert_eq!(sorted, expected);
     }
 
     #[test]

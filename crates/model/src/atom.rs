@@ -167,6 +167,21 @@ impl Atom {
         }
     }
 
+    /// Writes this atom's canonical grouping-key text: `n` and the
+    /// coerced `f64` for numerics (so `Int(1)` and `Float(1.0)` share
+    /// `n1`), `b` and the bool, `t` and the string.
+    pub fn write_key(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        match self {
+            Atom::Int(i) => write!(out, "n{}", *i as f64),
+            Atom::Float(f) => write!(out, "n{f}"),
+            Atom::Bool(b) => write!(out, "b{b}"),
+            Atom::Str(s) => {
+                out.write_char('t')?;
+                out.write_str(s)
+            }
+        }
+    }
+
     /// Writes this atom's grouping key into a hasher, with the same
     /// coercions as the canonical string key (`Int(1)` and `Float(1.0)`
     /// hash identically; kinds are tagged apart). [`Atom::key_eq`] is the

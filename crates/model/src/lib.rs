@@ -50,7 +50,8 @@ pub use codec::{decode_tree, encode_tree};
 pub use forest::Forest;
 pub use index::TreeIndex;
 pub use matching::{
-    match_filter, match_filter_indexed, Binding, BindingRow, IndexStats, MatchOptions,
+    match_filter, match_filter_indexed, Binder, Binding, BindingRow, IndexStats, MatchOptions,
+    SlotRows,
 };
 pub use oid::{Oid, OidGen};
 pub use pattern::{Edge, Filter, Model, Occ, PLabel, Pattern, PatternDef, StarBind};

@@ -3,10 +3,18 @@
 //!
 //! "YATL's filtering mechanism relies on instantiation: if a tree is
 //! instance of a filter, then one can deduce a mapping between node values
-//! and variables" (Section 2). [`match_filter`] implements that mapping:
-//! given a tree and a filter it produces zero or more [`BindingRow`]s —
-//! zero when the tree is not an instance, several when star edges iterate
-//! (one row per matched element, Fig. 4).
+//! and variables" (Section 2). A [`Binder`] implements that mapping:
+//! given a tree and a filter it produces zero or more binding rows — zero
+//! when the tree is not an instance, several when star edges iterate (one
+//! row per matched element, Fig. 4).
+//!
+//! Rows are *slot rows*: one `Option<Binding>` per variable, in
+//! [`Binder::vars`] order ([`Filter::variables`] first), stored flat in a
+//! [`SlotRows`] buffer. Partial match states carry their claimed children
+//! as bit words and their bindings as slots, in buffers the binder reuses
+//! from call to call, so matching allocates only what it binds.
+//! [`match_filter`] and [`match_filter_indexed`] return the same rows as
+//! name-keyed [`BindingRow`] maps for callers outside the algebra.
 
 use crate::forest::Forest;
 use crate::hash::Fnv64;
@@ -40,7 +48,8 @@ impl Binding {
     }
 }
 
-/// One result row: variable name → bound value.
+/// One result row keyed by variable name — the adapter form of a slot
+/// row, for callers outside the algebra.
 pub type BindingRow = BTreeMap<String, Binding>;
 
 /// Matching context.
@@ -59,20 +68,345 @@ pub struct MatchOptions<'a> {
     pub closed: bool,
 }
 
+/// Binding rows in slot form: `len` rows of `width` cells each, stored
+/// row-major in one buffer. A `None` cell is a variable the row leaves
+/// unbound (a union branch that did not bind it).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SlotRows {
+    width: usize,
+    len: usize,
+    cells: Vec<Option<Binding>>,
+}
+
+impl SlotRows {
+    fn new(width: usize) -> Self {
+        SlotRows {
+            width,
+            len: 0,
+            cells: Vec::new(),
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Cells per row: the binder's variable count.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Row `i`, one cell per variable.
+    pub fn row(&self, i: usize) -> &[Option<Binding>] {
+        &self.cells[i * self.width..(i + 1) * self.width]
+    }
+
+    /// Moves every cell out, row after row, leaving the buffer empty
+    /// (its capacity stays for the next match).
+    pub fn drain(&mut self) -> std::vec::Drain<'_, Option<Binding>> {
+        self.len = 0;
+        self.cells.drain(..)
+    }
+
+    fn row_mut(&mut self, i: usize) -> &mut [Option<Binding>] {
+        &mut self.cells[i * self.width..(i + 1) * self.width]
+    }
+
+    fn last_mut(&mut self) -> &mut [Option<Binding>] {
+        self.row_mut(self.len - 1)
+    }
+
+    fn push_empty(&mut self) {
+        self.cells.resize(self.cells.len() + self.width, None);
+        self.len += 1;
+    }
+
+    fn push_row(&mut self, row: &[Option<Binding>]) {
+        self.cells.extend_from_slice(row);
+        self.len += 1;
+    }
+
+    /// Pushes `base` with `sub`'s bindings merged in; refuses (pushing
+    /// nothing) when a variable is bound to different values on the two
+    /// sides — possible only for variables repeated across a filter.
+    fn push_merged(&mut self, base: &[Option<Binding>], sub: &[Option<Binding>]) -> bool {
+        let at = self.cells.len();
+        self.cells.extend_from_slice(base);
+        for (cell, b) in self.cells[at..].iter_mut().zip(sub) {
+            let Some(b) = b else { continue };
+            match cell {
+                Some(existing) if existing != b => {
+                    self.cells.truncate(at);
+                    return false;
+                }
+                _ => *cell = Some(b.clone()),
+            }
+        }
+        self.len += 1;
+        true
+    }
+
+    /// Moves every row of `other` to the end of this buffer.
+    fn append(&mut self, other: &mut SlotRows) {
+        self.cells.append(&mut other.cells);
+        self.len += std::mem::take(&mut other.len);
+    }
+
+    fn truncate(&mut self, len: usize) {
+        self.cells.truncate(len * self.width);
+        self.len = len;
+    }
+
+    fn clear(&mut self) {
+        self.truncate(0);
+    }
+
+    /// Drops rows from `start` on that repeat an earlier row of that
+    /// range, keeping first occurrences in order: distinct embeddings may
+    /// bind identical rows (e.g. wildcard edges). Rows are keyed by a
+    /// 64-bit structural hash (cached per tree node); a hash hit is
+    /// confirmed structurally before a row is dropped, so collisions
+    /// cannot lose rows.
+    fn dedup_from(&mut self, start: usize) {
+        let n = self.len - start;
+        if n < 2 {
+            return;
+        }
+        let w = self.width;
+        // the first kept row per hash, then a chain through the later
+        // kept rows sharing it
+        let mut heads: HashMap<u64, usize> = HashMap::with_capacity(n);
+        let mut chain: Vec<Option<usize>> = Vec::with_capacity(n);
+        let mut kept = start;
+        for r in start..self.len {
+            let h = row_hash(self.row(r));
+            let (mut at, mut last) = (heads.get(&h).copied(), None);
+            let mut dup = false;
+            while let Some(k) = at {
+                if row_key_eq(self.row(k), self.row(r)) {
+                    dup = true;
+                    break;
+                }
+                last = Some(k);
+                at = chain[k - start];
+            }
+            if dup {
+                continue;
+            }
+            if kept != r {
+                for j in 0..w {
+                    self.cells.swap(kept * w + j, r * w + j);
+                }
+            }
+            chain.push(None);
+            match last {
+                Some(k) => chain[k - start] = Some(kept),
+                None => {
+                    heads.insert(h, kept);
+                }
+            }
+            kept += 1;
+        }
+        self.truncate(kept);
+    }
+}
+
+/// A filter prepared for matching: its slot layout, and the buffers
+/// matching reuses across calls (one binder serves every tree a `Bind`
+/// evaluation visits).
+pub struct Binder<'a> {
+    filter: &'a Filter,
+    m: Matcher<'a>,
+    rows: SlotRows,
+}
+
+impl<'a> Binder<'a> {
+    /// Prepares `filter`. The slot layout is [`Filter::variables`]
+    /// followed by any further variables bound inside named patterns the
+    /// filter references through `opts.model`.
+    pub fn new(filter: &'a Filter, opts: MatchOptions<'a>) -> Self {
+        let mut vars = filter.variables();
+        if let Some(model) = opts.model {
+            ref_vars(filter, model, &mut Vec::new(), &mut vars);
+        }
+        let width = vars.len();
+        Binder {
+            filter,
+            m: Matcher {
+                opts,
+                fuel: FUEL_LIMIT,
+                vars,
+                spare: Vec::new(),
+                spare_rows: Vec::new(),
+            },
+            rows: SlotRows::new(width),
+        }
+    }
+
+    /// The variable of each slot.
+    pub fn vars(&self) -> &[String] {
+        &self.m.vars
+    }
+
+    /// Matches the filter against `tree`: one row per way its iterating
+    /// star edges embed into the tree, none when `tree` is not an
+    /// instance. The rows replace the previous call's.
+    pub fn bind(&mut self, tree: &Tree) -> &mut SlotRows {
+        self.rows.clear();
+        self.m.fuel = FUEL_LIMIT;
+        // a non-instance leaves the buffer empty
+        let _ = self.m.node(tree, self.filter, &mut self.rows);
+        &mut self.rows
+    }
+
+    /// Index-aware [`Binder::bind`]: identical rows, but for covered
+    /// filters the top-level star edge runs only over candidate children
+    /// seeded from a path-hash lookup in `index` (which must have been
+    /// built over this `tree`).
+    ///
+    /// Coverage requires open matching, a reference-free tree (a `Forest`
+    /// in scope is harmless then: dereferencing is the identity on every
+    /// node the match can reach), and the collection shape
+    /// `root[* sub[...]]` with symbol-labeled root and subpattern.
+    /// Everything else — `*` labels, unions (`∨`), pattern refs, closed
+    /// matching, trees holding `&oid` leaves — falls back to the full
+    /// walker, which keeps full generality as the oracle.
+    pub fn bind_indexed(&mut self, tree: &Tree, index: &TreeIndex) -> (&mut SlotRows, IndexStats) {
+        let collection = tree.children.len() as u64;
+        let Some((edge, cands)) = covered_edge(tree, self.filter, self.m.opts, index) else {
+            let rows = self.bind(tree);
+            let stats = IndexStats {
+                covered: false,
+                candidates: collection,
+                collection,
+                rows: rows.len() as u64,
+            };
+            return (rows, stats);
+        };
+        self.rows.clear();
+        self.m.fuel = FUEL_LIMIT;
+        // reproduce the open single-star walk over the candidates only:
+        // a child matching the subpattern must contain the required
+        // spine, so the candidate set is a superset of the matching
+        // children, and candidates arrive in ascending child order — row
+        // order, dedup and collection order are preserved exactly.
+        let m = &mut self.m;
+        let rows = &mut self.rows;
+        match &edge.star_var {
+            Some((v, StarBind::Collect)) => {
+                let slot = m.slot(v);
+                let mut sub = m.take();
+                let mut coll = Vec::new();
+                for &i in cands {
+                    let kid = &tree.children[i as usize];
+                    if m.node(kid, &edge.pattern, &mut sub).is_some() {
+                        coll.push(kid.clone());
+                    }
+                    sub.clear();
+                }
+                m.give(sub);
+                rows.push_empty();
+                rows.last_mut()[slot] = Some(Binding::Coll(coll));
+            }
+            star_var => {
+                if let Some((v, _)) = star_var {
+                    let slot = m.slot(v);
+                    for &i in cands {
+                        let kid = &tree.children[i as usize];
+                        let before = rows.len();
+                        if m.node(kid, &edge.pattern, rows).is_some() {
+                            for r in before..rows.len() {
+                                rows.row_mut(r)[slot] = Some(Binding::Tree(kid.clone()));
+                            }
+                        }
+                    }
+                    rows.dedup_from(0);
+                } else if !edge.pattern.is_ground() {
+                    for &i in cands {
+                        let _ = m.node(&tree.children[i as usize], &edge.pattern, rows);
+                    }
+                    rows.dedup_from(0);
+                } else {
+                    // structural star: open matching always yields one
+                    // empty row
+                    rows.push_empty();
+                }
+            }
+        }
+        let stats = IndexStats {
+            covered: true,
+            candidates: cands.len() as u64,
+            collection,
+            rows: rows.len() as u64,
+        };
+        (rows, stats)
+    }
+
+    /// The last call's rows as name-keyed maps (unbound slots omitted).
+    pub fn binding_rows(&self) -> Vec<BindingRow> {
+        (0..self.rows.len())
+            .map(|i| {
+                self.m
+                    .vars
+                    .iter()
+                    .zip(self.rows.row(i))
+                    .filter_map(|(v, b)| Some((v.clone(), b.clone()?)))
+                    .collect()
+            })
+            .collect()
+    }
+}
+
+/// Appends to `vars` the variables bound inside the named patterns
+/// `pat` references (transitively; each name visited once).
+fn ref_vars(pat: &Pattern, model: &Model, seen: &mut Vec<String>, vars: &mut Vec<String>) {
+    match pat {
+        Pattern::Ref(name) => {
+            if seen.contains(name) {
+                return;
+            }
+            seen.push(name.clone());
+            if let Some(def) = model.get(name) {
+                for v in def.variables() {
+                    if !vars.contains(&v) {
+                        vars.push(v);
+                    }
+                }
+                ref_vars(def, model, seen, vars);
+            }
+        }
+        Pattern::Node { edges, .. } => {
+            for e in edges {
+                ref_vars(&e.pattern, model, seen, vars);
+            }
+        }
+        Pattern::Union(branches) => {
+            for b in branches {
+                ref_vars(b, model, seen, vars);
+            }
+        }
+        Pattern::TreeVar(_) | Pattern::Wildcard => {}
+    }
+}
+
 /// Matches `filter` against `tree`, returning one row per way the filter's
 /// iterating star edges embed into the tree; empty when `tree` is not an
-/// instance of the filter.
+/// instance of the filter. The adapter over [`Binder::bind`].
 pub fn match_filter(tree: &Tree, filter: &Filter, opts: MatchOptions<'_>) -> Vec<BindingRow> {
-    let mut m = Matcher {
-        opts,
-        fuel: FUEL_LIMIT,
-    };
-    m.node(tree, filter).unwrap_or_default()
+    let mut binder = Binder::new(filter, opts);
+    binder.bind(tree);
+    binder.binding_rows()
 }
 
 /// Convenience: does `filter` match at all?
 pub fn matches(tree: &Tree, filter: &Filter, opts: MatchOptions<'_>) -> bool {
-    !match_filter(tree, filter, opts).is_empty()
+    !Binder::new(filter, opts).bind(tree).is_empty()
 }
 
 /// What one indexed matching call did — the candidate accounting behind
@@ -90,59 +424,51 @@ pub struct IndexStats {
     pub rows: u64,
 }
 
-/// Index-aware matching: identical output to [`match_filter`], but for
-/// covered filters the top-level star edge runs only over candidate
-/// children seeded from a path-hash lookup in `index` (which must have
-/// been built over this `tree`).
-///
-/// Coverage requires open matching, a reference-free tree (a `Forest`
-/// in scope is harmless then: dereferencing is the identity on every
-/// node the match can reach), and the collection shape `root[* sub[...]]`
-/// with symbol-labeled root and subpattern. Everything else — `*`
-/// labels, unions (`∨`), pattern refs, closed matching, trees holding
-/// `&oid` leaves — falls back to the full walker, which keeps full
-/// generality as the oracle.
+/// Index-aware matching: identical output to [`match_filter`] (see
+/// [`Binder::bind_indexed`]). The adapter over that method.
 pub fn match_filter_indexed(
     tree: &Tree,
     filter: &Filter,
     opts: MatchOptions<'_>,
     index: &TreeIndex,
 ) -> (Vec<BindingRow>, IndexStats) {
-    let collection = tree.children.len() as u64;
-    let fallback = |tree, filter, opts| {
-        let rows = match_filter(tree, filter, opts);
-        let stats = IndexStats {
-            covered: false,
-            candidates: collection,
-            collection,
-            rows: rows.len() as u64,
-        };
-        (rows, stats)
-    };
+    let mut binder = Binder::new(filter, opts);
+    let (_, stats) = binder.bind_indexed(tree, index);
+    (binder.binding_rows(), stats)
+}
+
+/// The top-level star edge of a filter the index covers over `tree`,
+/// with its candidate children; `None` sends the call to the walker.
+fn covered_edge<'f, 'i>(
+    tree: &Tree,
+    filter: &'f Filter,
+    opts: MatchOptions<'_>,
+    index: &'i TreeIndex,
+) -> Option<(&'f Edge, &'i [u32])> {
     if opts.closed || index.has_refs() {
-        return fallback(tree, filter, opts);
+        return None;
     }
     // the collection shape: `root[* sub[...]]` with symbol labels
-    let Pattern::Node { label, edges } = filter else {
-        return fallback(tree, filter, opts);
-    };
-    let PLabel::Sym(root) = label else {
-        return fallback(tree, filter, opts);
+    let Pattern::Node {
+        label: PLabel::Sym(root),
+        edges,
+    } = filter
+    else {
+        return None;
     };
     let [edge] = edges.as_slice() else {
-        return fallback(tree, filter, opts);
+        return None;
     };
     if edge.occ != Occ::Star || tree.label.as_sym() != Some(root.as_str()) {
-        return fallback(tree, filter, opts);
+        return None;
     }
     let Pattern::Node {
         label: PLabel::Sym(sub),
         ..
     } = &edge.pattern
     else {
-        return fallback(tree, filter, opts);
+        return None;
     };
-
     // hash the filter's required spine: root / sub / (deepest chain of
     // required One-edges through symbol nodes, ending at a constant
     // leaf when one is reachable — the selective case)
@@ -150,63 +476,7 @@ pub fn match_filter_indexed(
     path_sym(&mut h, root);
     path_sym(&mut h, sub);
     let (h, _, _) = spine_extend(&edge.pattern, h);
-    let cands = index.postings(h.finish());
-
-    let mut m = Matcher {
-        opts,
-        fuel: FUEL_LIMIT,
-    };
-    let collect_var = match &edge.star_var {
-        Some((v, StarBind::Collect)) => Some(v.clone()),
-        _ => None,
-    };
-    let iter_var = match &edge.star_var {
-        Some((v, StarBind::Iterate)) => Some(v.clone()),
-        _ => None,
-    };
-    let inner_vars = !edge.pattern.variables().is_empty();
-
-    // reproduce `single_star` (open matching) over the candidates only:
-    // a child matching the subpattern must contain the required spine,
-    // so the candidate set is a superset of the matching children, and
-    // candidates arrive in ascending child order — row order, dedup and
-    // collection order are preserved exactly.
-    let rows = if let Some(v) = collect_var {
-        let mut coll = Vec::new();
-        for &i in cands {
-            let kid = &tree.children[i as usize];
-            if m.node(kid, &edge.pattern).is_some() {
-                coll.push(kid.clone());
-            }
-        }
-        let mut row = BindingRow::new();
-        row.insert(v, Binding::Coll(coll));
-        vec![row]
-    } else if iter_var.is_some() || inner_vars {
-        let mut rows = Vec::new();
-        for &i in cands {
-            let kid = &tree.children[i as usize];
-            if let Some(subrows) = m.node(kid, &edge.pattern) {
-                for mut sub in subrows {
-                    if let Some(v) = &iter_var {
-                        sub.insert(v.clone(), Binding::Tree(kid.clone()));
-                    }
-                    rows.push(sub);
-                }
-            }
-        }
-        dedup_rows(rows)
-    } else {
-        // structural star: open matching always yields one empty row
-        vec![BindingRow::new()]
-    };
-    let stats = IndexStats {
-        covered: true,
-        candidates: cands.len() as u64,
-        collection,
-        rows: rows.len() as u64,
-    };
-    (rows, stats)
+    Some((edge, index.postings(h.finish())))
 }
 
 /// Extends a running spine hash through the deepest chain of required
@@ -264,15 +534,86 @@ const FUEL_LIMIT: u64 = 10_000_000;
 /// unboundedly.
 const MAX_STATES: usize = 65_536;
 
+/// The partial states of one edge list: each state's claimed children
+/// (`words` bit words per state) and bindings (one slot row per state).
+struct States {
+    claims: Vec<u64>,
+    rows: SlotRows,
+}
+
+/// The buffers one edge-list walk needs; pooled in the matcher.
+struct Scratch {
+    states: States,
+    next: States,
+    /// A child's own rows, before they merge into the states.
+    sub: SlotRows,
+}
+
+fn claimed(claims: &[u64], words: usize, state: usize, child: usize) -> bool {
+    claims[state * words + child / 64] & (1 << (child % 64)) != 0
+}
+
 struct Matcher<'a> {
     opts: MatchOptions<'a>,
     fuel: u64,
+    /// The variable of each slot.
+    vars: Vec<String>,
+    /// Spare scratch, reused by later edge-list walks.
+    spare: Vec<Scratch>,
+    /// Spare row buffers.
+    spare_rows: Vec<SlotRows>,
 }
 
 impl<'a> Matcher<'a> {
     fn spend(&mut self, amount: u64) -> Option<()> {
         self.fuel = self.fuel.checked_sub(amount)?;
         Some(())
+    }
+
+    fn slot(&self, var: &str) -> usize {
+        self.vars
+            .iter()
+            .position(|v| v == var)
+            .expect("the slot layout holds every variable the filter binds")
+    }
+
+    fn scratch(&mut self) -> Scratch {
+        self.spare.pop().unwrap_or_else(|| {
+            let rows = || SlotRows::new(self.vars.len());
+            Scratch {
+                states: States {
+                    claims: Vec::new(),
+                    rows: rows(),
+                },
+                next: States {
+                    claims: Vec::new(),
+                    rows: rows(),
+                },
+                sub: rows(),
+            }
+        })
+    }
+
+    fn keep(&mut self, mut s: Scratch) {
+        for st in [&mut s.states, &mut s.next] {
+            st.claims.clear();
+            st.rows.clear();
+        }
+        s.sub.clear();
+        self.spare.push(s);
+    }
+
+    /// A spare row buffer.
+    fn take(&mut self) -> SlotRows {
+        let width = self.vars.len();
+        self.spare_rows
+            .pop()
+            .unwrap_or_else(|| SlotRows::new(width))
+    }
+
+    fn give(&mut self, mut rows: SlotRows) {
+        rows.clear();
+        self.spare_rows.push(rows);
     }
 
     /// Follows a reference leaf through the forest, if configured.
@@ -286,30 +627,32 @@ impl<'a> Matcher<'a> {
         }
     }
 
-    /// `None` = not an instance. `Some(rows)` = instance, with `rows`
-    /// non-empty.
-    fn node(&mut self, tree: &Tree, pat: &Pattern) -> Option<Vec<BindingRow>> {
+    /// Appends the rows of matching `pat` against `tree` to `out` and
+    /// returns `Some`; returns `None` and leaves `out` as it was when
+    /// `tree` is not an instance. An instance always adds a row.
+    fn node(&mut self, tree: &Tree, pat: &Pattern, out: &mut SlotRows) -> Option<()> {
         self.spend(1)?;
         // Follow references transparently.
-        let tree: &Tree = match (&tree.label, self.opts.forest) {
-            (Label::Ref(oid), Some(f)) => f.deref_oid(oid).unwrap_or(tree),
-            _ => tree,
-        };
+        let tree = self.resolve(tree);
         match pat {
-            Pattern::Wildcard => Some(vec![BindingRow::new()]),
+            Pattern::Wildcard => {
+                out.push_empty();
+                Some(())
+            }
             Pattern::TreeVar(v) => {
-                let mut row = BindingRow::new();
-                row.insert(v.clone(), Binding::Tree(tree.clone()));
-                Some(vec![row])
+                let slot = self.slot(v);
+                out.push_empty();
+                out.last_mut()[slot] = Some(Binding::Tree(tree.clone()));
+                Some(())
             }
             Pattern::Ref(name) => {
                 let resolved = self.opts.model.and_then(|m| m.get(name))?;
-                self.node(tree, resolved)
+                self.node(tree, resolved, out)
             }
             Pattern::Union(branches) => {
                 // First matching branch wins: deterministic semantics for
                 // the unambiguous unions the paper allows.
-                branches.iter().find_map(|b| self.node(tree, b))
+                branches.iter().find_map(|b| self.node(tree, b, out))
             }
             Pattern::Node { label, edges } => {
                 // Identified nodes are transparent: `a1[class[...]]`
@@ -319,30 +662,30 @@ impl<'a> Matcher<'a> {
                 // non-Any label can only match after descending)
                 if !matches!(label, PLabel::Any) {
                     if let (Label::Oid(_), [only]) = (&tree.label, tree.children.as_slice()) {
-                        let only = only.clone();
-                        return self.node(&only, pat);
+                        return self.node(only, pat, out);
                     }
                 }
                 let label_binding = self.match_label(&tree.label, label)?;
-                let mut rows = self.edges(tree, edges)?;
-                if let Some((v, sym)) = label_binding {
-                    for row in &mut rows {
-                        row.insert(v.clone(), Binding::Label(sym.clone()));
+                let start = out.len();
+                self.edges(tree, edges, out)?;
+                if let Some((slot, sym)) = label_binding {
+                    for r in start..out.len() {
+                        out.row_mut(r)[slot] = Some(Binding::Label(sym.to_string()));
                     }
                 }
-                Some(rows)
+                Some(())
             }
         }
     }
 
     /// Matches a node label against a label pattern. On success returns an
-    /// optional `(var, symbol)` binding for label variables.
-    fn match_label(&mut self, label: &Label, pat: &PLabel) -> Option<Option<(String, String)>> {
+    /// optional `(slot, symbol)` binding for label variables.
+    fn match_label<'l>(&self, label: &'l Label, pat: &PLabel) -> Option<Option<(usize, &'l str)>> {
         match (pat, label) {
             (PLabel::Any, _) => Some(None),
             (PLabel::Sym(p), Label::Sym(s)) if p == s => Some(None),
             (PLabel::AnySym, Label::Sym(_)) => Some(None),
-            (PLabel::Var(v), Label::Sym(s)) => Some(Some((v.clone(), s.to_string()))),
+            (PLabel::Var(v), Label::Sym(s)) => Some(Some((self.slot(v), s.as_str()))),
             (PLabel::Const(c), Label::Atom(a)) if c.value_eq(a) => Some(None),
             (PLabel::Atom(t), Label::Atom(a)) if *t == a.atom_type() => Some(None),
             _ => None,
@@ -352,259 +695,260 @@ impl<'a> Matcher<'a> {
     /// Matches the edge list against the node's children.
     ///
     /// Edges are processed left to right over a set of partial states
-    /// (claimed-children bitmap + bindings). Single-occurrence edges have
-    /// existential semantics and iterate over every matching child;
+    /// (claimed-children bits + binding slots). Single-occurrence edges
+    /// have existential semantics and iterate over every matching child;
     /// star edges either iterate (inner variables / `*$v:`), collect
     /// (`*($v)`), or structurally claim matches.
-    fn edges(&mut self, tree: &Tree, edges: &[Edge]) -> Option<Vec<BindingRow>> {
+    fn edges(&mut self, tree: &Tree, edges: &[Edge], out: &mut SlotRows) -> Option<()> {
         let kids = &tree.children;
         // Fast path: a single star edge over many children — the common
         // document-collection shape (`works[*work[...]]`). The general
-        // algorithm clones a claimed-children bitmap per partial state,
-        // which is quadratic in the collection size; here a single linear
-        // scan suffices and the semantics below are reproduced exactly.
+        // walk keeps claimed-children bits per partial state, which is
+        // quadratic in the collection size; here a single linear scan
+        // suffices and the semantics below are reproduced exactly.
         if let [edge] = edges {
             if edge.occ == Occ::Star {
-                return self.single_star(kids, edge);
+                return self.single_star(kids, edge, out);
             }
         }
-        let mut states: Vec<(Vec<bool>, BindingRow)> =
-            vec![(vec![false; kids.len()], BindingRow::new())];
+        let mut s = self.scratch();
+        let found = self.walk(kids, edges, &mut s);
+        if found.is_some() {
+            let start = out.len();
+            out.append(&mut s.states.rows);
+            out.dedup_from(start);
+        }
+        self.keep(s);
+        found
+    }
+
+    /// The general edge-list walk of [`Matcher::edges`]; leaves the
+    /// surviving states in `s.states` (`None`: no state survived).
+    fn walk(&mut self, kids: &[Tree], edges: &[Edge], s: &mut Scratch) -> Option<()> {
+        let words = kids.len().div_ceil(64).max(1);
+        s.states.claims.resize(words, 0);
+        s.states.rows.push_empty();
         for edge in edges {
-            self.spend(states.len() as u64)?;
-            let mut next: Vec<(Vec<bool>, BindingRow)> = Vec::new();
+            self.spend(s.states.rows.len() as u64)?;
+            let (states, next, sub) = (&s.states, &mut s.next, &mut s.sub);
+            let claims = |st: usize| &states.claims[st * words..(st + 1) * words];
             match edge.occ {
                 Occ::One | Occ::Opt => {
-                    for (claimed, row) in &states {
+                    for st in 0..states.rows.len() {
                         let mut found = false;
                         for (i, kid) in kids.iter().enumerate() {
-                            if claimed[i] {
+                            if claimed(&states.claims, words, st, i) {
                                 continue;
                             }
-                            if let Some(subrows) = self.node(kid, &edge.pattern) {
+                            sub.clear();
+                            if self.node(kid, &edge.pattern, sub).is_some() {
                                 found = true;
-                                for sub in subrows {
-                                    if let Some(merged) = merge(row, &sub) {
-                                        let mut c = claimed.clone();
-                                        c[i] = true;
-                                        next.push((c, merged));
+                                for r in 0..sub.len() {
+                                    if next.rows.push_merged(states.rows.row(st), sub.row(r)) {
+                                        next.claims.extend_from_slice(claims(st));
+                                        let at = next.claims.len() - words + i / 64;
+                                        next.claims[at] |= 1 << (i % 64);
                                     }
                                 }
                             }
                         }
                         if !found && edge.occ == Occ::Opt {
-                            next.push((claimed.clone(), row.clone()));
+                            next.rows.push_row(states.rows.row(st));
+                            next.claims.extend_from_slice(claims(st));
                         }
                     }
                 }
-                Occ::Star => {
-                    let collect_var = match &edge.star_var {
-                        Some((v, StarBind::Collect)) => Some(v.clone()),
-                        _ => None,
-                    };
-                    let iter_var = match &edge.star_var {
-                        Some((v, StarBind::Iterate)) => Some(v.clone()),
-                        _ => None,
-                    };
-                    let inner_vars = !edge.pattern.variables().is_empty();
-                    if let Some(v) = collect_var {
+                Occ::Star => match &edge.star_var {
+                    Some((v, StarBind::Collect)) => {
                         // Collect: claim every matching unclaimed child,
                         // bind the collection. Inner bindings are not
                         // exported (the variable denotes the collection).
-                        for (claimed, row) in &states {
-                            let mut c = claimed.clone();
+                        let slot = self.slot(v);
+                        for st in 0..states.rows.len() {
+                            next.claims.extend_from_slice(claims(st));
+                            let base = next.claims.len() - words;
                             let mut coll = Vec::new();
                             for (i, kid) in kids.iter().enumerate() {
-                                if c[i] {
+                                if claimed(&next.claims[base..], words, 0, i) {
                                     continue;
                                 }
-                                if self.node(kid, &edge.pattern).is_some() {
-                                    c[i] = true;
+                                sub.clear();
+                                if self.node(kid, &edge.pattern, sub).is_some() {
+                                    next.claims[base + i / 64] |= 1 << (i % 64);
                                     coll.push(self.resolve(kid).clone());
                                 }
                             }
-                            let mut row = row.clone();
-                            row.insert(v.clone(), Binding::Coll(coll));
-                            next.push((c, row));
-                        }
-                    } else if iter_var.is_some() || inner_vars {
-                        // Iterate: one successor state per matching child.
-                        for (claimed, row) in &states {
-                            for (i, kid) in kids.iter().enumerate() {
-                                if claimed[i] {
-                                    continue;
-                                }
-                                if let Some(subrows) = self.node(kid, &edge.pattern) {
-                                    for sub in subrows {
-                                        let mut merged = match merge(row, &sub) {
-                                            Some(m) => m,
-                                            None => continue,
-                                        };
-                                        if let Some(v) = &iter_var {
-                                            // the variable sees through
-                                            // references, like the match
-                                            merged.insert(
-                                                v.clone(),
-                                                Binding::Tree(self.resolve(kid).clone()),
-                                            );
-                                        }
-                                        let mut c = claimed.clone();
-                                        c[i] = true;
-                                        next.push((c, merged));
-                                    }
-                                }
-                            }
-                        }
-                    } else {
-                        // Structural star: claim all matching children;
-                        // always succeeds (zero matches allowed).
-                        for (claimed, row) in &states {
-                            let mut c = claimed.clone();
-                            for (i, kid) in kids.iter().enumerate() {
-                                if !c[i] && self.node(kid, &edge.pattern).is_some() {
-                                    c[i] = true;
-                                }
-                            }
-                            next.push((c, row.clone()));
+                            next.rows.push_row(states.rows.row(st));
+                            next.rows.last_mut()[slot] = Some(Binding::Coll(coll));
                         }
                     }
-                }
+                    star_var if star_var.is_some() || !edge.pattern.is_ground() => {
+                        // Iterate: one successor state per matching child.
+                        let slot = star_var.as_ref().map(|(v, _)| self.slot(v));
+                        for st in 0..states.rows.len() {
+                            for (i, kid) in kids.iter().enumerate() {
+                                if claimed(&states.claims, words, st, i) {
+                                    continue;
+                                }
+                                sub.clear();
+                                if self.node(kid, &edge.pattern, sub).is_none() {
+                                    continue;
+                                }
+                                for r in 0..sub.len() {
+                                    if !next.rows.push_merged(states.rows.row(st), sub.row(r)) {
+                                        continue;
+                                    }
+                                    if let Some(slot) = slot {
+                                        // the variable sees through
+                                        // references, like the match
+                                        next.rows.last_mut()[slot] =
+                                            Some(Binding::Tree(self.resolve(kid).clone()));
+                                    }
+                                    next.claims.extend_from_slice(claims(st));
+                                    let at = next.claims.len() - words + i / 64;
+                                    next.claims[at] |= 1 << (i % 64);
+                                }
+                            }
+                        }
+                    }
+                    _ => {
+                        // Structural star: claim all matching children;
+                        // always succeeds (zero matches allowed).
+                        for st in 0..states.rows.len() {
+                            next.claims.extend_from_slice(claims(st));
+                            let base = next.claims.len() - words;
+                            for (i, kid) in kids.iter().enumerate() {
+                                if claimed(&next.claims[base..], words, 0, i) {
+                                    continue;
+                                }
+                                sub.clear();
+                                if self.node(kid, &edge.pattern, sub).is_some() {
+                                    next.claims[base + i / 64] |= 1 << (i % 64);
+                                }
+                            }
+                            next.rows.push_row(states.rows.row(st));
+                        }
+                    }
+                },
             }
-            states = next;
-            if states.is_empty() {
+            std::mem::swap(&mut s.states, &mut s.next);
+            s.next.claims.clear();
+            s.next.rows.clear();
+            let n = s.states.rows.len();
+            if n == 0 {
                 return None;
             }
             // Reject over-ambiguous filters before they exhaust memory:
             // each subsequent edge can multiply the state count, so the cap
             // bounds peak allocation to MAX_STATES × max fan-out.
-            if states.len() > MAX_STATES {
+            if n > MAX_STATES {
                 return None;
             }
-            self.spend(states.len() as u64)?;
+            self.spend(n as u64)?;
         }
         if self.opts.closed {
-            states.retain(|(claimed, _)| claimed.iter().all(|&c| c));
+            // keep the states that claimed every child
+            let mut kept = 0;
+            for st in 0..s.states.rows.len() {
+                if (0..kids.len()).all(|i| claimed(&s.states.claims, words, st, i)) {
+                    let (w, rows) = (s.states.rows.width, &mut s.states.rows);
+                    for j in 0..w {
+                        rows.cells.swap(kept * w + j, st * w + j);
+                    }
+                    kept += 1;
+                }
+            }
+            s.states.rows.truncate(kept);
+            if kept == 0 {
+                return None;
+            }
         }
-        let rows: Vec<BindingRow> = states.into_iter().map(|(_, r)| r).collect();
-        if rows.is_empty() {
-            None
-        } else {
-            Some(dedup_rows(rows))
-        }
+        Some(())
     }
 
     /// Linear-time handling of a node whose filter is exactly one star
-    /// edge. Mirrors the general algorithm's semantics, including closed
+    /// edge. Mirrors the general walk's semantics, including closed
     /// matching (every child must be claimed).
-    fn single_star(&mut self, kids: &[Tree], edge: &Edge) -> Option<Vec<BindingRow>> {
+    fn single_star(&mut self, kids: &[Tree], edge: &Edge, out: &mut SlotRows) -> Option<()> {
         self.spend(kids.len() as u64)?;
-        let collect_var = match &edge.star_var {
-            Some((v, StarBind::Collect)) => Some(v.clone()),
-            _ => None,
-        };
-        let iter_var = match &edge.star_var {
-            Some((v, StarBind::Iterate)) => Some(v.clone()),
-            _ => None,
-        };
-        let inner_vars = !edge.pattern.variables().is_empty();
-        if let Some(v) = collect_var {
-            let mut coll = Vec::new();
-            let mut matched = 0usize;
-            for kid in kids {
-                if self.node(kid, &edge.pattern).is_some() {
-                    matched += 1;
-                    coll.push(self.resolve(kid).clone());
+        match &edge.star_var {
+            Some((v, StarBind::Collect)) => {
+                let slot = self.slot(v);
+                let mut sub = self.take();
+                let mut coll = Vec::new();
+                for kid in kids {
+                    if self.node(kid, &edge.pattern, &mut sub).is_some() {
+                        coll.push(self.resolve(kid).clone());
+                    }
+                    sub.clear();
                 }
+                self.give(sub);
+                if self.opts.closed && coll.len() != kids.len() {
+                    return None;
+                }
+                out.push_empty();
+                out.last_mut()[slot] = Some(Binding::Coll(coll));
+                Some(())
             }
-            if self.opts.closed && matched != kids.len() {
-                return None;
-            }
-            let mut row = BindingRow::new();
-            row.insert(v, Binding::Coll(coll));
-            Some(vec![row])
-        } else if iter_var.is_some() || inner_vars {
-            // iterate: one row per matching child; under closed matching a
-            // state claims only its own child, so rows survive only when
-            // there is nothing else to claim
-            if self.opts.closed && kids.len() > 1 {
-                return None;
-            }
-            let mut rows = Vec::new();
-            for kid in kids {
-                if let Some(subrows) = self.node(kid, &edge.pattern) {
-                    for mut sub in subrows {
-                        if let Some(v) = &iter_var {
-                            sub.insert(v.clone(), Binding::Tree(self.resolve(kid).clone()));
+            star_var if star_var.is_some() || !edge.pattern.is_ground() => {
+                // iterate: one row per matching child; under closed
+                // matching a state claims only its own child, so rows
+                // survive only when there is nothing else to claim
+                if self.opts.closed && kids.len() > 1 {
+                    return None;
+                }
+                let slot = star_var.as_ref().map(|(v, _)| self.slot(v));
+                let start = out.len();
+                for kid in kids {
+                    let before = out.len();
+                    if self.node(kid, &edge.pattern, out).is_none() {
+                        continue;
+                    }
+                    if let Some(slot) = slot {
+                        for r in before..out.len() {
+                            out.row_mut(r)[slot] = Some(Binding::Tree(self.resolve(kid).clone()));
                         }
-                        rows.push(sub);
                     }
                 }
-            }
-            if rows.is_empty() {
-                None
-            } else {
-                Some(dedup_rows(rows))
-            }
-        } else {
-            // structural: always succeeds open; closed requires all
-            // children to match
-            if self.opts.closed {
-                for kid in kids {
-                    self.node(kid, &edge.pattern)?;
+                if out.len() == start {
+                    return None;
                 }
+                out.dedup_from(start);
+                Some(())
             }
-            Some(vec![BindingRow::new()])
-        }
-    }
-}
-
-/// Merges two rows; `None` when a shared variable is bound to different
-/// values (can only happen with variables repeated across union branches).
-fn merge(a: &BindingRow, b: &BindingRow) -> Option<BindingRow> {
-    let mut out = a.clone();
-    for (k, v) in b {
-        match out.get(k) {
-            Some(existing) if existing != v => return None,
             _ => {
-                out.insert(k.clone(), v.clone());
+                // structural: always succeeds open; closed requires all
+                // children to match
+                if self.opts.closed {
+                    let mut sub = self.take();
+                    let all = kids.iter().all(|kid| {
+                        let hit = self.node(kid, &edge.pattern, &mut sub).is_some();
+                        sub.clear();
+                        hit
+                    });
+                    self.give(sub);
+                    if !all {
+                        return None;
+                    }
+                }
+                out.push_empty();
+                Some(())
             }
         }
     }
-    Some(out)
 }
 
-fn dedup_rows(rows: Vec<BindingRow>) -> Vec<BindingRow> {
-    // distinct embeddings may produce identical rows (e.g. wildcard
-    // edges); keep first occurrences, preserving order. Keyed by a
-    // 64-bit structural hash (cached per tree node) so dedup stays
-    // near-linear in the row count; a hash hit is confirmed structurally
-    // before a row is dropped, so collisions can't lose rows.
-    if rows.len() < 2 {
-        return rows;
-    }
-    let mut seen: HashMap<u64, Vec<usize>> = HashMap::with_capacity(rows.len());
-    let mut out: Vec<BindingRow> = Vec::with_capacity(rows.len());
-    for row in rows {
-        let h = row_hash(&row);
-        let bucket = seen.entry(h).or_default();
-        if bucket.iter().any(|&i| row_key_eq(&out[i], &row)) {
-            continue;
-        }
-        bucket.push(out.len());
-        out.push(row);
-    }
-    out
-}
-
-/// Structural hash of a binding row under grouping-key semantics. Every
-/// variable-length field is length-prefixed, so distinct rows cannot
-/// collide by re-splitting concatenated text.
-fn row_hash(row: &BindingRow) -> u64 {
+/// Structural hash of a slot row under grouping-key semantics.
+fn row_hash(row: &[Option<Binding>]) -> u64 {
     let mut h = Fnv64::new();
-    h.write_u64(row.len() as u64);
-    for (k, v) in row {
-        crate::hash::write_len_str(&mut h, k);
-        binding_hash(v, &mut h);
+    for cell in row {
+        match cell {
+            None => h.write_u8(0),
+            Some(b) => {
+                h.write_u8(1);
+                binding_hash(b, &mut h);
+            }
+        }
     }
     h.finish()
 }
@@ -629,11 +973,12 @@ fn binding_hash(b: &Binding, h: &mut Fnv64) {
     }
 }
 
-fn row_key_eq(a: &BindingRow, b: &BindingRow) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b.iter())
-            .all(|((ka, va), (kb, vb))| ka == kb && binding_key_eq(va, vb))
+fn row_key_eq(a: &[Option<Binding>], b: &[Option<Binding>]) -> bool {
+    a.iter().zip(b).all(|(x, y)| match (x, y) {
+        (None, None) => true,
+        (Some(x), Some(y)) => binding_key_eq(x, y),
+        _ => false,
+    })
 }
 
 fn binding_key_eq(a: &Binding, b: &Binding) -> bool {

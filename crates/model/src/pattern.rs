@@ -256,7 +256,17 @@ impl Pattern {
 
     /// True if the pattern contains no variables (a pure type).
     pub fn is_ground(&self) -> bool {
-        self.variables().is_empty()
+        match self {
+            Pattern::Node { label, edges } => {
+                !matches!(label, PLabel::Var(_))
+                    && edges
+                        .iter()
+                        .all(|e| e.star_var.is_none() && e.pattern.is_ground())
+            }
+            Pattern::Union(branches) => branches.iter().all(Pattern::is_ground),
+            Pattern::TreeVar(_) => false,
+            Pattern::Ref(_) | Pattern::Wildcard => true,
+        }
     }
 
     /// Depth of the pattern tree. Elementary filters (depth ≤ 2:

@@ -177,8 +177,13 @@ impl Node {
     /// the baseline the property tests compare the hash path against.
     pub fn group_key(tree: &Tree) -> String {
         let mut s = String::new();
-        write_key(tree, &mut s);
+        Node::write_group_key(tree, &mut s).expect("writing to a String cannot fail");
         s
+    }
+
+    /// Writes [`Node::group_key`]'s text into `out` without building it.
+    pub fn write_group_key(tree: &Node, out: &mut impl fmt::Write) -> fmt::Result {
+        write_key(tree, out)
     }
 
     /// The 64-bit structural grouping hash of this subtree: equal
@@ -270,39 +275,32 @@ impl fmt::Debug for Node {
     }
 }
 
-fn write_key(t: &Tree, out: &mut String) {
+fn write_key(t: &Node, out: &mut impl fmt::Write) -> fmt::Result {
     match &t.label {
         Label::Sym(s) => {
-            out.push('s');
-            out.push_str(s);
+            out.write_char('s')?;
+            out.write_str(s)?;
         }
         Label::Atom(a) => {
-            out.push('a');
-            match a {
-                // normalize Int/Float so value-equal atoms share keys
-                Atom::Int(i) => out.push_str(&format!("n{}", *i as f64)),
-                Atom::Float(f) => out.push_str(&format!("n{f}")),
-                Atom::Bool(b) => out.push_str(&format!("b{b}")),
-                Atom::Str(s) => out.push_str(&format!("t{s}")),
-            }
+            out.write_char('a')?;
+            a.write_key(out)?;
         }
         Label::Oid(o) => {
             // identity, not state: stop here
-            out.push('o');
-            out.push_str(o.as_str());
-            return;
+            out.write_char('o')?;
+            return out.write_str(o.as_str());
         }
         Label::Ref(o) => {
-            out.push('r');
-            out.push_str(o.as_str());
+            out.write_char('r')?;
+            out.write_str(o.as_str())?;
         }
     }
-    out.push('(');
+    out.write_char('(')?;
     for c in &t.children {
-        write_key(c, out);
-        out.push(',');
+        write_key(c, out)?;
+        out.write_char(',')?;
     }
-    out.push(')');
+    out.write_char(')')
 }
 
 /// YAT textual syntax: `work[title["Nympheas"], year[1897]]`.

@@ -220,7 +220,9 @@ fn canon(rows: Vec<BindingRow>) -> Vec<String> {
         })
         .collect();
     let mut seen = std::collections::HashSet::new();
-    keys.into_iter().filter(|k| seen.insert(k.clone())).collect()
+    keys.into_iter()
+        .filter(|k| seen.insert(k.clone()))
+        .collect()
 }
 
 // ---------------------------------------------------------- the generators
