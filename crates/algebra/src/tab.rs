@@ -188,22 +188,24 @@ impl Tab {
     /// hash with a [`Value::key_eq`] confirmation on hash hits, so hash
     /// collisions cannot drop distinct rows.
     pub fn dedup(&mut self) {
-        let mut seen: std::collections::HashMap<u64, Vec<usize>> =
-            std::collections::HashMap::with_capacity(self.rows.len());
-        let mut out: Vec<Vec<Value>> = Vec::with_capacity(self.rows.len());
-        for row in self.rows.drain(..) {
-            let h = crate::keys::row_hash(&row);
-            let bucket = seen.entry(h).or_default();
-            if bucket
-                .iter()
-                .any(|&i| crate::keys::row_key_eq(&out[i], &row))
-            {
-                continue;
-            }
-            bucket.push(out.len());
-            out.push(row);
+        let rows = &self.rows;
+        let distinct = crate::keys::Partition::by_key(
+            rows.len(),
+            |i| crate::keys::row_hash(&rows[i]),
+            |a, b| crate::keys::row_key_eq(&rows[a], &rows[b]),
+        );
+        if distinct.len() == rows.len() {
+            return;
         }
-        self.rows = out;
+        let mut first = vec![false; rows.len()];
+        for group in distinct.groups() {
+            first[group[0]] = true;
+        }
+        let mut i = 0;
+        self.rows.retain(|_| {
+            i += 1;
+            first[i - 1]
+        });
     }
 
     /// Total size of the table in tree nodes — the transfer meter uses

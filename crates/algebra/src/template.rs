@@ -39,8 +39,9 @@ pub enum Template {
         /// Grouping key variables.
         key: Vec<String>,
         /// Optional Skolem function name: each group's subtree is
-        /// identified by `skolem(key...)`, memoized across the whole
-        /// integration so references converge (`artwork($t,$c)`).
+        /// identified by `skolem(key...)`, a pure function of the key,
+        /// so references converge across the whole integration
+        /// (`artwork($t,$c)`).
         skolem: Option<String>,
         /// Template instantiated per group.
         body: Box<Template>,

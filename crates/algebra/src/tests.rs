@@ -158,7 +158,8 @@ fn fig4_tree_groups_by_artist() {
         "Claude Monet"
     );
     assert_eq!(artist.children_named("title").count(), 2);
-    // skolem memoization: re-evaluating yields the same identifiers
+    // skolem ids are content-derived: re-evaluating yields the same
+    // identifiers
     let tree2 = ctx.eval_tree(&plan);
     assert_eq!(tree, tree2);
 }

@@ -7,7 +7,12 @@
 //! dependency-free, and stable across runs — unlike `std`'s randomized
 //! `DefaultHasher`, whose per-process seed would make hashes unusable as
 //! reproducible signatures.
+//!
+//! [`Partition`] is the one hash-first grouping kernel: matcher row
+//! dedup, `Tab` dedup, the `Group` operator and `Tree` template grouping
+//! all number their items by first occurrence through it.
 
+use std::collections::HashMap;
 use std::hash::Hasher;
 
 /// FNV-1a 64-bit offset basis.
@@ -70,6 +75,90 @@ impl Hasher for Fnv64 {
 pub fn write_len_str(h: &mut impl Hasher, s: &str) {
     h.write_u64(s.len() as u64);
     h.write(s.as_bytes());
+}
+
+/// A partition of items `0..n` into key groups, in first-occurrence
+/// order, with each group's members in item order — stored flat, so
+/// grouping allocates the same handful of buffers for two groups as for
+/// two thousand.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Partition {
+    /// Group `g` is `members[bounds[g]..bounds[g + 1]]`.
+    bounds: Vec<usize>,
+    members: Vec<usize>,
+}
+
+impl Partition {
+    /// Groups items `0..n` by key: `hash` first, `eq` confirming a hash
+    /// hit against each candidate group's first item.
+    pub fn by_key(
+        n: usize,
+        mut hash: impl FnMut(usize) -> u64,
+        mut eq: impl FnMut(usize, usize) -> bool,
+    ) -> Partition {
+        // the first group per hash, then a chain through later groups
+        // sharing it
+        let mut heads: HashMap<u64, usize> = HashMap::with_capacity(n);
+        let mut next_same: Vec<Option<usize>> = Vec::new();
+        let mut firsts: Vec<usize> = Vec::new();
+        let mut group_of: Vec<usize> = Vec::with_capacity(n);
+        for i in 0..n {
+            let h = hash(i);
+            let (mut at, mut last) = (heads.get(&h).copied(), None);
+            let g = loop {
+                match at {
+                    Some(g) if eq(firsts[g], i) => break g,
+                    Some(g) => {
+                        last = Some(g);
+                        at = next_same[g];
+                    }
+                    None => {
+                        let g = firsts.len();
+                        firsts.push(i);
+                        next_same.push(None);
+                        match last {
+                            Some(l) => next_same[l] = Some(g),
+                            None => {
+                                heads.insert(h, g);
+                            }
+                        }
+                        break g;
+                    }
+                }
+            };
+            group_of.push(g);
+        }
+        // counting sort by group, stable in item order
+        let mut bounds = vec![0; firsts.len() + 1];
+        for &g in &group_of {
+            bounds[g + 1] += 1;
+        }
+        for g in 0..firsts.len() {
+            bounds[g + 1] += bounds[g];
+        }
+        let mut fill = bounds[..firsts.len()].to_vec();
+        let mut members = vec![0; n];
+        for (i, &g) in group_of.iter().enumerate() {
+            members[fill[g]] = i;
+            fill[g] += 1;
+        }
+        Partition { bounds, members }
+    }
+
+    /// Number of groups.
+    pub fn len(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    /// True when there are no groups (no items).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The groups in first-occurrence order, each its items in order.
+    pub fn groups(&self) -> impl Iterator<Item = &[usize]> {
+        self.bounds.windows(2).map(|w| &self.members[w[0]..w[1]])
+    }
 }
 
 #[cfg(test)]

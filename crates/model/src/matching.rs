@@ -17,11 +17,11 @@
 //! name-keyed [`BindingRow`] maps for callers outside the algebra.
 
 use crate::forest::Forest;
-use crate::hash::Fnv64;
+use crate::hash::{Fnv64, Partition};
 use crate::index::{path_atom, path_sym, TreeIndex};
 use crate::pattern::{Edge, Filter, Model, Occ, PLabel, Pattern, StarBind};
 use crate::tree::{Label, Node, Tree};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::hash::Hasher;
 
 /// A value bound to a variable by matching.
@@ -178,42 +178,22 @@ impl SlotRows {
         if n < 2 {
             return;
         }
+        let distinct = Partition::by_key(
+            n,
+            |k| row_hash(self.row(start + k)),
+            |a, b| row_key_eq(self.row(start + a), self.row(start + b)),
+        );
+        // move each group's first row down to its place, in order
         let w = self.width;
-        // the first kept row per hash, then a chain through the later
-        // kept rows sharing it
-        let mut heads: HashMap<u64, usize> = HashMap::with_capacity(n);
-        let mut chain: Vec<Option<usize>> = Vec::with_capacity(n);
-        let mut kept = start;
-        for r in start..self.len {
-            let h = row_hash(self.row(r));
-            let (mut at, mut last) = (heads.get(&h).copied(), None);
-            let mut dup = false;
-            while let Some(k) = at {
-                if row_key_eq(self.row(k), self.row(r)) {
-                    dup = true;
-                    break;
-                }
-                last = Some(k);
-                at = chain[k - start];
-            }
-            if dup {
-                continue;
-            }
-            if kept != r {
+        for (kept, group) in distinct.groups().enumerate() {
+            let (from, to) = (start + group[0], start + kept);
+            if from != to {
                 for j in 0..w {
-                    self.cells.swap(kept * w + j, r * w + j);
+                    self.cells.swap(to * w + j, from * w + j);
                 }
             }
-            chain.push(None);
-            match last {
-                Some(k) => chain[k - start] = Some(kept),
-                None => {
-                    heads.insert(h, kept);
-                }
-            }
-            kept += 1;
         }
-        self.truncate(kept);
+        self.truncate(start + distinct.len());
     }
 }
 

@@ -95,7 +95,7 @@ fn repeated_queries_are_deterministic() {
     let m = Scenario::at_scale(40).mediator();
     let a = m.query(paper::Q2, OptimizerOptions::default()).unwrap();
     let b = m.query(paper::Q2, OptimizerOptions::default()).unwrap();
-    assert_eq!(a, b, "Skolem memoization keeps results identical");
+    assert_eq!(a, b, "content-derived Skolem ids keep results identical");
 }
 
 #[test]

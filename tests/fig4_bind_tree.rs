@@ -57,7 +57,7 @@ fn skolem_identifiers_are_stable_across_evaluations() {
     let b = eval(&fig4::tree_plan(), &ctx).unwrap();
     assert_eq!(
         a, b,
-        "memoized Skolem functions make re-evaluation idempotent"
+        "content-derived Skolem ids make re-evaluation idempotent"
     );
 }
 

@@ -149,9 +149,12 @@ fn scan(m: &Mediator, text: &str) -> (u64, usize) {
 
 /// With a `BTreeMap` per binding row, a `Vec` per template node and a
 /// memoized string key per Skolem OID, the three texts made 1 053 843
-/// allocations (220 458 / 416 621 / 416 764); the budget is 60 % of
-/// that.
-const BUDGET: u64 = 632_000;
+/// allocations (220 458 / 416 621 / 416 764). Slot rows, moving kernels
+/// and flat grouping bring them to 377 037 (112 487 / 136 649 /
+/// 127 901). The budget, 42 % of the first figure, leaves room for small
+/// changes but not for one map per binding row in `Bind … over`: that
+/// alone reads 517 034.
+const BUDGET: u64 = 440_000;
 
 #[test]
 fn scan_stream_texts_stay_inside_the_allocation_budget() {
