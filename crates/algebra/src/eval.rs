@@ -15,6 +15,7 @@ use crate::passing::{BatchAnswer, PassedBindings};
 use crate::tab::Tab;
 use crate::template::Template;
 use crate::value::{AtomView, Value};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -1056,12 +1057,12 @@ impl<'t> Builder<'t> {
                 // one pass: each row's label text, then rows grouped by
                 // it in first-occurrence order (`Label("3")` and `Int(3)`
                 // share the label `3`); rows without a label are skipped
-                let mut labeled: Vec<(usize, std::borrow::Cow<'t, str>)> = Vec::new();
+                let mut labeled: Vec<(usize, Cow<'t, str>)> = Vec::new();
                 for &ri in rows {
                     let label = match &tab.row(ri)[ci] {
-                        Value::Label(l) => std::borrow::Cow::Borrowed(l.as_str()),
+                        Value::Label(l) => Cow::Borrowed(l.as_str()),
                         other => match other.atom() {
-                            Some(a) => std::borrow::Cow::Owned(a.to_string()),
+                            Some(a) => Cow::Owned(a.to_string()),
                             None => continue,
                         },
                     };
@@ -1100,16 +1101,7 @@ impl<'t> Builder<'t> {
                     rows.len(),
                     |k| {
                         let mut h = Fnv64::new();
-                        h.write_u64(kidx.len() as u64);
-                        for i in &kidx {
-                            match i {
-                                Some(i) => {
-                                    h.write_u8(1);
-                                    tab.row(rows[k])[*i].key_hash_into(&mut h);
-                                }
-                                None => h.write_u8(0),
-                            }
-                        }
+                        key_of(rows[k]).for_each(|v| v.key_hash_into(&mut h));
                         h.finish()
                     },
                     |a, b| {
@@ -1126,7 +1118,7 @@ impl<'t> Builder<'t> {
                         Some(name) => {
                             let mut built = Vec::new();
                             self.instantiate(body, &members, &mut built);
-                            let oid = self.skolems.apply_refs(name, key_of(members[0]));
+                            let oid = self.skolems.apply(name, key_of(members[0]));
                             out.push(Node::oid(oid, built));
                         }
                         None => self.instantiate(body, &members, out),

@@ -25,7 +25,7 @@ impl Tab {
     /// Builds a table from match-produced slot rows, moving their
     /// bindings: column `i` takes slot `i` (slots past the columns are
     /// dropped; an unbound slot — union branches — becomes `Null`).
-    pub fn from_slot_rows(columns: Vec<String>, rows: &mut SlotRows) -> Self {
+    pub(crate) fn from_slot_rows(columns: Vec<String>, rows: &mut SlotRows) -> Self {
         let (len, width, ncols) = (rows.len(), rows.width(), columns.len());
         let mut cells = rows.drain();
         let mut tab = Tab {
@@ -46,7 +46,7 @@ impl Tab {
 
     /// A table over `rows`; panics if a row's arity differs from the
     /// columns' (see [`Tab::push`]).
-    pub fn from_rows(columns: Vec<String>, rows: Vec<Vec<Value>>) -> Self {
+    pub(crate) fn from_rows(columns: Vec<String>, rows: Vec<Vec<Value>>) -> Self {
         let tab = Tab { columns, rows };
         for row in &tab.rows {
             tab.check_arity(row);
@@ -55,14 +55,14 @@ impl Tab {
     }
 
     /// The columns and the rows, by value.
-    pub fn into_parts(self) -> (Vec<String>, Vec<Vec<Value>>) {
+    pub(crate) fn into_parts(self) -> (Vec<String>, Vec<Vec<Value>>) {
         (self.columns, self.rows)
     }
 
     /// Keeps the rows `keep` accepts, in order, without copying any;
     /// the first error stops the scan and is returned (the table is then
     /// unspecified).
-    pub fn try_retain<E>(
+    pub(crate) fn try_retain<E>(
         &mut self,
         mut keep: impl FnMut(&[String], &[Value]) -> Result<bool, E>,
     ) -> Result<(), E> {

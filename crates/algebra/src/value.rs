@@ -209,16 +209,9 @@ impl Value {
         }
     }
 
-    /// Renders the value into constructed XML structure: the `Tree`
-    /// operator splices cell values into templates. Collections splice
-    /// element-wise; atoms become atom leaves.
-    pub fn splice(&self) -> Vec<Tree> {
-        let mut out = Vec::new();
-        self.splice_into(&mut out);
-        out
-    }
-
-    /// [`Value::splice`], appending to `out`.
+    /// Renders the value into constructed XML structure, appending to
+    /// `out`: the `Tree` operator splices cell values into templates.
+    /// Collections splice element-wise; atoms become atom leaves.
     pub fn splice_into(&self, out: &mut Vec<Tree>) {
         match self {
             Value::Tree(t) => out.push(t.clone()),
@@ -484,11 +477,15 @@ mod tests {
             Value::Tree(Node::elem("cplace", "Giverny")),
             Value::Atom(Atom::Int(3)),
         ]);
-        let spliced = coll.splice();
-        assert_eq!(spliced.len(), 2);
-        assert!(Value::Null.splice().is_empty());
+        let splice = |v: &Value| {
+            let mut out = Vec::new();
+            v.splice_into(&mut out);
+            out
+        };
+        assert_eq!(splice(&coll).len(), 2);
+        assert!(splice(&Value::Null).is_empty());
         assert_eq!(
-            Value::Label("title".into()).splice()[0].label.as_sym(),
+            splice(&Value::Label("title".into()))[0].label.as_sym(),
             Some("title")
         );
     }

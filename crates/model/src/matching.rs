@@ -9,7 +9,7 @@
 //! row per matched element, Fig. 4).
 //!
 //! Rows are *slot rows*: one `Option<Binding>` per variable, in
-//! [`Binder::vars`] order ([`Filter::variables`] first), stored flat in a
+//! the binder's slot order ([`Filter::variables`] first), stored flat in a
 //! [`SlotRows`] buffer. Partial match states carry their claimed children
 //! as bit words and their bindings as slots, in buffers the binder reuses
 //! from call to call, so matching allocates only what it binds.
@@ -103,7 +103,7 @@ impl SlotRows {
     }
 
     /// Row `i`, one cell per variable.
-    pub fn row(&self, i: usize) -> &[Option<Binding>] {
+    fn row(&self, i: usize) -> &[Option<Binding>] {
         &self.cells[i * self.width..(i + 1) * self.width]
     }
 
@@ -229,11 +229,6 @@ impl<'a> Binder<'a> {
         }
     }
 
-    /// The variable of each slot.
-    pub fn vars(&self) -> &[String] {
-        &self.m.vars
-    }
-
     /// Matches the filter against `tree`: one row per way its iterating
     /// star edges embed into the tree, none when `tree` is not an
     /// instance. The rows replace the previous call's.
@@ -271,54 +266,15 @@ impl<'a> Binder<'a> {
         };
         self.rows.clear();
         self.m.fuel = FUEL_LIMIT;
-        // reproduce the open single-star walk over the candidates only:
-        // a child matching the subpattern must contain the required
-        // spine, so the candidate set is a superset of the matching
-        // children, and candidates arrive in ascending child order — row
-        // order, dedup and collection order are preserved exactly.
-        let m = &mut self.m;
+        // the open single-star walk over the candidates only: a child
+        // matching the subpattern must contain the required spine, so
+        // the candidate set is a superset of the matching children, and
+        // candidates arrive in ascending child order — row order, dedup
+        // and collection order are preserved exactly (a non-instance
+        // leaves no rows)
+        let kids = cands.iter().map(|&i| &tree.children[i as usize]);
+        let _ = self.m.single_star(kids, edge, &mut self.rows);
         let rows = &mut self.rows;
-        match &edge.star_var {
-            Some((v, StarBind::Collect)) => {
-                let slot = m.slot(v);
-                let mut sub = m.take();
-                let mut coll = Vec::new();
-                for &i in cands {
-                    let kid = &tree.children[i as usize];
-                    if m.node(kid, &edge.pattern, &mut sub).is_some() {
-                        coll.push(kid.clone());
-                    }
-                    sub.clear();
-                }
-                m.give(sub);
-                rows.push_empty();
-                rows.last_mut()[slot] = Some(Binding::Coll(coll));
-            }
-            star_var => {
-                if let Some((v, _)) = star_var {
-                    let slot = m.slot(v);
-                    for &i in cands {
-                        let kid = &tree.children[i as usize];
-                        let before = rows.len();
-                        if m.node(kid, &edge.pattern, rows).is_some() {
-                            for r in before..rows.len() {
-                                rows.row_mut(r)[slot] = Some(Binding::Tree(kid.clone()));
-                            }
-                        }
-                    }
-                    rows.dedup_from(0);
-                } else if !edge.pattern.is_ground() {
-                    for &i in cands {
-                        let _ = m.node(&tree.children[i as usize], &edge.pattern, rows);
-                    }
-                    rows.dedup_from(0);
-                } else {
-                    // structural star: open matching always yields one
-                    // empty row
-                    rows.push_empty();
-                }
-            }
-        }
         let stats = IndexStats {
             covered: true,
             candidates: cands.len() as u64,
@@ -329,7 +285,7 @@ impl<'a> Binder<'a> {
     }
 
     /// The last call's rows as name-keyed maps (unbound slots omitted).
-    pub fn binding_rows(&self) -> Vec<BindingRow> {
+    fn binding_rows(&self) -> Vec<BindingRow> {
         (0..self.rows.len())
             .map(|i| {
                 self.m
@@ -688,7 +644,7 @@ impl<'a> Matcher<'a> {
         // suffices and the semantics below are reproduced exactly.
         if let [edge] = edges {
             if edge.occ == Occ::Star {
-                return self.single_star(kids, edge, out);
+                return self.single_star(kids.iter(), edge, out);
             }
         }
         let mut s = self.scratch();
@@ -847,10 +803,17 @@ impl<'a> Matcher<'a> {
     }
 
     /// Linear-time handling of a node whose filter is exactly one star
-    /// edge. Mirrors the general walk's semantics, including closed
-    /// matching (every child must be claimed).
-    fn single_star(&mut self, kids: &[Tree], edge: &Edge, out: &mut SlotRows) -> Option<()> {
-        self.spend(kids.len() as u64)?;
+    /// edge, over `kids` (all the node's children, or the index's
+    /// candidates among them). Mirrors the general walk's semantics,
+    /// including closed matching (every child must be claimed).
+    fn single_star<'t>(
+        &mut self,
+        kids: impl ExactSizeIterator<Item = &'t Tree>,
+        edge: &Edge,
+        out: &mut SlotRows,
+    ) -> Option<()> {
+        let total = kids.len();
+        self.spend(total as u64)?;
         match &edge.star_var {
             Some((v, StarBind::Collect)) => {
                 let slot = self.slot(v);
@@ -863,7 +826,7 @@ impl<'a> Matcher<'a> {
                     sub.clear();
                 }
                 self.give(sub);
-                if self.opts.closed && coll.len() != kids.len() {
+                if self.opts.closed && coll.len() != total {
                     return None;
                 }
                 out.push_empty();
@@ -874,7 +837,7 @@ impl<'a> Matcher<'a> {
                 // iterate: one row per matching child; under closed
                 // matching a state claims only its own child, so rows
                 // survive only when there is nothing else to claim
-                if self.opts.closed && kids.len() > 1 {
+                if self.opts.closed && total > 1 {
                     return None;
                 }
                 let slot = star_var.as_ref().map(|(v, _)| self.slot(v));
@@ -901,11 +864,14 @@ impl<'a> Matcher<'a> {
                 // children to match
                 if self.opts.closed {
                     let mut sub = self.take();
-                    let all = kids.iter().all(|kid| {
-                        let hit = self.node(kid, &edge.pattern, &mut sub).is_some();
+                    let mut all = true;
+                    for kid in kids {
+                        all = self.node(kid, &edge.pattern, &mut sub).is_some();
                         sub.clear();
-                        hit
-                    });
+                        if !all {
+                            break;
+                        }
+                    }
                     self.give(sub);
                     if !all {
                         return None;
