@@ -223,7 +223,6 @@ impl<'a> Binder<'a> {
                 fuel: FUEL_LIMIT,
                 vars,
                 spare: Vec::new(),
-                spare_rows: Vec::new(),
             },
             rows: SlotRows::new(width),
         }
@@ -477,7 +476,8 @@ struct States {
     rows: SlotRows,
 }
 
-/// The buffers one edge-list walk needs; pooled in the matcher.
+/// The buffers one walk over a node's children needs; pooled in the
+/// matcher.
 struct Scratch {
     states: States,
     next: States,
@@ -494,10 +494,8 @@ struct Matcher<'a> {
     fuel: u64,
     /// The variable of each slot.
     vars: Vec<String>,
-    /// Spare scratch, reused by later edge-list walks.
+    /// Spare scratch, reused by later walks.
     spare: Vec<Scratch>,
-    /// Spare row buffers.
-    spare_rows: Vec<SlotRows>,
 }
 
 impl<'a> Matcher<'a> {
@@ -537,19 +535,6 @@ impl<'a> Matcher<'a> {
         }
         s.sub.clear();
         self.spare.push(s);
-    }
-
-    /// A spare row buffer.
-    fn take(&mut self) -> SlotRows {
-        let width = self.vars.len();
-        self.spare_rows
-            .pop()
-            .unwrap_or_else(|| SlotRows::new(width))
-    }
-
-    fn give(&mut self, mut rows: SlotRows) {
-        rows.clear();
-        self.spare_rows.push(rows);
     }
 
     /// Follows a reference leaf through the forest, if configured.
@@ -817,15 +802,15 @@ impl<'a> Matcher<'a> {
         match &edge.star_var {
             Some((v, StarBind::Collect)) => {
                 let slot = self.slot(v);
-                let mut sub = self.take();
+                let mut s = self.scratch();
                 let mut coll = Vec::new();
                 for kid in kids {
-                    if self.node(kid, &edge.pattern, &mut sub).is_some() {
+                    if self.node(kid, &edge.pattern, &mut s.sub).is_some() {
                         coll.push(self.resolve(kid).clone());
                     }
-                    sub.clear();
+                    s.sub.clear();
                 }
-                self.give(sub);
+                self.keep(s);
                 if self.opts.closed && coll.len() != total {
                     return None;
                 }
@@ -863,16 +848,16 @@ impl<'a> Matcher<'a> {
                 // structural: always succeeds open; closed requires all
                 // children to match
                 if self.opts.closed {
-                    let mut sub = self.take();
+                    let mut s = self.scratch();
                     let mut all = true;
                     for kid in kids {
-                        all = self.node(kid, &edge.pattern, &mut sub).is_some();
-                        sub.clear();
+                        all = self.node(kid, &edge.pattern, &mut s.sub).is_some();
+                        s.sub.clear();
                         if !all {
                             break;
                         }
                     }
-                    self.give(sub);
+                    self.keep(s);
                     if !all {
                         return None;
                     }
