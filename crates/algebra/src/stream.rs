@@ -280,9 +280,7 @@ impl BatchSink for CollectSink {
                         tree.label, acc.label
                     )));
                 }
-                let mut children = acc.children.clone();
-                children.extend(tree.children.iter().cloned());
-                *acc = yat_model::Node::labeled(acc.label.clone(), children);
+                yat_model::Node::extend_children(acc, tree.children.iter().cloned());
             }
             Some(EvalOut::Tab(_)) => {
                 return Err(EvalError::Sink(

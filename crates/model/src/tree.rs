@@ -95,6 +95,19 @@ impl Node {
         make(label, children)
     }
 
+    /// Appends `more` to `tree`'s children — in place when `tree` is
+    /// uniquely held, after copying the root once otherwise — so a
+    /// stream of chunks reassembles in time linear in the subtrees.
+    pub fn extend_children(tree: &mut Tree, more: impl IntoIterator<Item = Tree>) {
+        if Arc::get_mut(tree).is_none() {
+            *tree = make(tree.label.clone(), tree.children.clone());
+        }
+        let node = Arc::get_mut(tree).expect("the root was just made unique");
+        // a cached hash describes the old children
+        node.khash = OnceLock::new();
+        node.children.extend(more);
+    }
+
     /// A symbol-labeled leaf wrapping a single atom child:
     /// `title["Nympheas"]`. This is the shape XML elements with character
     /// data convert to.

@@ -1,138 +1,208 @@
-//! Per-extent field indexes: hash postings for `=` probes, B-tree
-//! postings for range probes.
+//! Per-extent field indexes: one ordered map from each distinct field
+//! value to the ascending list of its objects' extent ordinals, serving
+//! both `=` and range probes.
 //!
-//! Postings carry the extent *insertion sequence* of each object, so a
-//! probe returns candidates already in extent order — the evaluator can
-//! iterate them directly and produce rows byte-identical to the scan,
-//! without touching the rest of the extent.
+//! Postings are 32-bit *extent ordinals*: the store numbers an extent's
+//! members in insertion order and resolves ordinals back to objects
+//! through its per-extent sequence table. A probe therefore returns
+//! candidates already in extent order — the evaluator can iterate them
+//! directly and produce rows byte-identical to the scan, without
+//! touching the rest of the extent — and a posting costs four bytes,
+//! not an object id.
 //!
-//! Two key wrappers reconcile [`Atom`]'s partial equality with map keys:
-//!
-//! * `EqKey` hashes atoms under the coercing equality of
-//!   [`Atom::value_eq`] (`1 = 1.0`, `-0.0 = 0.0`); distinct values that
-//!   collide after coercion share a posting list, which only ever widens
-//!   a candidate set — the evaluator re-checks the full predicate.
-//! * `OrdAtom` orders atoms by [`Atom::total_cmp`], the exact ordering
-//!   the scan's comparisons use, so range probes match the scan verbatim.
+//! Keys are ordered by [`Atom::total_cmp`], the exact order the scan's
+//! `<`/`<=`/`>`/`>=` comparisons decide by, so range probes match the
+//! scan verbatim. Numerics are keyed by their coerced `f64`, which is
+//! all `total_cmp` looks at. `=` probes read the same map under the
+//! coercing equality of [`Atom::value_eq`]: `1 = 1.0` share a key, and
+//! the keys `total_cmp` keeps apart but `=` merges (`-0.0`/`0.0`, and
+//! every NaN) are gathered together. Merged keys only ever widen a
+//! candidate set — the evaluator re-checks the full predicate.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Bound;
-use yat_model::{Atom, Oid};
+use yat_model::Atom;
 
-/// A posting: `(extent insertion sequence, object)`. Lists are kept
-/// ascending by sequence, i.e. in extent order.
-pub type Entry = (u64, Oid);
-
-/// A hash key whose equality contains [`Atom::value_eq`]: numerics
-/// coerce through `f64` (merging `1`/`1.0` and `-0.0`/`0.0`, and — more
-/// than `value_eq` — all NaNs), so an `=` probe never misses a document
-/// the scan would keep.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum EqKey {
+/// One key per distinct field value under [`Atom::total_cmp`]: booleans
+/// rank below numbers, numbers below strings.
+#[derive(Debug, Clone)]
+enum Key {
     Bool(bool),
-    /// Canonicalized `f64` bits: `-0.0` folds to `0.0`, NaNs fold to one
-    /// bit pattern.
-    Num(u64),
-    Str(String),
+    /// The coerced value: `Int(1)` and `Float(1.0)` are one key.
+    Num(f64),
+    Str(Box<str>),
 }
 
-impl EqKey {
-    fn of(a: &Atom) -> EqKey {
+impl Key {
+    fn of(a: &Atom) -> Key {
         match a {
-            Atom::Bool(b) => EqKey::Bool(*b),
-            Atom::Str(s) => EqKey::Str(s.clone()),
-            other => {
-                let f = other.as_f64().expect("numeric atom");
-                let canon = if f == 0.0 {
-                    0.0f64
-                } else if f.is_nan() {
-                    f64::NAN
-                } else {
-                    f
-                };
-                EqKey::Num(canon.to_bits())
-            }
+            Atom::Bool(b) => Key::Bool(*b),
+            Atom::Str(s) => Key::Str(s.as_str().into()),
+            other => Key::Num(other.as_f64().expect("numeric atom")),
+        }
+    }
+
+    fn rank(&self) -> u8 {
+        match self {
+            Key::Bool(_) => 0,
+            Key::Num(_) => 1,
+            Key::Str(_) => 2,
+        }
+    }
+
+    fn is_num(&self) -> bool {
+        matches!(self, Key::Num(_))
+    }
+}
+
+impl Ord for Key {
+    fn cmp(&self, other: &Self) -> Ordering {
+        match (self, other) {
+            (Key::Bool(a), Key::Bool(b)) => a.cmp(b),
+            (Key::Num(a), Key::Num(b)) => a.total_cmp(b),
+            (Key::Str(a), Key::Str(b)) => a.cmp(b),
+            _ => self.rank().cmp(&other.rank()),
         }
     }
 }
 
-/// An [`Atom`] ordered by [`Atom::total_cmp`] — a total order usable as
-/// a B-tree key, and exactly the order the evaluator's `<`/`<=`/`>`/`>=`
-/// comparisons decide by.
-#[derive(Debug, Clone)]
-pub struct OrdAtom(pub Atom);
-
-impl PartialEq for OrdAtom {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.total_cmp(&other.0) == Ordering::Equal
-    }
-}
-
-impl Eq for OrdAtom {}
-
-impl PartialOrd for OrdAtom {
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for OrdAtom {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
     }
 }
 
-// `Hash` is deliberately absent: total_cmp-equality merges values whose
-// derived hashes would differ (1 and 1.0); hash probes go through EqKey.
+impl Eq for Key {}
+
+/// One key's postings as its map entry holds them: a single ordinal
+/// inline — the common case for unique values such as titles, with no
+/// heap list — or the slot of a longer list in the index's [`Lists`].
+#[derive(Debug, Clone, Copy)]
+enum Postings {
+    One(u32),
+    Many(u32),
+}
+
+/// The ascending, duplicate-free lists of two or more ordinals, by slot;
+/// a freed slot is reused by the next list. Keeping them out of line
+/// holds a map entry to its key plus eight bytes.
+#[derive(Debug, Default, Clone)]
+struct Lists {
+    slots: Vec<Vec<u32>>,
+    free: Vec<u32>,
+}
+
+impl Lists {
+    /// The ordinals `p` holds, ascending.
+    fn get<'a>(&'a self, p: &'a Postings) -> &'a [u32] {
+        match p {
+            Postings::One(ord) => std::slice::from_ref(ord),
+            Postings::Many(slot) => &self.slots[*slot as usize],
+        }
+    }
+
+    /// Adds `ord` to `p` unless present, keeping it ascending; ordinals
+    /// are handed out monotonically, so this is an append.
+    fn insert(&mut self, p: &mut Postings, ord: u32) {
+        match *p {
+            Postings::One(only) if only != ord => {
+                let list = if only < ord {
+                    vec![only, ord]
+                } else {
+                    vec![ord, only]
+                };
+                *p = Postings::Many(self.alloc(list));
+            }
+            Postings::One(_) => {}
+            Postings::Many(slot) => {
+                let list = &mut self.slots[slot as usize];
+                match list.last() {
+                    Some(&last) if last < ord => list.push(ord),
+                    _ => {
+                        if let Err(pos) = list.binary_search(&ord) {
+                            list.insert(pos, ord);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Drops `ord` from a list of two or more; whether it was there. A
+    /// list left with one ordinal moves back inline.
+    fn remove(&mut self, p: &mut Postings, ord: u32) -> bool {
+        let Postings::Many(slot) = *p else {
+            return false;
+        };
+        let list = &mut self.slots[slot as usize];
+        let Ok(pos) = list.binary_search(&ord) else {
+            return false;
+        };
+        list.remove(pos);
+        if let [only] = list[..] {
+            *list = Vec::new();
+            self.free.push(slot);
+            *p = Postings::One(only);
+        }
+        true
+    }
+
+    fn alloc(&mut self, list: Vec<u32>) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = list;
+                slot
+            }
+            None => {
+                self.slots.push(list);
+                u32::try_from(self.slots.len() - 1).expect("posting list slots exhausted")
+            }
+        }
+    }
+}
 
 /// The index over one `(extent, field)` pair.
 #[derive(Debug, Default, Clone)]
 pub struct FieldIndex {
-    eq: HashMap<EqKey, Vec<Entry>>,
-    range: BTreeMap<OrdAtom, Vec<Entry>>,
+    postings: BTreeMap<Key, Postings>,
+    lists: Lists,
     entries: usize,
 }
 
 impl FieldIndex {
-    /// Indexes one `(field value, object)` pair at extent sequence `seq`.
-    /// Sequences are handed out monotonically, so appends keep every
-    /// posting list ascending.
-    pub fn add(&mut self, seq: u64, value: &Atom, oid: &Oid) {
-        self.eq
-            .entry(EqKey::of(value))
-            .or_default()
-            .push((seq, oid.clone()));
-        self.range
-            .entry(OrdAtom(value.clone()))
-            .or_default()
-            .push((seq, oid.clone()));
+    /// Indexes the object with extent ordinal `ord` under `value`.
+    pub fn add(&mut self, ord: u32, value: &Atom) {
+        let key = Key::of(value);
+        match self.postings.get_mut(&key) {
+            Some(p) => self.lists.insert(p, ord),
+            None => {
+                self.postings.insert(key, Postings::One(ord));
+            }
+        }
         self.entries += 1;
     }
 
-    /// Unindexes the lowest-sequence posting of `oid` under `value`
-    /// (the inverse of [`FieldIndex::add`] for the same pair), dropping
-    /// emptied keys.
-    pub fn remove(&mut self, value: &Atom, oid: &Oid) {
-        let mut removed = false;
-        if let Some(list) = self.eq.get_mut(&EqKey::of(value)) {
-            if let Some(pos) = list.iter().position(|(_, o)| o == oid) {
-                list.remove(pos);
-                removed = true;
-            }
-            if list.is_empty() {
-                self.eq.remove(&EqKey::of(value));
-            }
-        }
-        let key = OrdAtom(value.clone());
-        if let Some(list) = self.range.get_mut(&key) {
-            if let Some(pos) = list.iter().position(|(_, o)| o == oid) {
-                list.remove(pos);
-            }
-            if list.is_empty() {
-                self.range.remove(&key);
-            }
-        }
+    /// Unindexes the object with extent ordinal `ord` from `value` (the
+    /// inverse of [`FieldIndex::add`] for the same pair), dropping an
+    /// emptied key.
+    pub fn remove(&mut self, ord: u32, value: &Atom) {
+        let key = Key::of(value);
+        let Some(p) = self.postings.get_mut(&key) else {
+            return;
+        };
+        let removed = if self.lists.get(p) == [ord] {
+            self.postings.remove(&key);
+            true
+        } else {
+            self.lists.remove(p, ord)
+        };
         if removed {
             self.entries -= 1;
         }
@@ -144,41 +214,69 @@ impl FieldIndex {
         self.entries
     }
 
-    /// Candidates for `field = value`, in extent order. A superset of
-    /// the true matches (hash coercion may merge keys); never misses one.
-    pub fn eq_candidates(&self, value: &Atom) -> Vec<Entry> {
-        self.eq.get(&EqKey::of(value)).cloned().unwrap_or_default()
+    /// Ordinals of the candidates for `field = value`, ascending (extent
+    /// order). A superset of the true matches (all NaNs are one value);
+    /// never misses one.
+    pub fn eq_candidates(&self, value: &Atom) -> Vec<u32> {
+        let ords = |p: &Postings| self.lists.get(p).to_vec();
+        match Key::of(value) {
+            // a float pattern compares with `==`: `-0.0` lands here too
+            Key::Num(0.0) => merged(
+                [Key::Num(-0.0), Key::Num(0.0)]
+                    .iter()
+                    .filter_map(|k| self.postings.get(k))
+                    .map(ords)
+                    .collect(),
+            ),
+            // total_cmp ranks negative NaNs below -inf, positive above +inf
+            Key::Num(f) if f.is_nan() => {
+                let below = self
+                    .postings
+                    .range(..Key::Num(f64::NEG_INFINITY))
+                    .rev()
+                    .take_while(|(k, _)| k.is_num());
+                let above = self
+                    .postings
+                    .range((Bound::Excluded(Key::Num(f64::INFINITY)), Bound::Unbounded))
+                    .take_while(|(k, _)| k.is_num());
+                merged(below.chain(above).map(|(_, p)| ords(p)).collect())
+            }
+            key => self.postings.get(&key).map_or_else(Vec::new, ords),
+        }
     }
 
-    /// Candidates in the half-open/closed interval `(lo, hi)` of the
-    /// [`Atom::total_cmp`] order, merged into extent order.
-    pub fn range_candidates(&self, lo: Bound<&Atom>, hi: Bound<&Atom>) -> Vec<Entry> {
-        let own = |b: Bound<&Atom>| match b {
-            Bound::Included(a) => Bound::Included(OrdAtom(a.clone())),
-            Bound::Excluded(a) => Bound::Excluded(OrdAtom(a.clone())),
-            Bound::Unbounded => Bound::Unbounded,
-        };
-        let mut out: Vec<Entry> = self
-            .range
+    /// Ordinals of the candidates in the half-open/closed interval
+    /// `(lo, hi)` of the [`Atom::total_cmp`] order, ascending.
+    pub fn range_candidates(&self, lo: Bound<&Atom>, hi: Bound<&Atom>) -> Vec<u32> {
+        let own = |b: Bound<&Atom>| b.map(Key::of);
+        let mut out: Vec<u32> = self
+            .postings
             .range((own(lo), own(hi)))
-            .flat_map(|(_, list)| list.iter().cloned())
+            .flat_map(|(_, p)| self.lists.get(p).iter().copied())
             .collect();
-        out.sort_unstable_by_key(|(seq, _)| *seq);
+        out.sort_unstable();
         out
     }
 }
 
-/// Merges two extent-ordered candidate lists into their intersection
-/// (by sequence) — the conjunction combinator.
-pub fn intersect_entries(a: &[Entry], b: &[Entry]) -> Vec<Entry> {
+/// The ascending union of disjoint ascending lists.
+fn merged(lists: Vec<Vec<u32>>) -> Vec<u32> {
+    let mut out = lists.concat();
+    out.sort_unstable();
+    out
+}
+
+/// Merges two ascending ordinal lists into their intersection — the
+/// conjunction combinator.
+pub fn intersect_ordinals(a: &[u32], b: &[u32]) -> Vec<u32> {
     let mut out = Vec::with_capacity(a.len().min(b.len()));
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
+        match a[i].cmp(&b[j]) {
             Ordering::Less => i += 1,
             Ordering::Greater => j += 1,
             Ordering::Equal => {
-                out.push(a[i].clone());
+                out.push(a[i]);
                 i += 1;
                 j += 1;
             }
@@ -191,36 +289,35 @@ pub fn intersect_entries(a: &[Entry], b: &[Entry]) -> Vec<Entry> {
 mod tests {
     use super::*;
 
-    fn oid(s: &str) -> Oid {
-        Oid::new(s)
-    }
-
     fn index() -> FieldIndex {
         let mut ix = FieldIndex::default();
-        ix.add(0, &Atom::Int(1800), &oid("a"));
-        ix.add(1, &Atom::Int(1900), &oid("b"));
-        ix.add(2, &Atom::Float(1800.0), &oid("c"));
-        ix.add(3, &Atom::Str("x".into()), &oid("d"));
+        ix.add(0, &Atom::Int(1800));
+        ix.add(1, &Atom::Int(1900));
+        ix.add(2, &Atom::Float(1800.0));
+        ix.add(3, &Atom::Str("x".into()));
         ix
-    }
-
-    fn oids(es: &[Entry]) -> Vec<String> {
-        es.iter().map(|(_, o)| o.to_string()).collect()
     }
 
     #[test]
     fn eq_probes_coerce_like_value_eq() {
         let ix = index();
         // 1800 and 1800.0 share a key, in extent order
-        assert_eq!(oids(&ix.eq_candidates(&Atom::Int(1800))), ["&a", "&c"]);
-        assert_eq!(oids(&ix.eq_candidates(&Atom::Float(1800.0))), ["&a", "&c"]);
-        assert_eq!(oids(&ix.eq_candidates(&Atom::Str("x".into()))), ["&d"]);
+        assert_eq!(ix.eq_candidates(&Atom::Int(1800)), [0, 2]);
+        assert_eq!(ix.eq_candidates(&Atom::Float(1800.0)), [0, 2]);
+        assert_eq!(ix.eq_candidates(&Atom::Str("x".into())), [3]);
         assert!(ix.eq_candidates(&Atom::Int(7)).is_empty());
-        // signed zeros are one key
+        // signed zeros are one value, and so are all NaNs
         let mut z = FieldIndex::default();
-        z.add(0, &Atom::Float(-0.0), &oid("n"));
-        assert_eq!(oids(&z.eq_candidates(&Atom::Float(0.0))), ["&n"]);
-        assert_eq!(oids(&z.eq_candidates(&Atom::Int(0))), ["&n"]);
+        z.add(0, &Atom::Float(-0.0));
+        z.add(1, &Atom::Float(f64::NAN));
+        z.add(2, &Atom::Int(0));
+        z.add(3, &Atom::Float(-f64::NAN));
+        z.add(4, &Atom::Float(f64::INFINITY));
+        assert_eq!(z.eq_candidates(&Atom::Float(0.0)), [0, 2]);
+        assert_eq!(z.eq_candidates(&Atom::Float(-0.0)), [0, 2]);
+        assert_eq!(z.eq_candidates(&Atom::Float(f64::NAN)), [1, 3]);
+        assert_eq!(z.eq_candidates(&Atom::Float(-f64::NAN)), [1, 3]);
+        assert_eq!(z.eq_candidates(&Atom::Float(f64::INFINITY)), [4]);
     }
 
     #[test]
@@ -228,37 +325,40 @@ mod tests {
         let ix = index();
         let gt = ix.range_candidates(Bound::Excluded(&Atom::Int(1800)), Bound::Unbounded);
         // strings rank above numbers in total_cmp, so "x" is > 1800
-        assert_eq!(oids(&gt), ["&b", "&d"]);
+        assert_eq!(gt, [1, 3]);
         let le = ix.range_candidates(Bound::Unbounded, Bound::Included(&Atom::Int(1800)));
-        assert_eq!(oids(&le), ["&a", "&c"]);
+        assert_eq!(le, [0, 2]);
         let mid = ix.range_candidates(
             Bound::Included(&Atom::Int(1800)),
             Bound::Excluded(&Atom::Int(1900)),
         );
-        assert_eq!(oids(&mid), ["&a", "&c"]);
+        assert_eq!(mid, [0, 2]);
     }
 
     #[test]
-    fn remove_patches_both_sides() {
+    fn remove_patches_postings() {
         let mut ix = index();
-        ix.remove(&Atom::Int(1800), &oid("a"));
+        ix.remove(0, &Atom::Int(1800));
         assert_eq!(ix.entries(), 3);
-        assert_eq!(oids(&ix.eq_candidates(&Atom::Int(1800))), ["&c"]);
+        assert_eq!(ix.eq_candidates(&Atom::Int(1800)), [2]);
         let le = ix.range_candidates(Bound::Unbounded, Bound::Included(&Atom::Int(1800)));
-        assert_eq!(oids(&le), ["&c"]);
+        assert_eq!(le, [2]);
+        // an ordinal not posted under the value is left alone
+        ix.remove(1, &Atom::Int(1800));
+        assert_eq!(ix.entries(), 3);
         // removing the last posting under a key drops the key
-        ix.remove(&Atom::Float(1800.0), &oid("c"));
+        ix.remove(2, &Atom::Float(1800.0));
         assert!(ix.eq_candidates(&Atom::Int(1800)).is_empty());
         assert!(ix
             .range_candidates(Bound::Unbounded, Bound::Included(&Atom::Int(1800)))
             .is_empty());
+        assert_eq!(ix.postings.len(), 2);
+        assert_eq!(ix.lists.free.len(), 1, "the emptied list's slot is free");
     }
 
     #[test]
-    fn intersection_merges_on_sequence() {
-        let a = vec![(0, oid("a")), (2, oid("c")), (5, oid("f"))];
-        let b = vec![(2, oid("c")), (3, oid("d")), (5, oid("f"))];
-        assert_eq!(oids(&intersect_entries(&a, &b)), ["&c", "&f"]);
-        assert!(intersect_entries(&a, &[]).is_empty());
+    fn intersection_merges_on_ordinals() {
+        assert_eq!(intersect_ordinals(&[0, 2, 5], &[2, 3, 5]), [2, 5]);
+        assert!(intersect_ordinals(&[0, 2, 5], &[]).is_empty());
     }
 }

@@ -14,7 +14,7 @@
 //! query parameters (`$1`, `$2`, …): a query is parsed once and evaluated
 //! under many parameter rows. Keywords are case-insensitive, as in OQL.
 
-use crate::findex::{intersect_entries, Entry, FieldIndex};
+use crate::findex::{intersect_ordinals, FieldIndex};
 use crate::store::{Object, OqlError, Store};
 use crate::value::OVal;
 use std::cell::RefCell;
@@ -493,7 +493,7 @@ pub struct Prepared<'a> {
     /// Per extent range variable: the intersection of its
     /// parameter-free probes (`None` when no such conjunct is
     /// probeable), filled on first use.
-    fixed: RefCell<BTreeMap<String, Option<Vec<Entry>>>>,
+    fixed: RefCell<BTreeMap<String, Option<Vec<u32>>>>,
 }
 
 impl<'a> Prepared<'a> {
@@ -648,12 +648,12 @@ fn extent_candidates(
     };
     // intersects the probes of `values` in order, stopping at empty
     let mut conjoin = |values: &mut dyn Iterator<Item = (Op, &FieldIndex, &Atom)>| {
-        let mut result: Option<Vec<Entry>> = None;
+        let mut result: Option<Vec<u32>> = None;
         for (op, ix, value) in values {
             let hits = probe(op, ix, value);
             result = Some(match result {
                 None => hits,
-                Some(prev) => intersect_entries(&prev, &hits),
+                Some(prev) => intersect_ordinals(&prev, &hits),
             });
             if result.as_ref().is_some_and(Vec::is_empty) {
                 break;
@@ -678,14 +678,14 @@ fn extent_candidates(
         )
     });
     let result = match (passed, fixed.as_ref()) {
-        (Some(passed), Some(fixed)) => intersect_entries(&passed, fixed),
+        (Some(passed), Some(fixed)) => intersect_ordinals(&passed, fixed),
         (Some(only), None) => only,
         (None, Some(only)) => only.clone(),
         (None, None) => return None,
     };
     stats.indexed = true;
     stats.candidates += result.len() as u64;
-    Some(result.into_iter().map(|(_, o)| o).collect())
+    Some(store.extent_members(extent, &result))
 }
 
 /// Flattens nested `and`s; `or`/`not` subtrees stay opaque (only

@@ -43,27 +43,55 @@ pub type MethodImpl = dyn Fn(&Store, &Object) -> Result<OVal, OqlError> + Send +
 /// The in-memory object database.
 ///
 /// Besides objects and extents, the store maintains a [`FieldIndex`]
-/// per `(extent, top-level atomic field)` pair: a hash side for `=`
-/// probes and a B-tree side for range probes, patched incrementally on
-/// [`Store::insert`] and [`Store::remove`]. The evaluator consults them
-/// when the [`IndexPolicy`] is `On`; under `Off` it scans — same
-/// answers either way.
+/// per `(extent, top-level atomic field)` pair — one ordered posting
+/// list per distinct value, serving `=` and range probes — patched
+/// incrementally on [`Store::insert`] and [`Store::remove`]. The
+/// evaluator consults them when the [`IndexPolicy`] is `On`; under `Off`
+/// it scans — same answers either way.
 pub struct Store {
     /// The schema.
     pub schema: Schema,
     bank: ObjBank,
-    extents: BTreeMap<String, Vec<Oid>>,
+    extents: BTreeMap<String, Extent>,
     methods: BTreeMap<String, Arc<MethodImpl>>,
     /// `(extent, field)` → postings over that field's atomic values.
     indexes: BTreeMap<(String, String), FieldIndex>,
-    /// Monotone insertion counter; postings carry it so candidates come
-    /// back in extent order, and stored payloads carry it so a remount
+    /// Monotone insertion counter; stored payloads carry it so a remount
     /// rebuilds extents and indexes in the same order.
     seq: u64,
     index_policy: IndexPolicy,
     /// Cache-epoch cells registered by connected mediators; every
     /// mutation bumps them all, invalidating cached answers.
     epochs: Vec<Arc<AtomicU64>>,
+}
+
+/// An extent's members in insertion order, each with the 32-bit ordinal
+/// its field-index postings carry: the sequence table that resolves a
+/// probe's ordinals to objects. Ordinals are handed out ascending and
+/// live in RAM only — a remount renumbers the replayed members.
+#[derive(Debug, Default)]
+struct Extent {
+    oids: Vec<Oid>,
+    ords: Vec<u32>,
+    next: u32,
+}
+
+impl Extent {
+    /// Appends a member, returning its ordinal.
+    fn push(&mut self, oid: Oid) -> u32 {
+        let ord = self.next;
+        self.next = ord.checked_add(1).expect("extent ordinals exhausted");
+        self.oids.push(oid);
+        self.ords.push(ord);
+        ord
+    }
+
+    /// Drops the first occurrence of `oid`, returning its ordinal.
+    fn remove(&mut self, oid: &Oid) -> Option<u32> {
+        let pos = self.oids.iter().position(|o| o == oid)?;
+        self.oids.remove(pos);
+        Some(self.ords.remove(pos))
+    }
 }
 
 /// Where the objects live: RAM (the oracle) or a mounted persistent
@@ -139,17 +167,14 @@ impl Store {
             index_policy: IndexPolicy::default(),
             epochs: Vec::new(),
         };
-        for (seq, oid, class, atoms) in rows {
+        for (_, oid, class, atoms) in rows {
             if let Some(extent) = s.schema.class(&class).and_then(|c| c.extent.clone()) {
-                s.extents
-                    .entry(extent.clone())
-                    .or_default()
-                    .push(oid.clone());
+                let ord = s.extents.entry(extent.clone()).or_default().push(oid);
                 for (field, a) in &atoms {
                     s.indexes
                         .entry((extent.clone(), field.clone()))
                         .or_default()
-                        .add(seq, a, &oid);
+                        .add(ord, a);
                 }
             }
         }
@@ -194,7 +219,8 @@ impl Store {
         let seq = self.seq;
         self.seq += 1;
         if let Some(extent) = &cls.extent {
-            self.extents
+            let ord = self
+                .extents
                 .entry(extent.clone())
                 .or_default()
                 .push(oid.clone());
@@ -204,7 +230,7 @@ impl Store {
                         self.indexes
                             .entry((extent.clone(), field.clone()))
                             .or_default()
-                            .add(seq, a, &oid);
+                            .add(ord, a);
                     }
                 }
             }
@@ -266,16 +292,12 @@ impl Store {
             }
         };
         if let Some(extent) = self.schema.class(&obj.class).and_then(|c| c.extent.clone()) {
-            if let Some(members) = self.extents.get_mut(&extent) {
-                if let Some(pos) = members.iter().position(|o| o == oid) {
-                    members.remove(pos);
-                }
-            }
-            if let OVal::Tuple(fields) = &obj.value {
+            let ord = self.extents.get_mut(&extent).and_then(|e| e.remove(oid));
+            if let (Some(ord), OVal::Tuple(fields)) = (ord, &obj.value) {
                 for (field, v) in fields {
                     if let OVal::Atom(a) = v {
                         if let Some(ix) = self.indexes.get_mut(&(extent.clone(), field.clone())) {
-                            ix.remove(a, oid);
+                            ix.remove(ord, a);
                         }
                     }
                 }
@@ -289,6 +311,22 @@ impl Store {
     /// atomic value there.
     pub fn field_index(&self, extent: &str, field: &str) -> Option<&FieldIndex> {
         self.indexes.get(&(extent.to_string(), field.to_string()))
+    }
+
+    /// The members of `extent` a probe of one of its field indexes
+    /// returned, resolving the ascending ordinals `ords` in extent order.
+    pub fn extent_members(&self, extent: &str, ords: &[u32]) -> Vec<Oid> {
+        let Some(ext) = self.extents.get(extent) else {
+            return Vec::new();
+        };
+        let mut from = 0;
+        ords.iter()
+            .filter_map(|ord| {
+                let pos = from + ext.ords[from..].binary_search(ord).ok()?;
+                from = pos + 1;
+                Some(ext.oids[pos].clone())
+            })
+            .collect()
     }
 
     /// The index policy the evaluator honours.
@@ -369,7 +407,7 @@ impl Store {
 
     /// The object ids of an extent, in insertion order.
     pub fn extent(&self, name: &str) -> Option<&[Oid]> {
-        self.extents.get(name).map(Vec::as_slice)
+        self.extents.get(name).map(|e| e.oids.as_slice())
     }
 
     /// Extent names.
@@ -470,10 +508,11 @@ mod tests {
         let ix = s.field_index("persons", "name").unwrap();
         assert_eq!(ix.entries(), 3);
         let hits = ix.eq_candidates(&yat_model::Atom::Str("A".into()));
-        assert_eq!(hits.len(), 2);
         // extent order, not oid order
-        assert_eq!(hits[0].1, Oid::new("p0"));
-        assert_eq!(hits[1].1, Oid::new("p2"));
+        assert_eq!(
+            s.extent_members("persons", &hits),
+            [Oid::new("p0"), Oid::new("p2")]
+        );
         assert!(s.field_index("persons", "zzz").is_none());
     }
 

@@ -241,9 +241,7 @@ pub fn read_streamed_reply(reader: &mut impl Read) -> Result<StreamedReply, Wire
                                 chunk.label, acc.label
                             )));
                         }
-                        let mut children = acc.children.clone();
-                        children.extend(chunk.children.iter().cloned());
-                        *acc = Node::labeled(acc.label.clone(), children);
+                        Node::extend_children(acc, chunk.children.iter().cloned());
                     }
                     (Some(_), _) => {
                         return Err(WireError::Stream(

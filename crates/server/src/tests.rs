@@ -840,6 +840,96 @@ fn graceful_shutdown_finishes_in_flight_streams_before_bye() {
     handle.join();
 }
 
+/// A sink that writes every batch as the server's wire would: one
+/// `answer-chunk` frame per batch, then `answer-end`.
+#[derive(Default)]
+struct FrameBytes {
+    bytes: Vec<u8>,
+    chunks: u64,
+    rows: u64,
+}
+
+impl FrameBytes {
+    fn push(&mut self, frame: &StreamFrame) {
+        framing::write_element(&mut self.bytes, &frame.to_xml()).expect("frame writes");
+    }
+
+    fn finish(mut self) -> Vec<u8> {
+        self.push(&StreamFrame::End {
+            chunks: self.chunks,
+            rows: self.rows,
+            answered_by: None,
+            missing: None,
+        });
+        self.bytes
+    }
+}
+
+impl BatchSink for FrameBytes {
+    fn on_columns(&mut self, _columns: &[String]) -> Result<(), EvalError> {
+        Ok(())
+    }
+
+    fn on_batch(&mut self, batch: Tab) -> Result<(), EvalError> {
+        self.rows += batch.len() as u64;
+        let seq = self.chunks;
+        self.chunks += 1;
+        self.push(&StreamFrame::Chunk {
+            seq,
+            payload: EvalOut::Tab(batch),
+        });
+        Ok(())
+    }
+
+    fn on_tree(&mut self, tree: &yat_model::Tree) -> Result<(), EvalError> {
+        self.rows += tree.children.len() as u64;
+        let seq = self.chunks;
+        self.chunks += 1;
+        self.push(&StreamFrame::Chunk {
+            seq,
+            payload: EvalOut::Tree(tree.clone()),
+        });
+        Ok(())
+    }
+}
+
+#[test]
+fn one_subtree_chunks_reassemble_in_linear_time() {
+    // 20 000 subtrees at one per chunk: rebuilding the root per chunk
+    // cost ~2·10^8 child clones here; appending costs 2·10^4. Both the
+    // in-process collector and the client reassemble the stream, and
+    // both must equal the materialized answer byte for byte.
+    let mut mediator = works_federation(20_000, 8);
+    mediator.set_cache_policy(yat_mediator::CachePolicy::Off);
+    let plan = mediator.plan_query(WORKS_SCAN).expect("query plans");
+    let (optimized, _) = mediator.optimize(&plan, OptimizerOptions::default());
+    mediator.set_stream_policy(StreamPolicy::Off);
+    let expected = ServerReply::answer(mediator.execute(&optimized).expect("materialized"))
+        .to_xml()
+        .to_xml();
+    mediator.set_stream_policy(StreamPolicy::Chunked {
+        batch_rows: 1,
+        max_pending: 4,
+    });
+
+    let mut sink = CollectSink::new();
+    let stats = mediator
+        .execute_stream_traced(&optimized, &mut sink, None)
+        .expect("streamed in process");
+    assert_eq!(stats.chunks, 20_000, "one subtree per chunk");
+    assert_eq!(sink.chunks, 20_000);
+    let collected = sink.into_answer().expect("stream delivered an answer");
+    assert_eq!(ServerReply::answer(collected).to_xml().to_xml(), expected);
+
+    let mut wire = FrameBytes::default();
+    mediator
+        .execute_stream_traced(&optimized, &mut wire, None)
+        .expect("streamed to frames");
+    let read = read_streamed_reply(&mut Cursor::new(wire.finish())).expect("stream parses");
+    assert_eq!(read.chunks, 20_000);
+    assert_eq!(read.reply.to_xml().to_xml(), expected);
+}
+
 #[test]
 fn hundred_thousand_row_answers_stream_with_bounded_gather() {
     // the acceptance-criterion run: a >=100k-subtree answer, streamed

@@ -1,7 +1,8 @@
 //! The inverted index: Wais attribute/value textual queries.
 
 use std::collections::BTreeMap;
-use yat_model::{Label, Tree};
+use std::fmt::Write;
+use yat_model::{Atom, Label, Tree};
 
 /// A document id within the collection. Ids are slot positions and stay
 /// stable across removals (removed slots are tombstoned, never reused).
@@ -13,15 +14,119 @@ pub type DocId = usize;
 /// field `""` (empty) indexes the full text of each document, which is
 /// what the bare `contains(doc, word)` predicate searches.
 ///
-/// Posting lists are ascending, deduplicated `Vec<DocId>`s; multi-token
-/// and multi-predicate queries resolve by merging sorted lists
-/// ([`intersect_sorted`]), so a conjunction's cost is bounded by its
-/// most selective conjunct, not by collection size.
+/// Posting lists are ascending, deduplicated lists of 32-bit document
+/// ids under boxed token keys; a token with a single posting keeps it
+/// inline, with no heap list, and longer lists live in one arena. Multi-token and multi-predicate queries
+/// resolve by merging sorted lists ([`intersect_sorted`]), so a
+/// conjunction's cost is bounded by its most selective conjunct, not by
+/// collection size.
 #[derive(Debug, Default, Clone)]
 pub struct InvertedIndex {
     /// field → token → documents (ascending, deduplicated).
-    postings: BTreeMap<String, BTreeMap<String, Vec<DocId>>>,
+    postings: BTreeMap<Box<str>, BTreeMap<Box<str>, Postings>>,
+    lists: Lists,
     size: usize,
+}
+
+/// One token's postings as its map entry holds them: a single id inline
+/// — most tokens of a large collection, with no heap list — or the slot
+/// of a longer list in the index's [`Lists`].
+#[derive(Debug, Clone, Copy)]
+enum Postings {
+    One(u32),
+    Many(u32),
+}
+
+/// The ascending, duplicate-free lists of two or more ids, by slot; a
+/// freed slot is reused by the next list. Keeping them out of line holds
+/// a map entry to its token plus eight bytes.
+#[derive(Debug, Default, Clone)]
+struct Lists {
+    slots: Vec<Vec<u32>>,
+    free: Vec<u32>,
+}
+
+impl Lists {
+    /// The ids `p` holds, ascending.
+    fn get<'a>(&'a self, p: &'a Postings) -> &'a [u32] {
+        match p {
+            Postings::One(id) => std::slice::from_ref(id),
+            Postings::Many(slot) => &self.slots[*slot as usize],
+        }
+    }
+
+    /// Adds `id` to `p` unless present, keeping it ascending; builds and
+    /// adds hand out ascending ids, so this is usually an append.
+    fn insert(&mut self, p: &mut Postings, id: u32) {
+        match *p {
+            Postings::One(only) if only != id => {
+                let list = if only < id {
+                    vec![only, id]
+                } else {
+                    vec![id, only]
+                };
+                *p = Postings::Many(self.alloc(list));
+            }
+            Postings::One(_) => {}
+            Postings::Many(slot) => {
+                let list = &mut self.slots[slot as usize];
+                match list.last() {
+                    Some(&last) if last < id => list.push(id),
+                    _ => {
+                        if let Err(pos) = list.binary_search(&id) {
+                            list.insert(pos, id);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Drops `id` from a list of two or more; whether it was there. A
+    /// list left with one id moves back inline.
+    fn remove(&mut self, p: &mut Postings, id: u32) -> bool {
+        let Postings::Many(slot) = *p else {
+            return false;
+        };
+        let list = &mut self.slots[slot as usize];
+        let Ok(pos) = list.binary_search(&id) else {
+            return false;
+        };
+        list.remove(pos);
+        if let [only] = list[..] {
+            *list = Vec::new();
+            self.free.push(slot);
+            *p = Postings::One(only);
+        }
+        true
+    }
+
+    fn alloc(&mut self, list: Vec<u32>) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = list;
+                slot
+            }
+            None => {
+                self.slots.push(list);
+                u32::try_from(self.slots.len() - 1).expect("posting list slots exhausted")
+            }
+        }
+    }
+}
+
+/// The map entry under `key`, inserted empty when missing — looked up by
+/// `&str` first, so only a new key allocates.
+fn entry<'a, V: Default>(map: &'a mut BTreeMap<Box<str>, V>, key: &str) -> &'a mut V {
+    if !map.contains_key(key) {
+        map.insert(key.into(), V::default());
+    }
+    map.get_mut(key).expect("inserted above")
+}
+
+/// A stored document id: ids past `u32::MAX` cannot be indexed.
+fn narrow(id: DocId) -> u32 {
+    u32::try_from(id).expect("document id exceeds the index's 32-bit ids")
 }
 
 impl InvertedIndex {
@@ -31,20 +136,35 @@ impl InvertedIndex {
         for (id, doc) in docs.iter().enumerate() {
             idx.add(id, doc);
         }
+        idx.pack();
         idx
+    }
+
+    /// Packs a freshly built index: trims every list to its length and
+    /// refills each token map in key order, so no node is left half
+    /// empty by the build's insertion order.
+    pub(crate) fn pack(&mut self) {
+        for list in &mut self.lists.slots {
+            list.shrink_to_fit();
+        }
+        for tokens in self.postings.values_mut() {
+            *tokens = std::mem::take(tokens).into_iter().collect();
+        }
     }
 
     /// Indexes one document under `id`, patching every posting list the
     /// document's tokens touch.
     pub fn add(&mut self, id: DocId, doc: &Tree) {
-        let postings = &mut self.postings;
+        let id = narrow(id);
+        let (postings, lists) = (&mut self.postings, &mut self.lists);
         visit(doc, |field, token| {
-            let list = postings
-                .entry(field.to_string())
-                .or_default()
-                .entry(token)
-                .or_default();
-            insert_sorted(list, id);
+            let tokens = entry(postings, field);
+            match tokens.get_mut(token) {
+                Some(p) => lists.insert(p, id),
+                None => {
+                    tokens.insert(token.into(), Postings::One(id));
+                }
+            }
         });
         self.size += 1;
     }
@@ -53,18 +173,18 @@ impl InvertedIndex {
     /// tokens touch (the inverse of [`InvertedIndex::add`] for the same
     /// document), dropping emptied postings.
     pub fn remove(&mut self, id: DocId, doc: &Tree) {
-        let postings = &mut self.postings;
+        let id = narrow(id);
+        let (postings, lists) = (&mut self.postings, &mut self.lists);
         visit(doc, |field, token| {
-            if let Some(fields) = postings.get_mut(field) {
-                if let Some(list) = fields.get_mut(&token) {
-                    if let Ok(pos) = list.binary_search(&id) {
-                        list.remove(pos);
-                    }
-                    if list.is_empty() {
-                        fields.remove(&token);
+            if let Some(tokens) = postings.get_mut(field) {
+                if let Some(p) = tokens.get_mut(token) {
+                    if lists.get(p) == [id] {
+                        tokens.remove(token);
+                    } else {
+                        lists.remove(p, id);
                     }
                 }
-                if fields.is_empty() {
+                if tokens.is_empty() {
                     postings.remove(field);
                 }
             }
@@ -80,14 +200,12 @@ impl InvertedIndex {
 
     /// Documents whose `field` contains `word`. Ascending.
     pub fn lookup(&self, field: &str, word: &str) -> Vec<DocId> {
-        let mut result: Option<Vec<DocId>> = None;
+        let tokens = self.postings.get(field);
+        let mut result: Option<Vec<u32>> = None;
         for token in tokenize(word) {
-            let hits: &[DocId] = self
-                .postings
-                .get(field)
-                .and_then(|p| p.get(&token))
-                .map(Vec::as_slice)
-                .unwrap_or(&[]);
+            let hits: &[u32] = tokens
+                .and_then(|t| t.get(token.as_str()))
+                .map_or(&[], |p| self.lists.get(p));
             result = Some(match result {
                 None => hits.to_vec(),
                 Some(prev) => intersect_sorted(&prev, hits),
@@ -96,7 +214,11 @@ impl InvertedIndex {
                 break;
             }
         }
-        result.unwrap_or_default()
+        result
+            .unwrap_or_default()
+            .into_iter()
+            .map(|id| id as DocId)
+            .collect()
     }
 
     /// Number of indexed documents.
@@ -129,20 +251,22 @@ impl InvertedIndex {
         for (field, tokens) in &self.postings {
             put_str(field, &mut out);
             out.extend_from_slice(&(tokens.len() as u32).to_le_bytes());
-            for (token, list) in tokens {
+            for (token, p) in tokens {
                 put_str(token, &mut out);
+                let list = self.lists.get(p);
                 out.extend_from_slice(&(list.len() as u32).to_le_bytes());
                 for &id in list {
-                    out.extend_from_slice(&(id as u64).to_le_bytes());
+                    out.extend_from_slice(&u64::from(id).to_le_bytes());
                 }
             }
         }
         out
     }
 
-    /// Deserializes a [`InvertedIndex::to_bytes`] snapshot. Any damage
-    /// returns `None` — the caller rebuilds from the documents (the
-    /// snapshot is an optimization, never a source of truth).
+    /// Deserializes a [`InvertedIndex::to_bytes`] snapshot. Any damage —
+    /// including an empty posting list or an id past 32 bits — returns
+    /// `None`: the caller rebuilds from the documents (the snapshot is an
+    /// optimization, never a source of truth).
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         fn take<'a>(bytes: &'a [u8], at: &mut usize, n: usize) -> Option<&'a [u8]> {
             let end = at.checked_add(n).filter(|&e| e <= bytes.len())?;
@@ -153,46 +277,57 @@ impl InvertedIndex {
         fn take_u32(bytes: &[u8], at: &mut usize) -> Option<u32> {
             Some(u32::from_le_bytes(take(bytes, at, 4)?.try_into().ok()?))
         }
-        fn take_str(bytes: &[u8], at: &mut usize) -> Option<String> {
+        fn take_str(bytes: &[u8], at: &mut usize) -> Option<Box<str>> {
             let len = take_u32(bytes, at)? as usize;
-            String::from_utf8(take(bytes, at, len)?.to_vec()).ok()
+            Some(std::str::from_utf8(take(bytes, at, len)?).ok()?.into())
         }
         let mut at = 0usize;
         let size = u64::from_le_bytes(take(bytes, &mut at, 8)?.try_into().ok()?) as usize;
         let field_count = take_u32(bytes, &mut at)? as usize;
-        let mut postings: BTreeMap<String, BTreeMap<String, Vec<DocId>>> = BTreeMap::new();
+        let mut postings = Vec::new();
+        let mut lists = Lists::default();
         for _ in 0..field_count {
             let field = take_str(bytes, &mut at)?;
             let token_count = take_u32(bytes, &mut at)? as usize;
-            let mut tokens: BTreeMap<String, Vec<DocId>> = BTreeMap::new();
+            let mut tokens = Vec::with_capacity(token_count.min(bytes.len()));
             for _ in 0..token_count {
                 let token = take_str(bytes, &mut at)?;
                 let len = take_u32(bytes, &mut at)? as usize;
-                if len > (bytes.len() - at) / 8 {
+                if len == 0 || len > (bytes.len() - at) / 8 {
                     return None;
                 }
                 let mut list = Vec::with_capacity(len);
                 for _ in 0..len {
-                    let id = u64::from_le_bytes(take(bytes, &mut at, 8)?.try_into().ok()?) as DocId;
+                    let id = u64::from_le_bytes(take(bytes, &mut at, 8)?.try_into().ok()?);
+                    let id = u32::try_from(id).ok()?;
                     if list.last().is_some_and(|&last| last >= id) {
                         return None; // posting lists are strictly ascending
                     }
                     list.push(id);
                 }
-                tokens.insert(token, list);
+                let p = match list[..] {
+                    [only] => Postings::One(only),
+                    _ => Postings::Many(lists.alloc(list)),
+                };
+                tokens.push((token, p));
             }
-            postings.insert(field, tokens);
+            // keys arrive ascending: build packed maps in one pass
+            postings.push((field, tokens.into_iter().collect()));
         }
         if at != bytes.len() {
             return None;
         }
-        Some(InvertedIndex { postings, size })
+        Some(InvertedIndex {
+            postings: postings.into_iter().collect(),
+            lists,
+            size,
+        })
     }
 }
 
 /// Merges two ascending posting lists into their intersection — the
 /// conjunction combinator for pushed predicates.
-pub fn intersect_sorted(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
+pub fn intersect_sorted<T: Ord + Copy>(a: &[T], b: &[T]) -> Vec<T> {
     let mut out = Vec::with_capacity(a.len().min(b.len()));
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
@@ -209,57 +344,81 @@ pub fn intersect_sorted(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
     out
 }
 
-fn insert_sorted(list: &mut Vec<DocId>, id: DocId) {
-    match list.last() {
-        // the common case: builds and adds index ascending ids
-        Some(&last) if last < id => list.push(id),
-        Some(&last) if last == id => {}
-        None => list.push(id),
-        _ => {
-            if let Err(pos) = list.binary_search(&id) {
-                list.insert(pos, id);
-            }
-        }
-    }
-}
-
 /// Walks every (field, token) pair one document contributes: the full
 /// text under the pseudo field `""`, plus each descendant element's
 /// subtree under its own tag (Z39.50 attributes address nested structure
 /// too — `technique` lives inside `history` in Fig. 1). [`InvertedIndex::add`]
 /// and [`InvertedIndex::remove`] share this walk, so unindexing visits
 /// exactly the postings indexing touched.
-fn visit<F: FnMut(&str, String)>(doc: &Tree, mut f: F) {
-    atoms(doc, "", &mut f);
-    fields(doc, &mut f);
+fn visit<F: FnMut(&str, &str)>(doc: &Tree, mut f: F) {
+    let mut scratch = Scratch::default();
+    atoms(doc, "", &mut scratch, &mut f);
+    fields(doc, &mut scratch, &mut f);
 }
 
-fn atoms<F: FnMut(&str, String)>(t: &Tree, field: &str, f: &mut F) {
+/// Buffers one walk reuses: a non-string atom's text, and a lowercased
+/// word.
+#[derive(Default)]
+struct Scratch {
+    text: String,
+    word: String,
+}
+
+fn atoms<F: FnMut(&str, &str)>(t: &Tree, field: &str, scratch: &mut Scratch, f: &mut F) {
     if let Label::Atom(a) = &t.label {
-        for token in tokenize(&a.to_string()) {
-            f(field, token);
-        }
+        let Scratch { text, word } = scratch;
+        let text = match a {
+            Atom::Str(s) => s.as_str(),
+            other => {
+                text.clear();
+                write!(text, "{other}").expect("writing to a String cannot fail");
+                text.as_str()
+            }
+        };
+        for_each_token(text, word, |token| f(field, token));
     }
     for c in &t.children {
-        atoms(c, field, f);
+        atoms(c, field, scratch, f);
     }
 }
 
-fn fields<F: FnMut(&str, String)>(t: &Tree, f: &mut F) {
+fn fields<F: FnMut(&str, &str)>(t: &Tree, scratch: &mut Scratch, f: &mut F) {
     for child in &t.children {
         if let Label::Sym(field) = &child.label {
-            atoms(child, field, f);
-            fields(child, f);
+            atoms(child, field, scratch, f);
+            fields(child, scratch, f);
+        }
+    }
+}
+
+/// Hands each lowercased alphanumeric token of `text` to `f`. ASCII words
+/// lowercase in `word` (or are passed through when already lowercase);
+/// others go through [`str::to_lowercase`], context rules included.
+fn for_each_token(text: &str, word: &mut String, mut f: impl FnMut(&str)) {
+    for w in text.split(|c: char| !c.is_alphanumeric()) {
+        if w.is_empty() {
+            continue;
+        }
+        if !w.is_ascii() {
+            f(&w.to_lowercase());
+        } else if w.bytes().any(|b| b.is_ascii_uppercase()) {
+            word.clear();
+            word.push_str(w);
+            word.make_ascii_lowercase();
+            f(word);
+        } else {
+            f(w);
         }
     }
 }
 
 /// Lowercased alphanumeric tokens.
 pub fn tokenize(text: &str) -> Vec<String> {
-    text.split(|c: char| !c.is_alphanumeric())
-        .filter(|w| !w.is_empty())
-        .map(str::to_lowercase)
-        .collect()
+    let mut out = Vec::new();
+    for_each_token(text, &mut String::new(), |token| {
+        out.push(token.to_string())
+    });
+    out
 }
 
 #[cfg(test)]

@@ -109,10 +109,7 @@ impl WaisSource {
     /// name.
     pub fn new(collection: impl Into<String>, root: &Tree) -> Self {
         let docs: Vec<Option<Tree>> = root.children.iter().cloned().map(Some).collect();
-        let mut index = InvertedIndex::default();
-        for (id, doc) in docs.iter().enumerate() {
-            index.add(id, doc.as_ref().expect("fresh slots are live"));
-        }
+        let index = InvertedIndex::build(&root.children);
         WaisSource {
             collection: collection.into(),
             bank: DocBank::Mem {
@@ -140,14 +137,13 @@ impl WaisSource {
     ) -> Result<Self, StoreError> {
         let collection = collection.into();
         let store = DocStore::open_or_create(dir, opts)?;
-        let mut index = InvertedIndex::default();
-        let (slots, epoch);
+        let (index, slots, epoch);
         if store.meta("slots").is_none() {
             // fresh store: bulk-load the documents, one commit
             for (id, doc) in root.children.iter().enumerate() {
                 store.put(&id_key(id), &encode_tree(doc))?;
-                index.add(id, doc);
             }
+            index = InvertedIndex::build(&root.children);
             store.set_meta("slots", &root.children.len().to_string());
             store.set_meta("collection", &collection);
             store.commit(0)?;
@@ -174,6 +170,7 @@ impl WaisSource {
                         rebuilt.add(key_id(key), &doc);
                         Ok(())
                     })?;
+                    rebuilt.pack();
                     let _ =
                         save_sidecar(dir, INDEX_SIDECAR, store.generation(), &rebuilt.to_bytes());
                     rebuilt

@@ -173,14 +173,14 @@ fn probe(store: &Store, extent: &str, field: &str, op: Op, v: &Atom) -> Vec<Oid>
     let Some(ix) = store.field_index(extent, field) else {
         return Vec::new();
     };
-    let entries = match op {
+    let ords = match op {
         Op::Eq => ix.eq_candidates(v),
         Op::Lt => ix.range_candidates(Bound::Unbounded, Bound::Excluded(v)),
         Op::Le => ix.range_candidates(Bound::Unbounded, Bound::Included(v)),
         Op::Gt => ix.range_candidates(Bound::Excluded(v), Bound::Unbounded),
         Op::Ge => ix.range_candidates(Bound::Included(v), Bound::Unbounded),
     };
-    entries.into_iter().map(|(_, o)| o).collect()
+    store.extent_members(extent, &ords)
 }
 
 /// The scan: the extent in order, kept where the field holds an atom
