@@ -336,7 +336,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_patches_postings() {
+    fn remove_patches_both_sides() {
         let mut ix = index();
         ix.remove(0, &Atom::Int(1800));
         assert_eq!(ix.entries(), 3);
@@ -357,7 +357,7 @@ mod tests {
     }
 
     #[test]
-    fn intersection_merges_on_ordinals() {
+    fn intersection_merges_on_sequence() {
         assert_eq!(intersect_ordinals(&[0, 2, 5], &[2, 3, 5]), [2, 5]);
         assert!(intersect_ordinals(&[0, 2, 5], &[]).is_empty());
     }

@@ -895,10 +895,10 @@ impl BatchSink for FrameBytes {
 
 #[test]
 fn one_subtree_chunks_reassemble_in_linear_time() {
-    // 20 000 subtrees at one per chunk: rebuilding the root per chunk
-    // cost ~2·10^8 child clones here; appending costs 2·10^4. Both the
-    // in-process collector and the client reassemble the stream, and
-    // both must equal the materialized answer byte for byte.
+    // 20 000 subtrees at one per chunk: reassembly must append, since
+    // rebuilding the root per chunk would clone ~2·10^8 children here.
+    // Both the in-process collector and the client reassemble the
+    // stream, and both must equal the materialized answer byte for byte.
     let mut mediator = works_federation(20_000, 8);
     mediator.set_cache_policy(yat_mediator::CachePolicy::Off);
     let plan = mediator.plan_query(WORKS_SCAN).expect("query plans");

@@ -16,10 +16,10 @@ pub type DocId = usize;
 ///
 /// Posting lists are ascending, deduplicated lists of 32-bit document
 /// ids under boxed token keys; a token with a single posting keeps it
-/// inline, with no heap list, and longer lists live in one arena. Multi-token and multi-predicate queries
-/// resolve by merging sorted lists ([`intersect_sorted`]), so a
-/// conjunction's cost is bounded by its most selective conjunct, not by
-/// collection size.
+/// inline, with no heap list, and longer lists live in one arena.
+/// Multi-token and multi-predicate queries resolve by merging sorted
+/// lists ([`intersect_sorted`]), so a conjunction's cost is bounded by
+/// its most selective conjunct, not by collection size.
 #[derive(Debug, Default, Clone)]
 pub struct InvertedIndex {
     /// field → token → documents (ascending, deduplicated).

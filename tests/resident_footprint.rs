@@ -103,10 +103,8 @@ fn budgeted(disk_bytes: u64) -> StoreOptions {
     }
 }
 
-/// Budgets in MiB: the compact posting layout's measurement plus 10 %
-/// (16.71 / 6.88 / 3.09 / 5.49 MiB). The layout before it — an `Oid`
-/// and a key copy per posting, held twice per field; a `String` key and
-/// a `Vec` per token — measured 31.6 / 21.8 / 10.0 / 10.1 MiB.
+/// Budgets in MiB: the measured live bytes plus 10 % (16.71 / 6.88 /
+/// 3.09 / 5.49 MiB; EXPERIMENTS.md, "Compact source posting lists").
 const ART_MEM_MIB: f64 = 18.4;
 const ART_STORE_MIB: f64 = 7.6;
 const WAIS_MEM_MIB: f64 = 3.4;
