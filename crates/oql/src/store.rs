@@ -73,14 +73,15 @@ pub struct Store {
 struct Extent {
     oids: Vec<Oid>,
     ords: Vec<u32>,
-    next: u32,
 }
 
 impl Extent {
-    /// Appends a member, returning its ordinal.
+    /// Appends a member, returning its ordinal: one past the last
+    /// member's, so the table stays ascending.
     fn push(&mut self, oid: Oid) -> u32 {
-        let ord = self.next;
-        self.next = ord.checked_add(1).expect("extent ordinals exhausted");
+        let ord = self.ords.last().map_or(0, |&last| {
+            last.checked_add(1).expect("extent ordinals exhausted")
+        });
         self.oids.push(oid);
         self.ords.push(ord);
         ord
