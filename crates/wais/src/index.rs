@@ -351,22 +351,22 @@ pub fn intersect_sorted<T: Ord + Copy>(a: &[T], b: &[T]) -> Vec<T> {
 /// and [`InvertedIndex::remove`] share this walk, so unindexing visits
 /// exactly the postings indexing touched.
 fn visit<F: FnMut(&str, &str)>(doc: &Tree, mut f: F) {
-    let mut scratch = Scratch::default();
-    atoms(doc, "", &mut scratch, &mut f);
-    fields(doc, &mut scratch, &mut f);
+    let mut bufs = Buffers::default();
+    atoms(doc, "", &mut bufs, &mut f);
+    fields(doc, &mut bufs, &mut f);
 }
 
 /// Buffers one walk reuses: a non-string atom's text, and a lowercased
 /// word.
 #[derive(Default)]
-struct Scratch {
+struct Buffers {
     text: String,
     word: String,
 }
 
-fn atoms<F: FnMut(&str, &str)>(t: &Tree, field: &str, scratch: &mut Scratch, f: &mut F) {
+fn atoms<F: FnMut(&str, &str)>(t: &Tree, field: &str, bufs: &mut Buffers, f: &mut F) {
     if let Label::Atom(a) = &t.label {
-        let Scratch { text, word } = scratch;
+        let Buffers { text, word } = bufs;
         let text = match a {
             Atom::Str(s) => s.as_str(),
             other => {
@@ -378,15 +378,15 @@ fn atoms<F: FnMut(&str, &str)>(t: &Tree, field: &str, scratch: &mut Scratch, f: 
         for_each_token(text, word, |token| f(field, token));
     }
     for c in &t.children {
-        atoms(c, field, scratch, f);
+        atoms(c, field, bufs, f);
     }
 }
 
-fn fields<F: FnMut(&str, &str)>(t: &Tree, scratch: &mut Scratch, f: &mut F) {
+fn fields<F: FnMut(&str, &str)>(t: &Tree, bufs: &mut Buffers, f: &mut F) {
     for child in &t.children {
         if let Label::Sym(field) = &child.label {
-            atoms(child, field, scratch, f);
-            fields(child, scratch, f);
+            atoms(child, field, bufs, f);
+            fields(child, bufs, f);
         }
     }
 }
