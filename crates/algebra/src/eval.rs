@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use std::hash::Hasher;
 use std::sync::Arc;
 use yat_model::hash::Fnv64;
-use yat_model::{Atom, Binder, Forest, MatchOptions, Model, Node, Symbol, Tree};
+use yat_model::{Atom, Binder, Forest, Label, MatchOptions, Model, Node, Symbol, Tree};
 use yat_obs::Collector;
 
 /// Resolves the named documents plans read from (`Source` nodes) and the
@@ -1017,18 +1017,22 @@ impl<'t> Builder<'t> {
     }
 
     /// Instantiates `tmpl` over the rows `rows` (indices into the
-    /// table), appending the constructed forest to `out` in order.
+    /// table), appending the constructed forest to `out` in order. A
+    /// constructed node's children are built on top of `out` and taken
+    /// off it ([`Node::from_stack`]), so one stack serves every level and
+    /// each child slice is allocated once, at its exact length.
     fn instantiate(&mut self, tmpl: &'t Template, rows: &[usize], out: &mut Vec<Tree>) {
         let tab = self.tab;
         match tmpl {
             Template::Text(t) => out.push(Node::atom(Atom::Str(t.clone()))),
             Template::Sym { name, children } => {
                 let sym = self.sym(name);
-                let mut kids = Vec::with_capacity(children.len());
+                let mark = out.len();
                 for c in children {
-                    self.instantiate(c, rows, &mut kids);
+                    self.instantiate(c, rows, out);
                 }
-                out.push(Node::sym(sym, kids));
+                let node = Node::from_stack(Label::Sym(sym), out, mark);
+                out.push(node);
             }
             Template::Var(v) => {
                 let Some(ci) = tab.col(v) else {
@@ -1081,11 +1085,13 @@ impl<'t> Builder<'t> {
                 for members in by_label.groups() {
                     group.clear();
                     group.extend(members.iter().map(|&k| labeled[k].0));
-                    let mut kids = Vec::new();
+                    let mark = out.len();
                     for c in children {
-                        self.instantiate(c, &group, &mut kids);
+                        self.instantiate(c, &group, out);
                     }
-                    out.push(Node::sym(labeled[members[0]].1.as_ref(), kids));
+                    let label = Label::Sym(labeled[members[0]].1.as_ref().into());
+                    let node = Node::from_stack(label, out, mark);
+                    out.push(node);
                 }
             }
             Template::Group { key, skolem, body } => {
@@ -1116,10 +1122,11 @@ impl<'t> Builder<'t> {
                     members.extend(group.iter().map(|&k| rows[k]));
                     match skolem {
                         Some(name) => {
-                            let mut built = Vec::new();
-                            self.instantiate(body, &members, &mut built);
+                            let mark = out.len();
+                            self.instantiate(body, &members, out);
                             let oid = self.skolems.apply(name, key_of(members[0]));
-                            out.push(Node::oid(oid, built));
+                            let node = Node::from_stack(Label::Oid(oid), out, mark);
+                            out.push(node);
                         }
                         None => self.instantiate(body, &members, out),
                     }

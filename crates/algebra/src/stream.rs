@@ -25,7 +25,7 @@ use crate::eval::{self, Env, EvalCtx, EvalOut};
 use crate::expr::{Alg, Operand, Pred};
 use crate::tab::Tab;
 use std::sync::Arc;
-use yat_model::Tree;
+use yat_model::{Node, Tree};
 
 /// The default number of rows per delivered batch.
 pub const DEFAULT_BATCH_ROWS: usize = 1024;
@@ -169,10 +169,7 @@ pub fn deliver(
             let mut start = 0;
             loop {
                 let end = (start + batch_rows).min(total);
-                let chunk = yat_model::Node::labeled(
-                    tree.label.clone(),
-                    tree.children[start..end].to_vec(),
-                );
+                let chunk = Node::labeled(tree.label.clone(), tree.children[start..end].to_vec());
                 sink.on_tree(&chunk)?;
                 stats.chunks += 1;
                 stats.rows += (end - start) as u64;
@@ -228,6 +225,9 @@ pub fn deliver(
 #[derive(Debug, Default)]
 pub struct CollectSink {
     answer: Option<EvalOut>,
+    /// The top-level subtrees of every tree chunk after the first, appended
+    /// to the first chunk's root once, in [`CollectSink::into_answer`].
+    more: Vec<Tree>,
     /// Batches received (`1` for a tree).
     pub chunks: u64,
 }
@@ -240,7 +240,10 @@ impl CollectSink {
 
     /// The reassembled answer; `None` when nothing was delivered.
     pub fn into_answer(self) -> Option<EvalOut> {
-        self.answer
+        match self.answer {
+            Some(EvalOut::Tree(root)) => Some(EvalOut::Tree(Node::appended(&root, self.more))),
+            answer => answer,
+        }
     }
 }
 
@@ -280,7 +283,7 @@ impl BatchSink for CollectSink {
                         tree.label, acc.label
                     )));
                 }
-                yat_model::Node::extend_children(acc, tree.children.iter().cloned());
+                self.more.extend(tree.children.iter().cloned());
             }
             Some(EvalOut::Tab(_)) => {
                 return Err(EvalError::Sink(

@@ -33,14 +33,6 @@ pub fn group(name: &str) {
     println!("\n== {name} ==");
 }
 
-/// Measures `f` like [`run`] but returns the median wall time per
-/// iteration instead of printing — for benches that print their own
-/// rows (`fig_index`, `fig_store`).
-pub fn measure<T, F: FnMut() -> T>(f: F) -> Duration {
-    let samples = samples(f);
-    samples[samples.len() / 2]
-}
-
 /// Warms `f` up, then times enough iterations to fill the measurement
 /// window; returns the per-iteration wall times, sorted.
 fn samples<T, F: FnMut() -> T>(mut f: F) -> Vec<Duration> {

@@ -11,20 +11,13 @@
 //!   pair, the Fig. 7 equivalence pairs (before/after of each rewriting),
 //!   and the Fig. 8/9 pipelines at every optimization level;
 //! * [`harness`] — a std-only timing harness;
-//! * [`baseline`] — a string-keyed reference implementation of the
-//!   algebra's key operations, the oracle `tests/prop_hash_keys.rs`
-//!   compares the hashed keys against;
 //! * [`settings`] — the `YAT_*` settings of the `yat-server` /
 //!   `yat-load` binaries: the one place the environment is read;
-//! * `benches/` — `harness = false` benchmarks: one per worked figure
-//!   (Fig. 4, 7, 8, 9), plus `fig_index` (indexed vs scan out to 10^6
-//!   documents) and `fig_store` (cold mount and cold/warm reads under a
-//!   budget smaller than the data) — the two sweeps the served
-//!   benchmark cannot run;
+//! * `benches/` — `harness = false` benchmarks, one per worked figure
+//!   (Fig. 4, 7, 8, 9);
 //! * `src/bin/report.rs` — prints the plans, traffic and result
 //!   fingerprints per figure (the source of EXPERIMENTS.md).
 
-pub mod baseline;
 pub mod figures;
 pub mod harness;
 pub mod settings;

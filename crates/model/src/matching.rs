@@ -582,7 +582,7 @@ impl<'a> Matcher<'a> {
                 // (pattern labels never denote concrete identifiers, so a
                 // non-Any label can only match after descending)
                 if !matches!(label, PLabel::Any) {
-                    if let (Label::Oid(_), [only]) = (&tree.label, tree.children.as_slice()) {
+                    if let (Label::Oid(_), [only]) = (&tree.label, &*tree.children) {
                         return self.node(only, pat, out);
                     }
                 }

@@ -11,13 +11,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Section 2). Both are represented uniformly as interned strings so that
 /// references (`<owners refs="p1 p2 p3"/>`) can be resolved against a
 /// [`crate::Forest`].
+///
+/// A boxed `str`, not a `String`: an identifier never grows, and the
+/// 16-byte handle keeps a tree [`crate::Label`] at 24 bytes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Oid(pub String);
+pub struct Oid(Box<str>);
 
 impl Oid {
     /// Creates an identifier from a raw string.
     pub fn new(s: impl Into<String>) -> Self {
-        Oid(s.into())
+        Oid(s.into().into_boxed_str())
     }
 
     /// The raw identifier text.
@@ -60,7 +63,7 @@ impl OidGen {
     /// Mints a fresh identifier.
     pub fn fresh(&self) -> Oid {
         let n = self.next.fetch_add(1, Ordering::Relaxed);
-        Oid(format!("{}{}", self.prefix, n))
+        Oid::new(format!("{}{}", self.prefix, n))
     }
 
     /// Number of identifiers minted so far.

@@ -6,7 +6,8 @@ use crate::oid::Oid;
 use crate::symbol::Symbol;
 use std::fmt;
 use std::hash::Hasher;
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// The label of a tree node.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,54 +59,94 @@ impl fmt::Display for Label {
 /// [`Tree`] (`Arc<Node>`) so operators can alias subtrees without copying —
 /// `Bind` extracts subtrees into tables by reference; only the `Tree`
 /// operator allocates new structure (Section 3.1).
+///
+/// 48 bytes on 64-bit targets: a 24-byte label, a 16-byte child slice
+/// allocated at its exact length, and an 8-byte hash cell.
 #[derive(Clone)]
 pub struct Node {
     /// This node's label.
     pub label: Label,
     /// Ordered children (XML is ordered; the algebra's horizontal
-    /// navigation relies on this order).
-    pub children: Vec<Tree>,
+    /// navigation relies on this order). Fixed once the node is built.
+    pub children: Box<[Tree]>,
     /// Lazily computed structural grouping hash ([`Node::key_hash`]).
     /// Computing a parent's hash fills the caches of every shared subtree,
     /// so repeated keying of aliased subtrees is O(1).
-    khash: OnceLock<u64>,
+    khash: HashCell,
 }
 
 /// A shared, immutable YAT tree.
 pub type Tree = Arc<Node>;
 
-fn make(label: Label, children: Vec<Tree>) -> Tree {
+/// A lazily filled 64-bit hash. 0 reads as "not computed yet", so a hash
+/// that computes to 0 is recomputed on every read instead of cached: the
+/// value returned is the same either way. Racing readers store the same
+/// value, so relaxed ordering suffices.
+struct HashCell(AtomicU64);
+
+impl HashCell {
+    const EMPTY: u64 = 0;
+
+    fn new() -> HashCell {
+        HashCell(AtomicU64::new(HashCell::EMPTY))
+    }
+
+    fn get_or(&self, compute: impl FnOnce() -> u64) -> u64 {
+        let cached = self.0.load(Ordering::Relaxed);
+        if cached != HashCell::EMPTY {
+            return cached;
+        }
+        let h = compute();
+        self.0.store(h, Ordering::Relaxed);
+        h
+    }
+}
+
+/// Copies the cell: a cloned node has the same children, so the same hash.
+impl Clone for HashCell {
+    fn clone(&self) -> HashCell {
+        HashCell(AtomicU64::new(self.0.load(Ordering::Relaxed)))
+    }
+}
+
+fn make(label: Label, children: Box<[Tree]>) -> Tree {
     Arc::new(Node {
         label,
         children,
-        khash: OnceLock::new(),
+        khash: HashCell::new(),
     })
 }
 
 impl Node {
     /// A symbol-labeled node with children.
     pub fn sym(name: impl Into<Symbol>, children: Vec<Tree>) -> Tree {
-        make(Label::Sym(name.into()), children)
+        make(Label::Sym(name.into()), children.into_boxed_slice())
     }
 
     /// A node with an arbitrary label — for rebuilding a tree around an
     /// existing root (answer streaming cuts a tree into chunks of
     /// top-level subtrees under a copy of its root).
     pub fn labeled(label: Label, children: Vec<Tree>) -> Tree {
-        make(label, children)
+        make(label, children.into_boxed_slice())
     }
 
-    /// Appends `more` to `tree`'s children — in place when `tree` is
-    /// uniquely held, after copying the root once otherwise — so a
-    /// stream of chunks reassembles in time linear in the subtrees.
-    pub fn extend_children(tree: &mut Tree, more: impl IntoIterator<Item = Tree>) {
-        if Arc::get_mut(tree).is_none() {
-            *tree = make(tree.label.clone(), tree.children.clone());
+    /// A node labeled `label` whose children are the trees `stack` holds
+    /// from `mark` on, taken off the stack. A builder that pushes every
+    /// node's children onto one reused stack allocates each child slice
+    /// once, at its exact length.
+    pub fn from_stack(label: Label, stack: &mut Vec<Tree>, mark: usize) -> Tree {
+        make(label, stack.drain(mark..).collect())
+    }
+
+    /// `root` with `more` appended to its children, as a new node: a
+    /// stream of chunks collects their subtrees and reassembles the root
+    /// once, in time linear in the subtrees.
+    pub fn appended(root: &Tree, more: Vec<Tree>) -> Tree {
+        if more.is_empty() {
+            return root.clone();
         }
-        let node = Arc::get_mut(tree).expect("the root was just made unique");
-        // a cached hash describes the old children
-        node.khash = OnceLock::new();
-        node.children.extend(more);
+        let children = root.children.iter().cloned().chain(more).collect();
+        make(root.label.clone(), children)
     }
 
     /// A symbol-labeled leaf wrapping a single atom child:
@@ -117,17 +158,17 @@ impl Node {
 
     /// An atomic leaf.
     pub fn atom(value: impl Into<Atom>) -> Tree {
-        make(Label::Atom(value.into()), Vec::new())
+        make(Label::Atom(value.into()), Box::default())
     }
 
     /// An identified node (`a1[...]`).
     pub fn oid(oid: Oid, children: Vec<Tree>) -> Tree {
-        make(Label::Oid(oid), children)
+        make(Label::Oid(oid), children.into_boxed_slice())
     }
 
     /// A reference leaf (`&p3`).
     pub fn reference(oid: Oid) -> Tree {
-        make(Label::Ref(oid), Vec::new())
+        make(Label::Ref(oid), Box::default())
     }
 
     /// The first child, for the common `elem` shape.
@@ -141,7 +182,7 @@ impl Node {
     pub fn value_atom(&self) -> Option<&Atom> {
         match &self.label {
             Label::Atom(a) => Some(a),
-            _ => match self.children.as_slice() {
+            _ => match &*self.children {
                 [only] => only.label.as_atom(),
                 _ => None,
             },
@@ -206,11 +247,7 @@ impl Node {
     /// subtree twice — or keying a parent after its children — costs one
     /// cache read per node instead of re-serializing the subtree.
     pub fn key_hash(&self) -> u64 {
-        if let Some(h) = self.khash.get() {
-            return *h;
-        }
-        let h = self.compute_key_hash();
-        *self.khash.get_or_init(|| h)
+        self.khash.get_or(|| self.compute_key_hash())
     }
 
     fn compute_key_hash(&self) -> u64 {
@@ -236,7 +273,7 @@ impl Node {
             }
         }
         h.write_u64(self.children.len() as u64);
-        for c in &self.children {
+        for c in self.children.iter() {
             h.write_u64(c.key_hash());
         }
         h.finish()
@@ -265,7 +302,7 @@ impl Node {
         a.children.len() == b.children.len()
             && a.children
                 .iter()
-                .zip(&b.children)
+                .zip(b.children.iter())
                 .all(|(c, d)| Node::key_eq(c, d))
     }
 }
@@ -309,7 +346,7 @@ fn write_key(t: &Node, out: &mut impl fmt::Write) -> fmt::Result {
         }
     }
     out.write_char('(')?;
-    for c in &t.children {
+    for c in t.children.iter() {
         write_key(c, out)?;
         out.write_char(',')?;
     }
@@ -424,6 +461,110 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Fixed trees whose `key_hash` values are pinned below: symbols,
+    /// numeric coercion (`1` vs `1.0`), signed zero, NaN, empty and
+    /// non-ASCII strings, identified and reference nodes, and a nested
+    /// tree. Grouping keys travel in caches and Skolem OIDs, so a layout
+    /// change must reproduce every value bit for bit.
+    fn golden_trees() -> Vec<(&'static str, Tree)> {
+        vec![
+            ("sym", Node::sym("work", Vec::new())),
+            ("int 1", Node::atom(1)),
+            ("float 1.0", Node::atom(1.0)),
+            ("float -0.0", Node::atom(-0.0)),
+            ("float NaN", Node::atom(f64::NAN)),
+            ("empty string", Node::atom("")),
+            ("non-ASCII string", Node::atom("Nymphéas — 睡蓮")),
+            ("oid", Node::oid(Oid::new("a1"), vec![Node::elem("t", 1)])),
+            ("ref", Node::reference(Oid::new("p3"))),
+            (
+                "nested",
+                Node::sym(
+                    "work",
+                    vec![
+                        Node::elem("title", "Nympheas"),
+                        Node::elem("year", 1897),
+                        Node::sym("owners", vec![Node::reference(Oid::new("p1"))]),
+                        Node::atom(true),
+                    ],
+                ),
+            ),
+        ]
+    }
+
+    #[test]
+    fn key_hash_values_are_pinned() {
+        let pinned: [(&str, u64); 10] = [
+            ("sym", 0xb17264d899efa6ab),
+            ("int 1", 0x63e9ef1b86e7c057),
+            ("float 1.0", 0x63e9ef1b86e7c057),
+            ("float -0.0", 0xd9434bee1f001f06),
+            ("float NaN", 0x5fb84d10eb1833cf),
+            ("empty string", 0xea98747d2c19c368),
+            ("non-ASCII string", 0xc299eb40b660e76a),
+            ("oid", 0xa27708b1c873ebc2),
+            ("ref", 0x26361b9ba06cb0a2),
+            ("nested", 0xe51398abdd5df29e),
+        ];
+        for ((name, tree), (pinned_name, hash)) in golden_trees().into_iter().zip(pinned) {
+            assert_eq!(name, pinned_name);
+            assert_eq!(tree.key_hash(), hash, "{name}: {tree}");
+            // a second read comes from the cache and must agree
+            assert_eq!(tree.key_hash(), hash, "{name} (cached)");
+        }
+    }
+
+    #[test]
+    fn a_zero_hash_is_returned_but_not_cached() {
+        let cell = HashCell::new();
+        let mut computed = 0;
+        for _ in 0..3 {
+            let h = cell.get_or(|| {
+                computed += 1;
+                0
+            });
+            assert_eq!(h, 0, "the sentinel value itself is still the hash");
+        }
+        assert_eq!(
+            computed, 3,
+            "0 reads as not computed, so it is never cached"
+        );
+        assert_eq!(cell.get_or(|| 7), 7);
+        assert_eq!(cell.get_or(|| unreachable!("cached")), 7);
+        assert_eq!(cell.clone().get_or(|| unreachable!("copied")), 7);
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn node_and_label_sizes() {
+        assert_eq!(std::mem::size_of::<Label>(), 24);
+        assert_eq!(std::mem::size_of::<Node>(), 48);
+    }
+
+    #[test]
+    fn stack_built_children_take_the_tail_and_keep_order() {
+        let mut stack = vec![Node::atom(0)];
+        let mark = stack.len();
+        stack.extend([Node::elem("a", 1), Node::elem("b", 2)]);
+        let t = Node::from_stack(Label::Sym("w".into()), &mut stack, mark);
+        assert_eq!(t.to_string(), "w[a[1], b[2]]");
+        assert_eq!(stack.len(), 1, "the children left the stack");
+        let empty = Node::from_stack(Label::Sym("e".into()), &mut stack, 1);
+        assert!(empty.children.is_empty());
+    }
+
+    #[test]
+    fn appended_concatenates_without_touching_the_root() {
+        let root = Node::sym("r", vec![Node::elem("a", 1)]);
+        let h = root.key_hash();
+        let both = Node::appended(&root, vec![Node::elem("b", 2)]);
+        assert_eq!(both.to_string(), "r[a[1], b[2]]");
+        assert_eq!(root.to_string(), "r[a[1]]");
+        assert_eq!(root.key_hash(), h);
+        assert_ne!(both.key_hash(), h, "a fresh node hashes its own children");
+        assert!(Arc::ptr_eq(&Node::appended(&root, Vec::new()), &root));
     }
 
     #[test]

@@ -34,17 +34,23 @@ pub const ATTR_PREFIX: char = '@';
 
 /// Converts an XML element into a YAT tree.
 pub fn tree_from_xml(el: &Element) -> Tree {
-    let mut children: Vec<Tree> = Vec::new();
+    build_from_xml(el, &mut Vec::new())
+}
+
+/// [`tree_from_xml`] with every element's children built on `stack`
+/// and taken off it at their exact length ([`Node::from_stack`]).
+fn build_from_xml(el: &Element, stack: &mut Vec<Tree>) -> Tree {
+    let mark = stack.len();
     let mut id: Option<Oid> = None;
     for a in &el.attributes {
         match a.name.as_str() {
             "id" => id = Some(Oid::new(a.value.clone())),
             "refs" => {
                 for r in a.value.split_whitespace() {
-                    children.push(Node::reference(Oid::new(r)));
+                    stack.push(Node::reference(Oid::new(r)));
                 }
             }
-            _ => children.push(Node::sym(
+            _ => stack.push(Node::sym(
                 format!("{ATTR_PREFIX}{}", a.name),
                 vec![Node::atom(Atom::parse_guess(&a.value))],
             )),
@@ -52,16 +58,15 @@ pub fn tree_from_xml(el: &Element) -> Tree {
     }
     for c in &el.children {
         match c {
-            Content::Element(e) => children.push(tree_from_xml(e)),
-            Content::Text(t) | Content::CData(t) => {
-                if !t.trim().is_empty() {
-                    children.push(Node::atom(Atom::parse_guess(t)));
-                }
+            Content::Element(e) => {
+                let tree = build_from_xml(e, stack);
+                stack.push(tree);
             }
+            Content::Text(t) | Content::CData(t) => push_atom(stack, t),
             Content::Comment(_) | Content::ProcessingInstruction { .. } => {}
         }
     }
-    let body = Node::sym(el.name.clone(), children);
+    let body = Node::from_stack(Label::Sym(el.name.as_str().into()), stack, mark);
     match id {
         Some(oid) => Node::oid(oid, vec![body]),
         None => body,
@@ -83,7 +88,7 @@ pub fn tree_to_xml(tree: &Tree) -> Element {
         }
         Label::Oid(oid) => {
             // identified node: id attribute on the (single) body element
-            match tree.children.as_slice() {
+            match &*tree.children {
                 [only] => {
                     let mut el = tree_to_xml(only);
                     el.set_attr("id", oid.as_str());
@@ -176,7 +181,7 @@ impl<'t> Shape<'t> {
                 shape.attrs_from(&tree.children);
                 shape
             }
-            Label::Oid(oid) => match tree.children.as_slice() {
+            Label::Oid(oid) => match &*tree.children {
                 [only] => {
                     let mut shape = Shape::of(only);
                     shape.set_attr("id", Cow::Borrowed(oid.as_str()));
@@ -260,7 +265,7 @@ impl<'t> Shape<'t> {
 
 /// `@name[atom]` — a child [`fill_children`] turns into an attribute.
 fn as_attribute(c: &Tree) -> Option<(&str, &Atom)> {
-    match (&c.label, c.children.as_slice()) {
+    match (&c.label, &*c.children) {
         (Label::Sym(s), [only]) if s.starts_with(ATTR_PREFIX) => only
             .label
             .as_atom()
@@ -292,14 +297,17 @@ fn has_content(children: &[Tree]) -> bool {
         && children.iter().any(|c| as_attribute(c).is_none())
 }
 
-/// One frame's symbol table: each distinct tag or attribute name of the
-/// frame takes the global interner's lock once, however often it recurs.
-/// The names come off the wire, so the maps keep the default (keyed)
-/// hasher.
+/// One frame's decode state. Its symbol table makes each distinct tag or
+/// attribute name of the frame take the global interner's lock once,
+/// however often it recurs; the names come off the wire, so the maps keep
+/// the default (keyed) hasher. Its child stack holds the children of
+/// every element still open, so each node's child slice is allocated
+/// once, at its exact length ([`Node::from_stack`]).
 #[derive(Default)]
 pub struct Symbols<'a> {
     tags: HashMap<&'a str, Symbol>,
     attrs: HashMap<&'a str, Symbol>,
+    stack: Vec<Tree>,
 }
 
 impl<'a> Symbols<'a> {
@@ -325,33 +333,40 @@ pub fn read_tree<'a>(
     name: &'a str,
     symbols: &mut Symbols<'a>,
 ) -> Result<Tree, ParseError> {
-    let mut children: Vec<Tree> = Vec::new();
+    let mark = symbols.stack.len();
     let mut id: Option<Oid> = None;
     for a in reader.attrs() {
         match a.name {
             "id" => id = Some(Oid::new(a.value.as_ref())),
             "refs" => {
                 for r in a.value.split_whitespace() {
-                    children.push(Node::reference(Oid::new(r)));
+                    symbols.stack.push(Node::reference(Oid::new(r)));
                 }
             }
-            _ => children.push(Node::sym(
-                symbols.attr(a.name),
-                vec![Node::atom(Atom::parse_guess(&a.value))],
-            )),
+            _ => {
+                let attr = Node::sym(
+                    symbols.attr(a.name),
+                    vec![Node::atom(Atom::parse_guess(&a.value))],
+                );
+                symbols.stack.push(attr);
+            }
         }
     }
     loop {
         match reader.next()? {
-            Event::Start(child) => children.push(read_tree(reader, child, symbols)?),
-            Event::Text(t) => push_atom(&mut children, &t),
-            Event::CData(t) => push_atom(&mut children, t),
+            Event::Start(child) => {
+                let tree = read_tree(reader, child, symbols)?;
+                symbols.stack.push(tree);
+            }
+            Event::Text(t) => push_atom(&mut symbols.stack, &t),
+            Event::CData(t) => push_atom(&mut symbols.stack, t),
             Event::Comment(_) | Event::Pi { .. } => {}
             Event::End(_) => break,
             Event::Eof => return Err(reader.error("document ended inside an element")),
         }
     }
-    let body = Node::sym(symbols.tag(name), children);
+    let tag = Label::Sym(symbols.tag(name));
+    let body = Node::from_stack(tag, &mut symbols.stack, mark);
     Ok(match id {
         Some(oid) => Node::oid(oid, vec![body]),
         None => body,

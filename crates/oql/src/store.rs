@@ -77,14 +77,22 @@ struct Extent {
 
 impl Extent {
     /// Appends a member, returning its ordinal: one past the last
-    /// member's, so the table stays ascending.
-    fn push(&mut self, oid: Oid) -> u32 {
-        let ord = self.ords.last().map_or(0, |&last| {
-            last.checked_add(1).expect("extent ordinals exhausted")
-        });
+    /// member's, so the table stays ascending. Once the last ordinal is
+    /// `u32::MAX` the extent takes no more members — until a remount
+    /// renumbers it — and the table is left unchanged.
+    fn push(&mut self, oid: Oid) -> Result<u32, OqlError> {
+        let ord = match self.ords.last() {
+            None => 0,
+            Some(&last) => last.checked_add(1).ok_or_else(|| {
+                OqlError(format!(
+                    "extent ordinals exhausted: `{}` not inserted (a remount renumbers the extent)",
+                    oid.as_str()
+                ))
+            })?,
+        };
         self.oids.push(oid);
         self.ords.push(ord);
-        ord
+        Ok(ord)
     }
 
     /// Drops the first occurrence of `oid`, returning its ordinal.
@@ -170,7 +178,12 @@ impl Store {
         };
         for (_, oid, class, atoms) in rows {
             if let Some(extent) = s.schema.class(&class).and_then(|c| c.extent.clone()) {
-                let ord = s.extents.entry(extent.clone()).or_default().push(oid);
+                let ord = s
+                    .extents
+                    .entry(extent.clone())
+                    .or_default()
+                    .push(oid)
+                    .map_err(|e| StoreError::Manifest { detail: e.0 })?;
                 for (field, a) in &atoms {
                     s.indexes
                         .entry((extent.clone(), field.clone()))
@@ -217,14 +230,12 @@ impl Store {
             .schema
             .class(class)
             .ok_or_else(|| OqlError(format!("unknown class `{class}`")))?;
-        let seq = self.seq;
-        self.seq += 1;
         if let Some(extent) = &cls.extent {
             let ord = self
                 .extents
                 .entry(extent.clone())
                 .or_default()
-                .push(oid.clone());
+                .push(oid.clone())?;
             if let OVal::Tuple(fields) = &value {
                 for (field, v) in fields {
                     if let OVal::Atom(a) = v {
@@ -236,6 +247,8 @@ impl Store {
                 }
             }
         }
+        let seq = self.seq;
+        self.seq += 1;
         match &mut self.bank {
             ObjBank::Mem(objects) => {
                 objects.insert(
@@ -493,6 +506,55 @@ mod tests {
         let o = s.object(&Oid::new("p1")).unwrap().clone();
         assert_eq!(s.call_method("shout", &o).unwrap(), OVal::str("X"));
         assert!(s.call_method("whisper", &o).is_err());
+    }
+
+    #[test]
+    fn extent_ordinals_stop_at_the_32_bit_limit() {
+        let mut e = Extent {
+            oids: vec![Oid::new("p0")],
+            ords: vec![u32::MAX - 1],
+        };
+        assert_eq!(e.push(Oid::new("p1")), Ok(u32::MAX));
+        let err = e.push(Oid::new("p2")).unwrap_err();
+        assert!(err.0.contains("exhausted"), "{err}");
+        assert_eq!(e.ords, [u32::MAX - 1, u32::MAX], "the table is unchanged");
+        assert_eq!(e.oids.len(), 2);
+        // removing the last member frees its ordinal again
+        assert_eq!(e.remove(&Oid::new("p1")), Some(u32::MAX));
+        assert_eq!(e.push(Oid::new("p2")), Ok(u32::MAX));
+    }
+
+    #[test]
+    fn an_insert_past_the_ordinal_limit_fails_and_changes_nothing() {
+        let mut s = Store::new(schema());
+        // an extent whose last member holds the last ordinal, as after
+        // 2^32 inserts since the last mount
+        s.extents.insert(
+            "persons".into(),
+            Extent {
+                oids: vec![Oid::new("p0")],
+                ords: vec![u32::MAX],
+            },
+        );
+        let cell = Arc::new(AtomicU64::new(0));
+        s.register_epoch(cell.clone());
+        let err = s
+            .insert(
+                Oid::new("p1"),
+                "Person",
+                OVal::tuple(vec![("name", OVal::str("X"))]),
+            )
+            .unwrap_err();
+        assert!(err.0.contains("exhausted"), "{err}");
+        assert!(s.object(&Oid::new("p1")).is_none());
+        assert_eq!(s.len(), 0);
+        assert_eq!(s.extent("persons").unwrap().len(), 1);
+        assert!(
+            s.field_index("persons", "name").is_none(),
+            "nothing indexed"
+        );
+        assert_eq!(s.seq, 0);
+        assert_eq!(cell.load(Ordering::SeqCst), 0, "no epoch bump");
     }
 
     #[test]

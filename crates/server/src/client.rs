@@ -7,7 +7,7 @@ use yat_algebra::EvalOut;
 use yat_capability::framing;
 use yat_capability::protocol::{ClientRequest, ServerReply, ServerStats, StreamFrame};
 use yat_capability::xml::WireError;
-use yat_model::Node;
+use yat_model::{Node, Tree};
 
 /// One client connection. Requests are answered in order on the same
 /// stream; a connection can carry any number of them.
@@ -211,6 +211,9 @@ pub fn read_streamed_reply(reader: &mut impl Read) -> Result<StreamedReply, Wire
         Err(e) => return Err(e),
     };
     let mut answer: Option<EvalOut> = None;
+    // the subtrees of every tree chunk after the first: the root is
+    // rebuilt once, when the stream ends
+    let mut more: Vec<Tree> = Vec::new();
     let mut chunks = 0u64;
     loop {
         match frame {
@@ -241,7 +244,7 @@ pub fn read_streamed_reply(reader: &mut impl Read) -> Result<StreamedReply, Wire
                                 chunk.label, acc.label
                             )));
                         }
-                        Node::extend_children(acc, chunk.children.iter().cloned());
+                        more.extend(chunk.children.iter().cloned());
                     }
                     (Some(_), _) => {
                         return Err(WireError::Stream(
@@ -262,9 +265,15 @@ pub fn read_streamed_reply(reader: &mut impl Read) -> Result<StreamedReply, Wire
                         "answer-end declares {declared} chunks but {chunks} arrived"
                     )));
                 }
-                let out = answer.ok_or_else(|| {
-                    WireError::Stream("answer-end arrived before any answer-chunk".into())
-                })?;
+                let out = match answer {
+                    Some(EvalOut::Tree(root)) => EvalOut::Tree(Node::appended(&root, more)),
+                    Some(out) => out,
+                    None => {
+                        return Err(WireError::Stream(
+                            "answer-end arrived before any answer-chunk".into(),
+                        ))
+                    }
+                };
                 let got_rows = match &out {
                     EvalOut::Tab(t) => t.len() as u64,
                     EvalOut::Tree(t) => t.children.len() as u64,

@@ -1,7 +1,7 @@
 //! The inverted index: Wais attribute/value textual queries.
 
 use std::collections::BTreeMap;
-use std::fmt::Write;
+use std::fmt::{self, Write};
 use yat_model::{Atom, Label, Tree};
 
 /// A document id within the collection. Ids are slot positions and stay
@@ -124,9 +124,27 @@ fn entry<'a, V: Default>(map: &'a mut BTreeMap<Box<str>, V>, key: &str) -> &'a m
     map.get_mut(key).expect("inserted above")
 }
 
+/// A document id past the index's 32-bit ids. Wais ids are never
+/// reused, so a source that has handed out 2^32 of them takes no more
+/// documents.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IdsExhausted(pub DocId);
+
+impl fmt::Display for IdsExhausted {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "document id {} exceeds the inverted index's 32-bit ids; the source takes no more documents",
+            self.0
+        )
+    }
+}
+
+impl std::error::Error for IdsExhausted {}
+
 /// A stored document id: ids past `u32::MAX` cannot be indexed.
-fn narrow(id: DocId) -> u32 {
-    u32::try_from(id).expect("document id exceeds the index's 32-bit ids")
+fn narrow(id: DocId) -> Result<u32, IdsExhausted> {
+    u32::try_from(id).map_err(|_| IdsExhausted(id))
 }
 
 impl InvertedIndex {
@@ -134,7 +152,8 @@ impl InvertedIndex {
     pub fn build(docs: &[Tree]) -> Self {
         let mut idx = InvertedIndex::default();
         for (id, doc) in docs.iter().enumerate() {
-            idx.add(id, doc);
+            idx.add(id, doc)
+                .expect("a collection built at once holds fewer than 2^32 documents");
         }
         idx.pack();
         idx
@@ -153,9 +172,10 @@ impl InvertedIndex {
     }
 
     /// Indexes one document under `id`, patching every posting list the
-    /// document's tokens touch.
-    pub fn add(&mut self, id: DocId, doc: &Tree) {
-        let id = narrow(id);
+    /// document's tokens touch. An id past `u32::MAX` is refused and the
+    /// index left unchanged.
+    pub fn add(&mut self, id: DocId, doc: &Tree) -> Result<(), IdsExhausted> {
+        let id = narrow(id)?;
         let (postings, lists) = (&mut self.postings, &mut self.lists);
         visit(doc, |field, token| {
             let tokens = entry(postings, field);
@@ -167,13 +187,17 @@ impl InvertedIndex {
             }
         });
         self.size += 1;
+        Ok(())
     }
 
     /// Unindexes one document: removes `id` from every posting list its
     /// tokens touch (the inverse of [`InvertedIndex::add`] for the same
     /// document), dropping emptied postings.
     pub fn remove(&mut self, id: DocId, doc: &Tree) {
-        let id = narrow(id);
+        // an id past `u32::MAX` was never indexed
+        let Ok(id) = narrow(id) else {
+            return;
+        };
         let (postings, lists) = (&mut self.postings, &mut self.lists);
         visit(doc, |field, token| {
             if let Some(tokens) = postings.get_mut(field) {
@@ -525,8 +549,32 @@ mod tests {
             "doc 0's tokens are gone"
         );
         // re-adding restores the exact postings
-        idx.add(0, &works.children[0]);
+        idx.add(0, &works.children[0]).unwrap();
         assert_eq!(idx.contains("Impressionist"), vec![0, 1]);
+        assert_eq!(idx.contains("Giverny"), vec![0]);
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn ids_past_32_bits_are_refused_without_a_trace() {
+        let works = fig1_works();
+        let mut idx = InvertedIndex::build(&works.children);
+        let last = u32::MAX as DocId;
+        idx.add(last, &works.children[0]).unwrap();
+        assert_eq!(idx.contains("Giverny"), vec![0, last]);
+        let before = idx.to_bytes();
+        assert_eq!(
+            idx.add(last + 1, &works.children[0]),
+            Err(IdsExhausted(last + 1))
+        );
+        assert_eq!(idx.to_bytes(), before, "the index is unchanged");
+        idx.remove(last + 1, &works.children[0]);
+        assert_eq!(
+            idx.to_bytes(),
+            before,
+            "an id never indexed removes nothing"
+        );
+        idx.remove(last, &works.children[0]);
         assert_eq!(idx.contains("Giverny"), vec![0]);
     }
 }

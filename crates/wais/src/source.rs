@@ -1,6 +1,6 @@
 //! The Wais retrieval engine: documents + index + field policy.
 
-use crate::index::{tokenize, DocId, InvertedIndex};
+use crate::index::{tokenize, DocId, IdsExhausted, InvertedIndex};
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -167,7 +167,11 @@ impl WaisSource {
                         let doc = decode_tree(payload).map_err(|e| StoreError::Manifest {
                             detail: format!("undecodable document {:?}: {e}", key_id(key)),
                         })?;
-                        rebuilt.add(key_id(key), &doc);
+                        rebuilt
+                            .add(key_id(key), &doc)
+                            .map_err(|e| StoreError::Manifest {
+                                detail: e.to_string(),
+                            })?;
                         Ok(())
                     })?;
                     rebuilt.pack();
@@ -235,21 +239,32 @@ impl WaisSource {
 
     /// Adds a document to the collection: indexes it, bumps registered
     /// epochs (store-backed sources also commit, persisting the new
-    /// epoch), returns its id.
+    /// epoch), returns its id. Panics where
+    /// [`WaisSource::try_add_document`] returns an error.
     pub fn add_document(&mut self, doc: Tree) -> DocId {
-        let id = match &mut self.bank {
+        self.try_add_document(doc)
+            .unwrap_or_else(|e| panic!("wais add failed: {e}"))
+    }
+
+    /// [`WaisSource::add_document`], refusing the document with a typed
+    /// error — and changing nothing — once the next id would not fit the
+    /// inverted index's 32-bit ids.
+    pub fn try_add_document(&mut self, doc: Tree) -> Result<DocId, IdsExhausted> {
+        let id = match &self.bank {
+            DocBank::Mem { docs, .. } => docs.len(),
+            DocBank::Disk { slots, .. } => *slots as DocId,
+        };
+        self.index.add(id, &doc)?;
+        match &mut self.bank {
             DocBank::Mem { docs, live } => {
-                let id = docs.len();
-                docs.push(Some(doc.clone()));
+                docs.push(Some(doc));
                 *live += 1;
-                id
             }
             DocBank::Disk {
                 store,
                 slots,
                 epoch,
             } => {
-                let id = *slots as DocId;
                 *slots += 1;
                 *epoch += 1;
                 store
@@ -259,12 +274,10 @@ impl WaisSource {
                 store
                     .commit(*epoch)
                     .unwrap_or_else(|e| panic!("wais store commit failed: {e}"));
-                id
             }
-        };
-        self.index.add(id, &doc);
+        }
         self.bump_epochs();
-        id
+        Ok(id)
     }
 
     /// Removes a document by id: tombstones its slot (ids stay stable),
@@ -592,6 +605,33 @@ mod tests {
         s2.register_epoch(fresh.clone());
         assert_eq!(fresh.load(Ordering::SeqCst), 2);
         assert_eq!(s2.contains("Giverny").unwrap(), vec![2]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn an_add_past_the_32_bit_ids_fails_and_changes_nothing() {
+        let dir = std::env::temp_dir().join(format!("yat-wais-ids-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let works = fig1_works();
+        let mut s = WaisSource::open_store("works", &works, &dir, StoreOptions::default()).unwrap();
+        let cell = Arc::new(AtomicU64::new(0));
+        s.register_epoch(cell.clone());
+        // the id counter as after 2^32 - 1 adds
+        if let DocBank::Disk { slots, .. } = &mut s.bank {
+            *slots = u64::from(u32::MAX);
+        }
+        let doc = works.children[0].clone();
+        assert_eq!(s.try_add_document(doc.clone()), Ok(u32::MAX as DocId));
+        assert_eq!(cell.load(Ordering::SeqCst), 1);
+
+        let past = u32::MAX as DocId + 1;
+        assert_eq!(s.try_add_document(doc), Err(IdsExhausted(past)));
+        assert_eq!(cell.load(Ordering::SeqCst), 1, "no epoch bump");
+        assert_eq!(s.len(), 3);
+        assert!(s.fetch(past).is_none(), "nothing stored");
+        assert!(matches!(&s.bank, DocBank::Disk { slots, .. } if *slots == past as u64));
+        assert_eq!(s.contains("Giverny").unwrap(), vec![0, u32::MAX as DocId]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

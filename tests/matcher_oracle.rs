@@ -30,7 +30,7 @@ fn oracle(tree: &Tree, pat: &Pattern) -> Vec<BindingRow> {
             Pattern::Node { label, edges } => {
                 // oid transparency, as documented
                 if !matches!(label, yat::yat_model::PLabel::Var(_)) {
-                    if let (Label::Oid(_), [only]) = (&tree.label, tree.children.as_slice()) {
+                    if let (Label::Oid(_), [only]) = (&tree.label, &*tree.children) {
                         return node(only, pat);
                     }
                 }

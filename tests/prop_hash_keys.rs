@@ -13,7 +13,7 @@
 //!    operators — `Tab::dedup` and the `group`/`join` kernels directly,
 //!    Union/Intersect/Diff/Group/Join through the evaluator — must
 //!    produce `Tab`s identical to the string-key reference
-//!    implementation preserved in `yat_bench::baseline`.
+//!    implementation preserved in `prop_hash_keys/baseline.rs`.
 //!
 //! Generated strings avoid the reference key's metacharacters
 //! (`( ) , [ ] ;`): the *string* encoding aliases on them by
@@ -28,9 +28,11 @@
 
 use std::sync::Arc;
 use yat_algebra::{Alg, EvalCtx, FnRegistry, Pred, SkolemRegistry, Tab, Value};
-use yat_bench::baseline;
 use yat_model::{Atom, Forest, Node, Oid, Tree};
 use yat_prng::Rng;
+
+#[path = "prop_hash_keys/baseline.rs"]
+mod baseline;
 
 const DEFAULT_SEED: u64 = 0xA5_2026;
 
@@ -78,9 +80,9 @@ fn rand_tree(rng: &mut Rng, depth: usize) -> Tree {
         // same small id pool with varying children: identity must win
         3 => {
             let c = kids(rng, depth);
-            Node::oid(Oid(format!("o{}", rng.gen_range(0..3u64))), c)
+            Node::oid(Oid::new(format!("o{}", rng.gen_range(0..3u64))), c)
         }
-        _ => Node::reference(Oid(format!("o{}", rng.gen_range(0..3u64)))),
+        _ => Node::reference(Oid::new(format!("o{}", rng.gen_range(0..3u64)))),
     }
 }
 

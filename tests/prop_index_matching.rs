@@ -158,9 +158,8 @@ fn check(tree: &Tree, filter: &Pattern, covered: &mut usize) -> Result<(), Strin
 }
 
 fn halved(tree: &Tree) -> Tree {
-    let mut node = (**tree).clone();
-    node.children.truncate(node.children.len() / 2);
-    std::sync::Arc::new(node)
+    let half = &tree.children[..tree.children.len() / 2];
+    Node::labeled(tree.label.clone(), half.to_vec())
 }
 
 #[test]

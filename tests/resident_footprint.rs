@@ -1,8 +1,10 @@
-//! A resident-memory budget for the sources' access structures at
-//! `churn_dashboard` scale (20 000 artifacts, 4 000 persons, 20 000
-//! works, data seed 42): the live heap bytes that building each source
-//! adds must stay under a fixed budget.
+//! A resident-memory budget for the documents and the sources' access
+//! structures at `churn_dashboard` scale (20 000 artifacts, 4 000
+//! persons, 20 000 works, data seed 42): the live heap bytes that
+//! building each adds must stay under a fixed budget.
 //!
+//! * the works tree itself (224 806 nodes), which the in-memory Wais
+//!   source shares rather than copies;
 //! * the in-memory O2 `art` store (objects, extents, field indexes);
 //! * the store-backed O2 store, populated once, then remounted under a
 //!   residency budget of a quarter of its disk bytes (64 KiB segments):
@@ -13,7 +15,8 @@
 //!   same way (the inverted index loads from its sidecar snapshot).
 //!
 //! A posting layout that brings back a key copy or an object id per
-//! posting shows up here before it shows up as `peak_heap_mb`.
+//! posting, or a tree node that brings back a growable child vector,
+//! shows up here before it shows up as `peak_heap_mb`.
 //!
 //! Its own test binary because it counts every byte the process holds;
 //! it holds a single test so no other test thread allocates while it
@@ -103,10 +106,11 @@ fn budgeted(disk_bytes: u64) -> StoreOptions {
     }
 }
 
-/// Budgets in MiB: the measured live bytes plus 10 % (16.71 / 6.88 /
-/// 3.09 / 5.49 MiB; EXPERIMENTS.md, "Compact source posting lists").
-const ART_MEM_MIB: f64 = 18.4;
-const ART_STORE_MIB: f64 = 7.6;
+/// Budgets in MiB: the measured live bytes plus 10 % (16.96 / 15.62 /
+/// 6.60 / 3.09 / 5.49 MiB; EXPERIMENTS.md, "Compact tree nodes").
+const WORKS_TREE_MIB: f64 = 18.65;
+const ART_MEM_MIB: f64 = 17.2;
+const ART_STORE_MIB: f64 = 7.25;
 const WAIS_MEM_MIB: f64 = 3.4;
 const WAIS_STORE_MIB: f64 = 6.05;
 
@@ -117,12 +121,14 @@ fn churn_scale_sources_stay_under_their_resident_budgets() {
         persons: 4_000,
         seed: 42,
     };
-    let works = generate_works(&WorksSpec {
-        works: 20_000,
-        impressionist_pct: 30,
-        optional_pct: 60,
-        giverny_pct: 30,
-        seed: 42,
+    let (works, works_mib) = retained(|| {
+        generate_works(&WorksSpec {
+            works: 20_000,
+            impressionist_pct: 30,
+            optional_pct: 60,
+            giverny_pct: 30,
+            seed: 42,
+        })
     });
 
     let (art, art_mem) = retained(|| art_store(&spec));
@@ -154,6 +160,7 @@ fn churn_scale_sources_stay_under_their_resident_budgets() {
     drop(wais);
 
     let rows = [
+        ("works tree", works_mib, WORKS_TREE_MIB),
         ("art store, in memory", art_mem, ART_MEM_MIB),
         ("art store, store-backed", art_store_mib, ART_STORE_MIB),
         ("wais source, in memory", wais_mem, WAIS_MEM_MIB),
