@@ -1,6 +1,6 @@
 //! A blocking wire-protocol client for `yat-server`.
 
-use std::io::Read;
+use std::io::{BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 use yat_algebra::EvalOut;
@@ -112,7 +112,7 @@ impl Client {
             deadline_ms: None,
             stream: true,
         };
-        framing::write_element(&mut self.stream, &request.to_xml())?;
+        write_in_one(&mut self.stream, &request)?;
         read_streamed_reply(&mut self.stream)
     }
 
@@ -144,6 +144,17 @@ impl Client {
             ))),
         }
     }
+}
+
+/// Writes `request` as one frame in a single `write`. Written as header
+/// and payload, the payload waits behind Nagle's algorithm for the
+/// server to acknowledge the header, and a server whose last answer
+/// began within its delayed-ACK timeout (40 ms on Linux) holds that
+/// acknowledgement back: a streamed query's time-to-first-row would jump
+/// by the timeout whenever the previous answer was fast.
+pub(crate) fn write_in_one(w: &mut impl Write, request: &ClientRequest) -> Result<(), WireError> {
+    let text = request.to_xml().to_xml();
+    framing::write_frame(&mut BufWriter::with_capacity(4 + text.len(), w), &text)
 }
 
 /// The delay before retry number `attempt` (0-based) of

@@ -410,8 +410,28 @@ fn serve_work(
             }
             respond(shared, writer, &reply)
         }
-        Admitted::Stream { events, done } => stream_reply(shared, writer, events, done),
+        Admitted::Stream { events, done } => {
+            without_nagle(writer, |writer| stream_reply(shared, writer, events, done))
+        }
     }
+}
+
+/// Runs `write` with `TCP_NODELAY` set on `stream`, then turns Nagle's
+/// algorithm back on. A streamed reply is written this way: with Nagle
+/// on, the tail of each frame waits for the client to acknowledge what
+/// went before, and a client that is reading request/reply traffic
+/// delays that acknowledgement by up to 40 ms (Linux), so whether an
+/// answer stalled between chunks depended on timing. Other replies keep
+/// the socket's defaults. Failing to set the option only costs latency,
+/// so it is not an error.
+pub(crate) fn without_nagle<T>(
+    stream: &mut TcpStream,
+    write: impl FnOnce(&mut TcpStream) -> T,
+) -> T {
+    let _ = stream.set_nodelay(true);
+    let out = write(stream);
+    let _ = stream.set_nodelay(false);
+    out
 }
 
 /// The admission decision for one query.

@@ -893,6 +893,62 @@ impl BatchSink for FrameBytes {
     }
 }
 
+/// Records the size of every `write` call.
+#[derive(Default)]
+struct WriteLog {
+    bytes: Vec<u8>,
+    writes: Vec<usize>,
+}
+
+impl std::io::Write for WriteLog {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes.push(buf.len());
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_streamed_request_leaves_in_one_write() {
+    // header and payload in separate writes would let the payload wait
+    // on the server's delayed ACK of the header; the text is longer than
+    // a default `BufWriter` so a fixed-size buffer would split it too
+    let request = ClientRequest::Query {
+        text: format!("{}\n{}", WORKS_SCAN, "%".repeat(10_000)),
+        deadline_ms: None,
+        stream: true,
+    };
+    let mut log = WriteLog::default();
+    crate::client::write_in_one(&mut log, &request).expect("the request writes");
+    let mut framed = Vec::new();
+    framing::write_element(&mut framed, &request.to_xml()).expect("the request frames");
+    assert_eq!(
+        log.writes,
+        vec![framed.len()],
+        "one write of the whole frame"
+    );
+    assert_eq!(log.bytes, framed, "the same bytes as the two-write framing");
+}
+
+#[test]
+fn a_streamed_reply_is_written_without_nagle_and_restores_it() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("binds");
+    let _client =
+        TcpStream::connect(listener.local_addr().expect("has an address")).expect("connects");
+    let (mut served, _) = listener.accept().expect("accepts");
+    assert!(!served.nodelay().expect("reads the option"));
+    let inside = crate::server::without_nagle(&mut served, |s| s.nodelay().expect("reads"));
+    assert!(inside, "frames are written with TCP_NODELAY set");
+    assert!(
+        !served.nodelay().expect("reads the option"),
+        "the connection's other replies keep Nagle's algorithm"
+    );
+}
+
 #[test]
 fn one_subtree_chunks_reassemble_in_linear_time() {
     // 20 000 subtrees at one per chunk: reassembly must append, since
