@@ -21,45 +21,12 @@
 
 use crate::atom::Atom;
 use crate::hash::{write_len_str, Fnv64};
+use crate::postings::{Lists, Postings};
 use crate::symbol::Symbol;
 use crate::tree::{Label, Tree};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hasher;
-
-/// Posting list of top-level child indices, deduplicated and ascending.
-/// The one-element case dominates (unique atom values index one document
-/// each), so it is stored inline instead of behind a `Vec` allocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Postings {
-    /// Exactly one child contains the path.
-    One(u32),
-    /// Several children contain the path (ascending, deduplicated).
-    Many(Vec<u32>),
-}
-
-impl Postings {
-    fn push(&mut self, child: u32) {
-        match self {
-            Postings::One(i) => {
-                if *i != child {
-                    *self = Postings::Many(vec![*i, child]);
-                }
-            }
-            Postings::Many(v) => {
-                if v.last() != Some(&child) {
-                    v.push(child);
-                }
-            }
-        }
-    }
-
-    fn as_slice(&self) -> &[u32] {
-        match self {
-            Postings::One(i) => std::slice::from_ref(i),
-            Postings::Many(v) => v,
-        }
-    }
-}
 
 /// A structural index over one collection tree: `label → occurrence
 /// count` and `root-to-node label-path hash → top-level child indices`.
@@ -67,6 +34,8 @@ impl Postings {
 pub struct TreeIndex {
     /// Path-hash → children whose subtree contains a node at that path.
     paths: HashMap<u64, Postings>,
+    /// The posting lists of paths two or more children share.
+    lists: Lists,
     /// Label → number of occurrences anywhere in the tree (stats and
     /// EXPLAIN reporting; symbol keys are interned so this is cheap).
     labels: HashMap<Symbol, u64>,
@@ -154,10 +123,12 @@ impl TreeIndex {
     }
 
     fn record(&mut self, hash: u64, child: u32) {
-        self.paths
-            .entry(hash)
-            .and_modify(|p| p.push(child))
-            .or_insert(Postings::One(child));
+        match self.paths.entry(hash) {
+            Entry::Occupied(p) => self.lists.insert(p.into_mut(), child),
+            Entry::Vacant(slot) => {
+                slot.insert(Postings::One(child));
+            }
+        }
     }
 
     fn bump_label(&mut self, s: &Symbol) {
@@ -169,8 +140,7 @@ impl TreeIndex {
     pub fn postings(&self, path_hash: u64) -> &[u32] {
         self.paths
             .get(&path_hash)
-            .map(Postings::as_slice)
-            .unwrap_or(&[])
+            .map_or(&[], |p| self.lists.get(p))
     }
 
     /// Occurrences of `label` anywhere in the indexed tree.

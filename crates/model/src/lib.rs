@@ -41,6 +41,7 @@ pub mod instantiate;
 pub mod matching;
 pub mod oid;
 pub mod pattern;
+pub mod postings;
 pub mod symbol;
 pub mod tree;
 pub mod xml_convert;

@@ -8,7 +8,8 @@
 //! candidates already in extent order — the evaluator can iterate them
 //! directly and produce rows byte-identical to the scan, without
 //! touching the rest of the extent — and a posting costs four bytes,
-//! not an object id.
+//! not an object id. The lists live in the shared posting kernel,
+//! [`yat_model::postings`].
 //!
 //! Keys are ordered by [`Atom::total_cmp`], the exact order the scan's
 //! `<`/`<=`/`>`/`>=` comparisons decide by, so range probes match the
@@ -22,6 +23,7 @@
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Bound;
+use yat_model::postings::{Lists, Postings, Removed};
 use yat_model::Atom;
 
 /// One key per distinct field value under [`Atom::total_cmp`]: booleans
@@ -81,93 +83,6 @@ impl PartialEq for Key {
 
 impl Eq for Key {}
 
-/// One key's postings as its map entry holds them: a single ordinal
-/// inline — the common case for unique values such as titles, with no
-/// heap list — or the slot of a longer list in the index's [`Lists`].
-#[derive(Debug, Clone, Copy)]
-enum Postings {
-    One(u32),
-    Many(u32),
-}
-
-/// The ascending, duplicate-free lists of two or more ordinals, by slot;
-/// a freed slot is reused by the next list. Keeping them out of line
-/// holds a map entry to its key plus eight bytes.
-#[derive(Debug, Default, Clone)]
-struct Lists {
-    slots: Vec<Vec<u32>>,
-    free: Vec<u32>,
-}
-
-impl Lists {
-    /// The ordinals `p` holds, ascending.
-    fn get<'a>(&'a self, p: &'a Postings) -> &'a [u32] {
-        match p {
-            Postings::One(ord) => std::slice::from_ref(ord),
-            Postings::Many(slot) => &self.slots[*slot as usize],
-        }
-    }
-
-    /// Adds `ord` to `p` unless present, keeping it ascending; ordinals
-    /// are handed out monotonically, so this is an append.
-    fn insert(&mut self, p: &mut Postings, ord: u32) {
-        match *p {
-            Postings::One(only) if only != ord => {
-                let list = if only < ord {
-                    vec![only, ord]
-                } else {
-                    vec![ord, only]
-                };
-                *p = Postings::Many(self.alloc(list));
-            }
-            Postings::One(_) => {}
-            Postings::Many(slot) => {
-                let list = &mut self.slots[slot as usize];
-                match list.last() {
-                    Some(&last) if last < ord => list.push(ord),
-                    _ => {
-                        if let Err(pos) = list.binary_search(&ord) {
-                            list.insert(pos, ord);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Drops `ord` from a list of two or more; whether it was there. A
-    /// list left with one ordinal moves back inline.
-    fn remove(&mut self, p: &mut Postings, ord: u32) -> bool {
-        let Postings::Many(slot) = *p else {
-            return false;
-        };
-        let list = &mut self.slots[slot as usize];
-        let Ok(pos) = list.binary_search(&ord) else {
-            return false;
-        };
-        list.remove(pos);
-        if let [only] = list[..] {
-            *list = Vec::new();
-            self.free.push(slot);
-            *p = Postings::One(only);
-        }
-        true
-    }
-
-    fn alloc(&mut self, list: Vec<u32>) -> u32 {
-        match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = list;
-                slot
-            }
-            None => {
-                self.slots.push(list);
-                u32::try_from(self.slots.len() - 1).expect("posting list slots exhausted")
-            }
-        }
-    }
-}
-
 /// The index over one `(extent, field)` pair.
 #[derive(Debug, Default, Clone)]
 pub struct FieldIndex {
@@ -197,15 +112,14 @@ impl FieldIndex {
         let Some(p) = self.postings.get_mut(&key) else {
             return;
         };
-        let removed = if self.lists.get(p) == [ord] {
-            self.postings.remove(&key);
-            true
-        } else {
-            self.lists.remove(p, ord)
-        };
-        if removed {
-            self.entries -= 1;
+        match self.lists.remove(p, ord) {
+            Removed::Absent => return,
+            Removed::Kept => {}
+            Removed::Emptied => {
+                self.postings.remove(&key);
+            }
         }
+        self.entries -= 1;
     }
 
     /// Number of postings — equals the number of indexed objects when
@@ -263,25 +177,6 @@ impl FieldIndex {
 fn merged(lists: Vec<Vec<u32>>) -> Vec<u32> {
     let mut out = lists.concat();
     out.sort_unstable();
-    out
-}
-
-/// Merges two ascending ordinal lists into their intersection — the
-/// conjunction combinator.
-pub fn intersect_ordinals(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            Ordering::Less => i += 1,
-            Ordering::Greater => j += 1,
-            Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
     out
 }
 
@@ -353,12 +248,5 @@ mod tests {
             .range_candidates(Bound::Unbounded, Bound::Included(&Atom::Int(1800)))
             .is_empty());
         assert_eq!(ix.postings.len(), 2);
-        assert_eq!(ix.lists.free.len(), 1, "the emptied list's slot is free");
-    }
-
-    #[test]
-    fn intersection_merges_on_sequence() {
-        assert_eq!(intersect_ordinals(&[0, 2, 5], &[2, 3, 5]), [2, 5]);
-        assert!(intersect_ordinals(&[0, 2, 5], &[]).is_empty());
     }
 }

@@ -14,13 +14,14 @@
 //! query parameters (`$1`, `$2`, …): a query is parsed once and evaluated
 //! under many parameter rows. Keywords are case-insensitive, as in OQL.
 
-use crate::findex::{intersect_ordinals, FieldIndex};
+use crate::findex::FieldIndex;
 use crate::store::{Object, OqlError, Store};
 use crate::value::OVal;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Bound;
+use yat_model::postings::{conjoin, intersect};
 use yat_model::{Atom, Oid};
 
 /// A path expression: `A.owners.name`.
@@ -646,39 +647,20 @@ fn extent_candidates(
             Op::Ne => unreachable!("filtered above"),
         }
     };
-    // intersects the probes of `values` in order, stopping at empty
-    let mut conjoin = |values: &mut dyn Iterator<Item = (Op, &FieldIndex, &Atom)>| {
-        let mut result: Option<Vec<u32>> = None;
-        for (op, ix, value) in values {
-            let hits = probe(op, ix, value);
-            result = Some(match result {
-                None => hits,
-                Some(prev) => intersect_ordinals(&prev, &hits),
-            });
-            if result.as_ref().is_some_and(Vec::is_empty) {
-                break;
-            }
-        }
-        result
-    };
-
-    let passed = conjoin(
-        &mut probes.iter().filter_map(|(op, ix, value)| match value {
-            Expr::Param(i) => Some((*op, *ix, b.params.get(*i)?)),
-            _ => None,
-        }),
-    );
+    // probes run in order, and none after the intersection is empty
+    let passed = conjoin(probes.iter().filter_map(|(op, ix, value)| match value {
+        Expr::Param(i) => Some(probe(*op, ix, b.params.get(*i)?)),
+        _ => None,
+    }));
     let mut fixed = b.prepared.fixed.borrow_mut();
     let fixed = fixed.entry(var.to_string()).or_insert_with(|| {
-        conjoin(
-            &mut probes.iter().filter_map(|(op, ix, value)| match value {
-                Expr::Const(a) => Some((*op, *ix, a)),
-                _ => None,
-            }),
-        )
+        conjoin(probes.iter().filter_map(|(op, ix, value)| match value {
+            Expr::Const(a) => Some(probe(*op, ix, a)),
+            _ => None,
+        }))
     });
     let result = match (passed, fixed.as_ref()) {
-        (Some(passed), Some(fixed)) => intersect_ordinals(&passed, fixed),
+        (Some(passed), Some(fixed)) => intersect(&passed, fixed),
         (Some(only), None) => only,
         (None, Some(only)) => only.clone(),
         (None, None) => return None,

@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write};
+use yat_model::postings::{conjoin, Lists, Postings, Removed};
 use yat_model::{Atom, Label, Tree};
 
 /// A document id within the collection. Ids are slot positions and stay
@@ -15,104 +16,18 @@ pub type DocId = usize;
 /// what the bare `contains(doc, word)` predicate searches.
 ///
 /// Posting lists are ascending, deduplicated lists of 32-bit document
-/// ids under boxed token keys; a token with a single posting keeps it
+/// ids under boxed token keys, in the shared layout of
+/// [`yat_model::postings`]: a token with a single posting keeps it
 /// inline, with no heap list, and longer lists live in one arena.
 /// Multi-token and multi-predicate queries resolve by merging sorted
-/// lists ([`intersect_sorted`]), so a conjunction's cost is bounded by
-/// its most selective conjunct, not by collection size.
+/// lists, so a conjunction's cost is bounded by its most selective
+/// conjunct, not by collection size.
 #[derive(Debug, Default, Clone)]
 pub struct InvertedIndex {
     /// field → token → documents (ascending, deduplicated).
     postings: BTreeMap<Box<str>, BTreeMap<Box<str>, Postings>>,
     lists: Lists,
     size: usize,
-}
-
-/// One token's postings as its map entry holds them: a single id inline
-/// — most tokens of a large collection, with no heap list — or the slot
-/// of a longer list in the index's [`Lists`].
-#[derive(Debug, Clone, Copy)]
-enum Postings {
-    One(u32),
-    Many(u32),
-}
-
-/// The ascending, duplicate-free lists of two or more ids, by slot; a
-/// freed slot is reused by the next list. Keeping them out of line holds
-/// a map entry to its token plus eight bytes.
-#[derive(Debug, Default, Clone)]
-struct Lists {
-    slots: Vec<Vec<u32>>,
-    free: Vec<u32>,
-}
-
-impl Lists {
-    /// The ids `p` holds, ascending.
-    fn get<'a>(&'a self, p: &'a Postings) -> &'a [u32] {
-        match p {
-            Postings::One(id) => std::slice::from_ref(id),
-            Postings::Many(slot) => &self.slots[*slot as usize],
-        }
-    }
-
-    /// Adds `id` to `p` unless present, keeping it ascending; builds and
-    /// adds hand out ascending ids, so this is usually an append.
-    fn insert(&mut self, p: &mut Postings, id: u32) {
-        match *p {
-            Postings::One(only) if only != id => {
-                let list = if only < id {
-                    vec![only, id]
-                } else {
-                    vec![id, only]
-                };
-                *p = Postings::Many(self.alloc(list));
-            }
-            Postings::One(_) => {}
-            Postings::Many(slot) => {
-                let list = &mut self.slots[slot as usize];
-                match list.last() {
-                    Some(&last) if last < id => list.push(id),
-                    _ => {
-                        if let Err(pos) = list.binary_search(&id) {
-                            list.insert(pos, id);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Drops `id` from a list of two or more; whether it was there. A
-    /// list left with one id moves back inline.
-    fn remove(&mut self, p: &mut Postings, id: u32) -> bool {
-        let Postings::Many(slot) = *p else {
-            return false;
-        };
-        let list = &mut self.slots[slot as usize];
-        let Ok(pos) = list.binary_search(&id) else {
-            return false;
-        };
-        list.remove(pos);
-        if let [only] = list[..] {
-            *list = Vec::new();
-            self.free.push(slot);
-            *p = Postings::One(only);
-        }
-        true
-    }
-
-    fn alloc(&mut self, list: Vec<u32>) -> u32 {
-        match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = list;
-                slot
-            }
-            None => {
-                self.slots.push(list);
-                u32::try_from(self.slots.len() - 1).expect("posting list slots exhausted")
-            }
-        }
-    }
 }
 
 /// The map entry under `key`, inserted empty when missing — looked up by
@@ -163,9 +78,7 @@ impl InvertedIndex {
     /// refills each token map in key order, so no node is left half
     /// empty by the build's insertion order.
     pub(crate) fn pack(&mut self) {
-        for list in &mut self.lists.slots {
-            list.shrink_to_fit();
-        }
+        self.lists.shrink_to_fit();
         for tokens in self.postings.values_mut() {
             *tokens = std::mem::take(tokens).into_iter().collect();
         }
@@ -202,10 +115,8 @@ impl InvertedIndex {
         visit(doc, |field, token| {
             if let Some(tokens) = postings.get_mut(field) {
                 if let Some(p) = tokens.get_mut(token) {
-                    if lists.get(p) == [id] {
+                    if lists.remove(p, id) == Removed::Emptied {
                         tokens.remove(token);
-                    } else {
-                        lists.remove(p, id);
                     }
                 }
                 if tokens.is_empty() {
@@ -225,24 +136,15 @@ impl InvertedIndex {
     /// Documents whose `field` contains `word`. Ascending.
     pub fn lookup(&self, field: &str, word: &str) -> Vec<DocId> {
         let tokens = self.postings.get(field);
-        let mut result: Option<Vec<u32>> = None;
-        for token in tokenize(word) {
-            let hits: &[u32] = tokens
+        conjoin(tokenize(word).iter().map(|token| {
+            tokens
                 .and_then(|t| t.get(token.as_str()))
-                .map_or(&[], |p| self.lists.get(p));
-            result = Some(match result {
-                None => hits.to_vec(),
-                Some(prev) => intersect_sorted(&prev, hits),
-            });
-            if result.as_ref().is_some_and(Vec::is_empty) {
-                break;
-            }
-        }
-        result
-            .unwrap_or_default()
-            .into_iter()
-            .map(|id| id as DocId)
-            .collect()
+                .map_or(&[][..], |p| self.lists.get(p))
+        }))
+        .unwrap_or_default()
+        .into_iter()
+        .map(|id| id as DocId)
+        .collect()
     }
 
     /// Number of indexed documents.
@@ -288,8 +190,9 @@ impl InvertedIndex {
     }
 
     /// Deserializes a [`InvertedIndex::to_bytes`] snapshot. Any damage —
-    /// including an empty posting list or an id past 32 bits — returns
-    /// `None`: the caller rebuilds from the documents (the snapshot is an
+    /// including an empty posting list, an id past 32 bits, or field or
+    /// token keys out of their strictly ascending order — returns `None`:
+    /// the caller rebuilds from the documents (the snapshot is an
     /// optimization, never a source of truth).
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         fn take<'a>(bytes: &'a [u8], at: &mut usize, n: usize) -> Option<&'a [u8]> {
@@ -312,28 +215,27 @@ impl InvertedIndex {
         let mut lists = Lists::default();
         for _ in 0..field_count {
             let field = take_str(bytes, &mut at)?;
+            if postings.last().is_some_and(|(last, _)| *last >= field) {
+                return None; // field keys are strictly ascending
+            }
             let token_count = take_u32(bytes, &mut at)? as usize;
             let mut tokens = Vec::with_capacity(token_count.min(bytes.len()));
             for _ in 0..token_count {
                 let token = take_str(bytes, &mut at)?;
+                if tokens.last().is_some_and(|(last, _)| *last >= token) {
+                    return None; // token keys are strictly ascending
+                }
                 let len = take_u32(bytes, &mut at)? as usize;
-                if len == 0 || len > (bytes.len() - at) / 8 {
+                if len > (bytes.len() - at) / 8 {
                     return None;
                 }
                 let mut list = Vec::with_capacity(len);
                 for _ in 0..len {
                     let id = u64::from_le_bytes(take(bytes, &mut at, 8)?.try_into().ok()?);
-                    let id = u32::try_from(id).ok()?;
-                    if list.last().is_some_and(|&last| last >= id) {
-                        return None; // posting lists are strictly ascending
-                    }
-                    list.push(id);
+                    list.push(u32::try_from(id).ok()?);
                 }
-                let p = match list[..] {
-                    [only] => Postings::One(only),
-                    _ => Postings::Many(lists.alloc(list)),
-                };
-                tokens.push((token, p));
+                // posting lists are non-empty and strictly ascending
+                tokens.push((token, lists.adopt(list)?));
             }
             // keys arrive ascending: build packed maps in one pass
             postings.push((field, tokens.into_iter().collect()));
@@ -347,25 +249,6 @@ impl InvertedIndex {
             size,
         })
     }
-}
-
-/// Merges two ascending posting lists into their intersection — the
-/// conjunction combinator for pushed predicates.
-pub fn intersect_sorted<T: Ord + Copy>(a: &[T], b: &[T]) -> Vec<T> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
 }
 
 /// Walks every (field, token) pair one document contributes: the full
@@ -508,16 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn intersect_sorted_merges() {
-        assert_eq!(
-            intersect_sorted(&[1, 3, 5, 9], &[0, 3, 4, 5, 10]),
-            vec![3, 5]
-        );
-        assert!(intersect_sorted(&[1, 2], &[3, 4]).is_empty());
-        assert!(intersect_sorted(&[], &[1]).is_empty());
-    }
-
-    #[test]
     fn snapshot_round_trips() {
         let idx = index();
         let bytes = idx.to_bytes();
@@ -534,6 +407,71 @@ mod tests {
         let mut extra = bytes.clone();
         extra.push(0);
         assert!(InvertedIndex::from_bytes(&extra).is_none());
+    }
+
+    /// FNV-1a of `bytes`, and their length.
+    fn fingerprint(bytes: &[u8]) -> (u64, usize) {
+        use std::hash::Hasher;
+        let mut h = yat_model::hash::Fnv64::new();
+        h.write(bytes);
+        (h.finish(), bytes.len())
+    }
+
+    #[test]
+    fn sidecar_bytes_are_pinned() {
+        let works = fig1_works();
+        let mut idx = InvertedIndex::build(&works.children);
+        let built = idx.to_bytes();
+        assert_eq!(fingerprint(&built), (0xe30e_bcdf_e4d0_5d53, 1057));
+        idx.remove(0, &works.children[0]);
+        assert_eq!(fingerprint(&idx.to_bytes()), (0x82ab_20bc_e5ed_fb0b, 813));
+        idx.add(0, &works.children[0]).unwrap();
+        assert_eq!(idx.to_bytes(), built, "re-adding restores the bytes");
+    }
+
+    /// One field of a hand-written sidecar: its tokens and their ids.
+    type Field<'a> = (&'a str, &'a [(&'a str, &'a [u64])]);
+
+    /// A hand-written sidecar of `size` documents: each field with its
+    /// tokens and their ids, in the order given.
+    fn sidecar(size: u64, fields: &[Field<'_>]) -> Vec<u8> {
+        fn put_str(s: &str, out: &mut Vec<u8>) {
+            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            out.extend_from_slice(s.as_bytes());
+        }
+        let mut out = size.to_le_bytes().to_vec();
+        out.extend_from_slice(&(fields.len() as u32).to_le_bytes());
+        for (field, tokens) in fields {
+            put_str(field, &mut out);
+            out.extend_from_slice(&(tokens.len() as u32).to_le_bytes());
+            for (token, ids) in *tokens {
+                put_str(token, &mut out);
+                out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
+                for id in *ids {
+                    out.extend_from_slice(&id.to_le_bytes());
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn snapshot_keys_must_ascend() {
+        let good = sidecar(
+            2,
+            &[("", &[("a", &[0]), ("b", &[1])]), ("t", &[("a", &[0, 1])])],
+        );
+        let idx = InvertedIndex::from_bytes(&good).expect("well-formed");
+        assert_eq!(idx.to_bytes(), good);
+        // a token listed twice would silently lose doc 0's posting
+        let twice = sidecar(2, &[("", &[("a", &[0]), ("a", &[1])])]);
+        assert!(InvertedIndex::from_bytes(&twice).is_none());
+        let descending = sidecar(2, &[("", &[("b", &[0]), ("a", &[1])])]);
+        assert!(InvertedIndex::from_bytes(&descending).is_none());
+        let field_twice = sidecar(2, &[("t", &[("a", &[0])]), ("t", &[("b", &[1])])]);
+        assert!(InvertedIndex::from_bytes(&field_twice).is_none());
+        let fields_descending = sidecar(2, &[("t", &[("a", &[0])]), ("", &[("b", &[1])])]);
+        assert!(InvertedIndex::from_bytes(&fields_descending).is_none());
     }
 
     #[test]

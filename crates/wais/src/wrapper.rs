@@ -2,7 +2,7 @@
 //! interface of Section 4.2 and evaluates pushed plans against the
 //! full-text index.
 
-use crate::index::{intersect_sorted, tokenize, DocId};
+use crate::index::{tokenize, DocId};
 use crate::source::WaisSource;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, RwLock, RwLockReadGuard};
@@ -15,6 +15,7 @@ use yat_capability::protocol::{
     batch_columns, batch_row, Bindings, Request, Response, WrapperServer,
 };
 use yat_capability::{IndexReport, ReportSlot, StorageReport};
+use yat_model::postings::intersect;
 use yat_model::{AtomType, Edge, Model, Occ, PLabel, Pattern, StarBind};
 
 /// The xmlwais wrapper: a [`WrapperServer`] over a [`WaisSource`].
@@ -185,7 +186,7 @@ impl WaisWrapper {
                 };
                 ids = Some(match ids {
                     None => hits,
-                    Some(prev) => intersect_sorted(&prev, &hits),
+                    Some(prev) => intersect(&prev, &hits),
                 });
             }
             let ids: Vec<DocId> = match ids {
