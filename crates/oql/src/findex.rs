@@ -249,4 +249,17 @@ mod tests {
             .is_empty());
         assert_eq!(ix.postings.len(), 2);
     }
+
+    #[test]
+    fn intersection_merges_on_sequence() {
+        // conjunctions over this index merge its ordinal lists with the
+        // shared posting kernel
+        use yat_model::postings::intersect;
+        assert_eq!(intersect(&[0u32, 2, 5], &[2, 3, 5]), [2, 5]);
+        assert!(intersect(&[0u32, 2, 5], &[]).is_empty());
+        let ix = index();
+        let eq = ix.eq_candidates(&Atom::Int(1800));
+        let le = ix.range_candidates(Bound::Unbounded, Bound::Included(&Atom::Int(1800)));
+        assert_eq!(intersect(&eq, &le), eq);
+    }
 }

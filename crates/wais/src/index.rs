@@ -354,6 +354,20 @@ mod tests {
     }
 
     #[test]
+    fn intersect_sorted_merges() {
+        // multi-word queries conjoin token postings through the shared
+        // posting kernel
+        use yat_model::postings::intersect;
+        assert_eq!(intersect(&[1u32, 3, 5, 9], &[0, 3, 4, 5, 10]), vec![3, 5]);
+        assert!(intersect(&[1u32, 2], &[3, 4]).is_empty());
+        assert!(intersect(&[], &[1u32]).is_empty());
+        assert_eq!(
+            conjoin([vec![1u32, 3, 5, 9], vec![0, 3, 4, 5, 10]]),
+            Some(vec![3, 5])
+        );
+    }
+
+    #[test]
     fn multi_word_queries_intersect() {
         let idx = index();
         assert_eq!(idx.contains("Claude Monet").len(), 2);
