@@ -326,21 +326,16 @@ fn eval_dependent(
 // so its recursive frame stays small.
 // ---------------------------------------------------------------------
 
-/// The `Select` kernel, shared with [`crate::stream::Stage`]: keeps the
-/// rows `pred` holds on, in order, moving them.
-pub(crate) fn select(
-    mut tab: Tab,
-    pred: &Pred,
-    env: &Env,
-    ctx: &EvalCtx<'_>,
-) -> Result<Tab, EvalError> {
+/// The `Select` kernel: keeps the rows `pred` holds on, in order,
+/// moving them.
+fn select(mut tab: Tab, pred: &Pred, env: &Env, ctx: &EvalCtx<'_>) -> Result<Tab, EvalError> {
     tab.try_retain(|cols, row| eval_pred(pred, cols, row, env, ctx))?;
     Ok(tab)
 }
 
-/// The `Map` kernel, shared with [`crate::stream::Stage`]: appends
-/// `expr`'s value to every row as column `col`, moving the rows.
-pub(crate) fn map(
+/// The `Map` kernel: appends `expr`'s value to every row as column
+/// `col`, moving the rows.
+fn map(
     tab: Tab,
     col: &str,
     expr: &Operand,

@@ -51,7 +51,7 @@ pub use eval::{eval, eval_env, Env, EvalCtx, EvalOut, PushHandler, SourceCatalog
 pub use expr::{Alg, CmpOp, Operand, Pred, SortDir};
 pub use funcs::{FnRegistry, SkolemRegistry};
 pub use passing::{passed_vars, substitute_env, BatchAnswer, PassedBindings};
-pub use stream::{BatchSink, CollectSink, Stage};
+pub use stream::{BatchSink, CollectSink};
 pub use tab::Tab;
 pub use template::Template;
 pub use value::Value;

@@ -1,30 +1,22 @@
-//! Incremental answer delivery: row batches instead of whole `Tab`s.
+//! Incremental answer delivery: an evaluated answer cut into chunks at
+//! the delivery boundary.
 //!
-//! The materializing pipeline evaluates a plan to one [`EvalOut`] and
-//! hands the complete answer downstream, costing peak memory
-//! proportional to the answer at every hop. This module converts the
-//! *answer boundary* to a pull-batch calling convention: the plan is
-//! [`split`] into a prefix (everything up to and including the last
-//! operator that genuinely needs its whole input — joins, grouping,
-//! sorting, set operations, frontier construction) and a suffix chain of
-//! *streamable stages* (`Select`, `Map`, `Project` — stateless per-row
-//! operators). The prefix is evaluated by the interpreter; its rows are
-//! then cut into batches of `batch_rows`, each batch run through the
-//! stage chain with the same operator kernels the interpreter uses
-//! (`Select`, `Map`, [`Tab::project`]), and delivered to a [`BatchSink`]
-//! as soon as it exists — no stage ever sees more than one batch at a
-//! time.
+//! The mediator evaluates a plan one way — to one [`EvalOut`] — whether
+//! the caller asked for a streamed answer or not. [`deliver`] then cuts
+//! that answer into chunks of at most `batch_rows` rows (a table) or
+//! top-level subtrees (a tree) and hands each to a [`BatchSink`] in
+//! order: the wire serializer in `yat-server` turns each into an
+//! `answer-chunk` frame, so the serialization and wire costs — and the
+//! client's time-to-first-row — are paid per chunk rather than per
+//! answer.
 //!
-//! The materializing path stays untouched as the semantics oracle:
-//! concatenating every delivered batch must reproduce the materialized
-//! answer byte-for-byte, which `tests/differential.rs` enforces over
-//! hundreds of seeded plans in both exec modes.
+//! [`CollectSink`] is the other end: it reassembles the chunks, so a
+//! streamed answer can be held to the materialized one byte for byte
+//! (`tests/differential.rs`, and the wire client's own reassembly).
 
 use crate::error::EvalError;
-use crate::eval::{self, Env, EvalCtx, EvalOut};
-use crate::expr::{Alg, Operand, Pred};
+use crate::eval::EvalOut;
 use crate::tab::Tab;
-use std::sync::Arc;
 use yat_model::{Node, Tree};
 
 /// The default number of rows per delivered batch.
@@ -59,73 +51,6 @@ pub trait BatchSink {
     fn on_tree(&mut self, tree: &Tree) -> Result<(), EvalError>;
 }
 
-/// One streamable stage peeled off the top of a plan: a stateless
-/// per-row operator that can run batch-at-a-time without seeing the rest
-/// of its input.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Stage {
-    /// A `Select` filter.
-    Select(Pred),
-    /// A `Map` appending a computed column.
-    Map {
-        /// New column name.
-        col: String,
-        /// Expression computing it.
-        expr: Operand,
-    },
-    /// A `Project` with renaming.
-    Project(Vec<(String, String)>),
-}
-
-impl Stage {
-    /// Applies this stage to one batch, moving its rows, through the
-    /// interpreter's own operator kernels — stage application cannot
-    /// drift from the materialized oracle.
-    pub fn apply(&self, batch: Tab, env: &Env, ctx: &EvalCtx<'_>) -> Result<Tab, EvalError> {
-        match self {
-            Stage::Select(pred) => eval::select(batch, pred, env, ctx),
-            Stage::Map { col, expr } => eval::map(batch, col, expr, env, ctx),
-            Stage::Project(cols) => Ok(batch.project(cols)),
-        }
-    }
-}
-
-/// Splits `plan` into a prefix and the maximal chain of streamable
-/// stages above it. The stages are returned in *application order*
-/// (innermost first): `Select(Project(Map(X)))` yields prefix `X` and
-/// stages `[Map, Project, Select]`.
-///
-/// Every other operator — joins need both inputs, `Group`/`Sort`/dedup
-/// set operations need all rows, `Tree` templates group over the whole
-/// input, `Bind`'s tree navigation is a frontier crossing — terminates
-/// the chain and stays in the prefix.
-pub fn split(plan: &Arc<Alg>) -> (Arc<Alg>, Vec<Stage>) {
-    let mut stages = Vec::new();
-    let mut cursor = plan;
-    loop {
-        match cursor.as_ref() {
-            Alg::Select { input, pred } => {
-                stages.push(Stage::Select(pred.clone()));
-                cursor = input;
-            }
-            Alg::Map { input, col, expr } => {
-                stages.push(Stage::Map {
-                    col: col.clone(),
-                    expr: expr.clone(),
-                });
-                cursor = input;
-            }
-            Alg::Project { input, cols } => {
-                stages.push(Stage::Project(cols.clone()));
-                cursor = input;
-            }
-            _ => break,
-        }
-    }
-    stages.reverse();
-    (cursor.clone(), stages)
-}
-
 /// What [`deliver`] observed, for gauges and `EXPLAIN`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeliveryStats {
@@ -135,36 +60,27 @@ pub struct DeliveryStats {
     pub rows: u64,
 }
 
-/// Drives batch delivery: cuts the prefix result into `batch_rows`-row
-/// batches, runs each through `stages`, and hands it to `sink` as soon
-/// as it is ready. An empty table-shaped answer still delivers one empty
-/// batch so the consumer learns the column layout.
+/// Cuts `out` into chunks of at most `batch_rows` rows and hands each to
+/// `sink` in order. A table announces its columns first; an empty table
+/// still delivers one empty batch so the consumer learns the layout
+/// end-to-end. A tree delivers copies of its root, each holding the next
+/// `batch_rows` top-level subtrees (one chunk for a childless root).
 ///
-/// A sink refusal (or a stage evaluation error) stops delivery at that
-/// batch — batches already delivered are *not* recalled, which is why
-/// the wire protocol has a typed abort frame.
+/// A sink refusal stops delivery at that chunk — chunks already
+/// delivered are *not* recalled, which is why the wire protocol has a
+/// typed abort frame.
 pub fn deliver(
-    prefix_out: EvalOut,
-    stages: &[Stage],
+    out: EvalOut,
     batch_rows: usize,
-    ctx: &EvalCtx<'_>,
-    env: &Env,
     sink: &mut dyn BatchSink,
 ) -> Result<DeliveryStats, EvalError> {
     let batch_rows = batch_rows.max(1);
-    let tab = match prefix_out {
+    let mut stats = DeliveryStats::default();
+    match out {
         EvalOut::Tree(tree) => {
-            if let Some(stage) = stages.first() {
-                return Err(EvalError::Kind {
-                    op: format!("{stage:?}"),
-                    expected: "Tab",
-                });
-            }
-            // a tree answer chunks by top-level subtrees: every YATL
-            // query ends in a `Tree` template, so this is the chunking
-            // real answers get. Children are `Arc`-shared — a chunk
-            // aliases, never copies, the constructed subtrees.
-            let mut stats = DeliveryStats::default();
+            // every YATL query ends in a `Tree` template, so this is the
+            // chunking real answers get. Children are `Arc`-shared — a
+            // chunk aliases, never copies, the constructed subtrees.
             let total = tree.children.len();
             let mut start = 0;
             loop {
@@ -178,43 +94,21 @@ pub fn deliver(
                     break;
                 }
             }
-            return Ok(stats);
         }
-        EvalOut::Tab(tab) => tab,
-    };
-    // the output layout is the stage chain applied to zero rows — cheap,
-    // and exactly what the materialized path's column list would be
-    let mut probe = Tab::new(tab.columns().to_vec());
-    for stage in stages {
-        probe = stage.apply(probe, env, ctx)?;
-    }
-    sink.on_columns(probe.columns())?;
-
-    let columns = tab.columns().to_vec();
-    let mut stats = DeliveryStats::default();
-    let mut rows = tab.into_rows().into_iter().peekable();
-    loop {
-        let mut batch = Tab::new(columns.clone());
-        while batch.len() < batch_rows {
-            match rows.next() {
-                Some(row) => batch.push(row),
-                None => break,
+        EvalOut::Tab(tab) => {
+            sink.on_columns(tab.columns())?;
+            let (columns, rows) = tab.into_parts();
+            let mut rows = rows.into_iter().peekable();
+            loop {
+                let batch =
+                    Tab::from_rows(columns.clone(), rows.by_ref().take(batch_rows).collect());
+                stats.chunks += 1;
+                stats.rows += batch.len() as u64;
+                sink.on_batch(batch)?;
+                if rows.peek().is_none() {
+                    break;
+                }
             }
-        }
-        // deliver the first batch even when empty; afterwards an empty
-        // tail batch carries no information
-        if batch.is_empty() && stats.chunks > 0 {
-            break;
-        }
-        let mut out = batch;
-        for stage in stages {
-            out = stage.apply(out, env, ctx)?;
-        }
-        stats.chunks += 1;
-        stats.rows += out.len() as u64;
-        sink.on_batch(out)?;
-        if rows.peek().is_none() {
-            break;
         }
     }
     Ok(stats)
@@ -228,7 +122,7 @@ pub struct CollectSink {
     /// The top-level subtrees of every tree chunk after the first, appended
     /// to the first chunk's root once, in [`CollectSink::into_answer`].
     more: Vec<Tree>,
-    /// Batches received (`1` for a tree).
+    /// Chunks received: table batches or tree chunks.
     pub chunks: u64,
 }
 
@@ -254,10 +148,14 @@ impl BatchSink for CollectSink {
     }
 
     fn on_batch(&mut self, batch: Tab) -> Result<(), EvalError> {
-        let Some(EvalOut::Tab(acc)) = self.answer.as_mut() else {
-            return Err(EvalError::Sink(
-                "batch delivered before the column layout".into(),
-            ));
+        let acc = match self.answer.as_mut() {
+            Some(EvalOut::Tab(acc)) => acc,
+            Some(EvalOut::Tree(_)) => return Err(mixed()),
+            None => {
+                return Err(EvalError::Sink(
+                    "batch delivered before the column layout".into(),
+                ))
+            }
         };
         if acc.columns() != batch.columns() {
             return Err(EvalError::Sink(format!(
@@ -285,13 +183,184 @@ impl BatchSink for CollectSink {
                 }
                 self.more.extend(tree.children.iter().cloned());
             }
-            Some(EvalOut::Tab(_)) => {
-                return Err(EvalError::Sink(
-                    "tree chunk arrived on a table-shaped stream".into(),
-                ))
-            }
+            Some(EvalOut::Tab(_)) => return Err(mixed()),
         }
         self.chunks += 1;
         Ok(())
+    }
+}
+
+/// A table batch after a tree chunk, or a tree chunk after table batches.
+fn mixed() -> EvalError {
+    EvalError::Sink("stream mixes tree and table chunks".into())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::value::Value;
+
+    /// What a sink saw, in call order.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Call {
+        Columns(Vec<String>),
+        Batch(usize),
+        Tree(usize),
+    }
+
+    /// Records every call, reassembles through a [`CollectSink`], and
+    /// refuses the `refuse_at`-th chunk (0-based) when set.
+    #[derive(Default)]
+    struct Recorder {
+        calls: Vec<Call>,
+        collect: CollectSink,
+        refuse_at: Option<usize>,
+    }
+
+    impl Recorder {
+        fn chunk(&mut self, call: Call) -> Result<(), EvalError> {
+            let index = self
+                .calls
+                .iter()
+                .filter(|c| !matches!(c, Call::Columns(_)))
+                .count();
+            self.calls.push(call);
+            if self.refuse_at == Some(index) {
+                return Err(EvalError::Sink(format!("refused chunk {index}")));
+            }
+            Ok(())
+        }
+    }
+
+    impl BatchSink for Recorder {
+        fn on_columns(&mut self, columns: &[String]) -> Result<(), EvalError> {
+            self.calls.push(Call::Columns(columns.to_vec()));
+            self.collect.on_columns(columns)
+        }
+
+        fn on_batch(&mut self, batch: Tab) -> Result<(), EvalError> {
+            self.chunk(Call::Batch(batch.len()))?;
+            self.collect.on_batch(batch)
+        }
+
+        fn on_tree(&mut self, tree: &Tree) -> Result<(), EvalError> {
+            self.chunk(Call::Tree(tree.children.len()))?;
+            self.collect.on_tree(tree)
+        }
+    }
+
+    fn columns() -> Vec<String> {
+        vec!["a".to_string(), "b".to_string()]
+    }
+
+    fn tab(rows: usize) -> EvalOut {
+        let mut tab = Tab::new(columns());
+        for i in 0..rows as i64 {
+            tab.push(vec![Value::Atom(i.into()), Value::Atom((-i).into())]);
+        }
+        EvalOut::Tab(tab)
+    }
+
+    fn tree(children: usize) -> EvalOut {
+        let kids = (0..children as i64).map(|i| Node::elem("r", i)).collect();
+        EvalOut::Tree(Node::sym("out", kids))
+    }
+
+    /// (answer, batch_rows, the chunk calls `deliver` must make)
+    fn cases() -> Vec<(&'static str, EvalOut, usize, Vec<Call>)> {
+        let batches = |sizes: &[usize]| -> Vec<Call> {
+            let mut calls = vec![Call::Columns(columns())];
+            calls.extend(sizes.iter().map(|&n| Call::Batch(n)));
+            calls
+        };
+        let trees = |sizes: &[usize]| sizes.iter().map(|&n| Call::Tree(n)).collect();
+        vec![
+            ("empty tab: one empty batch", tab(0), 4, batches(&[0])),
+            ("tab under one batch", tab(3), 4, batches(&[3])),
+            ("tab of exactly one batch", tab(4), 4, batches(&[4])),
+            ("tab of an exact multiple", tab(8), 4, batches(&[4, 4])),
+            ("tab with a remainder", tab(10), 4, batches(&[4, 4, 2])),
+            ("zero batch size reads as 1", tab(2), 0, batches(&[1, 1])),
+            ("childless tree: one chunk", tree(0), 4, trees(&[0])),
+            ("tree under one chunk", tree(3), 4, trees(&[3])),
+            ("tree of an exact multiple", tree(8), 4, trees(&[4, 4])),
+            ("tree with a remainder", tree(10), 4, trees(&[4, 4, 2])),
+        ]
+    }
+
+    #[test]
+    fn deliver_cuts_at_batch_rows_and_collect_sink_reassembles_the_answer() {
+        for (name, out, batch_rows, expected) in cases() {
+            let mut sink = Recorder::default();
+            let stats = deliver(out.clone(), batch_rows, &mut sink).expect(name);
+            let chunks = expected.iter().filter(|c| !matches!(c, Call::Columns(_)));
+            let rows: usize = chunks
+                .clone()
+                .map(|c| match c {
+                    Call::Batch(n) | Call::Tree(n) => *n,
+                    Call::Columns(_) => 0,
+                })
+                .sum();
+            assert_eq!(sink.calls, expected, "{name}");
+            assert_eq!(
+                stats,
+                DeliveryStats {
+                    chunks: chunks.count() as u64,
+                    rows: rows as u64,
+                },
+                "{name}"
+            );
+            assert_eq!(sink.collect.chunks, stats.chunks, "{name}");
+            assert_eq!(sink.collect.into_answer(), Some(out), "{name}");
+        }
+    }
+
+    #[test]
+    fn a_refusing_sink_stops_delivery_at_that_chunk() {
+        for (name, out, batch_rows, expected) in cases() {
+            let chunk_calls = expected.iter().filter(|c| !matches!(c, Call::Columns(_)));
+            for k in 0..chunk_calls.count() {
+                let mut sink = Recorder {
+                    refuse_at: Some(k),
+                    ..Recorder::default()
+                };
+                let err = deliver(out.clone(), batch_rows, &mut sink).expect_err(name);
+                assert_eq!(err, EvalError::Sink(format!("refused chunk {k}")), "{name}");
+                // the calls up to and including the refused chunk, none after
+                let columns = usize::from(matches!(expected[0], Call::Columns(_)));
+                assert_eq!(sink.calls, expected[..columns + k + 1], "{name} @ {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn collect_sink_refuses_a_stream_that_mixes_shapes_or_layouts() {
+        let mixed = EvalError::Sink("stream mixes tree and table chunks".into());
+        let EvalOut::Tab(rows) = tab(2) else {
+            unreachable!()
+        };
+        let EvalOut::Tree(root) = tree(2) else {
+            unreachable!()
+        };
+
+        let mut sink = CollectSink::new();
+        sink.on_tree(&root).unwrap();
+        assert_eq!(sink.on_batch(rows.clone()), Err(mixed.clone()));
+
+        let mut sink = CollectSink::new();
+        sink.on_columns(rows.columns()).unwrap();
+        sink.on_batch(rows.clone()).unwrap();
+        assert_eq!(sink.on_tree(&root), Err(mixed));
+        let other = Tab::new(vec!["z".to_string()]);
+        let err = sink.on_batch(other).unwrap_err().to_string();
+        assert!(err.contains("columns"), "{err}");
+
+        let mut sink = CollectSink::new();
+        sink.on_tree(&root).unwrap();
+        let err = sink.on_tree(&Node::sym("elsewhere", vec![])).unwrap_err();
+        assert!(err.to_string().contains("root"), "{err}");
+
+        let err = CollectSink::new().on_batch(rows).unwrap_err();
+        assert!(err.to_string().contains("column layout"), "{err}");
     }
 }

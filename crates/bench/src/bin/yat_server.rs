@@ -16,10 +16,11 @@
 //!   plain two-source scenario: `N/2` O2 replicas, the rest style
 //!   shards of the Wais collection.
 //!
-//! Every policy comes from the seven `YAT_*` variables of
-//! [`yat_bench::settings`] (`YAT_EXEC_MODE`, `YAT_STREAM`, `YAT_CACHE`,
-//! `YAT_PARTIAL`, `YAT_SCHED`, `YAT_INDEX`, `YAT_STORE`), read once at
-//! startup. Prints one `listening on <addr>` line once ready — the CI
+//! Every policy comes from the six `YAT_*` variables of
+//! [`yat_bench::settings`] (`YAT_EXEC_MODE`, `YAT_CACHE`, `YAT_PARTIAL`,
+//! `YAT_SCHED`, `YAT_INDEX`, `YAT_STORE`), read once at startup; a
+//! client that asks for a streamed answer gets the default chunk size
+//! and pending bound. Prints one `listening on <addr>` line once ready — the CI
 //! smoke job and `yat-load --shutdown` drive it from there.
 
 use std::time::Duration;

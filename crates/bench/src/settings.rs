@@ -1,5 +1,5 @@
 //! Settings of the `yat-server` / `yat-load` binaries — the one place in
-//! the workspace that reads the seven `YAT_*` policy variables.
+//! the workspace that reads the six `YAT_*` policy variables.
 //!
 //! Library constructors (`Mediator::new`, `Store::new`,
 //! `WaisSource::new`, `Scenario::at_scale`) use their documented
@@ -14,7 +14,7 @@ use std::fmt::Display;
 use std::path::Path;
 use std::str::FromStr;
 use yat_capability::{IndexPolicy, StorePolicy};
-use yat_mediator::{CachePolicy, ExecMode, Mediator, PartialFailure, SchedPolicy, StreamPolicy};
+use yat_mediator::{CachePolicy, ExecMode, Mediator, PartialFailure, SchedPolicy};
 use yat_store::{StoreError, StoreOptions};
 
 /// A policy variable: its name, and the accepted syntax as quoted by the
@@ -24,10 +24,6 @@ pub type Var = (&'static str, &'static str);
 const EXEC_MODE: Var = (
     "YAT_EXEC_MODE",
     "`sequential`/`seq`, `parallel`/`par`, or `parallel:<lanes>`",
-);
-const STREAM: Var = (
-    "YAT_STREAM",
-    "`off`, `chunked`, `chunked:<rows>`, or `chunked:<rows>:<pending>`",
 );
 const CACHE: Var = (
     "YAT_CACHE",
@@ -70,32 +66,11 @@ where
     parse_or_default(var, read(var).as_deref())
 }
 
-/// `YAT_STREAM`, with the warning `FromStr` has no variable name to
-/// give: a zero `<rows>`/`<pending>` is served as 1, and the operator is
-/// told which field of which variable was clamped.
-fn stream_or_default(value: Option<&str>) -> StreamPolicy {
-    let policy: StreamPolicy = parse_or_default(STREAM, value);
-    if policy.is_chunked() {
-        let fields = value.unwrap_or_default().split(':').skip(1);
-        for (what, field) in ["rows", "pending"].into_iter().zip(fields) {
-            if field.trim().parse() == Ok(0usize) {
-                yat_obs::warn(format!(
-                    "{}: `{what}` must be at least 1; clamping 0 to 1",
-                    STREAM.0
-                ));
-            }
-        }
-    }
-    policy
-}
-
 /// Every policy a served mediator runs under.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Settings {
     /// `YAT_EXEC_MODE`.
     pub exec_mode: ExecMode,
-    /// `YAT_STREAM`.
-    pub stream: StreamPolicy,
     /// `YAT_CACHE`.
     pub cache: CachePolicy,
     /// `YAT_PARTIAL`.
@@ -109,11 +84,10 @@ pub struct Settings {
 }
 
 impl Settings {
-    /// Reads the seven variables from the process environment.
+    /// Reads the six variables from the process environment.
     pub fn from_env() -> Self {
         Settings {
             exec_mode: env_or_default(EXEC_MODE),
-            stream: stream_or_default(read(STREAM).as_deref()),
             cache: env_or_default(CACHE),
             partial: env_or_default(PARTIAL),
             sched: env_or_default(SCHED),
@@ -122,12 +96,11 @@ impl Settings {
         }
     }
 
-    /// Sets the six mediator-side policies on `mediator`. (The store
+    /// Sets the five mediator-side policies on `mediator`. (The store
     /// policy decides how sources are *built* — see
     /// [`Settings::scenario`].)
     pub fn apply(&self, mediator: &mut Mediator) {
         mediator.set_exec_mode(self.exec_mode);
-        mediator.set_stream_policy(self.stream);
         mediator.set_cache_policy(self.cache);
         mediator.set_partial_failure(self.partial);
         mediator.set_sched_policy(self.sched);
@@ -205,7 +178,6 @@ mod tests {
         // unset: the documented default, silently
         let unset = Settings {
             exec_mode: parse_or_default(EXEC_MODE, None),
-            stream: stream_or_default(None),
             cache: parse_or_default(CACHE, None),
             partial: parse_or_default(PARTIAL, None),
             sched: parse_or_default(SCHED, None),
@@ -214,7 +186,6 @@ mod tests {
         };
         assert_eq!(unset, Settings::default());
         assert_eq!(unset.exec_mode, ExecMode::Sequential);
-        assert_eq!(unset.stream, StreamPolicy::Off);
         assert_eq!(unset.cache, CachePolicy::Off);
         assert_eq!(unset.partial, PartialFailure::Strict);
         assert_eq!(unset.sched, SchedPolicy::Cost);
@@ -228,18 +199,6 @@ mod tests {
         check(EXEC_MODE, "parallel", Ok(ExecMode::parallel()));
         check(EXEC_MODE, "par", Ok(ExecMode::parallel()));
         check(EXEC_MODE, "parallel:3", Ok(lanes(3)));
-
-        let chunked = |batch_rows, max_pending| StreamPolicy::Chunked {
-            batch_rows,
-            max_pending,
-        };
-        check(STREAM, "off", Ok(StreamPolicy::Off));
-        check(STREAM, " Materialized ", Ok(StreamPolicy::Off));
-        check(STREAM, "chunked", Ok(StreamPolicy::chunked()));
-        check(STREAM, "on", Ok(StreamPolicy::chunked()));
-        check(STREAM, "chunked:256", Ok(chunked(256, 8)));
-        check(STREAM, "chunked:512", Ok(chunked(512, 8)));
-        check(STREAM, "chunked:256:4", Ok(chunked(256, 4)));
 
         let bounded = |max_bytes, ttl_epochs, negative| CachePolicy::Bounded {
             max_bytes,
@@ -290,23 +249,6 @@ mod tests {
         check(STORE, "dir:/tmp/a:b:64", Ok(dir("/tmp/a:b", Some(64))));
         assert_eq!(warnings(), Vec::<String>::new(), "valid values are silent");
 
-        // a zero stream size is clamped to 1 with a warning of its own,
-        // not rejected: 1-row batches still stream, a rejection would not
-        assert_eq!(stream_or_default(Some("chunked:0")), chunked(1, 8));
-        assert_eq!(stream_or_default(Some(" Chunked:64:0 ")), chunked(64, 1));
-        assert_eq!(stream_or_default(Some("chunked:0:0")), chunked(1, 1));
-        assert_eq!(
-            warnings(),
-            [
-                "YAT_STREAM: `rows` must be at least 1; clamping 0 to 1",
-                "YAT_STREAM: `pending` must be at least 1; clamping 0 to 1",
-                "YAT_STREAM: `rows` must be at least 1; clamping 0 to 1",
-                "YAT_STREAM: `pending` must be at least 1; clamping 0 to 1",
-            ]
-        );
-        assert_eq!(stream_or_default(Some("chunked:64:4")), chunked(64, 4));
-        assert_eq!(warnings(), Vec::<String>::new(), "nothing clamped");
-
         // invalid → exactly one warning naming the variable, the value
         // and the accepted syntax → the default
         fn invalid<T>(var: Var, value: &str, seen: &Mutex<Vec<String>>)
@@ -326,15 +268,6 @@ mod tests {
         }
         invalid::<ExecMode>(EXEC_MODE, "parallel:0", &seen); // zero lanes
         invalid::<ExecMode>(EXEC_MODE, "warp-speed", &seen);
-        invalid::<StreamPolicy>(STREAM, "firehose", &seen);
-        // a count that overflows usize is invalid, not silently truncated
-        invalid::<StreamPolicy>(STREAM, "chunked:99999999999999999999", &seen);
-        invalid::<StreamPolicy>(STREAM, "chunked:64:99999999999999999999", &seen);
-        // trailing garbage after the number is invalid
-        invalid::<StreamPolicy>(STREAM, "chunked:64k", &seen);
-        invalid::<StreamPolicy>(STREAM, "chunked:64:8mb", &seen);
-        invalid::<StreamPolicy>(STREAM, "chunked:", &seen);
-        invalid::<StreamPolicy>(STREAM, "chunked:64:", &seen);
         invalid::<CachePolicy>(CACHE, "bounded:0", &seen); // zero budget
         invalid::<CachePolicy>(CACHE, "bounded:4m:0", &seen); // zero ttl
         invalid::<CachePolicy>(CACHE, "bounded:4m:1:bogus", &seen);
@@ -351,19 +284,12 @@ mod tests {
 
         // the syntax fragments the per-enum warnings used to spell out
         assert!(EXEC_MODE.1.contains("parallel:<lanes>"));
-        assert!(STREAM.1.contains("chunked:<rows>:<pending>"));
         assert!(CACHE.1.contains("bounded:<bytes>"));
 
         // Display and the mode/policy predicates
         assert_eq!(ExecMode::parallel().to_string(), "parallel(8)");
         assert_eq!(ExecMode::Sequential.to_string(), "sequential");
         assert!(ExecMode::parallel().is_parallel() && !ExecMode::Sequential.is_parallel());
-        assert_eq!(
-            StreamPolicy::chunked().to_string(),
-            "chunked(1024 rows, 8 pending)"
-        );
-        assert_eq!(StreamPolicy::Off.to_string(), "off");
-        assert!(StreamPolicy::chunked().is_chunked() && !StreamPolicy::Off.is_chunked());
         assert_eq!(
             CachePolicy::bounded().to_string(),
             "bounded(67108864B, ttl 1)"
@@ -378,10 +304,6 @@ mod tests {
     fn settings_apply_to_a_mediator_and_pin_the_scenario_sources() {
         let settings = Settings {
             exec_mode: ExecMode::Parallel { max_in_flight: 3 },
-            stream: StreamPolicy::Chunked {
-                batch_rows: 16,
-                max_pending: 2,
-            },
             cache: CachePolicy::bounded(),
             partial: PartialFailure::Degrade,
             sched: SchedPolicy::Static,
@@ -393,7 +315,6 @@ mod tests {
             settings.federation(4, 6).0,
         ] {
             assert_eq!(m.exec_mode(), settings.exec_mode);
-            assert_eq!(m.stream_policy(), settings.stream);
             assert_eq!(m.cache_policy(), settings.cache);
             assert_eq!(m.partial_failure(), settings.partial);
             assert_eq!(m.sched_policy(), settings.sched);

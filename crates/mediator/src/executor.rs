@@ -222,60 +222,6 @@ pub fn execute_mode(plan: &Alg, spec: &ExecSpec<'_>) -> Result<EvalOut, ExecErro
     eval_env(plan, &ctx, &env).map_err(ExecError::from)
 }
 
-/// [`execute_mode`] with a streamed answer boundary: `prefix` (the plan
-/// below its streamable top chain, see [`yat_algebra::stream::split`])
-/// is fetched-for and evaluated exactly as `execute_mode` would, then
-/// its result is cut into `batch_rows`-row batches, run through
-/// `stages`, and delivered to `sink` one batch at a time.
-///
-/// Source work is identical to the materialized path
-/// (stages contain no `Source` or `Push` nodes by construction), which
-/// is what makes the equal-traffic differential assertion meaningful.
-///
-/// Delivery runs under a `stream` span recording `batch_rows` and, on
-/// success, the chunk and row counts.
-pub fn execute_stream_mode(
-    prefix: &Alg,
-    stages: &[yat_algebra::stream::Stage],
-    spec: &ExecSpec<'_>,
-    batch_rows: usize,
-    sink: &mut dyn yat_algebra::stream::BatchSink,
-) -> Result<yat_algebra::stream::DeliveryStats, ExecError> {
-    let (catalog, pusher) = prepare(prefix, spec)?;
-    let ctx = EvalCtx {
-        catalog: &catalog,
-        model: None,
-        funcs: spec.funcs,
-        skolems: spec.skolems,
-        push: Some(&pusher),
-        obs: spec.obs,
-        bind_index: spec.bind_index,
-    };
-    let env = Env::new();
-    let prefix_out = eval_env(prefix, &ctx, &env)?;
-    let obs = spec.obs;
-    let mut span = obs.map(|o| {
-        let mut s = o.span(kind::STREAM, "stream answer".to_string());
-        s.record_u64(attr::BATCH_ROWS, batch_rows as u64);
-        s
-    });
-    let stats = yat_algebra::stream::deliver(prefix_out, stages, batch_rows, &ctx, &env, sink);
-    match &stats {
-        Ok(stats) => {
-            if let Some(s) = span.as_mut() {
-                s.record_u64(attr::CHUNKS, stats.chunks);
-                s.record_u64(attr::ROWS_OUT, stats.rows);
-            }
-        }
-        Err(e) => {
-            if let Some(s) = span.as_mut() {
-                s.record_str(attr::ERROR, e.to_string());
-            }
-        }
-    }
-    Ok(stats?)
-}
-
 /// The shared front half of execution: dependency analysis, document
 /// prefetch (sequential or scatter/gather), and construction of the
 /// catalog + push handler local evaluation runs against.

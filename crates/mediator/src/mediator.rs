@@ -2,9 +2,7 @@
 //! integration programs, answer queries.
 
 use crate::compose::{compose, qualify};
-use crate::executor::{
-    execute_mode, execute_stream_mode, ExecError, ExecMode, ExecSpec, SchedPolicy, StreamPolicy,
-};
+use crate::executor::{execute_mode, ExecError, ExecMode, ExecSpec, SchedPolicy, StreamPolicy};
 use crate::explain::{CacheLine, Explain, IndexLine, LaneJob, ProgramLine, StorageLine};
 use crate::optimizer::{optimize_with_registry, OptimizerOptions, Trace};
 use crate::transport::{Connection, MeterSnapshot};
@@ -432,13 +430,12 @@ impl Mediator {
         }
     }
 
-    /// Executes a plan with a streamed answer boundary: the plan is
-    /// split into a prefix and its streamable top chain
-    /// ([`yat_algebra::stream::split`]), the prefix runs under the
-    /// current mode and cache exactly like [`Mediator::execute`], and
-    /// the answer is delivered to `sink` in batches of the stream
-    /// policy's `batch_rows` (the default batch size when the policy is
-    /// `Off` — callers asking to stream get streaming).
+    /// Executes a plan with a streamed answer boundary: the plan runs
+    /// under the current mode and cache exactly like
+    /// [`Mediator::execute`], and the answer is delivered to `sink` in
+    /// chunks of the stream policy's `batch_rows` (the default batch size
+    /// when the policy is `Off` — callers asking to stream get
+    /// streaming).
     pub fn execute_stream(
         &self,
         plan: &Arc<Alg>,
@@ -480,15 +477,27 @@ impl Mediator {
         obs: Option<&yat_obs::Collector>,
         prov: Option<&ProvLog>,
     ) -> Result<yat_algebra::stream::DeliveryStats, MediatorError> {
-        let (prefix, stages) = yat_algebra::stream::split(plan);
+        let out = execute_mode(plan, &self.exec_spec(obs, prov))?;
         let batch_rows = match self.stream {
             StreamPolicy::Chunked { batch_rows, .. } => batch_rows,
             StreamPolicy::Off => StreamPolicy::DEFAULT_BATCH_ROWS,
         };
-        let spec = self.exec_spec(obs, prov);
-        Ok(execute_stream_mode(
-            &prefix, &stages, &spec, batch_rows, sink,
-        )?)
+        let mut span = obs.map(|o| {
+            let mut s = o.span(yat_obs::kind::STREAM, "stream answer".to_string());
+            s.record_u64(yat_obs::attr::BATCH_ROWS, batch_rows as u64);
+            s
+        });
+        let stats = yat_algebra::stream::deliver(out, batch_rows, sink);
+        if let Some(s) = span.as_mut() {
+            match &stats {
+                Ok(stats) => {
+                    s.record_u64(yat_obs::attr::CHUNKS, stats.chunks);
+                    s.record_u64(yat_obs::attr::ROWS_OUT, stats.rows);
+                }
+                Err(e) => s.record_str(yat_obs::attr::ERROR, e.to_string()),
+            }
+        }
+        Ok(stats.map_err(ExecError::from)?)
     }
 
     /// Plan → optimize → execute, end to end.

@@ -3,9 +3,10 @@
 //! how scatter jobs are ordered onto lanes ([`SchedPolicy`]).
 //!
 //! Each is a plain value with a documented `Default`, set through the
-//! matching `Mediator::set_*`. The text syntax (`FromStr`) is what the
-//! `yat-server` / `yat-load` binaries accept in their `YAT_*` settings;
-//! nothing in this crate reads the environment.
+//! matching `Mediator::set_*`. The text syntax (`FromStr`) of
+//! `ExecMode` and `SchedPolicy` is what the `yat-server` / `yat-load`
+//! binaries accept in their `YAT_*` settings; `StreamPolicy` has none —
+//! only code pins it. Nothing in this crate reads the environment.
 
 use std::str::FromStr;
 
@@ -69,14 +70,14 @@ impl std::fmt::Display for ExecMode {
     }
 }
 
-/// How answers leave the mediator: one materialized value, or a stream
-/// of row batches (`yat_algebra::stream`).
+/// How streamed answers leave the mediator: the chunk size
+/// `Mediator::execute_stream` cuts the evaluated answer into, and how
+/// many chunks the server's frame channel may hold.
 ///
-/// Orthogonal to [`ExecMode`]: the plan prefix is still evaluated under
-/// the chosen dispatch mode; streaming changes only the *answer
-/// boundary* — the streamable operator chain on top of the plan runs
-/// batch-at-a-time and each batch is delivered as soon as it exists. The materialized path stays the
-/// semantics oracle: concatenating the delivered batches must reproduce
+/// Orthogonal to [`ExecMode`]: a streamed plan is evaluated exactly as
+/// a materialized one; only the delivery boundary differs
+/// (`yat_algebra::stream::deliver`). The materialized answer is the
+/// semantics oracle: concatenating the delivered chunks must reproduce
 /// it byte-for-byte (`tests/differential.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StreamPolicy {
@@ -108,56 +109,6 @@ impl StreamPolicy {
         StreamPolicy::Chunked {
             batch_rows: Self::DEFAULT_BATCH_ROWS,
             max_pending: Self::DEFAULT_MAX_PENDING,
-        }
-    }
-
-    /// True for any `Chunked` variant.
-    pub fn is_chunked(&self) -> bool {
-        matches!(self, StreamPolicy::Chunked { .. })
-    }
-}
-
-/// `off`/`materialized`, `chunked`/`on`, `chunked:<rows>`, or
-/// `chunked:<rows>:<pending>`; a `<rows>` or `<pending>` of 0 reads as 1.
-impl FromStr for StreamPolicy {
-    type Err = ();
-
-    fn from_str(text: &str) -> Result<Self, ()> {
-        let text = text.trim().to_ascii_lowercase();
-        match text.as_str() {
-            "off" | "materialized" => return Ok(StreamPolicy::Off),
-            "chunked" | "on" => return Ok(StreamPolicy::chunked()),
-            _ => {}
-        }
-        let rest = text.strip_prefix("chunked:").ok_or(())?;
-        let (rows, pending) = match rest.split_once(':') {
-            Some((rows, pending)) => (rows, Some(pending)),
-            None => (rest, None),
-        };
-        // a zero is clamped to 1 rather than rejected: the caller asked
-        // for chunked delivery, and 1-row batches honor that while a
-        // rejection would silently disable streaming altogether
-        let count = |n: &str| n.parse().map(|n: usize| n.max(1)).map_err(|_| ());
-        let batch_rows = count(rows)?;
-        let max_pending = match pending {
-            Some(p) => count(p)?,
-            None => Self::DEFAULT_MAX_PENDING,
-        };
-        Ok(StreamPolicy::Chunked {
-            batch_rows,
-            max_pending,
-        })
-    }
-}
-
-impl std::fmt::Display for StreamPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamPolicy::Off => write!(f, "off"),
-            StreamPolicy::Chunked {
-                batch_rows,
-                max_pending,
-            } => write!(f, "chunked({batch_rows} rows, {max_pending} pending)"),
         }
     }
 }

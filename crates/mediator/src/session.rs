@@ -1,7 +1,7 @@
 //! A Fig. 2-style session transcript: the three installation steps
 //! (wrappers, mediator, imports) rendered as the paper shows them.
 
-use crate::executor::{ExecMode, StreamPolicy};
+use crate::executor::ExecMode;
 use crate::mediator::{Mediator, MediatorError};
 use crate::optimizer::OptimizerOptions;
 use std::fmt::Write as _;
@@ -87,13 +87,6 @@ impl Session {
     pub fn set_cache_policy(&mut self, policy: CachePolicy) {
         self.mediator.set_cache_policy(policy);
         let _ = writeln!(self.transcript, "yat> set cache {policy};");
-    }
-
-    /// Selects the answer stream policy for subsequent queries, logging
-    /// the step (`yat> set stream chunked(1024 rows, 8 pending);`).
-    pub fn set_stream_policy(&mut self, policy: StreamPolicy) {
-        self.mediator.set_stream_policy(policy);
-        let _ = writeln!(self.transcript, "yat> set stream {policy};");
     }
 
     /// The transcript so far.

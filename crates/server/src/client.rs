@@ -3,11 +3,10 @@
 use std::io::{BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
-use yat_algebra::EvalOut;
+use yat_algebra::{BatchSink, CollectSink, EvalError, EvalOut};
 use yat_capability::framing;
 use yat_capability::protocol::{ClientRequest, ServerReply, ServerStats, StreamFrame};
 use yat_capability::xml::WireError;
-use yat_model::{Node, Tree};
 
 /// One client connection. Requests are answered in order on the same
 /// stream; a connection can carry any number of them.
@@ -192,11 +191,11 @@ pub struct StreamedReply {
 /// the stream invariants: chunk sequence numbers must be gapless and in
 /// order, all chunks of one stream must share a shape (one column
 /// layout, or one tree root whose chunks concatenate their top-level
-/// subtrees), and the `answer-end` frame's declared
-/// chunk and row counts must equal what actually arrived. Every
-/// violation — including the connection closing mid-stream — is a typed
-/// [`WireError`]; a short stream can never silently read as a short
-/// answer.
+/// subtrees — checked by the [`CollectSink`] that reassembles them), and
+/// the `answer-end` frame's declared chunk and row counts must equal
+/// what actually arrived. Every violation — including the connection
+/// closing mid-stream — is a typed [`WireError`]; a short stream can
+/// never silently read as a short answer.
 ///
 /// A first frame that is not a stream frame is parsed as an ordinary
 /// [`ServerReply`] and returned with `chunks == 0` (the single-frame
@@ -221,12 +220,10 @@ pub fn read_streamed_reply(reader: &mut impl Read) -> Result<StreamedReply, Wire
         }
         Err(e) => return Err(e),
     };
-    let mut answer: Option<EvalOut> = None;
-    // the subtrees of every tree chunk after the first: the root is
-    // rebuilt once, when the stream ends
-    let mut more: Vec<Tree> = Vec::new();
-    let mut chunks = 0u64;
+    // the in-process reassembly: shape, column and root checks included
+    let mut sink = CollectSink::new();
     loop {
+        let chunks = sink.chunks;
         match frame {
             StreamFrame::Chunk { seq, payload } => {
                 if seq != chunks {
@@ -234,36 +231,16 @@ pub fn read_streamed_reply(reader: &mut impl Read) -> Result<StreamedReply, Wire
                         "answer-chunk seq {seq} arrived where {chunks} was expected"
                     )));
                 }
-                match (&mut answer, payload) {
-                    (None, payload) => answer = Some(payload),
-                    (Some(EvalOut::Tab(acc)), EvalOut::Tab(batch)) => {
-                        if batch.columns() != acc.columns() {
-                            return Err(WireError::Stream(format!(
-                                "chunk columns {:?} differ from the stream's layout {:?}",
-                                batch.columns(),
-                                acc.columns()
-                            )));
+                match payload {
+                    EvalOut::Tab(batch) => {
+                        if chunks == 0 {
+                            sink.on_columns(batch.columns()).map_err(stream_error)?;
                         }
-                        for row in batch.into_rows() {
-                            acc.push(row);
-                        }
+                        sink.on_batch(batch)
                     }
-                    (Some(EvalOut::Tree(acc)), EvalOut::Tree(chunk)) => {
-                        if acc.label != chunk.label {
-                            return Err(WireError::Stream(format!(
-                                "tree chunk root `{}` differs from the stream's root `{}`",
-                                chunk.label, acc.label
-                            )));
-                        }
-                        more.extend(chunk.children.iter().cloned());
-                    }
-                    (Some(_), _) => {
-                        return Err(WireError::Stream(
-                            "stream mixes tree and table chunks".into(),
-                        ))
-                    }
+                    EvalOut::Tree(chunk) => sink.on_tree(&chunk),
                 }
-                chunks += 1;
+                .map_err(stream_error)?;
             }
             StreamFrame::End {
                 chunks: declared,
@@ -276,15 +253,9 @@ pub fn read_streamed_reply(reader: &mut impl Read) -> Result<StreamedReply, Wire
                         "answer-end declares {declared} chunks but {chunks} arrived"
                     )));
                 }
-                let out = match answer {
-                    Some(EvalOut::Tree(root)) => EvalOut::Tree(Node::appended(&root, more)),
-                    Some(out) => out,
-                    None => {
-                        return Err(WireError::Stream(
-                            "answer-end arrived before any answer-chunk".into(),
-                        ))
-                    }
-                };
+                let out = sink.into_answer().ok_or_else(|| {
+                    WireError::Stream("answer-end arrived before any answer-chunk".into())
+                })?;
                 let got_rows = match &out {
                     EvalOut::Tab(t) => t.len() as u64,
                     EvalOut::Tree(t) => t.children.len() as u64,
@@ -312,7 +283,8 @@ pub fn read_streamed_reply(reader: &mut impl Read) -> Result<StreamedReply, Wire
         }
         let text = framing::read_frame(reader)?.ok_or_else(|| {
             WireError::Stream(format!(
-                "connection closed mid-stream after {chunks} chunks, before answer-end"
+                "connection closed mid-stream after {} chunks, before answer-end",
+                sink.chunks
             ))
         })?;
         frame = StreamFrame::decode(&text).map_err(|e| match e.into() {
@@ -321,5 +293,13 @@ pub fn read_streamed_reply(reader: &mut impl Read) -> Result<StreamedReply, Wire
             }
             other => other,
         })?;
+    }
+}
+
+/// A [`CollectSink`] refusal, as the stream error it is on the wire.
+fn stream_error(e: EvalError) -> WireError {
+    match e {
+        EvalError::Sink(message) => WireError::Stream(message),
+        other => WireError::Stream(other.to_string()),
     }
 }

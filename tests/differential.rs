@@ -287,9 +287,8 @@ impl Case {
                 max_in_flight: self.lanes,
             },
         ] {
-            // the materialized side pins streaming *off* explicitly,
-            // so the axis stays honest even when the suite itself
-            // runs under `YAT_STREAM=chunked`
+            // the materialized side pins streaming *off* and the
+            // streamed side chunked, so each side's policy is explicit
             let mut mat = sc.mediator();
             mat.set_exec_mode(mode);
             mat.set_cache_policy(CachePolicy::Off);
