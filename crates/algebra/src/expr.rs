@@ -684,6 +684,87 @@ impl fmt::Display for Alg {
     }
 }
 
+/// An element-set projection: `input` with its document column `$var`
+/// replaced by the document stripped to the top-level children named in
+/// `fields` — the Z39.50 element set a request names. The plan shape is
+/// `Project[$var'→$var](Map[$var' := elements($var, "f"…)](input))`, so
+/// it is ordinary algebra the reference evaluator runs with the
+/// [`crate::funcs::ELEMENTS`] builtin; a source that declares
+/// `elements` evaluates it by shipping fewer fields.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ElementSet<'a> {
+    /// The document column.
+    pub var: &'a str,
+    /// The requested top-level field names, as the plan lists them
+    /// ([`Alg::project_elements`] sorts them and drops repeats).
+    pub fields: Vec<&'a str>,
+    /// The plan whose document column is projected.
+    pub input: &'a Arc<Alg>,
+}
+
+impl Alg {
+    /// Projects the document column `var` of `input` to the top-level
+    /// children named in `fields` (see [`ElementSet`]).
+    pub fn project_elements<'f>(
+        input: Arc<Alg>,
+        var: &str,
+        fields: impl IntoIterator<Item = &'f str>,
+    ) -> Arc<Alg> {
+        let fields: std::collections::BTreeSet<&str> = fields.into_iter().collect();
+        let primed = format!("{var}'");
+        let mut args = vec![Operand::var(var)];
+        args.extend(fields.into_iter().map(Operand::cst));
+        let map = Arc::new(Alg::Map {
+            input,
+            col: primed.clone(),
+            expr: Operand::Call {
+                name: crate::funcs::ELEMENTS.to_string(),
+                args,
+            },
+        });
+        Alg::project(map, vec![(primed, var.to_string())])
+    }
+
+    /// The element-set projection at the root of this plan, if it has
+    /// exactly the shape [`Alg::project_elements`] builds.
+    pub fn element_set(&self) -> Option<ElementSet<'_>> {
+        let Alg::Project { input: map, cols } = self else {
+            return None;
+        };
+        let Alg::Map { input, col, expr } = map.as_ref() else {
+            return None;
+        };
+        let [(src, var)] = cols.as_slice() else {
+            return None;
+        };
+        let Operand::Call { name, args } = expr else {
+            return None;
+        };
+        let [Operand::Var(doc), rest @ ..] = args.as_slice() else {
+            return None;
+        };
+        if name != crate::funcs::ELEMENTS || src != col || doc != var || *col != format!("{var}'") {
+            return None;
+        }
+        let fields = rest
+            .iter()
+            .map(|a| match a {
+                Operand::Const(Atom::Str(f)) => Some(f.as_str()),
+                _ => None,
+            })
+            .collect::<Option<Vec<&str>>>()?;
+        Some(ElementSet { var, fields, input })
+    }
+}
+
+/// `elements={artist,style,title}` — the annotation EXPLAIN shows on a
+/// pushed fragment's round trip.
+impl fmt::Display for ElementSet<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "elements={{{}}}", self.fields.join(","))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -764,6 +845,31 @@ mod tests {
             b2.out_vars().unwrap(),
             vec!["w".to_string(), "t".to_string()]
         );
+    }
+
+    #[test]
+    fn element_sets_round_trip_through_their_plan_shape() {
+        let frag = Alg::bind(Alg::source("works"), Pattern::elem_var("works", "w"));
+        let plan = Alg::project_elements(frag.clone(), "w", ["title", "artist", "title"]);
+        let set = plan.element_set().expect("the shape it builds");
+        assert_eq!(set.var, "w");
+        assert_eq!(set.fields, ["artist", "title"], "sorted and distinct");
+        assert!(Arc::ptr_eq(set.input, &frag));
+        assert_eq!(set.to_string(), "elements={artist,title}");
+        assert_eq!(plan.out_vars().unwrap(), ["w"], "the column keeps its name");
+        assert_eq!(
+            plan.explain(),
+            "Project $w'→$w\n  Map $w' := elements($w, \"artist\", \"title\")\n    \
+             Bind works[$w]\n      Source works\n"
+        );
+        // any other projection is not an element set
+        assert!(frag.element_set().is_none());
+        let Alg::Project { input: map, .. } = plan.as_ref() else {
+            unreachable!()
+        };
+        assert!(Alg::project(map.clone(), vec![("w'".into(), "x".into())])
+            .element_set()
+            .is_none());
     }
 
     #[test]

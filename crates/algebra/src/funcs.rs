@@ -7,7 +7,11 @@ use std::fmt::{self, Write as _};
 use std::hash::Hasher;
 use std::sync::Arc;
 use yat_model::hash::Fnv64;
-use yat_model::{Atom, Oid};
+use yat_model::{Atom, Node, Oid};
+
+/// The name of the element-set projection: `elements($w, "title")` is
+/// the document `$w` with only its `title` children.
+pub const ELEMENTS: &str = "elements";
 
 /// The signature of a registered external function: operations a source
 /// contributes beyond the core algebra (`kind="external"` in Fig. 6) —
@@ -62,6 +66,10 @@ impl FnRegistry {
     /// * `contains(tree, needle) -> Bool` — substring search over the
     ///   concatenated text of the subtree (the mediator-side semantics of
     ///   the Wais predicate, used when pushdown is impossible);
+    /// * `elements(doc, "field"…) -> doc` — the document keeping only
+    ///   the top-level children [`Node::in_fields`] keeps (the
+    ///   mediator-side semantics of the Wais element-set operation, see
+    ///   [`crate::expr::ElementSet`]);
     /// * `textof(tree) -> String` — text extraction.
     pub fn with_builtins() -> Self {
         let mut r = Self::new();
@@ -83,6 +91,33 @@ impl FnRegistry {
             Ok(Value::Atom(Atom::Bool(
                 text.to_lowercase().contains(&needle.to_lowercase()),
             )))
+        });
+        r.register(ELEMENTS, |args: &[Value]| {
+            let [doc, fields @ ..] = args else {
+                return Err(EvalError::Function {
+                    name: ELEMENTS.into(),
+                    message: "expected a document and field names".into(),
+                });
+            };
+            let fields = fields
+                .iter()
+                .map(|f| match f {
+                    Value::Atom(Atom::Str(s)) => Some(s.as_str()),
+                    _ => None,
+                })
+                .collect::<Option<Vec<&str>>>()
+                .ok_or_else(|| EvalError::Function {
+                    name: ELEMENTS.into(),
+                    message: "field names must be strings".into(),
+                })?;
+            match doc {
+                Value::Tree(t) => Ok(Value::Tree(Node::retained(t, |c| c.in_fields(&fields)))),
+                Value::Null => Ok(Value::Null),
+                other => Err(EvalError::Function {
+                    name: ELEMENTS.into(),
+                    message: format!("expected a document, got {other:?}"),
+                }),
+            }
         });
         r.register("textof", |args: &[Value]| {
             let [v] = args else {
@@ -238,6 +273,36 @@ mod tests {
         assert!(r
             .call("contains", &[Value::Null, Value::Atom(Atom::Int(3))])
             .is_err());
+    }
+
+    #[test]
+    fn builtin_elements_keeps_the_named_children() {
+        let r = FnRegistry::with_builtins();
+        let work = Node::sym(
+            "work",
+            vec![
+                Node::elem("title", "Nympheas"),
+                Node::atom("loose text"),
+                Node::elem("style", "Impressionist"),
+                Node::elem("title", "Water Lilies"),
+            ],
+        );
+        let str_ = |x: &str| Value::Atom(Atom::Str(x.into()));
+        let titles = r
+            .call(ELEMENTS, &[Value::Tree(work.clone()), str_("title")])
+            .unwrap();
+        assert_eq!(
+            titles.as_tree().unwrap().to_string(),
+            "work[title[\"Nympheas\"], title[\"Water Lilies\"]]"
+        );
+        let none = r.call(ELEMENTS, &[Value::Tree(work)]).unwrap();
+        assert!(none.as_tree().unwrap().children.is_empty());
+        assert_eq!(
+            r.call(ELEMENTS, &[Value::Null, str_("title")]),
+            Ok(Value::Null)
+        );
+        assert!(r.call(ELEMENTS, &[]).is_err());
+        assert!(r.call(ELEMENTS, &[str_("x"), str_("title")]).is_err());
     }
 
     /// The exact identifiers minting produces, pinned: the hash runs

@@ -48,7 +48,7 @@ pub mod value;
 pub use bindex::BindIndexCache;
 pub use error::EvalError;
 pub use eval::{eval, eval_env, Env, EvalCtx, EvalOut, PushHandler, SourceCatalog};
-pub use expr::{Alg, CmpOp, Operand, Pred, SortDir};
+pub use expr::{Alg, CmpOp, ElementSet, Operand, Pred, SortDir};
 pub use funcs::{FnRegistry, SkolemRegistry};
 pub use passing::{passed_vars, substitute_env, BatchAnswer, PassedBindings};
 pub use stream::{BatchSink, CollectSink};

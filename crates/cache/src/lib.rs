@@ -630,6 +630,29 @@ mod tests {
     }
 
     #[test]
+    fn signatures_tell_element_sets_apart() {
+        let fragment = Alg::bind(
+            Alg::source("works"),
+            yat_yatl::parse_filter("works *$w").unwrap(),
+        );
+        let titles = Alg::project_elements(fragment.clone(), "w", ["title"]);
+        let three = Alg::project_elements(fragment.clone(), "w", ["artist", "style", "title"]);
+        let sig = |plan: &Alg| Signature::execute("xmlartwork", plan);
+        assert_ne!(sig(&titles), sig(&three));
+        assert_ne!(sig(&titles), sig(&fragment));
+        assert_ne!(sig(&three), sig(&fragment));
+        assert_eq!(
+            sig(&three),
+            sig(&Alg::project_elements(
+                fragment,
+                "w",
+                ["title", "style", "artist"]
+            )),
+            "the same set, named in another order"
+        );
+    }
+
+    #[test]
     fn hit_returns_the_stored_answer_and_counts_bytes() {
         let cache = bounded(1 << 20);
         let sig = Signature::document("src", "d");

@@ -12,6 +12,7 @@ use crate::flags::InstFlag;
 use crate::fpattern::{FEdge, FLabel, FOcc, FPattern, Fmodel};
 use crate::interface::{Interface, OpKind};
 use std::fmt;
+use yat_algebra::funcs::ELEMENTS;
 use yat_algebra::{Alg, Operand, Pred};
 use yat_model::{Occ, PLabel, Pattern};
 
@@ -239,7 +240,15 @@ impl<'a> FMatcher<'a> {
 /// Checks whether a whole plan fragment can be evaluated by the source
 /// described by `iface`. On success the mediator may wrap the fragment in
 /// [`Alg::Push`].
+///
+/// An element-set projection ([`Alg::element_set`]) is one operation, not
+/// a `project` over a `map`: it is accepted exactly where the source
+/// declares the external `elements` operation.
 pub fn pushable(iface: &Interface, plan: &Alg) -> Result<(), Rejection> {
+    if let Some(set) = plan.element_set() {
+        require_op(iface, ELEMENTS, OpKind::External)?;
+        return pushable(iface, set.input);
+    }
     match plan {
         Alg::Source { name, .. } => {
             if iface.export(name).is_some() {

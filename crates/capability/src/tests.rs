@@ -369,6 +369,37 @@ fn wais_pushable_contains_but_not_comparisons() {
 }
 
 #[test]
+fn element_sets_push_only_where_declared() {
+    let bind = Alg::bind(Alg::source("works"), parse_filter("works *$w").unwrap());
+    let fragment = Alg::select(
+        bind,
+        Pred::Call {
+            name: "contains".into(),
+            args: vec![Operand::var("w"), Operand::cst("Impressionist")],
+        },
+    );
+    let projected = Alg::project_elements(fragment.clone(), "w", ["title"]);
+    let mut i = wais_interface();
+    let r = pushable(&i, &projected).unwrap_err();
+    assert!(r.reason.contains("`elements`"), "{r}");
+    i.operations.push(OperationDecl {
+        name: "elements".into(),
+        kind: OpKind::External,
+        input: vec![SigItem::Leaf(AtomType::Str)],
+        output: vec![],
+    });
+    pushable(&i, &projected).unwrap();
+    // declaring `elements` does not make `project` or `map` pushable
+    let Alg::Project { input: map, cols } = projected.as_ref() else {
+        unreachable!()
+    };
+    assert!(pushable(&i, map).is_err());
+    assert!(pushable(&i, &Alg::project(fragment, cols.clone())).is_err());
+    // and the projected fragment travels as an ordinary plan
+    assert_eq!(plan_from_xml(&plan_to_xml(&projected)).unwrap(), projected);
+}
+
+#[test]
 fn already_pushed_fragments_are_not_repushed() {
     let i = wais_interface();
     let plan = Alg::push("xmlartwork", Alg::source("works"));

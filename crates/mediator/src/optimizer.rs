@@ -7,7 +7,9 @@
 //!   typed filter simplification, Fig. 8 branch elimination), then
 //!   pushdown again on the simplified plan.
 //! * **Round 2 — capabilities:** capability splitting, `contains`
-//!   introduction from declared equivalences, maximal fragment pushing.
+//!   introduction from declared equivalences, maximal fragment pushing,
+//!   then the element-set pass: a pushed fragment whose documents only a
+//!   named-field filter reads ships just those fields.
 //! * **Round 3 — information passing:** cross-source `Join` → `DJoin`
 //!   with the join predicate absorbed into the pushed side.
 //!
@@ -16,6 +18,7 @@
 
 use crate::rules::bind_tree::BindTreeElim;
 use crate::rules::capability::{CapabilitySplit, ContainsIntroduction, PushFragments};
+use crate::rules::elements::push_element_sets;
 use crate::rules::federate::FederateRoute;
 use crate::rules::info_passing::JoinToDJoin;
 use crate::rules::prune::{prune, PruneOptions};
@@ -247,6 +250,11 @@ pub fn optimize_with_registry(
         let rules: Vec<&dyn RewriteRule> =
             vec![&CapabilitySplit, &ContainsIntroduction, &PushFragments];
         plan = fixpoint(plan, &rules, &ctx, options.max_steps, 2, &mut trace);
+        let before = plan.clone();
+        plan = push_element_sets(&plan, interfaces);
+        if plan != before {
+            trace.record(2, "element-sets", &before, &plan);
+        }
     }
 
     // ---- round 3: information passing ----------------------------------

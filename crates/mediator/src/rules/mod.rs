@@ -12,6 +12,7 @@
 pub mod bind_split;
 pub mod bind_tree;
 pub mod capability;
+pub mod elements;
 pub mod federate;
 pub mod info_passing;
 pub mod prune;

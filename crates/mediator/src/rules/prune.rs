@@ -68,27 +68,10 @@ impl<'a> Pruner<'a> {
     fn go(&self, plan: &Arc<Alg>, needed: &BTreeSet<String>) -> Arc<Alg> {
         match plan.as_ref() {
             Alg::Source { .. } => plan.clone(),
-            Alg::TreeOp { input, template } => {
-                let n: BTreeSet<String> = template.variables().into_iter().collect();
-                Alg::tree(self.go(input, &n), template.clone())
-            }
             Alg::Project { input, cols } => {
-                let mut kept: Vec<(String, String)> = cols
-                    .iter()
-                    .filter(|(_, d)| needed.contains(d))
-                    .cloned()
-                    .collect();
-                if kept.is_empty() {
-                    // keep one column so row counts survive
-                    kept = cols.first().into_iter().cloned().collect();
-                }
+                let kept = kept_columns(cols, needed);
                 let inner_needed: BTreeSet<String> = kept.iter().map(|(s, _)| s.clone()).collect();
                 Alg::project(self.go(input, &inner_needed), kept)
-            }
-            Alg::Select { input, pred } => {
-                let mut n = needed.clone();
-                n.extend(pred.vars().into_iter().map(str::to_string));
-                Alg::select(self.go(input, &n), pred.clone())
             }
             Alg::Bind {
                 input,
@@ -116,60 +99,39 @@ impl<'a> Pruner<'a> {
                     ) if self.options.use_type_info => self.document_pattern(s, name),
                     _ => None,
                 };
-                let filter = match &guarantee {
+                let simplified = match &guarantee {
                     Some((pat, model)) => {
                         simplify_filter(filter, &keep_vars, Some(pat), Some(model))
                     }
                     None => simplify_filter(filter, &keep_vars, None, None),
                 };
-                // variables this Bind produces are satisfied here — do
-                // not request them from the input (only shared ones,
-                // which are constraints, stay needed)
-                let mut inner_needed = needed.clone();
-                for v in filter.variables() {
-                    if !input_vars.contains(&v) {
-                        inner_needed.remove(&v);
-                    }
-                }
-                if let Some(col) = over {
-                    inner_needed.insert(col.clone());
-                }
+                let [inner_needed] = &child_needs(plan, needed)[..] else {
+                    unreachable!("a Bind has one input")
+                };
                 match over {
-                    Some(col) => Alg::bind_over(self.go(input, &inner_needed), col.clone(), filter),
-                    None => Alg::bind(self.go(input, &inner_needed), filter),
-                }
-            }
-            Alg::Join { left, right, pred } => {
-                if self.options.assume_containment {
-                    if let Some(rewritten) = self.try_eliminate(left, right, pred, needed) {
-                        return rewritten;
+                    Some(col) => {
+                        Alg::bind_over(self.go(input, inner_needed), col.clone(), simplified)
                     }
+                    None => Alg::bind(self.go(input, inner_needed), simplified),
                 }
-                let lv: BTreeSet<String> =
-                    left.out_vars().unwrap_or_default().into_iter().collect();
-                let rv: BTreeSet<String> =
-                    right.out_vars().unwrap_or_default().into_iter().collect();
-                let mut want = needed.clone();
-                want.extend(pred.vars().into_iter().map(str::to_string));
-                let nl: BTreeSet<String> = want.intersection(&lv).cloned().collect();
-                let nr: BTreeSet<String> = want.intersection(&rv).cloned().collect();
-                Alg::join(self.go(left, &nl), self.go(right, &nr), pred.clone())
             }
-            // conservative through the remaining operators: recurse with
-            // the child's full column set
-            _ => {
-                let kids: Vec<Arc<Alg>> = plan
-                    .children()
-                    .into_iter()
-                    .map(|c| {
-                        let all: BTreeSet<String> =
-                            c.out_vars().unwrap_or_default().into_iter().collect();
-                        self.go(c, &all)
-                    })
-                    .collect();
-                Arc::new(plan.with_children(kids))
-            }
+            Alg::Join { left, right, pred } if self.options.assume_containment => self
+                .try_eliminate(left, right, pred, needed)
+                .unwrap_or_else(|| self.descend(plan, needed)),
+            _ => self.descend(plan, needed),
         }
+    }
+
+    /// Recurses into every child with the columns [`child_needs`] asks
+    /// of it, keeping this operator as it is.
+    fn descend(&self, plan: &Arc<Alg>, needed: &BTreeSet<String>) -> Arc<Alg> {
+        let kids = plan
+            .children()
+            .into_iter()
+            .zip(child_needs(plan, needed))
+            .map(|(c, n)| self.go(c, &n))
+            .collect();
+        Arc::new(plan.with_children(kids))
     }
 
     /// Fig. 8 branch elimination: drop one join side when all of its
@@ -275,6 +237,84 @@ impl<'a> Pruner<'a> {
     }
 }
 
+/// The columns of `cols` a projection keeps when `needed` are consumed
+/// above it — at least one, so row counts survive.
+fn kept_columns(cols: &[(String, String)], needed: &BTreeSet<String>) -> Vec<(String, String)> {
+    let kept: Vec<(String, String)> = cols
+        .iter()
+        .filter(|(_, d)| needed.contains(d))
+        .cloned()
+        .collect();
+    if kept.is_empty() {
+        return cols.first().into_iter().cloned().collect();
+    }
+    kept
+}
+
+/// The needed-columns view: the columns each child of `plan` must
+/// deliver (in [`Alg::children`] order) when `needed` are the columns
+/// consumed above `plan`. Conservative wherever an operator is not
+/// modeled — a `DJoin`, set operators, `Group`, `Sort`, `Map`, `Push` —
+/// the child then delivers every column it has, since deduplication or
+/// a dependent side may read any of them.
+pub(crate) fn child_needs(plan: &Alg, needed: &BTreeSet<String>) -> Vec<BTreeSet<String>> {
+    let vars = |p: &Pred| -> Vec<String> { p.vars().into_iter().map(str::to_string).collect() };
+    match plan {
+        Alg::Source { .. } => vec![],
+        Alg::TreeOp { template, .. } => vec![template.variables().into_iter().collect()],
+        Alg::Project { cols, .. } => vec![kept_columns(cols, needed)
+            .into_iter()
+            .map(|(s, _)| s)
+            .collect()],
+        Alg::Select { pred, .. } => {
+            let mut n = needed.clone();
+            n.extend(vars(pred));
+            vec![n]
+        }
+        Alg::Bind {
+            input,
+            filter,
+            over,
+        } => {
+            let input_vars: BTreeSet<String> = match over {
+                Some(_) => input.out_vars().unwrap_or_default().into_iter().collect(),
+                None => BTreeSet::new(),
+            };
+            // variables this Bind produces are satisfied here — do not
+            // request them from the input (only shared ones, which are
+            // constraints, stay needed)
+            let mut inner = needed.clone();
+            for v in filter.variables() {
+                if input_vars.contains(&v) {
+                    inner.insert(v);
+                } else {
+                    inner.remove(&v);
+                }
+            }
+            inner.extend(over.iter().cloned());
+            vec![inner]
+        }
+        Alg::Join { left, right, pred } => {
+            let mut want = needed.clone();
+            want.extend(vars(pred));
+            // a right column the left side also has comes out primed
+            let side = |c: &Arc<Alg>| -> BTreeSet<String> {
+                c.out_vars()
+                    .unwrap_or_default()
+                    .into_iter()
+                    .filter(|v| want.contains(v) || want.contains(&format!("{v}'")))
+                    .collect()
+            };
+            vec![side(left), side(right)]
+        }
+        _ => plan
+            .children()
+            .into_iter()
+            .map(|c| c.out_vars().unwrap_or_default().into_iter().collect())
+            .collect(),
+    }
+}
+
 /// Rewrites a filter for a reduced variable set: unneeded variables become
 /// wildcards, and variable-free edges are dropped when `guarantee` (the
 /// source's type, threaded in parallel) proves every instance satisfies
@@ -294,8 +334,11 @@ pub fn simplify_filter(
         ),
         Pattern::Node { label, edges } => {
             let guar = resolve_guarantee(guarantee, model);
+            // decided last edge first: an edge claims the children it
+            // matches, so dropping it is only safe when no kept later
+            // edge could match them instead
             let mut out_edges = Vec::new();
-            for e in edges {
+            for e in edges.iter().rev() {
                 let gedge = guar.and_then(|g| matching_guarantee_edge(g, &e.pattern, model));
                 let star_var = match &e.star_var {
                     Some((v, _)) if !needed.contains(v) => None,
@@ -307,7 +350,10 @@ pub fn simplify_filter(
                     star_var,
                     pattern,
                 };
-                if e2.star_var.is_none() && e2.pattern.variables().is_empty() {
+                if e2.star_var.is_none()
+                    && e2.pattern.variables().is_empty()
+                    && claims_nothing_later(&e2.pattern, &out_edges)
+                {
                     match e2.occ {
                         // structural stars and options never filter
                         Occ::Star | Occ::Opt => continue,
@@ -324,6 +370,7 @@ pub fn simplify_filter(
                 }
                 out_edges.push(e2);
             }
+            out_edges.reverse();
             Pattern::Node {
                 label: label.clone(),
                 edges: out_edges,
@@ -331,6 +378,28 @@ pub fn simplify_filter(
         }
         other => other.clone(),
     }
+}
+
+/// Whether the children an edge over `pattern` claims are out of reach
+/// of the `later` edges that see claims: `pattern` names one symbol and
+/// every later edge but a structural star (no variable, so it neither
+/// binds nor filters) names another. Otherwise dropping the edge would
+/// hand its children to a later edge — a star-collect `*($fields)`
+/// after `title: _` would start collecting the title.
+fn claims_nothing_later(pattern: &Pattern, later: &[Edge]) -> bool {
+    let sym = |p: &Pattern| match p {
+        Pattern::Node {
+            label: yat_model::PLabel::Sym(s),
+            ..
+        } => Some(s.clone()),
+        _ => None,
+    };
+    let own = sym(pattern);
+    later.iter().all(|e| {
+        let structural =
+            e.occ == Occ::Star && e.star_var.is_none() && e.pattern.variables().is_empty();
+        structural || matches!((&own, sym(&e.pattern)), (Some(a), Some(b)) if *a != b)
+    })
 }
 
 fn resolve_guarantee<'a>(g: Option<&'a Pattern>, model: Option<&'a Model>) -> Option<&'a Pattern> {

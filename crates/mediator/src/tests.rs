@@ -884,6 +884,61 @@ fn scrub_durations(text: &str) -> String {
     out
 }
 
+/// The title-only scan of the works collection.
+const SCAN_TITLES: &str =
+    "MAKE titles *($t) := t [ $t ]\nMATCH works WITH works *work [ title: $t ]\n";
+
+/// The three-field scan of the works collection.
+const SCAN_THREE: &str = "MAKE rows *($t,$a,$s) := row [ title: $t, artist: $a, style: $s ]\n\
+                          MATCH works WITH works *work [ title: $t, artist: $a, style: $s ]\n";
+
+#[test]
+fn scans_ship_only_the_fields_they_bind() {
+    let m = generated_mediator(20, 60, 7);
+    for (text, fields) in [
+        (SCAN_TITLES, "elements={title}"),
+        (SCAN_THREE, "elements={artist,style,title}"),
+    ] {
+        let plan = m.plan_query(text).unwrap();
+        let (opt, trace) = m.optimize(&plan, OptimizerOptions::default());
+        assert_eq!(trace.count("element-sets"), 1, "{}", trace.render());
+        let ex = m.explain(&opt).unwrap();
+        assert!(
+            ex.find(&format!("execute @xmlartwork {fields}")).is_some(),
+            "{}",
+            ex.render()
+        );
+        // one round trip still ships every work, each cut to its fields
+        let wais = &ex.traffic["xmlartwork"];
+        assert_eq!((wais.round_trips, wais.documents_received), (1, 60));
+        let naive = m.execute(&plan).unwrap();
+        assert_eq!(m.execute(&opt).unwrap(), naive, "{text}");
+    }
+}
+
+#[test]
+fn a_bounded_cache_keeps_element_sets_apart() {
+    // the title-only scan, then the three-field scan, against one
+    // source: a signature collision would serve title-only works to the
+    // three-field Bind and drop every row
+    let cache_off = generated_mediator(20, 60, 11);
+    let mut cached = generated_mediator(20, 60, 11);
+    cached.set_cache_policy(CachePolicy::bounded());
+    for round in 0..2 {
+        for text in [SCAN_TITLES, SCAN_THREE] {
+            let want = cache_off.query(text, OptimizerOptions::default()).unwrap();
+            let got = cached.query(text, OptimizerOptions::default()).unwrap();
+            assert_eq!(got, want, "round {round}: {text}");
+            assert!(
+                tree_of(got).children.len() > 1,
+                "the scan answers rows: {text}"
+            );
+        }
+    }
+    let stats = cached.cache_stats();
+    assert_eq!(stats.hits, 2, "the second round hits both entries");
+}
+
 #[test]
 #[ignore = "regenerates the explain goldens; run by hand"]
 fn regen_explain_goldens() {
@@ -894,6 +949,7 @@ fn regen_explain_goldens() {
     for (query, options, stem) in [
         (paper::Q1, OptimizerOptions::full(), "q1_parallel"),
         (paper::Q2, OptimizerOptions::default(), "q2_parallel"),
+        (SCAN_TITLES, OptimizerOptions::default(), "scan_titles"),
     ] {
         let plan = m.plan_query(query).unwrap();
         let (opt, _) = m.optimize(&plan, options);
@@ -940,6 +996,12 @@ fn golden_explain_analyze_under_parallel_mode() {
             OptimizerOptions::default(),
             include_str!("testdata/q2_parallel.txt"),
             include_str!("testdata/q2_parallel.xml"),
+        ),
+        (
+            SCAN_TITLES,
+            OptimizerOptions::default(),
+            include_str!("testdata/scan_titles.txt"),
+            include_str!("testdata/scan_titles.xml"),
         ),
     ] {
         let plan = m.plan_query(query).unwrap();
@@ -1451,6 +1513,60 @@ fn fingerprint_of(m: &Mediator, query: &str, options: OptimizerOptions) -> Vec<S
     let plan = m.plan_query(query).unwrap();
     let (opt, _) = m.optimize(&plan, options);
     result_fingerprint(&tree_of(m.execute(&opt).unwrap()))
+}
+
+#[test]
+fn federated_scans_push_element_sets_to_the_members_that_execute() {
+    let works = generate_works(&fed_works_spec(5));
+    let plain = plain_twin(5, |_| true);
+    for fetch_only in [false, true] {
+        let mut m = Mediator::new();
+        let imp = WaisWrapper::new(
+            "wais-imp",
+            WaisSource::new(
+                "works",
+                &works_with_styles(&works, |s| s == "Impressionist"),
+            ),
+        );
+        m.connect_member(Box::new(imp), "wais", shard_role(&["Impressionist"]))
+            .unwrap();
+        let rest = WaisWrapper::new(
+            "wais-rest",
+            WaisSource::new(
+                "works",
+                &works_with_styles(&works, |s| s != "Impressionist"),
+            ),
+        );
+        let rest: Box<dyn WrapperServer> = if fetch_only {
+            Box::new(yat_federate::FetchOnly(rest))
+        } else {
+            Box::new(rest)
+        };
+        m.connect_member(rest, "wais", shard_role(&REST_STYLES))
+            .unwrap();
+        for text in [SCAN_TITLES, SCAN_THREE] {
+            let plan = m.plan_query(text).unwrap();
+            let (opt, _) = m.optimize(&plan, OptimizerOptions::default());
+            let ex = m.explain(&opt).unwrap();
+            assert!(
+                ex.find("execute @wais-imp elements={").is_some(),
+                "{}",
+                ex.render()
+            );
+            // a fetch-only member's documents are cut mediator-side
+            assert_eq!(
+                ex.find("execute @wais-rest elements={").is_some(),
+                !fetch_only,
+                "{}",
+                ex.render()
+            );
+            assert_eq!(
+                fingerprint_of(&m, text, OptimizerOptions::default()),
+                fingerprint_of(&plain, text, OptimizerOptions::default()),
+                "fetch-only {fetch_only}: {text}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -293,6 +293,22 @@ impl Connection {
         self.fault.lock().unwrap_or_else(|e| e.into_inner()).take()
     }
 
+    /// The `rpc` span label of `request`: `<request-kind> @<wrapper>`,
+    /// followed by the element set a pushed fragment names
+    /// (`execute @xmlartwork elements={artist,style,title}`).
+    fn rpc_label(&self, request: &Request) -> String {
+        let label = format!("{} @{}", request.kind(), self.name());
+        match request {
+            Request::Execute { plan } | Request::ExecuteBatch { plan, .. } => {
+                match plan.element_set() {
+                    Some(set) => format!("{label} {set}"),
+                    None => label,
+                }
+            }
+            _ => label,
+        }
+    }
+
     /// One metered round trip: the request is serialized to XML text,
     /// re-parsed on the wrapper side, handled, and the response comes
     /// back the same way.
@@ -302,14 +318,14 @@ impl Connection {
 
     /// [`Connection::call`] with an optional span collector: the round
     /// trip records an `rpc` span labeled `<request-kind> @<wrapper>`
-    /// with bytes each way and documents received, or the wire error.
+    /// (plus a pushed fragment's element set) with bytes each way and
+    /// documents received, or the wire error.
     pub fn call_traced(
         &self,
         request: &Request,
         obs: Option<&Collector>,
     ) -> Result<Response, WireError> {
-        let mut span =
-            obs.map(|c| c.span(kind::RPC, format!("{} @{}", request.kind(), self.name())));
+        let mut span = obs.map(|c| c.span(kind::RPC, self.rpc_label(request)));
         self.in_flight.fetch_add(1, Ordering::SeqCst);
         let started = std::time::Instant::now();
         let outcome = self.round_trip(request);

@@ -149,6 +149,40 @@ impl Node {
         make(root.label.clone(), children)
     }
 
+    /// `tree` keeping only the children `keep` accepts, in order, under
+    /// the root's own label. When every child is kept the answer is
+    /// `tree` itself (a pointer-equal `Arc`) and nothing is allocated.
+    /// This is the one strip kernel behind a source's retrieval policy
+    /// and a request's element set.
+    pub fn retained(tree: &Tree, keep: impl Fn(&Tree) -> bool) -> Tree {
+        let kept = tree.children.iter().filter(|c| keep(c)).count();
+        if kept == tree.children.len() {
+            return tree.clone();
+        }
+        // one slice at its exact length
+        let mut children = Vec::with_capacity(kept);
+        children.extend(tree.children.iter().filter(|c| keep(c)).cloned());
+        make(tree.label.clone(), children.into_boxed_slice())
+    }
+
+    /// Whether an element set naming `fields` keeps this child of a
+    /// document: its symbol is one of them, seen through identifiers
+    /// that wrap a single child (`&oid` transparency, as filters match),
+    /// or it is a reference leaf, which a filter may follow to any
+    /// field. Atoms and other symbols are never matched by a filter edge
+    /// naming one of `fields`, so dropping them cannot change a match.
+    pub fn in_fields(&self, fields: &[&str]) -> bool {
+        let mut node = self;
+        loop {
+            match (&node.label, &*node.children) {
+                (Label::Sym(s), _) => return fields.contains(&s.as_str()),
+                (Label::Ref(_), _) => return true,
+                (Label::Oid(_), [only]) => node = only,
+                _ => return false,
+            }
+        }
+    }
+
     /// A symbol-labeled leaf wrapping a single atom child:
     /// `title["Nympheas"]`. This is the shape XML elements with character
     /// data convert to.
@@ -400,6 +434,25 @@ mod tests {
             Some(&Atom::Int(1897))
         );
         assert!(w.child("price").is_none());
+    }
+
+    #[test]
+    fn retained_keeps_the_root_label_and_shares_when_nothing_drops() {
+        let w = monet_work();
+        let same = Node::retained(&w, |_| true);
+        assert!(Arc::ptr_eq(&same, &w), "nothing dropped, nothing allocated");
+        let titled = Node::retained(&w, |c| c.label.as_sym() == Some("title"));
+        assert_eq!(titled.to_string(), "work[title[\"Nympheas\"]]");
+        assert!(Arc::ptr_eq(&titled.children[0], &w.children[1]));
+        // identified fields and references stay in an element set
+        let wrapped = Node::oid(Oid::new("t1"), vec![Node::elem("title", "y")]);
+        assert!(wrapped.in_fields(&["title"]) && !wrapped.in_fields(&["artist"]));
+        assert!(Node::reference(Oid::new("p1")).in_fields(&[]));
+        assert!(!Node::atom("text").in_fields(&["title"]));
+        let object = Node::oid(Oid::new("a1"), vec![Node::elem("title", "x")]);
+        let stripped = Node::retained(&object, |_| false);
+        assert_eq!(stripped.label, Label::Oid(Oid::new("a1")));
+        assert!(stripped.children.is_empty());
     }
 
     #[test]

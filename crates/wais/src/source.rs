@@ -374,23 +374,28 @@ impl WaisSource {
 
     /// One document by id, policy applied.
     pub fn fetch(&self, id: DocId) -> Option<Tree> {
+        self.fetch_elements(id, None)
+    }
+
+    /// One document by id, its top-level children cut to the fields the
+    /// retrieval policy allows and — when the request names an element
+    /// set — to what [`Node::in_fields`] keeps of the `requested` fields
+    /// too: what is shipped is the retrievable set intersected with the
+    /// requested one. The root keeps its own label, and a document
+    /// nothing is cut from is the stored tree itself.
+    pub fn fetch_elements(&self, id: DocId, requested: Option<&[&str]>) -> Option<Tree> {
+        let allowed = |child: &Tree| match &self.policy.retrievable {
+            Some(fields) => child.label.as_sym().is_some_and(|f| fields.contains(f)),
+            None => true,
+        };
+        let wanted = |child: &Tree| match requested {
+            Some(fields) => child.in_fields(fields),
+            None => true,
+        };
         let doc = self.doc(id)?;
-        match &self.policy.retrievable {
-            None => Some(doc),
-            Some(allowed) => Some(Node::sym(
-                doc.label.as_sym().unwrap_or("work").to_string(),
-                doc.children
-                    .iter()
-                    .filter(|c| {
-                        c.label
-                            .as_sym()
-                            .map(|s| allowed.contains(s))
-                            .unwrap_or(false)
-                    })
-                    .cloned()
-                    .collect(),
-            )),
-        }
+        Some(Node::retained(&doc, |child| {
+            allowed(child) && wanted(child)
+        }))
     }
 
     /// Full-text search: ids of documents containing `needle`, ascending.
@@ -507,6 +512,51 @@ mod tests {
         assert!(s.contains("Giverny").is_err());
         assert_eq!(s.search_field("cplace", "Giverny").unwrap().len(), 1);
         assert!(s.search_field("artist", "Monet").is_err());
+    }
+
+    #[test]
+    fn retrieval_keeps_the_root_label_and_shares_unstripped_documents() {
+        use yat_model::Oid;
+        let object = Node::oid(
+            Oid::new("w1"),
+            vec![
+                Node::elem("artist", "Monet"),
+                Node::elem("cplace", "Giverny"),
+            ],
+        );
+        let root = Node::sym("works", vec![object.clone()]);
+        let s = WaisSource::new("works", &root).with_policy(FieldPolicy::aquarelle_example());
+        let doc = s.fetch(0).unwrap();
+        assert_eq!(
+            doc.label,
+            Label::Oid(Oid::new("w1")),
+            "not relabeled `work`"
+        );
+        assert_eq!(doc.to_string(), "w1[artist[\"Monet\"]]");
+        // nothing to strip: the stored tree itself, with or without policy
+        let open = WaisSource::new("works", &root);
+        assert!(Arc::ptr_eq(&open.fetch(0).unwrap(), &object));
+        let artist_only = root.children[0].children[..1].to_vec();
+        let narrow = WaisSource::new(
+            "works",
+            &Node::sym("works", vec![Node::sym("work", artist_only)]),
+        )
+        .with_policy(FieldPolicy::aquarelle_example());
+        let stored = narrow.doc(0).unwrap();
+        assert!(Arc::ptr_eq(&narrow.fetch(0).unwrap(), &stored));
+        assert!(Arc::ptr_eq(
+            &narrow
+                .fetch_elements(0, Some(&["artist", "title"]))
+                .unwrap(),
+            &stored
+        ));
+        // an element set intersects the retrievable fields
+        let both = s.fetch_elements(0, Some(&["cplace", "artist"])).unwrap();
+        assert_eq!(both.to_string(), "w1[artist[\"Monet\"]]");
+        let none = s.fetch_elements(0, Some(&["cplace"])).unwrap();
+        assert!(none.children.is_empty());
+        let open_set = open.fetch_elements(0, Some(&["cplace"])).unwrap();
+        assert_eq!(open_set.to_string(), "w1[cplace[\"Giverny\"]]");
     }
 
     #[test]

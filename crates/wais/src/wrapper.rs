@@ -6,6 +6,7 @@ use crate::index::{tokenize, DocId};
 use crate::source::WaisSource;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, RwLock, RwLockReadGuard};
+use yat_algebra::funcs::ELEMENTS;
 use yat_algebra::{Alg, Operand, Pred, Tab, Value};
 use yat_capability::fpattern::wais_fmodel;
 use yat_capability::interface::{
@@ -95,8 +96,10 @@ impl WaisWrapper {
     }
 
     /// The exported interface of Section 4.2: the restrictive `Fworks`
-    /// pattern, `bind`/`select`, the external `contains` predicate, and
-    /// the `eq ⇒ contains` equivalence declaration.
+    /// pattern, `bind`/`select`, the external `contains` predicate, the
+    /// external `elements(Work, Str…) → Work` element-set operation
+    /// (Z39.50 names the elements a request retrieves), and the
+    /// `eq ⇒ contains` equivalence declaration.
     pub fn interface(&self) -> Interface {
         let mut i = Interface::new(self.name.clone());
         i.models.push(self.structure());
@@ -137,6 +140,22 @@ impl WaisWrapper {
             ],
             output: vec![SigItem::Leaf(AtomType::Bool)],
         });
+        // Z39.50 element sets: a request names the fields to retrieve
+        i.operations.push(OperationDecl {
+            name: ELEMENTS.into(),
+            kind: OpKind::External,
+            input: vec![
+                SigItem::Value {
+                    model: "Artworks_Structure".into(),
+                    pattern: "Work".into(),
+                },
+                SigItem::Leaf(AtomType::Str),
+            ],
+            output: vec![SigItem::Value {
+                model: "Artworks_Structure".into(),
+                pattern: "Work".into(),
+            }],
+        });
         i.equivalences.push(Equivalence::EqImpliesContains {
             predicate: "contains".into(),
         });
@@ -146,17 +165,23 @@ impl WaisWrapper {
     /// Evaluates a pushed plan once per binding: `Select*(Bind(Source))`
     /// where every selection predicate is a `contains($w, "…")` conjunct
     /// (the needle a constant, or a variable `bindings` passes a value
-    /// for). The plan is analyzed *once*; each binding then resolves its
-    /// needles and, under an `On` index policy, intersects their sorted
-    /// posting lists so only matching documents are touched — under
-    /// `Off` each conjunct scans the collection. Identical answers, and
+    /// for), optionally under an element set that cuts each retrieved
+    /// document to the named fields after selection. The plan is
+    /// analyzed *once*; each binding then resolves its needles and,
+    /// under an `On` index policy, intersects their sorted posting lists
+    /// so only matching documents are touched — under `Off` each
+    /// conjunct scans the collection. Identical answers, and
     /// the accounting lands in an [`IndexReport`] either way. A plain
     /// `Execute` is the one-empty-binding case; `tagged` results carry
     /// the binding ordinal column of an `ExecuteBatch`.
     fn execute(&self, plan: &Alg, bindings: &Bindings, tagged: bool) -> Response {
         let source = self.source();
         let storage_before = source.store().map(|s| s.stats());
-        let (var, needles) = match analyze(plan, &source.collection, &bindings.vars) {
+        let Analyzed {
+            var,
+            needles,
+            elements,
+        } = match analyze(plan, &source.collection, &bindings.vars) {
             Ok(analyzed) => analyzed,
             Err(message) => return Response::Error(message),
         };
@@ -195,7 +220,7 @@ impl WaisWrapper {
             };
             candidates += ids.len() as u64;
             for id in ids {
-                if let Some(doc) = source.fetch(id) {
+                if let Some(doc) = source.fetch_elements(id, elements.as_deref()) {
                     let doc = [Value::Tree(doc)];
                     tab.push(if tagged {
                         batch_row(ordinal, doc)
@@ -248,18 +273,27 @@ enum Needle {
     Passed(usize),
 }
 
+/// A pushed plan, checked against the declared capability.
+struct Analyzed<'p> {
+    /// The document variable.
+    var: String,
+    /// The conjunctive `contains` needles.
+    needles: Vec<Needle>,
+    /// The fields to ship, when the plan names an element set.
+    elements: Option<Vec<&'p str>>,
+}
+
 /// Checks `plan` against the declared capability and returns the
-/// document variable plus the conjunctive needle list. A needle operand
-/// that is one of the `passed` variables (and not produced below its
-/// predicate — exactly where substitution would have inlined the passed
-/// value) resolves per binding.
-fn analyze(
-    plan: &Alg,
-    collection: &str,
-    passed: &[String],
-) -> Result<(String, Vec<Needle>), String> {
+/// document variable, the conjunctive needle list and the element set.
+/// A needle operand that is one of the `passed` variables (and not
+/// produced below its predicate — exactly where substitution would have
+/// inlined the passed value) resolves per binding.
+fn analyze<'p>(plan: &'p Alg, collection: &str, passed: &[String]) -> Result<Analyzed<'p>, String> {
     let mut needles: Vec<Needle> = Vec::new();
-    let mut cursor = plan;
+    let (mut cursor, elements) = match plan.element_set() {
+        Some(set) => (set.input.as_ref(), Some((set.var, set.fields))),
+        None => (plan, None),
+    };
     loop {
         match cursor {
             Alg::Select { input, pred } => {
@@ -293,12 +327,25 @@ fn analyze(
                 if name != collection {
                     return Err(format!("no collection `{name}`"));
                 }
-                return match doc_binding_var(filter, collection) {
-                    Some(var) => Ok((var, needles)),
-                    None => Err(format!(
+                let Some(var) = doc_binding_var(filter, collection) else {
+                    return Err(format!(
                         "filter `{filter}` exceeds Wais binding capabilities"
-                    )),
+                    ));
                 };
+                let elements = match elements {
+                    Some((doc, fields)) if doc == var => Some(fields),
+                    Some((doc, _)) => {
+                        return Err(format!(
+                            "element set over `${doc}`, not the document `${var}`"
+                        ))
+                    }
+                    None => None,
+                };
+                return Ok(Analyzed {
+                    var,
+                    needles,
+                    elements,
+                });
             }
             other => {
                 return Err(format!(
@@ -402,6 +449,7 @@ mod tests {
         assert_eq!(i.name, "xmlartwork");
         assert!(i.export("works").is_some());
         assert!(i.operation("contains").is_some());
+        assert_eq!(i.operation(ELEMENTS).unwrap().kind, OpKind::External);
         assert!(!i.supports_comparisons());
         assert_eq!(
             i.equivalences,
@@ -442,6 +490,58 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn element_sets_ship_only_the_named_fields_after_selection() {
+        let w = wrapper();
+        // `contains` reads the whole document: "Giverny" is in `cplace`,
+        // which the element set does not ship
+        let selected = Alg::select(
+            Alg::bind(Alg::source("works"), parse_filter("works *$w").unwrap()),
+            Pred::Call {
+                name: "contains".into(),
+                args: vec![Operand::var("w"), Operand::cst("Giverny")],
+            },
+        );
+        let plan = Alg::project_elements(selected.clone(), "w", ["title", "artist"]);
+        pushable(&w.interface(), &plan).unwrap();
+        let Response::Result(tab) = w.handle(&Request::Execute { plan: plan.clone() }) else {
+            panic!("the element set is within capability")
+        };
+        assert_eq!(tab.columns(), &["w"]);
+        let doc = tab.get(0, "w").unwrap().as_tree().unwrap();
+        assert_eq!(
+            doc.to_string(),
+            "work[artist[\"Claude Monet\"], title[\"Nympheas\"]]"
+        );
+        // the reference evaluator computes the same table
+        let Response::Result(whole) = w.handle(&Request::Execute { plan: selected }) else {
+            panic!("plain fragment")
+        };
+        let stripped = yat_algebra::FnRegistry::with_builtins()
+            .call(
+                ELEMENTS,
+                &[
+                    whole.get(0, "w").unwrap().clone(),
+                    Value::Atom("artist".into()),
+                    Value::Atom("title".into()),
+                ],
+            )
+            .unwrap();
+        assert_eq!(tab.get(0, "w"), Some(&stripped));
+        // an element set over another column is beyond Wais
+        let Alg::Project { input: map, .. } = plan.as_ref() else {
+            unreachable!()
+        };
+        let Alg::Map { input, .. } = map.as_ref() else {
+            unreachable!()
+        };
+        let wrong = Alg::project_elements(input.clone(), "x", ["title"]);
+        assert!(matches!(
+            w.handle(&Request::Execute { plan: wrong }),
+            Response::Error(_)
+        ));
     }
 
     #[test]
@@ -565,6 +665,30 @@ mod tests {
                     "binding {row:?} under {policy}"
                 );
             }
+        }
+        // under an element set the passed needles still probe whole
+        // documents: the same rows, each cut to its title
+        let w = wrapper();
+        let titled = Alg::project_elements(plan.clone(), "w", ["title"]);
+        let (Response::Result(whole), Response::Result(cut)) = (
+            w.handle(&Request::ExecuteBatch {
+                plan: plan.clone(),
+                bindings: bindings.clone(),
+            }),
+            w.handle(&Request::ExecuteBatch {
+                plan: titled,
+                bindings: bindings.clone(),
+            }),
+        ) else {
+            panic!("both batches run")
+        };
+        assert_eq!(whole.columns(), cut.columns());
+        assert_eq!(whole.len(), cut.len());
+        for (a, b) in whole.rows().zip(cut.rows()) {
+            assert_eq!(a[0], b[0], "the binding ordinal");
+            let (a, b) = (a[1].as_tree().unwrap(), b[1].as_tree().unwrap());
+            assert_eq!(a.child("title"), b.child("title"));
+            assert_eq!(b.children.len(), 1);
         }
         // a needle variable nobody passes is still beyond Wais, batch or not
         let w = wrapper();

@@ -66,6 +66,15 @@ enum Shape {
     /// Cross-source join of artifacts and works: binds both var sets;
     /// the title equi-join predicate is always kept at position 0.
     ArtifactsJoinWorks,
+    /// Whole works under a full-text predicate: binds `$w`, the
+    /// document itself, so no element set can be pushed.
+    WorksContains,
+    /// Works with a star-collect edge: binds `$t2, $f`, where `$f`
+    /// collects every field but the title.
+    WorksCollect,
+    /// Works through the nested `history [ technique ]` field, whose
+    /// content mixes text and elements: binds `$t2, $tq`.
+    WorksHistory,
 }
 
 impl Shape {
@@ -84,6 +93,11 @@ impl Shape {
                  tuple [ title: $t, year: $y, creator: $c, price: $p ], \
                  works WITH works *work [ title: $t2, artist: $a, style: $s ]"
             }
+            Shape::WorksContains => "works WITH works *$w",
+            Shape::WorksCollect => "works WITH works *work [ title: $t2, *($f) ]",
+            Shape::WorksHistory => {
+                "works WITH works *work [ title: $t2, history [ technique: $tq ] ]"
+            }
         }
     }
 
@@ -95,6 +109,9 @@ impl Shape {
             Shape::View => &["$t", "$a", "$p", "$s"],
             Shape::ViewPlace => &["$t", "$cl"],
             Shape::ArtifactsJoinWorks => &["$t", "$y", "$c", "$p", "$t2", "$a", "$s"],
+            Shape::WorksContains => &["$w"],
+            Shape::WorksCollect => &["$t2", "$f"],
+            Shape::WorksHistory => &["$t2", "$tq"],
         }
     }
 
@@ -127,6 +144,8 @@ impl Shape {
                 "$s" => pool.push(format!("$s = \"{style}\"")),
                 "$au" => pool.push(format!("$au > {auction}.0")),
                 "$cl" => pool.push("$cl = \"Giverny\"".to_string()),
+                "$w" => pool.push(format!("contains($w, \"{style}\")")),
+                "$tq" => pool.push("$tq != \"Oil on canvas\"".to_string()),
                 _ => {}
             }
         }
@@ -148,14 +167,21 @@ struct Case {
 
 impl Case {
     fn generate(rng: &mut Rng) -> Case {
-        let shape = *rng.choose(&[
-            Shape::Artifacts,
-            Shape::Persons,
-            Shape::Works,
-            Shape::View,
-            Shape::ViewPlace,
-            Shape::ArtifactsJoinWorks,
-        ]);
+        Case::generate_from(
+            rng,
+            &[
+                Shape::Artifacts,
+                Shape::Persons,
+                Shape::Works,
+                Shape::View,
+                Shape::ViewPlace,
+                Shape::ArtifactsJoinWorks,
+            ],
+        )
+    }
+
+    fn generate_from(rng: &mut Rng, shapes: &[Shape]) -> Case {
+        let shape = *rng.choose(shapes);
 
         let mut preds = Vec::new();
         if matches!(shape, Shape::ArtifactsJoinWorks) {
@@ -637,6 +663,44 @@ impl Case {
             }
         }
         current
+    }
+
+    /// Runs the case with the default optimizer and with none, on one
+    /// federation with the cache pinned off: the optimized plan — element
+    /// sets included — must answer byte for byte what the naive plan
+    /// answers, `eval(optimize(q)) == eval(q)`. `Ok(true)` when the
+    /// optimized plan pushed an element set.
+    fn run_element_axis(&self) -> Result<bool, String> {
+        let q = self.query_text();
+        let mut sc = Scenario::at_scale(self.scale);
+        sc.seed = self.scenario_seed;
+        let mut m = sc.mediator();
+        m.set_cache_policy(CachePolicy::Off);
+        let plan = m.plan_query(&q).map_err(|e| format!("plan: {e}"))?;
+        let (opt, trace) = m.optimize(&plan, OptimizerOptions::default());
+        let pushed = trace.count("element-sets") > 0;
+        let optimized = m.execute(&opt);
+        let naive = m.execute(&plan);
+        match (optimized, naive) {
+            (Ok(a), Ok(b)) => {
+                let opt_bytes = ServerReply::answer(a).to_xml().to_xml();
+                let naive_bytes = ServerReply::answer(b).to_xml().to_xml();
+                if opt_bytes != naive_bytes {
+                    return Err(format!(
+                        "optimized answer diverges from the naive plan:\n  \
+                         optimized: {opt_bytes}\n  naive: {naive_bytes}\nplan:\n{}",
+                        opt.explain()
+                    ));
+                }
+                Ok(pushed)
+            }
+            (a, b) => Err(format!(
+                "optimized {} but naive {}\nplan:\n{}",
+                outcome(&a),
+                outcome(&b),
+                opt.explain()
+            )),
+        }
     }
 
     fn shrink(&self) -> Case {
@@ -1143,6 +1207,53 @@ fn batched_passing_agrees_with_in_place_evaluation_on_random_djoins() {
         answered > cases / 4,
         "generator degenerated: only {answered}/{cases} joins produced any row"
     );
+}
+
+/// The element-set axis: over the works scans, the view and the
+/// cross-source join — plus shapes the element-set rule must decline
+/// (whole documents under `contains`, a star-collect edge) and the
+/// nested `history` field — the default optimizer answers byte for byte
+/// what the naive plan answers, and a nonzero share of the cases
+/// actually pushed an element set.
+#[test]
+fn optimized_and_naive_agree_with_element_sets_on_random_plans() {
+    let master = std::env::var("YAT_DIFF_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(DEFAULT_SEED);
+    let mut rng = Rng::seed_from_u64(master ^ 0xE1E5);
+    let cases = CASES / 2;
+    let mut pushed = 0;
+    for i in 0..cases {
+        let case = Case::generate_from(
+            &mut rng,
+            &[
+                Shape::Works,
+                Shape::View,
+                Shape::ArtifactsJoinWorks,
+                Shape::WorksContains,
+                Shape::WorksCollect,
+                Shape::WorksHistory,
+            ],
+        );
+        match case.run_element_axis() {
+            Ok(p) => pushed += usize::from(p),
+            Err(msg) => panic!(
+                "element-set differential case {i}/{cases} (YAT_DIFF_SEED={master}) \
+                 failed: {msg}\nquery: {}\nknobs: {:?} scale={} scenario_seed={}",
+                case.query_text(),
+                case.shape,
+                case.scale,
+                case.scenario_seed
+            ),
+        }
+    }
+    println!("element-set differential sweep: {cases} cases, {pushed} pushed an element set");
+    assert!(
+        pushed > cases / 10,
+        "generator degenerated: only {pushed}/{cases} cases pushed an element set"
+    );
+    assert!(pushed < cases, "the declined shapes never pushed one");
 }
 
 /// The same harness must be stable across reruns: the default seed plus

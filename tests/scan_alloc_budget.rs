@@ -153,11 +153,13 @@ fn scan(m: &Mediator, text: &str) -> (u64, usize) {
 /// and flat grouping brought them to 377 037 (112 487 / 136 649 /
 /// 127 901); child slices built once at their exact length, on one
 /// reused stack per decoded frame and per template, to 371 190
-/// (110 538 / 134 700 / 125 952). The budget is that count plus 10 %:
-/// one map per binding row in `Bind … over` (517 034), or decoded
-/// children pushed into a growing `Vec` and then shrunk to fit, breaks
-/// it.
-const BUDGET: u64 = 408_000;
+/// (110 538 / 134 700 / 125 952). Element sets, which ship each work
+/// cut to the fields its texts bind, took them to 262 110 (52 796 /
+/// 109 010 / 100 304). The budget is that count plus 10 %: whole
+/// documents shipped again (371 190), one map per binding row in
+/// `Bind … over`, or decoded children pushed into a growing `Vec` and
+/// then shrunk to fit, breaks it.
+const BUDGET: u64 = 288_300;
 
 #[test]
 fn scan_stream_texts_stay_inside_the_allocation_budget() {
