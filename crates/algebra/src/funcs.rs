@@ -111,7 +111,7 @@ impl FnRegistry {
                     message: "field names must be strings".into(),
                 })?;
             match doc {
-                Value::Tree(t) => Ok(Value::Tree(Node::retained(t, |c| c.in_fields(&fields)))),
+                Value::Tree(t) => Ok(Value::Tree(Node::element_set(t, &fields))),
                 Value::Null => Ok(Value::Null),
                 other => Err(EvalError::Function {
                     name: ELEMENTS.into(),
@@ -294,6 +294,15 @@ mod tests {
         assert_eq!(
             titles.as_tree().unwrap().to_string(),
             "work[title[\"Nympheas\"], title[\"Water Lilies\"]]"
+        );
+        // an identified document is cut inside its identifier
+        let identified = Node::oid(yat_model::Oid::new("w1"), vec![work.clone()]);
+        let titles = r
+            .call(ELEMENTS, &[Value::Tree(identified), str_("style")])
+            .unwrap();
+        assert_eq!(
+            titles.as_tree().unwrap().to_string(),
+            "w1[work[style[\"Impressionist\"]]]"
         );
         let none = r.call(ELEMENTS, &[Value::Tree(work)]).unwrap();
         assert!(none.as_tree().unwrap().children.is_empty());

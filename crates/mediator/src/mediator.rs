@@ -590,16 +590,10 @@ impl Mediator {
                         .unwrap_or(0),
                 });
             }
-            // rpc spans are labeled "<request-kind> @<source>", perhaps
-            // followed by " elements={…}"; a span carrying an error moved
-            // no meter, so it adds no traffic
+            // rpc spans name their source in an attribute; a span carrying
+            // an error moved no meter, so it adds no traffic
             if span.kind == yat_obs::kind::RPC && span.attr(yat_obs::attr::ERROR).is_none() {
-                let Some(source) = span
-                    .label
-                    .split(" @")
-                    .nth(1)
-                    .and_then(|s| s.split(' ').next())
-                else {
+                let Some(yat_obs::AttrValue::Str(source)) = span.attr(yat_obs::attr::SOURCE) else {
                     continue;
                 };
                 let counter = |name| span.attr(name).and_then(|v| v.as_u64()).unwrap_or(0);

@@ -507,6 +507,28 @@ mod tests {
     }
 
     #[test]
+    fn guaranteed_edges_stay_in_front_of_a_star_collect() {
+        let model = works_model();
+        let guarantee = model.get("Works").unwrap().clone();
+        let simplify = |f: &str, vars: &[&str]| {
+            let f = parse_filter(f).unwrap();
+            simplify_filter(&f, &needed(vars), Some(&guarantee), Some(&model)).to_string()
+        };
+        // dropping `title` would hand every title to `*($f)`, which
+        // would then collect it
+        assert_eq!(
+            simplify("works *work [ title: $t2, *($f) ]", &["f"]),
+            "works[*work[title, *($f)]]"
+        );
+        // with no later edge to claim it, the guaranteed title drops
+        assert_eq!(
+            simplify("works *work [ title: $t2, artist: $a ]", &["a"]),
+            "works[*work[artist[$a]]]"
+        );
+        assert_eq!(simplify("works *work [ title: $t2, *($f) ]", &[]), "works");
+    }
+
+    #[test]
     fn constants_are_never_dropped() {
         let model = works_model();
         let f = parse_filter("works *work [ title: $t, style: \"Impressionist\" ]").unwrap();

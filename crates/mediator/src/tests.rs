@@ -940,6 +940,49 @@ fn a_bounded_cache_keeps_element_sets_apart() {
 }
 
 #[test]
+fn element_sets_cut_identified_works_inside_their_identifier() {
+    // `<work id="w1">` converts to `w1[work[…]]`: the scans' filters see
+    // through the identifier, and so must the cut, or every work would
+    // come back an empty `w1[]` that no filter matches
+    let works = generate_works(&WorksSpec {
+        works: 60,
+        impressionist_pct: 40,
+        optional_pct: 60,
+        giverny_pct: 30,
+        seed: 5,
+    });
+    let identified = yat_model::Node::sym(
+        "works",
+        works
+            .children
+            .iter()
+            .enumerate()
+            .map(|(i, w)| {
+                yat_model::Node::oid(yat_model::Oid::new(format!("w{i}")), vec![w.clone()])
+            })
+            .collect(),
+    );
+    let mut m = Mediator::new();
+    m.connect(Box::new(WaisWrapper::new(
+        "xmlartwork",
+        WaisSource::new("works", &identified),
+    )))
+    .unwrap();
+    for text in [SCAN_TITLES, SCAN_THREE] {
+        let plan = m.plan_query(text).unwrap();
+        let (opt, trace) = m.optimize(&plan, OptimizerOptions::default());
+        assert_eq!(trace.count("element-sets"), 1, "{}", trace.render());
+        let naive = m.execute(&plan).unwrap();
+        assert_eq!(
+            tree_of(naive.clone()).children.len(),
+            60,
+            "every work answers: {text}"
+        );
+        assert_eq!(m.execute(&opt).unwrap(), naive, "{text}");
+    }
+}
+
+#[test]
 #[ignore = "regenerates the explain goldens; run by hand"]
 fn regen_explain_goldens() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src/testdata");

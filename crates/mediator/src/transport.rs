@@ -318,14 +318,18 @@ impl Connection {
 
     /// [`Connection::call`] with an optional span collector: the round
     /// trip records an `rpc` span labeled `<request-kind> @<wrapper>`
-    /// (plus a pushed fragment's element set) with bytes each way and
-    /// documents received, or the wire error.
+    /// (plus a pushed fragment's element set) with the wrapper's name,
+    /// bytes each way and documents received, or the wire error.
     pub fn call_traced(
         &self,
         request: &Request,
         obs: Option<&Collector>,
     ) -> Result<Response, WireError> {
-        let mut span = obs.map(|c| c.span(kind::RPC, self.rpc_label(request)));
+        let mut span = obs.map(|c| {
+            let mut span = c.span(kind::RPC, self.rpc_label(request));
+            span.record_str(attr::SOURCE, self.name());
+            span
+        });
         self.in_flight.fetch_add(1, Ordering::SeqCst);
         let started = std::time::Instant::now();
         let outcome = self.round_trip(request);
@@ -564,6 +568,10 @@ mod tests {
         let span = &spans[0];
         assert_eq!(span.kind, kind::RPC);
         assert_eq!(span.label, "get-document @echo");
+        assert_eq!(
+            span.attr(attr::SOURCE).map(|v| v.to_string()).as_deref(),
+            Some("echo")
+        );
         let m = c.meter().snapshot();
         assert_eq!(
             span.attr(attr::BYTES_SENT).and_then(|v| v.as_u64()),

@@ -150,19 +150,50 @@ impl Node {
     }
 
     /// `tree` keeping only the children `keep` accepts, in order, under
-    /// the root's own label. When every child is kept the answer is
-    /// `tree` itself (a pointer-equal `Arc`) and nothing is allocated.
-    /// This is the one strip kernel behind a source's retrieval policy
-    /// and a request's element set.
+    /// the root's own label. Identifiers wrapping a single child are seen
+    /// through, as a filter sees them: `w1[work[title, artist]]` keeps
+    /// `w1` and cuts `work`'s children. When every child is kept the
+    /// answer is `tree` itself (a pointer-equal `Arc`) and nothing is
+    /// allocated. This is the one strip kernel behind a source's
+    /// retrieval policy and a request's element set.
     pub fn retained(tree: &Tree, keep: impl Fn(&Tree) -> bool) -> Tree {
-        let kept = tree.children.iter().filter(|c| keep(c)).count();
-        if kept == tree.children.len() {
+        fn cut(tree: &Tree, keep: &dyn Fn(&Tree) -> bool) -> Tree {
+            if let (Label::Oid(_), [only]) = (&tree.label, &*tree.children) {
+                let inner = cut(only, keep);
+                return if Arc::ptr_eq(&inner, only) {
+                    tree.clone()
+                } else {
+                    make(tree.label.clone(), Box::new([inner]))
+                };
+            }
+            let kept = tree.children.iter().filter(|c| keep(c)).count();
+            if kept == tree.children.len() {
+                return tree.clone();
+            }
+            // one slice at its exact length
+            let mut children = Vec::with_capacity(kept);
+            children.extend(tree.children.iter().filter(|c| keep(c)).cloned());
+            make(tree.label.clone(), children.into_boxed_slice())
+        }
+        cut(tree, &keep)
+    }
+
+    /// What an element set naming `fields` keeps of a document: the
+    /// children [`Node::in_fields`] accepts, cut by [`Node::retained`].
+    /// Only a document whose root, past identifiers wrapping a single
+    /// child, is a symbol is cut — those are the only documents a filter
+    /// rooted at a symbol can match. Any other document is shipped
+    /// whole, since a cut could leave it one child a filter then sees
+    /// through.
+    pub fn element_set(tree: &Tree, fields: &[&str]) -> Tree {
+        let mut root: &Node = tree;
+        while let (Label::Oid(_), [only]) = (&root.label, &*root.children) {
+            root = only;
+        }
+        if !matches!(root.label, Label::Sym(_)) {
             return tree.clone();
         }
-        // one slice at its exact length
-        let mut children = Vec::with_capacity(kept);
-        children.extend(tree.children.iter().filter(|c| keep(c)).cloned());
-        make(tree.label.clone(), children.into_boxed_slice())
+        Node::retained(tree, |c| c.in_fields(fields))
     }
 
     /// Whether an element set naming `fields` keeps this child of a
@@ -449,10 +480,45 @@ mod tests {
         assert!(wrapped.in_fields(&["title"]) && !wrapped.in_fields(&["artist"]));
         assert!(Node::reference(Oid::new("p1")).in_fields(&[]));
         assert!(!Node::atom("text").in_fields(&["title"]));
-        let object = Node::oid(Oid::new("a1"), vec![Node::elem("title", "x")]);
+        let object = Node::oid(
+            Oid::new("a1"),
+            vec![Node::elem("title", "x"), Node::elem("artist", "y")],
+        );
         let stripped = Node::retained(&object, |_| false);
         assert_eq!(stripped.label, Label::Oid(Oid::new("a1")));
         assert!(stripped.children.is_empty());
+    }
+
+    #[test]
+    fn identified_documents_are_cut_inside_their_identifier() {
+        // `w1[v1[work[title, artist]]]`: the cut sees through both
+        // identifiers, as a filter does, and wraps the cut work again
+        let doc = Node::oid(
+            Oid::new("w1"),
+            vec![Node::oid(Oid::new("v1"), vec![monet_work()])],
+        );
+        let titled = Node::element_set(&doc, &["title"]);
+        assert_eq!(titled.to_string(), "w1[v1[work[title[\"Nympheas\"]]]]");
+        let same = Node::element_set(&doc, &["artist", "title", "year"]);
+        assert!(
+            Arc::ptr_eq(&same, &doc),
+            "nothing dropped, nothing allocated"
+        );
+        let policy = Node::retained(&doc, |c| c.label.as_sym() == Some("year"));
+        assert_eq!(policy.to_string(), "w1[v1[work[year[1897]]]]");
+        // a root no symbol-rooted filter matches is shipped whole: cutting
+        // `a1[work[work[..]], title]` to {work} would leave one child a
+        // filter `work[work[..]]` sees through
+        let two = Node::oid(
+            Oid::new("a1"),
+            vec![
+                Node::sym("work", vec![Node::elem("work", "x")]),
+                Node::elem("title", "y"),
+            ],
+        );
+        assert!(Arc::ptr_eq(&Node::element_set(&two, &["work"]), &two));
+        let leaf = Node::atom("text");
+        assert!(Arc::ptr_eq(&Node::element_set(&leaf, &[]), &leaf));
     }
 
     #[test]

@@ -85,6 +85,9 @@ pub mod attr {
     pub const BYTES_RECEIVED: &str = "bytes_received";
     /// Documents (trees or result rows) received in a round trip.
     pub const DOCUMENTS: &str = "documents";
+    /// The wrapper an `rpc` span's round trip went to. Traffic is
+    /// aggregated by it, whatever else the span's label shows.
+    pub const SOURCE: &str = "source";
     /// Present (with the message) when the spanned work failed.
     pub const ERROR: &str = "error";
     /// Index of the worker lane a scatter/gather job executed on.

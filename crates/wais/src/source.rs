@@ -379,23 +379,23 @@ impl WaisSource {
 
     /// One document by id, its top-level children cut to the fields the
     /// retrieval policy allows and — when the request names an element
-    /// set — to what [`Node::in_fields`] keeps of the `requested` fields
-    /// too: what is shipped is the retrievable set intersected with the
-    /// requested one. The root keeps its own label, and a document
-    /// nothing is cut from is the stored tree itself.
+    /// set — to what [`Node::element_set`] keeps of the `requested`
+    /// fields too: what is shipped is the retrievable set intersected
+    /// with the requested one. Both cuts go through [`Node::retained`],
+    /// so the root keeps its own label, an identified document is cut
+    /// inside its identifier, and a document nothing is cut from is the
+    /// stored tree itself.
     pub fn fetch_elements(&self, id: DocId, requested: Option<&[&str]>) -> Option<Tree> {
-        let allowed = |child: &Tree| match &self.policy.retrievable {
-            Some(fields) => child.label.as_sym().is_some_and(|f| fields.contains(f)),
-            None => true,
-        };
-        let wanted = |child: &Tree| match requested {
-            Some(fields) => child.in_fields(fields),
-            None => true,
-        };
-        let doc = self.doc(id)?;
-        Some(Node::retained(&doc, |child| {
-            allowed(child) && wanted(child)
-        }))
+        let mut doc = self.doc(id)?;
+        if let Some(fields) = &self.policy.retrievable {
+            doc = Node::retained(&doc, |child| {
+                child.label.as_sym().is_some_and(|f| fields.contains(f))
+            });
+        }
+        Some(match requested {
+            Some(fields) => Node::element_set(&doc, fields),
+            None => doc,
+        })
     }
 
     /// Full-text search: ids of documents containing `needle`, ascending.
@@ -551,12 +551,27 @@ mod tests {
             &stored
         ));
         // an element set intersects the retrievable fields
+        let work = Node::sym("work", object.children.to_vec());
+        let identified = Node::sym("works", vec![Node::oid(Oid::new("w1"), vec![work])]);
+        let s = WaisSource::new("works", &identified).with_policy(FieldPolicy::aquarelle_example());
+        assert_eq!(
+            s.fetch(0).unwrap().to_string(),
+            "w1[work[artist[\"Monet\"]]]",
+            "the policy cuts inside the identifier"
+        );
         let both = s.fetch_elements(0, Some(&["cplace", "artist"])).unwrap();
-        assert_eq!(both.to_string(), "w1[artist[\"Monet\"]]");
+        assert_eq!(both.to_string(), "w1[work[artist[\"Monet\"]]]");
         let none = s.fetch_elements(0, Some(&["cplace"])).unwrap();
-        assert!(none.children.is_empty());
+        assert_eq!(none.to_string(), "w1[work]");
+        let open = WaisSource::new("works", &identified);
         let open_set = open.fetch_elements(0, Some(&["cplace"])).unwrap();
-        assert_eq!(open_set.to_string(), "w1[cplace[\"Giverny\"]]");
+        assert_eq!(open_set.to_string(), "w1[work[cplace[\"Giverny\"]]]");
+        // a root no filter rooted at a symbol matches is shipped whole
+        let whole = WaisSource::new("works", &root);
+        assert!(Arc::ptr_eq(
+            &whole.fetch_elements(0, Some(&["cplace"])).unwrap(),
+            &object
+        ));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //!
 //! Random work documents carry repeated, missing and mixed-content
 //! fields, loose text, identified (`&oid`-transparent) fields, reference
-//! leaves and a nested `history [ technique ]`. Random mediator-side
+//! leaves and a nested `history [ technique ]`; some are identified
+//! themselves (`w1[work[…]]`). Random mediator-side
 //! filters cover the shapes the element-set rule accepts and every
 //! shape it must decline. Two properties hold:
 //!
@@ -68,10 +69,7 @@ fn field(rng: &mut Rng, name: &str) -> Tree {
         Node::elem(name, word)
     };
     if rng.gen_bool(0.1) {
-        Node::oid(
-            Oid::new(format!("o{}", rng.gen_range(0..1000u32))),
-            vec![tree],
-        )
+        Node::oid(oid(rng, "o"), vec![tree])
     } else {
         tree
     }
@@ -96,6 +94,28 @@ fn work(rng: &mut Rng) -> Tree {
         kids.swap(i, rng.gen_range(0..i + 1));
     }
     Node::sym("work", kids)
+}
+
+fn oid(rng: &mut Rng, prefix: &str) -> Oid {
+    Oid::new(format!("{prefix}{}", rng.gen_range(0..1000u32)))
+}
+
+/// A document: usually a bare work; sometimes an identified one, the
+/// work wrapped in one or two identifiers (`w1[work[…]]`, the shape XML
+/// `<work id="w1">` converts to), which a filter sees through; sometimes
+/// an identifier holding the fields itself (`w1[title, …]`), which no
+/// filter rooted at `work` matches.
+fn document(rng: &mut Rng) -> Tree {
+    let work = work(rng);
+    match rng.gen_range(0..10u32) {
+        0 | 1 => Node::oid(oid(rng, "w"), vec![work]),
+        2 => {
+            let inner = Node::oid(oid(rng, "v"), vec![work]);
+            Node::oid(oid(rng, "w"), vec![inner])
+        }
+        3 => Node::oid(oid(rng, "w"), work.children.to_vec()),
+        _ => work,
+    }
 }
 
 /// What sits below a named field in a filter.
@@ -187,10 +207,11 @@ fn stripping_to_the_element_set_keeps_every_binding() {
     let seed = master_seed();
     let mut rng = Rng::seed_from_u64(seed);
     let funcs = FnRegistry::with_builtins();
-    let docs: Vec<Tree> = (0..DOCS).map(|_| work(&mut rng)).collect();
+    let docs: Vec<Tree> = (0..DOCS).map(|_| document(&mut rng)).collect();
     let source = WaisSource::new("works", &Node::sym("works", docs.clone()));
     let open = MatchOptions::default();
     let (mut accepted, mut with_rows, mut stripped_some) = (0, 0, 0);
+    let mut identified_rows = 0;
     for i in 0..FILTERS {
         let filter = eligible_filter(&mut rng);
         let fields: Vec<&str> = element_set(&filter, false)
@@ -205,7 +226,7 @@ fn stripping_to_the_element_set_keeps_every_binding() {
                 Some(&cut),
                 "the Wais source cuts like the builtin (seed {seed})"
             );
-            stripped_some += usize::from(cut.children.len() < doc.children.len());
+            stripped_some += usize::from(cut.size() < doc.size());
             let whole = match_filter(doc, &filter, open);
             let rows = match_filter(&cut, &filter, open);
             assert_eq!(
@@ -213,11 +234,17 @@ fn stripping_to_the_element_set_keeps_every_binding() {
                 "filter {i} `{filter}` over {doc} cut to {fields:?} (seed {seed})"
             );
             with_rows += usize::from(!whole.is_empty());
+            identified_rows += usize::from(!whole.is_empty() && doc.label.as_sym().is_none());
         }
     }
     println!(
         "element-set property: {accepted} filters over {DOCS} documents, \
-         {with_rows} matches with rows, {stripped_some} documents cut"
+         {with_rows} matches with rows ({identified_rows} in identified \
+         documents), {stripped_some} documents cut"
+    );
+    assert!(
+        identified_rows > 0,
+        "generator degenerated: no identified document matched"
     );
     assert!(
         with_rows > FILTERS,
