@@ -1,37 +1,39 @@
-//! Differential harness for the parallel executor: ~200 seeded random
-//! queries over the art (O2) + Wais substrates, each executed under
-//! `ExecMode::Sequential` and `ExecMode::Parallel` on identically-seeded
-//! federations. The two modes must produce identical results and move
-//! identical per-source traffic (round trips and documents).
+//! The differential harness's three case families, each run under the
+//! oracle and every row of the covering table (`harness/mod.rs`):
 //!
-//! Deterministic by construction: the master seed is fixed (override
-//! with `YAT_DIFF_SEED=<u64>`), scenarios are seeded generators, and
-//! simulated latency is off so timing cannot perturb anything. On a
-//! failure the harness shrinks the query by halving its predicate list
-//! and reports the master seed plus the smallest failing query.
+//! - random YATL queries over the art (O2) + Wais substrates, drawn from
+//!   all nine [`Shape`]s;
+//! - random `DJoin`-into-`Push` plans ([`PassingCase`]), the shape
+//!   set-oriented information passing applies to;
+//! - the paper's queries at every optimization level of Figs. 8 and 9,
+//!   and the view queries behind Figs. 4 and 7, as fixed cases.
+//!
+//! Two relaxations are declared here, once each: a passing case's
+//! oracle is itself held to in-place evaluation and a round-trip bound
+//! ([`PassingCase::check_oracle`]), and the element-set sweep holds the
+//! default optimizer to the naive plan on answer bytes only
+//! ([`optimized_and_naive_agree_with_element_sets_on_random_plans`]).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod harness;
+
+use harness::{
+    fail, master_seed, observe, row, scenario_federation, shrink, sweep, Case, Config, Observation,
+    Outcome, StoreDir, ALL_ROWS, TABLE,
+};
+use std::path::Path;
 use std::sync::Arc;
 use yat::yat_algebra::{
-    Alg, CollectSink, EvalCtx, EvalOut, FnRegistry, Operand, PassedBindings, Pred, SkolemRegistry,
-    Template,
+    Alg, EvalCtx, FnRegistry, Operand, PassedBindings, Pred, SkolemRegistry, Template,
 };
 use yat::yat_capability::protocol::{Request, Response, ServerReply, MAX_BATCH_BINDINGS};
-use yat::yat_capability::IndexPolicy;
-use yat::yat_mediator::{
-    CachePolicy, ExecMode, Mediator, MediatorError, OptimizerOptions, StreamPolicy,
-};
+use yat::yat_mediator::{Mediator, MediatorError, OptimizerOptions};
 use yat::yat_model::Forest;
-use yat::yat_yatl::parse_filter;
+use yat::yat_yatl::{paper, parse_filter};
+use yat_bench::figures::pipeline::LEVELS;
 use yat_bench::workload::Scenario;
 use yat_prng::Rng;
 
 const CASES: usize = 200;
-
-/// Cases where both modes rejected the query (wrapper limitations hit by
-/// the generator). Tallied so the sweep can assert it mostly compares
-/// real answers rather than degenerating into error/error agreement.
-static REJECTED: AtomicUsize = AtomicUsize::new(0);
 const DEFAULT_SEED: u64 = 0xD1FF_2026;
 
 /// String constants with a quote, a backslash, both quote kinds,
@@ -153,9 +155,9 @@ impl Shape {
     }
 }
 
-/// One generated differential case: a query plus the knobs it runs under.
+/// One random YATL case: a query plus the knobs it runs under.
 #[derive(Clone, Debug)]
-struct Case {
+struct Query {
     scale: usize,
     scenario_seed: u64,
     shape: Shape,
@@ -165,24 +167,19 @@ struct Case {
     lanes: usize,
 }
 
-impl Case {
-    fn generate(rng: &mut Rng) -> Case {
-        Case::generate_from(
-            rng,
-            &[
-                Shape::Artifacts,
-                Shape::Persons,
-                Shape::Works,
-                Shape::View,
-                Shape::ViewPlace,
-                Shape::ArtifactsJoinWorks,
-            ],
-        )
-    }
-
-    fn generate_from(rng: &mut Rng, shapes: &[Shape]) -> Case {
-        let shape = *rng.choose(shapes);
-
+impl Query {
+    fn generate(rng: &mut Rng) -> Query {
+        let shape = *rng.choose(&[
+            Shape::Artifacts,
+            Shape::Persons,
+            Shape::Works,
+            Shape::View,
+            Shape::ViewPlace,
+            Shape::ArtifactsJoinWorks,
+            Shape::WorksContains,
+            Shape::WorksCollect,
+            Shape::WorksHistory,
+        ]);
         let mut preds = Vec::new();
         if matches!(shape, Shape::ArtifactsJoinWorks) {
             // the equi-join that makes the two pushes comparable work
@@ -207,7 +204,7 @@ impl Case {
             _ => format!("MAKE out *&entry({v1}) := item [ k: {v1} ]"),
         };
 
-        Case {
+        Query {
             scale: rng.gen_range(8..20usize),
             scenario_seed: rng.gen_range(0..1000u64),
             shape,
@@ -218,7 +215,7 @@ impl Case {
         }
     }
 
-    fn query_text(&self) -> String {
+    fn text(&self) -> String {
         let mut q = format!("{} MATCH {}", self.make, self.shape.match_clause());
         if !self.preds.is_empty() {
             q.push_str(" WHERE ");
@@ -234,686 +231,182 @@ impl Case {
             _ => OptimizerOptions::full(),
         }
     }
+}
 
-    /// Runs the case under both modes; `Err` describes any divergence.
-    fn run(&self) -> Result<(), String> {
-        let q = self.query_text();
-        let mut sc = Scenario::at_scale(self.scale);
-        sc.seed = self.scenario_seed;
-
-        // identically-seeded federations, one per mode, so the meters
-        // observe exactly one execution each. The answer cache is pinned
-        // off: traffic equality between the modes only holds without
-        // cross-query reuse (the cache axis has its own sweep below).
-        let mut seq = sc.mediator();
-        seq.set_exec_mode(ExecMode::Sequential);
-        seq.set_cache_policy(CachePolicy::Off);
-        let mut par = sc.mediator();
-        par.set_exec_mode(ExecMode::Parallel {
-            max_in_flight: self.lanes,
-        });
-        par.set_cache_policy(CachePolicy::Off);
-        seq.reset_traffic();
-        par.reset_traffic();
-
-        let rs = seq.query(&q, self.options());
-        let rp = par.query(&q, self.options());
-        match (rs, rp) {
-            (Ok(a), Ok(b)) => {
-                if a != b {
-                    return Err(format!("results diverge:\n  seq: {a:?}\n  par: {b:?}"));
-                }
-                for src in ["o2artifact", "xmlartwork"] {
-                    let ms = seq.traffic_of(src).expect("source is connected");
-                    let mp = par.traffic_of(src).expect("source is connected");
-                    if ms.round_trips != mp.round_trips
-                        || ms.documents_received != mp.documents_received
-                    {
-                        return Err(format!(
-                            "traffic diverges at `{src}`: \
-                             seq {} trips/{} docs, par {} trips/{} docs",
-                            ms.round_trips,
-                            ms.documents_received,
-                            mp.round_trips,
-                            mp.documents_received
-                        ));
-                    }
-                }
-                Ok(())
-            }
-            // both modes reject the query the same way: acceptable
-            (Err(a), Err(b)) if refusal(&a) && refusal(&b) => {
-                REJECTED.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            (Err(a), Err(b)) => Err(format!(
-                "failed, but not by a wrapper refusing the plan:\n  seq: {a}\n  par: {b}"
-            )),
-            (Ok(a), Err(b)) => Err(format!("sequential {a:?} but parallel failed: {b}")),
-            (Err(a), Ok(b)) => Err(format!("parallel {b:?} but sequential failed: {a}")),
-        }
-    }
-
-    /// Runs the case streamed and materialized in both exec modes, on
-    /// identically-seeded federations with the cache pinned off. The
-    /// streamed answer — reassembled from batches by [`CollectSink`] —
-    /// must serialize to exactly the bytes the materialized answer
-    /// serializes to, and both runs must move identical per-source
-    /// traffic: streaming changes *when* rows leave the mediator, never
-    /// *what* leaves or what the sources shipped. Error outcomes must
-    /// agree too (messages may differ between the paths).
-    fn run_stream_axis(&self) -> Result<(), String> {
-        let q = self.query_text();
-        let mut sc = Scenario::at_scale(self.scale);
-        sc.seed = self.scenario_seed;
-
-        for mode in [
-            ExecMode::Sequential,
-            ExecMode::Parallel {
-                max_in_flight: self.lanes,
-            },
-        ] {
-            // the materialized side pins streaming *off* and the
-            // streamed side chunked, so each side's policy is explicit
-            let mut mat = sc.mediator();
-            mat.set_exec_mode(mode);
-            mat.set_cache_policy(CachePolicy::Off);
-            mat.set_stream_policy(StreamPolicy::Off);
-            let mut st = sc.mediator();
-            st.set_exec_mode(mode);
-            st.set_cache_policy(CachePolicy::Off);
-            st.set_stream_policy(StreamPolicy::chunked());
-            mat.reset_traffic();
-            st.reset_traffic();
-
-            let rm = mat.query(&q, self.options());
-            let mut sink = CollectSink::new();
-            let rs = st.query_stream(&q, self.options(), &mut sink);
-            match (rm, rs) {
-                (Ok(a), Ok(stats)) => {
-                    let b = sink
-                        .into_answer()
-                        .ok_or_else(|| format!("streamed run delivered no answer under {mode}"))?;
-                    let mat_bytes = ServerReply::answer(a).to_xml().to_xml();
-                    let st_bytes = ServerReply::answer(b).to_xml().to_xml();
-                    if mat_bytes != st_bytes {
-                        return Err(format!(
-                            "streamed answer diverges from materialized under \
-                             {mode} ({} chunks, {} rows):\n  \
-                             materialized: {mat_bytes}\n  streamed: {st_bytes}",
-                            stats.chunks, stats.rows
-                        ));
-                    }
-                    for src in ["o2artifact", "xmlartwork"] {
-                        let mm = mat.traffic_of(src).expect("source is connected");
-                        let ms = st.traffic_of(src).expect("source is connected");
-                        if mm.round_trips != ms.round_trips
-                            || mm.documents_received != ms.documents_received
-                        {
-                            return Err(format!(
-                                "traffic diverges at `{src}` under {mode}: \
-                                 materialized {} trips/{} docs, streamed {} trips/{} docs",
-                                mm.round_trips,
-                                mm.documents_received,
-                                ms.round_trips,
-                                ms.documents_received
-                            ));
-                        }
-                    }
-                }
-                // both paths reject the query: acceptable
-                (Err(a), Err(b)) if refusal(&a) && refusal(&b) => {
-                    REJECTED.fetch_add(1, Ordering::Relaxed);
-                }
-                (Err(a), Err(b)) => {
-                    return Err(format!(
-                        "failed, but not by a wrapper refusing the plan, under \
-                         {mode}:\n  materialized: {a}\n  streamed: {b}"
-                    ))
-                }
-                (Ok(a), Err(b)) => {
-                    return Err(format!(
-                        "materialized {a:?} but streamed failed under {mode}: {b}"
-                    ))
-                }
-                (Err(a), Ok(_)) => {
-                    return Err(format!(
-                        "streamed answered but materialized failed under {mode}: {a}"
-                    ))
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Runs the case indexed (`YAT_INDEX=on` pinned per instance) against
-    /// the scan oracle (`off`) in both exec modes, on identically-seeded
-    /// federations with the cache
-    /// pinned off. The index plane switches *evaluation strategy only*:
-    /// the two answers must serialize to byte-identical wire bytes and
-    /// the two runs must move identical per-source traffic. Error
-    /// outcomes must agree too — indexes never change plan acceptance.
-    fn run_index_axis(&self) -> Result<(), String> {
-        let q = self.query_text();
-        let mut ix_sc = Scenario::at_scale(self.scale);
-        ix_sc.seed = self.scenario_seed;
-        ix_sc.index = IndexPolicy::On;
-        let mut scan_sc = ix_sc;
-        scan_sc.index = IndexPolicy::Off;
-
-        for mode in [
-            ExecMode::Sequential,
-            ExecMode::Parallel {
-                max_in_flight: self.lanes,
-            },
-        ] {
-            let mut ix = ix_sc.mediator();
-            ix.set_exec_mode(mode);
-            ix.set_cache_policy(CachePolicy::Off);
-            let mut scan = scan_sc.mediator();
-            scan.set_exec_mode(mode);
-            scan.set_cache_policy(CachePolicy::Off);
-            ix.reset_traffic();
-            scan.reset_traffic();
-
-            let ri = ix.query(&q, self.options());
-            let rs = scan.query(&q, self.options());
-            match (ri, rs) {
-                (Ok(a), Ok(b)) => {
-                    let ix_bytes = ServerReply::answer(a).to_xml().to_xml();
-                    let scan_bytes = ServerReply::answer(b).to_xml().to_xml();
-                    if ix_bytes != scan_bytes {
-                        return Err(format!(
-                            "indexed answer diverges from the scan oracle under \
-                             {mode}:\n  indexed: {ix_bytes}\n  scan: {scan_bytes}"
-                        ));
-                    }
-                    for src in ["o2artifact", "xmlartwork"] {
-                        let mi = ix.traffic_of(src).expect("source is connected");
-                        let ms = scan.traffic_of(src).expect("source is connected");
-                        if mi.round_trips != ms.round_trips
-                            || mi.documents_received != ms.documents_received
-                            || mi.bytes_sent != ms.bytes_sent
-                            || mi.bytes_received != ms.bytes_received
-                        {
-                            return Err(format!(
-                                "traffic diverges at `{src}` under {mode}: \
-                                 indexed {} trips/{} docs/{}+{} bytes, \
-                                 scan {} trips/{} docs/{}+{} bytes",
-                                mi.round_trips,
-                                mi.documents_received,
-                                mi.bytes_sent,
-                                mi.bytes_received,
-                                ms.round_trips,
-                                ms.documents_received,
-                                ms.bytes_sent,
-                                ms.bytes_received
-                            ));
-                        }
-                    }
-                }
-                // both settings reject the query alike: acceptable
-                (Err(a), Err(b)) if refusal(&a) && refusal(&b) => {
-                    REJECTED.fetch_add(1, Ordering::Relaxed);
-                }
-                (Ok(a), Err(b)) => {
-                    return Err(format!("indexed {a:?} but scan failed under {mode}: {b}"))
-                }
-                (Err(a), Ok(b)) => {
-                    return Err(format!("scan {b:?} but indexed failed under {mode}: {a}"))
-                }
-                (Err(a), Err(b)) => {
-                    return Err(format!(
-                    "failed, but not by a wrapper refusing the plan:\n  indexed: {a}\n  scan: {b}"
-                ))
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Runs the case under {cache off, cold, warm} in both exec modes on
-    /// one federation each: all three must return identical answers, and
-    /// the warm rerun must ship no more per-source traffic than the cold
-    /// run did.
-    fn run_cache_axis(&self) -> Result<(), String> {
-        let q = self.query_text();
-        let mut sc = Scenario::at_scale(self.scale);
-        sc.seed = self.scenario_seed;
-
-        for mode in [
-            ExecMode::Sequential,
-            ExecMode::Parallel {
-                max_in_flight: self.lanes,
-            },
-        ] {
-            let mut off = sc.mediator();
-            off.set_exec_mode(mode);
-            off.set_cache_policy(CachePolicy::Off);
-            let mut cached = sc.mediator();
-            cached.set_exec_mode(mode);
-            cached.set_cache_policy(CachePolicy::bounded());
-            off.reset_traffic();
-            cached.reset_traffic();
-
-            let r_off = off.query(&q, self.options());
-            let r_cold = cached.query(&q, self.options());
-            let cold_traffic: Vec<_> = ["o2artifact", "xmlartwork"]
-                .map(|src| cached.traffic_of(src).expect("source is connected"))
-                .into();
-            let r_warm = cached.query(&q, self.options());
-
-            match (r_off, r_cold, r_warm) {
-                (Ok(a), Ok(cold), Ok(warm)) => {
-                    if a != cold || a != warm {
-                        return Err(format!(
-                            "caching changed the answer under {mode}:\n  off: {a:?}\n  \
-                             cold: {cold:?}\n  warm: {warm:?}"
-                        ));
-                    }
-                    for (i, src) in ["o2artifact", "xmlartwork"].into_iter().enumerate() {
-                        let cold_t = cold_traffic[i];
-                        let warm_t = cached.traffic_of(src).expect("source is connected") - cold_t;
-                        if warm_t.round_trips > cold_t.round_trips {
-                            return Err(format!(
-                                "warm rerun shipped more than cold at `{src}` under {mode}: \
-                                 warm {} trips vs cold {} trips",
-                                warm_t.round_trips, cold_t.round_trips
-                            ));
-                        }
-                    }
-                }
-                // all three attempts reject the query alike: acceptable
-                (Err(a), Err(b), Err(c)) if refusal(&a) && refusal(&b) && refusal(&c) => {
-                    REJECTED.fetch_add(1, Ordering::Relaxed);
-                }
-                (a, cold, warm) => {
-                    return Err(format!(
-                        "cache axis disagrees on success under {mode}:\n  off: {}\n  \
-                         cold: {}\n  warm: {}",
-                        outcome(&a),
-                        outcome(&cold),
-                        outcome(&warm)
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Runs the case store-backed (sources mounted from persistent
-    /// segmented stores) against the in-memory oracle in both exec modes,
-    /// with the index
-    /// plane both off and on, on identically-seeded federations with the
-    /// cache pinned off. One store root serves all combinations — the
-    /// first build populates it, later builds remount the committed
-    /// state. The store changes *where documents live*, never what a
-    /// query answers or ships: wire bytes and per-source traffic must be
-    /// identical. Error outcomes must agree too.
-    fn run_store_axis(&self) -> Result<(), String> {
-        static STORE_AXIS_SEQ: AtomicUsize = AtomicUsize::new(0);
-        let root = std::env::temp_dir().join(format!(
-            "yat-diff-store-{}-{}",
-            std::process::id(),
-            STORE_AXIS_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&root);
-        let result = self.run_store_axis_at(&root);
-        let _ = std::fs::remove_dir_all(&root);
-        result
-    }
-
-    fn run_store_axis_at(&self, root: &std::path::Path) -> Result<(), String> {
-        let q = self.query_text();
-        for index in [IndexPolicy::Off, IndexPolicy::On] {
-            let mut sc = Scenario::at_scale(self.scale);
-            sc.seed = self.scenario_seed;
-            sc.index = index;
-            for mode in [
-                ExecMode::Sequential,
-                ExecMode::Parallel {
-                    max_in_flight: self.lanes,
-                },
-            ] {
-                let mut mem = sc.mediator();
-                mem.set_exec_mode(mode);
-                mem.set_cache_policy(CachePolicy::Off);
-                let mut disk = sc
-                    .mediator_store(root, yat::yat_store::StoreOptions::default())
-                    .map_err(|e| format!("store mount failed under {index:?}: {e}"))?;
-                disk.set_exec_mode(mode);
-                disk.set_cache_policy(CachePolicy::Off);
-                mem.reset_traffic();
-                disk.reset_traffic();
-
-                let rm = mem.query(&q, self.options());
-                let rd = disk.query(&q, self.options());
-                match (rm, rd) {
-                    (Ok(a), Ok(b)) => {
-                        let mem_bytes = ServerReply::answer(a).to_xml().to_xml();
-                        let disk_bytes = ServerReply::answer(b).to_xml().to_xml();
-                        if mem_bytes != disk_bytes {
-                            return Err(format!(
-                                "store-backed answer diverges from the in-memory \
-                                 oracle under {mode}/{index:?}:\n  \
-                                 memory: {mem_bytes}\n  store: {disk_bytes}"
-                            ));
-                        }
-                        for src in ["o2artifact", "xmlartwork"] {
-                            let mm = mem.traffic_of(src).expect("source is connected");
-                            let md = disk.traffic_of(src).expect("source is connected");
-                            if mm.round_trips != md.round_trips
-                                || mm.documents_received != md.documents_received
-                                || mm.bytes_sent != md.bytes_sent
-                                || mm.bytes_received != md.bytes_received
-                            {
-                                return Err(format!(
-                                    "traffic diverges at `{src}` under \
-                                     {mode}/{index:?}: \
-                                     memory {} trips/{} docs/{}+{} bytes, \
-                                     store {} trips/{} docs/{}+{} bytes",
-                                    mm.round_trips,
-                                    mm.documents_received,
-                                    mm.bytes_sent,
-                                    mm.bytes_received,
-                                    md.round_trips,
-                                    md.documents_received,
-                                    md.bytes_sent,
-                                    md.bytes_received
-                                ));
-                            }
-                        }
-                    }
-                    // both substrates reject the query alike: acceptable
-                    (Err(a), Err(b)) if refusal(&a) && refusal(&b) => {
-                        REJECTED.fetch_add(1, Ordering::Relaxed);
-                    }
-                    (Ok(a), Err(b)) => {
-                        return Err(format!(
-                            "memory {a:?} but store failed under {mode}/{index:?}: {b}"
-                        ))
-                    }
-                    (Err(a), Ok(b)) => {
-                        return Err(format!(
-                            "store {b:?} but memory failed under {mode}/{index:?}: {a}"
-                        ))
-                    }
-                    (Err(a), Err(b)) => {
-                        return Err(format!(
-                            "failed, but not by a wrapper refusing the plan:\n  memory: {a}\n  store: {b}"
-                        ))
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Halves the predicate list while the case keeps failing under
-    /// `run`, returning the smallest failing variant.
-    fn shrink_by(&self, run: &dyn Fn(&Case) -> Result<(), String>) -> Case {
-        let mut current = self.clone();
-        while !current.preds.is_empty() {
-            let mut candidate = current.clone();
-            candidate.preds.truncate(candidate.preds.len() / 2);
-            if run(&candidate).is_err() {
-                current = candidate;
-            } else {
-                break;
-            }
-        }
-        current
-    }
-
-    /// Runs the case with the default optimizer and with none, on one
-    /// federation with the cache pinned off: the optimized plan — element
-    /// sets included — must answer byte for byte what the naive plan
-    /// answers, `eval(optimize(q)) == eval(q)`. `Ok(true)` when the
-    /// optimized plan pushed an element set.
-    fn run_element_axis(&self) -> Result<bool, String> {
-        let q = self.query_text();
-        let mut sc = Scenario::at_scale(self.scale);
-        sc.seed = self.scenario_seed;
-        let mut m = sc.mediator();
-        m.set_cache_policy(CachePolicy::Off);
-        let plan = m.plan_query(&q).map_err(|e| format!("plan: {e}"))?;
-        let (opt, trace) = m.optimize(&plan, OptimizerOptions::default());
-        let pushed = trace.count("element-sets") > 0;
-        let optimized = m.execute(&opt);
-        let naive = m.execute(&plan);
-        match (optimized, naive) {
-            (Ok(a), Ok(b)) => {
-                let opt_bytes = ServerReply::answer(a).to_xml().to_xml();
-                let naive_bytes = ServerReply::answer(b).to_xml().to_xml();
-                if opt_bytes != naive_bytes {
-                    return Err(format!(
-                        "optimized answer diverges from the naive plan:\n  \
-                         optimized: {opt_bytes}\n  naive: {naive_bytes}\nplan:\n{}",
-                        opt.explain()
-                    ));
-                }
-                Ok(pushed)
-            }
-            (a, b) => Err(format!(
-                "optimized {} but naive {}\nplan:\n{}",
-                outcome(&a),
-                outcome(&b),
-                opt.explain()
-            )),
-        }
-    }
-
-    fn shrink(&self) -> Case {
-        self.shrink_by(&Case::run)
+/// The two-source scenario at `scale` documents, generated from `seed`.
+fn scenario(scale: usize, seed: u64) -> Scenario {
+    Scenario {
+        seed,
+        ..Scenario::at_scale(scale)
     }
 }
 
-/// Whether `e` is a rejection two runs may share and still agree: a
-/// wrapper declining a plan shape it cannot translate. Any other shared
-/// failure — a wrapper unable to read the query text its own translator
-/// wrote, say — is a bug on both sides, not agreement.
-fn refusal(e: &MediatorError) -> bool {
-    matches!(e, MediatorError::Exec(_)) && e.to_string().contains("cannot translate plan")
-}
+impl Case for Query {
+    fn lanes(&self) -> usize {
+        self.lanes
+    }
 
-/// Short ok/err tag for divergence reports.
-fn outcome<T: std::fmt::Debug>(r: &Result<T, MediatorError>) -> String {
-    match r {
-        Ok(v) => format!("ok({v:?})"),
-        Err(e) => format!("err({e})"),
+    fn federation(&self, config: Config, store: Option<&Path>) -> Mediator {
+        scenario_federation(scenario(self.scale, self.scenario_seed), config, store)
+    }
+
+    fn plan(&self, m: &Mediator) -> Result<Arc<Alg>, MediatorError> {
+        Ok(m.optimize(&m.plan_query(&self.text())?, self.options()).0)
+    }
+
+    /// Half the predicates, then half the data.
+    fn smaller(&self) -> Vec<Query> {
+        let mut out = Vec::new();
+        if !self.preds.is_empty() {
+            let mut fewer = self.clone();
+            fewer.preds.truncate(self.preds.len() / 2);
+            out.push(fewer);
+        }
+        if self.scale > 2 {
+            let mut less = self.clone();
+            less.scale /= 2;
+            out.push(less);
+        }
+        out
     }
 }
+
+/// The random plans: every one, under each of `rows` of the covering
+/// table, answers and ships like the oracle; a warm cache answers again
+/// with no traffic. The five tests below split the table's seven rows
+/// between them, so together they run every plan under every row once;
+/// each is named for a dimension all its rows move off the oracle.
+fn random_plans_under(family: &str, rows: &[usize]) {
+    let seed = master_seed(DEFAULT_SEED);
+    let mut rng = Rng::seed_from_u64(seed);
+    let cases: Vec<Query> = (0..CASES).map(|_| Query::generate(&mut rng)).collect();
+    sweep(family, seed, &cases, rows);
+}
+
+/// Parallel with the case's lanes, the cache off and on.
+const PARALLEL_ROWS: &[usize] = &[1, 6];
+/// A bounded cache: cold equal to the oracle, warm shipping nothing.
+const CACHED_ROWS: &[usize] = &[0];
+/// Answers streamed in small chunks and reassembled.
+const STREAMED_ROWS: &[usize] = &[2];
+/// Indexed sources, against the scanning oracle.
+const INDEXED_ROWS: &[usize] = &[5];
+/// Sources served from a remounted document store.
+const STORE_ROWS: &[usize] = &[3, 4];
 
 #[test]
 fn sequential_and_parallel_agree_on_random_plans() {
-    let master = std::env::var("YAT_DIFF_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SEED);
-    let mut rng = Rng::seed_from_u64(master);
-    REJECTED.store(0, Ordering::Relaxed);
-    for i in 0..CASES {
-        let case = Case::generate(&mut rng);
-        if let Err(msg) = case.run() {
-            let minimal = case.shrink();
-            panic!(
-                "differential case {i}/{CASES} (YAT_DIFF_SEED={master}) failed: {msg}\n\
-                 query: {}\n\
-                 shrunk query: {}\n\
-                 knobs: {:?} lanes={} opt_level={} scale={} scenario_seed={}",
-                case.query_text(),
-                minimal.query_text(),
-                case.shape,
-                case.lanes,
-                case.opt_level,
-                case.scale,
-                case.scenario_seed
-            );
-        }
-    }
-    let rejected = REJECTED.load(Ordering::Relaxed);
-    println!("differential sweep: {CASES} cases, {rejected} rejected by both modes");
-    assert!(
-        rejected < CASES / 2,
-        "generator degenerated: {rejected}/{CASES} cases never produced an answer"
-    );
+    random_plans_under("random plans, parallel rows", PARALLEL_ROWS);
 }
 
-/// The cache axis of the same sweep: {off, cold, warm} on both exec
-/// modes must agree on every answer, and a warm cache never ships more
-/// traffic than a cold one. Fewer cases than the mode sweep because each
-/// case runs six executions.
 #[test]
 fn cache_off_cold_and_warm_agree_on_random_plans() {
-    let master = std::env::var("YAT_DIFF_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SEED);
-    // offset the stream so this sweep sees different cases than the
-    // mode sweep while remaining pinned by the same seed
-    let mut rng = Rng::seed_from_u64(master ^ 0xCAC4E);
-    let cases = CASES / 2;
-    for i in 0..cases {
-        let case = Case::generate(&mut rng);
-        if let Err(msg) = case.run_cache_axis() {
-            let minimal = case.shrink_by(&Case::run_cache_axis);
-            panic!(
-                "cache differential case {i}/{cases} (YAT_DIFF_SEED={master}) failed: {msg}\n\
-                 query: {}\n\
-                 shrunk query: {}\n\
-                 knobs: {:?} lanes={} opt_level={} scale={} scenario_seed={}",
-                case.query_text(),
-                minimal.query_text(),
-                case.shape,
-                case.lanes,
-                case.opt_level,
-                case.scale,
-                case.scenario_seed
-            );
-        }
-    }
+    random_plans_under("random plans, cached rows", CACHED_ROWS);
 }
 
-/// The streaming axis of the sweep: every seeded plan, streamed through
-/// the batch pipeline and reassembled, must serialize to byte-identical
-/// answer bytes and ship identical per-source traffic as the
-/// materialized run — under both exec modes. This is
-/// the oracle that gates the streaming dataflow: the materialized path
-/// defines the semantics, the streamed path must merely reproduce them
-/// incrementally.
 #[test]
 fn streamed_and_materialized_agree_on_random_plans() {
-    let master = std::env::var("YAT_DIFF_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SEED);
-    let mut rng = Rng::seed_from_u64(master);
-    REJECTED.store(0, Ordering::Relaxed);
-    for i in 0..CASES {
-        let case = Case::generate(&mut rng);
-        if let Err(msg) = case.run_stream_axis() {
-            let minimal = case.shrink_by(&Case::run_stream_axis);
-            panic!(
-                "stream differential case {i}/{CASES} (YAT_DIFF_SEED={master}) failed: {msg}\n\
-                 query: {}\n\
-                 shrunk query: {}\n\
-                 knobs: {:?} lanes={} opt_level={} scale={} scenario_seed={}",
-                case.query_text(),
-                minimal.query_text(),
-                case.shape,
-                case.lanes,
-                case.opt_level,
-                case.scale,
-                case.scenario_seed
-            );
-        }
-    }
-    let rejected = REJECTED.load(Ordering::Relaxed);
-    println!("stream differential sweep: {CASES} cases, {rejected} rejected by both paths");
-    assert!(
-        rejected < CASES / 2,
-        "generator degenerated: {rejected}/{CASES} cases never produced an answer"
-    );
+    random_plans_under("random plans, streamed rows", STREAMED_ROWS);
 }
 
-/// The index axis of the sweep: every seeded plan answered with the
-/// index plane on must serialize to byte-identical wire bytes and move
-/// identical per-source traffic as the scan oracle — under both exec
-/// modes. `YAT_INDEX` switches evaluation strategy
-/// only; this is the oracle that gates the whole index plane.
 #[test]
 fn indexed_and_scan_agree_on_random_plans() {
-    let master = std::env::var("YAT_DIFF_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SEED);
-    let mut rng = Rng::seed_from_u64(master);
-    REJECTED.store(0, Ordering::Relaxed);
-    for i in 0..CASES {
-        let case = Case::generate(&mut rng);
-        if let Err(msg) = case.run_index_axis() {
-            let minimal = case.shrink_by(&Case::run_index_axis);
-            panic!(
-                "index differential case {i}/{CASES} (YAT_DIFF_SEED={master}) failed: {msg}\n\
-                 query: {}\n\
-                 shrunk query: {}\n\
-                 knobs: {:?} lanes={} opt_level={} scale={} scenario_seed={}",
-                case.query_text(),
-                minimal.query_text(),
-                case.shape,
-                case.lanes,
-                case.opt_level,
-                case.scale,
-                case.scenario_seed
-            );
-        }
-    }
-    let rejected = REJECTED.load(Ordering::Relaxed);
-    println!("index differential sweep: {CASES} cases, {rejected} rejected by both settings");
-    assert!(
-        rejected < CASES / 2,
-        "generator degenerated: {rejected}/{CASES} cases never produced an answer"
-    );
+    random_plans_under("random plans, indexed rows", INDEXED_ROWS);
 }
 
-/// The store axis of the sweep: every seeded plan answered by sources
-/// mounted from persistent segmented stores must serialize to
-/// byte-identical wire bytes and move identical per-source traffic as
-/// the in-memory oracle — under both exec modes, and with
-/// the index plane off and on. The store is a data plane only; this is
-/// the oracle that gates it.
 #[test]
 fn store_backed_and_in_memory_agree_on_random_plans() {
-    let master = std::env::var("YAT_DIFF_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SEED);
-    let mut rng = Rng::seed_from_u64(master);
-    REJECTED.store(0, Ordering::Relaxed);
-    for i in 0..CASES {
-        let case = Case::generate(&mut rng);
-        if let Err(msg) = case.run_store_axis() {
-            let minimal = case.shrink_by(&Case::run_store_axis);
-            panic!(
-                "store differential case {i}/{CASES} (YAT_DIFF_SEED={master}) failed: {msg}\n\
-                 query: {}\n\
-                 shrunk query: {}\n\
-                 knobs: {:?} lanes={} opt_level={} scale={} scenario_seed={}",
-                case.query_text(),
-                minimal.query_text(),
-                case.shape,
-                case.lanes,
-                case.opt_level,
-                case.scale,
-                case.scenario_seed
+    random_plans_under("random plans, store rows", STORE_ROWS);
+}
+
+/// The five random-plan tests run every row of the table exactly once,
+/// and each row moves its test's dimension off the oracle.
+#[test]
+fn the_random_plan_tests_split_the_table() {
+    type Slice = (&'static [usize], fn(&Config) -> bool);
+    let split: [Slice; 5] = [
+        (PARALLEL_ROWS, |c| c.parallel),
+        (CACHED_ROWS, |c| c.cache),
+        (STREAMED_ROWS, |c| c.streamed),
+        (INDEXED_ROWS, |c| c.index),
+        (STORE_ROWS, |c| c.store),
+    ];
+    for (rows, moved) in split {
+        for &r in rows {
+            assert!(
+                moved(&TABLE[r]),
+                "row {r} {:?} is the oracle's there",
+                TABLE[r]
             );
         }
     }
-    let rejected = REJECTED.load(Ordering::Relaxed);
-    println!("store differential sweep: {CASES} cases, {rejected} rejected by both substrates");
+    let mut rows: Vec<usize> = split
+        .iter()
+        .flat_map(|(rows, _)| rows.iter().copied())
+        .collect();
+    rows.sort_unstable();
+    assert_eq!(rows, ALL_ROWS);
+}
+
+/// The element-set relaxation: over all nine shapes — the works scans,
+/// the view and the cross-source join among them, shapes the element-set
+/// rule must decline (whole documents under `contains`, a star-collect
+/// edge) and the nested `history` field — the default optimizer answers
+/// byte for byte what the naive plan answers, in the oracle config. Only the answer
+/// bytes are compared: an element set changes what the sources ship by
+/// design. A nonzero share of the cases must push an element set, and
+/// no case of a declined shape may push one.
+#[test]
+fn optimized_and_naive_agree_with_element_sets_on_random_plans() {
+    let seed = master_seed(DEFAULT_SEED);
+    let mut rng = Rng::seed_from_u64(seed ^ 0xE1E5);
+    let cases = CASES / 2;
+    let at = |case: &Query, opt_level| Query {
+        opt_level,
+        ..case.clone()
+    };
+    let answer = |c: &Query| observe(c, Config::ORACLE, &StoreDir::new()).remove(0);
+    let diverges = |case: &Query| {
+        let (optimized, naive) = (answer(&at(case, 1)).outcome, answer(&at(case, 0)).outcome);
+        (!matches!(optimized, Outcome::Answer(_)) || optimized != naive).then(|| {
+            format!("the optimized plan diverges:\n  optimized: {optimized:?}\n  naive: {naive:?}")
+        })
+    };
+    let (mut pushed, mut declined_cases) = (0, 0);
+    for i in 0..cases {
+        let case = at(&Query::generate(&mut rng), 1);
+        if let Some(msg) = diverges(&case) {
+            let shrunk = shrink(&case, |c| diverges(c).is_some());
+            fail("element sets", seed, i, &case, (None, msg), &shrunk);
+        }
+        let m = scenario(case.scale, case.scenario_seed).mediator();
+        let plan = m.plan_query(&case.text()).expect("the case plans");
+        let p = m.optimize(&plan, case.options()).1.count("element-sets") > 0;
+        // `works *$w` binds the document itself, and a delivered
+        // `*($f)` collects what a set would drop; an undelivered one is
+        // pruned first, leaving the title edge eligible
+        let declined = match case.shape {
+            Shape::WorksContains => true,
+            Shape::WorksCollect => case.make.contains("$f"),
+            _ => false,
+        };
+        if declined && p {
+            panic!("case {i} (YAT_DIFF_SEED={seed}) pushed an element set: {case:?}");
+        }
+        declined_cases += usize::from(declined);
+        pushed += usize::from(p);
+    }
+    println!(
+        "element sets: {cases} cases, {pushed} pushed an element set, \
+         {declined_cases} cases of a declined shape pushed none"
+    );
     assert!(
-        rejected < CASES * 2,
-        "generator degenerated: {rejected} rejections across {CASES} cases never answered"
+        pushed > cases / 10,
+        "element sets degenerated: only {pushed}/{cases} cases pushed an element set"
+    );
+    assert!(
+        declined_cases > 0,
+        "element sets degenerated: no case of a declined shape was drawn"
     );
 }
 
@@ -1047,7 +540,7 @@ impl PassingCase {
     }
 
     /// The whole plan: the answer template over the `DJoin`.
-    fn plan(&self) -> Arc<Alg> {
+    fn whole(&self) -> Arc<Alg> {
         let (mut left, push, template) = self.parts();
         if self.null_column {
             let mut cols: Vec<(String, String)> = left
@@ -1073,36 +566,44 @@ impl PassingCase {
         Alg::tree(joined, template)
     }
 
-    /// The source the dependent fragment ships to.
-    fn pushed_to(&self) -> &'static str {
-        match self.right {
-            Passed::WaisNeedle => "xmlartwork",
-            _ => "o2artifact",
-        }
+    /// The source the dependent fragment ships to, as an index into
+    /// [`Case::sources`]: O2, or Wais for the needle.
+    fn pushed_to(&self) -> usize {
+        usize::from(matches!(self.right, Passed::WaisNeedle))
+    }
+}
+
+impl Case for PassingCase {
+    fn lanes(&self) -> usize {
+        self.lanes
     }
 
-    /// Handler-batched execution under every {Sequential, Parallel} ×
-    /// {cache off, bounded} combination must serialize to
-    /// exactly the bytes of in-place reference evaluation (no
+    fn federation(&self, config: Config, store: Option<&Path>) -> Mediator {
+        scenario_federation(scenario(self.scale, self.scenario_seed), config, store)
+    }
+
+    fn plan(&self, _: &Mediator) -> Result<Arc<Alg>, MediatorError> {
+        Ok(self.whole())
+    }
+
+    /// The passing relaxation. The oracle itself runs the handler-batched
+    /// plan, so its answer is held to in-place reference evaluation (no
     /// `PushHandler`: the fragment evaluated per left row over fetched
-    /// documents), and the dependent side must cost at most
+    /// documents) on bytes alone, and its dependent side to at most
     /// `1 + ⌈distinct / chunk⌉` round trips however many rows drive it.
-    /// `Ok` says whether the join produced any answer rows.
-    fn run(&self) -> Result<bool, String> {
-        let mut sc = Scenario::at_scale(self.scale);
-        sc.seed = self.scenario_seed;
-        let plan = self.plan();
+    fn check_oracle(&self, oracle: &Observation) -> Result<(), String> {
         let (left, push, _) = self.parts();
         let Alg::Push { plan: frag, .. } = push.as_ref() else {
             unreachable!("parts() builds a Push")
         };
-
         // the reference: every export fetched, everything evaluated in
         // place by the handler-less interpreter
-        let oracle = sc.mediator();
+        let fetcher = self.federation(Config::ORACLE, None);
         let mut forest = Forest::new();
-        for (source, iface) in oracle.interfaces() {
-            let conn = oracle.connection(source).expect("imported sources connect");
+        for (source, iface) in fetcher.interfaces() {
+            let conn = fetcher
+                .connection(source)
+                .expect("imported sources connect");
             for export in &iface.exports {
                 match conn.call(&Request::GetDocument {
                     name: export.name.clone(),
@@ -1114,13 +615,13 @@ impl PassingCase {
         }
         let (funcs, skolems) = (FnRegistry::with_builtins(), SkolemRegistry::new());
         let ctx = EvalCtx::local(&forest, &funcs, &skolems);
-        let bytes = |out: EvalOut| ServerReply::answer(out).to_xml().to_xml();
-        let want =
-            bytes(yat::yat_algebra::eval(&plan, &ctx).map_err(|e| format!("reference eval: {e}"))?);
-        let driving = yat::yat_algebra::eval(&left, &ctx)
-            .map_err(|e| format!("reference left: {e}"))?
-            .tab(&left)
-            .map_err(|e| e.to_string())?;
+        let want = yat::yat_algebra::eval(&self.whole(), &ctx).map_err(|e| e.to_string())?;
+        let want = Outcome::Answer(ServerReply::answer(want).to_xml().to_xml());
+        if oracle.outcome != want {
+            return Err(format!("in-place evaluation {want:?}\noracle {oracle:?}"));
+        }
+        let driving = yat::yat_algebra::eval(&left, &ctx).and_then(|out| out.tab(&left));
+        let driving = driving.map_err(|e| e.to_string())?;
         let (bindings, _) = PassedBindings::collect(&driving, &Default::default(), frag);
         let distinct = bindings.rows.len() as u64;
         let bound = if driving.is_empty() {
@@ -1128,168 +629,157 @@ impl PassingCase {
         } else {
             1 + distinct.div_ceil(MAX_BATCH_BINDINGS as u64)
         };
-
-        for mode in [
-            ExecMode::Sequential,
-            ExecMode::Parallel {
-                max_in_flight: self.lanes,
-            },
-        ] {
-            for cache in [CachePolicy::Off, CachePolicy::bounded()] {
-                let mut m = sc.mediator();
-                m.set_exec_mode(mode);
-                m.set_cache_policy(cache);
-                m.set_stream_policy(StreamPolicy::Off);
-                let tag = format!("{mode}/cache {cache}");
-                let shipped = |m: &Mediator| {
-                    m.traffic_of(self.pushed_to())
-                        .expect("source is connected")
-                        .round_trips
-                };
-                // the left side's mediator-side read may fetch from
-                // the pushed-to source as well; only WaisNeedle's
-                // left reads O2, and its push goes to Wais
-                let before = shipped(&m);
-                let got = m.execute(&plan).map_err(|e| format!("{tag}: {e}"))?;
-                let trips = shipped(&m) - before;
-                if bytes(got) != want {
-                    return Err(format!("{tag}: answer diverges from in-place evaluation"));
-                }
-                if trips > bound {
-                    return Err(format!(
-                        "{tag}: {trips} round trips for {} rows / {distinct} distinct                              bindings (bound {bound})",
-                        driving.len()
-                    ));
-                }
-                if cache.is_enabled() {
-                    let before = shipped(&m);
-                    let warm = m.execute(&plan).map_err(|e| format!("{tag} warm: {e}"))?;
-                    if bytes(warm) != want {
-                        return Err(format!("{tag}: warm answer diverges"));
-                    }
-                    if shipped(&m) != before {
-                        return Err(format!("{tag}: warm rerun shipped bindings again"));
-                    }
-                }
-            }
+        // the left side's mediator-side read may fetch from the
+        // pushed-to source as well; only WaisNeedle's left reads O2, and
+        // its push goes to Wais
+        let trips = oracle.traffic[self.pushed_to()].round_trips;
+        if trips > bound {
+            return Err(format!(
+                "{trips} round trips for {} rows / {distinct} distinct bindings (bound {bound})",
+                driving.len()
+            ));
         }
-        Ok(want.contains("<r>"))
+        Ok(())
     }
 }
 
-/// The information-passing axis: seeded `DJoin`-into-`Push` plans whose
-/// left side has duplicate, tree-valued, `Null` and zero bindings. The
-/// handler-batched answer must equal in-place reference evaluation byte
-/// for byte in every mode × cache combination, and a dependent
-/// join must cost O(1) round trips, not one per driving row.
+/// Seeded `DJoin`-into-`Push` plans whose left side has duplicate,
+/// tree-valued, `Null` and zero bindings agree with the oracle under
+/// every config, and the oracle with in-place evaluation.
 #[test]
 fn batched_passing_agrees_with_in_place_evaluation_on_random_djoins() {
-    let master = std::env::var("YAT_DIFF_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SEED);
-    let mut rng = Rng::seed_from_u64(master ^ 0xD301);
-    let cases = CASES / 5;
-    let mut answered = 0;
-    for i in 0..cases {
-        let case = PassingCase::generate(&mut rng);
-        match case.run() {
-            Ok(rows) => answered += usize::from(rows),
-            Err(msg) => panic!(
-                "passing differential case {i}/{cases} (YAT_DIFF_SEED={master}) failed: {msg}\n\
-                 case: {case:?}\nplan:\n{}",
-                case.plan().explain()
-            ),
-        }
-    }
-    println!("passing differential sweep: {cases} cases, {answered} with answer rows");
+    let seed = master_seed(DEFAULT_SEED);
+    let mut rng = Rng::seed_from_u64(seed ^ 0xD301);
+    let cases: Vec<PassingCase> = (0..CASES / 5)
+        .map(|_| PassingCase::generate(&mut rng))
+        .collect();
+    let oracles = sweep("passing", seed, &cases, &ALL_ROWS);
+    let answered = oracles
+        .iter()
+        .filter(|o| matches!(&o.outcome, Outcome::Answer(a) if a.contains("<r>")))
+        .count();
     assert!(
-        answered > cases / 4,
-        "generator degenerated: only {answered}/{cases} joins produced any row"
+        answered > cases.len() / 4,
+        "passing degenerated: only {answered}/{} joins produced any row",
+        cases.len()
     );
 }
 
-/// The element-set axis: over the works scans, the view and the
-/// cross-source join — plus shapes the element-set rule must decline
-/// (whole documents under `contains`, a star-collect edge) and the
-/// nested `history` field — the default optimizer answers byte for byte
-/// what the naive plan answers, a nonzero share of the cases actually
-/// pushed an element set, and no case of a declined shape pushed one.
+/// Fig. 4: bind the works collection with the figure's filter, rebuild
+/// it grouped by artist under Skolem identifiers.
+const FIG4_GROUP_BY_ARTIST: &str = "\
+MAKE s *&artist($a) := artist [ name: $a, titles *$t ] \
+MATCH works WITH works *work [ title: $t, artist: $a, style: $s, size: $si, *($fields) ]";
+
+/// Fig. 7, upper row: vertical navigation from artifacts through the
+/// `owners` references into person tuples.
+const FIG7_NAVIGATION: &str = "\
+MAKE out *($t,$o) := owned [ title: $t, owner: $o, auction: $au ] \
+MATCH artifacts WITH set *class: artifact: tuple [ title: $t, \
+      owners: list *class: person: tuple [ name: $o, auction: $au ] ]";
+
+/// Fig. 7, lower middle: a structured query over semistructured data —
+/// only two of the filter's five variables are used.
+const FIG7_PROJECTED_FILTER: &str = "\
+MAKE out *($t,$a) := w [ title: $t, artist: $a ] \
+MATCH works WITH works *work [ title: $t, artist: $a, style: $s, size: $si, *($fields) ]";
+
+/// A paper query at one optimization level, over 40 documents per
+/// source, with four lanes when parallel.
+#[derive(Clone, Debug)]
+struct Paper(&'static str, OptimizerOptions);
+
+impl Case for Paper {
+    fn lanes(&self) -> usize {
+        4
+    }
+
+    fn federation(&self, config: Config, store: Option<&Path>) -> Mediator {
+        scenario_federation(Scenario::at_scale(40), config, store)
+    }
+
+    fn plan(&self, m: &Mediator) -> Result<Arc<Alg>, MediatorError> {
+        Ok(m.optimize(&m.plan_query(self.0)?, self.1).0)
+    }
+
+    fn check_oracle(&self, oracle: &Observation) -> Result<(), String> {
+        match &oracle.outcome {
+            Outcome::Answer(a) if a.len() > 40 => Ok(()),
+            other => Err(format!("answers nothing: {other:?}")),
+        }
+    }
+}
+
+/// Q1 and Q2 at each optimization level of Figs. 8 and 9, and the view
+/// queries behind Figs. 4 and 7, under every config — the served ones
+/// (rows 0–2) included.
 #[test]
-fn optimized_and_naive_agree_with_element_sets_on_random_plans() {
-    let master = std::env::var("YAT_DIFF_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SEED);
-    let mut rng = Rng::seed_from_u64(master ^ 0xE1E5);
-    let cases = CASES / 2;
-    let (mut pushed, mut declined_cases) = (0, 0);
-    for i in 0..cases {
-        let case = Case::generate_from(
-            &mut rng,
-            &[
-                Shape::Works,
-                Shape::View,
-                Shape::ArtifactsJoinWorks,
-                Shape::WorksContains,
-                Shape::WorksCollect,
-                Shape::WorksHistory,
-            ],
-        );
-        match case.run_element_axis() {
-            Ok(p) => {
-                // `works *$w` binds the document itself, and a delivered
-                // `*($f)` collects what a set would drop; an undelivered
-                // one is pruned first, leaving the title edge eligible
-                let declined = match case.shape {
-                    Shape::WorksContains => true,
-                    Shape::WorksCollect => case.make.contains("$f"),
-                    _ => false,
-                };
-                assert!(
-                    !(declined && p),
-                    "element-set differential case {i}/{cases} (YAT_DIFF_SEED={master}): \
-                     {:?} must not push an element set here\nquery: {}",
-                    case.shape,
-                    case.query_text()
-                );
-                declined_cases += usize::from(declined);
-                pushed += usize::from(p);
-            }
-            Err(msg) => panic!(
-                "element-set differential case {i}/{cases} (YAT_DIFF_SEED={master}) \
-                 failed: {msg}\nquery: {}\nknobs: {:?} scale={} scenario_seed={}",
-                case.query_text(),
-                case.shape,
-                case.scale,
-                case.scenario_seed
-            ),
-        }
-    }
-    println!(
-        "element-set differential sweep: {cases} cases, {pushed} pushed an element set, \
-         {declined_cases} cases of a declined shape pushed none"
-    );
-    assert!(
-        pushed > cases / 10,
-        "generator degenerated: only {pushed}/{cases} cases pushed an element set"
-    );
-    assert!(
-        declined_cases > 0,
-        "generator degenerated: no case of a declined shape was drawn"
+fn paper_queries_agree_with_the_oracle_under_every_config() {
+    // Fig. 8 assumes containment for Q1; Fig. 9 does not need it
+    let levels = LEVELS.iter().flat_map(|level| {
+        [
+            Paper(paper::Q1, level.options(true)),
+            Paper(paper::Q2, level.options(false)),
+        ]
+    });
+    let figures = [FIG4_GROUP_BY_ARTIST, FIG7_NAVIGATION, FIG7_PROJECTED_FILTER]
+        .into_iter()
+        .flat_map(|q| {
+            [
+                Paper(q, OptimizerOptions::naive()),
+                Paper(q, OptimizerOptions::default()),
+            ]
+        });
+    let cases: Vec<Paper> = levels.chain(figures).collect();
+    sweep(
+        "paper queries",
+        master_seed(DEFAULT_SEED),
+        &cases,
+        &ALL_ROWS,
     );
 }
 
-/// The same harness must be stable across reruns: the default seed plus
-/// a second fixed seed both pass, so CI pinning any seed is meaningful.
+/// Every value pair of any two dimensions appears in some row, and so
+/// does each configuration the benchmark serves.
+#[test]
+fn the_covering_table_holds_every_pair_and_every_served_config() {
+    let dims = |c: &Config| [c.parallel, c.cache, c.streamed, c.index, c.store];
+    for (a, b) in (0..5).flat_map(|a| (a + 1..5).map(move |b| (a, b))) {
+        for (va, vb) in [(false, false), (false, true), (true, false), (true, true)] {
+            let covered = TABLE.iter().any(|c| (dims(c)[a], dims(c)[b]) == (va, vb));
+            assert!(covered, "no row has dimension {a} = {va} and {b} = {vb}");
+        }
+    }
+    // sequential with a bounded cache, parallel with the cache off, and
+    // parallel streamed, indexes on and in memory
+    for served in [
+        row(false, true, false, true, false),
+        row(true, false, false, true, false),
+        row(true, false, true, true, false),
+    ] {
+        assert!(TABLE.contains(&served), "{served:?} is served");
+    }
+}
+
+/// One seed draws one case list, and observing a case is a function of
+/// the case and the config, so pinning a seed pins the whole run.
 #[test]
 fn differential_harness_is_deterministic_per_seed() {
-    let mut rng = Rng::seed_from_u64(0xA11CE);
-    for _ in 0..8 {
-        let case = Case::generate(&mut rng);
-        let q1 = case.query_text();
-        let q2 = case.query_text();
-        assert_eq!(q1, q2);
-        assert!(case.run().is_ok() || case.run().is_err()); // runs to completion
+    let draw = || {
+        let mut rng = Rng::seed_from_u64(0xA11CE);
+        let queries: Vec<Query> = (0..8).map(|_| Query::generate(&mut rng)).collect();
+        let passing: Vec<PassingCase> = (0..8).map(|_| PassingCase::generate(&mut rng)).collect();
+        (queries, passing)
+    };
+    let (first, second) = (draw(), draw());
+    assert_eq!(format!("{first:?}"), format!("{second:?}"));
+    let case = &first.0[0];
+    let store = StoreDir::new();
+    for config in TABLE {
+        assert_eq!(
+            observe(case, config, &store),
+            observe(case, config, &store),
+            "{case:?} under {config:?}"
+        );
     }
 }

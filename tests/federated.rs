@@ -1,111 +1,133 @@
 //! Differential harness for the federation layer: seeded kill-k-of-N
 //! sweeps over [`FedScenario`] federations. A degraded answer must equal
 //! the full answer minus exactly the works held by the killed partition
-//! shards (killed replicas are lossless via failover), its provenance
-//! must name exactly the killed members that were actually consulted,
-//! and all of it must hold identically across
-//! {Sequential, Parallel} × streamed/materialized.
+//! shards (killed replicas are lossless via failover) byte for byte, its
+//! provenance must name exactly the killed members that were actually
+//! consulted, and all of it — traffic to every member included — must
+//! hold identically under both exec modes, materialized and streamed.
+//! Configs, observations and the comparator are the shared differential
+//! harness's (`harness/mod.rs`).
 //!
 //! Deterministic by construction: the master seed is fixed (override
 //! with `YAT_DIFF_SEED=<u64>`) and the kill sets are drawn from it.
 
-use yat::yat_algebra::{CollectSink, EvalOut};
+// the sweep machinery is differential.rs's; this file observes and compares
+#[allow(dead_code)]
+mod harness;
+
+use harness::{compare, master_seed, observe, row, Case, Config, Outcome, StoreDir};
+use std::path::Path;
+use std::sync::Arc;
+use yat::yat_algebra::{Alg, EvalOut};
 use yat::yat_capability::protocol::ServerReply;
 use yat::yat_mediator::{
-    CachePolicy, ExecMode, Mediator, OptimizerOptions, PartialFailure, StreamPolicy,
+    CachePolicy, ExecMode, Mediator, MediatorError, OptimizerOptions, PartialFailure,
 };
-use yat_bench::figures::fingerprint;
-use yat_bench::workload::FedScenario;
+use yat::yat_yatl::paper;
+use yat_bench::workload::{FedScenario, Scenario};
 use yat_prng::Rng;
 
 const DEFAULT_SEED: u64 = 0xFED_2026;
 const SCALE: usize = 18;
 
-fn master_seed() -> u64 {
-    std::env::var("YAT_DIFF_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SEED)
-}
-
-fn answer_fp(out: &EvalOut) -> Vec<String> {
-    match out {
-        EvalOut::Tree(t) => fingerprint(t),
-        EvalOut::Tab(_) => panic!("paper queries answer trees"),
-    }
-}
-
 fn answer_bytes(out: EvalOut) -> String {
     ServerReply::answer(out).to_xml().to_xml()
 }
 
-fn oracle_fp(m: &Mediator, query: &str) -> Vec<String> {
-    answer_fp(
-        &m.query(query, OptimizerOptions::default())
-            .expect("the oracle mediator answers"),
-    )
+/// A query or a hand-built plan on a federation that degrades rather
+/// than fails when a consulted member is dead.
+#[derive(Clone, Debug)]
+struct Fed {
+    sc: FedScenario,
+    run: Run,
 }
 
-/// Both exec modes; each runs materialized and streamed.
-const MODES: [ExecMode; 2] = [
-    ExecMode::Sequential,
-    ExecMode::Parallel { max_in_flight: 4 },
+#[derive(Clone, Debug)]
+enum Run {
+    Query(&'static str, OptimizerOptions),
+    Plan(Arc<Alg>),
+}
+
+impl Case for Fed {
+    fn lanes(&self) -> usize {
+        4
+    }
+
+    fn federation(&self, config: Config, _: Option<&Path>) -> Mediator {
+        let mut sc = self.sc.clone();
+        sc.index = config.index_policy();
+        let mut m = sc.mediator();
+        m.set_partial_failure(PartialFailure::Degrade);
+        m
+    }
+
+    fn plan(&self, m: &Mediator) -> Result<Arc<Alg>, MediatorError> {
+        match &self.run {
+            Run::Query(query, options) => Ok(m.optimize(&m.plan_query(query)?, *options).0),
+            Run::Plan(plan) => Ok(plan.clone()),
+        }
+    }
+
+    fn sources(&self) -> Vec<String> {
+        self.sc.member_names()
+    }
+}
+
+/// Both exec modes, each materialized and streamed, indexes on and the
+/// cache off.
+const EXEC_BY_DELIVERY: [Config; 4] = [
+    // parallel cache  streamed index store
+    row(false, false, false, true, false),
+    row(false, false, true, true, false),
+    row(true, false, false, true, false),
+    row(true, false, true, true, false),
 ];
 
-fn degrade_mediator(sc: &FedScenario, mode: ExecMode) -> Mediator {
-    let mut m = sc.mediator();
-    m.set_exec_mode(mode);
-    m.set_cache_policy(CachePolicy::Off);
-    m.set_partial_failure(PartialFailure::Degrade);
-    m
-}
+/// Every title through the view: every shard is consulted, and the
+/// answer is long enough that a streamed run cuts it into several chunks.
+const TITLES: &str = "MAKE out *($t) := r [ $t ] MATCH artworks WITH doc.work.[ title.$t ]";
 
-/// Runs one kill set through every combination, checking answer and
-/// provenance against the oracle. `expect_missing` is the sorted list of
-/// members that must appear in the provenance (killed ∩ consulted).
-fn check_kill_set(sc: &FedScenario, query: &str, want: &[String], expect_missing: &[String]) {
-    let ctx = || format!("members={} dead={:?} query={query}", sc.members, sc.dead);
-    // the materialized degraded answer must be byte-identical across
-    // every combination; the streamed reassembly must match it
-    let mut wire: Option<String> = None;
-    for mode in MODES {
-        let m = degrade_mediator(sc, mode);
-        let plan = m.plan_query(query).expect("query plans");
-        let (opt, _) = m.optimize(&plan, OptimizerOptions::default());
-        let (out, prov) = m
-            .execute_federated(&opt)
-            .unwrap_or_else(|e| panic!("degrade mode must answer ({}): {e}", ctx()));
-        assert_eq!(answer_fp(&out), want, "degraded answer oracle ({})", ctx());
-        let missing: Vec<String> = prov.missing.keys().cloned().collect();
-        assert_eq!(missing, expect_missing, "provenance ({})", ctx());
-        let bytes = ServerReply::answer(out).to_xml().to_xml();
-        match &wire {
-            None => wire = Some(bytes),
-            Some(w) => assert_eq!(&bytes, w, "answer bytes diverge under {mode:?} ({})", ctx()),
+/// Runs `query` on `sc` under every exec mode × delivery: the first
+/// observation must answer exactly what the plain twin without
+/// `twin_killed` answers, with provenance naming exactly
+/// `expect_missing` (killed ∩ consulted), and the others must agree
+/// with it. Returns how many chunks each streamed run was cut into.
+fn check_kill_set(
+    sc: &FedScenario,
+    query: &'static str,
+    twin_killed: &[String],
+    expect_missing: &[String],
+) -> Vec<u64> {
+    let ctx = format!("members={} dead={:?} query={query}", sc.members, sc.dead);
+    let twin = sc
+        .plain_twin(twin_killed)
+        .query(query, OptimizerOptions::default());
+    let want = Outcome::Answer(answer_bytes(twin.expect("the plain twin answers")));
+    let case = Fed {
+        sc: sc.clone(),
+        run: Run::Query(query, OptimizerOptions::default()),
+    };
+    let store = StoreDir::new();
+    let reference = observe(&case, EXEC_BY_DELIVERY[0], &store).remove(0);
+    assert_eq!(reference.outcome, want, "degraded answer ({ctx})");
+    assert_eq!(reference.missing, expect_missing, "provenance ({ctx})");
+    let mut chunks = Vec::new();
+    for config in &EXEC_BY_DELIVERY[1..] {
+        let runs = observe(&case, *config, &store);
+        if let Err(e) = compare(&reference, &runs) {
+            panic!("{config:?} diverges ({ctx}): {e}");
         }
-
-        let mut st = degrade_mediator(sc, mode);
-        st.set_stream_policy(StreamPolicy::chunked());
-        let mut sink = CollectSink::new();
-        let (_, prov) = st
-            .query_stream_federated(query, OptimizerOptions::default(), &mut sink)
-            .unwrap_or_else(|e| panic!("streamed degrade must answer ({}): {e}", ctx()));
-        let out = sink.into_answer().expect("streamed run delivers an answer");
-        let missing: Vec<String> = prov.missing.keys().cloned().collect();
-        assert_eq!(missing, expect_missing, "streamed provenance ({})", ctx());
-        let bytes = ServerReply::answer(out).to_xml().to_xml();
-        assert_eq!(
-            Some(bytes),
-            wire,
-            "streamed answer diverges from materialized ({})",
-            ctx()
-        );
+        if config.streamed {
+            chunks.push(runs[0].chunks);
+        }
     }
+    chunks
 }
 
 #[test]
 fn killing_k_shards_subtracts_exactly_their_works() {
-    let mut rng = Rng::seed_from_u64(master_seed());
+    let mut rng = Rng::seed_from_u64(master_seed(DEFAULT_SEED));
+    let mut chunks = Vec::new();
     for members in [4usize, 9] {
         for _case in 0..3 {
             let mut sc = FedScenario::new(members, SCALE);
@@ -120,17 +142,23 @@ fn killing_k_shards_subtracts_exactly_their_works() {
             }
             killed.sort();
             sc.dead = killed.clone();
-            // Q1 has no style constraint: every shard is consulted, so
-            // the provenance must name exactly the kill set
-            let want = oracle_fp(&sc.plain_twin(&killed), yat::yat_yatl::paper::Q1);
-            check_kill_set(&sc, yat::yat_yatl::paper::Q1, &want, &killed);
+            // neither query has a style constraint: every shard is
+            // consulted, so the provenance must name exactly the kill set
+            chunks.extend(check_kill_set(&sc, paper::Q1, &killed, &killed));
+            chunks.extend(check_kill_set(&sc, TITLES, &killed, &killed));
         }
     }
+    let cut = chunks.iter().filter(|&&c| c >= 2).count();
+    assert!(
+        cut * 4 >= chunks.len(),
+        "only {cut}/{} streamed executions were cut into 2+ chunks",
+        chunks.len()
+    );
 }
 
 #[test]
 fn killing_replicas_is_lossless_until_the_last() {
-    let mut rng = Rng::seed_from_u64(master_seed() ^ 0xA5A5);
+    let mut rng = Rng::seed_from_u64(master_seed(DEFAULT_SEED) ^ 0xA5A5);
     for members in [4usize, 8] {
         let mut sc = FedScenario::new(members, SCALE);
         let replicas = sc.replica_names();
@@ -142,16 +170,20 @@ fn killing_replicas_is_lossless_until_the_last() {
             .filter(|(i, _)| *i != keep)
             .map(|(_, n)| n.clone())
             .collect();
-        let want = oracle_fp(&sc.plain_twin(&[]), yat::yat_yatl::paper::Q1);
         // no shard died, so failover must keep the answer complete and
         // the provenance empty — even under strict
-        check_kill_set(&sc, yat::yat_yatl::paper::Q1, &want, &[]);
+        check_kill_set(&sc, paper::Q1, &[], &[]);
+        let want = answer_bytes(
+            sc.plain_twin(&[])
+                .query(paper::Q1, OptimizerOptions::default())
+                .unwrap(),
+        );
         let mut m = sc.mediator();
         m.set_cache_policy(CachePolicy::Off);
         let strict = m
-            .query(yat::yat_yatl::paper::Q1, OptimizerOptions::default())
+            .query(paper::Q1, OptimizerOptions::default())
             .expect("strict mode survives replica failover");
-        assert_eq!(answer_fp(&strict), want);
+        assert_eq!(answer_bytes(strict), want);
     }
 }
 
@@ -160,7 +192,6 @@ fn pruned_dead_shards_are_never_consulted_so_never_missed() {
     // Q2 is constrained to Impressionist: plan-time pruning must leave
     // every other shard uncontacted and answer byte-identically to the
     // unpruned plan
-    let q2 = yat::yat_yatl::paper::Q2;
     let unpruned = OptimizerOptions {
         prune_partitions: false,
         ..OptimizerOptions::default()
@@ -168,22 +199,26 @@ fn pruned_dead_shards_are_never_consulted_so_never_missed() {
     for members in [2usize, 8] {
         let sc = FedScenario::new(members, SCALE);
         let owners = sc.shards_owning("Impressionist");
-        for mode in MODES {
-            let mut m = sc.mediator();
-            m.set_exec_mode(mode);
-            m.set_cache_policy(CachePolicy::Off);
-            let plan = m.plan_query(q2).expect("Q2 plans");
-            let want = answer_bytes(m.execute(&m.optimize(&plan, unpruned).0).unwrap());
-            m.reset_traffic();
-            let (pruned, _) = m.optimize(&plan, OptimizerOptions::default());
-            let got = answer_bytes(m.execute(&pruned).expect("pruned Q2 executes"));
-            let ctx = format!("members={members} {mode:?}");
-            assert_eq!(got, want, "pruned and unpruned Q2 diverge ({ctx})");
-            for shard in sc.shard_names() {
-                let trips = m.traffic_of(&shard).unwrap().round_trips;
+        let case = |options| Fed {
+            sc: sc.clone(),
+            run: Run::Query(paper::Q2, options),
+        };
+        let store = StoreDir::new();
+        for config in EXEC_BY_DELIVERY {
+            let want = observe(&case(unpruned), config, &store).remove(0);
+            let got = observe(&case(OptimizerOptions::default()), config, &store).remove(0);
+            let ctx = format!("members={members} {config:?}");
+            assert_eq!(
+                got.outcome, want.outcome,
+                "pruned and unpruned Q2 diverge ({ctx})"
+            );
+            for (member, traffic) in sc.member_names().iter().zip(&got.traffic) {
                 assert!(
-                    trips == 0 || owners.contains(&shard),
-                    "pruned Q2 contacted excluded shard {shard} {trips} times ({ctx})"
+                    traffic.round_trips == 0
+                        || !sc.shard_names().contains(member)
+                        || owners.contains(member),
+                    "pruned Q2 contacted excluded shard {member} {} times ({ctx})",
+                    traffic.round_trips
                 );
             }
         }
@@ -200,9 +235,14 @@ fn pruned_dead_shards_are_never_consulted_so_never_missed() {
         .map(|(_, n)| n)
         .expect("some shard owns no Impressionist works");
     sc.dead = vec![victim];
-    let want = oracle_fp(&sc.plain_twin(&[]), q2);
-    check_kill_set(&sc, q2, &want, &[]);
+    check_kill_set(&sc, paper::Q2, &[], &[]);
 }
+
+/// Both exec modes, for the hand-built mediators below.
+const MODES: [ExecMode; 2] = [
+    ExecMode::Sequential,
+    ExecMode::Parallel { max_in_flight: 4 },
+];
 
 #[test]
 fn strict_mode_fails_fast_when_a_killed_shard_is_consulted() {
@@ -214,7 +254,7 @@ fn strict_mode_fails_fast_when_a_killed_shard_is_consulted() {
         m.set_exec_mode(mode);
         m.set_cache_policy(CachePolicy::Off);
         let err = m
-            .query(yat::yat_yatl::paper::Q1, OptimizerOptions::default())
+            .query(paper::Q1, OptimizerOptions::default())
             .expect_err("strict mode must fail when a consulted shard is dead");
         assert!(
             err.to_string().contains(&killed),
@@ -231,8 +271,7 @@ fn strict_mode_fails_fast_when_a_killed_shard_is_consulted() {
 // plan.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use yat::yat_algebra::{Alg, Operand, Pred, Template};
+use yat::yat_algebra::{Operand, Pred, Template};
 use yat::yat_capability::protocol::{Request, Response, WrapperServer, MAX_BATCH_BINDINGS};
 use yat::yat_mediator::MemberRole;
 use yat::yat_yatl::parse_filter;
@@ -262,23 +301,16 @@ impl<W: WrapperServer> WrapperServer for DiesMidBatch<W> {
 
 #[test]
 fn a_replica_lost_mid_batch_fails_the_whole_batch_over() {
-    use yat::yat_oql::art::{art_store, ArtSpec};
-    use yat::yat_oql::O2Wrapper;
-    use yat::yat_wais::{generate_works, WaisSource, WaisWrapper, WorksSpec};
+    use yat::yat_oql::{art::art_store, O2Wrapper};
+    use yat::yat_wais::{generate_works, WaisSource, WaisWrapper};
     // more driving titles than one `execute-batch` carries: two chunks
     let scale = MAX_BATCH_BINDINGS + 200;
-    let art = ArtSpec {
-        artifacts: scale,
-        persons: 4,
+    let sc = Scenario {
         seed: 7,
+        ..Scenario::at_scale(scale)
     };
-    let works = generate_works(&WorksSpec {
-        works: scale,
-        impressionist_pct: 30,
-        optional_pct: 0,
-        giverny_pct: 0,
-        seed: 7,
-    });
+    let (art, works) = sc.specs();
+    let works = generate_works(&works);
     // every work drives; O2 answers the price of the artifact it titles
     let plan = |works_at: &str, artifacts_at: &str| {
         Alg::tree(
@@ -312,16 +344,7 @@ fn a_replica_lost_mid_batch_fails_the_whole_batch_over() {
         )
     };
 
-    let mut plain = Mediator::new();
-    plain
-        .connect(Box::new(O2Wrapper::new("o2artifact", art_store(&art))))
-        .unwrap();
-    plain
-        .connect(Box::new(WaisWrapper::new(
-            "xmlartwork",
-            WaisSource::new("works", &works),
-        )))
-        .unwrap();
+    let mut plain = sc.mediator();
     plain.set_cache_policy(CachePolicy::Off);
     let want = answer_bytes(plain.execute(&plan("xmlartwork", "o2artifact")).unwrap());
     assert!(want.matches("<r>").count() >= scale, "every title joins");
@@ -352,8 +375,7 @@ fn a_replica_lost_mid_batch_fails_the_whole_batch_over() {
         m.set_exec_mode(mode);
         m.set_cache_policy(CachePolicy::Off);
 
-        let before = |m: &Mediator, member: &str| m.traffic_of(member).unwrap().round_trips;
-        let (art0, art1) = (before(&m, "art-0"), before(&m, "art-1"));
+        m.reset_traffic();
         // strict mode: the failover alone must save the query
         let (out, prov) = m
             .execute_federated(&plan("xmlartwork", "art"))
@@ -362,8 +384,9 @@ fn a_replica_lost_mid_batch_fails_the_whole_batch_over() {
         assert!(prov.missing.is_empty(), "a lossless failover misses nobody");
         // art-0 took the first chunk and refused the second; art-1 was
         // then shipped *both* chunks, not just the one that failed
-        assert_eq!(before(&m, "art-0") - art0, 2);
-        assert_eq!(before(&m, "art-1") - art1, 2);
+        for member in ["art-0", "art-1"] {
+            assert_eq!(m.traffic_of(member).unwrap().round_trips, 2, "{member}");
+        }
     }
 }
 
@@ -437,35 +460,25 @@ fn a_batch_on_a_partition_group_contacts_only_the_shards_its_bindings_need() {
         "{want}"
     );
 
-    for mode in MODES {
-        let mut m = sc.mediator();
-        m.set_exec_mode(mode);
-        m.set_cache_policy(CachePolicy::Off);
-        let trips = |m: &Mediator, shard: &String| m.traffic_of(shard).unwrap().round_trips;
-        let before: Vec<u64> = sc.shard_names().iter().map(|s| trips(&m, s)).collect();
-        let since = |m: &Mediator, shard: &String| {
-            let i = sc.shard_names().iter().position(|s| s == shard).unwrap();
-            trips(m, shard) - before[i]
-        };
-        // strict: a consulted dead shard would fail the query
-        let (out, prov) = m
-            .execute_federated(&plan("art", "wais"))
-            .unwrap_or_else(|e| panic!("pruned shards are never asked ({mode:?}): {e}"));
-        assert_eq!(answer_bytes(out), want, "{mode:?}");
-        assert!(prov.missing.is_empty());
-        for shard in &excluded {
-            assert_eq!(
-                since(&m, shard),
-                0,
-                "{shard} owns neither style and must not be contacted"
-            );
-        }
-        for shard in &owners {
-            assert_eq!(
-                since(&m, shard),
-                1,
-                "{shard} gets one batch: its own style's binding"
-            );
+    let case = Fed {
+        sc: sc.clone(),
+        run: Run::Plan(plan("art", "wais")),
+    };
+    let store = StoreDir::new();
+    for config in EXEC_BY_DELIVERY {
+        let got = observe(&case, config, &store).remove(0);
+        assert_eq!(got.outcome, Outcome::Answer(want.clone()), "{config:?}");
+        // a consulted dead shard would be missing
+        assert!(got.missing.is_empty(), "{config:?}: {:?}", got.missing);
+        for (member, traffic) in sc.member_names().iter().zip(&got.traffic) {
+            // owners get one batch, their own style's binding; shards
+            // owning neither style are never contacted
+            let batches = match (owners.contains(member), excluded.contains(member)) {
+                (true, _) => 1,
+                (_, true) => 0,
+                _ => continue,
+            };
+            assert_eq!(traffic.round_trips, batches, "{member} under {config:?}");
         }
     }
 }
