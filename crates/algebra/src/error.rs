@@ -30,6 +30,13 @@ pub enum EvalError {
         /// Failure description.
         message: String,
     },
+    /// A source declined a pushed plan it cannot run.
+    Refused {
+        /// Source id.
+        source: String,
+        /// Why it declined.
+        reason: String,
+    },
     /// A comparison between incomparable values in strict context.
     Incomparable(String),
     /// Union-compatible inputs required.
@@ -63,6 +70,9 @@ impl fmt::Display for EvalError {
             EvalError::UnknownFunction(n) => write!(f, "unknown external function `{n}`"),
             EvalError::Function { name, message } => {
                 write!(f, "external function `{name}` failed: {message}")
+            }
+            EvalError::Refused { source, reason } => {
+                write!(f, "source `{source}` refused the plan: {reason}")
             }
             EvalError::Incomparable(m) => write!(f, "incomparable values: {m}"),
             EvalError::Incompatible { op, message } => write!(f, "{op}: {message}"),

@@ -164,7 +164,9 @@ impl Response {
         match self {
             Response::Document { name, tree } => write_document(name, tree, out),
             Response::Result(tab) => write_result(tab, out),
-            Response::Interface(_) | Response::Error(_) => write_xml(&self.to_xml(), out),
+            Response::Interface(_) | Response::Refused(_) | Response::Error(_) => {
+                write_xml(&self.to_xml(), out)
+            }
         }
     }
 

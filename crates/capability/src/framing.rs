@@ -35,11 +35,6 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> Result<(), WireError> {
         .map_err(|e| WireError::Io(e.to_string()))
 }
 
-/// Serializes `el` and writes it as one frame.
-pub fn write_element(w: &mut impl Write, el: &Element) -> Result<(), WireError> {
-    write_frame(w, &el.to_xml())
-}
-
 /// Reads one frame's payload. `Ok(None)` means the peer closed the
 /// stream cleanly *between* frames; inside a frame, early EOF is
 /// [`WireError::Truncated`].
@@ -126,7 +121,7 @@ mod tests {
     fn elements_roundtrip() {
         let el = Element::new("query").with_text("select *");
         let mut buf = Vec::new();
-        write_element(&mut buf, &el).unwrap();
+        write_frame(&mut buf, &el.to_xml()).unwrap();
         let back = read_element(&mut buf.as_slice()).unwrap().unwrap();
         assert_eq!(back.name, "query");
         assert_eq!(back.text(), "select *");

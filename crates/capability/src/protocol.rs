@@ -271,6 +271,11 @@ pub enum Response {
     },
     /// The result of an executed plan.
     Result(Tab),
+    /// The wrapper declines a pushed plan its source cannot run (a shape
+    /// its query language has no translation for). Like `Error` it
+    /// fails the request; unlike `Error` it says the source is healthy
+    /// and the plan was never attempted.
+    Refused(String),
     /// A failure.
     Error(String),
 }
@@ -284,6 +289,9 @@ impl Response {
                 .with_attr("name", name.clone())
                 .with_child(tree_to_xml(tree)),
             Response::Result(tab) => Element::new("result").with_child(tab_to_xml(tab)),
+            Response::Refused(reason) => {
+                Element::new("refused").with_attr("reason", reason.clone())
+            }
             Response::Error(msg) => Element::new("error").with_attr("message", msg.clone()),
         }
     }
@@ -313,6 +321,9 @@ impl Response {
                 })?;
                 Ok(Response::Result(tab_from_xml(body)?))
             }
+            "refused" => Ok(Response::Refused(
+                el.attr("reason").unwrap_or("").to_string(),
+            )),
             "error" => Ok(Response::Error(
                 el.attr("message").unwrap_or("").to_string(),
             )),
@@ -1046,6 +1057,7 @@ mod tests {
                 tree: Node::sym("works", vec![]),
             },
             Response::Result(tab),
+            Response::Refused("no OQL for <group>".into()),
             Response::Error("nope".into()),
         ];
         for r in resps {

@@ -150,12 +150,20 @@ pub enum ExecError {
     UnknownSource(String),
     /// A wire-level failure.
     Wire(String),
-    /// A wrapper refused or failed a pushed plan.
+    /// A wrapper failed a request.
     Wrapper {
         /// Source id.
         source: String,
         /// Its message.
         message: String,
+    },
+    /// A wrapper declined a pushed plan its source cannot run
+    /// ([`Response::Refused`]).
+    Refused {
+        /// Source id.
+        source: String,
+        /// Why it declined.
+        reason: String,
     },
     /// Local evaluation failed.
     Eval(EvalError),
@@ -169,6 +177,9 @@ impl std::fmt::Display for ExecError {
             ExecError::Wrapper { source, message } => {
                 write!(f, "wrapper `{source}` failed: {message}")
             }
+            ExecError::Refused { source, reason } => {
+                write!(f, "wrapper `{source}` refused the plan: {reason}")
+            }
             ExecError::Eval(e) => write!(f, "evaluation failed: {e}"),
         }
     }
@@ -178,7 +189,10 @@ impl std::error::Error for ExecError {}
 
 impl From<EvalError> for ExecError {
     fn from(e: EvalError) -> Self {
-        ExecError::Eval(e)
+        match e {
+            EvalError::Refused { source, reason } => ExecError::Refused { source, reason },
+            other => ExecError::Eval(other),
+        }
     }
 }
 
@@ -355,7 +369,10 @@ fn cached_document(src: &str, name: &str, fed: &FedCtx<'_>) -> Option<Tree> {
 /// An unknown source is a plan/configuration bug and stays fatal under
 /// every partial-failure policy.
 fn degradable(e: &ExecError) -> bool {
-    matches!(e, ExecError::Wire(_) | ExecError::Wrapper { .. })
+    matches!(
+        e,
+        ExecError::Wire(_) | ExecError::Wrapper { .. } | ExecError::Refused { .. }
+    )
 }
 
 /// Resolves a batch of document fetches against one source name, in
@@ -428,6 +445,10 @@ fn wire_fetch(src: &str, name: &str, fed: &FedCtx<'_>) -> Result<Tree, ExecError
         Response::Error(m) => Err(ExecError::Wrapper {
             source: src.to_string(),
             message: m,
+        }),
+        Response::Refused(reason) => Err(ExecError::Refused {
+            source: src.to_string(),
+            reason,
         }),
         other => Err(ExecError::Wire(format!("unexpected response {other:?}"))),
     }
@@ -777,7 +798,7 @@ fn run_job(
                         source: name,
                         message,
                     },
-                    other => ExecError::Eval(other),
+                    other => other.into(),
                 })
         }
     };
@@ -1014,6 +1035,10 @@ fn ship_to_member(
         match conn.call_traced(&request, fed.obs) {
             Ok(Response::Result(tab)) => Ok(tab),
             Ok(Response::Error(m)) => Err(failure(m)),
+            Ok(Response::Refused(reason)) => Err(EvalError::Refused {
+                source: member.to_string(),
+                reason,
+            }),
             Ok(other) => Err(failure(format!("unexpected response {other:?}"))),
             Err(e) => Err(failure(e.to_string())),
         }
@@ -1398,6 +1423,15 @@ mod tests {
         let (out, _) = run_passing(&shared, &connections, &AnswerCache::off(), false);
         let tab = out.unwrap();
         assert_eq!(tab.as_tab().unwrap().len(), 3 + 2 * 2);
+        // O2's answer to the dangling variable is a typed refusal, per
+        // row or batched
+        for per_row in [false, true] {
+            let (out, _) = run_passing(&dangling, &connections, &AnswerCache::off(), per_row);
+            match out {
+                Err(EvalError::Refused { source, .. }) => assert_eq!(source, "o2artifact"),
+                other => panic!("expected a refusal, got {other:?}"),
+            }
+        }
     }
 
     #[test]

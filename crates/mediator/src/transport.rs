@@ -354,11 +354,12 @@ impl Connection {
                     span.record_u64(attr::DOCUMENTS, documents);
                 }
                 self.meter.record(sent, received, documents);
-                // A well-formed `Response::Error` is a successful round
-                // trip on the wire but a failure of the source: the cost
-                // record must see it, or a member that answers every data
-                // request with an error would never trip quarantine.
-                let ok = !matches!(response, Response::Error(_));
+                // A well-formed `Response::Error` or `Refused` is a
+                // successful round trip on the wire but a failure of the
+                // source: the cost record must see it, or a member that
+                // answers every data request with an error would never
+                // trip quarantine.
+                let ok = !matches!(response, Response::Error(_) | Response::Refused(_));
                 let executed = matches!(
                     request,
                     Request::Execute { .. } | Request::ExecuteBatch { .. }

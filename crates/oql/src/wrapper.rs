@@ -142,7 +142,7 @@ impl O2Wrapper {
         let storage_before = store.backing_store().map(|s| s.stats());
         let translated = match plan_to_oql_passing(plan, &bindings.vars) {
             Ok(t) => t,
-            Err(e) => return Response::Error(format!("cannot translate plan: {e}")),
+            Err(e) => return Response::Refused(e.to_string()),
         };
         let query = match oql::parse(&translated.oql) {
             Ok(q) => q,
@@ -539,8 +539,9 @@ mod tests {
                     assert_eq!(Response::Result(tab), single, "binding {i} of {plan:?}");
                 }
             }
-            Response::Error(_) => assert!(
-                per_binding.iter().all(|r| matches!(r, Response::Error(_))),
+            Response::Refused(_) | Response::Error(_) => assert!(
+                (per_binding.iter())
+                    .all(|r| matches!(r, Response::Refused(_) | Response::Error(_))),
                 "the batch failed but some binding alone succeeds: {plan:?}"
             ),
             other => panic!("{other:?}"),
@@ -689,7 +690,7 @@ mod tests {
         let plan = Alg::bind(Alg::source("works"), parse_filter("works *$w").unwrap());
         assert!(matches!(
             w.handle(&Request::Execute { plan }),
-            Response::Error(_)
+            Response::Refused(_)
         ));
     }
 }

@@ -1,6 +1,6 @@
 //! A blocking wire-protocol client for `yat-server`.
 
-use std::io::{BufWriter, Read, Write};
+use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 use yat_algebra::{BatchSink, CollectSink, EvalError, EvalOut};
@@ -9,16 +9,17 @@ use yat_capability::protocol::{ClientRequest, ServerReply, ServerStats, StreamFr
 use yat_capability::xml::WireError;
 
 /// One client connection. Requests are answered in order on the same
-/// stream; a connection can carry any number of them.
-pub struct Client {
-    stream: TcpStream,
+/// stream; a connection can carry any number of them. The stream is a
+/// TCP socket unless a test drives the client over a double.
+pub struct Client<S = TcpStream> {
+    stream: S,
 }
 
 impl Client {
     /// Connects to a running server.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, WireError> {
         TcpStream::connect(addr)
-            .map(|stream| Client { stream })
+            .map(Client::over)
             .map_err(|e| WireError::Io(format!("connect failed: {e}")))
     }
 
@@ -47,7 +48,7 @@ impl Client {
         let mut attempt = 0u32;
         loop {
             match TcpStream::connect(addr.clone()) {
-                Ok(stream) => return Ok(Client { stream }),
+                Ok(stream) => return Ok(Client::over(stream)),
                 Err(e) if start.elapsed() >= patience => {
                     return Err(WireError::Io(format!(
                         "connect failed after {patience:?}: {e}"
@@ -63,10 +64,17 @@ impl Client {
             }
         }
     }
+}
+
+impl<S: Read + Write> Client<S> {
+    /// A client speaking over an already open `stream`.
+    pub(crate) fn over(stream: S) -> Client<S> {
+        Client { stream }
+    }
 
     /// Sends one request and reads its reply.
     pub fn roundtrip(&mut self, request: &ClientRequest) -> Result<ServerReply, WireError> {
-        framing::write_element(&mut self.stream, &request.to_xml())?;
+        send(&mut self.stream, request)?;
         match framing::read_frame(&mut self.stream)? {
             Some(text) => Ok(ServerReply::decode(&text)?),
             None => Err(WireError::Io(
@@ -111,7 +119,7 @@ impl Client {
             deadline_ms: None,
             stream: true,
         };
-        write_in_one(&mut self.stream, &request)?;
+        send(&mut self.stream, &request)?;
         read_streamed_reply(&mut self.stream)
     }
 
@@ -145,15 +153,22 @@ impl Client {
     }
 }
 
-/// Writes `request` as one frame in a single `write`. Written as header
-/// and payload, the payload waits behind Nagle's algorithm for the
-/// server to acknowledge the header, and a server whose last answer
-/// began within its delayed-ACK timeout (40 ms on Linux) holds that
-/// acknowledgement back: a streamed query's time-to-first-row would jump
-/// by the timeout whenever the previous answer was fast.
-pub(crate) fn write_in_one(w: &mut impl Write, request: &ClientRequest) -> Result<(), WireError> {
+/// Writes `request` as one frame in a single `write`: the only way a
+/// client request reaches the socket. Written as header and payload,
+/// the payload would wait behind Nagle's algorithm for the server to
+/// acknowledge the header, and a server whose last answer began within
+/// its delayed-ACK timeout (40 ms on Linux) holds that acknowledgement
+/// back, however cheap the query. Replies are another matter: a
+/// non-streamed reply still leaves as header and payload, so the
+/// client's delayed ACK of the header holds the payload (~44 ms per
+/// loopback round trip).
+fn send(w: &mut impl Write, request: &ClientRequest) -> Result<(), WireError> {
     let text = request.to_xml().to_xml();
-    framing::write_frame(&mut BufWriter::with_capacity(4 + text.len(), w), &text)
+    let mut frame = Vec::with_capacity(4 + text.len());
+    framing::write_frame(&mut frame, &text)?;
+    w.write_all(&frame)
+        .and_then(|()| w.flush())
+        .map_err(|e| WireError::Io(e.to_string()))
 }
 
 /// The delay before retry number `attempt` (0-based) of

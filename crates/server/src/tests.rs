@@ -243,13 +243,14 @@ fn hostile_frames_leave_the_server_alive_and_the_connection_usable() {
         other => panic!("{other:?}"),
     }
     // and the same connection still executes real queries afterwards
-    framing::write_element(
+    framing::write_frame(
         &mut stream,
         &ClientRequest::Query {
             text: paper::Q1.into(),
             deadline_ms: None,
             stream: false,
         }
+        .to_xml()
         .to_xml(),
     )
     .expect("frame writes");
@@ -503,7 +504,7 @@ fn corrupted_chunk_streams_yield_typed_errors_never_short_answers() {
     }
     fn frame_bytes(frame: &StreamFrame) -> Vec<u8> {
         let mut buf = Vec::new();
-        framing::write_element(&mut buf, &frame.to_xml()).expect("frame writes");
+        framing::write_frame(&mut buf, &frame.to_xml().to_xml()).expect("frame writes");
         buf
     }
     let frames = [
@@ -617,11 +618,12 @@ fn corrupted_chunk_streams_yield_typed_errors_never_short_answers() {
     );
     // a non-stream frame mid-stream is refused
     let mut foreign = Vec::new();
-    framing::write_element(
+    framing::write_frame(
         &mut foreign,
         &ServerReply::Error {
             message: "surprise".into(),
         }
+        .to_xml()
         .to_xml(),
     )
     .expect("frame writes");
@@ -731,7 +733,7 @@ impl ParkedStream {
             deadline_ms: None,
             stream: true,
         };
-        framing::write_element(&mut socket, &request.to_xml()).expect("request is written");
+        framing::write_frame(&mut socket, &request.to_xml().to_xml()).expect("request is written");
         let first = framing::read_element(&mut socket)
             .expect("first frame reads")
             .expect("server answers");
@@ -756,7 +758,7 @@ impl ParkedStream {
             .send(())
             .expect("the worker is waiting on the latch");
         let mut head = Vec::new();
-        framing::write_element(&mut head, &self.first).expect("frame re-encodes");
+        framing::write_frame(&mut head, &self.first.to_xml()).expect("frame re-encodes");
         read_streamed_reply(&mut Cursor::new(head).chain(&self.socket))
             .expect("the rest of the stream arrives once the latch opens")
     }
@@ -851,7 +853,7 @@ struct FrameBytes {
 
 impl FrameBytes {
     fn push(&mut self, frame: &StreamFrame) {
-        framing::write_element(&mut self.bytes, &frame.to_xml()).expect("frame writes");
+        framing::write_frame(&mut self.bytes, &frame.to_xml().to_xml()).expect("frame writes");
     }
 
     fn finish(mut self) -> Vec<u8> {
@@ -893,17 +895,33 @@ impl BatchSink for FrameBytes {
     }
 }
 
-/// Records the size of every `write` call.
-#[derive(Default)]
-struct WriteLog {
-    bytes: Vec<u8>,
-    writes: Vec<usize>,
+/// A server stand-in: replays one reply frame and keeps the bytes of
+/// every `write` call the client makes.
+struct Wire {
+    reply: Cursor<Vec<u8>>,
+    writes: Vec<Vec<u8>>,
 }
 
-impl std::io::Write for WriteLog {
+impl Wire {
+    fn answering(reply: &ServerReply) -> Wire {
+        let mut frame = Vec::new();
+        framing::write_frame(&mut frame, &reply.to_xml().to_xml()).expect("the reply frames");
+        Wire {
+            reply: Cursor::new(frame),
+            writes: Vec::new(),
+        }
+    }
+}
+
+impl Read for Wire {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.reply.read(buf)
+    }
+}
+
+impl std::io::Write for Wire {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.writes.push(buf.len());
-        self.bytes.extend_from_slice(buf);
+        self.writes.push(buf.to_vec());
         Ok(buf.len())
     }
 
@@ -912,26 +930,73 @@ impl std::io::Write for WriteLog {
     }
 }
 
+/// One public `Client` verb, driven over a [`Wire`].
+type Verb<'a> = Box<dyn Fn(&mut Client<&mut Wire>) -> Result<(), WireError> + 'a>;
+
 #[test]
-fn a_streamed_request_leaves_in_one_write() {
+fn every_request_leaves_in_one_write() {
     // header and payload in separate writes would let the payload wait
     // on the server's delayed ACK of the header; the text is longer than
     // a default `BufWriter` so a fixed-size buffer would split it too
-    let request = ClientRequest::Query {
-        text: format!("{}\n{}", WORKS_SCAN, "%".repeat(10_000)),
-        deadline_ms: None,
-        stream: true,
+    let text = format!("{}\n{}", WORKS_SCAN, "%".repeat(10_000));
+    let query = |deadline_ms, stream| ClientRequest::Query {
+        text: text.clone(),
+        deadline_ms,
+        stream,
     };
-    let mut log = WriteLog::default();
-    crate::client::write_in_one(&mut log, &request).expect("the request writes");
-    let mut framed = Vec::new();
-    framing::write_element(&mut framed, &request.to_xml()).expect("the request frames");
-    assert_eq!(
-        log.writes,
-        vec![framed.len()],
-        "one write of the whole frame"
-    );
-    assert_eq!(log.bytes, framed, "the same bytes as the two-write framing");
+    let failed = ServerReply::Error {
+        message: "the double answers every query so".into(),
+    };
+    let verbs: Vec<(&str, ClientRequest, ServerReply, Verb)> = vec![
+        (
+            "query",
+            query(None, false),
+            failed.clone(),
+            Box::new(|c| c.query(text.as_str()).map(drop)),
+        ),
+        (
+            "query_with_deadline",
+            query(Some(250), false),
+            failed.clone(),
+            Box::new(|c| c.query_with_deadline(text.as_str(), 250).map(drop)),
+        ),
+        (
+            "query_streamed",
+            query(None, true),
+            failed.clone(),
+            Box::new(|c| c.query_streamed(text.as_str()).map(drop)),
+        ),
+        (
+            "explain",
+            ClientRequest::Explain { text: text.clone() },
+            failed,
+            Box::new(|c| c.explain(text.as_str()).map(drop)),
+        ),
+        (
+            "stats",
+            ClientRequest::Stats,
+            ServerReply::Stats(Default::default()),
+            Box::new(|c| c.stats().map(drop)),
+        ),
+        (
+            "shutdown",
+            ClientRequest::Shutdown,
+            ServerReply::Bye { drained: 0 },
+            Box::new(|c| c.shutdown().map(drop)),
+        ),
+    ];
+    for (verb, request, reply, drive) in verbs {
+        let mut wire = Wire::answering(&reply);
+        drive(&mut Client::over(&mut wire)).unwrap_or_else(|e| panic!("{verb}: {e}"));
+        let mut framed = Vec::new();
+        framing::write_frame(&mut framed, &request.to_xml().to_xml()).expect("the request frames");
+        assert_eq!(
+            wire.writes.iter().map(Vec::len).collect::<Vec<_>>(),
+            vec![framed.len()],
+            "{verb}: one write of the whole frame"
+        );
+        assert_eq!(wire.writes[0], framed, "{verb}: the bytes of the frame");
+    }
 }
 
 #[test]

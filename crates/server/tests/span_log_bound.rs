@@ -39,9 +39,10 @@ static ALLOC: Counting = Counting;
 
 const SCAN: &str = "MAKE out *($t) := r [ $t ] MATCH works WITH works *work [ title: $t ]";
 
-/// Connections querying at once. A loopback round trip still waits out
-/// a delayed ACK (~88 ms), so the queries are spread over many
-/// connections to keep the run to seconds; fewer than the server's
+/// Connections querying at once. A request leaves in one write, but a
+/// reply still waits out the client's delayed ACK of its header
+/// (~44 ms per loopback round trip), so the queries are spread over
+/// many connections to keep the run to seconds; fewer than the server's
 /// queue capacity, so none is shed.
 const CONNECTIONS: usize = 32;
 

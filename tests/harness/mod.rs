@@ -21,7 +21,7 @@ use yat::yat_algebra::{Alg, CollectSink};
 use yat::yat_capability::protocol::ServerReply;
 use yat::yat_capability::IndexPolicy;
 use yat::yat_mediator::{
-    CachePolicy, ExecMode, Mediator, MediatorError, MeterSnapshot, StreamPolicy,
+    CachePolicy, ExecError, ExecMode, Mediator, MediatorError, MeterSnapshot, StreamPolicy,
 };
 use yat::yat_store::StoreOptions;
 use yat_bench::workload::Scenario;
@@ -238,10 +238,7 @@ fn run<C: Case>(case: &C, m: &Mediator, streamed: bool) -> Observation {
                 .map(|s| m.traffic_of(s).expect("source is connected"))
                 .collect(),
         ),
-        Err(e)
-            if matches!(e, MediatorError::Exec(_))
-                && e.to_string().contains("cannot translate plan") =>
-        {
+        Err(MediatorError::Exec(ExecError::Refused { .. })) => {
             (Outcome::Refused, Vec::new(), Vec::new())
         }
         Err(e) => (Outcome::Error(e.to_string()), Vec::new(), Vec::new()),

@@ -9,7 +9,8 @@
 //! `YAT_CODEC_SEED=<u64>`):
 //!
 //! 1. **Writer.** `encode` writes exactly the bytes of
-//!    `to_xml().to_xml()`, for all four frame kinds.
+//!    `to_xml().to_xml()`, for all four data frame kinds and for a
+//!    wrapper's `<refused>`.
 //! 2. **Reader.** `decode` reads exactly what `from_xml(parse_element(..))`
 //!    reads: equal values, or the same error — the same `ParseError` for
 //!    text that is not XML, the same `WireError` variant for XML that is
@@ -176,7 +177,8 @@ fn provenance(rng: &mut Rng) -> Option<String> {
     rng.gen_bool(0.3).then(|| (*rng.choose(TEXTS)).to_string())
 }
 
-/// One data frame of each of the four kinds.
+/// One frame of each of the five kinds: the four data frames and a
+/// wrapper's refusal.
 #[derive(Debug, Clone)]
 enum Frame {
     Response(Response),
@@ -185,7 +187,7 @@ enum Frame {
 }
 
 fn frame(rng: &mut Rng) -> Frame {
-    match rng.gen_range(0..4usize) {
+    match rng.gen_range(0..5usize) {
         0 => Frame::Response(Response::Document {
             name: (*rng.choose(TEXTS)).to_string(),
             tree: tree(rng, 4),
@@ -196,10 +198,11 @@ fn frame(rng: &mut Rng) -> Frame {
             answered_by: provenance(rng),
             missing: provenance(rng),
         }),
-        _ => Frame::Stream(StreamFrame::Chunk {
+        3 => Frame::Stream(StreamFrame::Chunk {
             seq: rng.gen_range(0..1000u64),
             payload: answer_body(rng),
         }),
+        _ => Frame::Response(Response::Refused((*rng.choose(TEXTS)).to_string())),
     }
 }
 
