@@ -20,8 +20,9 @@
 //! [`yat_bench::settings`] (`YAT_EXEC_MODE`, `YAT_CACHE`, `YAT_PARTIAL`,
 //! `YAT_SCHED`, `YAT_INDEX`, `YAT_STORE`), read once at startup; a
 //! client that asks for a streamed answer gets the default chunk size
-//! and pending bound. Prints one `listening on <addr>` line once ready — the CI
-//! smoke job and `yat-load --shutdown` drive it from there.
+//! and pending bound. Prints one `listening on <addr>` line once ready —
+//! `tests/served_binary.rs` drives it from there — and exits 0 once a
+//! client's `shutdown` has drained it.
 
 use std::time::Duration;
 use yat_bench::settings::Settings;

@@ -11,8 +11,8 @@
 //!   pair, the Fig. 7 equivalence pairs (before/after of each rewriting),
 //!   and the Fig. 8/9 pipelines at every optimization level;
 //! * [`harness`] — a std-only timing harness;
-//! * [`settings`] — the `YAT_*` settings of the `yat-server` /
-//!   `yat-load` binaries: the one place the environment is read;
+//! * [`settings`] — the `YAT_*` settings of the `yat-server` binary:
+//!   the one place the environment is read;
 //! * `benches/` — `harness = false` benchmarks, one per worked figure
 //!   (Fig. 4, 7, 8, 9);
 //! * `src/bin/report.rs` — prints the plans, traffic and result

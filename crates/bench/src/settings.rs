@@ -1,5 +1,5 @@
-//! Settings of the `yat-server` / `yat-load` binaries — the one place in
-//! the workspace that reads the six `YAT_*` policy variables.
+//! Settings of the `yat-server` binary — the one place in the workspace
+//! that reads the six `YAT_*` policy variables.
 //!
 //! Library constructors (`Mediator::new`, `Store::new`,
 //! `WaisSource::new`, `Scenario::at_scale`) use their documented
@@ -53,17 +53,12 @@ where
     })
 }
 
-/// The workspace's one read of a policy variable.
-fn read(var: Var) -> Option<String> {
-    std::env::var(var.0).ok()
-}
+/// The names of the six policy variables, in [`Settings`] field order.
+pub const VARIABLES: [&str; 6] = [EXEC_MODE.0, CACHE.0, PARTIAL.0, SCHED.0, INDEX.0, STORE.0];
 
-/// [`parse_or_default`] on the process environment.
-pub fn env_or_default<T>(var: Var) -> T
-where
-    T: FromStr + Default + Display,
-{
-    parse_or_default(var, read(var).as_deref())
+/// The workspace's one read of a policy variable.
+fn read(name: &str) -> Option<String> {
+    std::env::var(name).ok()
 }
 
 /// Every policy a served mediator runs under.
@@ -86,13 +81,27 @@ pub struct Settings {
 impl Settings {
     /// Reads the six variables from the process environment.
     pub fn from_env() -> Self {
+        Settings::from_lookup(read)
+    }
+
+    /// Reads the six variables through `lookup`, which maps a variable's
+    /// name to its value (`None` when unset) — so a test can build the
+    /// settings it hands a child process without touching its own
+    /// environment.
+    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
+        fn get<T>(var: Var, lookup: &impl Fn(&str) -> Option<String>) -> T
+        where
+            T: FromStr + Default + Display,
+        {
+            parse_or_default(var, lookup(var.0).as_deref())
+        }
         Settings {
-            exec_mode: env_or_default(EXEC_MODE),
-            cache: env_or_default(CACHE),
-            partial: env_or_default(PARTIAL),
-            sched: env_or_default(SCHED),
-            index: env_or_default(INDEX),
-            store: env_or_default(STORE),
+            exec_mode: get(EXEC_MODE, &lookup),
+            cache: get(CACHE, &lookup),
+            partial: get(PARTIAL, &lookup),
+            sched: get(SCHED, &lookup),
+            index: get(INDEX, &lookup),
+            store: get(STORE, &lookup),
         }
     }
 
@@ -119,7 +128,7 @@ impl Settings {
         let mut mediator = match &self.store {
             StorePolicy::Off => scenario.mediator(),
             StorePolicy::Dir { path, budget } => {
-                // per process, so a server and the load generator's
+                // per process, so a served binary and an in-process
                 // reference can share one root
                 let root = Path::new(path).join(format!("scenario-{}", std::process::id()));
                 let opts = budget.map_or_else(StoreOptions::default, StoreOptions::with_budget);

@@ -4,8 +4,8 @@
 //!
 //! Each is a plain value with a documented `Default`, set through the
 //! matching `Mediator::set_*`. The text syntax (`FromStr`) of
-//! `ExecMode` and `SchedPolicy` is what the `yat-server` / `yat-load`
-//! binaries accept in their `YAT_*` settings; `StreamPolicy` has none —
+//! `ExecMode` and `SchedPolicy` is what the `yat-server` binary accepts
+//! in its `YAT_*` settings; `StreamPolicy` has none —
 //! only code pins it. Nothing in this crate reads the environment.
 
 use std::str::FromStr;

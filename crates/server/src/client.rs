@@ -24,11 +24,11 @@ impl Client {
     }
 
     /// Connects, retrying for up to `patience` — for racing a server
-    /// that is still binding its port (the CI smoke test, `yat-load`
-    /// against a just-spawned `yat-server`).
+    /// that is still binding its port (the benchmark's driver against a
+    /// just-spawned server).
     ///
-    /// Retries back off exponentially with seeded jitter (see
-    /// [`backoff_delay`]) so a fleet of clients racing the same
+    /// Retries back off exponentially from 5 ms, doubling up to 200 ms,
+    /// with ±50 % seeded jitter, so a fleet of clients racing the same
     /// just-spawned server doesn't hammer the listen queue in lockstep.
     pub fn connect_retry(
         addr: impl ToSocketAddrs + Clone,
@@ -179,7 +179,7 @@ fn send(w: &mut impl Write, request: &ClientRequest) -> Result<(), WireError> {
 /// Pure so the schedule is testable without sleeping: the curve is
 /// `base * 2^attempt`, and jitter scales the capped value into
 /// `[0.5x, 1.5x)`.
-pub fn backoff_delay(attempt: u32, unit: f64) -> Duration {
+pub(crate) fn backoff_delay(attempt: u32, unit: f64) -> Duration {
     const BASE_MS: f64 = 5.0;
     const CAP_MS: f64 = 200.0;
     let exp = BASE_MS * f64::powi(2.0, attempt.min(16) as i32);
@@ -219,7 +219,7 @@ pub struct StreamedReply {
 ///
 /// Generic over [`Read`] so the frame-corruption tests can drive it
 /// from in-memory byte streams.
-pub fn read_streamed_reply(reader: &mut impl Read) -> Result<StreamedReply, WireError> {
+pub(crate) fn read_streamed_reply(reader: &mut impl Read) -> Result<StreamedReply, WireError> {
     let start = Instant::now();
     let first = framing::read_frame(reader)?
         .ok_or_else(|| WireError::Io("server closed the connection before replying".into()))?;

@@ -17,20 +17,18 @@
 //! * [`Client`] — a blocking client for the wire protocol
 //!   ([`yat_capability::protocol::ClientRequest`] /
 //!   [`yat_capability::protocol::ServerReply`]).
-//! * [`load`] — a closed-loop load generator with latency percentiles,
-//!   used by the `yat-load` binary and the server tests.
 //!
 //! The serving layer is federation-agnostic: it takes whatever
 //! `Mediator` you hand it. Wiring up the paper's cultural-goods sources
 //! lives in `yat-bench` (`workload::Scenario`), which also ships the
-//! `yat-server` / `yat-load` binaries.
+//! `yat-server` binary. Served load is generated and measured by the
+//! repo benchmark (`yat-benchmark`), which drives [`Server`] through the
+//! public [`Client`].
 
 mod client;
-pub mod load;
 mod server;
 
-pub use client::{backoff_delay, read_streamed_reply, Client, StreamedReply};
-pub use load::{LoadReport, LoadSpec};
+pub use client::{Client, StreamedReply};
 pub use server::{Server, ServerConfig, ServerHandle, SPAN_LOG_CAP};
 
 #[cfg(test)]

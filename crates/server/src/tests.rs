@@ -2,11 +2,10 @@
 //! clients, the paper's cultural-goods federation behind it.
 
 use crate::client::{read_streamed_reply, StreamedReply};
-use crate::load::LoadSpec;
-use crate::{load, Client, Server, ServerConfig};
-use std::collections::{BTreeMap, HashMap};
+use crate::{Client, Server, ServerConfig};
+use std::collections::BTreeMap;
 use std::io::{Cursor, Read};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -95,11 +94,13 @@ fn socket_answers_are_byte_identical_to_in_process_answers() {
 
 #[test]
 fn eight_clients_two_hundred_seeded_queries_all_verified() {
+    // 8 connections × 25 queries, each client drawing Q1/Q2 from its own
+    // seeded stream, every answer checked byte for byte
+    const CLIENTS: u64 = 8;
+    const PER_CLIENT: usize = 25;
+    let mix = [paper::Q1, paper::Q2];
     let reference = federation(8);
-    let mut expected = HashMap::new();
-    for query in [paper::Q1, paper::Q2] {
-        expected.insert(query.to_string(), expected_answer(&reference, query));
-    }
+    let expected = mix.map(|query| expected_answer(&reference, query));
     let handle = Server::spawn(
         federation(8),
         ServerConfig {
@@ -109,15 +110,36 @@ fn eight_clients_two_hundred_seeded_queries_all_verified() {
         },
     )
     .expect("server binds");
-    let spec = LoadSpec {
-        expected: Some(expected),
-        ..LoadSpec::closed(vec![paper::Q1.to_string(), paper::Q2.to_string()])
-    };
-    assert_eq!((spec.clients, spec.queries), (8, 200));
-    let report = load::run(handle.addr(), &spec);
-    assert_eq!(report.answered, 200, "{report:?}");
-    assert_eq!(report.mismatches, 0, "every answer byte-identical");
-    assert!(report.clean(), "{report:?}");
+    let addr = handle.addr();
+    let answered: usize = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|index| {
+                let expected = &expected;
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).expect("client connects");
+                    let mut rng =
+                        Rng::seed_from_u64(20260807 ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+                    let mut answered = 0;
+                    for _ in 0..PER_CLIENT {
+                        let pick = rng.gen_range(0..mix.len());
+                        let reply = client.query(mix[pick]).expect("query round-trips");
+                        assert_eq!(
+                            reply.to_xml().to_xml(),
+                            expected[pick],
+                            "client {index}: every answer byte-identical"
+                        );
+                        answered += 1;
+                    }
+                    answered
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|client| client.join().expect("client thread"))
+            .sum()
+    });
+    assert_eq!(answered, 200);
     let stats = handle.stats();
     assert_eq!(stats.served, 200);
     assert!(stats.connections >= 8);
@@ -1348,16 +1370,25 @@ fn backoff_schedule_is_exponential_jittered_and_capped() {
 #[test]
 fn connect_retry_still_reaches_a_late_binding_server() {
     // the jittered schedule must not break the original contract: a
-    // client that starts before the server still connects within patience
-    let handle = Server::spawn(federation(6), ServerConfig::default()).expect("server binds");
-    let addr = handle.addr();
-    let mut client = Client::connect_retry(addr, Duration::from_secs(2)).expect("retry connects");
-    assert!(matches!(
-        client.query(paper::Q1).expect("query round-trips"),
-        ServerReply::Answer { .. }
-    ));
+    // client that starts before the server binds keeps retrying and
+    // connects once the port opens, within patience
+    let addr = TcpListener::bind("127.0.0.1:0")
+        .and_then(|listener| listener.local_addr())
+        .expect("a free loopback port");
+    let mediator = federation(6);
+    let handle = std::thread::scope(|scope| {
+        let early = scope.spawn(move || Client::connect_retry(addr, Duration::from_secs(2)));
+        std::thread::sleep(Duration::from_millis(50));
+        let handle =
+            Server::bind(mediator, ServerConfig::default(), addr).expect("server binds late");
+        let mut client = early.join().unwrap().expect("retry connects");
+        assert!(matches!(
+            client.query(paper::Q1).expect("query round-trips"),
+            ServerReply::Answer { .. }
+        ));
+        handle
+    });
     // and a dead address still errors out after patience
-    drop(client);
     handle.shutdown();
     handle.join();
     let err = match Client::connect_retry(addr, Duration::from_millis(120)) {
