@@ -19,7 +19,7 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::hash::Hasher;
 use std::sync::Arc;
-use yat_model::hash::Fnv64;
+use yat_model::hash::{FirstSeen, Fnv64};
 use yat_model::{Atom, Binder, Forest, Label, MatchOptions, Model, Node, Symbol, Tree};
 use yat_obs::Collector;
 
@@ -212,31 +212,24 @@ fn eval_node(plan: &Alg, ctx: &EvalCtx<'_>, env: &Env) -> Result<EvalOut, EvalEr
         Alg::Bind {
             input,
             filter,
-            over,
-        } => match over {
-            None => {
-                let tree = eval_env(input, ctx, env)?.tree(plan)?;
-                Ok(EvalOut::Tab(bind_tree(&tree, filter, env, ctx)))
-            }
-            Some(col) => {
-                let tab = eval_env(input, ctx, env)?.tab(plan)?;
-                Ok(EvalOut::Tab(bind_over(&tab, col, filter, env, ctx)?))
-            }
-        },
+            over: None,
+        } => {
+            let tree = eval_env(input, ctx, env)?.tree(plan)?;
+            Ok(EvalOut::Tab(bind_tree(&tree, filter, env, ctx)))
+        }
+
+        // the row-local operators: one batch holding every input row
+        Alg::Bind { input, .. }
+        | Alg::Select { input, .. }
+        | Alg::Map { input, .. }
+        | Alg::Project { input, .. } => {
+            let tab = eval_env(input, ctx, env)?.tab(plan)?;
+            Ok(EvalOut::Tab(one_batch(plan, tab, env, ctx)?))
+        }
 
         Alg::TreeOp { input, template } => {
             let tab = eval_env(input, ctx, env)?.tab(plan)?;
             Ok(EvalOut::Tree(construct_tree(&tab, template, ctx)))
-        }
-
-        Alg::Select { input, pred } => {
-            let tab = eval_env(input, ctx, env)?.tab(plan)?;
-            Ok(EvalOut::Tab(select(tab, pred, env, ctx)?))
-        }
-
-        Alg::Project { input, cols } => {
-            let tab = eval_env(input, ctx, env)?.tab(plan)?;
-            Ok(EvalOut::Tab(tab.project(cols)))
         }
 
         Alg::Join { left, right, pred } => {
@@ -276,11 +269,6 @@ fn eval_node(plan: &Alg, ctx: &EvalCtx<'_>, env: &Env) -> Result<EvalOut, EvalEr
         Alg::Sort { input, keys } => {
             let tab = eval_env(input, ctx, env)?.tab(plan)?;
             Ok(EvalOut::Tab(sort_tab(tab, keys)?))
-        }
-
-        Alg::Map { input, col, expr } => {
-            let tab = eval_env(input, ctx, env)?.tab(plan)?;
-            Ok(EvalOut::Tab(map(tab, col, expr, env, ctx)?))
         }
 
         // Reference semantics of Push: evaluate in place. The mediator's
@@ -326,29 +314,83 @@ fn eval_dependent(
 // so its recursive frame stays small.
 // ---------------------------------------------------------------------
 
-/// The `Select` kernel: keeps the rows `pred` holds on, in order,
-/// moving them.
-fn select(mut tab: Tab, pred: &Pred, env: &Env, ctx: &EvalCtx<'_>) -> Result<Tab, EvalError> {
-    tab.try_retain(|cols, row| eval_pred(pred, cols, row, env, ctx))?;
-    Ok(tab)
+/// A row-local operator over the whole of its input: the materialized
+/// case of the kernel a streamed pipeline runs once per batch.
+fn one_batch(op: &Alg, tab: Tab, env: &Env, ctx: &EvalCtx<'_>) -> Result<Tab, EvalError> {
+    RowOp::new(op, tab.columns(), ctx)?.run(tab, env, ctx)
 }
 
-/// The `Map` kernel: appends `expr`'s value to every row as column
-/// `col`, moving the rows.
-fn map(
-    tab: Tab,
-    col: &str,
-    expr: &Operand,
-    env: &Env,
-    ctx: &EvalCtx<'_>,
-) -> Result<Tab, EvalError> {
-    let (mut cols, mut rows) = tab.into_parts();
-    for row in &mut rows {
-        let v = eval_operand(expr, &cols, row, env, ctx)?;
-        row.push(v);
+/// The input of a row-local operator — `Select`, `Map`, `Project` or
+/// `Bind … over` — whose output rows each depend on one input row
+/// alone, so it can run over its input in batches; `None` for every
+/// other operator.
+pub(crate) fn row_local_input(op: &Alg) -> Option<&Alg> {
+    match op {
+        Alg::Bind {
+            input,
+            over: Some(_),
+            ..
+        }
+        | Alg::Select { input, .. }
+        | Alg::Map { input, .. }
+        | Alg::Project { input, .. } => Some(input),
+        _ => None,
     }
-    cols.push(col.to_string());
-    Ok(Tab::from_rows(cols, rows))
+}
+
+/// A row-local operator's kernel, prepared once per execution for its
+/// input's column layout and then run over one batch of rows at a time:
+/// the whole input when materialized, `batch_rows` rows when a streamed
+/// answer pipelines it. A `Bind` keeps one binder across every batch.
+pub(crate) enum RowOp<'a> {
+    /// `Bind … over col`.
+    Bind(Box<BindOver<'a>>),
+    /// `Select`: keeps the rows `pred` holds on, in order, moving them.
+    Select(&'a Pred),
+    /// `Map`: appends `expr`'s value to every row as column `col`.
+    Map(&'a str, &'a Operand),
+    /// `Project`: moves the projected cells into narrower rows.
+    Project(&'a [(String, String)]),
+}
+
+impl<'a> RowOp<'a> {
+    /// The kernel of `op` (see [`row_local_input`]) over input columns
+    /// `cols`; panics on any other operator.
+    pub(crate) fn new(op: &'a Alg, cols: &[String], ctx: &EvalCtx<'a>) -> Result<Self, EvalError> {
+        Ok(match op {
+            Alg::Bind {
+                filter,
+                over: Some(col),
+                ..
+            } => RowOp::Bind(Box::new(BindOver::new(cols, col, filter, ctx)?)),
+            Alg::Select { pred, .. } => RowOp::Select(pred),
+            Alg::Map { col, expr, .. } => RowOp::Map(col, expr),
+            Alg::Project { cols, .. } => RowOp::Project(cols),
+            other => unreachable!("{} is not row-local", other.describe()),
+        })
+    }
+
+    /// Runs the operator over one batch of rows.
+    pub(crate) fn run(&mut self, tab: Tab, env: &Env, ctx: &EvalCtx<'_>) -> Result<Tab, EvalError> {
+        match self {
+            RowOp::Bind(bind) => Ok(bind.run(&tab, env)),
+            RowOp::Select(pred) => {
+                let mut tab = tab;
+                tab.try_retain(|cols, row| eval_pred(pred, cols, row, env, ctx))?;
+                Ok(tab)
+            }
+            RowOp::Map(col, expr) => {
+                let (mut cols, mut rows) = tab.into_parts();
+                for row in &mut rows {
+                    let v = eval_operand(expr, &cols, row, env, ctx)?;
+                    row.push(v);
+                }
+                cols.push(col.to_string());
+                Ok(Tab::from_rows(cols, rows))
+            }
+            RowOp::Project(cols) => Ok(tab.project(cols)),
+        }
+    }
 }
 
 /// `MATCH` options induced by an evaluation context.
@@ -414,82 +456,110 @@ fn bind_tree(tree: &Tree, filter: &yat_model::Filter, env: &Env, ctx: &EvalCtx<'
 /// `Bind … over col`: re-match the filter against the trees held in one
 /// column of an existing table, appending the newly bound variables.
 /// Variables shared with existing columns act as equality constraints.
-/// One binder serves every row, and each match's slots move straight
-/// into the output row.
-fn bind_over(
-    tab: &Tab,
-    col: &str,
-    filter: &yat_model::Filter,
-    env: &Env,
-    ctx: &EvalCtx<'_>,
-) -> Result<Tab, EvalError> {
-    let ci = tab
-        .col(col)
-        .ok_or_else(|| EvalError::UnknownColumn(col.to_string()))?;
-    let mut binder = Binder::new(filter, match_opts(ctx));
-    // output columns: input columns + new filter vars (the filter's own
-    // variables lead the binder's slots)
-    let mut cols: Vec<String> = tab.columns().to_vec();
-    let mut new_slots = Vec::new();
-    let mut shared = Vec::new();
-    for (slot, v) in filter.variables().into_iter().enumerate() {
-        match tab.col(&v) {
-            Some(i) => shared.push((slot, i)),
-            None => {
-                new_slots.push(slot);
-                cols.push(v);
-            }
-        }
-    }
-    let mut out = Tab::new(cols);
-    let mut vals: Vec<Value> = Vec::new();
-    for row in tab.rows() {
-        let targets = match &row[ci] {
-            Value::Coll(c) => c.as_slice(),
-            cell => std::slice::from_ref(cell),
-        };
-        for target in targets.iter().filter_map(Value::as_tree) {
-            let rows = binder.bind(target);
-            let (len, width) = (rows.len(), rows.width());
-            let mut cells = rows.drain();
-            for _ in 0..len {
-                vals.clear();
-                vals.extend(
-                    cells
-                        .by_ref()
-                        .take(width)
-                        .map(|c| c.map_or(Value::Null, Value::from_binding)),
-                );
-                // shared variables act as equality constraints (an
-                // unbound one constrains nothing)
-                if !shared
-                    .iter()
-                    .all(|&(slot, i)| vals[slot].is_null() || vals[slot].query_eq(&row[i]))
-                {
-                    continue;
+/// One binder serves every row of every batch, and each match's slots
+/// move straight into the output row.
+pub(crate) struct BindOver<'a> {
+    binder: Binder<'a>,
+    /// The column holding the trees.
+    ci: usize,
+    /// Output columns: the input's, then the filter's new variables.
+    cols: Vec<String>,
+    /// Binder slots that become new columns.
+    new_slots: Vec<usize>,
+    /// (binder slot, input column) pairs of shared variables.
+    shared: Vec<(usize, usize)>,
+    /// One match's cells, reused across matches.
+    vals: Vec<Value>,
+}
+
+impl<'a> BindOver<'a> {
+    fn new(
+        cols: &[String],
+        col: &str,
+        filter: &'a yat_model::Filter,
+        ctx: &EvalCtx<'a>,
+    ) -> Result<Self, EvalError> {
+        let ci = col_of(cols, col).ok_or_else(|| EvalError::UnknownColumn(col.to_string()))?;
+        // the filter's own variables lead the binder's slots
+        let mut out = cols.to_vec();
+        let mut new_slots = Vec::new();
+        let mut shared = Vec::new();
+        for (slot, v) in filter.variables().into_iter().enumerate() {
+            match col_of(cols, &v) {
+                Some(i) => shared.push((slot, i)),
+                None => {
+                    new_slots.push(slot);
+                    out.push(v);
                 }
-                let mut newrow = Vec::with_capacity(row.len() + new_slots.len());
-                newrow.extend_from_slice(row);
-                newrow.extend(
-                    new_slots
-                        .iter()
-                        .map(|&slot| std::mem::replace(&mut vals[slot], Value::Null)),
-                );
-                out.push(newrow);
             }
         }
+        Ok(BindOver {
+            binder: Binder::new(filter, match_opts(ctx)),
+            ci,
+            cols: out,
+            new_slots,
+            shared,
+            vals: Vec::new(),
+        })
     }
-    constrain_env(&mut out, env);
-    Ok(out)
+
+    fn run(&mut self, tab: &Tab, env: &Env) -> Tab {
+        let mut out = Tab::new(self.cols.clone());
+        for row in tab.rows() {
+            let targets = match &row[self.ci] {
+                Value::Coll(c) => c.as_slice(),
+                cell => std::slice::from_ref(cell),
+            };
+            for target in targets.iter().filter_map(Value::as_tree) {
+                let rows = self.binder.bind(target);
+                let (len, width) = (rows.len(), rows.width());
+                let mut cells = rows.drain();
+                for _ in 0..len {
+                    let vals = &mut self.vals;
+                    vals.clear();
+                    vals.extend(
+                        cells
+                            .by_ref()
+                            .take(width)
+                            .map(|c| c.map_or(Value::Null, Value::from_binding)),
+                    );
+                    // shared variables act as equality constraints (an
+                    // unbound one constrains nothing)
+                    if !self
+                        .shared
+                        .iter()
+                        .all(|&(slot, i)| vals[slot].is_null() || vals[slot].query_eq(&row[i]))
+                    {
+                        continue;
+                    }
+                    let mut newrow = Vec::with_capacity(row.len() + self.new_slots.len());
+                    newrow.extend_from_slice(row);
+                    newrow.extend(
+                        self.new_slots
+                            .iter()
+                            .map(|&slot| std::mem::replace(&mut vals[slot], Value::Null)),
+                    );
+                    out.push(newrow);
+                }
+            }
+        }
+        constrain_env(&mut out, env);
+        out
+    }
 }
 
 /// `Tree` construction: instantiate a template over all rows. A template
 /// instantiation at the root yields exactly one tree for Sym roots;
 /// grouped roots may yield several, which are wrapped under a
-/// `collection` node to keep the output a single tree.
+/// `collection` node to keep the output a single tree. A row-keyed
+/// template runs its batch kernel over the table as one batch.
 fn construct_tree(tab: &Tab, template: &Template, ctx: &EvalCtx<'_>) -> Tree {
-    let all: Vec<usize> = (0..tab.len()).collect();
     let mut trees = Vec::new();
+    if let Some(mut keyed) = KeyedTree::of(template) {
+        keyed.run(tab, ctx.skolems, &mut trees);
+        return Node::from_stack(keyed.root(), &mut trees, 0);
+    }
+    let all: Vec<usize> = (0..tab.len()).collect();
     Builder {
         tab,
         skolems: ctx.skolems,
@@ -500,6 +570,104 @@ fn construct_tree(tab: &Tab, template: &Template, ctx: &EvalCtx<'_>) -> Tree {
         1 => trees.pop().expect("len checked"),
         _ => Node::sym("collection", trees),
     }
+}
+
+/// A `Tree` template whose answer a stream can emit row by row: a `Sym`
+/// root whose single child is a `Group` keyed on every variable its body
+/// reads (`MAKE out *($t) := r [ $t ]`, the full-scan shape). Every row of
+/// a group then builds the same subtree — [`Template::Var`] splices the
+/// group's first value, nested groups see one key — so each group's
+/// subtree is complete the moment its first row arrives. The kernel
+/// numbers keys by first occurrence across every batch it is run on and
+/// instantiates the body once, over a group's first row.
+///
+/// A body with a label variable is excluded: key-equal values may print
+/// different labels (`Int(1)` and `Float(1.0)` group together but label
+/// nodes `1` and `1.0`), so a group's later rows could add nodes.
+pub(crate) struct KeyedTree<'t> {
+    root: &'t str,
+    key: &'t [String],
+    skolem: Option<&'t String>,
+    body: &'t Template,
+    seen: FirstSeen,
+    /// The key of every group so far, flat: group `g` holds
+    /// `keys[g * key.len()..][..key.len()]`.
+    keys: Vec<Value>,
+}
+
+impl<'t> KeyedTree<'t> {
+    /// The kernel of `template`, when it has the row-keyed shape.
+    pub(crate) fn of(template: &'t Template) -> Option<Self> {
+        let Template::Sym { name, children } = template else {
+            return None;
+        };
+        let [Template::Group { key, skolem, body }] = children.as_slice() else {
+            return None;
+        };
+        let keyed = body.variables().iter().all(|v| key.contains(v)) && !has_label_var(body);
+        keyed.then(|| KeyedTree {
+            root: name,
+            key,
+            skolem: skolem.as_ref(),
+            body,
+            seen: FirstSeen::default(),
+            keys: Vec::new(),
+        })
+    }
+
+    /// The label of the answer's root.
+    pub(crate) fn root(&self) -> Label {
+        Label::Sym(Symbol::intern(self.root))
+    }
+
+    /// Appends to `out` the subtrees of the groups whose first row is in
+    /// `tab`, in row order.
+    pub(crate) fn run(&mut self, tab: &Tab, skolems: &SkolemRegistry, out: &mut Vec<Tree>) {
+        let kidx: Vec<Option<usize>> = self.key.iter().map(|k| tab.col(k)).collect();
+        let width = kidx.len();
+        let mut builder = Builder {
+            tab,
+            skolems,
+            syms: Vec::new(),
+        };
+        for ri in 0..tab.len() {
+            let key = || key_cells(tab, &kidx, ri);
+            let mut h = Fnv64::new();
+            key().for_each(|v| v.key_hash_into(&mut h));
+            let keys = &self.keys;
+            let (_, new) = self.seen.group(h.finish(), |g| {
+                keys[g * width..][..width]
+                    .iter()
+                    .zip(key())
+                    .all(|(x, y)| x.key_eq(y))
+            });
+            if new {
+                self.keys.extend(key().cloned());
+                builder.group(&kidx, self.skolem, self.body, &[ri], out);
+            }
+        }
+    }
+}
+
+/// Whether a template builds a node labeled by a variable.
+fn has_label_var(template: &Template) -> bool {
+    match template {
+        Template::LabelVar { .. } => true,
+        Template::Sym { children, .. } => children.iter().any(has_label_var),
+        Template::Group { body, .. } => has_label_var(body),
+        Template::Var(_) | Template::Text(_) => false,
+    }
+}
+
+/// Row `ri`'s cells in the grouping columns `kidx`; a column missing
+/// from the table contributes [`MISSING`].
+fn key_cells<'r>(
+    tab: &'r Tab,
+    kidx: &'r [Option<usize>],
+    ri: usize,
+) -> impl Iterator<Item = &'r Value> + 'r {
+    kidx.iter()
+        .map(move |i| i.map_or(&MISSING, |i| &tab.row(ri)[i]))
 }
 
 /// Appends `row × rt` to a `DJoin` output: the left row followed by the
@@ -1091,10 +1259,6 @@ impl<'t> Builder<'t> {
             }
             Template::Group { key, skolem, body } => {
                 let kidx: Vec<Option<usize>> = key.iter().map(|k| tab.col(k)).collect();
-                let key_of = |ri: usize| {
-                    kidx.iter()
-                        .map(move |i| i.map_or(&MISSING, |i| &tab.row(ri)[i]))
-                };
                 // hashed grouping over the (possibly missing) key columns;
                 // first-occurrence order, hash hits confirmed against the
                 // group's first member
@@ -1102,12 +1266,12 @@ impl<'t> Builder<'t> {
                     rows.len(),
                     |k| {
                         let mut h = Fnv64::new();
-                        key_of(rows[k]).for_each(|v| v.key_hash_into(&mut h));
+                        key_cells(tab, &kidx, rows[k]).for_each(|v| v.key_hash_into(&mut h));
                         h.finish()
                     },
                     |a, b| {
-                        key_of(rows[a])
-                            .zip(key_of(rows[b]))
+                        key_cells(tab, &kidx, rows[a])
+                            .zip(key_cells(tab, &kidx, rows[b]))
                             .all(|(x, y)| x.key_eq(y))
                     },
                 );
@@ -1115,18 +1279,184 @@ impl<'t> Builder<'t> {
                 for group in groups.groups() {
                     members.clear();
                     members.extend(group.iter().map(|&k| rows[k]));
-                    match skolem {
-                        Some(name) => {
-                            let mark = out.len();
-                            self.instantiate(body, &members, out);
-                            let oid = self.skolems.apply(name, key_of(members[0]));
-                            let node = Node::from_stack(Label::Oid(oid), out, mark);
-                            out.push(node);
-                        }
-                        None => self.instantiate(body, &members, out),
-                    }
+                    self.group(&kidx, skolem.as_ref(), body, &members, out);
                 }
             }
         }
+    }
+
+    /// Instantiates one group's `body` over its `members` (indices into
+    /// the table), under a Skolem identifier of the first member's key
+    /// cells `kidx` when the group names a function.
+    fn group(
+        &mut self,
+        kidx: &[Option<usize>],
+        skolem: Option<&String>,
+        body: &'t Template,
+        members: &[usize],
+        out: &mut Vec<Tree>,
+    ) {
+        match skolem {
+            Some(name) => {
+                let mark = out.len();
+                self.instantiate(body, members, out);
+                let oid = self
+                    .skolems
+                    .apply(name, key_cells(self.tab, kidx, members[0]));
+                let node = Node::from_stack(Label::Oid(oid), out, mark);
+                out.push(node);
+            }
+            None => self.instantiate(body, members, out),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use yat_prng::Rng;
+
+    /// Cells that are often key-equal without being identical: `Int`
+    /// and `Float` of one number, an atom and the element holding it.
+    fn cell(rng: &mut Rng) -> Value {
+        match rng.gen_range(0..7usize) {
+            0 => Value::Atom(Atom::Int(1900)),
+            1 => Value::Atom(Atom::Float(1900.0)),
+            2 => Value::Atom(Atom::Str("x".into())),
+            3 => Value::Tree(Node::elem("title", "x")),
+            4 => Value::Tree(Node::elem("title", "y")),
+            5 => Value::Null,
+            _ => Value::Coll(vec![
+                Value::Atom(Atom::Str("y".into())),
+                Value::Tree(Node::elem("title", "x")),
+            ]),
+        }
+    }
+
+    fn columns() -> Vec<String> {
+        ["t", "a", "y"].map(String::from).to_vec()
+    }
+
+    fn table(rng: &mut Rng) -> Tab {
+        let rows = rng.gen_range(0..40usize);
+        let rows = (0..rows)
+            .map(|_| (0..3).map(|_| cell(rng)).collect())
+            .collect();
+        Tab::from_rows(columns(), rows)
+    }
+
+    /// Row-keyed templates: a `Sym` root over one group keyed on every
+    /// variable its body reads, with and without Skolem functions,
+    /// nested groups, constants and a key column the table lacks.
+    fn keyed_templates() -> Vec<Template> {
+        let out = |group| Template::sym("out", vec![group]);
+        vec![
+            out(Template::group(&["t"], Template::elem_var("r", "t"))),
+            out(Template::skolem_group(
+                "f",
+                &["t", "a"],
+                Template::sym(
+                    "row",
+                    vec![
+                        Template::elem_var("title", "t"),
+                        Template::elem_var("artist", "a"),
+                    ],
+                ),
+            )),
+            out(Template::group(
+                &["t", "y"],
+                Template::sym(
+                    "r",
+                    vec![
+                        Template::Var("t".into()),
+                        Template::skolem_group("g", &["y"], Template::elem_var("yr", "y")),
+                        Template::Text("k".into()),
+                    ],
+                ),
+            )),
+            out(Template::group(
+                &["a", "missing"],
+                Template::Var("a".into()),
+            )),
+        ]
+    }
+
+    #[test]
+    fn keyed_templates_build_what_grouping_every_row_builds() {
+        let skolems = SkolemRegistry::new();
+        let mut rng = Rng::seed_from_u64(0x5EED_2026);
+        for case in 0..200 {
+            let tab = table(&mut rng);
+            for template in keyed_templates() {
+                let all: Vec<usize> = (0..tab.len()).collect();
+                let mut grouped = Vec::new();
+                Builder {
+                    tab: &tab,
+                    skolems: &skolems,
+                    syms: Vec::new(),
+                }
+                .instantiate(&template, &all, &mut grouped);
+                // the keyed kernel, fed the same rows in random batches
+                let mut keyed = KeyedTree::of(&template).expect("a row-keyed template");
+                let mut subtrees = Vec::new();
+                let mut rows = tab.raw_rows().iter().cloned();
+                loop {
+                    let n = rng.gen_range(1..8usize);
+                    let batch = Tab::from_rows(columns(), rows.by_ref().take(n).collect());
+                    keyed.run(&batch, &skolems, &mut subtrees);
+                    if rows.len() == 0 {
+                        break;
+                    }
+                }
+                let streamed = Node::labeled(keyed.root(), subtrees);
+                assert_eq!(
+                    format!("{streamed:?}"),
+                    format!("{:?}", grouped[0]),
+                    "case {case}, template {template}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn templates_whose_groups_grow_with_later_rows_are_not_row_keyed() {
+        let label = Template::sym(
+            "out",
+            vec![Template::group(
+                &["y"],
+                Template::LabelVar {
+                    var: "y".into(),
+                    children: Vec::new(),
+                },
+            )],
+        );
+        let unkeyed = Template::sym(
+            "out",
+            vec![Template::group(&["a"], Template::elem_var("r", "t"))],
+        );
+        let two = Template::sym(
+            "out",
+            vec![
+                Template::group(&["t"], Template::Var("t".into())),
+                Template::Text("k".into()),
+            ],
+        );
+        for template in [&label, &unkeyed, &two] {
+            assert!(KeyedTree::of(template).is_none(), "{template}");
+        }
+        // why labels are excluded: Int(1) and Float(1.0) share one group,
+        // whose second row adds a second label
+        let tab = Tab::from_rows(
+            vec!["y".into()],
+            vec![
+                vec![Value::Atom(Atom::Int(1))],
+                vec![Value::Atom(Atom::Float(1.0))],
+            ],
+        );
+        let skolems = SkolemRegistry::new();
+        let funcs = FnRegistry::new();
+        let forest = Forest::new();
+        let tree = construct_tree(&tab, &label, &EvalCtx::local(&forest, &funcs, &skolems));
+        assert_eq!(tree.children.len(), 2, "{tree:?}");
     }
 }

@@ -1,23 +1,37 @@
-//! Incremental answer delivery: an evaluated answer cut into chunks at
-//! the delivery boundary.
+//! Streamed answers: the row-local top of a plan runs batch by batch
+//! into a [`BatchSink`].
 //!
-//! The mediator evaluates a plan one way — to one [`EvalOut`] — whether
-//! the caller asked for a streamed answer or not. [`deliver`] then cuts
-//! that answer into chunks of at most `batch_rows` rows (a table) or
-//! top-level subtrees (a tree) and hands each to a [`BatchSink`] in
-//! order: the wire serializer in `yat-server` turns each into an
-//! `answer-chunk` frame, so the serialization and wire costs — and the
-//! client's time-to-first-row — are paid per chunk rather than per
-//! answer.
+//! [`pipeline`] evaluates a plan's *pipeline source* — the topmost
+//! operator that is not row-local — as a materialized execution would,
+//! then runs the row-local operators above it (`Select`, `Map`,
+//! `Project`, `Bind … over`) over `batch_rows` of the source's rows at
+//! a time, through the same kernels [`mod@crate::eval`] runs over a whole
+//! table. A row-keyed `Tree` template on top (a `Sym` root over one
+//! `Group` keyed on every variable its body reads — the full-scan shape)
+//! emits each group's subtree the first time its key is seen. Chunk 0
+//! therefore leaves once the first batch has been bound, filtered and
+//! built, not once the whole answer has.
 //!
-//! [`CollectSink`] is the other end: it reassembles the chunks, so a
-//! streamed answer can be held to the materialized one byte for byte
-//! (`tests/differential.rs`, and the wire client's own reassembly).
+//! Every other operator breaks the pipeline: `Push`, `Source`, `Bind` on
+//! a tree, the joins, the set operators, `Group`, `Sort` and any other
+//! `Tree` template evaluate whole. When the top of the plan is such a
+//! breaker, [`deliver`] cuts its evaluated answer into chunks.
+//!
+//! Either way the answer leaves in chunks of exactly `batch_rows` rows
+//! (a table) or top-level subtrees (a tree), the last one possibly
+//! shorter: the same chunks, byte for byte, as cutting the materialized
+//! answer. The wire serializer in `yat-server` turns each into an
+//! `answer-chunk` frame. [`CollectSink`] is the other end: it
+//! reassembles the chunks, so a streamed answer can be held to the
+//! materialized one byte for byte (`tests/differential.rs`,
+//! `tests/prop_stream_chunks.rs`, and the wire client's own reassembly).
 
 use crate::error::EvalError;
-use crate::eval::EvalOut;
+use crate::eval::{eval_env, row_local_input, Env, EvalCtx, EvalOut, KeyedTree, RowOp};
+use crate::expr::Alg;
 use crate::tab::Tab;
-use yat_model::{Node, Tree};
+use crate::value::Value;
+use yat_model::{Label, Node, Tree};
 
 /// The default number of rows per delivered batch.
 pub const DEFAULT_BATCH_ROWS: usize = 1024;
@@ -44,14 +58,14 @@ pub trait BatchSink {
     /// Delivers one chunk of a tree-shaped answer: a copy of the
     /// answer's root holding at most `batch_rows` of its top-level
     /// subtrees. Called once per chunk, in order; the full answer is the
-    /// root with every delivered chunk's children concatenated. (The
-    /// `Tree` template still groups over its whole input to *construct*
-    /// the answer — chunking happens at the delivery boundary, which is
-    /// where the serialization and wire costs live.)
+    /// root with every delivered chunk's children concatenated. Under a
+    /// row-keyed `Tree` template the chunk is built as its rows arrive
+    /// and the whole answer tree never exists; behind a pipeline breaker
+    /// it aliases the evaluated answer's subtrees.
     fn on_tree(&mut self, tree: &Tree) -> Result<(), EvalError>;
 }
 
-/// What [`deliver`] observed, for gauges and `EXPLAIN`.
+/// What a streamed delivery observed, for gauges and `EXPLAIN`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeliveryStats {
     /// Batches handed to the sink.
@@ -60,9 +74,266 @@ pub struct DeliveryStats {
     pub rows: u64,
 }
 
-/// Cuts `out` into chunks of at most `batch_rows` rows and hands each to
-/// `sink` in order. A table announces its columns first; an empty table
-/// still delivers one empty batch so the consumer learns the layout
+/// Runs `plan` with a streamed answer boundary: the pipeline source
+/// evaluates whole, the row-local operators above it run over
+/// `batch_rows` of its rows at a time, and every `batch_rows` answer
+/// rows or subtrees leave for `sink` as soon as they exist (see the
+/// module docs). Delivers the same chunks as [`deliver`] on the
+/// materialized answer.
+///
+/// With a span collector in the context, every pipelined operator
+/// records one `operator` span, nested as a materialized execution
+/// nests them, whose row count is its output over all batches — the
+/// rows it produced before a failure when the run stops early.
+pub fn pipeline(
+    plan: &Alg,
+    ctx: &EvalCtx<'_>,
+    batch_rows: usize,
+    sink: &mut dyn BatchSink,
+) -> Result<DeliveryStats, EvalError> {
+    let env = Env::new();
+    let (keyed, below) = match plan {
+        Alg::TreeOp { input, template } => match KeyedTree::of(template) {
+            Some(keyed) => (Some(keyed), &**input),
+            None => (None, plan),
+        },
+        _ => (None, plan),
+    };
+    // the row-local operators under the head, outermost first
+    let mut spine = Vec::new();
+    let mut source = below;
+    while let Some(input) = row_local_input(source) {
+        spine.push(source);
+        source = input;
+    }
+    if keyed.is_none() && spine.is_empty() {
+        return deliver(eval_env(plan, ctx, &env)?, batch_rows, sink);
+    }
+    // one span per pipelined operator, opened outermost first so they
+    // nest as eval_env's recursion nests them
+    let span = |op: &Alg| {
+        ctx.obs
+            .map(|obs| obs.span(yat_obs::kind::OPERATOR, op.describe()))
+    };
+    let mut head_span = keyed.as_ref().and_then(|_| span(plan));
+    let mut spine_spans: Vec<_> = spine.iter().map(|op| span(op)).collect();
+    let mut rows_out = vec![0u64; spine.len()];
+    let consumer = spine.last().copied().unwrap_or(plan);
+    let result = eval_env(source, ctx, &env)
+        .and_then(|out| out.tab(consumer))
+        .and_then(|input| {
+            Run {
+                ctx,
+                env: &env,
+                spine: &spine,
+                kernels: spine.iter().map(|_| None).collect(),
+                rows_out: &mut rows_out,
+                keyed,
+            }
+            .batches(input, sink, batch_rows)
+        });
+    // close innermost first, each with the rows it produced
+    let error = result.as_ref().err().map(EvalError::to_string);
+    while let Some(span) = spine_spans.pop() {
+        if let Some(mut span) = span {
+            span.record_u64(yat_obs::attr::ROWS_OUT, rows_out[spine_spans.len()]);
+            if let Some(e) = &error {
+                span.record_str(yat_obs::attr::ERROR, e.clone());
+            }
+        }
+    }
+    if let Some(span) = head_span.as_mut() {
+        match &error {
+            None => span.record_u64(yat_obs::attr::ROWS_OUT, 1),
+            Some(e) => span.record_str(yat_obs::attr::ERROR, e.clone()),
+        }
+    }
+    drop(head_span);
+    result
+}
+
+/// One pipelined execution: the row-local kernels, prepared on the first
+/// batch that reaches them, and the head that builds the answer.
+struct Run<'r, 'a> {
+    ctx: &'r EvalCtx<'a>,
+    env: &'r Env,
+    /// Outermost first; batches run through it innermost first.
+    spine: &'r [&'a Alg],
+    kernels: Vec<Option<RowOp<'a>>>,
+    rows_out: &'r mut [u64],
+    keyed: Option<KeyedTree<'a>>,
+}
+
+impl<'a> Run<'_, 'a> {
+    /// Feeds `input` through the spine in batches of `batch_rows` rows
+    /// — at least one batch, so an empty input still reaches the head
+    /// and every kernel reports its errors as a whole-table run would.
+    fn batches(
+        &mut self,
+        input: Tab,
+        sink: &mut dyn BatchSink,
+        batch_rows: usize,
+    ) -> Result<DeliveryStats, EvalError> {
+        let root = self.keyed.as_ref().map(KeyedTree::root);
+        let mut chunker = Chunker::new(sink, batch_rows, root);
+        let (columns, rows) = input.into_parts();
+        let mut rows = rows.into_iter();
+        loop {
+            let batch = Tab::from_rows(
+                columns.clone(),
+                rows.by_ref().take(chunker.batch_rows).collect(),
+            );
+            let out = self.spine_batch(batch)?;
+            match &mut self.keyed {
+                Some(keyed) => keyed.run(&out, self.ctx.skolems, chunker.trees()),
+                None => chunker.rows(out)?,
+            }
+            chunker.flush_full()?;
+            if rows.len() == 0 {
+                return chunker.finish();
+            }
+        }
+    }
+
+    /// One batch through every row-local operator, innermost first.
+    fn spine_batch(&mut self, mut tab: Tab) -> Result<Tab, EvalError> {
+        for i in (0..self.spine.len()).rev() {
+            let kernel = match &mut self.kernels[i] {
+                Some(kernel) => kernel,
+                slot => slot.insert(RowOp::new(self.spine[i], tab.columns(), self.ctx)?),
+            };
+            tab = kernel.run(tab, self.env, self.ctx)?;
+            self.rows_out[i] += tab.len() as u64;
+        }
+        Ok(tab)
+    }
+}
+
+/// The answer boundary: collects top-level subtrees or rows and hands
+/// them to the sink in chunks of exactly `batch_rows` as they fill; the
+/// remainder leaves on [`Chunker::finish`] (one empty chunk when the
+/// whole answer is empty).
+struct Chunker<'s> {
+    sink: &'s mut dyn BatchSink,
+    batch_rows: usize,
+    pending: Pending,
+    stats: DeliveryStats,
+}
+
+/// What a [`Chunker`] holds back until a chunk fills.
+enum Pending {
+    /// Nothing yet: the answer's shape is not known.
+    Unknown,
+    /// Subtrees of a tree answer with root label `root`.
+    Trees { root: Label, trees: Vec<Tree> },
+    /// Rows of a table answer, whose layout went out already.
+    Rows {
+        columns: Vec<String>,
+        rows: Vec<Vec<Value>>,
+    },
+}
+
+impl<'s> Chunker<'s> {
+    /// A chunker for a tree answer rooted at `root`, or (`None`) for a
+    /// table answer whose layout its first rows bring.
+    fn new(sink: &'s mut dyn BatchSink, batch_rows: usize, root: Option<Label>) -> Self {
+        let pending = match root {
+            Some(root) => Pending::Trees {
+                root,
+                trees: Vec::new(),
+            },
+            None => Pending::Unknown,
+        };
+        Chunker {
+            sink,
+            batch_rows: batch_rows.max(1),
+            pending,
+            stats: DeliveryStats::default(),
+        }
+    }
+
+    /// The pending subtrees of a tree answer.
+    fn trees(&mut self) -> &mut Vec<Tree> {
+        match &mut self.pending {
+            Pending::Trees { trees, .. } => trees,
+            _ => unreachable!("a tree answer's chunker is made with its root"),
+        }
+    }
+
+    /// Appends `tab`'s rows; the first table announces the layout.
+    fn rows(&mut self, tab: Tab) -> Result<(), EvalError> {
+        if let Pending::Unknown = self.pending {
+            self.sink.on_columns(tab.columns())?;
+            self.pending = Pending::Rows {
+                columns: tab.columns().to_vec(),
+                rows: Vec::new(),
+            };
+        }
+        match &mut self.pending {
+            Pending::Rows { rows, .. } => rows.extend(tab.into_rows()),
+            _ => unreachable!("one answer has one shape"),
+        }
+        Ok(())
+    }
+
+    /// Hands every full chunk to the sink.
+    fn flush_full(&mut self) -> Result<(), EvalError> {
+        self.flush(false)
+    }
+
+    /// Hands the rest to the sink — one empty chunk when nothing went
+    /// out — and reports what was delivered.
+    fn finish(mut self) -> Result<DeliveryStats, EvalError> {
+        self.flush(true)?;
+        Ok(self.stats)
+    }
+
+    /// Delivers the pending items in chunks of `batch_rows`: only full
+    /// chunks, or (`last`) the remainder too.
+    fn flush(&mut self, last: bool) -> Result<(), EvalError> {
+        let n = self.batch_rows;
+        let stats = &mut self.stats;
+        let len = match &self.pending {
+            Pending::Trees { trees, .. } => trees.len(),
+            Pending::Rows { rows, .. } => rows.len(),
+            Pending::Unknown => 0,
+        };
+        let mut take = if last { len } else { len - len % n };
+        // an empty answer still delivers one (empty) chunk
+        let mut empty = last && take == 0 && stats.chunks == 0;
+        match &mut self.pending {
+            Pending::Trees { root, trees } => {
+                let mut out = trees.drain(..take);
+                while take > 0 || std::mem::take(&mut empty) {
+                    let k = take.min(n);
+                    take -= k;
+                    let chunk = Node::labeled(root.clone(), out.by_ref().take(k).collect());
+                    self.sink.on_tree(&chunk)?;
+                    stats.chunks += 1;
+                    stats.rows += k as u64;
+                }
+            }
+            Pending::Rows { columns, rows } => {
+                let mut out = rows.drain(..take);
+                while take > 0 || std::mem::take(&mut empty) {
+                    let k = take.min(n);
+                    take -= k;
+                    let batch = Tab::from_rows(columns.clone(), out.by_ref().take(k).collect());
+                    stats.chunks += 1;
+                    stats.rows += k as u64;
+                    self.sink.on_batch(batch)?;
+                }
+            }
+            Pending::Unknown => {}
+        }
+        Ok(())
+    }
+}
+
+/// Cuts an evaluated answer into chunks of at most `batch_rows` rows and
+/// hands each to `sink` in order — the chunk flusher behind a pipeline
+/// breaker. A table announces its columns first; an empty table still
+/// delivers one empty batch so the consumer learns the layout
 /// end-to-end. A tree delivers copies of its root, each holding the next
 /// `batch_rows` top-level subtrees (one chunk for a childless root).
 ///
@@ -74,44 +345,20 @@ pub fn deliver(
     batch_rows: usize,
     sink: &mut dyn BatchSink,
 ) -> Result<DeliveryStats, EvalError> {
-    let batch_rows = batch_rows.max(1);
-    let mut stats = DeliveryStats::default();
     match out {
+        // children are `Arc`-shared: a chunk aliases, never copies, the
+        // constructed subtrees
         EvalOut::Tree(tree) => {
-            // every YATL query ends in a `Tree` template, so this is the
-            // chunking real answers get. Children are `Arc`-shared — a
-            // chunk aliases, never copies, the constructed subtrees.
-            let total = tree.children.len();
-            let mut start = 0;
-            loop {
-                let end = (start + batch_rows).min(total);
-                let chunk = Node::labeled(tree.label.clone(), tree.children[start..end].to_vec());
-                sink.on_tree(&chunk)?;
-                stats.chunks += 1;
-                stats.rows += (end - start) as u64;
-                start = end;
-                if start >= total {
-                    break;
-                }
-            }
+            let mut chunker = Chunker::new(sink, batch_rows, Some(tree.label.clone()));
+            chunker.trees().extend(tree.children.iter().cloned());
+            chunker.finish()
         }
         EvalOut::Tab(tab) => {
-            sink.on_columns(tab.columns())?;
-            let (columns, rows) = tab.into_parts();
-            let mut rows = rows.into_iter().peekable();
-            loop {
-                let batch =
-                    Tab::from_rows(columns.clone(), rows.by_ref().take(batch_rows).collect());
-                stats.chunks += 1;
-                stats.rows += batch.len() as u64;
-                sink.on_batch(batch)?;
-                if rows.peek().is_none() {
-                    break;
-                }
-            }
+            let mut chunker = Chunker::new(sink, batch_rows, None);
+            chunker.rows(tab)?;
+            chunker.finish()
         }
     }
-    Ok(stats)
 }
 
 /// Reassembles a streamed answer in process — the oracle-side consumer:

@@ -24,8 +24,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{mpsc, Arc};
 use yat_algebra::eval::{eval_env, Env, EvalCtx, PushHandler};
+use yat_algebra::stream::{pipeline, DeliveryStats};
 use yat_algebra::{
-    substitute_env, Alg, BatchAnswer, EvalError, EvalOut, FnRegistry, PassedBindings,
+    substitute_env, Alg, BatchAnswer, BatchSink, EvalError, EvalOut, FnRegistry, PassedBindings,
     SkolemRegistry, Tab,
 };
 use yat_cache::{AnswerCache, CachedAnswer, Signature};
@@ -222,6 +223,29 @@ impl From<EvalError> for ExecError {
 /// fully successful round trip. In parallel mode lookups happen at
 /// scheduling time: a hit removes the job from the lane schedule.
 pub fn execute_mode(plan: &Alg, spec: &ExecSpec<'_>) -> Result<EvalOut, ExecError> {
+    with_prepared(plan, spec, |ctx| eval_env(plan, ctx, &Env::new()))
+}
+
+/// [`execute_mode`] with a streamed answer boundary: after the same
+/// prefetch, [`yat_algebra::stream::pipeline`] runs the row-local top of
+/// the plan `batch_rows` rows at a time and hands `sink` each chunk of
+/// the answer as soon as it is built.
+pub fn execute_streamed(
+    plan: &Alg,
+    spec: &ExecSpec<'_>,
+    batch_rows: usize,
+    sink: &mut dyn BatchSink,
+) -> Result<DeliveryStats, ExecError> {
+    with_prepared(plan, spec, |ctx| pipeline(plan, ctx, batch_rows, sink))
+}
+
+/// Runs `eval` against the catalog and push handler [`prepare`] builds
+/// for `plan`.
+fn with_prepared<T>(
+    plan: &Alg,
+    spec: &ExecSpec<'_>,
+    eval: impl FnOnce(&EvalCtx<'_>) -> Result<T, EvalError>,
+) -> Result<T, ExecError> {
     let (catalog, pusher) = prepare(plan, spec)?;
     let ctx = EvalCtx {
         catalog: &catalog,
@@ -232,8 +256,7 @@ pub fn execute_mode(plan: &Alg, spec: &ExecSpec<'_>) -> Result<EvalOut, ExecErro
         obs: spec.obs,
         bind_index: spec.bind_index,
     };
-    let env = Env::new();
-    eval_env(plan, &ctx, &env).map_err(ExecError::from)
+    eval(&ctx).map_err(ExecError::from)
 }
 
 /// The shared front half of execution: dependency analysis, document

@@ -2,7 +2,9 @@
 //! integration programs, answer queries.
 
 use crate::compose::{compose, qualify};
-use crate::executor::{execute_mode, ExecError, ExecMode, ExecSpec, SchedPolicy, StreamPolicy};
+use crate::executor::{
+    execute_mode, execute_streamed, ExecError, ExecMode, ExecSpec, SchedPolicy, StreamPolicy,
+};
 use crate::explain::{CacheLine, Explain, IndexLine, LaneJob, ProgramLine, StorageLine};
 use crate::optimizer::{optimize_with_registry, OptimizerOptions, Trace};
 use crate::transport::{Connection, MeterSnapshot};
@@ -430,12 +432,13 @@ impl Mediator {
         }
     }
 
-    /// Executes a plan with a streamed answer boundary: the plan runs
-    /// under the current mode and cache exactly like
-    /// [`Mediator::execute`], and the answer is delivered to `sink` in
-    /// chunks of the stream policy's `batch_rows` (the default batch size
-    /// when the policy is `Off` — callers asking to stream get
-    /// streaming).
+    /// Executes a plan with a streamed answer boundary: documents are
+    /// fetched under the current mode and cache exactly as for
+    /// [`Mediator::execute`], then the row-local top of the plan runs
+    /// batch by batch ([`yat_algebra::stream::pipeline`]) and the answer
+    /// reaches `sink` in chunks of the stream policy's `batch_rows` (the
+    /// default batch size when the policy is `Off` — callers asking to
+    /// stream get streaming) as each chunk is built.
     pub fn execute_stream(
         &self,
         plan: &Arc<Alg>,
@@ -445,7 +448,8 @@ impl Mediator {
     }
 
     /// [`Mediator::execute_stream`] with an optional span collector: the
-    /// `stream` span records batch size, chunk and row counts; in
+    /// `stream` span covers the whole execution and records batch size,
+    /// chunk and row counts and when the sink accepted chunk 0; in
     /// parallel mode the `scatter` span records the gather channel's
     /// peak occupancy (`peak_pending`).
     pub fn execute_stream_traced(
@@ -477,7 +481,6 @@ impl Mediator {
         obs: Option<&yat_obs::Collector>,
         prov: Option<&ProvLog>,
     ) -> Result<yat_algebra::stream::DeliveryStats, MediatorError> {
-        let out = execute_mode(plan, &self.exec_spec(obs, prov))?;
         let batch_rows = match self.stream {
             StreamPolicy::Chunked { batch_rows, .. } => batch_rows,
             StreamPolicy::Off => StreamPolicy::DEFAULT_BATCH_ROWS,
@@ -487,8 +490,12 @@ impl Mediator {
             s.record_u64(yat_obs::attr::BATCH_ROWS, batch_rows as u64);
             s
         });
-        let stats = yat_algebra::stream::deliver(out, batch_rows, sink);
+        let mut timed = FirstChunk::new(sink);
+        let stats = execute_streamed(plan, &self.exec_spec(obs, prov), batch_rows, &mut timed);
         if let Some(s) = span.as_mut() {
+            if let Some(first) = timed.first {
+                s.record_u64(yat_obs::attr::FIRST_CHUNK_US, first.as_micros() as u64);
+            }
             match &stats {
                 Ok(stats) => {
                     s.record_u64(yat_obs::attr::CHUNKS, stats.chunks);
@@ -497,7 +504,7 @@ impl Mediator {
                 Err(e) => s.record_str(yat_obs::attr::ERROR, e.to_string()),
             }
         }
-        Ok(stats.map_err(ExecError::from)?)
+        Ok(stats?)
     }
 
     /// Plan → optimize → execute, end to end.
@@ -760,6 +767,47 @@ impl Mediator {
     /// extra compensations).
     pub fn funcs_mut(&mut self) -> &mut FnRegistry {
         &mut self.funcs
+    }
+}
+
+/// Notes when the wrapped sink accepted chunk 0, measured from the
+/// start of the execution — the `stream answer` span's
+/// [`yat_obs::attr::FIRST_CHUNK_US`].
+struct FirstChunk<'s> {
+    sink: &'s mut dyn yat_algebra::BatchSink,
+    started: std::time::Instant,
+    first: Option<std::time::Duration>,
+}
+
+impl<'s> FirstChunk<'s> {
+    fn new(sink: &'s mut dyn yat_algebra::BatchSink) -> Self {
+        FirstChunk {
+            sink,
+            started: std::time::Instant::now(),
+            first: None,
+        }
+    }
+
+    fn accepted(&mut self) {
+        self.first.get_or_insert_with(|| self.started.elapsed());
+    }
+}
+
+impl yat_algebra::BatchSink for FirstChunk<'_> {
+    fn on_columns(&mut self, columns: &[String]) -> Result<(), yat_algebra::EvalError> {
+        self.sink.on_columns(columns)
+    }
+
+    fn on_batch(&mut self, batch: yat_algebra::Tab) -> Result<(), yat_algebra::EvalError> {
+        self.sink.on_batch(batch)?;
+        self.accepted();
+        Ok(())
+    }
+
+    fn on_tree(&mut self, tree: &yat_model::Tree) -> Result<(), yat_algebra::EvalError> {
+        self.sink.on_tree(tree)?;
+        self.accepted();
+        Ok(())
     }
 }
 

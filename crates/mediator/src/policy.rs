@@ -70,15 +70,18 @@ impl std::fmt::Display for ExecMode {
     }
 }
 
-/// How streamed answers leave the mediator: the chunk size
-/// `Mediator::execute_stream` cuts the evaluated answer into, and how
-/// many chunks the server's frame channel may hold.
+/// How streamed answers leave the mediator: the batch size
+/// `Mediator::execute_stream` runs the row-local top of a plan in and
+/// cuts the answer into, and how many chunks the server's frame channel
+/// may hold.
 ///
-/// Orthogonal to [`ExecMode`]: a streamed plan is evaluated exactly as
-/// a materialized one; only the delivery boundary differs
-/// (`yat_algebra::stream::deliver`). The materialized answer is the
-/// semantics oracle: concatenating the delivered chunks must reproduce
-/// it byte-for-byte (`tests/differential.rs`).
+/// Orthogonal to [`ExecMode`]: a streamed plan fetches and ships
+/// exactly as a materialized one; only the operators above the pipeline
+/// source run batch by batch (`yat_algebra::stream::pipeline`). The
+/// materialized answer is the semantics oracle: concatenating the
+/// delivered chunks must reproduce it byte-for-byte
+/// (`tests/differential.rs`), and each chunk must equal the same cut of
+/// it (`tests/prop_stream_chunks.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StreamPolicy {
     /// No streaming configuration (the default). A caller that streams

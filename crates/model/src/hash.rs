@@ -10,7 +10,9 @@
 //!
 //! [`Partition`] is the one hash-first grouping kernel: matcher row
 //! dedup, `Tab` dedup, the `Group` operator and `Tree` template grouping
-//! all number their items by first occurrence through it.
+//! all number their items by first occurrence through it, and a
+//! streamed `Tree` template keeps its running core, [`FirstSeen`],
+//! across batches.
 
 use std::collections::HashMap;
 use std::hash::Hasher;
@@ -77,6 +79,61 @@ pub fn write_len_str(h: &mut impl Hasher, s: &str) {
     h.write(s.as_bytes());
 }
 
+/// First-occurrence numbering of keys that arrive one at a time: the
+/// running core of [`Partition::by_key`], and what a consumer that sees
+/// its items in batches keeps between them (a streamed `Tree` template
+/// numbers its groups across every batch of rows).
+#[derive(Debug, Clone, Default)]
+pub struct FirstSeen {
+    /// The first group per hash, then a chain through later groups
+    /// sharing it.
+    heads: HashMap<u64, usize>,
+    next_same: Vec<Option<usize>>,
+}
+
+impl FirstSeen {
+    /// An empty numbering with room for `n` groups.
+    pub fn with_capacity(n: usize) -> Self {
+        FirstSeen {
+            heads: HashMap::with_capacity(n),
+            next_same: Vec::new(),
+        }
+    }
+
+    /// Groups numbered so far.
+    pub fn len(&self) -> usize {
+        self.next_same.len()
+    }
+
+    /// True before the first group.
+    pub fn is_empty(&self) -> bool {
+        self.next_same.is_empty()
+    }
+
+    /// The group of an item hashing to `hash`: the first earlier group
+    /// `g` with that hash for which `same(g)` holds, else a new group
+    /// numbered [`FirstSeen::len`]. The flag is true for a new group.
+    pub fn group(&mut self, hash: u64, mut same: impl FnMut(usize) -> bool) -> (usize, bool) {
+        let (mut at, mut last) = (self.heads.get(&hash).copied(), None);
+        while let Some(g) = at {
+            if same(g) {
+                return (g, false);
+            }
+            last = Some(g);
+            at = self.next_same[g];
+        }
+        let g = self.next_same.len();
+        self.next_same.push(None);
+        match last {
+            Some(l) => self.next_same[l] = Some(g),
+            None => {
+                self.heads.insert(hash, g);
+            }
+        }
+        (g, true)
+    }
+}
+
 /// A partition of items `0..n` into key groups, in first-occurrence
 /// order, with each group's members in item order — stored flat, so
 /// grouping allocates the same handful of buffers for two groups as for
@@ -96,36 +153,14 @@ impl Partition {
         mut hash: impl FnMut(usize) -> u64,
         mut eq: impl FnMut(usize, usize) -> bool,
     ) -> Partition {
-        // the first group per hash, then a chain through later groups
-        // sharing it
-        let mut heads: HashMap<u64, usize> = HashMap::with_capacity(n);
-        let mut next_same: Vec<Option<usize>> = Vec::new();
+        let mut seen = FirstSeen::with_capacity(n);
         let mut firsts: Vec<usize> = Vec::new();
         let mut group_of: Vec<usize> = Vec::with_capacity(n);
         for i in 0..n {
-            let h = hash(i);
-            let (mut at, mut last) = (heads.get(&h).copied(), None);
-            let g = loop {
-                match at {
-                    Some(g) if eq(firsts[g], i) => break g,
-                    Some(g) => {
-                        last = Some(g);
-                        at = next_same[g];
-                    }
-                    None => {
-                        let g = firsts.len();
-                        firsts.push(i);
-                        next_same.push(None);
-                        match last {
-                            Some(l) => next_same[l] = Some(g),
-                            None => {
-                                heads.insert(h, g);
-                            }
-                        }
-                        break g;
-                    }
-                }
-            };
+            let (g, new) = seen.group(hash(i), |g| eq(firsts[g], i));
+            if new {
+                firsts.push(i);
+            }
             group_of.push(g);
         }
         // counting sort by group, stable in item order

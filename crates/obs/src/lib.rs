@@ -115,6 +115,10 @@ pub mod attr {
     pub const CHUNKS: &str = "chunks";
     /// Rows per answer chunk a streamed delivery was configured with.
     pub const BATCH_ROWS: &str = "batch_rows";
+    /// Microseconds from the start of a streamed execution to its sink
+    /// accepting chunk 0 (the mediator's `stream` span, the server's
+    /// streamed `execute` span): where a query's time-to-first-row went.
+    pub const FIRST_CHUNK_US: &str = "first_chunk_us";
     /// High-water mark of gathered-but-unconsumed results buffered at
     /// once — the scatter/gather backpressure gauge (`phase` spans) and
     /// the server's per-stream in-flight-chunk gauge (`stream` spans).

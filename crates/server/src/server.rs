@@ -27,6 +27,7 @@
 //! `Bye` reply reports how many queries were still in the house when
 //! the drain began.
 
+use std::cell::Cell;
 use std::io::{self};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -120,7 +121,7 @@ struct StreamJob {
 /// One message from a worker to the connection thread of a streamed
 /// query. Frames are pre-encoded on the worker so the connection
 /// thread only writes bytes.
-enum StreamEvent {
+pub(crate) enum StreamEvent {
     /// Fall back to one ordinary reply frame: errors before the first
     /// chunk (including deadline refusals) look exactly like their
     /// materialized counterparts.
@@ -145,7 +146,7 @@ enum Admitted {
 }
 
 /// State shared by the accept loop, connection threads and workers.
-struct Shared {
+pub(crate) struct Shared {
     mediator: Mediator,
     config: ServerConfig,
     addr: SocketAddr,
@@ -163,6 +164,30 @@ struct Shared {
     shed: AtomicU64,
     errors: AtomicU64,
     protocol_errors: AtomicU64,
+}
+
+impl Shared {
+    /// A server's state before it admits anything: no admission queue,
+    /// every gauge at zero.
+    pub(crate) fn new(mediator: Mediator, config: ServerConfig, addr: SocketAddr) -> Shared {
+        Shared {
+            mediator,
+            config,
+            addr,
+            obs: Collector::bounded(SPAN_LOG_CAP),
+            sender: Mutex::new(None),
+            stop: AtomicBool::new(false),
+            draining: AtomicBool::new(false),
+            queue_depth: AtomicU64::new(0),
+            in_flight: AtomicU64::new(0),
+            connections: AtomicU64::new(0),
+            admitted: AtomicU64::new(0),
+            served: AtomicU64::new(0),
+            shed: AtomicU64::new(0),
+            errors: AtomicU64::new(0),
+            protocol_errors: AtomicU64::new(0),
+        }
+    }
 }
 
 /// Spawns [`Server`]s; the unit struct exists so the entry points read
@@ -191,23 +216,9 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let (tx, rx) = sync_channel::<Job>(config.queue_capacity);
-        let shared = Arc::new(Shared {
-            mediator,
-            config,
-            addr,
-            obs: Collector::bounded(SPAN_LOG_CAP),
-            sender: Mutex::new(Some(tx)),
-            stop: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
-            queue_depth: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            admitted: AtomicU64::new(0),
-            served: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-        });
+        let mut shared = Shared::new(mediator, config, addr);
+        shared.sender = Mutex::new(Some(tx));
+        let shared = Arc::new(shared);
         let rx = Arc::new(Mutex::new(rx));
         let workers = (0..config.workers)
             .map(|i| {
@@ -536,7 +547,7 @@ fn admit(shared: &Shared, request: ClientRequest, parent_span: usize, depth: u64
 /// retire the query. Returning early on a write failure drops both
 /// channel ends, which the worker observes as a refused sink (stops
 /// producing) and an instant done-ack (retires the query).
-fn stream_reply(
+pub(crate) fn stream_reply(
     shared: &Shared,
     writer: &mut TcpStream,
     events: Receiver<StreamEvent>,
@@ -546,8 +557,16 @@ fn stream_reply(
     let mut chunks = 0u64;
     let mut bytes = 0u64;
     loop {
-        match events.recv() {
-            Ok(StreamEvent::Reply(reply)) => {
+        // a vanished worker fails the query as its own failure would:
+        // a plain error before the first chunk, `stream-abort` after it
+        let event = events.recv().unwrap_or_else(|_| {
+            shared.errors.fetch_add(1, Ordering::SeqCst);
+            let message = "query was dropped mid-execution (worker died)";
+            span.record_str(attr::ERROR, message);
+            stream_failure(chunks, message.into())
+        });
+        match event {
+            StreamEvent::Reply(reply) => {
                 // single-frame fallback: nothing was streamed
                 if let ServerReply::Error { message } = &reply {
                     span.record_str(attr::ERROR, message.clone());
@@ -556,7 +575,7 @@ fn stream_reply(
                 let _ = done.send(());
                 return result;
             }
-            Ok(StreamEvent::Chunk(frame)) => {
+            StreamEvent::Chunk(frame) => {
                 chunks += 1;
                 bytes += frame.len() as u64;
                 if let Err(e) = framing::write_frame(writer, &frame) {
@@ -564,7 +583,7 @@ fn stream_reply(
                     return Err(e);
                 }
             }
-            Ok(StreamEvent::End(frame)) => {
+            StreamEvent::End(frame) => {
                 bytes += frame.len() as u64;
                 span.record_u64(attr::CHUNKS, chunks);
                 span.record_u64(attr::BYTES_SENT, bytes);
@@ -577,14 +596,6 @@ fn stream_reply(
                 // is fully on the wire
                 let _ = done.send(());
                 return result;
-            }
-            Err(_) => {
-                shared.errors.fetch_add(1, Ordering::SeqCst);
-                let reply = ServerReply::Error {
-                    message: "query was dropped mid-execution (worker died)".into(),
-                };
-                span.record_str(attr::ERROR, "query was dropped mid-execution (worker died)");
-                return respond(shared, writer, &reply);
             }
         }
     }
@@ -734,10 +745,14 @@ fn serve_streamed(
     span.record_u64(attr::WORKER, index as u64);
     span.record_u64(attr::IN_FLIGHT, in_flight);
     let chunks_sent = AtomicU64::new(0);
+    let first_chunk = Cell::new(None);
+    let started = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let sink = WireSink {
             events: &stream.events,
             chunks: &chunks_sent,
+            started,
+            first_chunk: &first_chunk,
         };
         // tests latch production on what the client has observed
         #[cfg(test)]
@@ -749,6 +764,9 @@ fn serve_streamed(
     }));
     let chunks = chunks_sent.load(Ordering::SeqCst);
     span.record_u64(attr::CHUNKS, chunks);
+    if let Some(first) = first_chunk.get() {
+        span.record_u64(attr::FIRST_CHUNK_US, first.as_micros() as u64);
+    }
     let (event, served) = match outcome {
         Ok(Ok((stats, prov))) => {
             let (answered_by, missing) = wire_prov(&prov);
@@ -803,6 +821,9 @@ fn encode(frame: &StreamFrame) -> String {
 struct WireSink<'a> {
     events: &'a SyncSender<StreamEvent>,
     chunks: &'a AtomicU64,
+    /// When execution started, and when chunk 0 was accepted after it.
+    started: Instant,
+    first_chunk: &'a Cell<Option<Duration>>,
 }
 
 impl WireSink<'_> {
@@ -812,6 +833,9 @@ impl WireSink<'_> {
         self.events
             .send(StreamEvent::Chunk(frame))
             .map_err(|_| EvalError::Sink("client connection closed mid-stream".into()))?;
+        if seq == 0 {
+            self.first_chunk.set(Some(self.started.elapsed()));
+        }
         self.chunks.fetch_add(1, Ordering::SeqCst);
         Ok(())
     }

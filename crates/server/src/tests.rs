@@ -513,6 +513,23 @@ fn streamed_wire_answers_are_byte_identical_and_chunked() {
         .expect("streamed responses get their own respond span");
     assert!(respond.attr(attr::CHUNKS).is_some());
     assert!(respond.attr(attr::BYTES_SENT).is_some());
+    // and every streamed execution when its chunk 0 was accepted
+    let executes: Vec<_> = spans
+        .iter()
+        .filter(|s| s.kind == kind::SERVER && s.label == "execute")
+        .filter(|s| s.attr(attr::CHUNKS).is_some())
+        .collect();
+    assert!(!executes.is_empty(), "streamed executions record spans");
+    for execute in executes {
+        let first = execute
+            .attr(attr::FIRST_CHUNK_US)
+            .and_then(|v| v.as_u64())
+            .expect("a streamed execute span records its first chunk");
+        assert!(
+            u128::from(first) <= execute.elapsed.as_micros(),
+            "{execute:?}"
+        );
+    }
 }
 
 #[test]
@@ -1037,6 +1054,45 @@ fn a_streamed_reply_is_written_without_nagle_and_restores_it() {
 }
 
 #[test]
+fn a_worker_vanishing_mid_stream_ends_the_stream_with_an_abort() {
+    use crate::server::{stream_reply, Shared, StreamEvent};
+    let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+    let addr = listener.local_addr().expect("has an address");
+    let mut client = TcpStream::connect(addr).expect("connects");
+    let (mut served, _) = listener.accept().expect("accepts");
+    let shared = Shared::new(Mediator::new(), ServerConfig::default(), addr);
+    let chunk = StreamFrame::Chunk {
+        seq: 0,
+        payload: EvalOut::Tree(Node::sym("out", vec![Node::elem("r", "x")])),
+    };
+    let mut text = String::new();
+    chunk.encode(&mut text);
+    let (events, received) = std::sync::mpsc::sync_channel(4);
+    let (done, _acked) = std::sync::mpsc::sync_channel(1);
+    events
+        .send(StreamEvent::Chunk(text))
+        .expect("the writer is listening");
+    // the worker is gone: its end of the channel drops after one chunk
+    drop(events);
+    stream_reply(&shared, &mut served, received, done).expect("the frames are written");
+
+    let mut next = || {
+        let el = framing::read_element(&mut client)
+            .expect("a frame reads")
+            .expect("the server wrote it");
+        StreamFrame::from_xml(&el).expect("a stream frame")
+    };
+    assert_eq!(next(), chunk);
+    match next() {
+        StreamFrame::Abort { message } => assert!(
+            message.contains("dropped mid-execution"),
+            "the abort names the lost worker: {message}"
+        ),
+        other => panic!("after a chunk the failure must be typed in-band: {other:?}"),
+    }
+}
+
+#[test]
 fn one_subtree_chunks_reassemble_in_linear_time() {
     // 20 000 subtrees at one per chunk: reassembly must append, since
     // rebuilding the root per chunk would clone ~2·10^8 children here.
@@ -1073,13 +1129,32 @@ fn one_subtree_chunks_reassemble_in_linear_time() {
     assert_eq!(read.reply.to_xml().to_xml(), expected);
 }
 
+/// Refuses every chunk, so a stream stops at chunk 0.
+struct Refusing;
+
+impl BatchSink for Refusing {
+    fn on_columns(&mut self, _columns: &[String]) -> Result<(), EvalError> {
+        Ok(())
+    }
+
+    fn on_batch(&mut self, _batch: Tab) -> Result<(), EvalError> {
+        Err(EvalError::Sink("chunk 0 refused".into()))
+    }
+
+    fn on_tree(&mut self, _tree: &yat_model::Tree) -> Result<(), EvalError> {
+        Err(EvalError::Sink("chunk 0 refused".into()))
+    }
+}
+
 #[test]
 fn hundred_thousand_row_answers_stream_with_bounded_gather() {
     // the acceptance-criterion run: a >=100k-subtree answer, streamed
     // under the parallel executor. The scatter gather may never buffer
     // more than its lane budget (the bounded rendezvous channel,
-    // observed through the `peak_pending` gauge) and the answer boundary
-    // works in `DEFAULT_BATCH_ROWS`-subtree chunks.
+    // observed through the `peak_pending` gauge), the answer boundary
+    // works in `DEFAULT_BATCH_ROWS`-subtree chunks, and the answer is
+    // built batch by batch: a sink that refuses chunk 0 stops the
+    // pipeline before it binds more than two batches.
     let lanes = 4;
     let mut mediator = works_federation(100_000, 8);
     mediator.set_cache_policy(yat_mediator::CachePolicy::Off);
@@ -1124,6 +1199,15 @@ fn hundred_thousand_row_answers_stream_with_bounded_gather() {
         stream_span.attr(attr::CHUNKS).and_then(|v| v.as_u64()),
         Some(stats.chunks)
     );
+    let first_chunk = stream_span
+        .attr(attr::FIRST_CHUNK_US)
+        .and_then(|v| v.as_u64())
+        .expect("the stream span records when chunk 0 was accepted");
+    assert!(
+        u128::from(first_chunk) < stream_span.elapsed.as_micros(),
+        "chunk 0 at {first_chunk} µs of a {:?} stream",
+        stream_span.elapsed
+    );
     let scatter = spans
         .iter()
         .find(|s| s.kind == kind::PHASE && s.label == "scatter")
@@ -1135,6 +1219,28 @@ fn hundred_thousand_row_answers_stream_with_bounded_gather() {
     assert!(
         peak <= lanes as u64,
         "gather buffered {peak} results against a budget of {lanes}"
+    );
+
+    let refused = yat_obs::Collector::new();
+    let err = mediator
+        .execute_stream_traced(&optimized, &mut Refusing, Some(&refused))
+        .expect_err("the sink refuses chunk 0");
+    assert!(err.to_string().contains("chunk 0 refused"), "{err}");
+    let bound: Vec<u64> = refused
+        .spans()
+        .iter()
+        .filter(|s| s.kind == kind::OPERATOR && s.label.starts_with("Bind"))
+        .map(|s| {
+            s.attr(attr::ROWS_OUT)
+                .and_then(|v| v.as_u64())
+                .expect("a pipelined Bind reports the rows it bound")
+        })
+        .collect();
+    let budget = 2 * StreamPolicy::DEFAULT_BATCH_ROWS as u64;
+    assert!(!bound.is_empty(), "the plan binds mediator-side");
+    assert!(
+        bound.iter().all(|&rows| rows <= budget),
+        "Bind spans bound {bound:?} rows before chunk 0 was refused (budget {budget})"
     );
 }
 
