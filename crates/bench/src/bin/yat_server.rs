@@ -16,11 +16,11 @@
 //!   plain two-source scenario: `N/2` O2 replicas, the rest style
 //!   shards of the Wais collection.
 //!
-//! Every policy comes from the six `YAT_*` variables of
+//! Every policy comes from the four `YAT_*` variables of
 //! [`yat_bench::settings`] (`YAT_EXEC_MODE`, `YAT_CACHE`, `YAT_PARTIAL`,
-//! `YAT_SCHED`, `YAT_INDEX`, `YAT_STORE`), read once at startup; a
-//! client that asks for a streamed answer gets the default chunk size
-//! and pending bound. Prints one `listening on <addr>` line once ready —
+//! `YAT_STORE`), read once at startup; sources and the mediator always
+//! consult their indexes, and a client that asks for a streamed answer
+//! gets the default chunk size and pending bound. Prints one `listening on <addr>` line once ready —
 //! `tests/served_binary.rs` drives it from there — and exits 0 once a
 //! client's `shutdown` has drained it.
 

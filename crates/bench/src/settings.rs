@@ -1,5 +1,5 @@
 //! Settings of the `yat-server` binary — the one place in the workspace
-//! that reads the six `YAT_*` policy variables.
+//! that reads the four `YAT_*` policy variables.
 //!
 //! Library constructors (`Mediator::new`, `Store::new`,
 //! `WaisSource::new`, `Scenario::at_scale`) use their documented
@@ -13,8 +13,8 @@ use crate::workload::{FedScenario, Scenario};
 use std::fmt::Display;
 use std::path::Path;
 use std::str::FromStr;
-use yat_capability::{IndexPolicy, StorePolicy};
-use yat_mediator::{CachePolicy, ExecMode, Mediator, PartialFailure, SchedPolicy};
+use yat_capability::StorePolicy;
+use yat_mediator::{CachePolicy, ExecMode, Mediator, PartialFailure};
 use yat_store::{StoreError, StoreOptions};
 
 /// A policy variable: its name, and the accepted syntax as quoted by the
@@ -27,11 +27,9 @@ const EXEC_MODE: Var = (
 );
 const CACHE: Var = (
     "YAT_CACHE",
-    "`off`, `bounded`, or `bounded:<bytes>[:<ttl>[:noneg]]` (`<bytes>` takes k/m/g suffixes)",
+    "`off`, `bounded`, or `bounded:<bytes>` (`<bytes>` takes k/m/g suffixes)",
 );
 const PARTIAL: Var = ("YAT_PARTIAL", "`strict` or `degrade`");
-const SCHED: Var = ("YAT_SCHED", "`cost` or `static`/`round-robin`");
-const INDEX: Var = ("YAT_INDEX", "`on` or `off`");
 const STORE: Var = ("YAT_STORE", "`off` or `dir:<path>[:<budget-bytes>]`");
 
 /// The value of `var` parsed as a `T`: `T::default()` when `value` is
@@ -53,15 +51,17 @@ where
     })
 }
 
-/// The names of the six policy variables, in [`Settings`] field order.
-pub const VARIABLES: [&str; 6] = [EXEC_MODE.0, CACHE.0, PARTIAL.0, SCHED.0, INDEX.0, STORE.0];
+/// The names of the four policy variables, in [`Settings`] field order.
+pub const VARIABLES: [&str; 4] = [EXEC_MODE.0, CACHE.0, PARTIAL.0, STORE.0];
 
 /// The workspace's one read of a policy variable.
 fn read(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
 
-/// Every policy a served mediator runs under.
+/// Every policy a served mediator runs under. Sources and the mediator
+/// always consult their indexes, and the executor always orders scatter
+/// jobs by cost; neither is a setting.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Settings {
     /// `YAT_EXEC_MODE`.
@@ -70,21 +70,17 @@ pub struct Settings {
     pub cache: CachePolicy,
     /// `YAT_PARTIAL`.
     pub partial: PartialFailure,
-    /// `YAT_SCHED`.
-    pub sched: SchedPolicy,
-    /// `YAT_INDEX`.
-    pub index: IndexPolicy,
     /// `YAT_STORE`.
     pub store: StorePolicy,
 }
 
 impl Settings {
-    /// Reads the six variables from the process environment.
+    /// Reads the four variables from the process environment.
     pub fn from_env() -> Self {
         Settings::from_lookup(read)
     }
 
-    /// Reads the six variables through `lookup`, which maps a variable's
+    /// Reads the four variables through `lookup`, which maps a variable's
     /// name to its value (`None` when unset) — so a test can build the
     /// settings it hands a child process without touching its own
     /// environment.
@@ -99,32 +95,24 @@ impl Settings {
             exec_mode: get(EXEC_MODE, &lookup),
             cache: get(CACHE, &lookup),
             partial: get(PARTIAL, &lookup),
-            sched: get(SCHED, &lookup),
-            index: get(INDEX, &lookup),
             store: get(STORE, &lookup),
         }
     }
 
-    /// Sets the five mediator-side policies on `mediator`. (The store
+    /// Sets the three mediator-side policies on `mediator`. (The store
     /// policy decides how sources are *built* — see
     /// [`Settings::scenario`].)
     pub fn apply(&self, mediator: &mut Mediator) {
         mediator.set_exec_mode(self.exec_mode);
         mediator.set_cache_policy(self.cache);
         mediator.set_partial_failure(self.partial);
-        mediator.set_sched_policy(self.sched);
-        mediator.set_index_policy(self.index);
     }
 
     /// The two-source scenario at `scale` under these settings: the
-    /// index policy pinned on both sources, the sources mounted from a
-    /// per-process subdirectory of the store directory when one is set,
-    /// and the mediator policies applied.
+    /// sources mounted from a per-process subdirectory of the store
+    /// directory when one is set, and the mediator policies applied.
     pub fn scenario(&self, scale: usize) -> Result<Mediator, StoreError> {
-        let scenario = Scenario {
-            index: self.index,
-            ..Scenario::at_scale(scale)
-        };
+        let scenario = Scenario::at_scale(scale);
         let mut mediator = match &self.store {
             StorePolicy::Off => scenario.mediator(),
             StorePolicy::Dir { path, budget } => {
@@ -142,10 +130,7 @@ impl Settings {
     /// The `members`-member federation at `scale` under these settings
     /// (in-memory sources; the store policy does not apply).
     pub fn federation(&self, members: usize, scale: usize) -> (Mediator, Vec<String>) {
-        let scenario = FedScenario {
-            index: self.index,
-            ..FedScenario::new(members, scale)
-        };
+        let scenario = FedScenario::new(members, scale);
         let mut mediator = scenario.mediator();
         self.apply(&mut mediator);
         (mediator, scenario.member_names())
@@ -184,21 +169,21 @@ mod tests {
         })));
         let warnings = || std::mem::take(&mut *seen.lock().unwrap());
 
+        assert_eq!(
+            VARIABLES,
+            ["YAT_EXEC_MODE", "YAT_CACHE", "YAT_PARTIAL", "YAT_STORE"]
+        );
         // unset: the documented default, silently
         let unset = Settings {
             exec_mode: parse_or_default(EXEC_MODE, None),
             cache: parse_or_default(CACHE, None),
             partial: parse_or_default(PARTIAL, None),
-            sched: parse_or_default(SCHED, None),
-            index: parse_or_default(INDEX, None),
             store: parse_or_default(STORE, None),
         };
         assert_eq!(unset, Settings::default());
         assert_eq!(unset.exec_mode, ExecMode::Sequential);
         assert_eq!(unset.cache, CachePolicy::Off);
         assert_eq!(unset.partial, PartialFailure::Strict);
-        assert_eq!(unset.sched, SchedPolicy::Cost);
-        assert_eq!(unset.index, IndexPolicy::On);
         assert_eq!(unset.store, StorePolicy::Off);
 
         // valid values, aliases, case and whitespace
@@ -209,37 +194,20 @@ mod tests {
         check(EXEC_MODE, "par", Ok(ExecMode::parallel()));
         check(EXEC_MODE, "parallel:3", Ok(lanes(3)));
 
-        let bounded = |max_bytes, ttl_epochs, negative| CachePolicy::Bounded {
-            max_bytes,
-            ttl_epochs,
-            negative,
-        };
+        let bounded = |max_bytes| CachePolicy::Bounded { max_bytes };
         check(CACHE, "off", Ok(CachePolicy::Off));
         check(CACHE, " NONE ", Ok(CachePolicy::Off));
         check(CACHE, "0", Ok(CachePolicy::Off));
         check(CACHE, "bounded", Ok(CachePolicy::bounded()));
         check(CACHE, "on", Ok(CachePolicy::bounded()));
-        check(CACHE, "bounded:4m", Ok(bounded(4 << 20, 1, true)));
-        check(
-            CACHE,
-            "bounded:512k:2:noneg",
-            Ok(bounded(512 << 10, 2, false)),
-        );
-        check(CACHE, "bounded:1g:5", Ok(bounded(1 << 30, 5, true)));
-        check(CACHE, "bounded:9999", Ok(bounded(9999, 1, true)));
+        check(CACHE, "bounded:4m", Ok(bounded(4 << 20)));
+        check(CACHE, " Bounded:512K ", Ok(bounded(512 << 10)));
+        check(CACHE, "bounded:1g", Ok(bounded(1 << 30)));
+        check(CACHE, "bounded:9999", Ok(bounded(9999)));
 
         check(PARTIAL, "strict", Ok(PartialFailure::Strict));
         check(PARTIAL, " Degrade ", Ok(PartialFailure::Degrade));
         check(PARTIAL, "degraded", Ok(PartialFailure::Degrade));
-
-        check(SCHED, "cost", Ok(SchedPolicy::Cost));
-        check(SCHED, " Static ", Ok(SchedPolicy::Static));
-        check(SCHED, "round-robin", Ok(SchedPolicy::Static));
-
-        check(INDEX, "on", Ok(IndexPolicy::On));
-        check(INDEX, "indexed", Ok(IndexPolicy::On));
-        check(INDEX, "OFF", Ok(IndexPolicy::Off));
-        check(INDEX, " scan ", Ok(IndexPolicy::Off));
 
         let dir = |path: &str, budget| StorePolicy::Dir {
             path: path.into(),
@@ -278,14 +246,12 @@ mod tests {
         invalid::<ExecMode>(EXEC_MODE, "parallel:0", &seen); // zero lanes
         invalid::<ExecMode>(EXEC_MODE, "warp-speed", &seen);
         invalid::<CachePolicy>(CACHE, "bounded:0", &seen); // zero budget
-        invalid::<CachePolicy>(CACHE, "bounded:4m:0", &seen); // zero ttl
+        invalid::<CachePolicy>(CACHE, "bounded:1m:2", &seen); // retired ttl
+        invalid::<CachePolicy>(CACHE, "bounded:1m:1:noneg", &seen); // and no-negative
         invalid::<CachePolicy>(CACHE, "bounded:4m:1:bogus", &seen);
         invalid::<CachePolicy>(CACHE, "unbounded", &seen);
         invalid::<PartialFailure>(PARTIAL, "???", &seen);
         invalid::<PartialFailure>(PARTIAL, "lenient", &seen);
-        invalid::<SchedPolicy>(SCHED, "lifo", &seen);
-        invalid::<IndexPolicy>(INDEX, "maybe", &seen);
-        invalid::<IndexPolicy>(INDEX, "banana", &seen);
         invalid::<StorePolicy>(STORE, "dir:", &seen);
         invalid::<StorePolicy>(STORE, "disk", &seen);
         invalid::<StorePolicy>(STORE, "banana", &seen);
@@ -299,14 +265,9 @@ mod tests {
         assert_eq!(ExecMode::parallel().to_string(), "parallel(8)");
         assert_eq!(ExecMode::Sequential.to_string(), "sequential");
         assert!(ExecMode::parallel().is_parallel() && !ExecMode::Sequential.is_parallel());
-        assert_eq!(
-            CachePolicy::bounded().to_string(),
-            "bounded(67108864B, ttl 1)"
-        );
+        assert_eq!(CachePolicy::bounded().to_string(), "bounded(67108864B)");
+        assert_eq!(bounded(1 << 10).to_string(), "bounded(1024B)");
         assert_eq!(CachePolicy::Off.to_string(), "off");
-        assert!(bounded(1 << 10, 1, false)
-            .to_string()
-            .ends_with("no-negative"));
     }
 
     #[test]
@@ -315,8 +276,6 @@ mod tests {
             exec_mode: ExecMode::Parallel { max_in_flight: 3 },
             cache: CachePolicy::bounded(),
             partial: PartialFailure::Degrade,
-            sched: SchedPolicy::Static,
-            index: IndexPolicy::Off,
             store: StorePolicy::Off,
         };
         for m in [
@@ -326,8 +285,7 @@ mod tests {
             assert_eq!(m.exec_mode(), settings.exec_mode);
             assert_eq!(m.cache_policy(), settings.cache);
             assert_eq!(m.partial_failure(), settings.partial);
-            assert_eq!(m.sched_policy(), settings.sched);
-            assert_eq!(m.index_policy(), settings.index);
+            assert_eq!(m.index_policy(), yat_capability::IndexPolicy::On);
         }
     }
 

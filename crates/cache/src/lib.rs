@@ -16,13 +16,13 @@
 //!   documents) with byte accounting that mirrors the serialized
 //!   response, so "bytes saved" equals bytes that did not cross the wire.
 //! * [`AnswerCache`] — a thread-safe store with LRU + size-budget
-//!   eviction, per-source epoch invalidation (entries recorded at an
-//!   older source epoch than the policy's `ttl_epochs` window are
-//!   dropped lazily on lookup), and optional negative caching of empty
-//!   results. Every lookup/insert emits a `cache` observability event
-//!   (`hit @src` / `miss @src` / `evict @src`) with byte attributes.
-//! * [`CachePolicy`] — `Off` or `Bounded{max_bytes, ttl_epochs}`,
-//!   parseable from text (`FromStr`).
+//!   eviction and per-source epoch invalidation (an entry recorded
+//!   before its source's latest epoch bump is dropped lazily on lookup).
+//!   Empty results are cached like any other (negative caching). Every
+//!   lookup/insert emits a `cache` observability event (`hit @src` /
+//!   `miss @src` / `evict @src`) with byte attributes.
+//! * [`CachePolicy`] — `Off` or `Bounded { max_bytes }`, parseable from
+//!   text (`FromStr`).
 //!
 //! The cache never stores partial work: the executor only inserts after
 //! a round trip fully succeeded, so a transport timeout, wire fault or
@@ -146,12 +146,6 @@ impl CachedAnswer {
         }
         len.0
     }
-
-    /// True for an empty result table — a candidate for *negative*
-    /// caching (remembering that a fragment selects nothing).
-    pub fn is_negative(&self) -> bool {
-        matches!(self, CachedAnswer::Result(tab) if tab.is_empty())
-    }
 }
 
 /// How (and whether) the mediator caches source answers.
@@ -160,15 +154,11 @@ pub enum CachePolicy {
     /// No caching; lookups miss silently and inserts are dropped.
     #[default]
     Off,
-    /// Caching with a byte budget and an epoch-freshness window.
+    /// Caching within a byte budget. Any `bump_epoch` on a source
+    /// invalidates its entries; empty results are cached too.
     Bounded {
         /// Total byte budget across all entries (LRU eviction beyond it).
         max_bytes: u64,
-        /// How many source-epoch increments an entry survives. `1` means
-        /// any `bump_epoch` on the source invalidates its entries.
-        ttl_epochs: u64,
-        /// Whether empty results are cached (negative caching).
-        negative: bool,
     },
 }
 
@@ -176,13 +166,10 @@ impl CachePolicy {
     /// Default byte budget of [`CachePolicy::bounded`]: 64 MiB.
     pub const DEFAULT_MAX_BYTES: u64 = 64 << 20;
 
-    /// Bounded caching with the defaults (64 MiB, ttl 1 epoch, negative
-    /// caching on).
+    /// Bounded caching with the default budget (64 MiB).
     pub fn bounded() -> Self {
         CachePolicy::Bounded {
             max_bytes: Self::DEFAULT_MAX_BYTES,
-            ttl_epochs: 1,
-            negative: true,
         }
     }
 
@@ -192,8 +179,8 @@ impl CachePolicy {
     }
 }
 
-/// `off`/`none`/`0`, `bounded`/`on`, or `bounded:<bytes>[:<ttl>[:noneg]]`
-/// where `<bytes>` accepts `k`/`m`/`g` suffixes.
+/// `off`/`none`/`0`, `bounded`/`on`, or `bounded:<bytes>` where
+/// `<bytes>` accepts `k`/`m`/`g` suffixes.
 impl std::str::FromStr for CachePolicy {
     type Err = ();
 
@@ -204,26 +191,11 @@ impl std::str::FromStr for CachePolicy {
             "bounded" | "on" => return Ok(CachePolicy::bounded()),
             _ => {}
         }
-        let rest = text.strip_prefix("bounded:").ok_or(())?;
-        let mut parts = rest.split(':');
-        let max_bytes = parts.next().and_then(parse_bytes).ok_or(())?;
-        let ttl_epochs = match parts.next() {
-            Some(t) => t.parse::<u64>().ok().filter(|&t| t > 0).ok_or(())?,
-            None => 1,
-        };
-        let negative = match parts.next() {
-            Some("noneg") => false,
-            Some(_) => return Err(()),
-            None => true,
-        };
-        if parts.next().is_some() {
-            return Err(());
-        }
-        Ok(CachePolicy::Bounded {
-            max_bytes,
-            ttl_epochs,
-            negative,
-        })
+        let max_bytes = text
+            .strip_prefix("bounded:")
+            .and_then(parse_bytes)
+            .ok_or(())?;
+        Ok(CachePolicy::Bounded { max_bytes })
     }
 }
 
@@ -246,17 +218,7 @@ impl std::fmt::Display for CachePolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CachePolicy::Off => write!(f, "off"),
-            CachePolicy::Bounded {
-                max_bytes,
-                ttl_epochs,
-                negative,
-            } => {
-                write!(f, "bounded({max_bytes}B, ttl {ttl_epochs})")?;
-                if !negative {
-                    write!(f, " no-negative")?;
-                }
-                Ok(())
-            }
+            CachePolicy::Bounded { max_bytes } => write!(f, "bounded({max_bytes}B)"),
         }
     }
 }
@@ -289,7 +251,7 @@ pub struct CacheStats {
     pub insertions: u64,
     /// Entries evicted under the byte budget.
     pub evictions: u64,
-    /// Entries dropped because their source epoch aged out.
+    /// Entries dropped because their source's epoch moved on.
     pub invalidations: u64,
     /// Response bytes that did not cross the wire thanks to hits.
     pub bytes_saved: u64,
@@ -369,11 +331,11 @@ impl AnswerCache {
     }
 
     /// Looks up `sig` for `source`, whose *live* epoch is
-    /// `current_epoch`. A stored answer recorded `ttl_epochs` or more
-    /// source-epoch bumps ago is stale: it is dropped (counted as an
-    /// invalidation) and the lookup misses. Emits a `cache` event —
-    /// `hit @source` (with [`attr::BYTES_SAVED`]) or `miss @source` —
-    /// when a collector is attached. Disabled caches return `None`
+    /// `current_epoch`. A stored answer recorded at an older epoch is
+    /// stale: it is dropped (counted as an invalidation) and the lookup
+    /// misses. Emits a `cache` event — `hit @source` (with
+    /// [`attr::BYTES_SAVED`]) or `miss @source` — when a collector is
+    /// attached. Disabled caches return `None`
     /// without recording anything.
     pub fn lookup(
         &self,
@@ -382,13 +344,13 @@ impl AnswerCache {
         current_epoch: u64,
         obs: Option<&Collector>,
     ) -> Option<CachedAnswer> {
-        let CachePolicy::Bounded { ttl_epochs, .. } = self.policy else {
+        if !self.policy.is_enabled() {
             return None;
-        };
+        }
         let mut inner = self.lock();
         inner.stats.lookups += 1;
         let fresh = match inner.entries.get(&sig) {
-            Some(e) if e.source == source => current_epoch.saturating_sub(e.epoch) < ttl_epochs,
+            Some(e) if e.source == source => current_epoch <= e.epoch,
             Some(_) => false, // hash collision across sources: treat as a miss
             None => {
                 inner.stats.misses += 1;
@@ -438,9 +400,8 @@ impl AnswerCache {
     /// Stores a fully-received answer produced at `source` epoch
     /// `epoch`, evicting least-recently-used entries until the byte
     /// budget holds (each eviction emits an `evict @<source>` event with
-    /// the bytes freed). Inserts are dropped when the policy is off,
-    /// when the answer alone exceeds the whole budget, or when it is an
-    /// empty result and negative caching is disabled. Callers must only
+    /// the bytes freed). Inserts are dropped when the policy is off or
+    /// when the answer alone exceeds the whole budget. Callers must only
     /// insert answers from *successful* round trips — never partial
     /// results of a failed one.
     pub fn insert(
@@ -451,17 +412,9 @@ impl AnswerCache {
         answer: CachedAnswer,
         obs: Option<&Collector>,
     ) {
-        let CachePolicy::Bounded {
-            max_bytes,
-            negative,
-            ..
-        } = self.policy
-        else {
+        let CachePolicy::Bounded { max_bytes } = self.policy else {
             return;
         };
-        if answer.is_negative() && !negative {
-            return;
-        }
         // measure outside the lock; worker lanes insert concurrently
         let bytes = answer.wire_bytes();
         if bytes > max_bytes {
@@ -590,11 +543,7 @@ mod tests {
     }
 
     fn bounded(max_bytes: u64) -> AnswerCache {
-        AnswerCache::new(CachePolicy::Bounded {
-            max_bytes,
-            ttl_epochs: 1,
-            negative: true,
-        })
+        AnswerCache::new(CachePolicy::Bounded { max_bytes })
     }
 
     #[test]
@@ -708,26 +657,10 @@ mod tests {
         let sig = Signature::document("src", "d");
         cache.insert(sig, "src", 3, answer(1, "x"), None);
         assert!(cache.lookup(sig, "src", 3, None).is_some(), "same epoch");
-        // the source moved on: ttl 1 means one bump is already stale
+        // the source moved on: one bump is already stale
         assert!(cache.lookup(sig, "src", 4, None).is_none());
         assert_eq!(cache.stats().invalidations, 1);
         assert!(cache.is_empty(), "stale entry dropped, not retained");
-    }
-
-    #[test]
-    fn wider_ttl_survives_bumps() {
-        let cache = AnswerCache::new(CachePolicy::Bounded {
-            max_bytes: 1 << 20,
-            ttl_epochs: 3,
-            negative: true,
-        });
-        let sig = Signature::document("src", "d");
-        cache.insert(sig, "src", 10, answer(1, "x"), None);
-        assert!(cache.lookup(sig, "src", 12, None).is_some(), "2 bumps < 3");
-        assert!(
-            cache.lookup(sig, "src", 13, None).is_none(),
-            "3 bumps = ttl"
-        );
     }
 
     #[test]
@@ -745,22 +678,12 @@ mod tests {
     }
 
     #[test]
-    fn negative_caching_is_optional() {
+    fn empty_results_are_cached() {
         let empty = CachedAnswer::Result(tab(0, ""));
-        assert!(empty.is_negative());
         let sig = Signature::document("src", "d");
-
-        let with = bounded(1 << 20);
-        with.insert(sig, "src", 0, empty.clone(), None);
-        assert_eq!(with.lookup(sig, "src", 0, None), Some(empty.clone()));
-
-        let without = AnswerCache::new(CachePolicy::Bounded {
-            max_bytes: 1 << 20,
-            ttl_epochs: 1,
-            negative: false,
-        });
-        without.insert(sig, "src", 0, empty, None);
-        assert!(without.lookup(sig, "src", 0, None).is_none());
+        let cache = bounded(1 << 20);
+        cache.insert(sig, "src", 0, empty.clone(), None);
+        assert_eq!(cache.lookup(sig, "src", 0, None), Some(empty));
     }
 
     #[test]
@@ -836,8 +759,8 @@ mod tests {
     /// access pattern concurrent server sessions produce. Asserts two
     /// invariants the single-threaded tests cannot: byte accounting
     /// stays exact under interleaved insert/evict/invalidate, and a hit
-    /// never returns an answer recorded before the freshness window of
-    /// the epoch the reader observed (no stale epoch reads).
+    /// never returns an answer recorded before the epoch the reader
+    /// observed (no stale epoch reads).
     #[test]
     fn concurrent_hammer_with_epoch_bumps_stays_consistent() {
         use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -847,11 +770,7 @@ mod tests {
         let answer_at = |epoch: u64| answer(1, &format!("e{epoch:010}"));
         let per_entry = answer_at(0).wire_bytes();
         // budget for 6 of 16 possible signatures → constant eviction
-        let cache = AnswerCache::new(CachePolicy::Bounded {
-            max_bytes: per_entry * 6,
-            ttl_epochs: 2,
-            negative: true,
-        });
+        let cache = bounded(per_entry * 6);
         let epoch = AtomicU64::new(0);
         let stale_seen = AtomicBool::new(false);
 
@@ -887,9 +806,9 @@ mod tests {
                                 other => panic!("{other:?}"),
                             };
                             let stored: u64 = label[1..11].parse().expect("epoch digits");
-                            // freshness contract: stored within ttl of
+                            // freshness contract: stored at or after
                             // the epoch passed to the lookup
-                            if seen.saturating_sub(stored) >= 2 {
+                            if stored < seen {
                                 stale_seen.store(true, Ordering::SeqCst);
                             }
                         }

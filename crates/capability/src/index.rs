@@ -3,11 +3,10 @@
 //!
 //! The policy gates *evaluation strategy only*. A wrapper accepts and
 //! rejects exactly the same plans, produces byte-identical answers and
-//! moves identical wire traffic under either setting — the scan paths
-//! stay in the tree as the oracle the differential harness holds the
-//! indexed paths to.
-
-use std::fmt;
+//! moves identical wire traffic under either setting. Served mediators
+//! and sources always run `On`; `Off` is the scan oracle the
+//! differential harness and the unit tests hold the indexed paths to,
+//! so the policy has no text syntax.
 
 /// Whether sources consult their indexes (structural, inverted,
 /// per-extent field) or evaluate by scanning.
@@ -25,28 +24,6 @@ impl IndexPolicy {
     /// Whether indexes are consulted.
     pub fn is_on(self) -> bool {
         self == IndexPolicy::On
-    }
-}
-
-/// `on`/`indexed` or `off`/`scan`.
-impl std::str::FromStr for IndexPolicy {
-    type Err = ();
-
-    fn from_str(text: &str) -> Result<Self, ()> {
-        match text.trim().to_ascii_lowercase().as_str() {
-            "on" | "indexed" => Ok(IndexPolicy::On),
-            "off" | "scan" => Ok(IndexPolicy::Off),
-            _ => Err(()),
-        }
-    }
-}
-
-impl fmt::Display for IndexPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IndexPolicy::On => write!(f, "on"),
-            IndexPolicy::Off => write!(f, "off"),
-        }
     }
 }
 
@@ -84,17 +61,5 @@ impl IndexReport {
     /// one took the scan path).
     pub fn indexed(&self) -> bool {
         self.scans < self.evaluations
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn display_round_trips() {
-        for p in [IndexPolicy::On, IndexPolicy::Off] {
-            assert_eq!(p.to_string().parse(), Ok(p));
-        }
     }
 }

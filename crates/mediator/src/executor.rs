@@ -38,7 +38,7 @@ use yat_federate::{constraints_of, GroupKind, PartialFailure, ProvLog, SourceReg
 use yat_model::{Forest, Node, Tree};
 use yat_obs::{attr, kind, Collector};
 
-pub use crate::policy::{ExecMode, SchedPolicy, StreamPolicy};
+pub use crate::policy::{ExecMode, StreamPolicy};
 
 /// Everything one execution runs against: the connection/interface maps
 /// and registries of the mediator, the selected mode and policies,
@@ -66,8 +66,6 @@ pub struct ExecSpec<'a> {
     pub registry: &'a SourceRegistry,
     /// What a per-source failure does to the query.
     pub partial: PartialFailure,
-    /// How scatter jobs are ordered onto lanes.
-    pub sched: SchedPolicy,
     /// Optional provenance accumulator (answered-by / missing-sources).
     pub prov: Option<&'a ProvLog>,
     /// Structural-index cache for mediator-local `Bind`s (`None` = scan;
@@ -213,8 +211,8 @@ impl From<EvalError> for ExecError {
 /// the raw material of `EXPLAIN ANALYZE`. In `Parallel` mode the
 /// prefetch and every independent push fragment run as scatter jobs
 /// under a `scatter` phase span; each job span records the worker lane
-/// that executed it (`attr::LANE`), and under [`SchedPolicy::Cost`] jobs
-/// are ordered longest-expected-first using the registry's cost records.
+/// that executed it (`attr::LANE`), and jobs are ordered
+/// longest-expected-first using the registry's cost records.
 ///
 /// When the cache is enabled, every unit of source work — a document
 /// fetch or a pushed fragment, dependent ones included — is looked up
@@ -292,9 +290,7 @@ fn prepare<'a>(plan: &Alg, spec: &ExecSpec<'a>) -> Result<(RemoteCatalog, Pusher
             let (forest, by_member) = fetch_sequential(&wanted, &fed)?;
             (forest, by_member, BTreeMap::new())
         }
-        ExecMode::Parallel { max_in_flight } => {
-            scatter_gather(&wanted, plan, &fed, max_in_flight, spec.sched)?
-        }
+        ExecMode::Parallel { max_in_flight } => scatter_gather(&wanted, plan, &fed, max_in_flight)?,
     };
 
     Ok((RemoteCatalog { forest, by_member }, Pusher { fed, pushed }))
@@ -600,18 +596,17 @@ fn independent_pushes<'p>(plan: &'p Alg, out: &mut Vec<(String, &'p Arc<Alg>)>) 
 /// Lane assignment is static round-robin over the *schedule* (lane `l`
 /// runs schedule positions `l`, `l + lanes`, `l + 2·lanes`, …), so which
 /// lane executes which job — and therefore the recorded span tree — is
-/// deterministic. Under [`SchedPolicy::Cost`] the schedule orders jobs
-/// longest-expected-first from the registry's cost records (plan order
-/// with no history); under [`SchedPolicy::Static`] it *is* plan order.
-/// Errors are reported in plan-job order either way: whichever job
-/// earliest in the plan failed wins, matching what the sequential path
-/// would have surfaced first.
+/// deterministic. The schedule orders jobs longest-expected-first from
+/// the registry's cost records; with no history every job costs the
+/// same and the schedule is plan order. Errors are reported in plan-job
+/// order whatever the schedule: whichever job earliest in the plan
+/// failed wins, matching what the sequential path would have surfaced
+/// first.
 fn scatter_gather(
     wanted: &[(String, String)],
     plan: &Alg,
     fed: &FedCtx<'_>,
     max_in_flight: usize,
-    sched: SchedPolicy,
 ) -> Result<(Forest, MemberDocs, BTreeMap<Signature, Tab>), ExecError> {
     // answer-cache hits are resolved at scheduling time and never enter
     // the lane schedule at all
@@ -683,24 +678,21 @@ fn scatter_gather(
 
     // cost-ordered scheduling: start the longest-expected jobs first so
     // the critical path shrinks (classic LPT). Ties — and the whole
-    // schedule when no cost history exists — stay in plan order, which
-    // makes a cold `Cost` schedule identical to `Static`.
+    // schedule when no cost history exists — stay in plan order.
+    let expected = |job: &Job| match job {
+        Job::Fetch { source, names } => {
+            fed.registry.cost(source).expected_cost() * names.len() as f64
+        }
+        Job::Push { source, .. } => fed.registry.cost(source).expected_cost(),
+    };
+    let costs: Vec<f64> = jobs.iter().map(expected).collect();
     let mut order: Vec<usize> = (0..jobs.len()).collect();
-    if sched == SchedPolicy::Cost {
-        let expected = |job: &Job| match job {
-            Job::Fetch { source, names } => {
-                fed.registry.cost(source).expected_cost() * names.len() as f64
-            }
-            Job::Push { source, .. } => fed.registry.cost(source).expected_cost(),
-        };
-        let costs: Vec<f64> = jobs.iter().map(expected).collect();
-        order.sort_by(|&a, &b| {
-            costs[b]
-                .partial_cmp(&costs[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-    }
+    order.sort_by(|&a, &b| {
+        costs[b]
+            .partial_cmp(&costs[a])
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.cmp(&b))
+    });
 
     let mut scatter = fed.obs.map(|o| o.span(kind::PHASE, "scatter".to_string()));
     let scatter_id = scatter.as_ref().map(|s| s.id());
@@ -1347,7 +1339,6 @@ mod tests {
             cache,
             registry: &registry,
             partial: PartialFailure::Strict,
-            sched: SchedPolicy::Static,
             prov: None,
             bind_index: None,
         };

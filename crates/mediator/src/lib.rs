@@ -23,10 +23,10 @@
 //!   source predicates locally when they could not be pushed; under
 //!   [`ExecMode::Parallel`] independent fragments and the prefetch
 //!   scatter across `std::thread::scope` worker lanes;
-//! * [`policy`] — the executor's three policy values ([`ExecMode`],
-//!   [`StreamPolicy`], [`SchedPolicy`]): plain data with documented
-//!   defaults, set through `Mediator::set_*` — nothing in the
-//!   library reads the environment;
+//! * [`policy`] — the executor's two policy values ([`ExecMode`],
+//!   [`StreamPolicy`]): plain data with documented defaults, set
+//!   through `Mediator::set_*` — nothing in the library reads the
+//!   environment;
 //! * [`explain`] — `EXPLAIN ANALYZE`: execution with a span collector
 //!   attached, returning the annotated operator tree with per-operator
 //!   cardinalities, wall times and wire traffic;
@@ -50,7 +50,7 @@ pub use explain::{CacheLine, Explain, FederationLine, LaneJob, ProgramLine, Stor
 pub use mediator::bench_compat::*;
 pub use mediator::{Mediator, MediatorError};
 pub use optimizer::{optimize, optimize_with_registry, OptimizerOptions, RuleFiring, Trace};
-pub use policy::{ExecMode, SchedPolicy, StreamPolicy};
+pub use policy::{ExecMode, StreamPolicy};
 pub use session::Session;
 pub use transport::{Connection, Latency, Meter, MeterSnapshot};
 pub use yat_cache::{AnswerCache, CachePolicy, CacheStats, CachedAnswer, Signature, SourceStats};

@@ -3,7 +3,7 @@
 
 use crate::compose::{compose, qualify};
 use crate::executor::{
-    execute_mode, execute_streamed, ExecError, ExecMode, ExecSpec, SchedPolicy, StreamPolicy,
+    execute_mode, execute_streamed, ExecError, ExecMode, ExecSpec, StreamPolicy,
 };
 use crate::explain::{CacheLine, Explain, IndexLine, LaneJob, ProgramLine, StorageLine};
 use crate::optimizer::{optimize_with_registry, OptimizerOptions, Trace};
@@ -74,7 +74,6 @@ pub struct Mediator {
     cache: AnswerCache,
     registry: SourceRegistry,
     partial: PartialFailure,
-    sched: SchedPolicy,
     index_policy: IndexPolicy,
     /// Structural indexes for mediator-local `Bind`s, built lazily per
     /// collection tree and keyed by tree identity (see
@@ -87,9 +86,9 @@ impl Mediator {
     /// A mediator with the built-in compensation functions registered
     /// (`contains` evaluates locally when it cannot be pushed) and every
     /// policy at its fixed default, whatever the environment says:
-    /// sequential dispatch, answer cache off, stream policy off, strict
-    /// partial failure, cost-ordered scatter scheduling, local `Bind`
-    /// indexes on. Change any of them through the `set_*` methods.
+    /// sequential dispatch, answer cache off, the default stream batch
+    /// size, strict partial failure, local `Bind` indexes on. Change any
+    /// of them through the `set_*` methods.
     pub fn new() -> Self {
         Mediator {
             funcs: FnRegistry::with_builtins(),
@@ -155,9 +154,8 @@ impl Mediator {
     }
 
     /// Declares that `source`'s data changed: bumps its epoch so cached
-    /// answers recorded before the bump stop being served (per the
-    /// policy's `ttl_epochs` window). Returns the new epoch, or `None`
-    /// for an unknown source.
+    /// answers recorded before the bump stop being served. Returns the
+    /// new epoch, or `None` for an unknown source.
     pub fn bump_source_epoch(&self, source: &str) -> Option<u64> {
         if self.registry.is_group(source) {
             // a group's data changed: every member's epoch bumps, and the
@@ -189,16 +187,6 @@ impl Mediator {
     /// (`Strict`, the default) or degrade the answer with provenance.
     pub fn set_partial_failure(&mut self, policy: PartialFailure) {
         self.partial = policy;
-    }
-
-    /// The current scatter scheduling policy.
-    pub fn sched_policy(&self) -> SchedPolicy {
-        self.sched
-    }
-
-    /// Selects how scatter jobs are ordered onto worker lanes.
-    pub fn set_sched_policy(&mut self, policy: SchedPolicy) {
-        self.sched = policy;
     }
 
     /// The connection to a source, e.g. to configure simulated
@@ -426,7 +414,6 @@ impl Mediator {
             cache: &self.cache,
             registry: &self.registry,
             partial: self.partial,
-            sched: self.sched,
             prov,
             bind_index: self.index_policy.is_on().then_some(&self.bind_index),
         }
@@ -436,9 +423,8 @@ impl Mediator {
     /// fetched under the current mode and cache exactly as for
     /// [`Mediator::execute`], then the row-local top of the plan runs
     /// batch by batch ([`yat_algebra::stream::pipeline`]) and the answer
-    /// reaches `sink` in chunks of the stream policy's `batch_rows` (the
-    /// default batch size when the policy is `Off` — callers asking to
-    /// stream get streaming) as each chunk is built.
+    /// reaches `sink` in chunks of the stream policy's `batch_rows` as
+    /// each chunk is built.
     pub fn execute_stream(
         &self,
         plan: &Arc<Alg>,
@@ -481,10 +467,7 @@ impl Mediator {
         obs: Option<&yat_obs::Collector>,
         prov: Option<&ProvLog>,
     ) -> Result<yat_algebra::stream::DeliveryStats, MediatorError> {
-        let batch_rows = match self.stream {
-            StreamPolicy::Chunked { batch_rows, .. } => batch_rows,
-            StreamPolicy::Off => StreamPolicy::DEFAULT_BATCH_ROWS,
-        };
+        let batch_rows = self.stream.batch_rows;
         let mut span = obs.map(|o| {
             let mut s = o.span(yat_obs::kind::STREAM, "stream answer".to_string());
             s.record_u64(yat_obs::attr::BATCH_ROWS, batch_rows as u64);
@@ -812,13 +795,16 @@ impl yat_algebra::BatchSink for FirstChunk<'_> {
 }
 
 /// What the frozen benchmark package (`yat-benchmark/`) still names of
-/// the retired bytecode VM: it pins an engine per workload and reads a
-/// compile counter. The interpreter is the only engine, so pinning one
-/// changes nothing and nothing is ever compiled. ROADMAP item 1(a)
-/// deletes this block together with the fixtures' calls.
+/// retired switches: it pins an engine, a scatter schedule and a stream
+/// policy per workload and reads a compile counter. The interpreter is
+/// the only engine and nothing is ever compiled; scatter jobs are always
+/// cost-ordered; the stream policy it names is the default. Pinning any
+/// of them changes nothing. ROADMAP item 1(a) deletes this block
+/// together with the fixtures' calls.
 #[doc(hidden)]
 pub mod bench_compat {
     use super::Mediator;
+    use crate::StreamPolicy;
 
     /// The retired engine choice; every variant runs the interpreter.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -829,6 +815,26 @@ pub mod bench_compat {
         Vm,
     }
 
+    /// The retired scheduling choice; its one value is what the
+    /// executor always does.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum SchedPolicy {
+        /// Cost-ordered scatter jobs.
+        Cost,
+    }
+
+    #[doc(hidden)]
+    impl StreamPolicy {
+        /// The default stream policy, under the name of the retired
+        /// `Off` variant, which behaved exactly like it.
+        #[allow(non_upper_case_globals)]
+        pub const Off: StreamPolicy = StreamPolicy {
+            batch_rows: StreamPolicy::DEFAULT_BATCH_ROWS,
+            max_pending: StreamPolicy::DEFAULT_MAX_PENDING,
+        };
+    }
+
+    #[doc(hidden)]
     impl Mediator {
         /// Does nothing: there is one engine.
         pub fn set_exec_engine(&mut self, _engine: ExecEngine) {}
@@ -837,13 +843,16 @@ pub mod bench_compat {
         pub fn programs_compiled(&self) -> u64 {
             0
         }
+
+        /// Does nothing: there is one schedule.
+        pub fn set_sched_policy(&mut self, _policy: SchedPolicy) {}
     }
 
     #[cfg(test)]
     mod tests {
-        use super::ExecEngine;
+        use super::{ExecEngine, SchedPolicy};
         use crate::tests::{fig1_mediator, generated_mediator};
-        use crate::{Mediator, OptimizerOptions};
+        use crate::{ExecMode, Mediator, OptimizerOptions, StreamPolicy};
         use yat_obs::{attr, kind};
         use yat_yatl::paper;
 
@@ -897,6 +906,44 @@ pub mod bench_compat {
                     assert!(program_rows > 0, "{query}");
                     assert_eq!(program_rows, operator_rows, "{query}");
                     assert_eq!(m.programs_compiled(), 0);
+                }
+            }
+        }
+
+        /// The frozen benchmark pins `SchedPolicy::Cost` and
+        /// `StreamPolicy::Off` on every workload: the first is what the
+        /// executor does anyway, the second is the default policy, so a
+        /// pinned mediator answers, ships and streams exactly like an
+        /// unpinned one.
+        #[test]
+        fn a_pinned_schedule_and_stream_policy_change_nothing() {
+            assert_eq!(StreamPolicy::Off, StreamPolicy::default());
+            type Build = fn() -> Mediator;
+            let builds: [Build; 2] = [fig1_mediator, || generated_mediator(40, 60, 7)];
+            for build in builds {
+                for query in [paper::Q1, paper::Q2] {
+                    let run = |pin: bool| {
+                        let mut m = build();
+                        m.set_exec_mode(ExecMode::parallel());
+                        if pin {
+                            m.set_sched_policy(SchedPolicy::Cost);
+                            m.set_stream_policy(StreamPolicy::Off);
+                        }
+                        assert_eq!(m.stream_policy(), StreamPolicy::default());
+                        m.reset_traffic();
+                        let plan = m.plan_query(query).unwrap();
+                        let (opt, _) = m.optimize(&plan, OptimizerOptions::default());
+                        let ex = m.explain(&opt).unwrap();
+                        let lanes: Vec<_> =
+                            ex.lanes.iter().map(|j| (j.lane, j.label.clone())).collect();
+                        let answer = yat_capability::protocol::ServerReply::answer(ex.output)
+                            .to_xml()
+                            .to_xml();
+                        let mut sink = yat_algebra::CollectSink::new();
+                        let stats = m.execute_stream(&opt, &mut sink).unwrap();
+                        (answer, ex.traffic, lanes, stats.chunks, stats.rows)
+                    };
+                    assert_eq!(run(true), run(false), "{query}");
                 }
             }
         }

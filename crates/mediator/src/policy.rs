@@ -1,12 +1,14 @@
-//! The executor's three policy switches: how source work is dispatched
-//! ([`ExecMode`]), how answers leave the mediator ([`StreamPolicy`]), and
-//! how scatter jobs are ordered onto lanes ([`SchedPolicy`]).
+//! The executor's two policy values: how source work is dispatched
+//! ([`ExecMode`]) and how streamed answers leave the mediator
+//! ([`StreamPolicy`]).
 //!
 //! Each is a plain value with a documented `Default`, set through the
-//! matching `Mediator::set_*`. The text syntax (`FromStr`) of
-//! `ExecMode` and `SchedPolicy` is what the `yat-server` binary accepts
-//! in its `YAT_*` settings; `StreamPolicy` has none —
-//! only code pins it. Nothing in this crate reads the environment.
+//! matching `Mediator::set_*`. The text syntax (`FromStr`) of `ExecMode`
+//! is what the `yat-server` binary accepts in `YAT_EXEC_MODE`;
+//! `StreamPolicy` has none — only code pins it. Scatter jobs are always
+//! ordered by observed cost (see `executor::scatter_gather`), so
+//! scheduling is not a policy. Nothing in this crate reads the
+//! environment.
 
 use std::str::FromStr;
 
@@ -81,24 +83,18 @@ impl std::fmt::Display for ExecMode {
 /// materialized answer is the semantics oracle: concatenating the
 /// delivered chunks must reproduce it byte-for-byte
 /// (`tests/differential.rs`), and each chunk must equal the same cut of
-/// it (`tests/prop_stream_chunks.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StreamPolicy {
-    /// No streaming configuration (the default). A caller that streams
-    /// anyway — `Mediator::execute_stream`, a client negotiating
-    /// `stream="chunked"` — gets the default batch size and pending
-    /// bound.
-    #[default]
-    Off,
-    /// Streamed answers are delivered in batches of these sizes.
-    Chunked {
-        /// Rows per delivered batch.
-        batch_rows: usize,
-        /// Upper bound on delivered-but-unconsumed batches a streaming
-        /// consumer (the server's wire writer) may buffer before the
-        /// producer blocks — the per-query memory budget.
-        max_pending: usize,
-    },
+/// it (`tests/prop_stream_chunks.rs`). [`Mediator::execute`] always
+/// materializes, whatever this says.
+///
+/// [`Mediator::execute`]: crate::Mediator::execute
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamPolicy {
+    /// Rows per delivered batch.
+    pub batch_rows: usize,
+    /// Upper bound on delivered-but-unconsumed batches a streaming
+    /// consumer (the server's wire writer) may buffer before the
+    /// producer blocks — the per-query memory budget.
+    pub max_pending: usize,
 }
 
 impl StreamPolicy {
@@ -106,50 +102,13 @@ impl StreamPolicy {
     pub const DEFAULT_BATCH_ROWS: usize = yat_algebra::stream::DEFAULT_BATCH_ROWS;
     /// Default bound on buffered, unconsumed batches.
     pub const DEFAULT_MAX_PENDING: usize = 8;
+}
 
-    /// Chunked delivery with the default batch size and pending bound.
-    pub fn chunked() -> Self {
-        StreamPolicy::Chunked {
+impl Default for StreamPolicy {
+    fn default() -> Self {
+        StreamPolicy {
             batch_rows: Self::DEFAULT_BATCH_ROWS,
             max_pending: Self::DEFAULT_MAX_PENDING,
-        }
-    }
-}
-
-/// How scatter jobs are ordered onto worker lanes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedPolicy {
-    /// Longest-expected-first: jobs are ordered by the registry's
-    /// observed cost records (EWMA latency + bytes, discounted by cache
-    /// hit rate) before lane assignment, so the most expensive round
-    /// trips start earliest and the critical path shrinks. With no
-    /// observations every job costs 0 and the order — and therefore the
-    /// whole execution — is identical to `Static`.
-    #[default]
-    Cost,
-    /// Plan order with static round-robin lanes — the pre-federation
-    /// behavior, kept as the benchmark baseline.
-    Static,
-}
-
-/// `cost` or `static`/`round-robin`.
-impl FromStr for SchedPolicy {
-    type Err = ();
-
-    fn from_str(text: &str) -> Result<Self, ()> {
-        match text.trim().to_ascii_lowercase().as_str() {
-            "cost" => Ok(SchedPolicy::Cost),
-            "static" | "round-robin" => Ok(SchedPolicy::Static),
-            _ => Err(()),
-        }
-    }
-}
-
-impl std::fmt::Display for SchedPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SchedPolicy::Cost => write!(f, "cost"),
-            SchedPolicy::Static => write!(f, "static"),
         }
     }
 }

@@ -83,7 +83,7 @@ impl Session {
     }
 
     /// Selects the answer-cache policy for subsequent queries, logging
-    /// the step (`yat> set cache bounded(67108864B, ttl 1);`).
+    /// the step (`yat> set cache bounded(67108864B);`).
     pub fn set_cache_policy(&mut self, policy: CachePolicy) {
         self.mediator.set_cache_policy(policy);
         let _ = writeln!(self.transcript, "yat> set cache {policy};");

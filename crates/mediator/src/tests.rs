@@ -1333,7 +1333,7 @@ fn session_logs_the_cache_policy() {
     s.set_cache_policy(CachePolicy::bounded());
     assert!(
         s.transcript()
-            .contains("yat> set cache bounded(67108864B, ttl 1);"),
+            .contains("yat> set cache bounded(67108864B);"),
         "{}",
         s.transcript()
     );
@@ -1408,7 +1408,7 @@ fn golden_explain_analyze_with_a_warm_cache() {
     );
     let parsed = yat_xml::parse_element(&ex.to_xml().to_xml()).unwrap();
     let cache = parsed.child("cache").expect("cache element");
-    assert_eq!(cache.attr("policy"), Some("bounded(67108864B, ttl 1)"));
+    assert_eq!(cache.attr("policy"), Some("bounded(67108864B)"));
 }
 
 // ---------------------------------------------------------- federation
@@ -1798,11 +1798,7 @@ fn quarantined_member_is_kept_mediator_side() {
 fn member_epoch_bump_only_stales_that_member() {
     let seed = 29;
     let mut m = federated_mediator(seed, &[]);
-    m.set_cache_policy(CachePolicy::Bounded {
-        max_bytes: 1 << 20,
-        ttl_epochs: 1,
-        negative: false,
-    });
+    m.set_cache_policy(CachePolicy::Bounded { max_bytes: 1 << 20 });
     m.set_exec_mode(ExecMode::parallel());
     let plan = m.plan_query(paper::Q1).unwrap();
     let (opt, _) = m.optimize(&plan, OptimizerOptions::naive());
@@ -1860,18 +1856,64 @@ fn member_epoch_bump_only_stales_that_member() {
 }
 
 #[test]
-fn cost_and_static_scheduling_agree_on_answers() {
-    let seed = 31;
-    let mut m = federated_mediator(seed, &[]);
+fn cold_and_warm_schedules_agree_on_answers_and_traffic() {
+    // a plain O2 source (no cost record, so it always costs 0) beside a
+    // sharded Wais group; the naive plan fetches both in that order
+    let works = generate_works(&fed_works_spec(31));
+    let mut m = Mediator::new();
+    m.connect(Box::new(O2Wrapper::new(
+        "o2artifact",
+        art_store(&ArtSpec {
+            artifacts: 12,
+            persons: 10,
+            seed: 31,
+        }),
+    )))
+    .unwrap();
+    let imp = works_with_styles(&works, |s| s == "Impressionist");
+    let rest = works_with_styles(&works, |s| s != "Impressionist");
+    connect_fed(
+        &mut m,
+        &[],
+        WaisWrapper::new("wais-imp", WaisSource::new("works", &imp)),
+        "wais",
+        shard_role(&["Impressionist"]),
+    );
+    connect_fed(
+        &mut m,
+        &[],
+        WaisWrapper::new("wais-rest", WaisSource::new("works", &rest)),
+        "wais",
+        shard_role(&REST_STYLES),
+    );
+    m.load_program(paper::VIEW1).unwrap();
     m.set_exec_mode(ExecMode::parallel());
-    assert_eq!(m.sched_policy(), crate::executor::SchedPolicy::Cost);
-    let cost = fingerprint_of(&m, paper::Q2, OptimizerOptions::default());
-    // executions fed the cost records: the members now have history
-    assert!(m.registry().cost("wais-imp").trips > 0);
-    m.set_sched_policy(crate::executor::SchedPolicy::Static);
+    let plan = m.plan_query(paper::Q1).unwrap();
+    let (opt, _) = m.optimize(&plan, OptimizerOptions::naive());
+    let run = || {
+        let ex = m.explain(&opt).unwrap();
+        let lanes: Vec<_> = ex.lanes.iter().map(|j| (j.lane, j.label.clone())).collect();
+        (result_fingerprint(&tree_of(ex.output)), ex.traffic, lanes)
+    };
+    // cold: no cost history, so the schedule is plan order
+    let (cold_answer, cold_traffic, cold_lanes) = run();
     assert_eq!(
-        fingerprint_of(&m, paper::Q2, OptimizerOptions::default()),
-        cost
+        cold_lanes,
+        [(0, "fetch @o2artifact".into()), (1, "fetch @wais".into())]
+    );
+    // warm: the Wais members have a history now and start first; only
+    // the lane assignment moves
+    assert!(m.registry().cost("wais").trips > 0);
+    let (warm_answer, warm_traffic, warm_lanes) = run();
+    assert_eq!(
+        warm_lanes,
+        [(0, "fetch @wais".into()), (1, "fetch @o2artifact".into())]
+    );
+    assert_eq!(warm_answer, cold_answer);
+    assert_eq!(warm_traffic, cold_traffic);
+    assert_eq!(
+        warm_traffic.keys().collect::<Vec<_>>(),
+        ["o2artifact", "wais-imp", "wais-rest"]
     );
 }
 

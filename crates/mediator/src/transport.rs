@@ -240,8 +240,8 @@ impl Connection {
     }
 
     /// Declares the source's data changed: subsequent cache lookups see
-    /// the new epoch and drop answers recorded before it (per the cache
-    /// policy's `ttl_epochs` window). Returns the new epoch.
+    /// the new epoch and drop answers recorded before it. Returns the
+    /// new epoch.
     pub fn bump_epoch(&self) -> u64 {
         self.epoch.fetch_add(1, Ordering::SeqCst) + 1
     }

@@ -25,7 +25,8 @@
 //! Shutdown is a drain, not an abort: admission stops, the queue's
 //! sender is dropped so workers exit once the backlog is empty, and the
 //! `Bye` reply reports how many queries were still in the house when
-//! the drain began.
+//! the drain began. A query leaves the house only once its connection
+//! thread has written its whole reply, materialized or streamed.
 
 use std::cell::Cell;
 use std::io::{self};
@@ -40,7 +41,7 @@ use yat_algebra::{BatchSink, EvalError, EvalOut, Tab};
 use yat_capability::framing;
 use yat_capability::protocol::{ClientRequest, ServerReply, ServerStats, SourceGauge, StreamFrame};
 use yat_capability::xml::WireError;
-use yat_mediator::{Mediator, OptimizerOptions, StreamPolicy};
+use yat_mediator::{Mediator, OptimizerOptions};
 use yat_model::Tree;
 use yat_obs::{attr, kind, Collector, SpanData};
 
@@ -97,34 +98,28 @@ struct Job {
     /// ends the connection thread's `queue-wait` span at the moment the
     /// wait actually ended.
     started: SyncSender<()>,
-    reply: SyncSender<ServerReply>,
-    /// Present when the client negotiated `stream="chunked"`: the worker
-    /// delivers frames through it instead of `reply`.
-    stream: Option<StreamJob>,
-}
-
-/// The streamed-reply half of a [`Job`].
-struct StreamJob {
-    /// Bounded frame channel (capacity = the stream policy's
-    /// `max_pending`): a worker that produces batches faster than the
-    /// connection thread can write them blocks in `send`, which
-    /// backpressures the mediator's delivery loop — per-query memory
-    /// stays bounded by `max_pending` serialized chunks.
+    /// Bounded reply channel (capacity = the stream policy's
+    /// `max_pending`). A materialized query sends one
+    /// [`StreamEvent::Reply`]; a streamed one (the client negotiated
+    /// `stream="chunked"`) sends its chunks and a terminal frame, and a
+    /// worker that produces batches faster than the connection thread
+    /// can write them blocks in `send`, which backpressures the
+    /// mediator's delivery loop — per-query memory stays bounded by
+    /// `max_pending` serialized chunks.
     events: SyncSender<StreamEvent>,
-    /// The worker blocks here after its terminal event until the
-    /// connection thread has written the final frame, so a drain can
-    /// never observe the query retired while its stream is still being
-    /// written.
+    /// The worker blocks here after its last event until the connection
+    /// thread has written it, so a drain can never observe the query
+    /// retired while its reply is still being written.
     done: Receiver<()>,
 }
 
-/// One message from a worker to the connection thread of a streamed
+/// One message from a worker to the connection thread of an admitted
 /// query. Frames are pre-encoded on the worker so the connection
 /// thread only writes bytes.
 pub(crate) enum StreamEvent {
-    /// Fall back to one ordinary reply frame: errors before the first
-    /// chunk (including deadline refusals) look exactly like their
-    /// materialized counterparts.
+    /// One ordinary reply frame: a materialized answer, or a streamed
+    /// query's error before its first chunk (including deadline
+    /// refusals), which looks exactly like its materialized counterpart.
     Reply(ServerReply),
     /// One `answer-chunk` frame.
     Chunk(String),
@@ -135,11 +130,11 @@ pub(crate) enum StreamEvent {
 
 /// What [`admit`] hands back to the connection thread.
 enum Admitted {
-    /// One reply frame to write.
+    /// A refusal (overloaded, draining) to write at once.
     Reply(ServerReply),
-    /// A streamed answer: frames arrive on `events`; after writing the
-    /// terminal frame the connection thread acks on `done`.
-    Stream {
+    /// Admitted work: its reply arrives on `events`; after writing the
+    /// last frame the connection thread acks on `done`.
+    Queued {
         events: Receiver<StreamEvent>,
         done: SyncSender<()>,
     },
@@ -414,17 +409,37 @@ fn serve_work(
     let depth = shared.queue_depth.load(Ordering::SeqCst);
     span.record_u64(attr::QUEUE_DEPTH, depth);
     span.record_u64(attr::IN_FLIGHT, shared.in_flight.load(Ordering::SeqCst));
-    match admit(shared, request, span.id(), depth) {
-        Admitted::Reply(reply) => {
-            if let ServerReply::Error { message } = &reply {
-                span.record_str(attr::ERROR, message.clone());
-            }
-            respond(shared, writer, &reply)
+    let streamed = matches!(&request, ClientRequest::Query { stream: true, .. });
+    let (reply, done) = match admit(shared, request, span.id(), depth) {
+        Admitted::Reply(reply) => (reply, None),
+        Admitted::Queued { events, done } if streamed => {
+            return without_nagle(writer, |writer| stream_reply(shared, writer, events, done));
         }
-        Admitted::Stream { events, done } => {
-            without_nagle(writer, |writer| stream_reply(shared, writer, events, done))
+        Admitted::Queued { events, done } => {
+            let reply = match events.recv() {
+                Ok(StreamEvent::Reply(reply)) => reply,
+                // a worker sends a materialized query nothing else; a
+                // closed channel means it died with the job
+                _ => {
+                    shared.errors.fetch_add(1, Ordering::SeqCst);
+                    ServerReply::Error {
+                        message: "query was dropped mid-execution (worker died)".into(),
+                    }
+                }
+            };
+            (reply, Some(done))
         }
+    };
+    if let ServerReply::Error { message } = &reply {
+        span.record_str(attr::ERROR, message.clone());
     }
+    let result = respond(shared, writer, &reply);
+    // the ack after the write is the drain guarantee: the worker holds
+    // the query in flight until its reply is fully on the wire
+    if let Some(done) = done {
+        let _ = done.send(());
+    }
+    result
 }
 
 /// Runs `write` with `TCP_NODELAY` set on `stream`, then turns Nagle's
@@ -460,35 +475,18 @@ fn admit(shared: &Shared, request: ClientRequest, parent_span: usize, depth: u64
         _ => shared.config.default_deadline,
     };
     let (started_tx, started_rx) = sync_channel::<()>(1);
-    let (reply_tx, reply_rx) = sync_channel::<ServerReply>(1);
-    // a negotiated stream gets its frame channel here, bounded by the
-    // stream policy's pending budget
-    let streamed = matches!(&request, ClientRequest::Query { stream: true, .. });
-    let (stream_job, stream_admitted) = if streamed {
-        let max_pending = match shared.mediator.stream_policy() {
-            StreamPolicy::Chunked { max_pending, .. } => max_pending,
-            StreamPolicy::Off => StreamPolicy::DEFAULT_MAX_PENDING,
-        };
-        let (events_tx, events_rx) = sync_channel::<StreamEvent>(max_pending.max(1));
-        let (done_tx, done_rx) = sync_channel::<()>(1);
-        (
-            Some(StreamJob {
-                events: events_tx,
-                done: done_rx,
-            }),
-            Some((events_rx, done_tx)),
-        )
-    } else {
-        (None, None)
-    };
+    // the reply channel, bounded by the stream policy's pending budget
+    let max_pending = shared.mediator.stream_policy().max_pending;
+    let (events_tx, events_rx) = sync_channel::<StreamEvent>(max_pending.max(1));
+    let (done_tx, done_rx) = sync_channel::<()>(1);
     let job = Job {
         request,
         admitted_at: Instant::now(),
         deadline,
         parent_span,
         started: started_tx,
-        reply: reply_tx,
-        stream: stream_job,
+        events: events_tx,
+        done: done_rx,
     };
     let sender = shared
         .sender
@@ -512,17 +510,9 @@ fn admit(shared: &Shared, request: ClientRequest, parent_span: usize, depth: u64
                 // the job, which also closes the channel)
                 let _ = started_rx.recv();
             }
-            if let Some((events, done)) = stream_admitted {
-                return Admitted::Stream { events, done };
-            }
-            match reply_rx.recv() {
-                Ok(reply) => Admitted::Reply(reply),
-                Err(_) => {
-                    shared.errors.fetch_add(1, Ordering::SeqCst);
-                    Admitted::Reply(ServerReply::Error {
-                        message: "query was dropped mid-execution (worker died)".into(),
-                    })
-                }
+            Admitted::Queued {
+                events: events_rx,
+                done: done_tx,
             }
         }
         Err(TrySendError::Full(_)) => {
@@ -630,71 +620,79 @@ fn worker_loop(index: usize, shared: &Shared, rx: &Mutex<Receiver<Job>>) {
         drop(job.started); // ends the client's queue-wait span
         let waited = job.admitted_at.elapsed();
         let expired = job.deadline.is_some_and(|d| waited > d);
+        let streamed = matches!(&job.request, ClientRequest::Query { stream: true, .. });
 
-        if let Some(stream) = &job.stream {
-            let served = if expired {
-                let _ = stream
-                    .events
-                    .send(StreamEvent::Reply(deadline_error(waited, job.deadline)));
-                false
-            } else {
-                serve_streamed(
-                    shared,
-                    index,
-                    in_flight,
-                    &job.request,
-                    job.parent_span,
-                    stream,
-                )
-            };
-            // the done-ack is the drain guarantee: the query stays in
-            // flight until its stream is fully written (or the
-            // connection thread is gone, which closes the channel)
-            let _ = stream.done.recv();
-            shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-            if served {
-                shared.served.fetch_add(1, Ordering::SeqCst);
-            } else {
-                shared.errors.fetch_add(1, Ordering::SeqCst);
-            }
-            continue;
-        }
-
-        let reply = if expired {
+        let (last, served) = if expired {
             // refused before execution: the client's budget is already
             // spent, running the plan would serve nobody
-            deadline_error(waited, job.deadline)
+            (
+                StreamEvent::Reply(deadline_error(waited, job.deadline)),
+                false,
+            )
+        } else if streamed {
+            serve_streamed(
+                shared,
+                index,
+                in_flight,
+                &job.request,
+                job.parent_span,
+                &job.events,
+            )
         } else {
-            let mut span = shared
-                .obs
-                .span_under(Some(job.parent_span), kind::SERVER, "execute");
-            span.record_u64(attr::WORKER, index as u64);
-            span.record_u64(attr::IN_FLIGHT, in_flight);
-            match catch_unwind(AssertUnwindSafe(|| {
-                execute(shared, &job.request, waited, index)
-            })) {
-                Ok(reply) => reply,
-                Err(payload) => {
-                    // panic containment: the worker survives to take the
-                    // next job, the client learns what happened
-                    let msg = panic_message(payload);
-                    span.record_str(attr::ERROR, msg.clone());
-                    ServerReply::Error {
-                        message: format!("query panicked on worker {index}: {msg}"),
-                    }
-                }
-            }
+            let reply = serve_materialized(
+                shared,
+                index,
+                in_flight,
+                &job.request,
+                job.parent_span,
+                waited,
+            );
+            let served = matches!(
+                reply,
+                ServerReply::Answer { .. } | ServerReply::Explained { .. }
+            );
+            (StreamEvent::Reply(reply), served)
         };
+        if served {
+            shared.served.fetch_add(1, Ordering::SeqCst);
+        } else {
+            shared.errors.fetch_add(1, Ordering::SeqCst);
+        }
+        let _ = job.events.send(last);
+        // the done-ack is the drain guarantee: the query stays in flight
+        // until its reply is fully written (or the connection thread is
+        // gone, which closes the channel)
+        let _ = job.done.recv();
         shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-        match &reply {
-            ServerReply::Answer { .. } | ServerReply::Explained { .. } => {
-                shared.served.fetch_add(1, Ordering::SeqCst);
-            }
-            _ => {
-                shared.errors.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// Executes one materialized request on a worker under its `execute`
+/// span.
+fn serve_materialized(
+    shared: &Shared,
+    index: usize,
+    in_flight: u64,
+    request: &ClientRequest,
+    parent_span: usize,
+    waited: Duration,
+) -> ServerReply {
+    let mut span = shared
+        .obs
+        .span_under(Some(parent_span), kind::SERVER, "execute");
+    span.record_u64(attr::WORKER, index as u64);
+    span.record_u64(attr::IN_FLIGHT, in_flight);
+    match catch_unwind(AssertUnwindSafe(|| execute(shared, request, waited, index))) {
+        Ok(reply) => reply,
+        Err(payload) => {
+            // panic containment: the worker survives to take the next
+            // job, the client learns what happened
+            let msg = panic_message(payload);
+            span.record_str(attr::ERROR, msg.clone());
+            ServerReply::Error {
+                message: format!("query panicked on worker {index}: {msg}"),
             }
         }
-        let _ = job.reply.send(reply);
     }
 }
 
@@ -723,21 +721,20 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// success, a plain error reply when nothing was streamed yet (so
 /// pre-stream failures look exactly like materialized ones), or
 /// `stream-abort` after the first chunk (delivered frames cannot be
-/// recalled, so the failure must be typed in-band). Returns whether the
-/// query counts as served.
+/// recalled, so the failure must be typed in-band). Returns the
+/// terminal event, still to be sent, and whether the query counts as
+/// served.
 fn serve_streamed(
     shared: &Shared,
     index: usize,
     in_flight: u64,
     request: &ClientRequest,
     parent_span: usize,
-    stream: &StreamJob,
-) -> bool {
+    events: &SyncSender<StreamEvent>,
+) -> (StreamEvent, bool) {
     let ClientRequest::Query { text, .. } = request else {
-        let _ = stream.events.send(StreamEvent::Reply(ServerReply::Error {
-            message: format!("verb `{}` is not streamable work", request.kind()),
-        }));
-        return false;
+        let message = format!("verb `{}` is not streamable work", request.kind());
+        return (StreamEvent::Reply(ServerReply::Error { message }), false);
     };
     let mut span = shared
         .obs
@@ -749,7 +746,7 @@ fn serve_streamed(
     let started = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let sink = WireSink {
-            events: &stream.events,
+            events,
             chunks: &chunks_sent,
             started,
             first_chunk: &first_chunk,
@@ -767,7 +764,7 @@ fn serve_streamed(
     if let Some(first) = first_chunk.get() {
         span.record_u64(attr::FIRST_CHUNK_US, first.as_micros() as u64);
     }
-    let (event, served) = match outcome {
+    match outcome {
         Ok(Ok((stats, prov))) => {
             let (answered_by, missing) = wire_prov(&prov);
             let end = StreamFrame::End {
@@ -789,10 +786,7 @@ fn serve_streamed(
             let message = format!("query panicked on worker {index}: {msg}");
             (stream_failure(chunks, message), false)
         }
-    };
-    drop(span);
-    let _ = stream.events.send(event);
-    served
+    }
 }
 
 /// How a streamed query fails depends on whether frames already went

@@ -364,6 +364,76 @@ fn graceful_shutdown_drains_in_flight_queries() {
     handle.join();
 }
 
+/// More reply bytes than a loopback connection buffers for a client
+/// that is not reading (the sender's buffer tops out at a few MiB), so
+/// writing the reply blocks until the client reads.
+const UNBUFFERED_REPLY_BYTES: usize = 16 << 20;
+
+/// A Wais source of 17 works whose distinct titles add up to more than
+/// [`UNBUFFERED_REPLY_BYTES`]: [`WORKS_SCAN`] over it answers in one
+/// oversized materialized reply.
+fn oversized_titles() -> Mediator {
+    let title = |i: usize| format!("{i:02}{}", "x".repeat(1 << 20));
+    let works = (0..17)
+        .map(|i| Node::sym("work", vec![Node::elem("title", title(i))]))
+        .collect();
+    let mut m = Mediator::new();
+    m.connect(Box::new(WaisWrapper::new(
+        "xmlartwork",
+        WaisSource::new("works", &Node::sym("works", works)),
+    )))
+    .expect("fresh mediator accepts the Wais wrapper");
+    m
+}
+
+#[test]
+fn a_drain_waits_until_a_materialized_reply_is_written() {
+    let handle = Server::spawn(oversized_titles(), ServerConfig::default()).expect("server binds");
+    let mut socket = TcpStream::connect(handle.addr()).expect("client connects");
+    let request = ClientRequest::Query {
+        text: WORKS_SCAN.to_string(),
+        deadline_ms: None,
+        stream: false,
+    };
+    framing::write_frame(&mut socket, &request.to_xml().to_xml()).expect("request is written");
+    // once the `execute` span closes the answer is built, and only its
+    // write is outstanding
+    wait_until("the query executed", || {
+        handle
+            .spans()
+            .iter()
+            .any(|s| s.label == "execute" && s.closed)
+    });
+    let drained = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let drain = scope.spawn(|| {
+            let in_house = handle.shutdown();
+            drained.store(true, std::sync::atomic::Ordering::SeqCst);
+            in_house
+        });
+        // the client reads nothing yet, so the reply cannot be on the
+        // wire and a correct drain is still waiting for it however long
+        // this is; a drain that does not wait returns within
+        // milliseconds, and 300 ms gives it room to show that
+        std::thread::sleep(Duration::from_millis(300));
+        assert!(
+            !drained.load(std::sync::atomic::Ordering::SeqCst),
+            "the drain returned while the reply was still being written"
+        );
+        let reply = framing::read_element(&mut socket)
+            .expect("the reply reads")
+            .expect("the server answers");
+        assert_eq!(reply.name, "answer", "{}", reply.name);
+        assert!(reply.to_xml().len() > UNBUFFERED_REPLY_BYTES);
+        assert_eq!(
+            drain.join().unwrap(),
+            1,
+            "the written query was in the house"
+        );
+    });
+    assert_eq!(handle.stats().served, 1);
+}
+
 #[test]
 fn draining_server_refuses_new_queries() {
     let handle = Server::spawn(federation(6), ServerConfig::default()).expect("server binds");
@@ -471,7 +541,7 @@ const WORKS_SCAN: &str = "MAKE out *($t2) := r [ $t2 ] MATCH works WITH works *w
 fn streamed_wire_answers_are_byte_identical_and_chunked() {
     let reference = federation(12);
     let mut mediator = federation(12);
-    mediator.set_stream_policy(StreamPolicy::Chunked {
+    mediator.set_stream_policy(StreamPolicy {
         batch_rows: 4,
         max_pending: 4,
     });
@@ -809,7 +879,7 @@ fn first_chunk_lands_before_the_answer_completes() {
     // may produce only the first until the latch opens
     let reference = works_federation(200, 8);
     let mut mediator = works_federation(200, 8);
-    mediator.set_stream_policy(StreamPolicy::Chunked {
+    mediator.set_stream_policy(StreamPolicy {
         batch_rows: 16,
         max_pending: 8,
     });
@@ -834,7 +904,7 @@ fn first_chunk_lands_before_the_answer_completes() {
 fn graceful_shutdown_finishes_in_flight_streams_before_bye() {
     let reference = federation(12);
     let mut mediator = federation(12);
-    mediator.set_stream_policy(StreamPolicy::Chunked {
+    mediator.set_stream_policy(StreamPolicy {
         batch_rows: 2,
         max_pending: 2,
     });
@@ -1102,11 +1172,10 @@ fn one_subtree_chunks_reassemble_in_linear_time() {
     mediator.set_cache_policy(yat_mediator::CachePolicy::Off);
     let plan = mediator.plan_query(WORKS_SCAN).expect("query plans");
     let (optimized, _) = mediator.optimize(&plan, OptimizerOptions::default());
-    mediator.set_stream_policy(StreamPolicy::Off);
     let expected = ServerReply::answer(mediator.execute(&optimized).expect("materialized"))
         .to_xml()
         .to_xml();
-    mediator.set_stream_policy(StreamPolicy::Chunked {
+    mediator.set_stream_policy(StreamPolicy {
         batch_rows: 1,
         max_pending: 4,
     });
@@ -1164,10 +1233,7 @@ fn hundred_thousand_row_answers_stream_with_bounded_gather() {
     let plan = mediator.plan_query(WORKS_SCAN).expect("query plans");
     let (optimized, _) = mediator.optimize(&plan, OptimizerOptions::default());
 
-    mediator.set_stream_policy(StreamPolicy::Off);
     let expected = mediator.execute(&optimized).expect("materialized answer");
-
-    mediator.set_stream_policy(StreamPolicy::chunked());
     let collector = yat_obs::Collector::new();
     let mut sink = CollectSink::new();
     let stats = mediator
@@ -1258,7 +1324,7 @@ fn gather_gauge_stays_within_the_lane_budget_on_multi_source_plans() {
     let plan = mediator.plan_query(paper::Q2).expect("query plans");
     let (optimized, _) = mediator.optimize(&plan, OptimizerOptions::default());
     let expected = mediator.execute(&optimized).expect("materialized answer");
-    mediator.set_stream_policy(StreamPolicy::Chunked {
+    mediator.set_stream_policy(StreamPolicy {
         batch_rows: 2,
         max_pending: 2,
     });

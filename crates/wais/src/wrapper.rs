@@ -646,7 +646,7 @@ mod tests {
                 plan: plan.clone(),
                 bindings: bindings.clone(),
             }) else {
-                panic!("the batch runs under {policy}")
+                panic!("the batch runs under {policy:?}")
             };
             let r = w.take_index_report().unwrap();
             assert_eq!(r.evaluations, 4);
@@ -662,7 +662,7 @@ mod tests {
                 assert_eq!(
                     Response::Result(tab),
                     single,
-                    "binding {row:?} under {policy}"
+                    "binding {row:?} under {policy:?}"
                 );
             }
         }

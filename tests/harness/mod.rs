@@ -36,7 +36,7 @@ pub fn master_seed(default: u64) -> u64 {
 
 /// Chunking of a streamed config: small enough that most answers are
 /// cut into several chunks, so reassembly is what gets compared.
-pub const STREAM: StreamPolicy = StreamPolicy::Chunked {
+pub const STREAM: StreamPolicy = StreamPolicy {
     batch_rows: 3,
     max_pending: 2,
 };
@@ -86,7 +86,7 @@ impl Config {
         m.set_stream_policy(if self.streamed {
             STREAM
         } else {
-            StreamPolicy::Off
+            StreamPolicy::default()
         });
     }
 
