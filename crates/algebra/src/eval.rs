@@ -89,11 +89,6 @@ pub struct EvalCtx<'a> {
     /// Span collector; when set, every operator evaluation records an
     /// `operator` span (label, output cardinality, wall time).
     pub obs: Option<&'a Collector>,
-    /// Structural-index cache for local `Bind` operators; when set,
-    /// `Bind` over a wide collection tree seeds candidates from a
-    /// [`yat_model::TreeIndex`] instead of walking every subtree
-    /// (`None` = always walk — the scan oracle).
-    pub bind_index: Option<&'a crate::bindex::BindIndexCache>,
 }
 
 impl<'a> EvalCtx<'a> {
@@ -106,7 +101,6 @@ impl<'a> EvalCtx<'a> {
             skolems,
             push: None,
             obs: None,
-            bind_index: None,
         }
     }
 
@@ -403,52 +397,9 @@ fn match_opts<'a>(ctx: &EvalCtx<'a>) -> MatchOptions<'a> {
 }
 
 /// `Bind` over a tree: match the filter, constrain by outer bindings.
-/// With an index cache in the context, wide collection trees are matched
-/// through a structural index (identical rows, fewer subtrees walked);
-/// each indexed evaluation leaves an `index` event for `EXPLAIN ANALYZE`.
 fn bind_tree(tree: &Tree, filter: &yat_model::Filter, env: &Env, ctx: &EvalCtx<'_>) -> Tab {
     let mut binder = Binder::new(filter, match_opts(ctx));
-    let rows = match ctx.bind_index.and_then(|cache| cache.get_or_build(tree)) {
-        Some(index) => {
-            let (rows, stats) = binder.bind_indexed(tree, &index);
-            if let Some(obs) = ctx.obs {
-                let root = tree.label.as_sym().unwrap_or("?");
-                obs.event(
-                    yat_obs::kind::INDEX,
-                    format!("bind {root} @local"),
-                    vec![
-                        (
-                            yat_obs::attr::PROBES,
-                            yat_obs::AttrValue::Uint(stats.covered as u64),
-                        ),
-                        (
-                            yat_obs::attr::CANDIDATES,
-                            yat_obs::AttrValue::Uint(stats.candidates),
-                        ),
-                        (
-                            yat_obs::attr::SCANNED,
-                            yat_obs::AttrValue::Uint(if stats.covered {
-                                stats.candidates
-                            } else {
-                                stats.collection
-                            }),
-                        ),
-                        (
-                            yat_obs::attr::COLLECTION_SIZE,
-                            yat_obs::AttrValue::Uint(stats.collection),
-                        ),
-                        (
-                            yat_obs::attr::ROWS_OUT,
-                            yat_obs::AttrValue::Uint(stats.rows),
-                        ),
-                    ],
-                );
-            }
-            rows
-        }
-        None => binder.bind(tree),
-    };
-    let mut tab = Tab::from_slot_rows(filter.variables(), rows);
+    let mut tab = Tab::from_slot_rows(filter.variables(), binder.bind(tree));
     constrain_env(&mut tab, env);
     tab
 }

@@ -33,7 +33,6 @@
 //! `yat-mediator` executes the same plans against remote wrappers by
 //! intercepting `Push` nodes.
 
-pub mod bindex;
 pub mod error;
 pub mod eval;
 pub mod expr;
@@ -45,7 +44,6 @@ pub mod tab;
 pub mod template;
 pub mod value;
 
-pub use bindex::BindIndexCache;
 pub use error::EvalError;
 pub use eval::{eval, eval_env, Env, EvalCtx, EvalOut, PushHandler, SourceCatalog};
 pub use expr::{Alg, CmpOp, ElementSet, Operand, Pred, SortDir};

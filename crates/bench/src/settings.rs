@@ -59,9 +59,9 @@ fn read(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
 
-/// Every policy a served mediator runs under. Sources and the mediator
-/// always consult their indexes, and the executor always orders scatter
-/// jobs by cost; neither is a setting.
+/// Every policy a served mediator runs under. Sources always consult
+/// their indexes, and the executor always orders scatter jobs by cost;
+/// neither is a setting.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Settings {
     /// `YAT_EXEC_MODE`.
@@ -285,7 +285,15 @@ mod tests {
             assert_eq!(m.exec_mode(), settings.exec_mode);
             assert_eq!(m.cache_policy(), settings.cache);
             assert_eq!(m.partial_failure(), settings.partial);
-            assert_eq!(m.index_policy(), yat_capability::IndexPolicy::On);
+            // the sources are built with their indexes on: Q2's pushed
+            // work probes them
+            let plan = m.plan_query(yat_yatl::paper::Q2).unwrap();
+            let (opt, _) = m.optimize(&plan, yat_mediator::OptimizerOptions::default());
+            let ex = m.explain(&opt).unwrap();
+            assert!(!ex.index.is_empty());
+            for (target, line) in &ex.index {
+                assert!(line.probes > 0 && line.scans == 0, "{target}: {line:?}");
+            }
         }
     }
 

@@ -27,9 +27,9 @@ pub struct Scenario {
     pub giverny_pct: u8,
     /// RNG seed.
     pub seed: u64,
-    /// Index policy pinned on the mediator and both sources (`On` by
-    /// default). The differential's index axis sets it per instance so
-    /// indexed and scan federations coexist in one process.
+    /// Index policy pinned on both sources (`On` by default). The
+    /// differential's index axis sets it per instance so indexed and
+    /// scan federations coexist in one process.
     pub index: IndexPolicy,
 }
 
@@ -71,7 +71,6 @@ impl Scenario {
     pub fn mediator(&self) -> Mediator {
         let (art, works) = self.specs();
         let mut m = Mediator::new();
-        m.set_index_policy(self.index);
         m.connect(Box::new(O2Wrapper::new(
             "o2artifact",
             art_store(&art).with_index_policy(self.index),
@@ -93,7 +92,6 @@ impl Scenario {
     pub fn mediator_store(&self, root: &Path, opts: StoreOptions) -> Result<Mediator, StoreError> {
         let (art, works) = self.specs();
         let mut m = Mediator::new();
-        m.set_index_policy(self.index);
         m.connect(Box::new(O2Wrapper::new(
             "o2artifact",
             art_store_at(&art, &root.join("o2artifact"), opts)?.with_index_policy(self.index),
@@ -153,8 +151,8 @@ pub struct FedScenario {
     pub dead: Vec<String>,
     /// RNG seed.
     pub seed: u64,
-    /// Index policy pinned on the mediator and every member source
-    /// (`On` by default), like [`Scenario::index`].
+    /// Index policy pinned on every member source (`On` by default),
+    /// like [`Scenario::index`].
     pub index: IndexPolicy,
 }
 
@@ -303,7 +301,6 @@ impl FedScenario {
         let spec = self.art_spec();
         let docs = self.shard_docs();
         let mut m = Mediator::new();
-        m.set_index_policy(self.index);
         for name in &self.replica_names() {
             let wrapper = O2Wrapper::new(name, art_store(&spec).with_index_policy(self.index));
             m.connect_member(

@@ -38,20 +38,6 @@ use yat_model::Tree;
 use yat_obs::{attr, kind, AttrValue, Collector};
 use yat_xml::ByteCount;
 
-/// FNV-1a offset basis (the repo's stock content hash, shared with
-/// Skolem OID generation and transport latency jitter).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(h: u64, text: &str) -> u64 {
-    let mut h = h;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// A canonical content hash identifying one unit of source work.
 ///
 /// Two `Push` fragments that serialize to the same wire XML against the
@@ -98,11 +84,13 @@ impl Signature {
 
     /// Signature of a whole-document fetch from `source`.
     pub fn document(source: &str, name: &str) -> Signature {
-        let mut h = fnv1a(FNV_OFFSET, "document\u{0}");
-        h = fnv1a(h, source);
-        h = fnv1a(h, "\u{0}");
-        h = fnv1a(h, name);
-        Signature(h)
+        use std::hash::Hasher;
+        let mut h = yat_model::hash::Fnv64::new();
+        h.write(b"document\0");
+        h.write(source.as_bytes());
+        h.write_u8(0);
+        h.write(name.as_bytes());
+        Signature(h.finish())
     }
 
     /// The raw hash value.
@@ -575,6 +563,11 @@ mod tests {
         assert_eq!(
             format!("{}", Signature::document("wais", "works")).len(),
             16
+        );
+        // the hash is fixed across builds
+        assert_eq!(
+            Signature::document("xmlartwork", "works").as_u64(),
+            0x35f0_2f2c_7bd5_b9c9
         );
     }
 

@@ -68,9 +68,6 @@ pub struct ExecSpec<'a> {
     pub partial: PartialFailure,
     /// Optional provenance accumulator (answered-by / missing-sources).
     pub prov: Option<&'a ProvLog>,
-    /// Structural-index cache for mediator-local `Bind`s (`None` = scan;
-    /// the mediator passes its cache only when its index policy is on).
-    pub bind_index: Option<&'a yat_algebra::BindIndexCache>,
 }
 
 impl<'a> ExecSpec<'a> {
@@ -252,7 +249,6 @@ fn with_prepared<T>(
         skolems: spec.skolems,
         push: Some(&pusher),
         obs: spec.obs,
-        bind_index: spec.bind_index,
     };
     eval(&ctx).map_err(ExecError::from)
 }
@@ -1340,7 +1336,6 @@ mod tests {
             registry: &registry,
             partial: PartialFailure::Strict,
             prov: None,
-            bind_index: None,
         };
         let (catalog, pusher) = prepare(plan, &spec).expect("the seed document fetches");
         let per_row_loop = PerRow(&pusher);
@@ -1351,7 +1346,6 @@ mod tests {
             skolems: &skolems,
             push: Some(if per_row { &per_row_loop } else { &pusher }),
             obs: None,
-            bind_index: None,
         };
         let o2 = connections["o2artifact"].meter();
         let before = o2.snapshot().round_trips;

@@ -57,10 +57,9 @@ pub struct CacheLine {
     pub bytes_saved: u64,
 }
 
-/// Per-target index activity of one execution, aggregated from the
-/// `index` events the transport and the local bind path emitted. Keys
-/// are the event labels: `<collection> @<source>` for pushed work,
-/// `bind <root> @local` for mediator-local matching.
+/// Per-source index activity of one execution, aggregated from the
+/// `index` events the transport emitted. Keys are the event labels,
+/// `<collection> @<source>`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexLine {
     /// Evaluations answered through an index (they issued probes).

@@ -10,11 +10,10 @@ use crate::optimizer::{optimize_with_registry, OptimizerOptions, Trace};
 use crate::transport::{Connection, MeterSnapshot};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use yat_algebra::{Alg, BindIndexCache, EvalOut, FnRegistry, SkolemRegistry};
+use yat_algebra::{Alg, EvalOut, FnRegistry, SkolemRegistry};
 use yat_cache::{AnswerCache, CachePolicy, CacheStats};
 use yat_capability::interface::Interface;
 use yat_capability::protocol::{Request, Response, WrapperServer};
-use yat_capability::IndexPolicy;
 use yat_federate::{Member, MemberRole, PartialFailure, ProvLog, Provenance, SourceRegistry};
 use yat_yatl::{parse_program, parse_rule, translate, Rule};
 
@@ -74,12 +73,6 @@ pub struct Mediator {
     cache: AnswerCache,
     registry: SourceRegistry,
     partial: PartialFailure,
-    index_policy: IndexPolicy,
-    /// Structural indexes for mediator-local `Bind`s, built lazily per
-    /// collection tree and keyed by tree identity (see
-    /// [`yat_algebra::BindIndexCache`]). Consulted only when
-    /// `index_policy` is on.
-    bind_index: BindIndexCache,
 }
 
 impl Mediator {
@@ -87,27 +80,13 @@ impl Mediator {
     /// (`contains` evaluates locally when it cannot be pushed) and every
     /// policy at its fixed default, whatever the environment says:
     /// sequential dispatch, answer cache off, the default stream batch
-    /// size, strict partial failure, local `Bind` indexes on. Change any
-    /// of them through the `set_*` methods.
+    /// size, strict partial failure. Change any of them through the
+    /// `set_*` methods.
     pub fn new() -> Self {
         Mediator {
             funcs: FnRegistry::with_builtins(),
             ..Default::default()
         }
-    }
-
-    /// The current index policy.
-    pub fn index_policy(&self) -> IndexPolicy {
-        self.index_policy
-    }
-
-    /// Selects whether mediator-local `Bind`s consult structural indexes
-    /// (`On`) or always walk (`Off`, the scan oracle). Wrapper-side
-    /// indexes are governed by each source's own policy; both default to
-    /// `On`. Either way, answers and wire traffic are identical — only
-    /// evaluation strategy changes.
-    pub fn set_index_policy(&mut self, policy: IndexPolicy) {
-        self.index_policy = policy;
     }
 
     /// The current execution mode.
@@ -415,7 +394,6 @@ impl Mediator {
             registry: &self.registry,
             partial: self.partial,
             prov,
-            bind_index: self.index_policy.is_on().then_some(&self.bind_index),
         }
     }
 
@@ -622,21 +600,17 @@ impl Mediator {
                     _ => {}
                 }
             }
-            // index events are labeled "<collection> @<source>" (pushed)
-            // or "bind <root> @local". A pushed event says how many plan
-            // evaluations it covers and how many of them scanned; a local
-            // one is a single evaluation, answered through an index iff
-            // it issued probes
+            // index events are labeled "<collection> @<source>"; each
+            // says how many plan evaluations it covers and how many of
+            // them scanned
             if span.kind == yat_obs::kind::INDEX {
-                let attr = |name| span.attr(name).and_then(|v| v.as_u64());
-                let counter = |name| attr(name).unwrap_or(0);
+                let counter = |name| span.attr(name).and_then(|v| v.as_u64()).unwrap_or(0);
                 let line = index.entry(span.label.clone()).or_default();
-                let probes = counter(yat_obs::attr::PROBES);
-                let evaluations = attr(yat_obs::attr::EVALUATIONS).unwrap_or(1);
-                let scans = attr(yat_obs::attr::SCAN_EVALUATIONS).unwrap_or(u64::from(probes == 0));
-                line.indexed += evaluations - scans.min(evaluations);
+                let evaluations = counter(yat_obs::attr::EVALUATIONS);
+                let scans = counter(yat_obs::attr::SCAN_EVALUATIONS);
+                line.indexed += evaluations.saturating_sub(scans);
                 line.scans += scans;
-                line.probes += probes;
+                line.probes += counter(yat_obs::attr::PROBES);
                 line.candidates += counter(yat_obs::attr::CANDIDATES);
                 line.scanned += counter(yat_obs::attr::SCANNED);
                 line.collection += counter(yat_obs::attr::COLLECTION_SIZE);
@@ -795,16 +769,19 @@ impl yat_algebra::BatchSink for FirstChunk<'_> {
 }
 
 /// What the frozen benchmark package (`yat-benchmark/`) still names of
-/// retired switches: it pins an engine, a scatter schedule and a stream
-/// policy per workload and reads a compile counter. The interpreter is
-/// the only engine and nothing is ever compiled; scatter jobs are always
-/// cost-ordered; the stream policy it names is the default. Pinning any
+/// retired switches: it pins an engine, a scatter schedule, a stream
+/// policy and a mediator index policy per workload and reads a compile
+/// counter. The interpreter is the only engine and nothing is ever
+/// compiled; scatter jobs are always cost-ordered; the stream policy it
+/// names is the default; the mediator keeps no index of its own (an
+/// [`yat_capability::IndexPolicy`] governs sources only). Pinning any
 /// of them changes nothing. ROADMAP item 1(a) deletes this block
 /// together with the fixtures' calls.
 #[doc(hidden)]
 pub mod bench_compat {
     use super::Mediator;
     use crate::StreamPolicy;
+    use yat_capability::IndexPolicy;
 
     /// The retired engine choice; every variant runs the interpreter.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -846,6 +823,10 @@ pub mod bench_compat {
 
         /// Does nothing: there is one schedule.
         pub fn set_sched_policy(&mut self, _policy: SchedPolicy) {}
+
+        /// Does nothing: the mediator keeps no index; sources take
+        /// their own policy.
+        pub fn set_index_policy(&mut self, _policy: IndexPolicy) {}
     }
 
     #[cfg(test)]
@@ -853,6 +834,7 @@ pub mod bench_compat {
         use super::{ExecEngine, SchedPolicy};
         use crate::tests::{fig1_mediator, generated_mediator};
         use crate::{ExecMode, Mediator, OptimizerOptions, StreamPolicy};
+        use yat_capability::IndexPolicy;
         use yat_obs::{attr, kind};
         use yat_yatl::paper;
 
@@ -910,11 +892,12 @@ pub mod bench_compat {
             }
         }
 
-        /// The frozen benchmark pins `SchedPolicy::Cost` and
-        /// `StreamPolicy::Off` on every workload: the first is what the
-        /// executor does anyway, the second is the default policy, so a
-        /// pinned mediator answers, ships and streams exactly like an
-        /// unpinned one.
+        /// The frozen benchmark pins `SchedPolicy::Cost`,
+        /// `StreamPolicy::Off` and an `IndexPolicy` on every workload:
+        /// the first is what the executor does anyway, the second is the
+        /// default policy and the third has nothing in the mediator to
+        /// govern, so a pinned mediator answers, ships and streams
+        /// exactly like an unpinned one.
         #[test]
         fn a_pinned_schedule_and_stream_policy_change_nothing() {
             assert_eq!(StreamPolicy::Off, StreamPolicy::default());
@@ -922,12 +905,13 @@ pub mod bench_compat {
             let builds: [Build; 2] = [fig1_mediator, || generated_mediator(40, 60, 7)];
             for build in builds {
                 for query in [paper::Q1, paper::Q2] {
-                    let run = |pin: bool| {
+                    let run = |pin: Option<IndexPolicy>| {
                         let mut m = build();
                         m.set_exec_mode(ExecMode::parallel());
-                        if pin {
+                        if let Some(index) = pin {
                             m.set_sched_policy(SchedPolicy::Cost);
                             m.set_stream_policy(StreamPolicy::Off);
+                            m.set_index_policy(index);
                         }
                         assert_eq!(m.stream_policy(), StreamPolicy::default());
                         m.reset_traffic();
@@ -943,7 +927,10 @@ pub mod bench_compat {
                         let stats = m.execute_stream(&opt, &mut sink).unwrap();
                         (answer, ex.traffic, lanes, stats.chunks, stats.rows)
                     };
-                    assert_eq!(run(true), run(false), "{query}");
+                    let unpinned = run(None);
+                    for index in [IndexPolicy::Off, IndexPolicy::On] {
+                        assert_eq!(run(Some(index)), unpinned, "{query} under {index:?}");
+                    }
                 }
             }
         }

@@ -143,19 +143,12 @@ impl Latency {
         if self.jitter.is_zero() {
             return self.base;
         }
-        let frac = yat_prng::Rng::seed_from_u64(self.seed ^ fnv1a(request_text)).gen_f64();
+        use std::hash::Hasher;
+        let mut h = yat_model::hash::Fnv64::new();
+        h.write(request_text.as_bytes());
+        let frac = yat_prng::Rng::seed_from_u64(self.seed ^ h.finish()).gen_f64();
         self.base + self.jitter.mul_f64(frac)
     }
-}
-
-/// FNV-1a over the text, the repo's stock content hash.
-fn fnv1a(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Test-only wire fault injection: which leg of the round trip gets its
@@ -620,6 +613,10 @@ mod tests {
         assert_eq!(a1, a2, "same request → same delay, regardless of order");
         assert_ne!(a1, b, "jitter differs across requests");
         assert!(a1 >= lat.base && a1 <= lat.base + lat.jitter);
+        // the draw is fixed across builds: a seeded benchmark sees the
+        // same delays every run
+        assert_eq!(a1, Duration::from_nanos(12_442_917));
+        assert_eq!(b, Duration::from_nanos(13_970_553));
         assert_eq!(
             Latency::fixed(Duration::from_millis(5)).delay_for("anything"),
             Duration::from_millis(5)

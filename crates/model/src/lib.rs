@@ -36,7 +36,6 @@ pub mod atom;
 pub mod codec;
 pub mod forest;
 pub mod hash;
-pub mod index;
 pub mod instantiate;
 pub mod matching;
 pub mod oid;
@@ -49,11 +48,7 @@ pub mod xml_convert;
 pub use atom::{Atom, AtomType};
 pub use codec::{decode_tree, encode_tree};
 pub use forest::Forest;
-pub use index::TreeIndex;
-pub use matching::{
-    match_filter, match_filter_indexed, Binder, Binding, BindingRow, IndexStats, MatchOptions,
-    SlotRows,
-};
+pub use matching::{match_filter, Binder, Binding, BindingRow, MatchOptions, SlotRows};
 pub use oid::{Oid, OidGen};
 pub use pattern::{Edge, Filter, Model, Occ, PLabel, Pattern, PatternDef, StarBind};
 pub use symbol::Symbol;

@@ -13,12 +13,11 @@
 //! [`SlotRows`] buffer. Partial match states carry their claimed children
 //! as bit words and their bindings as slots, in buffers the binder reuses
 //! from call to call, so matching allocates only what it binds.
-//! [`match_filter`] and [`match_filter_indexed`] return the same rows as
-//! name-keyed [`BindingRow`] maps for callers outside the algebra.
+//! [`match_filter`] returns the same rows as name-keyed [`BindingRow`]
+//! maps for callers outside the algebra.
 
 use crate::forest::Forest;
 use crate::hash::{Fnv64, Partition};
-use crate::index::{path_atom, path_sym, TreeIndex};
 use crate::pattern::{Edge, Filter, Model, Occ, PLabel, Pattern, StarBind};
 use crate::tree::{Label, Node, Tree};
 use std::collections::BTreeMap;
@@ -239,50 +238,6 @@ impl<'a> Binder<'a> {
         &mut self.rows
     }
 
-    /// Index-aware [`Binder::bind`]: identical rows, but for covered
-    /// filters the top-level star edge runs only over candidate children
-    /// seeded from a path-hash lookup in `index` (which must have been
-    /// built over this `tree`).
-    ///
-    /// Coverage requires open matching, a reference-free tree (a `Forest`
-    /// in scope is harmless then: dereferencing is the identity on every
-    /// node the match can reach), and the collection shape
-    /// `root[* sub[...]]` with symbol-labeled root and subpattern.
-    /// Everything else — `*` labels, unions (`∨`), pattern refs, closed
-    /// matching, trees holding `&oid` leaves — falls back to the full
-    /// walker, which keeps full generality as the oracle.
-    pub fn bind_indexed(&mut self, tree: &Tree, index: &TreeIndex) -> (&mut SlotRows, IndexStats) {
-        let collection = tree.children.len() as u64;
-        let Some((edge, cands)) = covered_edge(tree, self.filter, self.m.opts, index) else {
-            let rows = self.bind(tree);
-            let stats = IndexStats {
-                covered: false,
-                candidates: collection,
-                collection,
-                rows: rows.len() as u64,
-            };
-            return (rows, stats);
-        };
-        self.rows.clear();
-        self.m.fuel = FUEL_LIMIT;
-        // the open single-star walk over the candidates only: a child
-        // matching the subpattern must contain the required spine, so
-        // the candidate set is a superset of the matching children, and
-        // candidates arrive in ascending child order — row order, dedup
-        // and collection order are preserved exactly (a non-instance
-        // leaves no rows)
-        let kids = cands.iter().map(|&i| &tree.children[i as usize]);
-        let _ = self.m.single_star(kids, edge, &mut self.rows);
-        let rows = &mut self.rows;
-        let stats = IndexStats {
-            covered: true,
-            candidates: cands.len() as u64,
-            collection,
-            rows: rows.len() as u64,
-        };
-        (rows, stats)
-    }
-
     /// The last call's rows as name-keyed maps (unbound slots omitted).
     fn binding_rows(&self) -> Vec<BindingRow> {
         (0..self.rows.len())
@@ -342,120 +297,6 @@ pub fn match_filter(tree: &Tree, filter: &Filter, opts: MatchOptions<'_>) -> Vec
 /// Convenience: does `filter` match at all?
 pub fn matches(tree: &Tree, filter: &Filter, opts: MatchOptions<'_>) -> bool {
     !Binder::new(filter, opts).bind(tree).is_empty()
-}
-
-/// What one indexed matching call did — the candidate accounting behind
-/// `EXPLAIN ANALYZE`'s index section.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IndexStats {
-    /// Whether the index covered the filter. `false` means the call fell
-    /// back to the full walker ([`match_filter`]).
-    pub covered: bool,
-    /// Candidate children the index seeded (collection size on fallback).
-    pub candidates: u64,
-    /// Top-level children of the matched tree.
-    pub collection: u64,
-    /// Binding rows produced.
-    pub rows: u64,
-}
-
-/// Index-aware matching: identical output to [`match_filter`] (see
-/// [`Binder::bind_indexed`]). The adapter over that method.
-pub fn match_filter_indexed(
-    tree: &Tree,
-    filter: &Filter,
-    opts: MatchOptions<'_>,
-    index: &TreeIndex,
-) -> (Vec<BindingRow>, IndexStats) {
-    let mut binder = Binder::new(filter, opts);
-    let (_, stats) = binder.bind_indexed(tree, index);
-    (binder.binding_rows(), stats)
-}
-
-/// The top-level star edge of a filter the index covers over `tree`,
-/// with its candidate children; `None` sends the call to the walker.
-fn covered_edge<'f, 'i>(
-    tree: &Tree,
-    filter: &'f Filter,
-    opts: MatchOptions<'_>,
-    index: &'i TreeIndex,
-) -> Option<(&'f Edge, &'i [u32])> {
-    if opts.closed || index.has_refs() {
-        return None;
-    }
-    // the collection shape: `root[* sub[...]]` with symbol labels
-    let Pattern::Node {
-        label: PLabel::Sym(root),
-        edges,
-    } = filter
-    else {
-        return None;
-    };
-    let [edge] = edges.as_slice() else {
-        return None;
-    };
-    if edge.occ != Occ::Star || tree.label.as_sym() != Some(root.as_str()) {
-        return None;
-    }
-    let Pattern::Node {
-        label: PLabel::Sym(sub),
-        ..
-    } = &edge.pattern
-    else {
-        return None;
-    };
-    // hash the filter's required spine: root / sub / (deepest chain of
-    // required One-edges through symbol nodes, ending at a constant
-    // leaf when one is reachable — the selective case)
-    let mut h = Fnv64::new();
-    path_sym(&mut h, root);
-    path_sym(&mut h, sub);
-    let (h, _, _) = spine_extend(&edge.pattern, h);
-    Some((edge, index.postings(h.finish())))
-}
-
-/// Extends a running spine hash through the deepest chain of required
-/// (`Occ::One`) edges below `pat` (already hashed), preferring chains
-/// that end at a constant leaf — the value-level lookup. Returns the
-/// extended hasher, the extension depth, and whether it ended at a
-/// constant.
-fn spine_extend(pat: &Pattern, h: Fnv64) -> (Fnv64, usize, bool) {
-    let Pattern::Node { edges, .. } = pat else {
-        return (h, 0, false);
-    };
-    let mut best = (h, 0usize, false);
-    for e in edges {
-        if e.occ != Occ::One {
-            continue;
-        }
-        let cand = match &e.pattern {
-            // `cplace["Giverny"]`: the constant atom is itself a path
-            // component (a constant with inner edges can never match an
-            // atomic leaf, so only the leaf form extends)
-            Pattern::Node {
-                label: PLabel::Const(a),
-                edges: inner,
-            } if inner.is_empty() => {
-                let mut h2 = h;
-                path_atom(&mut h2, a);
-                (h2, 1, true)
-            }
-            Pattern::Node {
-                label: PLabel::Sym(s),
-                ..
-            } => {
-                let mut h2 = h;
-                path_sym(&mut h2, s);
-                let (h3, d, c) = spine_extend(&e.pattern, h2);
-                (h3, d + 1, c)
-            }
-            _ => continue,
-        };
-        if (cand.2, cand.1) > (best.2, best.1) {
-            best = cand;
-        }
-    }
-    best
 }
 
 /// A guard against pathological state explosion in ambiguous filters. The
@@ -629,7 +470,7 @@ impl<'a> Matcher<'a> {
         // suffices and the semantics below are reproduced exactly.
         if let [edge] = edges {
             if edge.occ == Occ::Star {
-                return self.single_star(kids.iter(), edge, out);
+                return self.single_star(kids, edge, out);
             }
         }
         let mut s = self.scratch();
@@ -788,15 +629,9 @@ impl<'a> Matcher<'a> {
     }
 
     /// Linear-time handling of a node whose filter is exactly one star
-    /// edge, over `kids` (all the node's children, or the index's
-    /// candidates among them). Mirrors the general walk's semantics,
+    /// edge over the node's children `kids`. Mirrors the general walk's semantics,
     /// including closed matching (every child must be claimed).
-    fn single_star<'t>(
-        &mut self,
-        kids: impl ExactSizeIterator<Item = &'t Tree>,
-        edge: &Edge,
-        out: &mut SlotRows,
-    ) -> Option<()> {
+    fn single_star(&mut self, kids: &[Tree], edge: &Edge, out: &mut SlotRows) -> Option<()> {
         let total = kids.len();
         self.spend(total as u64)?;
         match &edge.star_var {
@@ -1344,132 +1179,6 @@ mod tests {
             .collect();
         let f = Pattern::sym("blow", edges);
         let _ = match_filter(&t, &f, MatchOptions::default()); // must return
-    }
-
-    #[test]
-    fn indexed_matching_equals_walker() {
-        use crate::index::TreeIndex;
-        let t = works();
-        let idx = TreeIndex::build(&t);
-        let filters = vec![
-            fig4_filter(),
-            // Q1 shape: required cplace navigation
-            Pattern::sym(
-                "works",
-                vec![Edge::star(Pattern::sym(
-                    "work",
-                    vec![
-                        Edge::one(Pattern::elem_var("title", "t")),
-                        Edge::one(Pattern::elem_var("cplace", "cl")),
-                    ],
-                ))],
-            ),
-            // selective constant leaf
-            Pattern::sym(
-                "works",
-                vec![Edge::star(Pattern::sym(
-                    "work",
-                    vec![
-                        Edge::one(Pattern::elem_var("title", "t")),
-                        Edge::one(Pattern::elem_const("cplace", "Giverny")),
-                    ],
-                ))],
-            ),
-            // constant that matches nothing
-            Pattern::sym(
-                "works",
-                vec![Edge::star(Pattern::sym(
-                    "work",
-                    vec![Edge::one(Pattern::elem_const("cplace", "Paris"))],
-                ))],
-            ),
-            // iterate star binding whole docs
-            Pattern::sym("works", vec![Edge::star_iter("w", Pattern::Wildcard)]),
-            // collect star
-            Pattern::sym(
-                "works",
-                vec![Edge::star_collect("all", Pattern::sym("work", vec![]))],
-            ),
-            // missing element: no rows either way
-            Pattern::sym(
-                "works",
-                vec![Edge::star(Pattern::sym(
-                    "work",
-                    vec![Edge::one(Pattern::elem_var("price", "p"))],
-                ))],
-            ),
-            // wrong root
-            Pattern::sym("artifacts", vec![Edge::star(Pattern::Wildcard)]),
-            // union at the top: must fall back
-            Pattern::Union(vec![fig4_filter(), Pattern::Wildcard]),
-        ];
-        for f in &filters {
-            let plain = match_filter(&t, f, MatchOptions::default());
-            let (indexed, stats) = match_filter_indexed(&t, f, MatchOptions::default(), &idx);
-            assert_eq!(plain, indexed, "filter {f:?} diverges");
-            assert_eq!(stats.rows as usize, indexed.len());
-        }
-    }
-
-    #[test]
-    fn indexed_matching_seeds_selective_candidates() {
-        use crate::index::TreeIndex;
-        let t = works();
-        let idx = TreeIndex::build(&t);
-        // only the Nympheas work has a cplace["Giverny"]
-        let f = Pattern::sym(
-            "works",
-            vec![Edge::star(Pattern::sym(
-                "work",
-                vec![
-                    Edge::one(Pattern::elem_var("title", "t")),
-                    Edge::one(Pattern::elem_const("cplace", "Giverny")),
-                ],
-            ))],
-        );
-        let (rows, stats) = match_filter_indexed(&t, &f, MatchOptions::default(), &idx);
-        assert_eq!(rows.len(), 1);
-        assert!(stats.covered);
-        assert_eq!(stats.candidates, 1, "value-level lookup seeds one child");
-        assert_eq!(stats.collection, 2);
-    }
-
-    #[test]
-    fn indexed_matching_falls_back_when_uncovered() {
-        use crate::index::TreeIndex;
-        let t = works();
-        let idx = TreeIndex::build(&t);
-        let f = fig4_filter();
-        // closed matching: not covered
-        let closed = MatchOptions {
-            closed: true,
-            ..Default::default()
-        };
-        let (rows, stats) = match_filter_indexed(&t, &f, closed, &idx);
-        assert!(!stats.covered);
-        assert_eq!(rows, match_filter(&t, &f, closed));
-        // a forest in scope is fine for a ref-free tree…
-        let forest = Forest::new();
-        let with_forest = MatchOptions {
-            forest: Some(&forest),
-            ..Default::default()
-        };
-        let (rows, stats) = match_filter_indexed(&t, &f, with_forest, &idx);
-        assert!(stats.covered);
-        assert_eq!(rows, match_filter(&t, &f, with_forest));
-        // …but reference leaves poison coverage: following them can
-        // reach structure the index never saw
-        let reffy = Node::sym(
-            "works",
-            vec![Node::sym(
-                "work",
-                vec![Node::reference(crate::oid::Oid::new("p1"))],
-            )],
-        );
-        let ref_idx = TreeIndex::build(&reffy);
-        let (rows, stats) = match_filter_indexed(&reffy, &f, with_forest, &ref_idx);
-        assert!(!stats.covered);
-        assert_eq!(rows, match_filter(&reffy, &f, with_forest));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! search engines", ACM CSUR 2006), cut down to what the sources need.
 //!
 //! A key's postings are an ascending, duplicate-free list of 32-bit ids
-//! (extent ordinals, document ids, top-level child indices). The map
+//! (extent ordinals, document ids). The map
 //! entry holds a [`Postings`] handle of eight bytes: the id itself when
 //! the list has one — the common case for unique values such as titles,
 //! with no heap list — or the slot of a longer list in a [`Lists`] arena.
@@ -11,9 +11,9 @@
 //! cost is bounded by the most selective conjunct, not by collection
 //! size.
 //!
-//! The O2 field indexes (`yat-oql`), the Wais inverted index
-//! (`yat-wais`) and the structural [`crate::TreeIndex`] all hold their
-//! lists here; each keeps only its own keys.
+//! The O2 field indexes (`yat-oql`) and the Wais inverted index
+//! (`yat-wais`) both hold their lists here; each keeps only its own
+//! keys.
 
 use std::cmp::Ordering;
 

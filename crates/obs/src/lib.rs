@@ -16,10 +16,7 @@
 //!
 //! No external subscriber is required: spans go into a `Vec` behind a
 //! mutex and cost nothing when no collector is attached (every
-//! instrumentation site takes `Option<&Collector>`). For integration
-//! with a `tracing`-style subscriber, enable the `subscriber` cargo
-//! feature and install a `SpanSink`; the sink observes each span as it
-//! closes and can forward it to any backend.
+//! instrumentation site takes `Option<&Collector>`).
 
 #![deny(missing_docs)]
 
@@ -55,12 +52,12 @@ pub mod kind {
     /// write loop records one too. Excluded from
     /// [`crate::profile::build`] like the other non-operator kinds.
     pub const STREAM: &str = "stream";
-    /// An index-plane event: one per index-consulting evaluation — a
-    /// wrapper-side pushed plan (label = `<collection> @<source>`) or a
-    /// covered mediator-local `Bind` (label = `bind <root> @local`).
+    /// An index-plane event: one per round trip that carried a wrapper's
+    /// index report (label = `<collection> @<source>`).
     /// Carries [`crate::attr::PROBES`], [`crate::attr::CANDIDATES`],
-    /// [`crate::attr::SCANNED`], [`crate::attr::COLLECTION_SIZE`] and
-    /// [`crate::attr::ROWS_OUT`]. Excluded from [`crate::profile::build`]
+    /// [`crate::attr::SCANNED`], [`crate::attr::COLLECTION_SIZE`],
+    /// [`crate::attr::ROWS_OUT`], [`crate::attr::EVALUATIONS`] and
+    /// [`crate::attr::SCAN_EVALUATIONS`]. Excluded from [`crate::profile::build`]
     /// like the other non-operator kinds: `EXPLAIN ANALYZE` reports
     /// index activity in its own section.
     pub const INDEX: &str = "index";
@@ -136,10 +133,9 @@ pub mod attr {
     /// Total size of the collection/extent the evaluation addressed.
     pub const COLLECTION_SIZE: &str = "collection_size";
     /// Plan evaluations one `index` event covers (a batched request
-    /// evaluates its plan once per binding). Absent means one.
+    /// evaluates its plan once per binding).
     pub const EVALUATIONS: &str = "evaluations";
-    /// How many of those evaluations fell back to a scan. Absent means
-    /// the event's single evaluation scanned iff it issued no probes.
+    /// How many of those evaluations fell back to a scan.
     pub const SCAN_EVALUATIONS: &str = "scan_evaluations";
     /// Live segments in a source's persistent store (`storage` events).
     pub const SEGMENTS: &str = "segments";
@@ -279,15 +275,6 @@ impl Inner {
     }
 }
 
-/// A sink observing spans as they close (enable the `subscriber`
-/// feature). Implement this to bridge spans into `tracing` or any other
-/// backend; the collector still records them.
-#[cfg(feature = "subscriber")]
-pub trait SpanSink: Send + Sync {
-    /// Called exactly once per span, at close time, with the final data.
-    fn on_close(&self, span: &SpanData);
-}
-
 /// A shared, thread-safe span collector.
 ///
 /// Cloning is cheap (it is an `Arc` handle); all clones feed the same
@@ -298,8 +285,6 @@ pub trait SpanSink: Send + Sync {
 #[derive(Clone, Default)]
 pub struct Collector {
     inner: Arc<Mutex<Inner>>,
-    #[cfg(feature = "subscriber")]
-    sink: Arc<Mutex<Option<Arc<dyn SpanSink>>>>,
 }
 
 impl std::fmt::Debug for Collector {
@@ -328,12 +313,6 @@ impl Collector {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Installs the sink observing span closes.
-    #[cfg(feature = "subscriber")]
-    pub fn set_sink(&self, sink: Arc<dyn SpanSink>) {
-        *self.sink.lock().unwrap_or_else(|e| e.into_inner()) = Some(sink);
     }
 
     /// Opens a span; it closes (and records its duration) when the
@@ -458,20 +437,6 @@ impl Collector {
         span.attrs.extend(attrs);
         span.elapsed = elapsed;
         span.closed = true;
-        #[cfg(feature = "subscriber")]
-        {
-            let done = span.clone();
-            drop(inner);
-            if let Some(sink) = self
-                .sink
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .as_ref()
-                .cloned()
-            {
-                sink.on_close(&done);
-            }
-        }
     }
 }
 

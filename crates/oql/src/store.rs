@@ -348,12 +348,7 @@ impl Store {
         self.index_policy
     }
 
-    /// Sets the index policy.
-    pub fn set_index_policy(&mut self, policy: IndexPolicy) {
-        self.index_policy = policy;
-    }
-
-    /// Builder form of [`Store::set_index_policy`].
+    /// Selects index-driven or scanning evaluation (builder style).
     pub fn with_index_policy(mut self, policy: IndexPolicy) -> Self {
         self.index_policy = policy;
         self

@@ -220,11 +220,6 @@ impl WaisSource {
         self.index_policy
     }
 
-    /// Selects whether searches consult the inverted index or scan.
-    pub fn set_index_policy(&mut self, policy: IndexPolicy) {
-        self.index_policy = policy;
-    }
-
     /// Registers an epoch cell to bump whenever the collection mutates
     /// (the mediator hands over its connection's cell at connect time).
     /// A store-backed source first raises the cell to its *persisted*

@@ -9,8 +9,6 @@
 //! * the store-backed O2 store, populated once, then remounted under a
 //!   residency budget of a quarter of its disk bytes (64 KiB segments):
 //!   extents and field indexes are rebuilt in RAM, object state pages;
-//! * the structural `TreeIndex` over that works tree (label-path
-//!   postings, the matcher's candidate seed);
 //! * the in-memory Wais source over an already built works tree
 //!   (document handles plus the inverted index);
 //! * the store-backed Wais source, populated once, then remounted the
@@ -27,7 +25,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicI64, Ordering};
-use yat::yat_model::{Node, TreeIndex};
+use yat::yat_model::Node;
 use yat::yat_oql::art::{art_store, art_store_at, ArtSpec};
 use yat::yat_store::StoreOptions;
 use yat::yat_wais::{generate_works, WaisSource, WorksSpec};
@@ -108,12 +106,10 @@ fn budgeted(disk_bytes: u64) -> StoreOptions {
     }
 }
 
-/// Budgets in MiB: the measured live bytes plus 10 % (16.96 / 1.88 /
-/// 15.62 / 6.60 / 3.09 / 5.49 MiB; EXPERIMENTS.md, "Compact tree nodes"
-/// and "One posting-list kernel"). Tree-index lists held as one `Vec`
-/// per key, outside the shared arena, read 2.19 MiB.
+/// Budgets in MiB: the measured live bytes plus 10 % (16.96 / 15.62 /
+/// 6.60 / 3.09 / 5.49 MiB; EXPERIMENTS.md, "Compact tree nodes" and
+/// "One posting-list kernel").
 const WORKS_TREE_MIB: f64 = 18.65;
-const TREE_INDEX_MIB: f64 = 2.07;
 const ART_MEM_MIB: f64 = 17.2;
 const ART_STORE_MIB: f64 = 7.25;
 const WAIS_MEM_MIB: f64 = 3.4;
@@ -135,9 +131,6 @@ fn churn_scale_sources_stay_under_their_resident_budgets() {
             seed: 42,
         })
     });
-
-    let (index, tree_index_mib) = retained(|| TreeIndex::build(&works));
-    drop(index);
 
     let (art, art_mem) = retained(|| art_store(&spec));
     drop(art);
@@ -169,7 +162,6 @@ fn churn_scale_sources_stay_under_their_resident_budgets() {
 
     let rows = [
         ("works tree", works_mib, WORKS_TREE_MIB),
-        ("works tree index", tree_index_mib, TREE_INDEX_MIB),
         ("art store, in memory", art_mem, ART_MEM_MIB),
         ("art store, store-backed", art_store_mib, ART_STORE_MIB),
         ("wais source, in memory", wais_mem, WAIS_MEM_MIB),

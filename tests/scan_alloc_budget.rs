@@ -96,7 +96,6 @@ fn scan_mediator() -> Mediator {
     m.load_program(paper::VIEW1).expect("view1 loads");
     m.set_exec_mode(ExecMode::Sequential);
     m.set_cache_policy(CachePolicy::Off);
-    m.set_index_policy(IndexPolicy::On);
     m
 }
 
