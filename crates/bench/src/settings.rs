@@ -1,5 +1,5 @@
 //! Settings of the `yat-server` binary — the one place in the workspace
-//! that reads the four `YAT_*` policy variables.
+//! that reads the three `YAT_*` policy variables.
 //!
 //! Library constructors (`Mediator::new`, `Store::new`,
 //! `WaisSource::new`, `Scenario::at_scale`) use their documented
@@ -7,14 +7,16 @@
 //! [`Settings`] once at startup and applies them through the ordinary
 //! setters. An unset variable means the default; an invalid value also
 //! falls back to the default, but loudly — one [`yat_obs::warn`] naming
-//! the variable, the rejected value and the accepted syntax.
+//! the variable, the rejected value and the accepted syntax. A variable
+//! the binary no longer reads draws one warning too, saying what the
+//! binary does in its place.
 
 use crate::workload::{FedScenario, Scenario};
 use std::fmt::Display;
 use std::path::Path;
 use std::str::FromStr;
 use yat_capability::StorePolicy;
-use yat_mediator::{CachePolicy, ExecMode, Mediator, PartialFailure};
+use yat_mediator::{CachePolicy, ExecMode, Mediator};
 use yat_store::{StoreError, StoreOptions};
 
 /// A policy variable: its name, and the accepted syntax as quoted by the
@@ -29,7 +31,6 @@ const CACHE: Var = (
     "YAT_CACHE",
     "`off`, `bounded`, or `bounded:<bytes>` (`<bytes>` takes k/m/g suffixes)",
 );
-const PARTIAL: Var = ("YAT_PARTIAL", "`strict` or `degrade`");
 const STORE: Var = ("YAT_STORE", "`off` or `dir:<path>[:<budget-bytes>]`");
 
 /// The value of `var` parsed as a `T`: `T::default()` when `value` is
@@ -51,8 +52,24 @@ where
     })
 }
 
-/// The names of the four policy variables, in [`Settings`] field order.
-pub const VARIABLES: [&str; 4] = [EXEC_MODE.0, CACHE.0, PARTIAL.0, STORE.0];
+/// The names of the three policy variables, in [`Settings`] field order.
+pub const VARIABLES: [&str; 3] = [EXEC_MODE.0, CACHE.0, STORE.0];
+
+/// Variables earlier versions of the binary read, each with what the
+/// binary does in its place. Setting one changes nothing, so it is
+/// warned about rather than ignored silently.
+const RETIRED: [(&str, &str); 4] = [
+    (
+        "YAT_PARTIAL",
+        "a source failure that replica failover cannot absorb fails the query",
+    ),
+    ("YAT_SCHED", "scatter jobs always run in cost order"),
+    ("YAT_INDEX", "sources always consult their indexes"),
+    (
+        "YAT_STREAM",
+        "a client asks for a streamed answer per query, in default-size chunks",
+    ),
+];
 
 /// The workspace's one read of a policy variable.
 fn read(name: &str) -> Option<String> {
@@ -68,22 +85,21 @@ pub struct Settings {
     pub exec_mode: ExecMode,
     /// `YAT_CACHE`.
     pub cache: CachePolicy,
-    /// `YAT_PARTIAL`.
-    pub partial: PartialFailure,
     /// `YAT_STORE`.
     pub store: StorePolicy,
 }
 
 impl Settings {
-    /// Reads the four variables from the process environment.
+    /// Reads the three variables from the process environment.
     pub fn from_env() -> Self {
         Settings::from_lookup(read)
     }
 
-    /// Reads the four variables through `lookup`, which maps a variable's
-    /// name to its value (`None` when unset) — so a test can build the
-    /// settings it hands a child process without touching its own
-    /// environment.
+    /// Reads the three variables through `lookup`, which maps a
+    /// variable's name to its value (`None` when unset) — so a test can
+    /// build the settings it hands a child process without touching its
+    /// own environment. Each retired variable that is set draws one
+    /// warning.
     pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
         fn get<T>(var: Var, lookup: &impl Fn(&str) -> Option<String>) -> T
         where
@@ -91,21 +107,26 @@ impl Settings {
         {
             parse_or_default(var, lookup(var.0).as_deref())
         }
+        for (var, now) in RETIRED {
+            if let Some(value) = lookup(var) {
+                yat_obs::warn(format!(
+                    "{var}=`{value}` is no longer read and changes nothing: {now}"
+                ));
+            }
+        }
         Settings {
             exec_mode: get(EXEC_MODE, &lookup),
             cache: get(CACHE, &lookup),
-            partial: get(PARTIAL, &lookup),
             store: get(STORE, &lookup),
         }
     }
 
-    /// Sets the three mediator-side policies on `mediator`. (The store
+    /// Sets the two mediator-side policies on `mediator`. (The store
     /// policy decides how sources are *built* — see
     /// [`Settings::scenario`].)
     pub fn apply(&self, mediator: &mut Mediator) {
         mediator.set_exec_mode(self.exec_mode);
         mediator.set_cache_policy(self.cache);
-        mediator.set_partial_failure(self.partial);
     }
 
     /// The two-source scenario at `scale` under these settings: the
@@ -169,22 +190,14 @@ mod tests {
         })));
         let warnings = || std::mem::take(&mut *seen.lock().unwrap());
 
-        assert_eq!(
-            VARIABLES,
-            ["YAT_EXEC_MODE", "YAT_CACHE", "YAT_PARTIAL", "YAT_STORE"]
-        );
+        assert_eq!(VARIABLES, ["YAT_EXEC_MODE", "YAT_CACHE", "YAT_STORE"]);
         // unset: the documented default, silently
-        let unset = Settings {
-            exec_mode: parse_or_default(EXEC_MODE, None),
-            cache: parse_or_default(CACHE, None),
-            partial: parse_or_default(PARTIAL, None),
-            store: parse_or_default(STORE, None),
-        };
+        let unset = Settings::from_lookup(|_| None);
         assert_eq!(unset, Settings::default());
         assert_eq!(unset.exec_mode, ExecMode::Sequential);
         assert_eq!(unset.cache, CachePolicy::Off);
-        assert_eq!(unset.partial, PartialFailure::Strict);
         assert_eq!(unset.store, StorePolicy::Off);
+        assert_eq!(warnings(), Vec::<String>::new(), "unset is silent");
 
         // valid values, aliases, case and whitespace
         let lanes = |n| ExecMode::Parallel { max_in_flight: n };
@@ -204,10 +217,6 @@ mod tests {
         check(CACHE, " Bounded:512K ", Ok(bounded(512 << 10)));
         check(CACHE, "bounded:1g", Ok(bounded(1 << 30)));
         check(CACHE, "bounded:9999", Ok(bounded(9999)));
-
-        check(PARTIAL, "strict", Ok(PartialFailure::Strict));
-        check(PARTIAL, " Degrade ", Ok(PartialFailure::Degrade));
-        check(PARTIAL, "degraded", Ok(PartialFailure::Degrade));
 
         let dir = |path: &str, budget| StorePolicy::Dir {
             path: path.into(),
@@ -250,11 +259,33 @@ mod tests {
         invalid::<CachePolicy>(CACHE, "bounded:1m:1:noneg", &seen); // and no-negative
         invalid::<CachePolicy>(CACHE, "bounded:4m:1:bogus", &seen);
         invalid::<CachePolicy>(CACHE, "unbounded", &seen);
-        invalid::<PartialFailure>(PARTIAL, "???", &seen);
-        invalid::<PartialFailure>(PARTIAL, "lenient", &seen);
         invalid::<StorePolicy>(STORE, "dir:", &seen);
         invalid::<StorePolicy>(STORE, "disk", &seen);
         invalid::<StorePolicy>(STORE, "banana", &seen);
+
+        // a retired variable, set → one warning naming it and what the
+        // binary does instead → the defaults; a live one beside it
+        // still reads
+        for (var, now) in RETIRED {
+            let settings = Settings::from_lookup(|name| match name {
+                "YAT_CACHE" => Some("bounded".to_string()),
+                name if name == var => Some("degrade".to_string()),
+                _ => None,
+            });
+            assert_eq!(settings.cache, CachePolicy::bounded(), "{var}");
+            assert_eq!(settings.exec_mode, ExecMode::Sequential, "{var}");
+            assert_eq!(
+                warnings(),
+                [format!(
+                    "{var}=`degrade` is no longer read and changes nothing: {now}"
+                )],
+                "{var}"
+            );
+        }
+        assert_eq!(
+            RETIRED.map(|(var, _)| var),
+            ["YAT_PARTIAL", "YAT_SCHED", "YAT_INDEX", "YAT_STREAM"]
+        );
         yat_obs::set_warn_sink(None);
 
         // the syntax fragments the per-enum warnings used to spell out
@@ -275,7 +306,6 @@ mod tests {
         let settings = Settings {
             exec_mode: ExecMode::Parallel { max_in_flight: 3 },
             cache: CachePolicy::bounded(),
-            partial: PartialFailure::Degrade,
             store: StorePolicy::Off,
         };
         for m in [
@@ -284,7 +314,6 @@ mod tests {
         ] {
             assert_eq!(m.exec_mode(), settings.exec_mode);
             assert_eq!(m.cache_policy(), settings.cache);
-            assert_eq!(m.partial_failure(), settings.partial);
             // the sources are built with their indexes on: Q2's pushed
             // work probes them
             let plan = m.plan_query(yat_yatl::paper::Q2).unwrap();

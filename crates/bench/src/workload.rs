@@ -265,21 +265,19 @@ impl FedScenario {
             .collect()
     }
 
-    /// A plain two-source mediator over the same data minus the works
-    /// held by the `killed` shards — the oracle a degraded federated
-    /// answer is checked against (killed *replicas* are lossless and
-    /// must not change the answer at all).
-    pub fn plain_twin(&self, killed: &[String]) -> Mediator {
+    /// A plain two-source mediator over the same data, its works in the
+    /// order the federation's shards unite them — the oracle a federated
+    /// answer is checked against byte for byte (killed *replicas* are
+    /// lossless and must not change the answer at all).
+    pub fn plain_twin(&self) -> Mediator {
         let docs = self.shard_docs();
-        let mut surviving: Vec<Tree> = Vec::new();
-        let mut label = None;
-        for (name, doc) in self.shard_names().iter().zip(docs) {
-            label.get_or_insert(doc.label.clone());
-            if !killed.contains(name) {
-                surviving.extend(doc.children.iter().cloned());
-            }
-        }
-        let works = Node::labeled(label.expect("at least one shard"), surviving);
+        let label = docs.first().expect("at least one shard").label.clone();
+        let works = Node::labeled(
+            label,
+            docs.iter()
+                .flat_map(|d| d.children.iter().cloned())
+                .collect(),
+        );
         let mut m = Mediator::new();
         m.connect(Box::new(O2Wrapper::new(
             "o2artifact",

@@ -197,19 +197,8 @@ impl ServerReply {
     /// `self.to_xml().to_xml()`.
     pub fn encode(&self, out: &mut impl Out) {
         match self {
-            ServerReply::Answer {
-                out: body,
-                answered_by,
-                missing,
-            } => {
-                out.push_str("<answer");
-                if let Some(a) = answered_by {
-                    push_attribute(out, "answered-by", a);
-                }
-                if let Some(m) = missing {
-                    push_attribute(out, "missing-sources", m);
-                }
-                out.push_str(">");
+            ServerReply::Answer { out: body } => {
+                out.push_str("<answer>");
                 write_answer_body(body, out);
                 out.push_str("</answer>");
             }
@@ -225,12 +214,8 @@ impl ServerReply {
             return Ok(ServerReply::from_xml(&yat_xml::parse_element(text)?)?);
         }
         d.decode(|d| {
-            let answered_by = d.reader.attr("answered-by").map(str::to_string);
-            let missing = d.reader.attr("missing-sources").map(str::to_string);
             Ok(ServerReply::Answer {
                 out: d.answer_body("answer")?,
-                answered_by,
-                missing,
             })
         })
     }

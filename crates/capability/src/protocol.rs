@@ -507,14 +507,6 @@ pub enum ServerReply {
     Answer {
         /// The result.
         out: EvalOut,
-        /// `answered-by`: the sources that contributed. Set only on
-        /// *degraded* answers, so a complete answer stays byte-identical
-        /// to what a pre-federation server sent.
-        answered_by: Option<String>,
-        /// `missing-sources`: `name=reason` pairs for the sources that
-        /// failed out of a degraded answer. Set together with
-        /// `answered_by`.
-        missing: Option<String>,
     },
     /// A rendered `EXPLAIN ANALYZE` report.
     Explained {
@@ -543,13 +535,9 @@ pub enum ServerReply {
 }
 
 impl ServerReply {
-    /// A complete answer (no provenance attributes on the wire).
+    /// An answer reply.
     pub fn answer(out: EvalOut) -> ServerReply {
-        ServerReply::Answer {
-            out,
-            answered_by: None,
-            missing: None,
-        }
+        ServerReply::Answer { out }
     }
 
     /// The reply's wire label — the XML element name it serializes to.
@@ -567,23 +555,12 @@ impl ServerReply {
     /// Serializes the reply.
     pub fn to_xml(&self) -> Element {
         match self {
-            ServerReply::Answer {
-                out,
-                answered_by,
-                missing,
-            } => {
+            ServerReply::Answer { out } => {
                 let body = match out {
                     EvalOut::Tab(tab) => Element::new("result").with_child(tab_to_xml(tab)),
                     EvalOut::Tree(tree) => tree_to_xml(tree),
                 };
-                let mut el = Element::new(self.kind());
-                if let Some(a) = answered_by {
-                    el.set_attr("answered-by", a.clone());
-                }
-                if let Some(m) = missing {
-                    el.set_attr("missing-sources", m.clone());
-                }
-                el.with_child(body)
+                Element::new(self.kind()).with_child(body)
             }
             ServerReply::Explained { text } => Element::new(self.kind()).with_text(text.clone()),
             ServerReply::Stats(stats) => {
@@ -658,11 +635,7 @@ impl ServerReply {
                 } else {
                     EvalOut::Tree(tree_from_xml(body))
                 };
-                Ok(ServerReply::Answer {
-                    out,
-                    answered_by: el.attr("answered-by").map(str::to_string),
-                    missing: el.attr("missing-sources").map(str::to_string),
-                })
+                Ok(ServerReply::Answer { out })
             }
             "explained" => Ok(ServerReply::Explained { text: el.text() }),
             "server-stats" => {
@@ -752,11 +725,6 @@ pub enum StreamFrame {
         /// Total rows across all chunks (top-level subtrees for a
         /// tree-shaped answer).
         rows: u64,
-        /// `answered-by`: set only when the streamed answer is degraded
-        /// (see [`ServerReply::Answer`]).
-        answered_by: Option<String>,
-        /// `missing-sources`: set together with `answered_by`.
-        missing: Option<String>,
     },
     /// Terminal frame of a failed stream.
     Abort {
@@ -789,23 +757,9 @@ impl StreamFrame {
                     .with_attr("seq", seq.to_string())
                     .with_child(body)
             }
-            StreamFrame::End {
-                chunks,
-                rows,
-                answered_by,
-                missing,
-            } => {
-                let mut el = Element::new(self.kind())
-                    .with_attr("chunks", chunks.to_string())
-                    .with_attr("rows", rows.to_string());
-                if let Some(a) = answered_by {
-                    el.set_attr("answered-by", a.clone());
-                }
-                if let Some(m) = missing {
-                    el.set_attr("missing-sources", m.clone());
-                }
-                el
-            }
+            StreamFrame::End { chunks, rows } => Element::new(self.kind())
+                .with_attr("chunks", chunks.to_string())
+                .with_attr("rows", rows.to_string()),
             StreamFrame::Abort { message } => {
                 Element::new(self.kind()).with_attr("message", message.clone())
             }
@@ -848,8 +802,6 @@ impl StreamFrame {
             "answer-end" => Ok(StreamFrame::End {
                 chunks: counter("chunks")?,
                 rows: counter("rows")?,
-                answered_by: el.attr("answered-by").map(str::to_string),
-                missing: el.attr("missing-sources").map(str::to_string),
             }),
             "stream-abort" => Ok(StreamFrame::Abort {
                 message: el.attr("message").unwrap_or("").to_string(),

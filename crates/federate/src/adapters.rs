@@ -1,6 +1,6 @@
 //! Wrapper adapters used to build federations with varied behavior:
 //! capability-profile narrowing and induced failures (the kill-k-of-N
-//! differential axis and the partial-failure tests).
+//! differential axis and the failover and strict-failure tests).
 
 use yat_capability::protocol::{Request, Response, WrapperServer};
 

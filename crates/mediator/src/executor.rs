@@ -34,19 +34,20 @@ use yat_capability::interface::Interface;
 use yat_capability::protocol::{
     split_batch_result, Bindings, Request, Response, MAX_BATCH_BINDINGS,
 };
-use yat_federate::{constraints_of, GroupKind, PartialFailure, ProvLog, SourceRegistry};
+use yat_federate::{constraints_of, GroupKind, SourceRegistry};
 use yat_model::{Forest, Node, Tree};
 use yat_obs::{attr, kind, Collector};
 
 pub use crate::policy::{ExecMode, StreamPolicy};
 
 /// Everything one execution runs against: the connection/interface maps
-/// and registries of the mediator, the selected mode and policies,
-/// and the optional observability and provenance collectors.
+/// and registries of the mediator, the selected mode and cache, and the
+/// optional span collector.
 ///
-/// With an empty [`SourceRegistry`] and [`PartialFailure::Strict`] the
-/// executor behaves exactly as before federation existed: every source
-/// name resolves to its own connection and any failure fails the query.
+/// With an empty [`SourceRegistry`] the executor behaves exactly as
+/// before federation existed: every source name resolves to its own
+/// connection. Any failure that replica failover cannot absorb fails
+/// the query.
 pub struct ExecSpec<'a> {
     /// Connections by source (or member) name.
     pub connections: &'a BTreeMap<String, Connection>,
@@ -64,10 +65,6 @@ pub struct ExecSpec<'a> {
     pub cache: &'a AnswerCache,
     /// The federation registry (empty for plain mediators).
     pub registry: &'a SourceRegistry,
-    /// What a per-source failure does to the query.
-    pub partial: PartialFailure,
-    /// Optional provenance accumulator (answered-by / missing-sources).
-    pub prov: Option<&'a ProvLog>,
 }
 
 impl<'a> ExecSpec<'a> {
@@ -77,8 +74,6 @@ impl<'a> ExecSpec<'a> {
             connections: self.connections,
             registry: self.registry,
             cache: self.cache,
-            partial: self.partial,
-            prov: self.prov,
             obs: self.obs,
         }
     }
@@ -92,28 +87,10 @@ struct FedCtx<'a> {
     connections: &'a BTreeMap<String, Connection>,
     registry: &'a SourceRegistry,
     cache: &'a AnswerCache,
-    partial: PartialFailure,
-    prov: Option<&'a ProvLog>,
     obs: Option<&'a Collector>,
 }
 
 impl<'a> FedCtx<'a> {
-    fn touch(&self, source: &str) {
-        if let Some(p) = self.prov {
-            p.touch(source);
-        }
-    }
-
-    fn miss(&self, source: &str, error: &str) {
-        if let Some(p) = self.prov {
-            p.miss(source, error);
-        }
-    }
-
-    fn degrade(&self) -> bool {
-        self.partial == PartialFailure::Degrade
-    }
-
     /// The data epoch cached answers for `source` are validated against:
     /// a group's epoch is the sum of its members' epochs, so bumping any
     /// member retires group-keyed answers.
@@ -193,8 +170,7 @@ impl From<EvalError> for ExecError {
 }
 
 /// Executes a plan against the connected wrappers, under the spec's
-/// [`ExecMode`], answer cache, federation registry, and
-/// partial-failure policy.
+/// [`ExecMode`], answer cache and federation registry.
 ///
 /// Mediator-side `Source` reads fetch whole documents. Because fetched
 /// data may hold references into a source's *other* documents (Fig. 1's
@@ -363,8 +339,7 @@ fn fetch_sequential(
 
 /// Cache lookup for one document of a plain source or member, keyed by
 /// its canonical signature and validated against the source's *live*
-/// epoch. A hit counts as a contribution (provenance) and feeds the
-/// member's cost record.
+/// epoch. A hit feeds the member's cost record.
 fn cached_document(src: &str, name: &str, fed: &FedCtx<'_>) -> Option<Tree> {
     let conn = fed.connections.get(src)?;
     match fed
@@ -372,7 +347,6 @@ fn cached_document(src: &str, name: &str, fed: &FedCtx<'_>) -> Option<Tree> {
         .lookup(Signature::document(src, name), src, conn.epoch(), fed.obs)
     {
         Some(CachedAnswer::Document { tree, .. }) => {
-            fed.touch(src);
             fed.observe_cache(src, true);
             Some(tree)
         }
@@ -380,21 +354,11 @@ fn cached_document(src: &str, name: &str, fed: &FedCtx<'_>) -> Option<Tree> {
     }
 }
 
-/// Whether an error is a *source* failure a degraded answer may absorb.
-/// An unknown source is a plan/configuration bug and stays fatal under
-/// every partial-failure policy.
-fn degradable(e: &ExecError) -> bool {
-    matches!(
-        e,
-        ExecError::Wire(_) | ExecError::Wrapper { .. } | ExecError::Refused { .. }
-    )
-}
-
 /// Resolves a batch of document fetches against one source name, in
 /// order: a replica group fails over to the cheapest live copy, a
 /// partition group unites its shards' contributions, a member or plain
-/// source is fetched directly. Under [`PartialFailure::Degrade`] a
-/// failed contribution becomes an empty document recorded as missing.
+/// source is fetched directly. A failure that failover cannot absorb
+/// fails the batch.
 fn fetch_batch(
     src: &str,
     names: &[String],
@@ -405,14 +369,7 @@ fn fetch_batch(
         let tree = match fed.registry.group_kind(src) {
             Some(GroupKind::Replicated) => replica_fetch(src, name, fed)?,
             Some(GroupKind::Partitioned) => partition_fetch(src, name, fed)?,
-            None => match wire_fetch(src, name, fed) {
-                Ok(tree) => tree,
-                Err(e) if fed.degrade() && degradable(&e) => {
-                    fed.miss(src, &e.to_string());
-                    Node::sym(name.as_str(), vec![])
-                }
-                Err(e) => return Err(e),
-            },
+            None => wire_fetch(src, name, fed)?,
         };
         docs.push(FetchedDoc {
             member: member_key(fed, src),
@@ -454,7 +411,6 @@ fn wire_fetch(src: &str, name: &str, fed: &FedCtx<'_>) -> Result<Tree, ExecError
                 },
                 fed.obs,
             );
-            fed.touch(src);
             Ok(tree)
         }
         Response::Error(m) => Err(ExecError::Wrapper {
@@ -472,55 +428,43 @@ fn wire_fetch(src: &str, name: &str, fed: &FedCtx<'_>) -> Result<Tree, ExecError
 /// Fetches one document of a replica group: any member's cached copy
 /// serves (replicas are interchangeable), then the wire in cost order
 /// with failover — losing k of N replicas is lossless as long as one
-/// still answers, so failover alone never degrades the answer. Only when
-/// *every* replica fails does `Degrade` substitute an empty document.
+/// still answers. When every replica fails, the first failure fails the
+/// fetch.
 fn replica_fetch(group: &str, name: &str, fed: &FedCtx<'_>) -> Result<Tree, ExecError> {
     for m in fed.registry.members_of(group) {
         if let Some(tree) = cached_document(&m.name, name, fed) {
             return Ok(tree);
         }
     }
-    let mut failures: Vec<(String, ExecError)> = Vec::new();
+    let mut first_err: Option<ExecError> = None;
     for member in fed.registry.replicas_in_cost_order(group, false) {
         match wire_fetch(&member, name, fed) {
             Ok(tree) => return Ok(tree),
-            Err(e) if degradable(&e) => failures.push((member, e)),
-            Err(e) => return Err(e),
+            // an unknown source is a plan/configuration bug, not a
+            // failure another replica can absorb
+            Err(e @ ExecError::UnknownSource(_)) => return Err(e),
+            Err(e) => {
+                first_err.get_or_insert(e);
+            }
         }
     }
-    if fed.degrade() && !failures.is_empty() {
-        for (member, e) in &failures {
-            fed.miss(member, &e.to_string());
-        }
-        return Ok(Node::sym(name, vec![]));
-    }
-    match failures.into_iter().next() {
-        Some((_, e)) => Err(e),
-        None => Err(ExecError::UnknownSource(format!("{name}@{group}"))),
-    }
+    Err(first_err.unwrap_or_else(|| ExecError::UnknownSource(format!("{name}@{group}"))))
 }
 
 /// Fetches one document of a partition group: every shard contributes
 /// its copy (cache first, then wire) and the shards' top-level entries
-/// unite under one root, in member name order. Under
-/// [`PartialFailure::Degrade`] a failing shard is skipped and recorded
-/// as missing; under `Strict` it fails the query.
+/// unite under one root, in member name order. A failing shard fails
+/// the fetch.
 fn partition_fetch(group: &str, name: &str, fed: &FedCtx<'_>) -> Result<Tree, ExecError> {
     let mut root: Option<Tree> = None;
     let mut children: Vec<Tree> = Vec::new();
     for m in fed.registry.members_of(group) {
-        let fetched = match cached_document(&m.name, name, fed) {
-            Some(tree) => Ok(tree),
-            None => wire_fetch(&m.name, name, fed),
+        let tree = match cached_document(&m.name, name, fed) {
+            Some(tree) => tree,
+            None => wire_fetch(&m.name, name, fed)?,
         };
-        match fetched {
-            Ok(tree) => {
-                children.extend(tree.children.iter().cloned());
-                root.get_or_insert(tree);
-            }
-            Err(e) if fed.degrade() && degradable(&e) => fed.miss(&m.name, &e.to_string()),
-            Err(e) => return Err(e),
-        }
+        children.extend(tree.children.iter().cloned());
+        root.get_or_insert(tree);
     }
     Ok(match root {
         Some(r) => Node::labeled(r.label.clone(), children),
@@ -654,7 +598,6 @@ fn scatter_gather(
             .lookup(sig, &source, fed.epoch_of(&source), fed.obs)
         {
             Some(CachedAnswer::Result(tab)) => {
-                fed.touch(&source);
                 fed.observe_cache(&source, true);
                 pushed.insert(sig, tab);
                 continue;
@@ -790,18 +733,14 @@ fn run_job(
             let unit = PassedBindings::unit();
             ship_bindings(source, &PassedFragment::new(plan, &unit), &[0], fed, &mut 0)
                 .map(|mut shipped| {
-                    let (tab, complete) = shipped.pop().expect("one binding, one answer");
-                    // a degraded (incomplete) result must never be served
-                    // to later queries as if it were the real answer
-                    if complete {
-                        fed.cache.insert(
-                            *sig,
-                            source,
-                            epoch,
-                            CachedAnswer::Result(tab.clone()),
-                            fed.obs,
-                        );
-                    }
+                    let tab = shipped.pop().expect("one binding, one answer");
+                    fed.cache.insert(
+                        *sig,
+                        source,
+                        epoch,
+                        CachedAnswer::Result(tab.clone()),
+                        fed.obs,
+                    );
                     JobOut::Pushed { sig: *sig, tab }
                 })
                 .map_err(|e| match e {
@@ -821,8 +760,9 @@ fn run_job(
 
 /// One dependent fragment with the bindings it is passed. Substituted
 /// plans are built lazily, per binding, only for what is keyed by them:
-/// cache signatures, partition pruning and degraded column layouts — a
-/// plain cache-off push never substitutes mediator-side at all.
+/// cache signatures, partition pruning and the column layout of a
+/// binding no member answers — a plain cache-off push never substitutes
+/// mediator-side at all.
 struct PassedFragment<'b> {
     plan: &'b Arc<Alg>,
     bindings: &'b PassedBindings,
@@ -849,17 +789,17 @@ impl<'b> PassedFragment<'b> {
         self.bindings.rows[ordinal].iter().all(Option::is_none)
     }
 
-    /// The empty answer a degraded binding falls back to, when its
-    /// plan's column layout is knowable without evaluation.
+    /// The empty answer of a binding that partition pruning sends to no
+    /// member, when its plan's column layout is knowable without
+    /// evaluation.
     fn empty_answer(&self, ordinal: usize) -> Option<Tab> {
         self.plan_of(ordinal).out_vars().map(Tab::new)
     }
 }
 
 /// Answers the bindings `ordinals` of a fragment from the source it
-/// names, resolving federation groups, and returns per ordinal (in
-/// order) the table and whether it is *complete* — an answer missing a
-/// degraded member's contribution must not enter the cross-query cache.
+/// names, resolving federation groups, and returns their tables, in
+/// order.
 ///
 /// * a plain source or member is shipped to directly;
 /// * a replica group fails over across its executing members in cost
@@ -877,29 +817,9 @@ fn ship_bindings(
     ordinals: &[usize],
     fed: &FedCtx<'_>,
     batches: &mut u64,
-) -> Result<Vec<(Tab, bool)>, EvalError> {
-    // under `Degrade`, a source failure answers every binding empty
-    let degraded = |failed: &[(String, String)]| -> Option<Vec<(Tab, bool)>> {
-        if !fed.degrade() {
-            return None;
-        }
-        let empty: Option<Vec<(Tab, bool)>> = ordinals
-            .iter()
-            .map(|&o| Some((fragment.empty_answer(o)?, false)))
-            .collect();
-        if empty.is_some() {
-            for (member, e) in failed {
-                fed.miss(member, e);
-            }
-        }
-        empty
-    };
+) -> Result<Vec<Tab>, EvalError> {
     match fed.registry.group_kind(source) {
-        None => match ship_to_member(source, fragment, ordinals, fed, batches) {
-            Ok(tabs) => Ok(tabs.into_iter().map(|t| (t, true)).collect()),
-            Err(e) if matches!(e, EvalError::UnknownSource { .. }) => Err(e),
-            Err(e) => degraded(&[(source.to_string(), e.to_string())]).ok_or(e),
-        },
+        None => ship_to_member(source, fragment, ordinals, fed, batches),
         Some(GroupKind::Replicated) => {
             let members = fed.registry.replicas_in_cost_order(source, true);
             if members.is_empty() {
@@ -909,17 +829,15 @@ fn ship_bindings(
                 });
             }
             let mut first_err: Option<EvalError> = None;
-            let mut failed: Vec<(String, String)> = Vec::new();
             for member in members {
                 match ship_to_member(&member, fragment, ordinals, fed, batches) {
-                    Ok(tabs) => return Ok(tabs.into_iter().map(|t| (t, true)).collect()),
+                    Ok(tabs) => return Ok(tabs),
                     Err(e) => {
-                        failed.push((member, e.to_string()));
                         first_err.get_or_insert(e);
                     }
                 }
             }
-            degraded(&failed).ok_or_else(|| first_err.expect("replica list was non-empty"))
+            Err(first_err.expect("replica list was non-empty"))
         }
         Some(GroupKind::Partitioned) => {
             let all: Vec<String> = fed
@@ -943,7 +861,6 @@ fn ship_bindings(
                 .collect();
             let mut merged: Vec<Option<Tab>> = vec![None; ordinals.len()];
             let mut parts = vec![0usize; ordinals.len()];
-            let mut complete = vec![true; ordinals.len()];
             for member in &all {
                 let bucket: Vec<usize> = (0..ordinals.len())
                     .filter(|&pos| wanted[pos].contains(member))
@@ -952,23 +869,13 @@ fn ship_bindings(
                     continue;
                 }
                 let bucket_ordinals: Vec<usize> = bucket.iter().map(|&pos| ordinals[pos]).collect();
-                match ship_to_member(member, fragment, &bucket_ordinals, fed, batches) {
-                    Ok(tabs) => {
-                        for (pos, tab) in bucket.into_iter().zip(tabs) {
-                            parts[pos] += 1;
-                            match merged[pos].as_mut() {
-                                None => merged[pos] = Some(tab),
-                                Some(acc) => merge_union(acc, &tab, source)?,
-                            }
-                        }
+                let tabs = ship_to_member(member, fragment, &bucket_ordinals, fed, batches)?;
+                for (pos, tab) in bucket.into_iter().zip(tabs) {
+                    parts[pos] += 1;
+                    match merged[pos].as_mut() {
+                        None => merged[pos] = Some(tab),
+                        Some(acc) => merge_union(acc, &tab, source)?,
                     }
-                    Err(e) if fed.degrade() && !matches!(e, EvalError::UnknownSource { .. }) => {
-                        fed.miss(member, &e.to_string());
-                        for pos in bucket {
-                            complete[pos] = false;
-                        }
-                    }
-                    Err(e) => return Err(e),
                 }
             }
             let mut out = Vec::with_capacity(ordinals.len());
@@ -990,7 +897,7 @@ fn ship_bindings(
                             }
                         })?,
                     };
-                out.push((tab, complete[pos]));
+                out.push(tab);
             }
             Ok(out)
         }
@@ -1101,7 +1008,6 @@ fn ship_to_member(
             }
         }
     }
-    fed.touch(member);
     Ok(out
         .into_iter()
         .map(|t| t.expect("every binding belongs to one shape"))
@@ -1187,7 +1093,6 @@ impl<'a> PushHandler for Pusher<'a> {
                 // then the cross-query cache
                 match fed.cache.lookup(sig, source, epoch, fed.obs) {
                     Some(CachedAnswer::Result(tab)) => {
-                        fed.touch(source);
                         fed.observe_cache(source, true);
                         tabs[ordinal] = Some(tab);
                         continue;
@@ -1202,8 +1107,8 @@ impl<'a> PushHandler for Pusher<'a> {
         let mut batches = 0;
         if !misses.is_empty() {
             let shipped = ship_bindings(source, &fragment, &misses, fed, &mut batches)?;
-            for (ordinal, (tab, complete)) in misses.into_iter().zip(shipped) {
-                if let (true, Some(sig)) = (complete, sigs[ordinal]) {
+            for (ordinal, tab) in misses.into_iter().zip(shipped) {
+                if let Some(sig) = sigs[ordinal] {
                     fed.cache.insert(
                         sig,
                         source,
@@ -1334,8 +1239,6 @@ mod tests {
             mode: ExecMode::Sequential,
             cache,
             registry: &registry,
-            partial: PartialFailure::Strict,
-            prov: None,
         };
         let (catalog, pusher) = prepare(plan, &spec).expect("the seed document fetches");
         let per_row_loop = PerRow(&pusher);

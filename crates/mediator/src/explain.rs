@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use yat_algebra::{Alg, EvalOut};
 use yat_cache::CachePolicy;
-use yat_federate::{CostSnapshot, Provenance};
+use yat_federate::CostSnapshot;
 use yat_obs::profile::{fmt_duration, ProfileNode};
 use yat_xml::Element;
 
@@ -153,9 +153,6 @@ pub struct Explain {
     /// The federation members the registry knows about (empty for a
     /// plain, unfederated mediator).
     pub federation: Vec<FederationLine>,
-    /// Which sources answered and which went missing — degraded answers
-    /// carry entries in [`Provenance::missing`].
-    pub provenance: Provenance,
     /// The optimizer trace, when the caller passed one through.
     pub trace: Option<Trace>,
 }
@@ -331,20 +328,6 @@ impl Explain {
                 ));
             }
         }
-        let show_prov = self.provenance.is_degraded()
-            || (!self.federation.is_empty() && !self.provenance.answered_by.is_empty());
-        if show_prov {
-            out.push_str(&format!(
-                "answered by: {}\n",
-                self.provenance.answered_by_attr()
-            ));
-            if self.provenance.is_degraded() {
-                out.push_str("missing sources:\n");
-                for (source, why) in &self.provenance.missing {
-                    out.push_str(&format!("  {source}: {why}\n"));
-                }
-            }
-        }
         if let Some(trace) = &self.trace {
             out.push_str(&format!("optimizer: {} rule firings\n", trace.steps.len()));
             for (round, rule) in &trace.steps {
@@ -457,14 +440,6 @@ impl Explain {
                 );
             }
             el.push_element(fed);
-        }
-        let show_prov = self.provenance.is_degraded()
-            || (!self.federation.is_empty() && !self.provenance.answered_by.is_empty());
-        if show_prov {
-            el.set_attr("answered-by", self.provenance.answered_by_attr());
-            if self.provenance.is_degraded() {
-                el.set_attr("missing-sources", self.provenance.missing_attr());
-            }
         }
         if let Some(trace) = &self.trace {
             let mut derivation = Element::new("derivation");

@@ -55,8 +55,7 @@ pub use session::Session;
 pub use transport::{Connection, Latency, Meter, MeterSnapshot};
 pub use yat_cache::{AnswerCache, CachePolicy, CacheStats, CachedAnswer, Signature, SourceStats};
 pub use yat_federate::{
-    CostRecord, CostSnapshot, Dead, FetchOnly, GroupKind, Member, MemberRole, PartialFailure,
-    Provenance, SourceRegistry,
+    CostRecord, CostSnapshot, Dead, FetchOnly, GroupKind, Member, MemberRole, SourceRegistry,
 };
 
 #[cfg(test)]

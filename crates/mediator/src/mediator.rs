@@ -14,7 +14,7 @@ use yat_algebra::{Alg, EvalOut, FnRegistry, SkolemRegistry};
 use yat_cache::{AnswerCache, CachePolicy, CacheStats};
 use yat_capability::interface::Interface;
 use yat_capability::protocol::{Request, Response, WrapperServer};
-use yat_federate::{Member, MemberRole, PartialFailure, ProvLog, Provenance, SourceRegistry};
+use yat_federate::{Member, MemberRole, SourceRegistry};
 use yat_yatl::{parse_program, parse_rule, translate, Rule};
 
 /// A mediator-level failure.
@@ -72,7 +72,6 @@ pub struct Mediator {
     stream: StreamPolicy,
     cache: AnswerCache,
     registry: SourceRegistry,
-    partial: PartialFailure,
 }
 
 impl Mediator {
@@ -80,8 +79,8 @@ impl Mediator {
     /// (`contains` evaluates locally when it cannot be pushed) and every
     /// policy at its fixed default, whatever the environment says:
     /// sequential dispatch, answer cache off, the default stream batch
-    /// size, strict partial failure. Change any of them through the
-    /// `set_*` methods.
+    /// size. Change any of them through the `set_*` methods. A source
+    /// failure that replica failover cannot absorb fails the query.
     pub fn new() -> Self {
         Mediator {
             funcs: FnRegistry::with_builtins(),
@@ -155,17 +154,6 @@ impl Mediator {
     /// live cost records.
     pub fn registry(&self) -> &SourceRegistry {
         &self.registry
-    }
-
-    /// The current partial-failure policy.
-    pub fn partial_failure(&self) -> PartialFailure {
-        self.partial
-    }
-
-    /// Selects what a per-source failure does to a query: fail it
-    /// (`Strict`, the default) or degrade the answer with provenance.
-    pub fn set_partial_failure(&mut self, policy: PartialFailure) {
-        self.partial = policy;
     }
 
     /// The connection to a source, e.g. to configure simulated
@@ -355,34 +343,11 @@ impl Mediator {
     /// Executes a plan under the current [`ExecMode`] and cache policy,
     /// returning the materialized answer.
     pub fn execute(&self, plan: &Alg) -> Result<EvalOut, MediatorError> {
-        self.execute_with_prov(plan, None)
-    }
-
-    /// [`Mediator::execute`] under the `Degrade` partial-failure policy,
-    /// additionally returning the answer's [`Provenance`]: which sources
-    /// contributed, and which were missing (with the error that sidelined
-    /// them). Under `Strict` the provenance of a successful answer simply
-    /// lists every consulted source with nothing missing.
-    pub fn execute_federated(&self, plan: &Alg) -> Result<(EvalOut, Provenance), MediatorError> {
-        let prov = ProvLog::new();
-        let out = self.execute_with_prov(plan, Some(&prov))?;
-        Ok((out, prov.snapshot()))
-    }
-
-    fn execute_with_prov(
-        &self,
-        plan: &Alg,
-        prov: Option<&ProvLog>,
-    ) -> Result<EvalOut, MediatorError> {
-        Ok(execute_mode(plan, &self.exec_spec(None, prov))?)
+        Ok(execute_mode(plan, &self.exec_spec(None))?)
     }
 
     /// The execution spec for this mediator's current configuration.
-    fn exec_spec<'a>(
-        &'a self,
-        obs: Option<&'a yat_obs::Collector>,
-        prov: Option<&'a ProvLog>,
-    ) -> ExecSpec<'a> {
+    fn exec_spec<'a>(&'a self, obs: Option<&'a yat_obs::Collector>) -> ExecSpec<'a> {
         ExecSpec {
             connections: &self.connections,
             interfaces: &self.interfaces,
@@ -392,8 +357,6 @@ impl Mediator {
             mode: self.exec_mode,
             cache: &self.cache,
             registry: &self.registry,
-            partial: self.partial,
-            prov,
         }
     }
 
@@ -422,29 +385,6 @@ impl Mediator {
         sink: &mut dyn yat_algebra::BatchSink,
         obs: Option<&yat_obs::Collector>,
     ) -> Result<yat_algebra::stream::DeliveryStats, MediatorError> {
-        self.execute_stream_inner(plan, sink, obs, None)
-    }
-
-    /// [`Mediator::execute_stream`] under the `Degrade` policy with a
-    /// [`Provenance`] attached — the streaming twin of
-    /// [`Mediator::execute_federated`].
-    pub fn execute_stream_federated(
-        &self,
-        plan: &Arc<Alg>,
-        sink: &mut dyn yat_algebra::BatchSink,
-    ) -> Result<(yat_algebra::stream::DeliveryStats, Provenance), MediatorError> {
-        let prov = ProvLog::new();
-        let stats = self.execute_stream_inner(plan, sink, None, Some(&prov))?;
-        Ok((stats, prov.snapshot()))
-    }
-
-    fn execute_stream_inner(
-        &self,
-        plan: &Arc<Alg>,
-        sink: &mut dyn yat_algebra::BatchSink,
-        obs: Option<&yat_obs::Collector>,
-        prov: Option<&ProvLog>,
-    ) -> Result<yat_algebra::stream::DeliveryStats, MediatorError> {
         let batch_rows = self.stream.batch_rows;
         let mut span = obs.map(|o| {
             let mut s = o.span(yat_obs::kind::STREAM, "stream answer".to_string());
@@ -452,7 +392,7 @@ impl Mediator {
             s
         });
         let mut timed = FirstChunk::new(sink);
-        let stats = execute_streamed(plan, &self.exec_spec(obs, prov), batch_rows, &mut timed);
+        let stats = execute_streamed(plan, &self.exec_spec(obs), batch_rows, &mut timed);
         if let Some(s) = span.as_mut() {
             if let Some(first) = timed.first {
                 s.record_u64(yat_obs::attr::FIRST_CHUNK_US, first.as_micros() as u64);
@@ -475,20 +415,6 @@ impl Mediator {
         self.execute(&optimized)
     }
 
-    /// [`Mediator::query`], also returning the answer's [`Provenance`]:
-    /// which federation members answered, and which were skipped under
-    /// [`PartialFailure::Degrade`]. For an unfederated mediator the
-    /// provenance is empty and this is exactly `query`.
-    pub fn query_federated(
-        &self,
-        src: &str,
-        options: OptimizerOptions,
-    ) -> Result<(EvalOut, Provenance), MediatorError> {
-        let plan = self.plan_query(src)?;
-        let (optimized, _) = self.optimize(&plan, options);
-        self.execute_federated(&optimized)
-    }
-
     /// Plan → optimize → streamed execution, end to end: the streaming
     /// equivalent of [`Mediator::query`].
     pub fn query_stream(
@@ -500,20 +426,6 @@ impl Mediator {
         let plan = self.plan_query(src)?;
         let (optimized, _) = self.optimize(&plan, options);
         self.execute_stream(&optimized, sink)
-    }
-
-    /// [`Mediator::query_stream`], also returning the [`Provenance`] so
-    /// the server can stamp degraded-answer attributes on the terminal
-    /// `answer-end` frame.
-    pub fn query_stream_federated(
-        &self,
-        src: &str,
-        options: OptimizerOptions,
-        sink: &mut dyn yat_algebra::BatchSink,
-    ) -> Result<(yat_algebra::stream::DeliveryStats, Provenance), MediatorError> {
-        let plan = self.plan_query(src)?;
-        let (optimized, _) = self.optimize(&plan, options);
-        self.execute_stream_federated(&optimized, sink)
     }
 
     /// `EXPLAIN ANALYZE`: executes `plan` with a span collector attached
@@ -534,8 +446,7 @@ impl Mediator {
         trace: Option<Trace>,
     ) -> Result<Explain, MediatorError> {
         let obs = yat_obs::Collector::new();
-        let prov = ProvLog::new();
-        let output = execute_mode(plan, &self.exec_spec(Some(&obs), Some(&prov)))?;
+        let output = execute_mode(plan, &self.exec_spec(Some(&obs)))?;
         let rows = match &output {
             EvalOut::Tab(t) => t.len() as u64,
             EvalOut::Tree(_) => 1,
@@ -662,7 +573,6 @@ impl Mediator {
             storage,
             cache_policy: self.cache.policy(),
             federation,
-            provenance: prov.snapshot(),
             trace,
         })
     }
@@ -770,12 +680,15 @@ impl yat_algebra::BatchSink for FirstChunk<'_> {
 
 /// What the frozen benchmark package (`yat-benchmark/`) still names of
 /// retired switches: it pins an engine, a scatter schedule, a stream
-/// policy and a mediator index policy per workload and reads a compile
-/// counter. The interpreter is the only engine and nothing is ever
-/// compiled; scatter jobs are always cost-ordered; the stream policy it
-/// names is the default; the mediator keeps no index of its own (an
-/// [`yat_capability::IndexPolicy`] governs sources only). Pinning any
-/// of them changes nothing. ROADMAP item 1(a) deletes this block
+/// policy, a mediator index policy and a partial-failure policy per
+/// workload and reads a compile counter. The interpreter is the only
+/// engine and nothing is ever compiled; scatter jobs are always
+/// cost-ordered; the stream policy it names is the default; the
+/// mediator keeps no index of its own (an
+/// [`yat_capability::IndexPolicy`] governs sources only); a source
+/// failure that replica failover cannot absorb always fails the query,
+/// which is the one failure policy it names. Pinning any of them
+/// changes nothing. ROADMAP item 1(a) deletes this block
 /// together with the fixtures' calls.
 #[doc(hidden)]
 pub mod bench_compat {
@@ -798,6 +711,14 @@ pub mod bench_compat {
     pub enum SchedPolicy {
         /// Cost-ordered scatter jobs.
         Cost,
+    }
+
+    /// The retired partial-failure choice; its one value is what the
+    /// executor always does.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum PartialFailure {
+        /// A source failure that failover cannot absorb fails the query.
+        Strict,
     }
 
     #[doc(hidden)]
@@ -827,11 +748,14 @@ pub mod bench_compat {
         /// Does nothing: the mediator keeps no index; sources take
         /// their own policy.
         pub fn set_index_policy(&mut self, _policy: IndexPolicy) {}
+
+        /// Does nothing: there is one failure semantics.
+        pub fn set_partial_failure(&mut self, _policy: PartialFailure) {}
     }
 
     #[cfg(test)]
     mod tests {
-        use super::{ExecEngine, SchedPolicy};
+        use super::{ExecEngine, PartialFailure, SchedPolicy};
         use crate::tests::{fig1_mediator, generated_mediator};
         use crate::{ExecMode, Mediator, OptimizerOptions, StreamPolicy};
         use yat_capability::IndexPolicy;
@@ -893,8 +817,9 @@ pub mod bench_compat {
         }
 
         /// The frozen benchmark pins `SchedPolicy::Cost`,
-        /// `StreamPolicy::Off` and an `IndexPolicy` on every workload:
-        /// the first is what the executor does anyway, the second is the
+        /// `StreamPolicy::Off`, an `IndexPolicy` and
+        /// `PartialFailure::Strict` on every workload: the first and the
+        /// last are what the executor does anyway, the second is the
         /// default policy and the third has nothing in the mediator to
         /// govern, so a pinned mediator answers, ships and streams
         /// exactly like an unpinned one.
@@ -912,6 +837,7 @@ pub mod bench_compat {
                             m.set_sched_policy(SchedPolicy::Cost);
                             m.set_stream_policy(StreamPolicy::Off);
                             m.set_index_policy(index);
+                            m.set_partial_failure(PartialFailure::Strict);
                         }
                         assert_eq!(m.stream_policy(), StreamPolicy::default());
                         m.reset_traffic();

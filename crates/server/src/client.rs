@@ -260,8 +260,6 @@ pub(crate) fn read_streamed_reply(reader: &mut impl Read) -> Result<StreamedRepl
             StreamFrame::End {
                 chunks: declared,
                 rows,
-                answered_by,
-                missing,
             } => {
                 if declared != chunks {
                     return Err(WireError::Stream(format!(
@@ -281,11 +279,7 @@ pub(crate) fn read_streamed_reply(reader: &mut impl Read) -> Result<StreamedRepl
                     )));
                 }
                 return Ok(StreamedReply {
-                    reply: ServerReply::Answer {
-                        out,
-                        answered_by,
-                        missing,
-                    },
+                    reply: ServerReply::Answer { out },
                     chunks,
                     ttfr,
                 });

@@ -757,7 +757,7 @@ fn serve_streamed(
         let mut sink = sink;
         shared
             .mediator
-            .query_stream_federated(text, OptimizerOptions::default(), &mut sink)
+            .query_stream(text, OptimizerOptions::default(), &mut sink)
     }));
     let chunks = chunks_sent.load(Ordering::SeqCst);
     span.record_u64(attr::CHUNKS, chunks);
@@ -765,13 +765,10 @@ fn serve_streamed(
         span.record_u64(attr::FIRST_CHUNK_US, first.as_micros() as u64);
     }
     match outcome {
-        Ok(Ok((stats, prov))) => {
-            let (answered_by, missing) = wire_prov(&prov);
+        Ok(Ok(stats)) => {
             let end = StreamFrame::End {
                 chunks: stats.chunks,
                 rows: stats.rows,
-                answered_by,
-                missing,
             };
             (StreamEvent::End(encode(&end)), true)
         }
@@ -859,18 +856,8 @@ fn execute(
 ) -> ServerReply {
     match request {
         ClientRequest::Query { text, .. } => {
-            match shared
-                .mediator
-                .query_federated(text, OptimizerOptions::default())
-            {
-                Ok((out, prov)) => {
-                    let (answered_by, missing) = wire_prov(&prov);
-                    ServerReply::Answer {
-                        out,
-                        answered_by,
-                        missing,
-                    }
-                }
+            match shared.mediator.query(text, OptimizerOptions::default()) {
+                Ok(out) => ServerReply::Answer { out },
                 Err(e) => ServerReply::Error {
                     message: e.to_string(),
                 },
@@ -907,18 +894,6 @@ fn execute(
         other => ServerReply::Error {
             message: format!("verb `{}` is not executable work", other.kind()),
         },
-    }
-}
-
-/// Renders an answer's provenance as wire attributes: `None`/`None` for
-/// a complete answer (the frame stays byte-identical to the pre-
-/// federation wire), both attributes when sources were skipped under
-/// `PartialFailure::Degrade`.
-fn wire_prov(prov: &yat_mediator::Provenance) -> (Option<String>, Option<String>) {
-    if prov.is_degraded() {
-        (Some(prov.answered_by_attr()), Some(prov.missing_attr()))
-    } else {
-        (None, None)
     }
 }
 

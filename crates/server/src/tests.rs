@@ -629,12 +629,7 @@ fn corrupted_chunk_streams_yield_typed_errors_never_short_answers() {
             seq: 2,
             payload: batch(&[5]),
         }),
-        frame_bytes(&StreamFrame::End {
-            chunks: 3,
-            rows: 5,
-            answered_by: None,
-            missing: None,
-        }),
+        frame_bytes(&StreamFrame::End { chunks: 3, rows: 5 }),
     ];
     let full: Vec<u8> = frames.concat();
 
@@ -681,36 +676,21 @@ fn corrupted_chunk_streams_yield_typed_errors_never_short_answers() {
         "{err}"
     );
     // answer-end declaring the wrong chunk count
-    let end = frame_bytes(&StreamFrame::End {
-        chunks: 2,
-        rows: 5,
-        answered_by: None,
-        missing: None,
-    });
+    let end = frame_bytes(&StreamFrame::End { chunks: 2, rows: 5 });
     let err = stream_err(&[&frames[0], &frames[1], &frames[2], &end]);
     assert!(
         matches!(&err, WireError::Stream(m) if m.contains("chunks")),
         "{err}"
     );
     // answer-end declaring the wrong row count
-    let end = frame_bytes(&StreamFrame::End {
-        chunks: 3,
-        rows: 4,
-        answered_by: None,
-        missing: None,
-    });
+    let end = frame_bytes(&StreamFrame::End { chunks: 3, rows: 4 });
     let err = stream_err(&[&frames[0], &frames[1], &frames[2], &end]);
     assert!(
         matches!(&err, WireError::Stream(m) if m.contains("rows")),
         "{err}"
     );
     // answer-end with no chunks at all
-    let end = frame_bytes(&StreamFrame::End {
-        chunks: 0,
-        rows: 0,
-        answered_by: None,
-        missing: None,
-    });
+    let end = frame_bytes(&StreamFrame::End { chunks: 0, rows: 0 });
     let err = stream_err(&[&end]);
     assert!(
         matches!(&err, WireError::Stream(m) if m.contains("before any")),
@@ -969,8 +949,6 @@ impl FrameBytes {
         self.push(&StreamFrame::End {
             chunks: self.chunks,
             rows: self.rows,
-            answered_by: None,
-            missing: None,
         });
         self.bytes
     }
@@ -1429,46 +1407,40 @@ fn sharded_federation(scale: usize, dead: &[&str]) -> Mediator {
 }
 
 #[test]
-fn degraded_answers_carry_provenance_on_the_wire() {
-    let mut m = sharded_federation(12, &["wais-rest"]);
-    m.set_partial_failure(yat_mediator::PartialFailure::Degrade);
-    let handle = Server::spawn(m, ServerConfig::default()).expect("server binds");
+fn a_served_query_that_consults_a_dead_shard_fails_naming_it() {
+    let handle = Server::spawn(
+        sharded_federation(12, &["wais-rest"]),
+        ServerConfig::default(),
+    )
+    .expect("server binds");
     let mut client = Client::connect(handle.addr()).expect("client connects");
 
-    // materialized: the <answer> element carries the attributes
+    // Q1 consults every shard: materialized, the reply is an error
+    // naming the dead one
     let reply = client.query(paper::Q1).expect("query round-trips");
-    let ServerReply::Answer {
-        answered_by: Some(answered),
-        missing: Some(missing),
-        ..
-    } = &reply
-    else {
-        panic!("expected a degraded answer, got {reply:?}");
-    };
-    assert!(answered.contains("wais-imp"), "{answered}");
-    assert_eq!(missing, "wais-rest");
-    let text = reply.to_xml().to_xml();
-    assert!(text.contains("answered-by="), "{text}");
-    assert!(text.contains("missing-sources=\"wais-rest\""), "{text}");
+    match &reply {
+        ServerReply::Error { message } if message.contains("wais-rest") => {}
+        other => panic!("expected an error naming wais-rest, got {other:?}"),
+    }
 
-    // streamed: the answer-end frame carries them, and the client
-    // propagates them into the reassembled Answer
+    // streamed, it fails before any chunk, so the stream is refused with
+    // the same error
     let streamed = client
         .query_streamed(paper::Q1)
         .expect("stream round-trips");
-    let ServerReply::Answer {
-        answered_by: Some(answered),
-        missing: Some(missing),
-        ..
-    } = &streamed.reply
-    else {
-        panic!(
-            "expected a degraded streamed answer, got {:?}",
-            streamed.reply
-        );
-    };
-    assert!(answered.contains("wais-imp"), "{answered}");
-    assert_eq!(missing, "wais-rest");
+    assert_eq!(streamed.chunks, 0);
+    match &streamed.reply {
+        ServerReply::Error { message } if message.contains("wais-rest") => {}
+        other => panic!("expected a streamed error naming wais-rest, got {other:?}"),
+    }
+
+    // Q2 is pruned to the Impressionist shard and never contacts the
+    // dead one: the same connection answers it in full
+    let reply = client.query(paper::Q2).expect("query round-trips");
+    assert_eq!(
+        reply.to_xml().to_xml(),
+        expected_answer(&federation(12), paper::Q2)
+    );
 
     // stats: member gauges carry their group and cost counters
     let stats = client.stats().expect("stats round-trips");

@@ -1,10 +1,11 @@
 //! Differential harness for the federation layer: seeded kill-k-of-N
-//! sweeps over [`FedScenario`] federations. A degraded answer must equal
-//! the full answer minus exactly the works held by the killed partition
-//! shards (killed replicas are lossless via failover) byte for byte, its
-//! provenance must name exactly the killed members that were actually
-//! consulted, and all of it — traffic to every member included — must
-//! hold identically under both exec modes, materialized and streamed.
+//! sweeps over [`FedScenario`] federations. A query that consults a
+//! killed partition shard must fail with an error naming a killed
+//! shard; one that consults none (killed replicas are lossless via
+//! failover, pruned shards are never asked) must answer byte for byte
+//! what the plain two-source twin answers. All of it — traffic to every
+//! member included — must hold identically under both exec modes,
+//! materialized and streamed.
 //! Configs, observations and the comparator are the shared differential
 //! harness's (`harness/mod.rs`).
 //!
@@ -20,9 +21,7 @@ use std::path::Path;
 use std::sync::Arc;
 use yat::yat_algebra::{Alg, EvalOut};
 use yat::yat_capability::protocol::ServerReply;
-use yat::yat_mediator::{
-    CachePolicy, ExecMode, Mediator, MediatorError, OptimizerOptions, PartialFailure,
-};
+use yat::yat_mediator::{CachePolicy, ExecMode, Mediator, MediatorError, OptimizerOptions};
 use yat::yat_yatl::paper;
 use yat_bench::workload::{FedScenario, Scenario};
 use yat_prng::Rng;
@@ -34,8 +33,8 @@ fn answer_bytes(out: EvalOut) -> String {
     ServerReply::answer(out).to_xml().to_xml()
 }
 
-/// A query or a hand-built plan on a federation that degrades rather
-/// than fails when a consulted member is dead.
+/// A query or a hand-built plan on a federation, some of whose members
+/// may be dead.
 #[derive(Clone, Debug)]
 struct Fed {
     sc: FedScenario,
@@ -56,9 +55,7 @@ impl Case for Fed {
     fn federation(&self, config: Config, _: Option<&Path>) -> Mediator {
         let mut sc = self.sc.clone();
         sc.index = config.index_policy();
-        let mut m = sc.mediator();
-        m.set_partial_failure(PartialFailure::Degrade);
-        m
+        sc.mediator()
     }
 
     fn plan(&self, m: &Mediator) -> Result<Arc<Alg>, MediatorError> {
@@ -87,30 +84,32 @@ const EXEC_BY_DELIVERY: [Config; 4] = [
 /// answer is long enough that a streamed run cuts it into several chunks.
 const TITLES: &str = "MAKE out *($t) := r [ $t ] MATCH artworks WITH doc.work.[ title.$t ]";
 
-/// Runs `query` on `sc` under every exec mode × delivery: the first
-/// observation must answer exactly what the plain twin without
-/// `twin_killed` answers, with provenance naming exactly
-/// `expect_missing` (killed ∩ consulted), and the others must agree
-/// with it. Returns how many chunks each streamed run was cut into.
-fn check_kill_set(
-    sc: &FedScenario,
-    query: &'static str,
-    twin_killed: &[String],
-    expect_missing: &[String],
-) -> Vec<u64> {
+/// Runs `query` on `sc` under every exec mode × delivery. When
+/// `consults_dead`, every run must fail with an error naming one of
+/// `sc.dead`, and no chunks are returned. Otherwise the first
+/// observation must answer exactly what the plain twin answers and the
+/// others must agree with it, traffic to every member included; returns
+/// how many chunks each streamed run was cut into.
+fn check_kill_set(sc: &FedScenario, query: &'static str, consults_dead: bool) -> Vec<u64> {
     let ctx = format!("members={} dead={:?} query={query}", sc.members, sc.dead);
-    let twin = sc
-        .plain_twin(twin_killed)
-        .query(query, OptimizerOptions::default());
-    let want = Outcome::Answer(answer_bytes(twin.expect("the plain twin answers")));
     let case = Fed {
         sc: sc.clone(),
         run: Run::Query(query, OptimizerOptions::default()),
     };
     let store = StoreDir::new();
+    if consults_dead {
+        for config in EXEC_BY_DELIVERY {
+            match observe(&case, config, &store).remove(0).outcome {
+                Outcome::Error(e) if sc.dead.iter().any(|d| e.contains(&format!("`{d}`"))) => {}
+                other => panic!("{config:?} must fail naming a dead shard ({ctx}): {other:?}"),
+            }
+        }
+        return Vec::new();
+    }
+    let twin = sc.plain_twin().query(query, OptimizerOptions::default());
+    let want = Outcome::Answer(answer_bytes(twin.expect("the plain twin answers")));
     let reference = observe(&case, EXEC_BY_DELIVERY[0], &store).remove(0);
-    assert_eq!(reference.outcome, want, "degraded answer ({ctx})");
-    assert_eq!(reference.missing, expect_missing, "provenance ({ctx})");
+    assert_eq!(reference.outcome, want, "answer ({ctx})");
     let mut chunks = Vec::new();
     for config in &EXEC_BY_DELIVERY[1..] {
         let runs = observe(&case, *config, &store);
@@ -125,10 +124,17 @@ fn check_kill_set(
 }
 
 #[test]
-fn killing_k_shards_subtracts_exactly_their_works() {
+fn killing_k_shards_fails_exactly_the_queries_that_consult_them() {
     let mut rng = Rng::seed_from_u64(master_seed(DEFAULT_SEED));
     let mut chunks = Vec::new();
     for members in [4usize, 9] {
+        // with nobody killed every title answers, long enough for a
+        // streamed run to be cut into several chunks
+        chunks.extend(check_kill_set(
+            &FedScenario::new(members, SCALE),
+            TITLES,
+            false,
+        ));
         for _case in 0..3 {
             let mut sc = FedScenario::new(members, SCALE);
             let shards = sc.shard_names();
@@ -141,11 +147,16 @@ fn killing_k_shards_subtracts_exactly_their_works() {
                 }
             }
             killed.sort();
-            sc.dead = killed.clone();
+            let owns_impressionist = sc.shards_owning("Impressionist");
+            sc.dead = killed;
             // neither query has a style constraint: every shard is
-            // consulted, so the provenance must name exactly the kill set
-            chunks.extend(check_kill_set(&sc, paper::Q1, &killed, &killed));
-            chunks.extend(check_kill_set(&sc, TITLES, &killed, &killed));
+            // consulted, so both fail
+            check_kill_set(&sc, paper::Q1, true);
+            check_kill_set(&sc, TITLES, true);
+            // Q2 is pruned to the Impressionist owners: it fails only
+            // when one of them is killed
+            let consulted = sc.dead.iter().any(|k| owns_impressionist.contains(k));
+            chunks.extend(check_kill_set(&sc, paper::Q2, consulted));
         }
     }
     let cut = chunks.iter().filter(|&&c| c >= 2).count();
@@ -170,20 +181,8 @@ fn killing_replicas_is_lossless_until_the_last() {
             .filter(|(i, _)| *i != keep)
             .map(|(_, n)| n.clone())
             .collect();
-        // no shard died, so failover must keep the answer complete and
-        // the provenance empty — even under strict
-        check_kill_set(&sc, paper::Q1, &[], &[]);
-        let want = answer_bytes(
-            sc.plain_twin(&[])
-                .query(paper::Q1, OptimizerOptions::default())
-                .unwrap(),
-        );
-        let mut m = sc.mediator();
-        m.set_cache_policy(CachePolicy::Off);
-        let strict = m
-            .query(paper::Q1, OptimizerOptions::default())
-            .expect("strict mode survives replica failover");
-        assert_eq!(answer_bytes(strict), want);
+        // no shard died, so failover must keep the answer complete
+        check_kill_set(&sc, paper::Q1, false);
     }
 }
 
@@ -225,7 +224,7 @@ fn pruned_dead_shards_are_never_consulted_so_never_missed() {
     }
 
     // a dead shard that owns no Impressionist works is pruned at plan
-    // time, so the answer is complete and the provenance stays empty
+    // time, so the answer is complete
     let mut sc = FedScenario::new(8, SCALE);
     let victim = sc
         .shard_names()
@@ -235,7 +234,7 @@ fn pruned_dead_shards_are_never_consulted_so_never_missed() {
         .map(|(_, n)| n)
         .expect("some shard owns no Impressionist works");
     sc.dead = vec![victim];
-    check_kill_set(&sc, paper::Q2, &[], &[]);
+    check_kill_set(&sc, paper::Q2, false);
 }
 
 /// Both exec modes, for the hand-built mediators below.
@@ -376,12 +375,11 @@ fn a_replica_lost_mid_batch_fails_the_whole_batch_over() {
         m.set_cache_policy(CachePolicy::Off);
 
         m.reset_traffic();
-        // strict mode: the failover alone must save the query
-        let (out, prov) = m
-            .execute_federated(&plan("xmlartwork", "art"))
+        // the failover alone must save the query
+        let out = m
+            .execute(&plan("xmlartwork", "art"))
             .unwrap_or_else(|e| panic!("failover must answer under {mode:?}: {e}"));
         assert_eq!(answer_bytes(out), want, "{mode:?}");
-        assert!(prov.missing.is_empty(), "a lossless failover misses nobody");
         // art-0 took the first chunk and refused the second; art-1 was
         // then shipped *both* chunks, not just the one that failed
         for member in ["art-0", "art-1"] {
@@ -452,7 +450,7 @@ fn a_batch_on_a_partition_group_contacts_only_the_shards_its_bindings_need() {
             ),
         )
     };
-    let mut oracle = sc.plain_twin(&[]);
+    let mut oracle = sc.plain_twin();
     oracle.set_cache_policy(CachePolicy::Off);
     let want = answer_bytes(oracle.execute(&plan("o2artifact", "xmlartwork")).unwrap());
     assert!(
@@ -467,9 +465,8 @@ fn a_batch_on_a_partition_group_contacts_only_the_shards_its_bindings_need() {
     let store = StoreDir::new();
     for config in EXEC_BY_DELIVERY {
         let got = observe(&case, config, &store).remove(0);
+        // a consulted dead shard would have failed the query
         assert_eq!(got.outcome, Outcome::Answer(want.clone()), "{config:?}");
-        // a consulted dead shard would be missing
-        assert!(got.missing.is_empty(), "{config:?}: {:?}", got.missing);
         for (member, traffic) in sc.member_names().iter().zip(&got.traffic) {
             // owners get one batch, their own style's binding; shards
             // owning neither style are never contacted

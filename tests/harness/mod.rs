@@ -197,8 +197,6 @@ pub enum Outcome {
 #[derive(Clone, Debug, PartialEq)]
 pub struct Observation {
     pub outcome: Outcome,
-    /// Federation members a degraded answer lacks.
-    pub missing: Vec<String>,
     /// What each of [`Case::sources`] shipped, in order. Empty unless
     /// the execution answered: a parallel run that fails may or may not
     /// have shipped its other fragments.
@@ -222,41 +220,35 @@ fn run<C: Case>(case: &C, m: &Mediator, streamed: bool) -> Observation {
     let mut chunks = 0;
     let result = case.plan(m).and_then(|plan| {
         if !streamed {
-            return m.execute_federated(&plan);
+            return m.execute(&plan);
         }
         let mut sink = CollectSink::new();
-        let (stats, prov) = m.execute_stream_federated(&plan, &mut sink)?;
-        chunks = stats.chunks;
-        let answer = sink.into_answer().expect("a stream delivers an answer");
-        Ok((answer, prov))
+        chunks = m.execute_stream(&plan, &mut sink)?.chunks;
+        Ok(sink.into_answer().expect("a stream delivers an answer"))
     });
-    let (outcome, missing, traffic) = match result {
-        Ok((out, prov)) => (
+    let (outcome, traffic) = match result {
+        Ok(out) => (
             Outcome::Answer(ServerReply::answer(out).to_xml().to_xml()),
-            prov.missing.into_keys().collect(),
             (case.sources().iter())
                 .map(|s| m.traffic_of(s).expect("source is connected"))
                 .collect(),
         ),
-        Err(MediatorError::Exec(ExecError::Refused { .. })) => {
-            (Outcome::Refused, Vec::new(), Vec::new())
-        }
-        Err(e) => (Outcome::Error(e.to_string()), Vec::new(), Vec::new()),
+        Err(MediatorError::Exec(ExecError::Refused { .. })) => (Outcome::Refused, Vec::new()),
+        Err(e) => (Outcome::Error(e.to_string()), Vec::new()),
     };
     Observation {
         outcome,
-        missing,
         traffic,
         chunks,
     }
 }
 
-/// Holds a config's observations to the oracle's: the same outcome, the
-/// same missing members and, for an answer, the same traffic to every
-/// source — trips, documents, and bytes both ways. A warm rerun must
-/// give the same outcome again and ship nothing.
+/// Holds a config's observations to the oracle's: the same outcome and,
+/// for an answer, the same traffic to every source — trips, documents,
+/// and bytes both ways. A warm rerun must give the same outcome again
+/// and ship nothing.
 pub fn compare(oracle: &Observation, runs: &[Observation]) -> Result<(), String> {
-    let seen = |o: &Observation| (o.outcome.clone(), o.missing.clone(), o.traffic.clone());
+    let seen = |o: &Observation| (o.outcome.clone(), o.traffic.clone());
     let idle = |o: &Observation| o.traffic.iter().all(|t| *t == MeterSnapshot::default());
     let (cold, warm) = runs.split_first().expect("observe runs at least once");
     let bad_warm = warm

@@ -173,10 +173,6 @@ fn answer_body(rng: &mut Rng) -> EvalOut {
     }
 }
 
-fn provenance(rng: &mut Rng) -> Option<String> {
-    rng.gen_bool(0.3).then(|| (*rng.choose(TEXTS)).to_string())
-}
-
 /// One frame of each of the five kinds: the four data frames and a
 /// wrapper's refusal.
 #[derive(Debug, Clone)]
@@ -193,11 +189,7 @@ fn frame(rng: &mut Rng) -> Frame {
             tree: tree(rng, 4),
         }),
         1 => Frame::Response(Response::Result(tab(rng))),
-        2 => Frame::Reply(ServerReply::Answer {
-            out: answer_body(rng),
-            answered_by: provenance(rng),
-            missing: provenance(rng),
-        }),
+        2 => Frame::Reply(ServerReply::answer(answer_body(rng))),
         3 => Frame::Stream(StreamFrame::Chunk {
             seq: rng.gen_range(0..1000u64),
             payload: answer_body(rng),
@@ -255,15 +247,9 @@ impl Frame {
             Frame::Response(Response::Result(tab)) => {
                 Frame::Response(Response::Result(half_tab(tab)?))
             }
-            Frame::Reply(ServerReply::Answer {
-                out,
-                answered_by,
-                missing,
-            }) => Frame::Reply(ServerReply::Answer {
-                out: half_out(out)?,
-                answered_by: answered_by.clone(),
-                missing: missing.clone(),
-            }),
+            Frame::Reply(ServerReply::Answer { out }) => {
+                Frame::Reply(ServerReply::answer(half_out(out)?))
+            }
             Frame::Stream(StreamFrame::Chunk { seq, payload }) => {
                 Frame::Stream(StreamFrame::Chunk {
                     seq: *seq,
