@@ -72,6 +72,26 @@ pub trait PushHandler {
             tabs,
         })
     }
+
+    /// Executes `plan` at `source` under `env`, as
+    /// [`PushHandler::execute_push`] does, and hands the answer to `each`
+    /// in pieces of about `rows` rows, in order: at least one piece, each
+    /// with the answer's columns. A streamed answer
+    /// ([`crate::stream::pipeline`]) pulls its source this way, so its
+    /// first batch runs before the whole answer has arrived. An error
+    /// from `each` stops the answer and is returned. This default hands
+    /// the whole answer over as one piece.
+    fn execute_push_pieces(
+        &self,
+        source: &str,
+        plan: &Arc<Alg>,
+        env: &Env,
+        rows: usize,
+        each: &mut dyn FnMut(Tab) -> Result<(), EvalError>,
+    ) -> Result<(), EvalError> {
+        let _ = rows;
+        each(self.execute_push(source, plan, env)?)
+    }
 }
 
 /// Everything evaluation needs besides the plan.
@@ -576,6 +596,9 @@ impl<'t> KeyedTree<'t> {
     pub(crate) fn run(&mut self, tab: &Tab, skolems: &SkolemRegistry, out: &mut Vec<Tree>) {
         let kidx: Vec<Option<usize>> = self.key.iter().map(|k| tab.col(k)).collect();
         let width = kidx.len();
+        // every row of the batch may open a group
+        self.seen.reserve(tab.len());
+        self.keys.reserve(tab.len() * width);
         let mut builder = Builder {
             tab,
             skolems,

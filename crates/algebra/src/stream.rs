@@ -6,7 +6,10 @@
 //! then runs the row-local operators above it (`Select`, `Map`,
 //! `Project`, `Bind … over`) over `batch_rows` of the source's rows at
 //! a time, through the same kernels [`mod@crate::eval`] runs over a whole
-//! table. A row-keyed `Tree` template on top (a `Sym` root over one
+//! table. A `Push` source under a push handler is pulled piece by piece
+//! instead ([`crate::PushHandler::execute_push_pieces`]): each piece of
+//! the pushed answer runs through the operators above it as it arrives.
+//! A row-keyed `Tree` template on top (a `Sym` root over one
 //! `Group` keyed on every variable its body reads — the full-scan shape)
 //! emits each group's subtree the first time its key is seen. Chunk 0
 //! therefore leaves once the first batch has been bound, filtered and
@@ -75,7 +78,8 @@ pub struct DeliveryStats {
 }
 
 /// Runs `plan` with a streamed answer boundary: the pipeline source
-/// evaluates whole, the row-local operators above it run over
+/// evaluates whole (a pushed one arrives in pieces of `batch_rows`
+/// rows), the row-local operators above it run over
 /// `batch_rows` of its rows at a time, and every `batch_rows` answer
 /// rows or subtrees leave for `sink` as soon as they exist (see the
 /// module docs). Delivers the same chunks as [`deliver`] on the
@@ -119,19 +123,38 @@ pub fn pipeline(
     let mut spine_spans: Vec<_> = spine.iter().map(|op| span(op)).collect();
     let mut rows_out = vec![0u64; spine.len()];
     let consumer = spine.last().copied().unwrap_or(plan);
-    let result = eval_env(source, ctx, &env)
-        .and_then(|out| out.tab(consumer))
-        .and_then(|input| {
-            Run {
-                ctx,
-                env: &env,
-                spine: &spine,
-                kernels: spine.iter().map(|_| None).collect(),
-                rows_out: &mut rows_out,
-                keyed,
+    let root = keyed.as_ref().map(KeyedTree::root);
+    let mut run = Run {
+        ctx,
+        env: &env,
+        spine: &spine,
+        kernels: spine.iter().map(|_| None).collect(),
+        rows_out: &mut rows_out,
+        keyed,
+        chunker: Chunker::new(sink, batch_rows, root),
+        fed: false,
+    };
+    let result = match (source, ctx.push) {
+        (Alg::Push { source: at, plan }, Some(handler)) => {
+            let mut span = span(source);
+            let mut pulled = 0u64;
+            let pieces = handler.execute_push_pieces(at, plan, &env, batch_rows, &mut |piece| {
+                pulled += piece.len() as u64;
+                run.feed(piece)
+            });
+            if let Some(span) = span.as_mut() {
+                match &pieces {
+                    Ok(()) => span.record_u64(yat_obs::attr::ROWS_OUT, pulled),
+                    Err(e) => span.record_str(yat_obs::attr::ERROR, e.to_string()),
+                }
             }
-            .batches(input, sink, batch_rows)
-        });
+            pieces
+        }
+        _ => eval_env(source, ctx, &env)
+            .and_then(|out| out.tab(consumer))
+            .and_then(|input| run.feed(input)),
+    }
+    .and_then(|()| run.chunker.finish());
     // close innermost first, each with the rows it produced
     let error = result.as_ref().err().map(EvalError::to_string);
     while let Some(span) = spine_spans.pop() {
@@ -153,8 +176,9 @@ pub fn pipeline(
 }
 
 /// One pipelined execution: the row-local kernels, prepared on the first
-/// batch that reaches them, and the head that builds the answer.
-struct Run<'r, 'a> {
+/// batch that reaches them, the head that builds the answer, and the
+/// chunker that hands it on.
+struct Run<'r, 'a, 's> {
     ctx: &'r EvalCtx<'a>,
     env: &'r Env,
     /// Outermost first; batches run through it innermost first.
@@ -162,35 +186,37 @@ struct Run<'r, 'a> {
     kernels: Vec<Option<RowOp<'a>>>,
     rows_out: &'r mut [u64],
     keyed: Option<KeyedTree<'a>>,
+    chunker: Chunker<'s>,
+    /// Whether a batch has run yet.
+    fed: bool,
 }
 
-impl<'a> Run<'_, 'a> {
-    /// Feeds `input` through the spine in batches of `batch_rows` rows
-    /// — at least one batch, so an empty input still reaches the head
-    /// and every kernel reports its errors as a whole-table run would.
-    fn batches(
-        &mut self,
-        input: Tab,
-        sink: &mut dyn BatchSink,
-        batch_rows: usize,
-    ) -> Result<DeliveryStats, EvalError> {
-        let root = self.keyed.as_ref().map(KeyedTree::root);
-        let mut chunker = Chunker::new(sink, batch_rows, root);
+impl<'a> Run<'_, 'a, '_> {
+    /// Feeds `input` — the source's answer, or the next piece of it —
+    /// through the spine in batches of `batch_rows` rows. The first
+    /// input runs even when empty, so an empty answer still reaches the
+    /// head and every kernel reports its errors as a whole-table run
+    /// would.
+    fn feed(&mut self, input: Tab) -> Result<(), EvalError> {
+        if input.is_empty() && self.fed {
+            return Ok(());
+        }
         let (columns, rows) = input.into_parts();
         let mut rows = rows.into_iter();
         loop {
             let batch = Tab::from_rows(
                 columns.clone(),
-                rows.by_ref().take(chunker.batch_rows).collect(),
+                rows.by_ref().take(self.chunker.batch_rows).collect(),
             );
             let out = self.spine_batch(batch)?;
             match &mut self.keyed {
-                Some(keyed) => keyed.run(&out, self.ctx.skolems, chunker.trees()),
-                None => chunker.rows(out)?,
+                Some(keyed) => keyed.run(&out, self.ctx.skolems, self.chunker.trees()),
+                None => self.chunker.rows(out)?,
             }
-            chunker.flush_full()?;
+            self.chunker.flush_full()?;
+            self.fed = true;
             if rows.len() == 0 {
-                return chunker.finish();
+                return Ok(());
             }
         }
     }

@@ -132,6 +132,15 @@ impl Tab {
         );
     }
 
+    /// Appends the rows of `more`, a table with the same columns.
+    pub fn append(&mut self, more: Tab) {
+        assert_eq!(
+            self.columns, more.columns,
+            "appended table has other columns"
+        );
+        self.rows.extend(more.rows);
+    }
+
     /// Takes ownership of the rows.
     pub fn into_rows(self) -> Vec<Vec<Value>> {
         self.rows

@@ -9,6 +9,11 @@
 //! come, interning each distinct tag once per frame ([`Symbols`]). No
 //! `Element` is built on either side.
 //!
+//! A wrapper's `<result>` can also cross in pieces of whole rows
+//! ([`ResultPieces`], [`ResultReader`]), so the mediator hands rows on
+//! before the whole frame has been written; the pieces are the frame's
+//! bytes, cut between rows.
+//!
 //! The `Element` path — [`tab_to_xml`](crate::tab_xml::tab_to_xml),
 //! `Response::to_xml`/`from_xml` and friends — stays as the reference.
 //! The codec writes exactly the bytes the reference writes and accepts or
@@ -78,27 +83,37 @@ fn missing(element: &str, what: &str) -> DecodeError {
 
 /// Writes `tab_to_xml(tab).to_xml()`.
 pub fn write_tab(tab: &Tab, out: &mut impl Out) {
-    out.push_str("<tab");
-    push_attribute(out, "cols", &tab.columns().join(" "));
+    write_tab_open(tab, out);
     if tab.is_empty() {
         out.push_str("/>");
         return;
     }
     out.push_str(">");
     for row in tab.rows() {
-        if row.is_empty() {
-            out.push_str("<row/>");
-            continue;
-        }
-        out.push_str("<row>");
-        for v in row {
-            out.push_str("<cell>");
-            write_value(v, out);
-            out.push_str("</cell>");
-        }
-        out.push_str("</row>");
+        write_row(row, out);
     }
     out.push_str("</tab>");
+}
+
+/// `<tab cols="…"`, up to the end of the start tag.
+fn write_tab_open(tab: &Tab, out: &mut impl Out) {
+    out.push_str("<tab");
+    push_attribute(out, "cols", &tab.columns().join(" "));
+}
+
+/// One `<row>` of a `<tab>`.
+fn write_row(row: &[Value], out: &mut impl Out) {
+    if row.is_empty() {
+        out.push_str("<row/>");
+        return;
+    }
+    out.push_str("<row>");
+    for v in row {
+        out.push_str("<cell>");
+        write_value(v, out);
+        out.push_str("</cell>");
+    }
+    out.push_str("</row>");
 }
 
 /// Writes `value_to_xml(v).to_xml()`.
@@ -147,6 +162,174 @@ pub fn write_result(tab: &Tab, out: &mut impl Out) {
     out.push_str("<result>");
     write_tab(tab, out);
     out.push_str("</result>");
+}
+
+/// A table's `<result>` frame, written in pieces of at most `rows` rows
+/// each so that the reading side ([`ResultReader`]) can hand rows on
+/// before the whole frame exists. Concatenated, the pieces are exactly
+/// the bytes of [`write_result`]: the first piece opens the frame
+/// (`<result><tab cols="…">`), the last one closes it (`</tab></result>`),
+/// every piece holds whole rows, and an empty table is one piece.
+pub struct ResultPieces<'t> {
+    tab: &'t Tab,
+    rows: usize,
+    /// The first row the next piece writes.
+    next: usize,
+    done: bool,
+}
+
+impl<'t> ResultPieces<'t> {
+    /// The pieces of `tab`'s frame, `rows` rows each (at least one).
+    pub fn new(tab: &'t Tab, rows: usize) -> Self {
+        ResultPieces {
+            tab,
+            rows: rows.max(1),
+            next: 0,
+            done: false,
+        }
+    }
+
+    /// Writes the next piece onto `out` and says whether it is the last
+    /// one; `None` once every piece has been written.
+    pub fn write_next(&mut self, out: &mut impl Out) -> Option<bool> {
+        if self.done {
+            return None;
+        }
+        let all = self.tab.raw_rows();
+        if all.is_empty() {
+            write_result(self.tab, out);
+            self.done = true;
+            return Some(true);
+        }
+        if self.next == 0 {
+            out.push_str("<result>");
+            write_tab_open(self.tab, out);
+            out.push_str(">");
+        }
+        let end = all.len().min(self.next + self.rows);
+        for row in &all[self.next..end] {
+            write_row(row, out);
+        }
+        self.next = end;
+        self.done = end == all.len();
+        if self.done {
+            out.push_str("</tab></result>");
+        }
+        Some(self.done)
+    }
+}
+
+/// Reads a `<result>` frame piece by piece, as [`ResultPieces`] cuts it:
+/// each piece yields the rows it completes, so they can be handed on
+/// while later pieces are still to come.
+///
+/// Read in order, the pieces give exactly what [`Response::decode`]
+/// gives for their concatenation — the same rows, or an error of the
+/// same kind — however they are cut or damaged. A piece is read only up
+/// to its last complete row; whatever follows (a row cut short, the
+/// frame's tail, any error) is kept and read again together with the
+/// next piece, and the last piece settles it exactly as the whole frame
+/// would: a syntax error anywhere after a message error still wins.
+/// Pieces cut between rows, as [`ResultPieces`] cuts them, leave
+/// nothing over.
+#[derive(Debug, Default)]
+pub struct ResultReader {
+    /// The frame's columns, once a row after its head has been read.
+    columns: Option<Vec<String>>,
+    /// Text after the last complete row, not yet settled.
+    carry: String,
+}
+
+impl ResultReader {
+    /// A reader at the start of a frame.
+    pub fn new() -> Self {
+        ResultReader::default()
+    }
+
+    /// Reads the next piece (`last` for the frame's final one). Returns
+    /// the rows the piece completed under the frame's columns — `None`
+    /// when it completed none yet — and, for the last piece, the rest of
+    /// the table or the error the whole frame decodes to.
+    pub fn read(&mut self, piece: &str, last: bool) -> Result<Option<Tab>, DecodeError> {
+        let joined;
+        let text = if self.carry.is_empty() {
+            piece
+        } else {
+            self.carry.push_str(piece);
+            joined = std::mem::take(&mut self.carry);
+            joined.as_str()
+        };
+        if last {
+            return self.settle(text).map(Some);
+        }
+        let (rows, rest) = self.complete_rows(text);
+        self.carry = text[rest..].to_string();
+        Ok(rows)
+    }
+
+    /// The complete rows at the start of `text`, and the offset after the
+    /// last of them (0 when none).
+    fn complete_rows(&mut self, text: &str) -> (Option<Tab>, usize) {
+        let (reader, columns) = match &self.columns {
+            Some(columns) => (Reader::within(text, &["result", "tab"]), columns.clone()),
+            None => match Decoder::result_head(text) {
+                Some(head) => head,
+                None => return (None, 0),
+            },
+        };
+        let mut d = Decoder {
+            reader,
+            symbols: Symbols::default(),
+        };
+        let mut tab = Tab::new(columns);
+        let mut settled = 0;
+        // stop at the end of the piece, at the end of the table and at
+        // the first error alike: what follows the last complete row is
+        // read again with more text
+        while d.reader.offset() < text.len() {
+            let complete = match d.reader.next() {
+                Ok(Event::Start("row")) => d.row(tab.columns().len()).map(|row| tab.push(row)),
+                Ok(Event::Start(_)) => d.reader.skip_element().map_err(DecodeError::from),
+                Ok(Event::End(_) | Event::Eof) | Err(_) => break,
+                Ok(_) => continue,
+            };
+            match complete {
+                Ok(()) => settled = d.reader.offset(),
+                Err(_) => break,
+            }
+        }
+        if settled == 0 {
+            return (None, 0);
+        }
+        if self.columns.is_none() {
+            self.columns = Some(tab.columns().to_vec());
+        }
+        (Some(tab), settled)
+    }
+
+    /// Reads `text` — the frame from the last complete row on, or all of
+    /// it — to its end, as [`Response::decode`] reads a whole frame.
+    fn settle(&mut self, text: &str) -> Result<Tab, DecodeError> {
+        let Some(columns) = self.columns.take() else {
+            return match Response::decode(text)? {
+                Response::Result(tab) => Ok(tab),
+                other => Err(malformed(format!(
+                    "expected a <result> frame, found {other:?}"
+                ))),
+            };
+        };
+        let d = Decoder {
+            reader: Reader::within(text, &["result", "tab"]),
+            symbols: Symbols::default(),
+        };
+        // `decode` reads the rest of <result> after the table, as
+        // `first_child` and `finish` read it in a whole frame
+        d.decode(|d| {
+            let mut tab = Tab::new(columns);
+            d.rows(&mut tab)?;
+            Ok(tab)
+        })
+    }
 }
 
 /// The body an `<answer>` or `<answer-chunk>` carries.
@@ -360,40 +543,73 @@ impl<'a> Decoder<'a> {
         if name != "tab" {
             return Err(malformed(format!("expected <tab>, found <{name}>")));
         }
-        let cols: Vec<String> = self
-            .reader
-            .attr("cols")
-            .unwrap_or("")
-            .split_whitespace()
-            .map(str::to_string)
-            .collect();
-        let mut tab = Tab::new(cols);
+        let mut tab = Tab::new(Decoder::columns(&self.reader));
+        self.rows(&mut tab)?;
+        Ok(tab)
+    }
+
+    /// The rows of a `<tab>` just started, through its end tag.
+    fn rows(&mut self, tab: &mut Tab) -> Result<(), DecodeError> {
         self.each_child(|d, name| {
             if name != "row" {
                 return Ok(d.reader.skip_element()?);
             }
-            let mut values = Vec::with_capacity(tab.columns().len());
-            d.each_child(|d, name| {
-                if name != "cell" {
-                    return Ok(d.reader.skip_element()?);
-                }
-                let value = d
-                    .first_child(Decoder::value)?
-                    .ok_or_else(|| malformed("<cell> is empty"))?;
-                values.push(value);
-                Ok(())
-            })?;
-            if values.len() != tab.columns().len() {
-                return Err(malformed(format!(
-                    "row arity {} does not match {} columns",
-                    values.len(),
-                    tab.columns().len()
-                )));
+            tab.push(d.row(tab.columns().len())?);
+            Ok(())
+        })
+    }
+
+    /// The cells of a `<row>` just started, through its end tag; `width`
+    /// is the table's column count.
+    fn row(&mut self, width: usize) -> Result<Vec<Value>, DecodeError> {
+        let mut values = Vec::with_capacity(width);
+        self.each_child(|d, name| {
+            if name != "cell" {
+                return Ok(d.reader.skip_element()?);
             }
-            tab.push(values);
+            let value = d
+                .first_child(Decoder::value)?
+                .ok_or_else(|| malformed("<cell> is empty"))?;
+            values.push(value);
             Ok(())
         })?;
-        Ok(tab)
+        if values.len() != width {
+            return Err(malformed(format!(
+                "row arity {} does not match {width} columns",
+                values.len(),
+            )));
+        }
+        Ok(values)
+    }
+
+    /// Reads a `<result>` frame up to the start tag of its table, as
+    /// [`Decoder::result`] does: the reader inside the `<tab>`, and its
+    /// columns. `None` when the text does not get that far, or the frame
+    /// is not a `<result>` whose first child is a `<tab>`.
+    fn result_head(text: &str) -> Option<(Reader<'_>, Vec<String>)> {
+        let (mut d, root) = Decoder::open(text).ok()?;
+        if root != "result" {
+            return None;
+        }
+        loop {
+            match d.reader.next().ok()? {
+                Event::Start("tab") => break,
+                Event::Start(_) | Event::End(_) | Event::Eof => return None,
+                _ => {}
+            }
+        }
+        let columns = Decoder::columns(&d.reader);
+        Some((d.reader, columns))
+    }
+
+    /// The columns of the `<tab>` just started.
+    fn columns(reader: &Reader<'_>) -> Vec<String> {
+        reader
+            .attr("cols")
+            .unwrap_or("")
+            .split_whitespace()
+            .map(str::to_string)
+            .collect()
     }
 
     /// What `value_from_xml` reads from the element `name` just started.

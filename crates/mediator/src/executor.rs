@@ -18,7 +18,7 @@
 //! and partition pruning preserved (see `ship_bindings`).
 
 use crate::compose::mediator_side_sources;
-use crate::transport::Connection;
+use crate::transport::{Connection, Cut};
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -952,12 +952,7 @@ fn ship_to_member(
         *batches += 1;
         match conn.call_traced(&request, fed.obs) {
             Ok(Response::Result(tab)) => Ok(tab),
-            Ok(Response::Error(m)) => Err(failure(m)),
-            Ok(Response::Refused(reason)) => Err(EvalError::Refused {
-                source: member.to_string(),
-                reason,
-            }),
-            Ok(other) => Err(failure(format!("unexpected response {other:?}"))),
+            Ok(other) => Err(push_failure(member, other)),
             Err(e) => Err(failure(e.to_string())),
         }
     };
@@ -1012,6 +1007,91 @@ fn ship_to_member(
         .into_iter()
         .map(|t| t.expect("every binding belongs to one shape"))
         .collect())
+}
+
+/// The failure a wrapper's answer other than a table stands for, when
+/// `member` was asked to run a pushed plan.
+fn push_failure(member: &str, response: Response) -> EvalError {
+    let message = match response {
+        Response::Refused(reason) => {
+            return EvalError::Refused {
+                source: member.to_string(),
+                reason,
+            }
+        }
+        Response::Error(message) => message,
+        other => format!("unexpected response {other:?}"),
+    };
+    EvalError::Function {
+        name: member.to_string(),
+        message,
+    }
+}
+
+/// Streams the answer of a fragment that substitutes nothing from
+/// `source` — a plain source or member, or a replica group — handing it
+/// to `each` piece by piece as it crosses the wire. A replica group
+/// fails over across its executing members in cost order, as
+/// [`ship_bindings`] does, while nothing has been handed on yet; once a
+/// piece has gone downstream, a failure fails the answer.
+fn stream_push(
+    source: &str,
+    plan: &Arc<Alg>,
+    fed: &FedCtx<'_>,
+    piece_rows: usize,
+    each: &mut dyn FnMut(Tab) -> Result<(), EvalError>,
+) -> Result<(), EvalError> {
+    let members = match fed.registry.group_kind(source) {
+        Some(GroupKind::Replicated) => fed.registry.replicas_in_cost_order(source, true),
+        _ => vec![source.to_string()],
+    };
+    let mut first_err: Option<EvalError> = None;
+    for member in &members {
+        let mut handed = false;
+        let streamed = stream_from_member(member, plan, fed, piece_rows, &mut |piece| {
+            handed = true;
+            each(piece)
+        });
+        match streamed {
+            Ok(()) => return Ok(()),
+            Err(e) if handed => return Err(e),
+            Err(e) => {
+                first_err.get_or_insert(e);
+            }
+        }
+    }
+    Err(first_err.unwrap_or_else(|| EvalError::Function {
+        name: source.to_string(),
+        message: "no executable replica in group".into(),
+    }))
+}
+
+/// One `execute` of `plan` at a concrete wrapper, its result handed to
+/// `each` piece by piece ([`Connection::call_pieces`]).
+fn stream_from_member(
+    member: &str,
+    plan: &Arc<Alg>,
+    fed: &FedCtx<'_>,
+    piece_rows: usize,
+    each: &mut dyn FnMut(Tab) -> Result<(), EvalError>,
+) -> Result<(), EvalError> {
+    let conn = fed
+        .connections
+        .get(member)
+        .ok_or_else(|| EvalError::UnknownSource {
+            source: Some(member.to_string()),
+            name: "<push>".into(),
+        })?;
+    let request = Request::Execute { plan: plan.clone() };
+    match conn.call_pieces(&request, fed.obs, piece_rows, each) {
+        Ok(None) => Ok(()),
+        Ok(Some(other)) => Err(push_failure(member, other)),
+        Err(Cut::Wire(e)) => Err(EvalError::Function {
+            name: member.to_string(),
+            message: e.to_string(),
+        }),
+        Err(Cut::Consumer(e)) => Err(e),
+    }
 }
 
 /// Documents fetched for this execution: a shared forest addressed by
@@ -1127,6 +1207,60 @@ impl<'a> PushHandler for Pusher<'a> {
                 .collect(),
             batches,
         })
+    }
+
+    /// A fragment that substitutes nothing, sent to a plain source or a
+    /// replica group, streams ([`stream_push`]): its result crosses in
+    /// pieces of `rows` rows and each goes to `each` as it is read. The
+    /// cache is consulted first, as for any push, and stores the answer
+    /// only once its last piece has arrived. Every other push — a
+    /// partition group, information-passing bindings, a fragment the
+    /// scatter step already shipped — arrives whole, as one piece.
+    fn execute_push_pieces(
+        &self,
+        source: &str,
+        plan: &Arc<Alg>,
+        env: &Env,
+        rows: usize,
+        each: &mut dyn FnMut(Tab) -> Result<(), EvalError>,
+    ) -> Result<(), EvalError> {
+        let fed = &self.fed;
+        let bindings = PassedBindings::single(plan, env);
+        let fragment = PassedFragment::new(plan, &bindings);
+        let partitioned = fed.registry.group_kind(source) == Some(GroupKind::Partitioned);
+        if partitioned || !fragment.is_symbolic(0) || !self.pushed.is_empty() {
+            return each(self.execute_push(source, plan, env)?);
+        }
+        let epoch = fed.epoch_of(source);
+        let sig = fed
+            .cache
+            .policy()
+            .is_enabled()
+            .then(|| Signature::execute(source, fragment.plan_of(0)));
+        if let Some(sig) = sig {
+            match fed.cache.lookup(sig, source, epoch, fed.obs) {
+                Some(CachedAnswer::Result(tab)) => {
+                    fed.observe_cache(source, true);
+                    return each(tab);
+                }
+                _ => fed.observe_cache(source, false),
+            }
+        }
+        let mut kept: Option<Tab> = None;
+        stream_push(source, plan, fed, rows, &mut |piece| {
+            if sig.is_some() {
+                match &mut kept {
+                    Some(tab) => tab.append(piece.clone()),
+                    None => kept = Some(piece.clone()),
+                }
+            }
+            each(piece)
+        })?;
+        if let (Some(sig), Some(tab)) = (sig, kept) {
+            fed.cache
+                .insert(sig, source, epoch, CachedAnswer::Result(tab), fed.obs);
+        }
+        Ok(())
     }
 }
 

@@ -1922,3 +1922,49 @@ fn explain_shows_federation_members() {
         "{xml}"
     );
 }
+
+#[test]
+fn a_response_that_fails_after_chunk_0_fails_the_stream_and_stores_nothing() {
+    use crate::executor::StreamPolicy;
+    use crate::transport::Fault;
+    use yat_algebra::CollectSink;
+
+    // the scan's `<result>` crosses in pieces of four rows; the damage is
+    // in its last piece, so chunk 0 has left by the time it is read
+    let mut m = generated_mediator(10, 40, 7);
+    m.set_cache_policy(CachePolicy::bounded());
+    m.set_stream_policy(StreamPolicy {
+        batch_rows: 4,
+        max_pending: 4,
+    });
+    let scan = "MAKE out *($t) := r [ $t ] MATCH works WITH works *work [ title: $t ]";
+    let plan = m.plan_query(scan).unwrap();
+    let (opt, _) = m.optimize(&plan, OptimizerOptions::default());
+    let before = m.traffic_of("xmlartwork").unwrap();
+
+    m.connection("xmlartwork")
+        .unwrap()
+        .inject_fault(Fault::CorruptResponse);
+    let mut sink = CollectSink::new();
+    let err = m.execute_stream(&opt, &mut sink).unwrap_err().to_string();
+    assert!(sink.chunks >= 1, "chunk 0 left before the damage was read");
+    assert!(
+        err.contains("xmlartwork") && err.contains("did not survive the wire"),
+        "{err}"
+    );
+    assert_eq!(
+        m.traffic_of("xmlartwork").unwrap(),
+        before,
+        "meter untouched"
+    );
+    assert!(m.cache().is_empty(), "no entry from a cut trip");
+
+    // the fault was one-shot: the stream now completes, equals the
+    // materialized answer and leaves the scan's rows in the cache
+    let mut sink = CollectSink::new();
+    m.execute_stream(&opt, &mut sink).unwrap();
+    assert_eq!(m.cache().len(), 1);
+    assert!(m.traffic_of("xmlartwork").unwrap().round_trips > before.round_trips);
+    m.set_cache_policy(CachePolicy::Off);
+    assert_eq!(sink.into_answer(), Some(m.execute(&opt).unwrap()));
+}

@@ -8,16 +8,22 @@
 //! serialized XML text which is parsed again on the other side — exactly
 //! the work a networked deployment would do — and a [`Meter`] accumulates
 //! the traffic. Data responses (`<document>`, `<result>`) cross through
-//! the DOM-free [`yat_capability::codec`]; requests, interfaces and
-//! errors through the `Element` path. When a [`yat_obs::Collector`] is attached
+//! the DOM-free [`yat_capability::codec`] — a `<result>` in pieces of
+//! whole rows, each read and handed on before the next is written —
+//! and requests, interfaces and errors through the `Element` path. When
+//! a [`yat_obs::Collector`] is attached
 //! ([`Connection::call_traced`]) each round trip additionally records an
 //! `rpc` span carrying the request kind and the same byte/document
 //! counts, nested under whatever operator span is currently open.
 
+use crate::policy::StreamPolicy;
+use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
+use yat_algebra::Tab;
+use yat_capability::codec::{DecodeError, ResultPieces, ResultReader};
 use yat_capability::protocol::{Request, Response, WrapperServer};
 use yat_capability::xml::WireError;
 use yat_obs::{attr, kind, AttrValue, Collector};
@@ -158,7 +164,9 @@ impl Latency {
 pub(crate) enum Fault {
     /// Mangle the serialized request before the wrapper parses it.
     CorruptRequest,
-    /// Mangle the serialized response before the mediator parses it.
+    /// Mangle the serialized response before the mediator parses it —
+    /// for a `<result>`, its last piece, so earlier pieces have been
+    /// handed on by the time the damage is read.
     CorruptResponse,
 }
 
@@ -313,11 +321,58 @@ impl Connection {
     /// trip records an `rpc` span labeled `<request-kind> @<wrapper>`
     /// (plus a pushed fragment's element set) with the wrapper's name,
     /// bytes each way and documents received, or the wire error.
+    ///
+    /// A `<result>` crosses in pieces of
+    /// [`StreamPolicy::DEFAULT_BATCH_ROWS`] rows, which are put back
+    /// together into one table: a result is read the one way a streamed
+    /// answer reads it, piece by piece.
     pub fn call_traced(
         &self,
         request: &Request,
         obs: Option<&Collector>,
     ) -> Result<Response, WireError> {
+        let mut whole: Option<Tab> = None;
+        let collect = &mut |piece: Tab| -> Result<(), Infallible> {
+            match &mut whole {
+                Some(tab) => tab.append(piece),
+                None => whole = Some(piece),
+            }
+            Ok(())
+        };
+        match self.call_pieces(request, obs, StreamPolicy::DEFAULT_BATCH_ROWS, collect) {
+            Ok(Some(response)) => Ok(response),
+            Ok(None) => Ok(Response::Result(
+                whole.expect("a result crosses in at least one piece"),
+            )),
+            Err(Cut::Wire(e)) => Err(e),
+            Err(Cut::Consumer(never)) => match never {},
+        }
+    }
+
+    /// [`Connection::call_traced`] with the answer handed on as it
+    /// crosses. The wrapper answers whole; a `<result>` is then written
+    /// and read `piece_rows` rows at a time, and each piece's table goes
+    /// to `each` before the next piece is written. Returns `None` when
+    /// the answer was a result — all of it went to `each` — and any
+    /// other response whole.
+    ///
+    /// The wrapper's verdict (an error, a refusal, a panic, a timeout)
+    /// is known before the first piece is written. A trip that fails
+    /// after that, or that `each` refuses, leaves the meter untouched, as
+    /// a failed trip always does; its `rpc` span records the error and
+    /// the rows handed on before it. A refusal by `each` is not the
+    /// source's failure, so the cost record does not see it. The span
+    /// and the cost record's latency leave out the time spent in `each`.
+    pub(crate) fn call_pieces<E>(
+        &self,
+        request: &Request,
+        obs: Option<&Collector>,
+        piece_rows: usize,
+        each: &mut dyn FnMut(Tab) -> Result<(), E>,
+    ) -> Result<Option<Response>, Cut<E>>
+    where
+        E: std::fmt::Display,
+    {
         let mut span = obs.map(|c| {
             let mut span = c.span(kind::RPC, self.rpc_label(request));
             span.record_str(attr::SOURCE, self.name());
@@ -325,8 +380,12 @@ impl Connection {
         });
         self.in_flight.fetch_add(1, Ordering::SeqCst);
         let started = std::time::Instant::now();
-        let outcome = self.round_trip(request);
-        let elapsed = started.elapsed();
+        let mut handed = Handed::default();
+        let outcome = self.round_trip(request, piece_rows, each, &mut handed);
+        let elapsed = started.elapsed().saturating_sub(handed.time);
+        if let Some(span) = span.as_mut() {
+            span.exclude(handed.time);
+        }
         self.in_flight.fetch_sub(1, Ordering::SeqCst);
         // Index and storage accounting travel out-of-band: the wrapper
         // files a report per request under the calling thread, and the
@@ -352,7 +411,7 @@ impl Connection {
                 // source: the cost record must see it, or a member that
                 // answers every data request with an error would never
                 // trip quarantine.
-                let ok = !matches!(response, Response::Error(_) | Response::Refused(_));
+                let ok = !matches!(response, Some(Response::Error(_) | Response::Refused(_)));
                 let executed = matches!(
                     request,
                     Request::Execute { .. } | Request::ExecuteBatch { .. }
@@ -395,12 +454,19 @@ impl Connection {
                 observe(sent + received, ok);
                 Ok(response)
             }
-            Err(e) => {
+            Err(cut) => {
                 if let Some(span) = span.as_mut() {
-                    span.record_str(attr::ERROR, e.to_string());
+                    span.record_str(attr::ERROR, cut.to_string());
+                    if handed.rows > 0 {
+                        span.record_u64(attr::DOCUMENTS, handed.rows);
+                    }
                 }
-                observe(0, false);
-                Err(e)
+                // a consumer that stops reading says nothing about the
+                // source
+                if let Cut::Wire(_) = cut {
+                    observe(0, false);
+                }
+                Err(cut)
             }
         }
     }
@@ -408,7 +474,13 @@ impl Connection {
     /// The wire itself. Nothing is metered here: a failed round trip
     /// must leave the [`Meter`] untouched so its totals only ever count
     /// traffic that actually produced a response.
-    fn round_trip(&self, request: &Request) -> Result<(Response, u64, u64, u64), WireError> {
+    fn round_trip<E>(
+        &self,
+        request: &Request,
+        piece_rows: usize,
+        each: &mut dyn FnMut(Tab) -> Result<(), E>,
+        handed: &mut Handed,
+    ) -> Result<(Option<Response>, u64, u64, u64), Cut<E>> {
         #[allow(unused_mut)]
         let mut request_text = request.to_xml().to_xml();
         #[cfg(test)]
@@ -428,10 +500,10 @@ impl Connection {
             match timeout {
                 Some(deadline) if delay > deadline => {
                     std::thread::sleep(deadline);
-                    return Err(WireError::Timeout(format!(
+                    return Err(Cut::Wire(WireError::Timeout(format!(
                         "request to `{}` timed out after {deadline:?}",
                         self.name()
-                    )));
+                    ))));
                 }
                 _ => std::thread::sleep(delay),
             }
@@ -452,26 +524,86 @@ impl Connection {
                     .unwrap_or_else(|| "unknown panic".into());
                 WireError::Remote(format!("wrapper `{}` panicked: {msg}", self.name()))
             })?;
-        let mut response_text = String::new();
-        response.encode(&mut response_text);
         // -------------------------------------------------------------------
+        let survive = |e: DecodeError| Cut::Wire(e.in_context("response did not survive the wire"));
 
-        #[cfg(test)]
-        if fault == Some(Fault::CorruptResponse) {
-            corrupt(&mut response_text);
-        }
-        let received = response_text.len() as u64;
-        let response = Response::decode(&response_text)
-            .map_err(|e| e.in_context("response did not survive the wire"))?;
-        let documents = match &response {
-            // a fetched collection counts its member documents — the unit
-            // the paper's conversion overhead scales with
-            Response::Document { tree, .. } => (tree.children.len() as u64).max(1),
-            Response::Result(tab) => tab.len() as u64,
-            _ => 0,
+        let Response::Result(tab) = response else {
+            let mut response_text = String::new();
+            response.encode(&mut response_text);
+            #[cfg(test)]
+            if fault == Some(Fault::CorruptResponse) {
+                corrupt(&mut response_text);
+            }
+            let received = response_text.len() as u64;
+            let response = Response::decode(&response_text).map_err(survive)?;
+            let documents = match &response {
+                // a fetched collection counts its member documents — the
+                // unit the paper's conversion overhead scales with
+                Response::Document { tree, .. } => (tree.children.len() as u64).max(1),
+                _ => 0,
+            };
+            return Ok((Some(response), sent, received, documents));
         };
-        Ok((response, sent, received, documents))
+
+        // A result crosses piece by piece: each piece is written, read and
+        // handed on before the next is written, so the consumer's first
+        // rows wait for one piece's wire work, not the whole answer's.
+        let mut pieces = ResultPieces::new(&tab, piece_rows);
+        let mut reader = ResultReader::new();
+        let mut piece = String::new();
+        let mut received = 0;
+        while let Some(last) = pieces.write_next(&mut piece) {
+            #[cfg(test)]
+            if last && fault == Some(Fault::CorruptResponse) {
+                corrupt(&mut piece);
+            }
+            received += piece.len() as u64;
+            let rows = reader.read(&piece, last).map_err(survive)?;
+            piece.clear();
+            if let Some(rows) = rows {
+                handed.rows += rows.len() as u64;
+                let consumer = std::time::Instant::now();
+                let consumed = each(rows);
+                handed.time += consumer.elapsed();
+                consumed.map_err(Cut::Consumer)?;
+            }
+        }
+        Ok((None, sent, received, handed.rows))
     }
+}
+
+/// Why a round trip that hands its answer on in pieces
+/// ([`Connection::call_pieces`]) stopped.
+#[derive(Debug)]
+pub(crate) enum Cut<E> {
+    /// The wire or the wrapper failed.
+    Wire(WireError),
+    /// The consumer refused a piece.
+    Consumer(E),
+}
+
+impl<E: std::fmt::Display> std::fmt::Display for Cut<E> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Cut::Wire(e) => e.fmt(f),
+            Cut::Consumer(e) => write!(f, "answer cut by its consumer: {e}"),
+        }
+    }
+}
+
+impl<E> From<WireError> for Cut<E> {
+    fn from(e: WireError) -> Self {
+        Cut::Wire(e)
+    }
+}
+
+/// What a round trip handed on in pieces so far.
+#[derive(Debug, Default)]
+struct Handed {
+    /// Rows handed on.
+    rows: u64,
+    /// Time spent in the consumer.
+    time: std::time::Duration,
 }
 
 /// Truncates mid-element so the text is no longer well-formed XML.

@@ -100,6 +100,13 @@ impl FirstSeen {
         }
     }
 
+    /// Makes room for `n` more groups, so numbering the next `n` items
+    /// does not grow the table item by item.
+    pub fn reserve(&mut self, n: usize) {
+        self.heads.reserve(n);
+        self.next_same.reserve(n);
+    }
+
     /// Groups numbered so far.
     pub fn len(&self) -> usize {
         self.next_same.len()

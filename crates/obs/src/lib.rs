@@ -357,6 +357,7 @@ impl Collector {
             collector: self,
             id,
             start: Instant::now(),
+            excluded: Duration::ZERO,
             buffered: Vec::new(),
         }
     }
@@ -446,6 +447,8 @@ pub struct Span<'a> {
     collector: &'a Collector,
     id: usize,
     start: Instant,
+    /// Time inside the span that its recorded duration leaves out.
+    excluded: Duration,
     // attrs buffer locally so recording does not take the lock
     buffered: Vec<(&'static str, AttrValue)>,
 }
@@ -471,6 +474,13 @@ impl Span<'_> {
         self.pending().push((name, AttrValue::Str(value.into())));
     }
 
+    /// Leaves `time` out of the duration recorded at close: time spent
+    /// inside the span on work that is not its own, such as a consumer
+    /// handed pieces of the span's answer while it is still open.
+    pub fn exclude(&mut self, time: Duration) {
+        self.excluded += time;
+    }
+
     fn pending(&mut self) -> &mut Vec<(&'static str, AttrValue)> {
         &mut self.buffered
     }
@@ -479,7 +489,8 @@ impl Span<'_> {
 impl Drop for Span<'_> {
     fn drop(&mut self) {
         let attrs = std::mem::take(&mut self.buffered);
-        self.collector.close(self.id, self.start.elapsed(), attrs);
+        let elapsed = self.start.elapsed().saturating_sub(self.excluded);
+        self.collector.close(self.id, elapsed, attrs);
     }
 }
 

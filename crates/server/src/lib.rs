@@ -29,7 +29,7 @@ mod client;
 mod server;
 
 pub use client::{Client, StreamedReply};
-pub use server::{Server, ServerConfig, ServerHandle, SPAN_LOG_CAP};
+pub use server::{Server, ServerConfig, ServerHandle, SPAN_LOG_CAP, WRITE_TIMEOUT};
 
 #[cfg(test)]
 mod tests;

@@ -26,10 +26,13 @@
 //! sender is dropped so workers exit once the backlog is empty, and the
 //! `Bye` reply reports how many queries were still in the house when
 //! the drain began. A query leaves the house only once its connection
-//! thread has written its whole reply, materialized or streamed.
+//! thread has written its whole reply, materialized or streamed — or
+//! given up on a client that stopped reading: a write that makes no
+//! progress for [`WRITE_TIMEOUT`] closes the connection and retires the
+//! query. Reads have no timeout; a connection may idle between requests.
 
 use std::cell::Cell;
-use std::io::{self};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -58,6 +61,18 @@ const _: () = {
 /// looking at recent requests, and an unbounded one grows by every query
 /// a long-running server ever served.
 pub const SPAN_LOG_CAP: usize = 1024;
+
+/// How long one write of a reply may block on a client that reads
+/// nothing before the connection is closed. Without it a client that
+/// stops reading a reply larger than the socket buffers would keep a
+/// worker — and any drain — waiting forever. A client that reads
+/// slowly but steadily is not cut: the limit applies to each 256 KiB
+/// slice of a reply, not to the whole reply.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(3);
+
+/// The most one reply `write` hands the socket at once, so that a call
+/// blocks only until the client has made room for one slice.
+const WRITE_SLICE: usize = 256 << 10;
 
 /// Tuning knobs for one [`Server`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -331,6 +346,12 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
 /// Reads frames off one client connection until it closes (or the
 /// framing breaks beyond recovery).
 fn serve_connection(shared: &Shared, stream: TcpStream) {
+    // a reply write that times out fails like any broken write: a
+    // materialized reply still acks its worker, a streamed one drops its
+    // channels and so stops its producer, and the connection closes
+    if stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err() {
+        return;
+    }
     let Ok(mut reader) = stream.try_clone() else {
         return;
     };
@@ -568,7 +589,7 @@ pub(crate) fn stream_reply(
             StreamEvent::Chunk(frame) => {
                 chunks += 1;
                 bytes += frame.len() as u64;
-                if let Err(e) = framing::write_frame(writer, &frame) {
+                if let Err(e) = write_reply_frame(writer, &frame) {
                     span.record_str(attr::ERROR, e.to_string());
                     return Err(e);
                 }
@@ -577,7 +598,7 @@ pub(crate) fn stream_reply(
                 bytes += frame.len() as u64;
                 span.record_u64(attr::CHUNKS, chunks);
                 span.record_u64(attr::BYTES_SENT, bytes);
-                let result = framing::write_frame(writer, &frame);
+                let result = write_reply_frame(writer, &frame);
                 if let Err(e) = &result {
                     span.record_str(attr::ERROR, e.to_string());
                 }
@@ -591,13 +612,45 @@ pub(crate) fn stream_reply(
     }
 }
 
+/// Writes one reply frame, giving up on a client that stopped reading.
+fn write_reply_frame(writer: &mut TcpStream, frame: &str) -> Result<(), WireError> {
+    framing::write_frame(&mut Impatient(writer), frame)
+}
+
+/// A reply writer that gives up on a client that stopped reading. Each
+/// `write` hands the socket at most [`WRITE_SLICE`] bytes, and the
+/// socket's [`WRITE_TIMEOUT`] ends a call that cannot place them. A call
+/// that ran into the timeout fails even when it placed part of its slice
+/// (the socket then returns the short count): a client that needs longer
+/// than the timeout to make room for one slice has stopped reading.
+struct Impatient<'s>(&'s mut TcpStream);
+
+impl io::Write for Impatient<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let slice = &buf[..buf.len().min(WRITE_SLICE)];
+        let started = Instant::now();
+        let placed = self.0.write(slice)?;
+        if placed < slice.len() && started.elapsed() >= WRITE_TIMEOUT {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!("the client read nothing for {WRITE_TIMEOUT:?}"),
+            ));
+        }
+        Ok(placed)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.0.flush()
+    }
+}
+
 /// Writes one reply frame under a `respond` span.
 fn respond(shared: &Shared, writer: &mut TcpStream, reply: &ServerReply) -> Result<(), WireError> {
     let mut span = shared.obs.span(kind::SERVER, "respond");
     let mut text = String::new();
     reply.encode(&mut text);
     span.record_u64(attr::BYTES_SENT, text.len() as u64);
-    let result = framing::write_frame(writer, &text);
+    let result = write_reply_frame(writer, &text);
     if let Err(e) = &result {
         span.record_str(attr::ERROR, e.to_string());
     }

@@ -2,7 +2,7 @@
 //! clients, the paper's cultural-goods federation behind it.
 
 use crate::client::{read_streamed_reply, StreamedReply};
-use crate::{Client, Server, ServerConfig};
+use crate::{Client, Server, ServerConfig, WRITE_TIMEOUT};
 use std::collections::BTreeMap;
 use std::io::{Cursor, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -432,6 +432,76 @@ fn a_drain_waits_until_a_materialized_reply_is_written() {
         );
     });
     assert_eq!(handle.stats().served, 1);
+}
+
+/// Sends [`WORKS_SCAN`] on a raw socket that will never read its reply,
+/// and waits until the answer is built, so only its write is left.
+fn stalled_reader(handle: &crate::ServerHandle, stream: bool) -> TcpStream {
+    let executed = |spans: &[yat_obs::SpanData]| {
+        spans
+            .iter()
+            .filter(|s| s.label == "execute" && (s.closed || stream))
+            .count()
+    };
+    let before = executed(&handle.spans());
+    let mut socket = TcpStream::connect(handle.addr()).expect("client connects");
+    let request = ClientRequest::Query {
+        text: WORKS_SCAN.to_string(),
+        deadline_ms: None,
+        stream,
+    };
+    framing::write_frame(&mut socket, &request.to_xml().to_xml()).expect("request is written");
+    wait_until("the stalled query executed", || {
+        executed(&handle.spans()) > before
+    });
+    socket
+}
+
+#[test]
+fn a_client_that_stops_reading_does_not_pin_the_only_worker() {
+    let config = ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let handle = Server::spawn(oversized_titles(), config).expect("server binds");
+    let _stalled = stalled_reader(&handle, false);
+    // the one worker waits on the stalled reply's write; a second
+    // client's query needs it back
+    let (tx, rx) = channel();
+    let addr = handle.addr();
+    std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("client connects");
+        let _ = tx.send(client.query(
+            "MAKE out *($t2) := r [ $t2 ] MATCH works WITH works *work [ title: $t2 ] \
+             WHERE $t2 = \"none\"",
+        ));
+    });
+    let patience = 2 * WRITE_TIMEOUT;
+    match rx.recv_timeout(patience) {
+        Ok(Ok(ServerReply::Answer { .. })) => {}
+        Ok(other) => panic!("the second client got {other:?}"),
+        Err(_) => panic!("the second client was not answered within {patience:?}"),
+    }
+}
+
+#[test]
+fn a_drain_with_never_reading_clients_returns_within_the_write_timeout() {
+    let handle = Server::spawn(oversized_titles(), ServerConfig::default()).expect("server binds");
+    // one materialized and one streamed reply that nobody reads
+    let _materialized = stalled_reader(&handle, false);
+    let _streamed = stalled_reader(&handle, true);
+    // a drain that waits forever must fail the test, not hang it
+    let handle = std::sync::Arc::new(handle);
+    let (tx, rx) = channel();
+    let draining = handle.clone();
+    std::thread::spawn(move || {
+        let _ = tx.send(draining.shutdown());
+    });
+    let patience = 2 * WRITE_TIMEOUT;
+    match rx.recv_timeout(patience) {
+        Ok(drained) => assert_eq!(drained, 2, "both stalled queries were in the house"),
+        Err(_) => panic!("the drain did not return within {patience:?}"),
+    }
 }
 
 #[test]
@@ -1285,6 +1355,63 @@ fn hundred_thousand_row_answers_stream_with_bounded_gather() {
     assert!(
         bound.iter().all(|&rows| rows <= budget),
         "Bind spans bound {bound:?} rows before chunk 0 was refused (budget {budget})"
+    );
+}
+
+#[test]
+fn sequential_scans_decode_the_wrapper_answer_piece_by_piece() {
+    // the wire half of the pipeline: under the sequential executor the
+    // pushed scan is the pipeline's source, and the wrapper's `<result>`
+    // crosses in pieces of `batch_rows` rows, each handed on before the
+    // next is written. A sink that refuses chunk 0 therefore stops the
+    // trip after at most two pieces, which its `rpc` span reports.
+    let mut mediator = works_federation(20_000, 8);
+    mediator.set_cache_policy(yat_mediator::CachePolicy::Off);
+    mediator.set_exec_mode(ExecMode::Sequential);
+    let plan = mediator.plan_query(WORKS_SCAN).expect("query plans");
+    let (optimized, _) = mediator.optimize(&plan, OptimizerOptions::default());
+
+    let expected = mediator.execute(&optimized).expect("materialized answer");
+    let mut sink = CollectSink::new();
+    let stats = mediator
+        .execute_stream(&optimized, &mut sink)
+        .expect("streamed answer");
+    assert!(stats.rows >= 20_000, "answer has {} rows", stats.rows);
+    assert_eq!(
+        ServerReply::answer(sink.into_answer().expect("an answer"))
+            .to_xml()
+            .to_xml(),
+        ServerReply::answer(expected).to_xml().to_xml(),
+        "the piecewise answer is byte-identical to the materialized one"
+    );
+
+    let before = mediator
+        .traffic_of("xmlartwork")
+        .expect("the source is metered");
+    let refused = yat_obs::Collector::new();
+    let err = mediator
+        .execute_stream_traced(&optimized, &mut Refusing, Some(&refused))
+        .expect_err("the sink refuses chunk 0");
+    assert!(err.to_string().contains("chunk 0 refused"), "{err}");
+    let spans = refused.spans();
+    let rpc = spans
+        .iter()
+        .find(|s| s.kind == kind::RPC && s.label.starts_with("execute @xmlartwork"))
+        .expect("the scan is pushed to the Wais wrapper");
+    let decoded = rpc
+        .attr(attr::DOCUMENTS)
+        .and_then(|v| v.as_u64())
+        .expect("a cut trip reports the rows it handed on");
+    let budget = 2 * StreamPolicy::DEFAULT_BATCH_ROWS as u64;
+    assert!(
+        decoded <= budget,
+        "the transport decoded {decoded} rows before chunk 0 was refused (budget {budget})"
+    );
+    assert!(rpc.attr(attr::ERROR).is_some(), "the cut trip is marked");
+    assert_eq!(
+        mediator.traffic_of("xmlartwork").unwrap(),
+        before,
+        "a cut trip is not metered"
     );
 }
 

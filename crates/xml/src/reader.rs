@@ -137,6 +137,26 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// A reader that continues a document inside the elements `open`
+    /// (outermost first, at least one) at the start of `input`: the
+    /// events it hands out are those a reader over the whole document
+    /// would hand out from the point where `input` begins, given that
+    /// the text before it left exactly those elements open and nothing
+    /// else pending.
+    pub fn within(input: &'a str, open: &[&'a str]) -> Self {
+        Reader {
+            state: State::Content,
+            open: open.to_vec(),
+            ..Reader::new(input)
+        }
+    }
+
+    /// The cursor's byte offset in the input: everything before it has
+    /// been handed out as events.
+    pub fn offset(&self) -> usize {
+        self.pos
+    }
+
     /// The attributes of the most recent [`Event::Start`], in document
     /// order (duplicates included).
     pub fn attrs(&self) -> &[Attr<'a>] {

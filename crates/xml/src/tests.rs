@@ -417,3 +417,40 @@ mod properties {
         }
     }
 }
+
+#[test]
+fn a_reader_within_open_elements_continues_the_document() {
+    // the second half of `<a><b><c/>x</b></a>`, read as the whole
+    // document's reader would read it from there
+    let rest = "<c/>x</b></a><!--after-->";
+    let mut r = Reader::within(rest, &["a", "b"]);
+    let mut events = Vec::new();
+    loop {
+        let e = r.next().unwrap();
+        if e == Event::Eof {
+            break;
+        }
+        events.push(e);
+    }
+    assert_eq!(
+        events,
+        vec![
+            Event::Start("c"),
+            Event::End("c"),
+            Event::Text("x".into()),
+            Event::End("b"),
+            Event::End("a"),
+        ]
+    );
+    assert_eq!(r.offset(), rest.len());
+
+    // a closing tag that does not match the open elements is refused,
+    // and so is input that ends inside them
+    let err = Reader::within("</a>", &["a", "b"]).next().unwrap_err();
+    assert!(err.message.contains("expected `</b>`"), "{err}");
+    let mut r = Reader::within("<c></c>", &["a"]);
+    assert_eq!(r.next().unwrap(), Event::Start("c"));
+    assert_eq!(r.next().unwrap(), Event::End("c"));
+    let err = r.next().unwrap_err();
+    assert!(err.message.contains("inside <a>"), "{err}");
+}

@@ -17,6 +17,11 @@
 //!    not a message.
 //! 3. **Damage.** Truncated and mutated texts give the same outcome under
 //!    both readers.
+//! 4. **Pieces.** A `<result>` written in pieces (`ResultPieces`, for
+//!    piece sizes 1, 3, 7 and 1024 rows) concatenates to `encode`'s
+//!    frame; read in order (`ResultReader`), the pieces give what
+//!    `Response::decode` gives for the whole frame — with one piece
+//!    damaged too, down to the error's variant.
 //!
 //! The generated values lean on what makes the encoding subtle: oids
 //! (which become `id` attributes, replacing an `@id` child's), reference
@@ -31,8 +36,8 @@
 use std::fmt::Debug;
 use std::mem::discriminant;
 use yat::yat_algebra::{EvalOut, Tab, Value};
-use yat::yat_capability::codec::DecodeError;
-use yat::yat_capability::protocol::{Response, ServerReply, StreamFrame};
+use yat::yat_capability::codec::{DecodeError, ResultPieces, ResultReader};
+use yat::yat_capability::protocol::{Response, ServerReply, StreamFrame, BATCH_ORDINAL};
 use yat::yat_capability::xml::WireError;
 use yat::yat_model::{Atom, Node, Oid, Tree};
 use yat::yat_xml::{parse_element, Element};
@@ -450,5 +455,126 @@ fn well_formed_frames_mostly_decode() {
     assert!(
         ok * 2 > CASES,
         "seed {seed}: only {ok}/{CASES} frames decode"
+    );
+}
+
+/// Piece sizes, in rows: one row a piece, uneven cuts, and the default
+/// batch (one piece for every generated table).
+const PIECE_ROWS: [usize; 4] = [1, 3, 7, 1024];
+
+/// A table for a `<result>`: the generator's tables with more rows, and
+/// now and then the ordinal column an `execute-batch` answer leads with.
+fn result_tab(rng: &mut Rng) -> Tab {
+    let base = tab(rng);
+    let tagged = rng.gen_range(0..4usize) == 0;
+    let mut columns = base.columns().to_vec();
+    if tagged {
+        columns.insert(0, BATCH_ORDINAL.to_string());
+    }
+    let mut out = Tab::new(columns);
+    for _ in 0..rng.gen_range(0..20usize) {
+        let mut row: Vec<Value> = (0..base.columns().len()).map(|_| value(rng, 2)).collect();
+        if tagged {
+            row.insert(0, Value::Atom(Atom::Int(rng.gen_range(0..4i64))));
+        }
+        out.push(row);
+    }
+    out
+}
+
+/// The pieces of `tab`'s `<result>`, `rows` rows each.
+fn pieces_of(tab: &Tab, rows: usize) -> Vec<String> {
+    let mut writer = ResultPieces::new(tab, rows);
+    let mut pieces = Vec::new();
+    loop {
+        let mut piece = String::new();
+        match writer.write_next(&mut piece) {
+            Some(last) => {
+                pieces.push(piece);
+                if last {
+                    return pieces;
+                }
+            }
+            None => return pieces,
+        }
+    }
+}
+
+/// Reads `pieces` in order, as the transport does: the rows of every
+/// piece appended, or the first error.
+fn read_pieces(pieces: &[String]) -> Result<Tab, DecodeError> {
+    let mut reader = ResultReader::new();
+    let mut out: Option<Tab> = None;
+    for (i, piece) in pieces.iter().enumerate() {
+        if let Some(rows) = reader.read(piece, i + 1 == pieces.len())? {
+            match &mut out {
+                Some(acc) => acc.append(rows),
+                None => out = Some(rows),
+            }
+        }
+    }
+    Ok(out.expect("the last piece always yields the table"))
+}
+
+/// Equal tables, or errors of one variant — `Syntax` against `Syntax`
+/// (positions differ: a piece is read from where the last complete row
+/// ended), `Wire` against `Wire` of the same kind.
+fn pieces_agree(pieces: &Result<Tab, DecodeError>, whole: &Result<Response, DecodeError>) -> bool {
+    match (pieces, whole) {
+        (Ok(a), Ok(Response::Result(b))) => format!("{a:?}") == format!("{b:?}"),
+        (Err(DecodeError::Syntax(_)), Err(DecodeError::Syntax(_))) => true,
+        (Err(DecodeError::Wire(a)), Err(DecodeError::Wire(b))) => {
+            discriminant(a) == discriminant(b)
+        }
+        _ => false,
+    }
+}
+
+#[test]
+fn result_pieces_concatenate_to_the_frame_and_read_as_the_whole_frame() {
+    let seed = master_seed();
+    let mut rng = Rng::seed_from_u64(seed ^ 0x9eec);
+    let (mut damaged_ok, mut damaged_err) = (0usize, 0usize);
+    for case in 0..CASES {
+        let tab = result_tab(&mut rng);
+        let mut whole = String::new();
+        Response::Result(tab.clone()).encode(&mut whole);
+        for rows in PIECE_ROWS {
+            let pieces = pieces_of(&tab, rows);
+            assert_eq!(
+                pieces.concat(),
+                whole,
+                "seed {seed}, case {case}, {rows} rows a piece: the pieces are not the frame"
+            );
+            let read = read_pieces(&pieces);
+            assert!(
+                pieces_agree(&read, &Response::decode(&whole)),
+                "seed {seed}, case {case}, {rows} rows a piece: read {read:?}, whole {:?}",
+                Response::decode(&whole)
+            );
+            for _ in 0..DAMAGES_PER_CASE {
+                let mut damaged = pieces.clone();
+                let at = rng.gen_range(0..damaged.len());
+                damaged[at] = damage(&mut rng, &damaged[at]);
+                let read = read_pieces(&damaged);
+                let whole = Response::decode(&damaged.concat());
+                assert!(
+                    pieces_agree(&read, &whole),
+                    "seed {seed}, case {case}, {rows} rows a piece, piece {at} damaged \
+                     ({:?}):\n  pieces {read:?}\n  whole  {whole:?}",
+                    damaged[at]
+                );
+                if read.is_ok() {
+                    damaged_ok += 1;
+                } else {
+                    damaged_err += 1;
+                }
+            }
+        }
+    }
+    // the damage must exercise both outcomes, or it tests nothing
+    assert!(
+        damaged_ok > 0 && damaged_err > CASES,
+        "seed {seed}: {damaged_ok} damaged piece sets read, {damaged_err} refused"
     );
 }
