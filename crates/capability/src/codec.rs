@@ -83,7 +83,7 @@ fn missing(element: &str, what: &str) -> DecodeError {
 
 /// Writes `tab_to_xml(tab).to_xml()`.
 pub fn write_tab(tab: &Tab, out: &mut impl Out) {
-    write_tab_open(tab, out);
+    write_tab_open(tab.columns(), out);
     if tab.is_empty() {
         out.push_str("/>");
         return;
@@ -96,9 +96,9 @@ pub fn write_tab(tab: &Tab, out: &mut impl Out) {
 }
 
 /// `<tab cols="…"`, up to the end of the start tag.
-fn write_tab_open(tab: &Tab, out: &mut impl Out) {
+fn write_tab_open(columns: &[String], out: &mut impl Out) {
     out.push_str("<tab");
-    push_attribute(out, "cols", &tab.columns().join(" "));
+    push_attribute(out, "cols", &columns.join(" "));
 }
 
 /// One `<row>` of a `<tab>`.
@@ -169,53 +169,53 @@ pub fn write_result(tab: &Tab, out: &mut impl Out) {
 /// before the whole frame exists. Concatenated, the pieces are exactly
 /// the bytes of [`write_result`]: the first piece opens the frame
 /// (`<result><tab cols="…">`), the last one closes it (`</tab></result>`),
-/// every piece holds whole rows, and an empty table is one piece.
-pub struct ResultPieces<'t> {
-    tab: &'t Tab,
+/// every piece holds whole rows, and an empty table is one piece. The
+/// table is consumed as it is written: a row is dropped once its piece
+/// holds it.
+pub struct ResultPieces {
+    columns: Vec<String>,
+    unwritten: std::vec::IntoIter<Vec<Value>>,
     rows: usize,
-    /// The first row the next piece writes.
-    next: usize,
-    done: bool,
+    /// Whether the next piece is the first.
+    first: bool,
 }
 
-impl<'t> ResultPieces<'t> {
+impl ResultPieces {
     /// The pieces of `tab`'s frame, `rows` rows each (at least one).
-    pub fn new(tab: &'t Tab, rows: usize) -> Self {
+    pub fn new(tab: Tab, rows: usize) -> Self {
+        let columns = tab.columns().to_vec();
         ResultPieces {
-            tab,
+            columns,
+            unwritten: tab.into_rows().into_iter(),
             rows: rows.max(1),
-            next: 0,
-            done: false,
+            first: true,
         }
     }
 
     /// Writes the next piece onto `out` and says whether it is the last
     /// one; `None` once every piece has been written.
     pub fn write_next(&mut self, out: &mut impl Out) -> Option<bool> {
-        if self.done {
+        let first = std::mem::replace(&mut self.first, false);
+        if !first && self.unwritten.len() == 0 {
             return None;
         }
-        let all = self.tab.raw_rows();
-        if all.is_empty() {
-            write_result(self.tab, out);
-            self.done = true;
-            return Some(true);
-        }
-        if self.next == 0 {
+        if first {
             out.push_str("<result>");
-            write_tab_open(self.tab, out);
+            write_tab_open(&self.columns, out);
+            if self.unwritten.len() == 0 {
+                out.push_str("/></result>");
+                return Some(true);
+            }
             out.push_str(">");
         }
-        let end = all.len().min(self.next + self.rows);
-        for row in &all[self.next..end] {
-            write_row(row, out);
+        for row in self.unwritten.by_ref().take(self.rows) {
+            write_row(&row, out);
         }
-        self.next = end;
-        self.done = end == all.len();
-        if self.done {
+        let last = self.unwritten.len() == 0;
+        if last {
             out.push_str("</tab></result>");
         }
-        Some(self.done)
+        Some(last)
     }
 }
 

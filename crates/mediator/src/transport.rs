@@ -548,7 +548,7 @@ impl Connection {
         // A result crosses piece by piece: each piece is written, read and
         // handed on before the next is written, so the consumer's first
         // rows wait for one piece's wire work, not the whole answer's.
-        let mut pieces = ResultPieces::new(&tab, piece_rows);
+        let mut pieces = ResultPieces::new(tab, piece_rows);
         let mut reader = ResultReader::new();
         let mut piece = String::new();
         let mut received = 0;

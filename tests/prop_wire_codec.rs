@@ -484,7 +484,7 @@ fn result_tab(rng: &mut Rng) -> Tab {
 
 /// The pieces of `tab`'s `<result>`, `rows` rows each.
 fn pieces_of(tab: &Tab, rows: usize) -> Vec<String> {
-    let mut writer = ResultPieces::new(tab, rows);
+    let mut writer = ResultPieces::new(tab.clone(), rows);
     let mut pieces = Vec::new();
     loop {
         let mut piece = String::new();
