@@ -134,6 +134,9 @@ fn decode_node(bytes: &[u8], at: &mut usize) -> Result<Tree, String> {
     if count > (bytes.len() - *at) / 5 + 1 {
         return Err(format!("implausible child count {count} at byte {at}"));
     }
+    if count == 1 {
+        return Ok(Node::with_child(label, decode_node(bytes, at)?));
+    }
     let mut children = Vec::with_capacity(count);
     for _ in 0..count {
         children.push(decode_node(bytes, at)?);

@@ -52,4 +52,4 @@ pub use matching::{match_filter, Binder, Binding, BindingRow, MatchOptions, Slot
 pub use oid::{Oid, OidGen};
 pub use pattern::{Edge, Filter, Model, Occ, PLabel, Pattern, PatternDef, StarBind};
 pub use symbol::Symbol;
-pub use tree::{Label, Node, Tree};
+pub use tree::{Children, Label, Node, Tree};

@@ -60,15 +60,16 @@ impl fmt::Display for Label {
 /// `Bind` extracts subtrees into tables by reference; only the `Tree`
 /// operator allocates new structure (Section 3.1).
 ///
-/// 48 bytes on 64-bit targets: a 24-byte label, a 16-byte child slice
-/// allocated at its exact length, and an 8-byte hash cell.
+/// 48 bytes on 64-bit targets: a 24-byte label, 16 bytes of
+/// [`Children`] (a lone child held in place, or a slice allocated at its
+/// exact length), and an 8-byte hash cell.
 #[derive(Clone)]
 pub struct Node {
     /// This node's label.
     pub label: Label,
     /// Ordered children (XML is ordered; the algebra's horizontal
     /// navigation relies on this order). Fixed once the node is built.
-    pub children: Box<[Tree]>,
+    pub children: Children,
     /// Lazily computed structural grouping hash ([`Node::key_hash`]).
     /// Computing a parent's hash fills the caches of every shared subtree,
     /// so repeated keying of aliased subtrees is O(1).
@@ -77,6 +78,92 @@ pub struct Node {
 
 /// A shared, immutable YAT tree.
 pub type Tree = Arc<Node>;
+
+/// A node's ordered children, read as a `[Tree]` slice. A lone child —
+/// `title["Nympheas"]`'s atom, a cut work's one field, an identifier's
+/// body — is held in place, so a single-child node costs one allocation
+/// (its `Arc`) instead of two. The enum sits in the niche of `Box`'s
+/// pointer: 16 bytes, the size of the slice it replaces.
+///
+/// Only the constructors in this module pick a variant, and they never
+/// build a one-element `Many`, so the variant is a function of the
+/// length; equality, `Debug` and hashing see the slice alone.
+#[derive(Clone)]
+pub enum Children {
+    /// Exactly one child.
+    One(Tree),
+    /// Zero or at least two children, allocated at their exact length.
+    Many(Box<[Tree]>),
+}
+
+impl Children {
+    /// No children; allocates nothing.
+    fn none() -> Children {
+        Children::Many(Box::default())
+    }
+}
+
+impl std::ops::Deref for Children {
+    type Target = [Tree];
+
+    fn deref(&self) -> &[Tree] {
+        match self {
+            Children::One(only) => std::slice::from_ref(only),
+            Children::Many(all) => all,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Children {
+    type Item = &'a Tree;
+    type IntoIter = std::slice::Iter<'a, Tree>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// A one-element vector gives up its child and frees its buffer; any
+/// other length keeps its buffer, shrunk to its exact length.
+impl From<Vec<Tree>> for Children {
+    fn from(mut children: Vec<Tree>) -> Children {
+        match children.len() {
+            1 => Children::One(children.pop().expect("one child")),
+            _ => Children::Many(children.into_boxed_slice()),
+        }
+    }
+}
+
+/// Collects without a buffer when the iterator yields one tree, and into
+/// one buffer sized from the iterator's hint otherwise.
+impl FromIterator<Tree> for Children {
+    fn from_iter<I: IntoIterator<Item = Tree>>(iter: I) -> Children {
+        let mut iter = iter.into_iter();
+        let Some(first) = iter.next() else {
+            return Children::none();
+        };
+        let Some(second) = iter.next() else {
+            return Children::One(first);
+        };
+        let mut all = Vec::with_capacity(iter.size_hint().0 + 2);
+        all.push(first);
+        all.push(second);
+        all.extend(iter);
+        Children::Many(all.into_boxed_slice())
+    }
+}
+
+impl PartialEq for Children {
+    fn eq(&self, other: &Children) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Children {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
 
 /// A lazily filled 64-bit hash. 0 reads as "not computed yet", so a hash
 /// that computes to 0 is recomputed on every read instead of cached: the
@@ -109,7 +196,7 @@ impl Clone for HashCell {
     }
 }
 
-fn make(label: Label, children: Box<[Tree]>) -> Tree {
+fn make(label: Label, children: Children) -> Tree {
     Arc::new(Node {
         label,
         children,
@@ -120,20 +207,27 @@ fn make(label: Label, children: Box<[Tree]>) -> Tree {
 impl Node {
     /// A symbol-labeled node with children.
     pub fn sym(name: impl Into<Symbol>, children: Vec<Tree>) -> Tree {
-        make(Label::Sym(name.into()), children.into_boxed_slice())
+        make(Label::Sym(name.into()), children.into())
     }
 
     /// A node with an arbitrary label — for rebuilding a tree around an
     /// existing root (answer streaming cuts a tree into chunks of
     /// top-level subtrees under a copy of its root).
     pub fn labeled(label: Label, children: Vec<Tree>) -> Tree {
-        make(label, children.into_boxed_slice())
+        make(label, children.into())
+    }
+
+    /// A node labeled `label` over the one child `child`, held in place:
+    /// one allocation, where building a one-element `Vec` first would
+    /// allocate (and free) a buffer too.
+    pub fn with_child(label: Label, child: Tree) -> Tree {
+        make(label, Children::One(child))
     }
 
     /// A node labeled `label` whose children are the trees `stack` holds
     /// from `mark` on, taken off the stack. A builder that pushes every
     /// node's children onto one reused stack allocates each child slice
-    /// once, at its exact length.
+    /// once, at its exact length, and a lone child not at all.
     pub fn from_stack(label: Label, stack: &mut Vec<Tree>, mark: usize) -> Tree {
         make(label, stack.drain(mark..).collect())
     }
@@ -163,17 +257,23 @@ impl Node {
                 return if Arc::ptr_eq(&inner, only) {
                     tree.clone()
                 } else {
-                    make(tree.label.clone(), Box::new([inner]))
+                    make(tree.label.clone(), Children::One(inner))
                 };
             }
             let kept = tree.children.iter().filter(|c| keep(c)).count();
             if kept == tree.children.len() {
                 return tree.clone();
             }
-            // one slice at its exact length
-            let mut children = Vec::with_capacity(kept);
-            children.extend(tree.children.iter().filter(|c| keep(c)).cloned());
-            make(tree.label.clone(), children.into_boxed_slice())
+            let mut kept_children = tree.children.iter().filter(|c| keep(c)).cloned();
+            let children = if kept == 1 {
+                Children::One(kept_children.next().expect("one kept child"))
+            } else {
+                // one slice at its exact length
+                let mut children = Vec::with_capacity(kept);
+                children.extend(kept_children);
+                Children::Many(children.into_boxed_slice())
+            };
+            make(tree.label.clone(), children)
         }
         cut(tree, &keep)
     }
@@ -218,22 +318,22 @@ impl Node {
     /// `title["Nympheas"]`. This is the shape XML elements with character
     /// data convert to.
     pub fn elem(name: impl Into<Symbol>, value: impl Into<Atom>) -> Tree {
-        Node::sym(name, vec![Node::atom(value)])
+        Node::with_child(Label::Sym(name.into()), Node::atom(value))
     }
 
     /// An atomic leaf.
     pub fn atom(value: impl Into<Atom>) -> Tree {
-        make(Label::Atom(value.into()), Box::default())
+        make(Label::Atom(value.into()), Children::none())
     }
 
     /// An identified node (`a1[...]`).
     pub fn oid(oid: Oid, children: Vec<Tree>) -> Tree {
-        make(Label::Oid(oid), children.into_boxed_slice())
+        make(Label::Oid(oid), children.into())
     }
 
     /// A reference leaf (`&p3`).
     pub fn reference(oid: Oid) -> Tree {
-        make(Label::Ref(oid), Box::default())
+        make(Label::Ref(oid), Children::none())
     }
 
     /// The first child, for the common `elem` shape.
@@ -659,7 +759,179 @@ mod tests {
     #[test]
     fn node_and_label_sizes() {
         assert_eq!(std::mem::size_of::<Label>(), 24);
+        // a lone child sits in the niche of the slice's pointer
+        assert_eq!(std::mem::size_of::<Children>(), 16);
         assert_eq!(std::mem::size_of::<Node>(), 48);
+    }
+
+    /// Whether some node of `tree` holds its only child in a slice.
+    fn has_lone_many(tree: &Node) -> bool {
+        matches!(&tree.children, Children::Many(all) if all.len() == 1)
+            || tree.children.iter().any(|c| has_lone_many(c))
+    }
+
+    /// `tree` rebuilt with every child list held as a slice, lone
+    /// children included: the layout before [`Children::One`].
+    fn as_slices(tree: &Tree) -> Tree {
+        let children: Vec<Tree> = tree.children.iter().map(as_slices).collect();
+        Arc::new(Node {
+            label: tree.label.clone(),
+            children: Children::Many(children.into_boxed_slice()),
+            khash: HashCell::new(),
+        })
+    }
+
+    const NAMES: [&str; 4] = ["a", "b", "w", "@c"];
+
+    fn random_atom(rng: &mut yat_prng::Rng) -> Atom {
+        match rng.gen_range(0..4u8) {
+            0 => Atom::Int(rng.gen_range(0..3i64)),
+            1 => Atom::Float(1.0),
+            2 => Atom::Bool(rng.gen_bool(0.5)),
+            _ => Atom::Str(["", "x", "Nymphéas & <co>"][rng.gen_range(0..3usize)].into()),
+        }
+    }
+
+    fn random_label(rng: &mut yat_prng::Rng) -> Label {
+        if rng.gen_bool(0.2) {
+            Label::Oid(Oid::new(["o1", "o2"][rng.gen_range(0..2usize)]))
+        } else {
+            Label::Sym(NAMES[rng.gen_range(0..NAMES.len())].into())
+        }
+    }
+
+    /// A random tree whose inner nodes come from every constructor of
+    /// this module, over a small alphabet so that equal trees built by
+    /// different constructors turn up.
+    fn random_tree(rng: &mut yat_prng::Rng, depth: u32, stack: &mut Vec<Tree>) -> Tree {
+        if depth == 0 || rng.gen_bool(0.25) {
+            return match rng.gen_range(0..4u8) {
+                0 => Node::atom(random_atom(rng)),
+                1 => Node::reference(Oid::new(["p1", "p2"][rng.gen_range(0..2usize)])),
+                2 => Node::elem(NAMES[rng.gen_range(0..NAMES.len())], random_atom(rng)),
+                _ => Node::sym(NAMES[rng.gen_range(0..3usize)], Vec::new()),
+            };
+        }
+        let n = [0, 1, 1, 2, 3][rng.gen_range(0..5usize)];
+        let kids: Vec<Tree> = (0..n).map(|_| random_tree(rng, depth - 1, stack)).collect();
+        let label = random_label(rng);
+        match rng.gen_range(0..8u8) {
+            0 => Node::sym(NAMES[rng.gen_range(0..3usize)], kids),
+            1 => Node::oid(Oid::new("o1"), kids),
+            2 => {
+                let mark = stack.len();
+                stack.extend(kids);
+                Node::from_stack(label, stack, mark)
+            }
+            3 if n == 1 => Node::with_child(label, kids.into_iter().next().expect("one")),
+            4 => {
+                let mut kids = kids;
+                let more = kids.split_off(rng.gen_range(0..n + 1));
+                Node::appended(&Node::labeled(label, kids), more)
+            }
+            5 => {
+                let fields = [NAMES[rng.gen_range(0..NAMES.len())]];
+                Node::retained(&Node::labeled(label, kids), |c| c.in_fields(&fields))
+            }
+            6 => {
+                let fields = [NAMES[rng.gen_range(0..NAMES.len())], "w"];
+                Node::element_set(&Node::labeled(label, kids), &fields)
+            }
+            _ => Node::labeled(label, kids),
+        }
+    }
+
+    fn written(tree: &Tree) -> String {
+        let mut out = String::new();
+        crate::xml_convert::write_tree(tree, &mut out);
+        out
+    }
+
+    /// `tree` holds no lone child in a slice, and reads, writes and keys
+    /// exactly as its all-slices twin does.
+    fn check_against_slices(tree: &Tree, seed: u64) {
+        assert!(
+            !has_lone_many(tree),
+            "seed {seed}: a one-child slice in {tree}"
+        );
+        let twin = as_slices(tree);
+        assert_eq!(tree, &twin, "seed {seed}");
+        assert_eq!(format!("{tree:?}"), format!("{twin:?}"), "seed {seed}");
+        assert_eq!(tree.key_hash(), twin.key_hash(), "seed {seed}: {tree}");
+        assert!(Node::key_eq(tree, &twin), "seed {seed}: {tree}");
+        assert_eq!(Node::group_key(tree), Node::group_key(&twin), "seed {seed}");
+        assert_eq!(written(tree), written(&twin), "seed {seed}: {tree}");
+    }
+
+    /// The decoders' trees, for text `write_tree` produced: through the
+    /// `Element` reference and through the wire codec's `read_tree`.
+    /// `None` when the text is not a document (a `@name` element that is
+    /// not an attribute writes an invalid tag).
+    fn decoded(text: &str) -> Option<(Tree, Tree)> {
+        let reference = crate::xml_convert::parse_tree(text).ok()?;
+        let mut reader = yat_xml::Reader::new(text);
+        let yat_xml::Event::Start(root) = reader.next().ok()? else {
+            return None;
+        };
+        let mut symbols = crate::xml_convert::Symbols::default();
+        let wire = crate::xml_convert::read_tree(&mut reader, root, &mut symbols).ok()?;
+        Some((reference, wire))
+    }
+
+    #[test]
+    fn lone_children_are_held_in_place_and_read_as_slices() {
+        let mut decodes = 0;
+        for seed in 0..300u64 {
+            let mut rng = yat_prng::Rng::seed_from_u64(seed);
+            let mut stack = Vec::new();
+            let trees: Vec<Tree> = (0..6)
+                .map(|_| random_tree(&mut rng, 4, &mut stack))
+                .collect();
+            assert!(stack.is_empty(), "seed {seed}: from_stack left children");
+            for tree in &trees {
+                check_against_slices(tree, seed);
+                if let Some((reference, wire)) = decoded(&written(tree)) {
+                    decodes += 1;
+                    check_against_slices(&reference, seed);
+                    check_against_slices(&wire, seed);
+                    assert_eq!(reference, wire, "seed {seed}: {tree}");
+                }
+            }
+            // equality and grouping keys across trees agree with the twins'
+            for x in &trees {
+                for y in &trees {
+                    let (tx, ty) = (as_slices(x), as_slices(y));
+                    assert_eq!(x == y, tx == ty, "seed {seed}: {x} vs {y}");
+                    assert_eq!(
+                        Node::key_eq(x, y),
+                        Node::key_eq(&tx, &ty),
+                        "seed {seed}: {x} vs {y}"
+                    );
+                }
+            }
+        }
+        assert!(decodes > 900, "only {decodes} of 1 800 trees decoded");
+    }
+
+    #[test]
+    fn vectors_and_iterators_of_one_tree_build_no_slice() {
+        let one = || Node::atom(1);
+        for tree in [
+            Node::sym("s", vec![one()]),
+            Node::labeled(Label::Sym("s".into()), vec![one()]),
+            Node::oid(Oid::new("o"), vec![one()]),
+            Node::elem("s", 1),
+            Node::appended(&Node::sym("s", Vec::new()), vec![one()]),
+            Node::retained(&Node::sym("s", vec![one(), Node::elem("t", 2)]), |c| {
+                c.children.is_empty()
+            }),
+        ] {
+            assert!(matches!(tree.children, Children::One(_)), "{tree}");
+            assert_eq!(tree.children.len(), 1);
+            let via_iter: Vec<&Tree> = (&tree.children).into_iter().collect();
+            assert!(Arc::ptr_eq(via_iter[0], &tree.children[0]));
+        }
+        assert!(matches!(Node::atom(1).children, Children::Many(ref none) if none.is_empty()));
     }
 
     #[test]

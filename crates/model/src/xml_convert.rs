@@ -50,9 +50,9 @@ fn build_from_xml(el: &Element, stack: &mut Vec<Tree>) -> Tree {
                     stack.push(Node::reference(Oid::new(r)));
                 }
             }
-            _ => stack.push(Node::sym(
-                format!("{ATTR_PREFIX}{}", a.name),
-                vec![Node::atom(Atom::parse_guess(&a.value))],
+            _ => stack.push(Node::with_child(
+                Label::Sym(format!("{ATTR_PREFIX}{}", a.name).into()),
+                Node::atom(Atom::parse_guess(&a.value)),
             )),
         }
     }
@@ -68,7 +68,7 @@ fn build_from_xml(el: &Element, stack: &mut Vec<Tree>) -> Tree {
     }
     let body = Node::from_stack(Label::Sym(el.name.as_str().into()), stack, mark);
     match id {
-        Some(oid) => Node::oid(oid, vec![body]),
+        Some(oid) => Node::with_child(Label::Oid(oid), body),
         None => body,
     }
 }
@@ -344,9 +344,9 @@ pub fn read_tree<'a>(
                 }
             }
             _ => {
-                let attr = Node::sym(
-                    symbols.attr(a.name),
-                    vec![Node::atom(Atom::parse_guess(&a.value))],
+                let attr = Node::with_child(
+                    Label::Sym(symbols.attr(a.name)),
+                    Node::atom(Atom::parse_guess(&a.value)),
                 );
                 symbols.stack.push(attr);
             }
@@ -368,7 +368,7 @@ pub fn read_tree<'a>(
     let tag = Label::Sym(symbols.tag(name));
     let body = Node::from_stack(tag, &mut symbols.stack, mark);
     Ok(match id {
-        Some(oid) => Node::oid(oid, vec![body]),
+        Some(oid) => Node::with_child(Label::Oid(oid), body),
         None => body,
     })
 }

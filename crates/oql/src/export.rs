@@ -4,7 +4,7 @@
 use crate::store::Store;
 use crate::types::{CollKind, Type};
 use crate::value::OVal;
-use yat_model::{Edge, Model, Node, Oid, Pattern, Tree};
+use yat_model::{Edge, Label, Model, Node, Oid, Pattern, Tree};
 
 /// Exports an object as a YAT tree, shaped after Fig. 3:
 /// `oid[class[<classname>[<value>]]]` with the class name lowercased (the
@@ -12,14 +12,12 @@ use yat_model::{Edge, Model, Node, Oid, Pattern, Tree};
 /// `Artifact`/`Person`).
 pub fn object_tree(store: &Store, oid: &Oid) -> Option<Tree> {
     let obj = store.object(oid)?;
-    let body = Node::sym(
-        "class",
-        vec![Node::sym(
-            obj.class.to_lowercase(),
-            vec![value_tree(&obj.value)],
-        )],
+    let class = Node::with_child(
+        Label::Sym(obj.class.to_lowercase().into()),
+        value_tree(&obj.value),
     );
-    Some(Node::oid(oid.clone(), vec![body]))
+    let body = Node::with_child(Label::Sym("class".into()), class);
+    Some(Node::with_child(Label::Oid(oid.clone()), body))
 }
 
 /// Exports a value as a YAT tree. References stay references (`&p1`) —
@@ -30,7 +28,7 @@ pub fn value_tree(v: &OVal) -> Tree {
         OVal::Tuple(fs) => Node::sym(
             "tuple",
             fs.iter()
-                .map(|(n, x)| Node::sym(n.clone(), vec![value_tree(x)]))
+                .map(|(n, x)| Node::with_child(Label::Sym(n.as_str().into()), value_tree(x)))
                 .collect(),
         ),
         OVal::Coll(k, es) => Node::sym(k.name(), es.iter().map(value_tree).collect()),

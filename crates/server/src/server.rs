@@ -29,7 +29,10 @@
 //! thread has written its whole reply, materialized or streamed — or
 //! given up on a client that stopped reading: a write that makes no
 //! progress for [`WRITE_TIMEOUT`] closes the connection and retires the
-//! query. Reads have no timeout; a connection may idle between requests.
+//! query. A connection may idle between requests for as long as it
+//! likes, but once a request frame's first byte has arrived the rest
+//! must follow within [`READ_TIMEOUT`], or the connection closes as it
+//! does on a truncated frame.
 
 use std::cell::Cell;
 use std::io;
@@ -69,6 +72,12 @@ pub const SPAN_LOG_CAP: usize = 1024;
 /// slowly but steadily is not cut: the limit applies to each 256 KiB
 /// slice of a reply, not to the whole reply.
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(3);
+
+/// How long the rest of a request frame may take once its first byte
+/// has arrived. Without it a client that sends part of a frame and stops
+/// would hold its connection thread forever. The clock runs only inside
+/// a frame: a connection that idles between requests is never cut.
+pub const READ_TIMEOUT: Duration = Duration::from_secs(3);
 
 /// The most one reply `write` hands the socket at once, so that a call
 /// blocks only until the client has made room for one slice.
@@ -352,12 +361,17 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
     if stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err() {
         return;
     }
-    let Ok(mut reader) = stream.try_clone() else {
+    let Ok(stream_for_reads) = stream.try_clone() else {
         return;
     };
+    let mut reader = FrameReader::new(stream_for_reads);
     let mut writer = stream;
     loop {
-        let el = match framing::read_element(&mut reader) {
+        let read = framing::read_element(&mut reader);
+        if reader.frame_done().is_err() {
+            return;
+        }
+        let el = match read {
             Ok(Some(el)) => el,
             Ok(None) => return, // client hung up between frames
             Err(e @ WireError::Malformed(_)) => {
@@ -371,7 +385,8 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
                 continue;
             }
             Err(e) => {
-                // truncated/oversized frame or socket failure: the frame
+                // truncated/oversized frame, a frame that stopped short
+                // for READ_TIMEOUT, or socket failure: the frame
                 // boundary is lost, so answer if possible and hang up
                 shared.protocol_errors.fetch_add(1, Ordering::SeqCst);
                 let message = e.to_string();
@@ -413,6 +428,63 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
                 }
             }
         }
+    }
+}
+
+/// The read half of a client connection. Blocks without a limit until a
+/// frame's first byte arrives; from then on each read fails once
+/// [`READ_TIMEOUT`] has passed since that byte, so the rest of the frame
+/// arrives within it or the frame fails (within 2 × `READ_TIMEOUT` for a
+/// client that trickles bytes). [`FrameReader::frame_done`] stops the
+/// clock between frames.
+struct FrameReader {
+    stream: TcpStream,
+    /// When the frame being read must be complete; `None` between frames.
+    deadline: Option<Instant>,
+}
+
+impl FrameReader {
+    fn new(stream: TcpStream) -> FrameReader {
+        FrameReader {
+            stream,
+            deadline: None,
+        }
+    }
+
+    /// Ends the current frame: the next read may block indefinitely.
+    fn frame_done(&mut self) -> io::Result<()> {
+        if self.deadline.take().is_some() {
+            self.stream.set_read_timeout(None)?;
+        }
+        Ok(())
+    }
+}
+
+impl io::Read for FrameReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let late = || {
+            io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!("the rest of the frame did not arrive within {READ_TIMEOUT:?}"),
+            )
+        };
+        if self
+            .deadline
+            .is_some_and(|deadline| Instant::now() >= deadline)
+        {
+            return Err(late());
+        }
+        let n = io::Read::read(&mut self.stream, buf).map_err(|e| match e.kind() {
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut if self.deadline.is_some() => {
+                late()
+            }
+            _ => e,
+        })?;
+        if n > 0 && self.deadline.is_none() {
+            self.stream.set_read_timeout(Some(READ_TIMEOUT))?;
+            self.deadline = Some(Instant::now() + READ_TIMEOUT);
+        }
+        Ok(n)
     }
 }
 

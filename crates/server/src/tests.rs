@@ -2,7 +2,7 @@
 //! clients, the paper's cultural-goods federation behind it.
 
 use crate::client::{read_streamed_reply, StreamedReply};
-use crate::{Client, Server, ServerConfig, WRITE_TIMEOUT};
+use crate::{Client, Server, ServerConfig, READ_TIMEOUT, WRITE_TIMEOUT};
 use std::collections::BTreeMap;
 use std::io::{Cursor, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -502,6 +502,55 @@ fn a_drain_with_never_reading_clients_returns_within_the_write_timeout() {
         Ok(drained) => assert_eq!(drained, 2, "both stalled queries were in the house"),
         Err(_) => panic!("the drain did not return within {patience:?}"),
     }
+}
+
+#[test]
+fn a_client_that_stops_inside_a_frame_is_cut_within_the_read_timeout() {
+    let handle = Server::spawn(federation(6), ServerConfig::default()).expect("server binds");
+    let mut half = TcpStream::connect(handle.addr()).expect("raw connect");
+    let patience = 2 * READ_TIMEOUT;
+    half.set_read_timeout(Some(patience))
+        .expect("client read timeout");
+    let started = std::time::Instant::now();
+    {
+        use std::io::Write as _;
+        // two of a header's four bytes, then nothing
+        half.write_all(&[0, 0]).expect("half a header writes");
+    }
+    let el = framing::read_element(&mut half)
+        .unwrap_or_else(|e| panic!("no reply within {patience:?}: {e}"))
+        .expect("the server answers before it hangs up");
+    match ServerReply::from_xml(&el).expect("reply parses") {
+        ServerReply::Error { message } => assert!(message.contains("frame"), "{message}"),
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(
+        framing::read_frame(&mut half).expect("clean close"),
+        None,
+        "the connection is closed"
+    );
+    let waited = started.elapsed();
+    assert!(
+        waited >= READ_TIMEOUT && waited < patience,
+        "cut after {waited:?}"
+    );
+    assert_eq!(handle.stats().protocol_errors, 1);
+}
+
+#[test]
+fn a_connection_idle_between_frames_outlasts_the_read_timeout() {
+    let handle = Server::spawn(federation(6), ServerConfig::default()).expect("server binds");
+    let mut client = Client::connect(handle.addr()).expect("client connects");
+    for round in 0..2 {
+        match client.query(paper::Q1).expect("query round-trips") {
+            ServerReply::Answer { .. } => {}
+            other => panic!("round {round}: {other:?}"),
+        }
+        if round == 0 {
+            std::thread::sleep(READ_TIMEOUT + Duration::from_millis(500));
+        }
+    }
+    assert_eq!(handle.stats().protocol_errors, 0);
 }
 
 #[test]
