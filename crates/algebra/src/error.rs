@@ -30,6 +30,14 @@ pub enum EvalError {
         /// Failure description.
         message: String,
     },
+    /// A source failed a pushed plan: its wrapper answered an error, the
+    /// round trip broke, or no member of its group could answer.
+    Source {
+        /// Source id.
+        source: String,
+        /// Failure description.
+        message: String,
+    },
     /// A source declined a pushed plan it cannot run.
     Refused {
         /// Source id.
@@ -70,6 +78,9 @@ impl fmt::Display for EvalError {
             EvalError::UnknownFunction(n) => write!(f, "unknown external function `{n}`"),
             EvalError::Function { name, message } => {
                 write!(f, "external function `{name}` failed: {message}")
+            }
+            EvalError::Source { source, message } => {
+                write!(f, "source `{source}` failed: {message}")
             }
             EvalError::Refused { source, reason } => {
                 write!(f, "source `{source}` refused the plan: {reason}")

@@ -123,12 +123,6 @@ impl<'a> EvalCtx<'a> {
             obs: None,
         }
     }
-
-    /// The same context with a span collector attached.
-    pub fn with_obs(mut self, obs: &'a Collector) -> Self {
-        self.obs = Some(obs);
-        self
-    }
 }
 
 /// The result of evaluating a plan: frontier operators move between the
@@ -700,8 +694,8 @@ fn djoin_push(
     let (bindings, ordinals) = PassedBindings::collect(lt, env, frag);
     let answer = match handler.execute_push_batch(source, frag, &bindings) {
         Ok(answer) if answer.tabs.len() == bindings.rows.len() => Ok(answer),
-        Ok(answer) => Err(EvalError::Function {
-            name: source.to_string(),
+        Ok(answer) => Err(EvalError::Source {
+            source: source.to_string(),
             message: format!(
                 "push handler answered {} of {} bindings",
                 answer.tabs.len(),

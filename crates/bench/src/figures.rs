@@ -380,11 +380,6 @@ pub fn fingerprint(t: &Tree) -> Vec<String> {
     v
 }
 
-/// Convenience used in benches: an empty-forest guard value.
-pub fn empty_tree() -> Tree {
-    Node::sym("empty", vec![])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

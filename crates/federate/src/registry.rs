@@ -201,11 +201,6 @@ impl SourceRegistry {
         self.members.values().filter(|m| m.group == group).collect()
     }
 
-    /// All registered group names, in order.
-    pub fn group_names(&self) -> Vec<&str> {
-        self.groups.keys().map(String::as_str).collect()
-    }
-
     /// All registered member names, in order.
     pub fn member_names(&self) -> Vec<&str> {
         self.members.keys().map(String::as_str).collect()

@@ -163,6 +163,7 @@ impl std::error::Error for ExecError {}
 impl From<EvalError> for ExecError {
     fn from(e: EvalError) -> Self {
         match e {
+            EvalError::Source { source, message } => ExecError::Wrapper { source, message },
             EvalError::Refused { source, reason } => ExecError::Refused { source, reason },
             other => ExecError::Eval(other),
         }
@@ -743,13 +744,7 @@ fn run_job(
                     );
                     JobOut::Pushed { sig: *sig, tab }
                 })
-                .map_err(|e| match e {
-                    EvalError::Function { name, message } => ExecError::Wrapper {
-                        source: name,
-                        message,
-                    },
-                    other => other.into(),
-                })
+                .map_err(ExecError::from)
         }
     };
     if let (Some(span), Err(e)) = (span.as_mut(), &out) {
@@ -823,8 +818,8 @@ fn ship_bindings(
         Some(GroupKind::Replicated) => {
             let members = fed.registry.replicas_in_cost_order(source, true);
             if members.is_empty() {
-                return Err(EvalError::Function {
-                    name: source.to_string(),
+                return Err(EvalError::Source {
+                    source: source.to_string(),
                     message: "no executable replica in group".into(),
                 });
             }
@@ -891,8 +886,8 @@ fn ship_bindings(
                             tab
                         }
                         None => fragment.empty_answer(ordinals[pos]).ok_or_else(|| {
-                            EvalError::Function {
-                                name: source.to_string(),
+                            EvalError::Source {
+                                source: source.to_string(),
                                 message: "no partition member answered".into(),
                             }
                         })?,
@@ -908,8 +903,8 @@ fn ship_bindings(
 /// concatenate (the caller dedups once at the end).
 fn merge_union(acc: &mut Tab, tab: &Tab, group: &str) -> Result<(), EvalError> {
     if acc.columns() != tab.columns() {
-        return Err(EvalError::Function {
-            name: group.to_string(),
+        return Err(EvalError::Source {
+            source: group.to_string(),
             message: format!(
                 "partition members returned incompatible columns {:?} vs {:?}",
                 acc.columns(),
@@ -944,8 +939,8 @@ fn ship_to_member(
             source: Some(member.to_string()),
             name: "<push>".into(),
         })?;
-    let failure = |message: String| EvalError::Function {
-        name: member.to_string(),
+    let failure = |message: String| EvalError::Source {
+        source: member.to_string(),
         message,
     };
     let mut call = |request: Request| -> Result<Tab, EvalError> {
@@ -1022,8 +1017,8 @@ fn push_failure(member: &str, response: Response) -> EvalError {
         Response::Error(message) => message,
         other => format!("unexpected response {other:?}"),
     };
-    EvalError::Function {
-        name: member.to_string(),
+    EvalError::Source {
+        source: member.to_string(),
         message,
     }
 }
@@ -1060,8 +1055,8 @@ fn stream_push(
             }
         }
     }
-    Err(first_err.unwrap_or_else(|| EvalError::Function {
-        name: source.to_string(),
+    Err(first_err.unwrap_or_else(|| EvalError::Source {
+        source: source.to_string(),
         message: "no executable replica in group".into(),
     }))
 }
@@ -1086,8 +1081,8 @@ fn stream_from_member(
     match conn.call_pieces(&request, fed.obs, piece_rows, each) {
         Ok(None) => Ok(()),
         Ok(Some(other)) => Err(push_failure(member, other)),
-        Err(Cut::Wire(e)) => Err(EvalError::Function {
-            name: member.to_string(),
+        Err(Cut::Wire(e)) => Err(EvalError::Source {
+            source: member.to_string(),
             message: e.to_string(),
         }),
         Err(Cut::Consumer(e)) => Err(e),

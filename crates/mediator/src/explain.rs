@@ -177,20 +177,6 @@ impl Explain {
             })
     }
 
-    /// Total index activity across all targets.
-    pub fn index_totals(&self) -> IndexLine {
-        self.index
-            .values()
-            .fold(IndexLine::default(), |a, b| IndexLine {
-                indexed: a.indexed + b.indexed,
-                scans: a.scans + b.scans,
-                probes: a.probes + b.probes,
-                candidates: a.candidates + b.candidates,
-                scanned: a.scanned + b.scanned,
-                collection: a.collection + b.collection,
-            })
-    }
-
     /// Total persistent-store activity across all sources.
     pub fn storage_totals(&self) -> StorageLine {
         self.storage

@@ -629,12 +629,6 @@ impl Mediator {
             c.meter().reset();
         }
     }
-
-    /// The mediator's external-function registry (tests may register
-    /// extra compensations).
-    pub fn funcs_mut(&mut self) -> &mut FnRegistry {
-        &mut self.funcs
-    }
 }
 
 /// Notes when the wrapped sink accepted chunk 0, measured from the

@@ -684,6 +684,38 @@ fn parallel_prefetch_panic_fails_the_query_naming_the_source() {
 }
 
 #[test]
+fn a_failed_push_reads_the_same_in_every_delivery() {
+    let mut m = Mediator::new();
+    m.connect(Box::new(O2Wrapper::new("o2artifact", fig1_store())))
+        .unwrap();
+    m.connect(Box::new(PanicOn {
+        inner: Box::new(wais_fig1()),
+        kind: "execute",
+    }))
+    .unwrap();
+    m.load_program(paper::VIEW1).unwrap();
+    // Q1 at full optimization is a single pushed Wais fragment: every
+    // delivery ships it to the panicking handler
+    let plan = m.plan_query(paper::Q1).unwrap();
+    let (opt, _) = m.optimize(&plan, OptimizerOptions::full());
+    let mut failures = Vec::new();
+    for mode in [ExecMode::Sequential, ExecMode::parallel()] {
+        m.set_exec_mode(mode);
+        let materialized = m.execute(&opt).unwrap_err().to_string();
+        let mut sink = yat_algebra::CollectSink::new();
+        let streamed = m.execute_stream(&opt, &mut sink).unwrap_err().to_string();
+        failures.push((format!("{mode:?} materialized"), materialized));
+        failures.push((format!("{mode:?} streamed"), streamed));
+    }
+    for (delivery, text) in &failures {
+        assert_eq!(
+            text, "wrapper `xmlartwork` failed: wrapper `xmlartwork` panicked: injected fault",
+            "{delivery}"
+        );
+    }
+}
+
+#[test]
 fn parallel_timeout_fails_the_query_naming_the_source() {
     let mut m = fig1_mediator();
     m.set_exec_mode(ExecMode::parallel());

@@ -49,11 +49,6 @@ impl Symbol {
     pub fn as_str(&self) -> &str {
         &self.0
     }
-
-    /// Number of distinct symbols interned so far (diagnostics).
-    pub fn interned_count() -> usize {
-        interner().lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
 }
 
 impl PartialEq for Symbol {

@@ -378,12 +378,6 @@ impl Node {
         1 + self.children.iter().map(|c| c.depth()).max().unwrap_or(0)
     }
 
-    /// Structural equality on trees. `PartialEq` already provides this; the
-    /// named form documents intent at call sites (e.g. `Union` dedup).
-    pub fn tree_eq(a: &Tree, b: &Tree) -> bool {
-        a == b
-    }
-
     /// A stable textual key for grouping/dedup. Two trees have equal keys
     /// iff structurally equal — except identified subtrees, which key on
     /// their identity alone (ODMG object semantics: two objects are the

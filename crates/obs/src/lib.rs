@@ -464,11 +464,6 @@ impl Span<'_> {
         self.pending().push((name, AttrValue::Uint(value)));
     }
 
-    /// Records a signed attribute at close time.
-    pub fn record_i64(&mut self, name: &'static str, value: i64) {
-        self.pending().push((name, AttrValue::Int(value)));
-    }
-
     /// Records a text attribute at close time.
     pub fn record_str(&mut self, name: &'static str, value: impl Into<String>) {
         self.pending().push((name, AttrValue::Str(value.into())));

@@ -419,11 +419,6 @@ impl Store {
         self.extents.get(name).map(|e| e.oids.as_slice())
     }
 
-    /// Extent names.
-    pub fn extent_names(&self) -> impl Iterator<Item = &str> {
-        self.extents.keys().map(String::as_str)
-    }
-
     /// Number of stored objects.
     pub fn len(&self) -> usize {
         match &self.bank {

@@ -29,10 +29,12 @@
 //! thread has written its whole reply, materialized or streamed — or
 //! given up on a client that stopped reading: a write that makes no
 //! progress for [`WRITE_TIMEOUT`] closes the connection and retires the
-//! query. A connection may idle between requests for as long as it
-//! likes, but once a request frame's first byte has arrived the rest
-//! must follow within [`READ_TIMEOUT`], or the connection closes as it
-//! does on a truncated frame.
+//! query. The worker does not wait for that write: it hands its last
+//! event to the connection thread, which retires the query, and takes
+//! the next job at once. A connection may idle between requests for as
+//! long as it likes, but once a request frame's first byte has arrived
+//! the rest must follow within [`READ_TIMEOUT`], or the connection
+//! closes as it does on a truncated frame.
 
 use std::cell::Cell;
 use std::io;
@@ -49,7 +51,7 @@ use yat_capability::protocol::{ClientRequest, ServerReply, ServerStats, SourceGa
 use yat_capability::xml::WireError;
 use yat_mediator::{Mediator, OptimizerOptions};
 use yat_model::Tree;
-use yat_obs::{attr, kind, Collector, SpanData};
+use yat_obs::{attr, kind, Collector, Span, SpanData};
 
 // The worker pool shares one mediator by reference; this is the
 // compile-time proof that doing so is sound.
@@ -118,9 +120,9 @@ struct Job {
     /// Span id of the connection thread's `serve <kind>` span, so the
     /// worker's `execute` span stitches under it across threads.
     parent_span: usize,
-    /// Closed (by dropping the sender) when a worker picks the job up —
-    /// ends the connection thread's `queue-wait` span at the moment the
-    /// wait actually ended.
+    /// Sent on when a worker picks the job up: ends the connection
+    /// thread's `queue-wait` span at the moment the wait actually ended,
+    /// and hands that thread the query's place in flight ([`InFlight`]).
     started: SyncSender<()>,
     /// Bounded reply channel (capacity = the stream policy's
     /// `max_pending`). A materialized query sends one
@@ -131,10 +133,6 @@ struct Job {
     /// mediator's delivery loop — per-query memory stays bounded by
     /// `max_pending` serialized chunks.
     events: SyncSender<StreamEvent>,
-    /// The worker blocks here after its last event until the connection
-    /// thread has written it, so a drain can never observe the query
-    /// retired while its reply is still being written.
-    done: Receiver<()>,
 }
 
 /// One message from a worker to the connection thread of an admitted
@@ -153,15 +151,29 @@ pub(crate) enum StreamEvent {
 }
 
 /// What [`admit`] hands back to the connection thread.
-enum Admitted {
+enum Admitted<'s> {
     /// A refusal (overloaded, draining) to write at once.
     Reply(ServerReply),
-    /// Admitted work: its reply arrives on `events`; after writing the
-    /// last frame the connection thread acks on `done`.
+    /// Admitted work: its reply arrives on `events`. A query a worker
+    /// picked up stays in flight until `in_flight` drops.
     Queued {
         events: Receiver<StreamEvent>,
-        done: SyncSender<()>,
+        in_flight: Option<InFlight<'s>>,
     },
+}
+
+/// One picked-up query's place in flight. Its worker raises `in_flight`;
+/// the connection thread holds this guard while it writes the reply, and
+/// dropping it retires the query. So every way out of the write — the
+/// last frame written, a failed or timed-out write, a vanished worker, a
+/// panic — retires the query exactly once, and a drain, which waits for
+/// `in_flight` to reach zero, never returns ahead of a reply.
+struct InFlight<'s>(&'s Shared);
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.in_flight.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// State shared by the accept loop, connection threads and workers.
@@ -355,9 +367,9 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
 /// Reads frames off one client connection until it closes (or the
 /// framing breaks beyond recovery).
 fn serve_connection(shared: &Shared, stream: TcpStream) {
-    // a reply write that times out fails like any broken write: a
-    // materialized reply still acks its worker, a streamed one drops its
-    // channels and so stops its producer, and the connection closes
+    // a reply write that times out fails like any broken write: the
+    // query retires, a streamed one drops its channel and so stops its
+    // producer, and the connection closes
     if stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err() {
         return;
     }
@@ -503,12 +515,17 @@ fn serve_work(
     span.record_u64(attr::QUEUE_DEPTH, depth);
     span.record_u64(attr::IN_FLIGHT, shared.in_flight.load(Ordering::SeqCst));
     let streamed = matches!(&request, ClientRequest::Query { stream: true, .. });
-    let (reply, done) = match admit(shared, request, span.id(), depth) {
+    // a picked-up query stays in flight until `_in_flight` drops, after
+    // its reply is written or the client is given up on
+    let (reply, _in_flight) = match admit(shared, request, span.id(), depth) {
         Admitted::Reply(reply) => (reply, None),
-        Admitted::Queued { events, done } if streamed => {
-            return without_nagle(writer, |writer| stream_reply(shared, writer, events, done));
+        Admitted::Queued {
+            events,
+            in_flight: _in_flight,
+        } if streamed => {
+            return without_nagle(writer, |writer| stream_reply(shared, writer, events));
         }
-        Admitted::Queued { events, done } => {
+        Admitted::Queued { events, in_flight } => {
             let reply = match events.recv() {
                 Ok(StreamEvent::Reply(reply)) => reply,
                 // a worker sends a materialized query nothing else; a
@@ -520,19 +537,13 @@ fn serve_work(
                     }
                 }
             };
-            (reply, Some(done))
+            (reply, in_flight)
         }
     };
     if let ServerReply::Error { message } = &reply {
         span.record_str(attr::ERROR, message.clone());
     }
-    let result = respond(shared, writer, &reply);
-    // the ack after the write is the drain guarantee: the worker holds
-    // the query in flight until its reply is fully on the wire
-    if let Some(done) = done {
-        let _ = done.send(());
-    }
-    result
+    respond(shared, writer, &reply)
 }
 
 /// Runs `write` with `TCP_NODELAY` set on `stream`, then turns Nagle's
@@ -554,12 +565,15 @@ pub(crate) fn without_nagle<T>(
 }
 
 /// The admission decision for one query.
-fn admit(shared: &Shared, request: ClientRequest, parent_span: usize, depth: u64) -> Admitted {
-    if shared.draining.load(Ordering::SeqCst) {
+fn admit(shared: &Shared, request: ClientRequest, parent_span: usize, depth: u64) -> Admitted<'_> {
+    let draining = || {
         shared.errors.fetch_add(1, Ordering::SeqCst);
-        return Admitted::Reply(ServerReply::Error {
+        Admitted::Reply(ServerReply::Error {
             message: "server is draining; no new queries admitted".into(),
-        });
+        })
+    };
+    if shared.draining.load(Ordering::SeqCst) {
+        return draining();
     }
     let deadline = match &request {
         ClientRequest::Query { deadline_ms, .. } => deadline_ms
@@ -571,7 +585,6 @@ fn admit(shared: &Shared, request: ClientRequest, parent_span: usize, depth: u64
     // the reply channel, bounded by the stream policy's pending budget
     let max_pending = shared.mediator.stream_policy().max_pending;
     let (events_tx, events_rx) = sync_channel::<StreamEvent>(max_pending.max(1));
-    let (done_tx, done_rx) = sync_channel::<()>(1);
     let job = Job {
         request,
         admitted_at: Instant::now(),
@@ -579,7 +592,6 @@ fn admit(shared: &Shared, request: ClientRequest, parent_span: usize, depth: u64
         parent_span,
         started: started_tx,
         events: events_tx,
-        done: done_rx,
     };
     let sender = shared
         .sender
@@ -587,25 +599,22 @@ fn admit(shared: &Shared, request: ClientRequest, parent_span: usize, depth: u64
         .unwrap_or_else(|e| e.into_inner())
         .clone();
     let Some(sender) = sender else {
-        shared.errors.fetch_add(1, Ordering::SeqCst);
-        return Admitted::Reply(ServerReply::Error {
-            message: "server is draining; no new queries admitted".into(),
-        });
+        return draining();
     };
     match sender.try_send(job) {
         Ok(()) => {
             shared.admitted.fetch_add(1, Ordering::SeqCst);
             shared.queue_depth.fetch_add(1, Ordering::SeqCst);
-            {
+            let picked = {
                 let mut wait = shared.obs.span(kind::SERVER, "queue-wait");
                 wait.record_u64(attr::QUEUE_DEPTH, depth);
-                // returns when the worker signals pickup (or dies with
-                // the job, which also closes the channel)
-                let _ = started_rx.recv();
-            }
+                started_rx.recv()
+            };
             Admitted::Queued {
                 events: events_rx,
-                done: done_tx,
+                // the worker raised `in_flight` before it signalled; a
+                // job dropped unpicked (no worker left) never did
+                in_flight: picked.ok().map(|()| InFlight(shared)),
             }
         }
         Err(TrySendError::Full(_)) => {
@@ -616,25 +625,18 @@ fn admit(shared: &Shared, request: ClientRequest, parent_span: usize, depth: u64
                 retry_after_ms: shared.config.retry_after_ms,
             })
         }
-        Err(TrySendError::Disconnected(_)) => {
-            shared.errors.fetch_add(1, Ordering::SeqCst);
-            Admitted::Reply(ServerReply::Error {
-                message: "server is draining; no new queries admitted".into(),
-            })
-        }
+        Err(TrySendError::Disconnected(_)) => draining(),
     }
 }
 
 /// Writes a streamed reply: chunk frames as the worker produces them,
-/// then the terminal frame, then the done-ack that lets the worker
-/// retire the query. Returning early on a write failure drops both
-/// channel ends, which the worker observes as a refused sink (stops
-/// producing) and an instant done-ack (retires the query).
+/// then the terminal frame. Returning early on a write failure drops the
+/// channel's receiving end, which the worker observes as a refused sink
+/// and stops producing.
 pub(crate) fn stream_reply(
     shared: &Shared,
     writer: &mut TcpStream,
     events: Receiver<StreamEvent>,
-    done: SyncSender<()>,
 ) -> Result<(), WireError> {
     let mut span = shared.obs.span(kind::SERVER, "respond stream");
     let mut chunks = 0u64;
@@ -654,9 +656,7 @@ pub(crate) fn stream_reply(
                 if let ServerReply::Error { message } = &reply {
                     span.record_str(attr::ERROR, message.clone());
                 }
-                let result = respond(shared, writer, &reply);
-                let _ = done.send(());
-                return result;
+                return respond(shared, writer, &reply);
             }
             StreamEvent::Chunk(frame) => {
                 chunks += 1;
@@ -674,10 +674,6 @@ pub(crate) fn stream_reply(
                 if let Err(e) = &result {
                     span.record_str(attr::ERROR, e.to_string());
                 }
-                // the ack after the final write is the drain guarantee:
-                // the worker holds the query in flight until its stream
-                // is fully on the wire
-                let _ = done.send(());
                 return result;
             }
         }
@@ -739,85 +735,52 @@ fn worker_loop(index: usize, shared: &Shared, rx: &Mutex<Receiver<Job>>) {
         // empty: the pool winds down.
         let Ok(job) = job else { break };
         // in_flight rises before queue_depth falls so the drain loop
-        // never observes both zero while a job is in hand
+        // never observes both zero while a job is in hand; the
+        // connection thread lowers it once the reply is written
         let in_flight = shared.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
         shared.queue_depth.fetch_sub(1, Ordering::SeqCst);
-        drop(job.started); // ends the client's queue-wait span
+        let _ = job.started.send(()); // ends the client's queue-wait span
         let waited = job.admitted_at.elapsed();
-        let expired = job.deadline.is_some_and(|d| waited > d);
-        let streamed = matches!(&job.request, ClientRequest::Query { stream: true, .. });
 
-        let (last, served) = if expired {
+        let (last, served) = if job.deadline.is_some_and(|d| waited > d) {
             // refused before execution: the client's budget is already
             // spent, running the plan would serve nobody
             (
                 StreamEvent::Reply(deadline_error(waited, job.deadline)),
                 false,
             )
-        } else if streamed {
-            serve_streamed(
-                shared,
-                index,
-                in_flight,
-                &job.request,
-                job.parent_span,
-                &job.events,
-            )
         } else {
-            let reply = serve_materialized(
-                shared,
-                index,
-                in_flight,
-                &job.request,
-                job.parent_span,
-                waited,
-            );
-            let served = matches!(
-                reply,
-                ServerReply::Answer { .. } | ServerReply::Explained { .. }
-            );
-            (StreamEvent::Reply(reply), served)
+            let mut span = shared
+                .obs
+                .span_under(Some(job.parent_span), kind::SERVER, "execute");
+            span.record_u64(attr::WORKER, index as u64);
+            span.record_u64(attr::IN_FLIGHT, in_flight);
+            match &job.request {
+                ClientRequest::Query {
+                    text, stream: true, ..
+                } => serve_streamed(shared, &mut span, index, text, &job.events),
+                request => {
+                    let reply =
+                        catch_unwind(AssertUnwindSafe(|| execute(shared, request, waited, index)))
+                            .unwrap_or_else(|payload| ServerReply::Error {
+                                message: panicked(&mut span, index, payload),
+                            });
+                    let served = matches!(
+                        reply,
+                        ServerReply::Answer { .. } | ServerReply::Explained { .. }
+                    );
+                    (StreamEvent::Reply(reply), served)
+                }
+            }
         };
         if served {
             shared.served.fetch_add(1, Ordering::SeqCst);
         } else {
             shared.errors.fetch_add(1, Ordering::SeqCst);
         }
+        // the connection thread writes the last event and retires the
+        // query; this worker is free for the next job
         let _ = job.events.send(last);
-        // the done-ack is the drain guarantee: the query stays in flight
-        // until its reply is fully written (or the connection thread is
-        // gone, which closes the channel)
-        let _ = job.done.recv();
-        shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Executes one materialized request on a worker under its `execute`
-/// span.
-fn serve_materialized(
-    shared: &Shared,
-    index: usize,
-    in_flight: u64,
-    request: &ClientRequest,
-    parent_span: usize,
-    waited: Duration,
-) -> ServerReply {
-    let mut span = shared
-        .obs
-        .span_under(Some(parent_span), kind::SERVER, "execute");
-    span.record_u64(attr::WORKER, index as u64);
-    span.record_u64(attr::IN_FLIGHT, in_flight);
-    match catch_unwind(AssertUnwindSafe(|| execute(shared, request, waited, index))) {
-        Ok(reply) => reply,
-        Err(payload) => {
-            // panic containment: the worker survives to take the next
-            // job, the client learns what happened
-            let msg = panic_message(payload);
-            span.record_str(attr::ERROR, msg.clone());
-            ServerReply::Error {
-                message: format!("query panicked on worker {index}: {msg}"),
-            }
-        }
     }
 }
 
@@ -832,40 +795,35 @@ fn deadline_error(waited: Duration, allowed: Option<Duration>) -> ServerReply {
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
+/// Panic containment on a worker: the worker survives to take the next
+/// job, the panic is recorded on its `execute` span, and the returned
+/// message tells the client what happened.
+fn panicked(span: &mut Span<'_>, worker: usize, payload: Box<dyn std::any::Any + Send>) -> String {
+    let msg = payload
         .downcast_ref::<&str>()
         .map(|s| s.to_string())
         .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "unknown panic".into())
+        .unwrap_or_else(|| "unknown panic".into());
+    span.record_str(attr::ERROR, msg.clone());
+    format!("query panicked on worker {worker}: {msg}")
 }
 
-/// Executes one streamed query on a worker: the mediator's delivery
-/// loop pushes each batch through [`WireSink`] as an `answer-chunk`
-/// frame, and the terminal event is decided here — `answer-end` on
-/// success, a plain error reply when nothing was streamed yet (so
-/// pre-stream failures look exactly like materialized ones), or
-/// `stream-abort` after the first chunk (delivered frames cannot be
-/// recalled, so the failure must be typed in-band). Returns the
-/// terminal event, still to be sent, and whether the query counts as
+/// Executes one streamed query on a worker, under its `execute` span:
+/// the mediator's delivery loop pushes each batch through [`WireSink`]
+/// as an `answer-chunk` frame, and the terminal event is decided here —
+/// `answer-end` on success, a plain error reply when nothing was
+/// streamed yet (so pre-stream failures look exactly like materialized
+/// ones), or `stream-abort` after the first chunk (delivered frames
+/// cannot be recalled, so the failure must be typed in-band). Returns
+/// the terminal event, still to be sent, and whether the query counts as
 /// served.
 fn serve_streamed(
     shared: &Shared,
+    span: &mut Span<'_>,
     index: usize,
-    in_flight: u64,
-    request: &ClientRequest,
-    parent_span: usize,
+    text: &str,
     events: &SyncSender<StreamEvent>,
 ) -> (StreamEvent, bool) {
-    let ClientRequest::Query { text, .. } = request else {
-        let message = format!("verb `{}` is not streamable work", request.kind());
-        return (StreamEvent::Reply(ServerReply::Error { message }), false);
-    };
-    let mut span = shared
-        .obs
-        .span_under(Some(parent_span), kind::SERVER, "execute");
-    span.record_u64(attr::WORKER, index as u64);
-    span.record_u64(attr::IN_FLIGHT, in_flight);
     let chunks_sent = AtomicU64::new(0);
     let first_chunk = Cell::new(None);
     let started = Instant::now();
@@ -902,12 +860,10 @@ fn serve_streamed(
             span.record_str(attr::ERROR, message.clone());
             (stream_failure(chunks, message), false)
         }
-        Err(payload) => {
-            let msg = panic_message(payload);
-            span.record_str(attr::ERROR, msg.clone());
-            let message = format!("query panicked on worker {index}: {msg}");
-            (stream_failure(chunks, message), false)
-        }
+        Err(payload) => (
+            stream_failure(chunks, panicked(span, index, payload)),
+            false,
+        ),
     }
 }
 

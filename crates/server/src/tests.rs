@@ -193,6 +193,9 @@ fn overload_sheds_only_when_the_queue_is_saturated() {
                 "a saturated queue sheds at the door: {reply:?}"
             );
         }
+        // a refusal never enters the house
+        let stats = handle.stats();
+        assert_eq!((stats.in_flight, stats.queue_depth), (1, 1), "{stats:?}");
         // the worker kept serving what it had admitted
         let streamed = parked.finish();
         assert!(matches!(streamed.reply, ServerReply::Answer { .. }));
@@ -200,6 +203,10 @@ fn overload_sheds_only_when_the_queue_is_saturated() {
         assert!(matches!(reply, ServerReply::Answer { .. }), "{reply:?}");
     });
     assert_eq!(handle.stats().shed, 4);
+    wait_until("the admitted queries retire", || {
+        let stats = handle.stats();
+        (stats.in_flight, stats.queue_depth) == (0, 0)
+    });
 }
 
 #[test]
@@ -465,8 +472,9 @@ fn a_client_that_stops_reading_does_not_pin_the_only_worker() {
     };
     let handle = Server::spawn(oversized_titles(), config).expect("server binds");
     let _stalled = stalled_reader(&handle, false);
-    // the one worker waits on the stalled reply's write; a second
-    // client's query needs it back
+    // the stalled reply's write holds its connection thread until
+    // WRITE_TIMEOUT cuts it, but not the one worker: a second client's
+    // query is answered long before that cut
     let (tx, rx) = channel();
     let addr = handle.addr();
     std::thread::spawn(move || {
@@ -476,7 +484,7 @@ fn a_client_that_stops_reading_does_not_pin_the_only_worker() {
              WHERE $t2 = \"none\"",
         ));
     });
-    let patience = 2 * WRITE_TIMEOUT;
+    let patience = WRITE_TIMEOUT / 3;
     match rx.recv_timeout(patience) {
         Ok(Ok(ServerReply::Answer { .. })) => {}
         Ok(other) => panic!("the second client got {other:?}"),
@@ -501,6 +509,139 @@ fn a_drain_with_never_reading_clients_returns_within_the_write_timeout() {
     match rx.recv_timeout(patience) {
         Ok(drained) => assert_eq!(drained, 2, "both stalled queries were in the house"),
         Err(_) => panic!("the drain did not return within {patience:?}"),
+    }
+}
+
+/// One way an admitted query ends: its name, the mediator its server
+/// serves, and the client side of the ending.
+type Ending = (&'static str, fn() -> Mediator, fn(&crate::ServerHandle));
+
+/// [`works_federation`] streaming [`WORKS_SCAN`] in 13 chunks of 16
+/// subtrees, so a latched stream still has chunks to produce.
+fn chunked_works() -> Mediator {
+    let mut mediator = works_federation(200, 8);
+    mediator.set_stream_policy(StreamPolicy {
+        batch_rows: 16,
+        max_pending: 8,
+    });
+    mediator
+}
+
+#[test]
+fn every_ending_of_an_admitted_query_retires_it_exactly_once() {
+    let endings: [Ending; 9] = [
+        (
+            "a materialized answer",
+            || federation(6),
+            |handle| {
+                let reply = Client::connect(handle.addr())
+                    .and_then(|mut c| c.query(paper::Q1))
+                    .expect("query round-trips");
+                assert!(matches!(reply, ServerReply::Answer { .. }), "{reply:?}");
+            },
+        ),
+        (
+            "an explain",
+            || federation(6),
+            |handle| {
+                let reply = Client::connect(handle.addr())
+                    .and_then(|mut c| c.explain(paper::Q1))
+                    .expect("explain round-trips");
+                assert!(matches!(reply, ServerReply::Explained { .. }), "{reply:?}");
+            },
+        ),
+        (
+            "a query error",
+            || federation(6),
+            |handle| {
+                let reply = Client::connect(handle.addr())
+                    .and_then(|mut c| c.query("not a query"))
+                    .expect("query round-trips");
+                assert!(matches!(reply, ServerReply::Error { .. }), "{reply:?}");
+            },
+        ),
+        (
+            "an expired deadline",
+            || federation(6),
+            |handle| {
+                // no wait in the queue is shorter than a zero budget
+                match Client::connect(handle.addr())
+                    .and_then(|mut c| c.query_with_deadline(paper::Q1, 0))
+                    .expect("query round-trips")
+                {
+                    ServerReply::Error { message } => {
+                        assert!(message.contains("deadline expired"), "{message}")
+                    }
+                    other => panic!("{other:?}"),
+                }
+            },
+        ),
+        (
+            "a streamed answer",
+            || federation(6),
+            |handle| {
+                let streamed = Client::connect(handle.addr())
+                    .and_then(|mut c| c.query_streamed(paper::Q1))
+                    .expect("query round-trips");
+                assert!(matches!(streamed.reply, ServerReply::Answer { .. }));
+            },
+        ),
+        (
+            "a pre-stream failure",
+            || federation(6),
+            |handle| {
+                let streamed = Client::connect(handle.addr())
+                    .and_then(|mut c| c.query_streamed("not a query"))
+                    .expect("query round-trips");
+                assert!(matches!(streamed.reply, ServerReply::Error { .. }));
+            },
+        ),
+        ("a stream-abort", chunked_works, |handle| {
+            let parked = ParkedStream::open(handle, WORKS_SCAN);
+            match parked.release_with(Err("injected mid-stream failure".into())) {
+                Err(WireError::Stream(message)) => {
+                    assert!(message.contains("injected mid-stream failure"), "{message}")
+                }
+                other => panic!("{other:?}"),
+            }
+        }),
+        (
+            "a client that hangs up mid-stream",
+            chunked_works,
+            |handle| {
+                ParkedStream::open(handle, WORKS_SCAN).hang_up();
+            },
+        ),
+        (
+            "a stalled reader cut by the write timeout",
+            oversized_titles,
+            |handle| {
+                let started = std::time::Instant::now();
+                let _stalled = stalled_reader(handle, false);
+                // the connection stays open and unread until the cut
+                wait_until("the stalled write is cut", || handle.stats().in_flight == 0);
+                assert!(started.elapsed() >= WRITE_TIMEOUT);
+            },
+        ),
+    ];
+    for (ending, mediator, drive) in endings {
+        let config = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let handle = Server::spawn(mediator(), config).expect("server binds");
+        drive(&handle);
+        wait_until(ending, || {
+            let stats = handle.stats();
+            (stats.in_flight, stats.queue_depth) == (0, 0)
+        });
+        let stats = handle.stats();
+        assert_eq!(
+            (stats.admitted, stats.in_flight, stats.queue_depth),
+            (1, 0, 0),
+            "{ending}: {stats:?}"
+        );
+        assert_eq!(handle.shutdown(), 0, "{ending}: nothing is left to drain");
     }
 }
 
@@ -566,6 +707,9 @@ fn draining_server_refuses_new_queries() {
         ServerReply::Error { message } => assert!(message.contains("draining"), "{message}"),
         other => panic!("{other:?}"),
     }
+    // a refusal never enters the house
+    let stats = handle.stats();
+    assert_eq!((stats.in_flight, stats.queue_depth), (0, 0), "{stats:?}");
 }
 
 #[test]
@@ -873,12 +1017,18 @@ fn corrupted_chunk_streams_yield_typed_errors_never_short_answers() {
 /// its first chunk, until the test sends on (or drops) the latch — so
 /// "the client saw chunk 0 while the answer was still incomplete" is an
 /// ordering the test forces, not one it hopes the clock shows.
-static FIRST_CHUNK_LATCHES: Mutex<BTreeMap<SocketAddr, Receiver<()>>> = Mutex::new(BTreeMap::new());
+static FIRST_CHUNK_LATCHES: Mutex<BTreeMap<SocketAddr, Receiver<Release>>> =
+    Mutex::new(BTreeMap::new());
+
+/// What a first-chunk latch is released with: `Ok` lets the stream go
+/// on, `Err` fails it with that message as a sink failure would, after
+/// chunk 0 is out.
+type Release = Result<(), String>;
 
 /// What `serve_streamed` wraps its wire sink in under `cfg(test)`.
 pub(crate) struct GatedSink<S> {
     inner: S,
-    latch: Option<Receiver<()>>,
+    latch: Option<Receiver<Release>>,
 }
 
 impl<S: BatchSink> GatedSink<S> {
@@ -892,6 +1042,7 @@ impl<S: BatchSink> GatedSink<S> {
             Some(Err(RecvTimeoutError::Timeout)) => Err(EvalError::Sink(
                 "the test never released the first-chunk latch".into(),
             )),
+            Some(Ok(Err(message))) => Err(EvalError::Sink(message)),
             _ => Ok(()),
         }
     }
@@ -921,7 +1072,7 @@ impl<S: BatchSink> BatchSink for GatedSink<S> {
 /// first-chunk latch: the first `answer-chunk` frame has been read off
 /// the socket, the rest of the answer is unproduced.
 struct ParkedStream {
-    release: Sender<()>,
+    release: Sender<Release>,
     socket: TcpStream,
     first: yat_xml::Element,
 }
@@ -962,13 +1113,28 @@ impl ParkedStream {
     /// Opens the latch and reads the rest of the stream, replaying the
     /// frame already consumed in front of what is still on the wire.
     fn finish(self) -> StreamedReply {
+        self.release_with(Ok(()))
+            .expect("the rest of the stream arrives once the latch opens")
+    }
+
+    /// Opens the latch with `release` and reads the rest of the stream,
+    /// replaying the frame already consumed.
+    fn release_with(self, release: Release) -> Result<StreamedReply, WireError> {
         self.release
-            .send(())
+            .send(release)
             .expect("the worker is waiting on the latch");
         let mut head = Vec::new();
         framing::write_frame(&mut head, &self.first.to_xml()).expect("frame re-encodes");
         read_streamed_reply(&mut Cursor::new(head).chain(&self.socket))
-            .expect("the rest of the stream arrives once the latch opens")
+    }
+
+    /// Hangs up without reading further, then opens the latch: the
+    /// worker goes on producing into a closed connection.
+    fn hang_up(self) {
+        drop(self.socket);
+        self.release
+            .send(Ok(()))
+            .expect("the worker is waiting on the latch");
     }
 }
 
@@ -1235,13 +1401,12 @@ fn a_worker_vanishing_mid_stream_ends_the_stream_with_an_abort() {
     let mut text = String::new();
     chunk.encode(&mut text);
     let (events, received) = std::sync::mpsc::sync_channel(4);
-    let (done, _acked) = std::sync::mpsc::sync_channel(1);
     events
         .send(StreamEvent::Chunk(text))
         .expect("the writer is listening");
     // the worker is gone: its end of the channel drops after one chunk
     drop(events);
-    stream_reply(&shared, &mut served, received, done).expect("the frames are written");
+    stream_reply(&shared, &mut served, received).expect("the frames are written");
 
     let mut next = || {
         let el = framing::read_element(&mut client)

@@ -497,22 +497,6 @@ impl DocStore {
         }
     }
 
-    /// Resets the load/eviction/read counters (bench warm phases).
-    pub fn reset_stats(&self) {
-        self.loads.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.bytes_read.store(0, Ordering::Relaxed);
-        self.hits.store(0, Ordering::Relaxed);
-    }
-
-    /// Drops every resident sealed segment (bench cold phases).
-    pub fn drop_resident(&self) {
-        let mut state = self.state.lock().expect("store lock");
-        state.resident.clear();
-        state.lru.clear();
-        state.resident_bytes = 0;
-    }
-
     fn ensure_open(&self, state: &mut State) -> Result<(), StoreError> {
         if state.open.is_some() {
             return Ok(());
