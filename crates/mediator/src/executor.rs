@@ -1,25 +1,25 @@
 //! Plan execution: fetch mediator-side documents, ship `Push` fragments,
 //! substitute information-passing values, evaluate the rest locally.
 //!
-//! Execution runs in one of two [`ExecMode`]s. `Sequential` performs
-//! every round trip in plan order, one at a time. `Parallel` first
-//! performs a *dependency analysis* over the plan: document prefetch
-//! (grouped per source) and every independent `Push` fragment — one not
-//! nested under the dependent side of a `DJoin`, whose
-//! information-passing environment is therefore provably empty — become
-//! scatter jobs dispatched concurrently over a bounded pool of
-//! `std::thread::scope` worker lanes. The gather step assembles the
-//! prefetched forest and a push-result cache, then local evaluation
-//! proceeds exactly as in sequential mode, taking pushed results from
-//! the cache instead of the wire. Dependent pushes (the `DJoin`
-//! right-hand side) still go to the wire inline, but set-oriented: the
-//! join hands the push handler its distinct bindings at once and they
-//! ship as `execute-batch` requests — per-binding cache keys, failover
-//! and partition pruning preserved (see `ship_bindings`).
+//! Execution runs in one of two [`ExecMode`]s. Both first fetch the
+//! documents mediator-side operators read, one `get-document` round trip
+//! at a time. `Sequential` then performs every push in plan order, one at
+//! a time. `Parallel` first performs a *dependency analysis* over the
+//! plan: every independent `Push` fragment — one not nested under the
+//! dependent side of a `DJoin`, whose information-passing environment is
+//! therefore provably empty — becomes a scatter job dispatched
+//! concurrently over a bounded pool of `std::thread::scope` worker lanes.
+//! The gather step assembles a push-result memo, then local evaluation
+//! proceeds exactly as in sequential mode, taking pushed results from the
+//! memo instead of the wire. Dependent pushes (the `DJoin` right-hand
+//! side) still go to the wire inline, but set-oriented: the join hands
+//! the push handler its distinct bindings at once and they ship as
+//! `execute-batch` requests — per-binding cache keys, failover and
+//! partition pruning preserved (see `ship_bindings`).
 
 use crate::compose::mediator_side_sources;
 use crate::transport::{Connection, Cut};
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -42,12 +42,15 @@ pub use crate::policy::{ExecMode, StreamPolicy};
 
 /// Everything one execution runs against: the connection/interface maps
 /// and registries of the mediator, the selected mode and cache, and the
-/// optional span collector.
+/// optional span collector. A `Copy` bundle of references, shared by the
+/// fetch and ship code, the scatter lanes and the push handler that lives
+/// on through local evaluation.
 ///
 /// With an empty [`SourceRegistry`] the executor behaves exactly as
 /// before federation existed: every source name resolves to its own
 /// connection. Any failure that replica failover cannot absorb fails
 /// the query.
+#[derive(Clone, Copy)]
 pub struct ExecSpec<'a> {
     /// Connections by source (or member) name.
     pub connections: &'a BTreeMap<String, Connection>,
@@ -67,30 +70,7 @@ pub struct ExecSpec<'a> {
     pub registry: &'a SourceRegistry,
 }
 
-impl<'a> ExecSpec<'a> {
-    /// The slice of the spec the fetch/push machinery carries around.
-    fn fed(&self) -> FedCtx<'a> {
-        FedCtx {
-            connections: self.connections,
-            registry: self.registry,
-            cache: self.cache,
-            obs: self.obs,
-        }
-    }
-}
-
-/// What source-side work (fetching, pushing, caching, failover) needs
-/// from an [`ExecSpec`] — a `Copy` bundle shared between the executor
-/// front half and the [`Pusher`] that lives on through local evaluation.
-#[derive(Clone, Copy)]
-struct FedCtx<'a> {
-    connections: &'a BTreeMap<String, Connection>,
-    registry: &'a SourceRegistry,
-    cache: &'a AnswerCache,
-    obs: Option<&'a Collector>,
-}
-
-impl<'a> FedCtx<'a> {
+impl ExecSpec<'_> {
     /// The data epoch cached answers for `source` are validated against:
     /// a group's epoch is the sum of its members' epochs, so bumping any
     /// member retires group-keyed answers.
@@ -114,6 +94,18 @@ impl<'a> FedCtx<'a> {
             self.registry.observe_cache(source, hit);
         }
     }
+
+    /// The cached answer of the pushed fragment `sig` at `source`,
+    /// validated against `epoch`. The outcome, hit or miss, feeds the
+    /// registry's cost records.
+    fn cached_result(&self, sig: Signature, source: &str, epoch: u64) -> Option<Tab> {
+        let tab = match self.cache.lookup(sig, source, epoch, self.obs) {
+            Some(CachedAnswer::Result(tab)) => Some(tab),
+            _ => None,
+        };
+        self.observe_cache(source, tab.is_some());
+        tab
+    }
 }
 
 /// An execution failure.
@@ -131,7 +123,7 @@ pub enum ExecError {
         message: String,
     },
     /// A wrapper declined a pushed plan its source cannot run
-    /// ([`Response::Refused`]).
+    /// ([`yat_capability::protocol::Response::Refused`]).
     Refused {
         /// Source id.
         source: String,
@@ -173,20 +165,18 @@ impl From<EvalError> for ExecError {
 /// Executes a plan against the connected wrappers, under the spec's
 /// [`ExecMode`], answer cache and federation registry.
 ///
-/// Mediator-side `Source` reads fetch whole documents. Because fetched
-/// data may hold references into a source's *other* documents (Fig. 1's
-/// `owners refs="p1 p2 p3"`), every export of a touched source is
-/// mirrored so references dereference — part of the naive strategy's
-/// cost that pushdown avoids.
+/// Mediator-side `Source` reads fetch whole documents
+/// (`fetch_documents`) — part of the naive strategy's cost that
+/// pushdown avoids.
 ///
 /// With a span collector in the spec, document prefetch runs under a
 /// `phase` span, every protocol round trip records an `rpc` span, and
 /// local evaluation records one `operator` span per operator execution —
-/// the raw material of `EXPLAIN ANALYZE`. In `Parallel` mode the
-/// prefetch and every independent push fragment run as scatter jobs
-/// under a `scatter` phase span; each job span records the worker lane
-/// that executed it (`attr::LANE`), and jobs are ordered
-/// longest-expected-first using the registry's cost records.
+/// the raw material of `EXPLAIN ANALYZE`. In `Parallel` mode every
+/// independent push fragment runs as a scatter job under a `scatter`
+/// phase span; each job span records the worker lane that executed it
+/// (`attr::LANE`), and jobs are ordered longest-expected-first using the
+/// registry's cost records.
 ///
 /// When the cache is enabled, every unit of source work — a document
 /// fetch or a pushed fragment, dependent ones included — is looked up
@@ -230,10 +220,200 @@ fn with_prepared<T>(
     eval(&ctx).map_err(ExecError::from)
 }
 
-/// The shared front half of execution: dependency analysis, document
-/// prefetch (sequential or scatter/gather), and construction of the
-/// catalog + push handler local evaluation runs against.
+/// The shared front half of execution: document prefetch, then — in
+/// parallel mode — the scatter of the independent pushes, and
+/// construction of the catalog + push handler local evaluation runs
+/// against.
 fn prepare<'a>(plan: &Alg, spec: &ExecSpec<'a>) -> Result<(RemoteCatalog, Pusher<'a>), ExecError> {
+    let catalog = fetch_documents(plan, spec)?;
+    let pushed = match spec.mode {
+        ExecMode::Sequential => BTreeMap::new(),
+        ExecMode::Parallel { max_in_flight } => scatter_gather(plan, spec, max_in_flight)?,
+    };
+    Ok((
+        catalog,
+        Pusher {
+            spec: *spec,
+            pushed,
+        },
+    ))
+}
+
+struct Pusher<'a> {
+    spec: ExecSpec<'a>,
+    /// Results of independent fragments already shipped by the scatter
+    /// step, keyed by the fragment's canonical [`Signature`] — the same
+    /// scheme the cross-query cache uses, so one canonicalization serves
+    /// both layers. Empty in sequential mode.
+    pushed: BTreeMap<Signature, Tab>,
+}
+
+impl<'a> PushHandler for Pusher<'a> {
+    /// One binding is a batch of one: the same cache, federation and
+    /// wire handling, and a fragment that substitutes nothing still
+    /// ships as a plain `execute`.
+    fn execute_push(&self, source: &str, plan: &Arc<Alg>, env: &Env) -> Result<Tab, EvalError> {
+        let answer = self.execute_push_batch(source, plan, &PassedBindings::single(plan, env))?;
+        Ok(answer
+            .tabs
+            .into_iter()
+            .next()
+            .expect("one binding, one table"))
+    }
+
+    fn execute_push_batch(
+        &self,
+        source: &str,
+        plan: &Arc<Alg>,
+        bindings: &PassedBindings,
+    ) -> Result<BatchAnswer, EvalError> {
+        let spec = &self.spec;
+        let fragment = PassedFragment::new(plan, bindings);
+        let cache_on = spec.cache.policy().is_enabled();
+        // the live epoch (a group's aggregates over its members), read
+        // once: before the lookups it validates and the round trips whose
+        // answers it tags
+        let epoch = spec.epoch_of(source);
+        let mut tabs: Vec<Option<Tab>> = vec![None; bindings.rows.len()];
+        let mut sigs: Vec<Option<Signature>> = vec![None; bindings.rows.len()];
+        let mut misses: Vec<usize> = Vec::new();
+        for ordinal in 0..bindings.rows.len() {
+            // a binding that substitutes nothing is the fragment as the
+            // scatter step may already have shipped it
+            let memoized = fragment.is_symbolic(ordinal) && !self.pushed.is_empty();
+            // signatures cost a substitution and a hash — skip them when
+            // no consumer exists
+            if cache_on || memoized {
+                let sig = Signature::execute(source, fragment.plan_of(ordinal));
+                sigs[ordinal] = Some(sig);
+                if let Some(tab) = self.pushed.get(&sig).filter(|_| memoized) {
+                    tabs[ordinal] = Some(tab.clone());
+                    continue;
+                }
+                // then the cross-query cache
+                if let Some(tab) = spec.cached_result(sig, source, epoch) {
+                    tabs[ordinal] = Some(tab);
+                    continue;
+                }
+            }
+            misses.push(ordinal);
+        }
+
+        // only the misses enter the batch
+        let mut batches = 0;
+        if !misses.is_empty() {
+            let shipped = ship_bindings(source, &fragment, &misses, spec, &mut batches)?;
+            for (ordinal, tab) in misses.into_iter().zip(shipped) {
+                if let Some(sig) = sigs[ordinal] {
+                    spec.cache.insert(
+                        sig,
+                        source,
+                        epoch,
+                        CachedAnswer::Result(tab.clone()),
+                        spec.obs,
+                    );
+                }
+                tabs[ordinal] = Some(tab);
+            }
+        }
+        Ok(BatchAnswer {
+            tabs: tabs
+                .into_iter()
+                .map(|t| t.expect("every binding hit or was shipped"))
+                .collect(),
+            batches,
+        })
+    }
+
+    /// A fragment that substitutes nothing, sent to a plain source or a
+    /// replica group, streams ([`stream_push`]): its result crosses in
+    /// pieces of `rows` rows and each goes to `each` as it is read. The
+    /// cache is consulted first, as for any push, and stores the answer
+    /// only once its last piece has arrived. Every other push — a
+    /// partition group, information-passing bindings, a fragment the
+    /// scatter step already shipped — arrives whole, as one piece.
+    fn execute_push_pieces(
+        &self,
+        source: &str,
+        plan: &Arc<Alg>,
+        env: &Env,
+        rows: usize,
+        each: &mut dyn FnMut(Tab) -> Result<(), EvalError>,
+    ) -> Result<(), EvalError> {
+        let spec = &self.spec;
+        let bindings = PassedBindings::single(plan, env);
+        let fragment = PassedFragment::new(plan, &bindings);
+        let partitioned = spec.registry.group_kind(source) == Some(GroupKind::Partitioned);
+        if partitioned || !fragment.is_symbolic(0) || !self.pushed.is_empty() {
+            return each(self.execute_push(source, plan, env)?);
+        }
+        let epoch = spec.epoch_of(source);
+        let sig = spec
+            .cache
+            .policy()
+            .is_enabled()
+            .then(|| Signature::execute(source, fragment.plan_of(0)));
+        if let Some(tab) = sig.and_then(|sig| spec.cached_result(sig, source, epoch)) {
+            return each(tab);
+        }
+        let mut kept: Option<Tab> = None;
+        stream_push(source, plan, spec, rows, &mut |piece| {
+            if sig.is_some() {
+                match &mut kept {
+                    Some(tab) => tab.append(piece.clone()),
+                    None => kept = Some(piece.clone()),
+                }
+            }
+            each(piece)
+        })?;
+        if let (Some(sig), Some(tab)) = (sig, kept) {
+            spec.cache
+                .insert(sig, source, epoch, CachedAnswer::Result(tab), spec.obs);
+        }
+        Ok(())
+    }
+}
+
+/// Documents fetched for this execution: a shared forest addressed by
+/// name (exported names are globally unique in a YAT federation, as in
+/// the paper's example), plus member-scoped documents for plans
+/// requalified to read one federation member — checked first so a member
+/// read never sees another shard's data.
+pub(super) struct RemoteCatalog {
+    forest: Forest,
+    /// Documents fetched for a specific member (a plan requalified to
+    /// read one shard mediator-side), keyed member → document name.
+    by_member: BTreeMap<String, BTreeMap<String, Tree>>,
+}
+
+impl yat_algebra::SourceCatalog for RemoteCatalog {
+    fn document(&self, source: Option<&str>, name: &str) -> Option<Tree> {
+        if let Some(src) = source {
+            if let Some(tree) = self.by_member.get(src).and_then(|docs| docs.get(name)) {
+                return Some(tree.clone());
+            }
+        }
+        self.forest.get(name).cloned()
+    }
+
+    fn deref_forest(&self) -> Option<&Forest> {
+        Some(&self.forest)
+    }
+}
+
+/// Fetches the documents the plan's mediator-side operators read: one
+/// `get-document` round trip at a time, in plan order, under a single
+/// `prefetch documents` span, opened only when the plan reads a document
+/// at all. Because fetched data may hold references into a source's
+/// *other* documents (Fig. 1's `owners refs="p1 p2 p3"`), every export of
+/// a touched source is fetched too, so references dereference.
+///
+/// A document of a plain source or member is looked up in the answer
+/// cache first (against the source's live epoch) and only fetched on a
+/// miss; a group resolves its caching per member. A replica group fails
+/// over to the cheapest live copy, a partition group unites its shards'
+/// contributions. A failure that failover cannot absorb fails the fetch.
+pub(super) fn fetch_documents(plan: &Alg, spec: &ExecSpec<'_>) -> Result<RemoteCatalog, ExecError> {
     // insertion order drives fetch order (plan-referenced documents
     // first); the set makes the reference-closure membership test O(log n)
     // instead of a linear rescan of everything fetched so far
@@ -257,152 +437,75 @@ fn prepare<'a>(plan: &Alg, spec: &ExecSpec<'a>) -> Result<(RemoteCatalog, Pusher
         }
     }
 
-    let fed = spec.fed();
-    let (forest, by_member, pushed) = match spec.mode {
-        ExecMode::Sequential => {
-            let (forest, by_member) = fetch_sequential(&wanted, &fed)?;
-            (forest, by_member, BTreeMap::new())
-        }
-        ExecMode::Parallel { max_in_flight } => scatter_gather(&wanted, plan, &fed, max_in_flight)?,
+    let mut catalog = RemoteCatalog {
+        forest: Forest::new(),
+        by_member: BTreeMap::new(),
     };
-
-    Ok((RemoteCatalog { forest, by_member }, Pusher { fed, pushed }))
-}
-
-/// Documents fetched for a specific member (a plan requalified to read
-/// one shard mediator-side), keyed member → document name.
-type MemberDocs = BTreeMap<String, BTreeMap<String, Tree>>;
-
-/// One resolved document fetch: `member` is set when the read was
-/// qualified to a single federation member and must not be served to
-/// reads of other members.
-struct FetchedDoc {
-    member: Option<String>,
-    name: String,
-    tree: Tree,
-}
-
-fn insert_doc(forest: &mut Forest, by_member: &mut MemberDocs, doc: FetchedDoc) {
-    match doc.member {
-        Some(member) => {
-            by_member
-                .entry(member)
-                .or_default()
-                .insert(doc.name, doc.tree);
-        }
-        None => forest.insert(doc.name, doc.tree),
+    if wanted.is_empty() {
+        return Ok(catalog);
     }
-}
-
-/// `Some(src)` when `src` names a registered federation member (its
-/// documents are then member-scoped rather than shared by name).
-fn member_key(fed: &FedCtx<'_>, src: &str) -> Option<String> {
-    fed.registry.member(src).is_some().then(|| src.to_string())
-}
-
-/// The sequential prefetch loop: one `get-document` round trip at a
-/// time, in `wanted` order, under a single `prefetch documents` span.
-/// Each document is looked up in the answer cache first (against the
-/// source's live epoch) and only fetched on a miss; group sources do
-/// their cache resolution per member inside [`fetch_batch`].
-fn fetch_sequential(
-    wanted: &[(String, String)],
-    fed: &FedCtx<'_>,
-) -> Result<(Forest, MemberDocs), ExecError> {
-    let prefetch = fed
+    let _prefetch = spec
         .obs
         .map(|o| o.span(kind::PHASE, "prefetch documents".to_string()));
-    let mut forest = Forest::new();
-    let mut by_member = MemberDocs::new();
     for (src, name) in wanted {
-        if !fed.registry.is_group(src) {
-            if let Some(tree) = cached_document(src, name, fed) {
-                let member = member_key(fed, src);
-                insert_doc(
-                    &mut forest,
-                    &mut by_member,
-                    FetchedDoc {
-                        member,
-                        name: name.clone(),
-                        tree,
-                    },
-                );
-                continue;
-            }
-        }
-        for doc in fetch_batch(src, std::slice::from_ref(name), fed)? {
-            insert_doc(&mut forest, &mut by_member, doc);
+        let tree = match spec.registry.group_kind(&src) {
+            Some(GroupKind::Replicated) => replica_fetch(&src, &name, spec)?,
+            Some(GroupKind::Partitioned) => partition_fetch(&src, &name, spec)?,
+            None => match cached_document(&src, &name, spec) {
+                Some(tree) => tree,
+                None => wire_fetch(&src, &name, spec)?,
+            },
+        };
+        // a registered member's documents are scoped to it and never
+        // served to reads of other members
+        if spec.registry.member(&src).is_some() {
+            catalog.by_member.entry(src).or_default().insert(name, tree);
+        } else {
+            catalog.forest.insert(name, tree);
         }
     }
-    drop(prefetch);
-    Ok((forest, by_member))
+    Ok(catalog)
 }
 
 /// Cache lookup for one document of a plain source or member, keyed by
 /// its canonical signature and validated against the source's *live*
 /// epoch. A hit feeds the member's cost record.
-fn cached_document(src: &str, name: &str, fed: &FedCtx<'_>) -> Option<Tree> {
-    let conn = fed.connections.get(src)?;
-    match fed
+fn cached_document(src: &str, name: &str, spec: &ExecSpec<'_>) -> Option<Tree> {
+    let conn = spec.connections.get(src)?;
+    match spec
         .cache
-        .lookup(Signature::document(src, name), src, conn.epoch(), fed.obs)
+        .lookup(Signature::document(src, name), src, conn.epoch(), spec.obs)
     {
         Some(CachedAnswer::Document { tree, .. }) => {
-            fed.observe_cache(src, true);
+            spec.observe_cache(src, true);
             Some(tree)
         }
         _ => None,
     }
 }
 
-/// Resolves a batch of document fetches against one source name, in
-/// order: a replica group fails over to the cheapest live copy, a
-/// partition group unites its shards' contributions, a member or plain
-/// source is fetched directly. A failure that failover cannot absorb
-/// fails the batch.
-fn fetch_batch(
-    src: &str,
-    names: &[String],
-    fed: &FedCtx<'_>,
-) -> Result<Vec<FetchedDoc>, ExecError> {
-    let mut docs = Vec::with_capacity(names.len());
-    for name in names {
-        let tree = match fed.registry.group_kind(src) {
-            Some(GroupKind::Replicated) => replica_fetch(src, name, fed)?,
-            Some(GroupKind::Partitioned) => partition_fetch(src, name, fed)?,
-            None => wire_fetch(src, name, fed)?,
-        };
-        docs.push(FetchedDoc {
-            member: member_key(fed, src),
-            name: name.clone(),
-            tree,
-        });
-    }
-    Ok(docs)
-}
-
 /// Fetches one document of `src` over the wire. The fully received
 /// document is inserted into the answer cache, tagged with the source
 /// epoch read *before* the round trip — data that changes mid-flight
 /// lands under the old epoch, which the next bump retires.
-fn wire_fetch(src: &str, name: &str, fed: &FedCtx<'_>) -> Result<Tree, ExecError> {
-    let conn = fed
+fn wire_fetch(src: &str, name: &str, spec: &ExecSpec<'_>) -> Result<Tree, ExecError> {
+    let conn = spec
         .connections
         .get(src)
         .ok_or_else(|| ExecError::UnknownSource(format!("{name}@{src}")))?;
-    fed.observe_cache(src, false);
+    spec.observe_cache(src, false);
     let epoch = conn.epoch();
     let response = conn
         .call_traced(
             &Request::GetDocument {
                 name: name.to_string(),
             },
-            fed.obs,
+            spec.obs,
         )
         .map_err(|e| ExecError::Wire(format!("fetching `{name}` from `{src}`: {e}")))?;
     match response {
         Response::Document { tree, .. } => {
-            fed.cache.insert(
+            spec.cache.insert(
                 Signature::document(src, name),
                 src,
                 epoch,
@@ -410,7 +513,7 @@ fn wire_fetch(src: &str, name: &str, fed: &FedCtx<'_>) -> Result<Tree, ExecError
                     name: name.to_string(),
                     tree: tree.clone(),
                 },
-                fed.obs,
+                spec.obs,
             );
             Ok(tree)
         }
@@ -431,38 +534,33 @@ fn wire_fetch(src: &str, name: &str, fed: &FedCtx<'_>) -> Result<Tree, ExecError
 /// with failover — losing k of N replicas is lossless as long as one
 /// still answers. When every replica fails, the first failure fails the
 /// fetch.
-fn replica_fetch(group: &str, name: &str, fed: &FedCtx<'_>) -> Result<Tree, ExecError> {
-    for m in fed.registry.members_of(group) {
-        if let Some(tree) = cached_document(&m.name, name, fed) {
+fn replica_fetch(group: &str, name: &str, spec: &ExecSpec<'_>) -> Result<Tree, ExecError> {
+    for m in spec.registry.members_of(group) {
+        if let Some(tree) = cached_document(&m.name, name, spec) {
             return Ok(tree);
         }
     }
-    let mut first_err: Option<ExecError> = None;
-    for member in fed.registry.replicas_in_cost_order(group, false) {
-        match wire_fetch(&member, name, fed) {
-            Ok(tree) => return Ok(tree),
-            // an unknown source is a plan/configuration bug, not a
-            // failure another replica can absorb
-            Err(e @ ExecError::UnknownSource(_)) => return Err(e),
-            Err(e) => {
-                first_err.get_or_insert(e);
-            }
-        }
-    }
-    Err(first_err.unwrap_or_else(|| ExecError::UnknownSource(format!("{name}@{group}"))))
+    fail_over(
+        &spec.registry.replicas_in_cost_order(group, false),
+        |member| wire_fetch(member, name, spec),
+        // an unknown source is a plan/configuration bug, not a failure
+        // another replica can absorb
+        |e| matches!(e, ExecError::UnknownSource(_)),
+        || ExecError::UnknownSource(format!("{name}@{group}")),
+    )
 }
 
 /// Fetches one document of a partition group: every shard contributes
 /// its copy (cache first, then wire) and the shards' top-level entries
 /// unite under one root, in member name order. A failing shard fails
 /// the fetch.
-fn partition_fetch(group: &str, name: &str, fed: &FedCtx<'_>) -> Result<Tree, ExecError> {
+fn partition_fetch(group: &str, name: &str, spec: &ExecSpec<'_>) -> Result<Tree, ExecError> {
     let mut root: Option<Tree> = None;
     let mut children: Vec<Tree> = Vec::new();
-    for m in fed.registry.members_of(group) {
-        let tree = match cached_document(&m.name, name, fed) {
+    for m in spec.registry.members_of(group) {
+        let tree = match cached_document(&m.name, name, spec) {
             Some(tree) => tree,
-            None => wire_fetch(&m.name, name, fed)?,
+            None => wire_fetch(&m.name, name, spec)?,
         };
         children.extend(tree.children.iter().cloned());
         root.get_or_insert(tree);
@@ -473,44 +571,16 @@ fn partition_fetch(group: &str, name: &str, fed: &FedCtx<'_>) -> Result<Tree, Ex
     })
 }
 
-/// One unit of independent source work, runnable on any worker lane.
-enum Job {
-    /// All document prefetches against one source, in plan order.
-    Fetch {
-        /// The source to fetch from.
-        source: String,
-        /// Document names, in the order the sequential path would fetch.
-        names: Vec<String>,
-    },
-    /// An independent `Push` fragment (empty information-passing env).
-    Push {
-        /// The source the fragment is delegated to.
-        source: String,
-        /// The `Alg::Push` node's inner plan.
-        plan: Arc<Alg>,
-        /// The fragment's canonical signature — the memo key its result
-        /// is gathered under, and the answer-cache key it is stored at.
-        sig: Signature,
-    },
-}
-
-impl Job {
-    fn label(&self) -> String {
-        match self {
-            Job::Fetch { source, .. } => format!("fetch @{source}"),
-            Job::Push { source, .. } => format!("push @{source}"),
-        }
-    }
-}
-
-/// What a completed job hands back to the gather step.
-enum JobOut {
-    Docs(Vec<FetchedDoc>),
-    Pushed {
-        /// Memo key: the fragment's canonical signature.
-        sig: Signature,
-        tab: Tab,
-    },
+/// One independent `Push` fragment (empty information-passing env),
+/// runnable on any worker lane.
+struct Job {
+    /// The source the fragment is delegated to.
+    source: String,
+    /// The `Alg::Push` node's inner plan.
+    plan: Arc<Alg>,
+    /// The fragment's canonical signature — the memo key its result is
+    /// gathered under, and the answer-cache key it is stored at.
+    sig: Signature,
 }
 
 /// Collects the plan's *independent* push fragments: `Push` nodes not
@@ -530,9 +600,9 @@ fn independent_pushes<'p>(plan: &'p Alg, out: &mut Vec<(String, &'p Arc<Alg>)>) 
     }
 }
 
-/// The parallel front half of execution: build the job list, scatter it
-/// over at most `max_in_flight` worker lanes, gather the prefetched
-/// forest and the push-result cache.
+/// The parallel front half of execution: build the job list of the
+/// plan's independent pushes, scatter it over at most `max_in_flight`
+/// worker lanes and gather their results, keyed by signature.
 ///
 /// Lane assignment is static round-robin over the *schedule* (lane `l`
 /// runs schedule positions `l`, `l + lanes`, `l + 2·lanes`, …), so which
@@ -543,48 +613,15 @@ fn independent_pushes<'p>(plan: &'p Alg, out: &mut Vec<(String, &'p Arc<Alg>)>) 
 /// order whatever the schedule: whichever job earliest in the plan
 /// failed wins, matching what the sequential path would have surfaced
 /// first.
-fn scatter_gather(
-    wanted: &[(String, String)],
+pub(super) fn scatter_gather(
     plan: &Alg,
-    fed: &FedCtx<'_>,
+    spec: &ExecSpec<'_>,
     max_in_flight: usize,
-) -> Result<(Forest, MemberDocs, BTreeMap<Signature, Tab>), ExecError> {
+) -> Result<BTreeMap<Signature, Tab>, ExecError> {
     // answer-cache hits are resolved at scheduling time and never enter
     // the lane schedule at all
-    let mut forest = Forest::new();
-    let mut by_member = MemberDocs::new();
     let mut pushed: BTreeMap<Signature, Tab> = BTreeMap::new();
-
     let mut jobs: Vec<Job> = Vec::new();
-    // group the prefetch per source, preserving first-appearance order
-    for (src, name) in wanted {
-        // group fetches resolve their caching per member inside the job
-        if !fed.registry.is_group(src) {
-            if let Some(tree) = cached_document(src, name, fed) {
-                let member = member_key(fed, src);
-                insert_doc(
-                    &mut forest,
-                    &mut by_member,
-                    FetchedDoc {
-                        member,
-                        name: name.clone(),
-                        tree,
-                    },
-                );
-                continue;
-            }
-        }
-        match jobs.iter_mut().find_map(|j| match j {
-            Job::Fetch { source, names } if source == src => Some(names),
-            _ => None,
-        }) {
-            Some(names) => names.push(name.clone()),
-            None => jobs.push(Job::Fetch {
-                source: src.clone(),
-                names: vec![name.clone()],
-            }),
-        }
-    }
     let mut pushes = Vec::new();
     independent_pushes(plan, &mut pushes);
     let mut seen_nodes = BTreeSet::new();
@@ -594,38 +631,29 @@ fn scatter_gather(
             continue;
         }
         let sig = Signature::execute(&source, inner);
-        match fed
-            .cache
-            .lookup(sig, &source, fed.epoch_of(&source), fed.obs)
-        {
-            Some(CachedAnswer::Result(tab)) => {
-                fed.observe_cache(&source, true);
+        match spec.cached_result(sig, &source, spec.epoch_of(&source)) {
+            Some(tab) => {
                 pushed.insert(sig, tab);
-                continue;
             }
-            _ => fed.observe_cache(&source, false),
+            None => jobs.push(Job {
+                source,
+                plan: inner.clone(),
+                sig,
+            }),
         }
-        jobs.push(Job::Push {
-            source,
-            plan: inner.clone(),
-            sig,
-        });
     }
 
     if jobs.is_empty() {
-        return Ok((forest, by_member, pushed));
+        return Ok(pushed);
     }
 
     // cost-ordered scheduling: start the longest-expected jobs first so
     // the critical path shrinks (classic LPT). Ties — and the whole
     // schedule when no cost history exists — stay in plan order.
-    let expected = |job: &Job| match job {
-        Job::Fetch { source, names } => {
-            fed.registry.cost(source).expected_cost() * names.len() as f64
-        }
-        Job::Push { source, .. } => fed.registry.cost(source).expected_cost(),
-    };
-    let costs: Vec<f64> = jobs.iter().map(expected).collect();
+    let costs: Vec<f64> = jobs
+        .iter()
+        .map(|job| spec.registry.cost(&job.source).expected_cost())
+        .collect();
     let mut order: Vec<usize> = (0..jobs.len()).collect();
     order.sort_by(|&a, &b| {
         costs[b]
@@ -634,7 +662,7 @@ fn scatter_gather(
             .then(a.cmp(&b))
     });
 
-    let mut scatter = fed.obs.map(|o| o.span(kind::PHASE, "scatter".to_string()));
+    let mut scatter = spec.obs.map(|o| o.span(kind::PHASE, "scatter".to_string()));
     let scatter_id = scatter.as_ref().map(|s| s.id());
     let lanes = max_in_flight.max(1).min(jobs.len());
 
@@ -643,10 +671,10 @@ fn scatter_gather(
     // `lanes` completed-but-unconsumed results ever sit in memory — a
     // lane that races ahead of the gatherer blocks in `send` instead of
     // buffering unbounded output. The gather folds each result into the
-    // forest / push cache as it arrives (both are key-addressed, so
-    // arrival order does not matter), tracking channel occupancy so the
-    // bound is *observable*, not just structural.
-    let (tx, rx) = mpsc::sync_channel::<(usize, Result<JobOut, ExecError>)>(lanes);
+    // push memo as it arrives (it is key-addressed, so arrival order
+    // does not matter), tracking channel occupancy so the bound is
+    // *observable*, not just structural.
+    let (tx, rx) = mpsc::sync_channel::<(usize, Result<Tab, ExecError>)>(lanes);
     let pending = AtomicI64::new(0);
     let peak = AtomicI64::new(0);
     // errors are reported in job order — whichever job *earliest in the
@@ -658,12 +686,12 @@ fn scatter_gather(
             let (jobs, order) = (&jobs, &order);
             let tx = tx.clone();
             let (pending, peak) = (&pending, &peak);
-            let fed = *fed;
+            let spec = *spec;
             scope.spawn(move || {
                 let mut pos = lane;
                 while pos < order.len() {
                     let idx = order[pos];
-                    let out = run_job(&jobs[idx], lane, &fed, scatter_id);
+                    let out = run_job(&jobs[idx], lane, &spec, scatter_id);
                     if tx.send((idx, out)).is_err() {
                         return;
                     }
@@ -682,13 +710,8 @@ fn scatter_gather(
         while let Ok((idx, out)) = rx.recv() {
             pending.fetch_sub(1, Ordering::SeqCst);
             match out {
-                Ok(JobOut::Docs(docs)) => {
-                    for doc in docs {
-                        insert_doc(&mut forest, &mut by_member, doc);
-                    }
-                }
-                Ok(JobOut::Pushed { sig, tab }) => {
-                    pushed.insert(sig, tab);
+                Ok(tab) => {
+                    pushed.insert(jobs[idx].sig, tab);
                 }
                 Err(e) => {
                     if first_err.as_ref().is_none_or(|(first, _)| idx < *first) {
@@ -709,44 +732,41 @@ fn scatter_gather(
     if let Some((_, e)) = first_err {
         return Err(e);
     }
-    Ok((forest, by_member, pushed))
+    Ok(pushed)
 }
 
 /// Runs one scatter job on worker lane `lane`, under its own `phase`
-/// span (a child of the scatter span, tagged with the lane index).
+/// span (a child of the scatter span, tagged with the lane index), and
+/// caches its answer.
 fn run_job(
     job: &Job,
     lane: usize,
-    fed: &FedCtx<'_>,
+    spec: &ExecSpec<'_>,
     scatter_id: Option<usize>,
-) -> Result<JobOut, ExecError> {
-    let mut span = fed.obs.map(|o| {
-        let mut s = o.span_under(scatter_id, kind::PHASE, job.label());
+) -> Result<Tab, ExecError> {
+    let mut span = spec.obs.map(|o| {
+        let mut s = o.span_under(scatter_id, kind::PHASE, format!("push @{}", job.source));
         s.record_u64(attr::LANE, lane as u64);
         s
     });
-    let out = match job {
-        Job::Fetch { source, names } => fetch_batch(source, names, fed).map(JobOut::Docs),
-        Job::Push { source, plan, sig } => {
-            let epoch = fed.epoch_of(source);
-            // an independent fragment is the one-binding case of the
-            // batched path: nothing to substitute, shipped as it is
-            let unit = PassedBindings::unit();
-            ship_bindings(source, &PassedFragment::new(plan, &unit), &[0], fed, &mut 0)
-                .map(|mut shipped| {
-                    let tab = shipped.pop().expect("one binding, one answer");
-                    fed.cache.insert(
-                        *sig,
-                        source,
-                        epoch,
-                        CachedAnswer::Result(tab.clone()),
-                        fed.obs,
-                    );
-                    JobOut::Pushed { sig: *sig, tab }
-                })
-                .map_err(ExecError::from)
-        }
-    };
+    let epoch = spec.epoch_of(&job.source);
+    // an independent fragment is the one-binding case of the batched
+    // path: nothing to substitute, shipped as it is
+    let unit = PassedBindings::unit();
+    let fragment = PassedFragment::new(&job.plan, &unit);
+    let out = ship_bindings(&job.source, &fragment, &[0], spec, &mut 0)
+        .map(|mut shipped| {
+            let tab = shipped.pop().expect("one binding, one answer");
+            spec.cache.insert(
+                job.sig,
+                &job.source,
+                epoch,
+                CachedAnswer::Result(tab.clone()),
+                spec.obs,
+            );
+            tab
+        })
+        .map_err(ExecError::from);
     if let (Some(span), Err(e)) = (span.as_mut(), &out) {
         span.record_str(attr::ERROR, e.to_string());
     }
@@ -758,14 +778,14 @@ fn run_job(
 /// cache signatures, partition pruning and the column layout of a
 /// binding no member answers — a plain cache-off push never substitutes
 /// mediator-side at all.
-struct PassedFragment<'b> {
+pub(super) struct PassedFragment<'b> {
     plan: &'b Arc<Alg>,
     bindings: &'b PassedBindings,
     substituted: Vec<OnceCell<Arc<Alg>>>,
 }
 
 impl<'b> PassedFragment<'b> {
-    fn new(plan: &'b Arc<Alg>, bindings: &'b PassedBindings) -> Self {
+    pub(super) fn new(plan: &'b Arc<Alg>, bindings: &'b PassedBindings) -> Self {
         PassedFragment {
             plan,
             bindings,
@@ -774,13 +794,13 @@ impl<'b> PassedFragment<'b> {
     }
 
     /// The plan a per-binding `execute` of binding `ordinal` would carry.
-    fn plan_of(&self, ordinal: usize) -> &Arc<Alg> {
+    pub(super) fn plan_of(&self, ordinal: usize) -> &Arc<Alg> {
         self.substituted[ordinal]
             .get_or_init(|| substitute_env(self.plan, &self.bindings.env(ordinal)))
     }
 
     /// Whether binding `ordinal` substitutes anything at all.
-    fn is_symbolic(&self, ordinal: usize) -> bool {
+    pub(super) fn is_symbolic(&self, ordinal: usize) -> bool {
         self.bindings.rows[ordinal].iter().all(Option::is_none)
     }
 
@@ -798,7 +818,7 @@ impl<'b> PassedFragment<'b> {
 ///
 /// * a plain source or member is shipped to directly;
 /// * a replica group fails over across its executing members in cost
-///   order, re-shipping the *whole* set to the next one;
+///   order ([`fail_over`]), re-shipping the *whole* set to the next one;
 /// * a partition group buckets the bindings by the members each one's
 ///   substituted plan prunes to (a binding that substitutes nothing
 ///   keeps the plan-time decision: every member), ships every member its
@@ -806,36 +826,23 @@ impl<'b> PassedFragment<'b> {
 ///   `Union` semantics).
 ///
 /// `batches` counts the requests put on the wire.
-fn ship_bindings(
+pub(super) fn ship_bindings(
     source: &str,
     fragment: &PassedFragment<'_>,
     ordinals: &[usize],
-    fed: &FedCtx<'_>,
+    spec: &ExecSpec<'_>,
     batches: &mut u64,
 ) -> Result<Vec<Tab>, EvalError> {
-    match fed.registry.group_kind(source) {
-        None => ship_to_member(source, fragment, ordinals, fed, batches),
-        Some(GroupKind::Replicated) => {
-            let members = fed.registry.replicas_in_cost_order(source, true);
-            if members.is_empty() {
-                return Err(EvalError::Source {
-                    source: source.to_string(),
-                    message: "no executable replica in group".into(),
-                });
-            }
-            let mut first_err: Option<EvalError> = None;
-            for member in members {
-                match ship_to_member(&member, fragment, ordinals, fed, batches) {
-                    Ok(tabs) => return Ok(tabs),
-                    Err(e) => {
-                        first_err.get_or_insert(e);
-                    }
-                }
-            }
-            Err(first_err.expect("replica list was non-empty"))
-        }
+    match spec.registry.group_kind(source) {
+        None => ship_to_member(source, fragment, ordinals, spec, batches),
+        Some(GroupKind::Replicated) => fail_over(
+            &spec.registry.replicas_in_cost_order(source, true),
+            |member| ship_to_member(member, fragment, ordinals, spec, batches),
+            |_| false,
+            || no_replica(source),
+        ),
         Some(GroupKind::Partitioned) => {
-            let all: Vec<String> = fed
+            let all: Vec<String> = spec
                 .registry
                 .members_of(source)
                 .iter()
@@ -849,7 +856,7 @@ fn ship_bindings(
                     if fragment.is_symbolic(o) {
                         all.clone()
                     } else {
-                        fed.registry
+                        spec.registry
                             .prune(source, &constraints_of(fragment.plan_of(o)))
                     }
                 })
@@ -864,7 +871,7 @@ fn ship_bindings(
                     continue;
                 }
                 let bucket_ordinals: Vec<usize> = bucket.iter().map(|&pos| ordinals[pos]).collect();
-                let tabs = ship_to_member(member, fragment, &bucket_ordinals, fed, batches)?;
+                let tabs = ship_to_member(member, fragment, &bucket_ordinals, spec, batches)?;
                 for (pos, tab) in bucket.into_iter().zip(tabs) {
                     parts[pos] += 1;
                     match merged[pos].as_mut() {
@@ -929,23 +936,17 @@ fn ship_to_member(
     member: &str,
     fragment: &PassedFragment<'_>,
     ordinals: &[usize],
-    fed: &FedCtx<'_>,
+    spec: &ExecSpec<'_>,
     batches: &mut u64,
 ) -> Result<Vec<Tab>, EvalError> {
-    let conn = fed
-        .connections
-        .get(member)
-        .ok_or_else(|| EvalError::UnknownSource {
-            source: Some(member.to_string()),
-            name: "<push>".into(),
-        })?;
+    let conn = member_connection(member, spec)?;
     let failure = |message: String| EvalError::Source {
         source: member.to_string(),
         message,
     };
     let mut call = |request: Request| -> Result<Tab, EvalError> {
         *batches += 1;
-        match conn.call_traced(&request, fed.obs) {
+        match conn.call_traced(&request, spec.obs) {
             Ok(Response::Result(tab)) => Ok(tab),
             Ok(other) => Err(push_failure(member, other)),
             Err(e) => Err(failure(e.to_string())),
@@ -1004,6 +1005,16 @@ fn ship_to_member(
         .collect())
 }
 
+/// The connection of the concrete wrapper `member` a push is sent to.
+fn member_connection<'a>(member: &str, spec: &ExecSpec<'a>) -> Result<&'a Connection, EvalError> {
+    spec.connections
+        .get(member)
+        .ok_or_else(|| EvalError::UnknownSource {
+            source: Some(member.to_string()),
+            name: "<push>".into(),
+        })
+}
+
 /// The failure a wrapper's answer other than a table stands for, when
 /// `member` was asked to run a pushed plan.
 fn push_failure(member: &str, response: Response) -> EvalError {
@@ -1023,42 +1034,44 @@ fn push_failure(member: &str, response: Response) -> EvalError {
     }
 }
 
+/// The failure of a push to a replica group with no member that
+/// executes.
+fn no_replica(group: &str) -> EvalError {
+    EvalError::Source {
+        source: group.to_string(),
+        message: "no executable replica in group".into(),
+    }
+}
+
 /// Streams the answer of a fragment that substitutes nothing from
 /// `source` — a plain source or member, or a replica group — handing it
 /// to `each` piece by piece as it crosses the wire. A replica group
 /// fails over across its executing members in cost order, as
 /// [`ship_bindings`] does, while nothing has been handed on yet; once a
 /// piece has gone downstream, a failure fails the answer.
-fn stream_push(
+pub(super) fn stream_push(
     source: &str,
     plan: &Arc<Alg>,
-    fed: &FedCtx<'_>,
+    spec: &ExecSpec<'_>,
     piece_rows: usize,
     each: &mut dyn FnMut(Tab) -> Result<(), EvalError>,
 ) -> Result<(), EvalError> {
-    let members = match fed.registry.group_kind(source) {
-        Some(GroupKind::Replicated) => fed.registry.replicas_in_cost_order(source, true),
+    let members = match spec.registry.group_kind(source) {
+        Some(GroupKind::Replicated) => spec.registry.replicas_in_cost_order(source, true),
         _ => vec![source.to_string()],
     };
-    let mut first_err: Option<EvalError> = None;
-    for member in &members {
-        let mut handed = false;
-        let streamed = stream_from_member(member, plan, fed, piece_rows, &mut |piece| {
-            handed = true;
-            each(piece)
-        });
-        match streamed {
-            Ok(()) => return Ok(()),
-            Err(e) if handed => return Err(e),
-            Err(e) => {
-                first_err.get_or_insert(e);
-            }
-        }
-    }
-    Err(first_err.unwrap_or_else(|| EvalError::Source {
-        source: source.to_string(),
-        message: "no executable replica in group".into(),
-    }))
+    let handed = Cell::new(false);
+    fail_over(
+        &members,
+        |member| {
+            stream_from_member(member, plan, spec, piece_rows, &mut |piece| {
+                handed.set(true);
+                each(piece)
+            })
+        },
+        |_| handed.get(),
+        || no_replica(source),
+    )
 }
 
 /// One `execute` of `plan` at a concrete wrapper, its result handed to
@@ -1066,19 +1079,13 @@ fn stream_push(
 fn stream_from_member(
     member: &str,
     plan: &Arc<Alg>,
-    fed: &FedCtx<'_>,
+    spec: &ExecSpec<'_>,
     piece_rows: usize,
     each: &mut dyn FnMut(Tab) -> Result<(), EvalError>,
 ) -> Result<(), EvalError> {
-    let conn = fed
-        .connections
-        .get(member)
-        .ok_or_else(|| EvalError::UnknownSource {
-            source: Some(member.to_string()),
-            name: "<push>".into(),
-        })?;
+    let conn = member_connection(member, spec)?;
     let request = Request::Execute { plan: plan.clone() };
-    match conn.call_pieces(&request, fed.obs, piece_rows, each) {
+    match conn.call_pieces(&request, spec.obs, piece_rows, each) {
         Ok(None) => Ok(()),
         Ok(Some(other)) => Err(push_failure(member, other)),
         Err(Cut::Wire(e)) => Err(EvalError::Source {
@@ -1089,180 +1096,36 @@ fn stream_from_member(
     }
 }
 
-/// Documents fetched for this execution: a shared forest addressed by
-/// name (exported names are globally unique in a YAT federation, as in
-/// the paper's example), plus member-scoped documents for plans
-/// requalified to read one federation member — checked first so a member
-/// read never sees another shard's data.
-struct RemoteCatalog {
-    forest: Forest,
-    by_member: MemberDocs,
-}
-
-impl yat_algebra::SourceCatalog for RemoteCatalog {
-    fn document(&self, source: Option<&str>, name: &str) -> Option<Tree> {
-        if let Some(src) = source {
-            if let Some(tree) = self.by_member.get(src).and_then(|docs| docs.get(name)) {
-                return Some(tree.clone());
+/// The one replica-failover loop: tries `attempt` on each of `members`
+/// in turn and returns the first success. A failure `is_final` judges
+/// final is returned at once; any other moves on to the next member, and
+/// when every member failed, the first failure is the answer. With no
+/// member at all, `none` is.
+pub(super) fn fail_over<T, E>(
+    members: &[String],
+    mut attempt: impl FnMut(&str) -> Result<T, E>,
+    is_final: impl Fn(&E) -> bool,
+    none: impl FnOnce() -> E,
+) -> Result<T, E> {
+    let mut first_err: Option<E> = None;
+    for member in members {
+        match attempt(member) {
+            Ok(answer) => return Ok(answer),
+            Err(e) if is_final(&e) => return Err(e),
+            Err(e) => {
+                first_err.get_or_insert(e);
             }
         }
-        self.forest.get(name).cloned()
     }
-
-    fn deref_forest(&self) -> Option<&Forest> {
-        Some(&self.forest)
-    }
-}
-
-struct Pusher<'a> {
-    fed: FedCtx<'a>,
-    /// Results of independent fragments already shipped by the scatter
-    /// step, keyed by the fragment's canonical [`Signature`] — the same
-    /// scheme the cross-query cache uses, so one canonicalization serves
-    /// both layers. Empty in sequential mode.
-    pushed: BTreeMap<Signature, Tab>,
-}
-
-impl<'a> PushHandler for Pusher<'a> {
-    /// One binding is a batch of one: the same cache, federation and
-    /// wire handling, and a fragment that substitutes nothing still
-    /// ships as a plain `execute`.
-    fn execute_push(&self, source: &str, plan: &Arc<Alg>, env: &Env) -> Result<Tab, EvalError> {
-        let answer = self.execute_push_batch(source, plan, &PassedBindings::single(plan, env))?;
-        Ok(answer
-            .tabs
-            .into_iter()
-            .next()
-            .expect("one binding, one table"))
-    }
-
-    fn execute_push_batch(
-        &self,
-        source: &str,
-        plan: &Arc<Alg>,
-        bindings: &PassedBindings,
-    ) -> Result<BatchAnswer, EvalError> {
-        let fed = &self.fed;
-        let fragment = PassedFragment::new(plan, bindings);
-        let cache_on = fed.cache.policy().is_enabled();
-        // the live epoch (a group's aggregates over its members), read
-        // once: before the lookups it validates and the round trips whose
-        // answers it tags
-        let epoch = fed.epoch_of(source);
-        let mut tabs: Vec<Option<Tab>> = vec![None; bindings.rows.len()];
-        let mut sigs: Vec<Option<Signature>> = vec![None; bindings.rows.len()];
-        let mut misses: Vec<usize> = Vec::new();
-        for ordinal in 0..bindings.rows.len() {
-            // a binding that substitutes nothing is the fragment as the
-            // scatter step may already have shipped it
-            let memoized = fragment.is_symbolic(ordinal) && !self.pushed.is_empty();
-            // signatures cost a substitution and a hash — skip them when
-            // no consumer exists
-            if cache_on || memoized {
-                let sig = Signature::execute(source, fragment.plan_of(ordinal));
-                sigs[ordinal] = Some(sig);
-                if let Some(tab) = self.pushed.get(&sig).filter(|_| memoized) {
-                    tabs[ordinal] = Some(tab.clone());
-                    continue;
-                }
-                // then the cross-query cache
-                match fed.cache.lookup(sig, source, epoch, fed.obs) {
-                    Some(CachedAnswer::Result(tab)) => {
-                        fed.observe_cache(source, true);
-                        tabs[ordinal] = Some(tab);
-                        continue;
-                    }
-                    _ => fed.observe_cache(source, false),
-                }
-            }
-            misses.push(ordinal);
-        }
-
-        // only the misses enter the batch
-        let mut batches = 0;
-        if !misses.is_empty() {
-            let shipped = ship_bindings(source, &fragment, &misses, fed, &mut batches)?;
-            for (ordinal, tab) in misses.into_iter().zip(shipped) {
-                if let Some(sig) = sigs[ordinal] {
-                    fed.cache.insert(
-                        sig,
-                        source,
-                        epoch,
-                        CachedAnswer::Result(tab.clone()),
-                        fed.obs,
-                    );
-                }
-                tabs[ordinal] = Some(tab);
-            }
-        }
-        Ok(BatchAnswer {
-            tabs: tabs
-                .into_iter()
-                .map(|t| t.expect("every binding hit or was shipped"))
-                .collect(),
-            batches,
-        })
-    }
-
-    /// A fragment that substitutes nothing, sent to a plain source or a
-    /// replica group, streams ([`stream_push`]): its result crosses in
-    /// pieces of `rows` rows and each goes to `each` as it is read. The
-    /// cache is consulted first, as for any push, and stores the answer
-    /// only once its last piece has arrived. Every other push — a
-    /// partition group, information-passing bindings, a fragment the
-    /// scatter step already shipped — arrives whole, as one piece.
-    fn execute_push_pieces(
-        &self,
-        source: &str,
-        plan: &Arc<Alg>,
-        env: &Env,
-        rows: usize,
-        each: &mut dyn FnMut(Tab) -> Result<(), EvalError>,
-    ) -> Result<(), EvalError> {
-        let fed = &self.fed;
-        let bindings = PassedBindings::single(plan, env);
-        let fragment = PassedFragment::new(plan, &bindings);
-        let partitioned = fed.registry.group_kind(source) == Some(GroupKind::Partitioned);
-        if partitioned || !fragment.is_symbolic(0) || !self.pushed.is_empty() {
-            return each(self.execute_push(source, plan, env)?);
-        }
-        let epoch = fed.epoch_of(source);
-        let sig = fed
-            .cache
-            .policy()
-            .is_enabled()
-            .then(|| Signature::execute(source, fragment.plan_of(0)));
-        if let Some(sig) = sig {
-            match fed.cache.lookup(sig, source, epoch, fed.obs) {
-                Some(CachedAnswer::Result(tab)) => {
-                    fed.observe_cache(source, true);
-                    return each(tab);
-                }
-                _ => fed.observe_cache(source, false),
-            }
-        }
-        let mut kept: Option<Tab> = None;
-        stream_push(source, plan, fed, rows, &mut |piece| {
-            if sig.is_some() {
-                match &mut kept {
-                    Some(tab) => tab.append(piece.clone()),
-                    None => kept = Some(piece.clone()),
-                }
-            }
-            each(piece)
-        })?;
-        if let (Some(sig), Some(tab)) = (sig, kept) {
-            fed.cache
-                .insert(sig, source, epoch, CachedAnswer::Result(tab), fed.obs);
-        }
-        Ok(())
-    }
+    Err(first_err.unwrap_or_else(none))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use yat_algebra::Pred;
+    use yat_capability::protocol::{Request, Response, MAX_BATCH_BINDINGS};
+    use yat_model::{Node, Tree};
     use yat_yatl::parse_filter;
 
     /// The per-binding loop the batched path replaces: it forwards

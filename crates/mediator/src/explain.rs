@@ -27,7 +27,7 @@ use yat_xml::Element;
 pub struct LaneJob {
     /// Worker lane index (statically assigned round-robin).
     pub lane: u64,
-    /// Job label, `fetch @<source>` or `push @<source>`.
+    /// Job label, `push @<source>`: the independent fragment it shipped.
     pub label: String,
     /// Wall time of the job.
     pub elapsed: Duration,

@@ -21,8 +21,8 @@
 //!   operators, ships `Push` fragments to wrappers (with DJoin
 //!   information passing via constant substitution), and compensates
 //!   source predicates locally when they could not be pushed; under
-//!   [`ExecMode::Parallel`] independent fragments and the prefetch
-//!   scatter across `std::thread::scope` worker lanes;
+//!   [`ExecMode::Parallel`] independent fragments scatter across
+//!   `std::thread::scope` worker lanes;
 //! * [`policy`] — the executor's two policy values ([`ExecMode`],
 //!   [`StreamPolicy`]): plain data with documented defaults, set
 //!   through `Mediator::set_*` — nothing in the library reads the

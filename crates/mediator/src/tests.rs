@@ -674,7 +674,7 @@ fn parallel_prefetch_panic_fails_the_query_naming_the_source() {
     m.set_exec_mode(ExecMode::parallel());
 
     // the naive Q1 plan prefetches artifacts/persons from O2 — that
-    // fetch job dies on the injected panic
+    // prefetch dies on the injected panic
     let plan = m.plan_query(paper::Q1).unwrap();
     let err = m.execute(&plan).unwrap_err().to_string();
     assert!(
@@ -1874,7 +1874,8 @@ fn member_epoch_bump_only_stales_that_member() {
 #[test]
 fn cold_and_warm_schedules_agree_on_answers_and_traffic() {
     // a plain O2 source (no cost record, so it always costs 0) beside a
-    // sharded Wais group; the naive plan fetches both in that order
+    // sharded Wais group; the plan pushes one independent fragment to
+    // each, in that order
     let works = generate_works(&fed_works_spec(31));
     let mut m = Mediator::new();
     m.connect(Box::new(O2Wrapper::new(
@@ -1902,20 +1903,35 @@ fn cold_and_warm_schedules_agree_on_answers_and_traffic() {
         "wais",
         shard_role(&REST_STYLES),
     );
-    m.load_program(paper::VIEW1).unwrap();
     m.set_exec_mode(ExecMode::parallel());
-    let plan = m.plan_query(paper::Q1).unwrap();
-    let (opt, _) = m.optimize(&plan, OptimizerOptions::naive());
+    let push = |source: &str, document: &str, filter: &str| {
+        Alg::push(
+            source,
+            Alg::bind(
+                Alg::source(document),
+                yat_yatl::parse_filter(filter).unwrap(),
+            ),
+        )
+    };
+    let plan = Alg::join(
+        push(
+            "o2artifact",
+            "artifacts",
+            "set *class: artifact: tuple [ title: $a ]",
+        ),
+        push("wais", "works", "works *$w"),
+        yat_algebra::Pred::True,
+    );
     let run = || {
-        let ex = m.explain(&opt).unwrap();
+        let ex = m.explain(&plan).unwrap();
         let lanes: Vec<_> = ex.lanes.iter().map(|j| (j.lane, j.label.clone())).collect();
-        (result_fingerprint(&tree_of(ex.output)), ex.traffic, lanes)
+        (ex.output, ex.traffic, lanes)
     };
     // cold: no cost history, so the schedule is plan order
     let (cold_answer, cold_traffic, cold_lanes) = run();
     assert_eq!(
         cold_lanes,
-        [(0, "fetch @o2artifact".into()), (1, "fetch @wais".into())]
+        [(0, "push @o2artifact".into()), (1, "push @wais".into())]
     );
     // warm: the Wais members have a history now and start first; only
     // the lane assignment moves
@@ -1923,8 +1939,9 @@ fn cold_and_warm_schedules_agree_on_answers_and_traffic() {
     let (warm_answer, warm_traffic, warm_lanes) = run();
     assert_eq!(
         warm_lanes,
-        [(0, "fetch @wais".into()), (1, "fetch @o2artifact".into())]
+        [(0, "push @wais".into()), (1, "push @o2artifact".into())]
     );
+    assert!(cold_answer.as_tab().is_some_and(|tab| !tab.is_empty()));
     assert_eq!(warm_answer, cold_answer);
     assert_eq!(warm_traffic, cold_traffic);
     assert_eq!(
