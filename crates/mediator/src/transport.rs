@@ -193,6 +193,24 @@ pub struct Connection {
     fault: Mutex<Option<Fault>>,
 }
 
+/// One round trip counted in a connection's `in_flight` gauge. The
+/// count drops with the guard, so a trip whose piece consumer panics
+/// (the server's worker contains such a panic) is not left in flight.
+struct InFlight<'a>(&'a AtomicU64);
+
+impl<'a> InFlight<'a> {
+    fn enter(gauge: &'a AtomicU64) -> Self {
+        gauge.fetch_add(1, Ordering::SeqCst);
+        InFlight(gauge)
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 impl Connection {
     /// Connects to an in-process wrapper. The connection's epoch cell is
     /// handed to the wrapper, so servers over mutable stores bump it on
@@ -378,7 +396,7 @@ impl Connection {
             span.record_str(attr::SOURCE, self.name());
             span
         });
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
+        let in_flight = InFlight::enter(&self.in_flight);
         let started = std::time::Instant::now();
         let mut handed = Handed::default();
         let outcome = self.round_trip(request, piece_rows, each, &mut handed);
@@ -386,7 +404,7 @@ impl Connection {
         if let Some(span) = span.as_mut() {
             span.exclude(handed.time);
         }
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        drop(in_flight);
         // Index and storage accounting travel out-of-band: the wrapper
         // files a report per request under the calling thread, and the
         // transport drains it every round trip — failed and untraced ones
@@ -838,6 +856,48 @@ mod tests {
         c.set_latency(None);
         c.inject_fault(Fault::CorruptRequest);
         c.call(&get_works()).unwrap_err();
+        assert_eq!(c.in_flight(), 0);
+    }
+
+    /// Answers every request with a table of `n` one-column rows.
+    struct Rows(i64);
+
+    impl WrapperServer for Rows {
+        fn name(&self) -> &str {
+            "rows"
+        }
+
+        fn handle(&self, _request: &Request) -> Response {
+            let mut tab = Tab::new(vec!["n".to_string()]);
+            for n in 0..self.0 {
+                tab.push(vec![yat_algebra::Value::Tree(yat_model::Node::atom(n))]);
+            }
+            Response::Result(tab)
+        }
+    }
+
+    #[test]
+    fn a_panicking_piece_consumer_leaves_nothing_in_flight() {
+        let c = Connection::new(Box::new(Rows(8)));
+        let execute = Request::Execute {
+            plan: yat_algebra::Alg::source("works"),
+        };
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _ = c.call_pieces::<Infallible>(&execute, None, 2, &mut |_piece| {
+                panic!("the consumer fell over")
+            });
+        }));
+        assert!(unwound.is_err(), "the consumer's panic reaches the caller");
+        assert_eq!(c.in_flight(), 0, "the unwound trip left the gauge");
+
+        // the connection still answers, and settles back again
+        let mut rows = 0;
+        let answered = c.call_pieces::<Infallible>(&execute, None, 2, &mut |piece| {
+            rows += piece.len();
+            Ok(())
+        });
+        assert!(matches!(answered, Ok(None)));
+        assert_eq!(rows, 8);
         assert_eq!(c.in_flight(), 0);
     }
 
