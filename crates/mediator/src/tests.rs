@@ -2017,3 +2017,87 @@ fn a_response_that_fails_after_chunk_0_fails_the_stream_and_stores_nothing() {
     m.set_cache_policy(CachePolicy::Off);
     assert_eq!(sink.into_answer(), Some(m.execute(&opt).unwrap()));
 }
+
+/// A names scan over the `art` replica group, its `Push` the streamed
+/// pipeline's source.
+const PERSON_NAMES: &str =
+    "MAKE names *($n) := n [ $n ] MATCH persons WITH set *class: person: tuple [ name: $n ]";
+
+/// The replica of `art` a push is sent to first.
+fn first_replica(m: &Mediator) -> String {
+    m.registry().replicas_in_cost_order("art", true)[0].clone()
+}
+
+#[test]
+fn a_streamed_push_fails_over_past_a_dead_first_replica() {
+    use yat_algebra::CollectSink;
+
+    let seed = 41;
+    let first = first_replica(&federated_mediator(seed, &[]));
+    let m = federated_mediator(seed, &[&first]);
+    assert_eq!(
+        first_replica(&m),
+        first,
+        "the dead replica is still asked first"
+    );
+    let plan = m.plan_query(PERSON_NAMES).unwrap();
+    let (opt, _) = m.optimize(&plan, OptimizerOptions::default());
+    m.reset_traffic();
+    let mut sink = CollectSink::new();
+    m.execute_stream(&opt, &mut sink).unwrap();
+    // the dead replica refused before any piece left, so the next one
+    // was asked and answered
+    for member in ["o2art-a", "o2art-b"] {
+        assert_eq!(m.traffic_of(member).unwrap().round_trips, 1, "{member}");
+    }
+    assert_eq!(sink.into_answer(), Some(m.execute(&opt).unwrap()));
+}
+
+#[test]
+fn a_streamed_push_cut_after_chunk_0_does_not_fail_over() {
+    use crate::executor::StreamPolicy;
+    use crate::transport::Fault;
+    use yat_algebra::CollectSink;
+
+    // ten names cross in pieces of three; the damage is in the last
+    // piece, so chunk 0 has left by the time it is read
+    let mut m = federated_mediator(43, &[]);
+    m.set_cache_policy(CachePolicy::bounded());
+    m.set_stream_policy(StreamPolicy {
+        batch_rows: 3,
+        max_pending: 4,
+    });
+    let plan = m.plan_query(PERSON_NAMES).unwrap();
+    let (opt, _) = m.optimize(&plan, OptimizerOptions::default());
+    let first = first_replica(&m);
+    let other = if first == "o2art-a" {
+        "o2art-b"
+    } else {
+        "o2art-a"
+    };
+    let before = m.traffic_of(other).unwrap();
+
+    m.connection(&first)
+        .unwrap()
+        .inject_fault(Fault::CorruptResponse);
+    let mut sink = CollectSink::new();
+    let err = m.execute_stream(&opt, &mut sink).unwrap_err().to_string();
+    assert!(sink.chunks >= 1, "chunk 0 left before the damage was read");
+    assert!(
+        err.contains(&first) && err.contains("did not survive the wire"),
+        "{err}"
+    );
+    assert_eq!(m.traffic_of(other).unwrap(), before, "no failover");
+    assert!(m.cache().is_empty(), "no entry from a cut trip");
+
+    // the materialized answer fails over on the same damage
+    m.connection(&first)
+        .unwrap()
+        .inject_fault(Fault::CorruptResponse);
+    m.set_cache_policy(CachePolicy::Off);
+    let whole = m.execute(&opt).unwrap();
+    assert!(m.traffic_of(other).unwrap().round_trips > before.round_trips);
+    let mut sink = CollectSink::new();
+    m.execute_stream(&opt, &mut sink).unwrap();
+    assert_eq!(sink.into_answer(), Some(whole));
+}
