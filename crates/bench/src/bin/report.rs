@@ -12,7 +12,6 @@ use std::time::Instant;
 use yat_algebra::{eval, EvalCtx, EvalOut, FnRegistry, SkolemRegistry};
 use yat_bench::figures::{self, fig4, fig7, pipeline};
 use yat_bench::workload::{fig1_mediator, Scenario};
-use yat_capability::xml::interface_to_xml;
 use yat_mediator::Mediator;
 use yat_yatl::{paper, translate};
 
@@ -158,7 +157,10 @@ fn fig5() {
 fn fig6() {
     heading("Figure 6 — O2 filter patterns and operational interface");
     let w = yat_oql::O2Wrapper::new("o2artifact", yat_oql::art::fig1_store());
-    println!("{}", interface_to_xml(&w.interface()).to_pretty_xml());
+    let mut text = String::new();
+    w.interface().encode(&mut text);
+    let printed = yat_xml::parse_element(&text).expect("an interface encodes as XML");
+    println!("{}", printed.to_pretty_xml());
 }
 
 fn fig7_report() {

@@ -12,7 +12,6 @@
 
 use crate::xml::WireError;
 use std::io::{Read, Write};
-use yat_xml::Element;
 
 /// The largest payload a receiver accepts, in bytes (64 MiB). A header
 /// declaring more is refused before allocating anything — a four-byte
@@ -65,17 +64,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<String>, WireError> {
         .map_err(|e| WireError::Malformed(format!("frame payload is not UTF-8: {e}")))
 }
 
-/// Reads one frame and parses it as an XML element. `Ok(None)` on clean
-/// EOF between frames.
-pub fn read_element(r: &mut impl Read) -> Result<Option<Element>, WireError> {
-    match read_frame(r)? {
-        None => Ok(None),
-        Some(text) => yat_xml::parse_element(&text)
-            .map(Some)
-            .map_err(|e| WireError::Malformed(format!("frame did not parse as XML: {e}"))),
-    }
-}
-
 /// Fills `buf` as far as the stream allows, returning how many bytes
 /// arrived (less than `buf.len()` only at EOF). `ErrorKind::Interrupted`
 /// is retried; other I/O errors surface as [`WireError::Io`].
@@ -95,6 +83,7 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::ClientRequest;
 
     fn frame_bytes(payload: &str) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -119,12 +108,16 @@ mod tests {
 
     #[test]
     fn elements_roundtrip() {
-        let el = Element::new("query").with_text("select *");
+        // a message framed and read back through the codec
+        let request = ClientRequest::Explain {
+            text: "select *".into(),
+        };
+        let mut text = String::new();
+        request.encode(&mut text);
         let mut buf = Vec::new();
-        write_frame(&mut buf, &el.to_xml()).unwrap();
-        let back = read_element(&mut buf.as_slice()).unwrap().unwrap();
-        assert_eq!(back.name, "query");
-        assert_eq!(back.text(), "select *");
+        write_frame(&mut buf, &text).unwrap();
+        let back = read_frame(&mut buf.as_slice()).unwrap().unwrap();
+        assert_eq!(ClientRequest::decode(&back).unwrap(), request);
     }
 
     #[test]
@@ -182,7 +175,8 @@ mod tests {
     #[test]
     fn unparseable_payload_is_malformed() {
         let bytes = frame_bytes("<unclosed");
-        match read_element(&mut bytes.as_slice()) {
+        let text = read_frame(&mut bytes.as_slice()).unwrap().unwrap();
+        match ClientRequest::decode(&text).map_err(WireError::from) {
             Err(WireError::Malformed(m)) => assert!(m.contains("parse"), "{m}"),
             other => panic!("{other:?}"),
         }

@@ -18,17 +18,19 @@
 //!   evaluated by a source, giving a reason when it cannot (used by the
 //!   optimizer's capability-based rewriting, Section 5.3).
 //! * [`xml`] — the interface wire format, round-tripping the document of
-//!   Fig. 6.
-//! * [`plan_xml`] — XML serialization of algebra plans, filters,
-//!   templates and predicates: how the mediator ships pushed plans to
-//!   wrappers ("wrappers and mediators communicate data, structures and
+//!   Fig. 6, and the structural patterns a pushed `<bind>` carries.
+//! * [`plan_xml`] — the wire form of algebra plans, predicates, operands
+//!   and templates: how the mediator ships pushed plans to wrappers
+//!   ("wrappers and mediators communicate data, structures and
 //!   operations in XML", Section 2).
 //! * [`protocol`] — the mediator↔wrapper verbs (`get-interface`,
-//!   `get-document`, `execute`) and the client↔server verbs (`query`,
-//!   `explain`, `stats`, `shutdown`) the serving layer speaks.
-//! * [`codec`] — the DOM-free encoder and decoder for the frames that
-//!   carry data (`<document>`, `<result>`, `<answer>`, `<answer-chunk>`),
-//!   byte-identical to the `Element` path kept as their reference.
+//!   `get-document`, `execute`, `execute-batch`) and the client↔server
+//!   verbs (`query`, `explain`, `stats`, `shutdown`) the serving layer
+//!   speaks.
+//! * [`codec`] — the one serialization of every message: `encode` onto
+//!   a `yat_xml::Out`, `decode` over the `yat_xml::Reader` tokenizer,
+//!   with no DOM on either side. [`tab_xml`] keeps the DOM form of
+//!   result tables as the reference the codec's tests compare against.
 //! * [`framing`] — length-prefixed frames carrying those messages over a
 //!   byte stream, with typed [`xml::WireError`]s for every way hostile
 //!   bytes can fail to decode.

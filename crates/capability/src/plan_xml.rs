@@ -1,247 +1,97 @@
-//! XML serialization of algebra plans: the operations half of the wrapper
+//! The wire form of algebra plans: the operations half of the wrapper
 //! protocol ("wrappers and mediators communicate data, structures and
 //! operations in XML", Section 2).
 //!
-//! The mediator ships every pushed subplan as a `<plan>` document; the
-//! wrapper deserializes it and evaluates natively (O2 translates it to
-//! OQL text, Section 4.1).
+//! The mediator ships every pushed subplan inside an `<execute>` or
+//! `<execute-batch>` request; the wrapper reads it back and evaluates
+//! natively (O2 translates it to OQL text, Section 4.1). Plans,
+//! predicates, operands and templates are written onto an [`Out`] and
+//! read through the codec's decoder, like every other message.
+//!
+//! The reader takes an operator's argument — its `<filter>`, `<where>`,
+//! `<on>`, `<expr>` or `<template>` — from the first such child wherever
+//! it stands among the operator's children, and its input plans from its
+//! plan children in order; any other child is skipped.
 
-use crate::xml::{pattern_from_xml, pattern_to_xml, WireError};
+use crate::codec::{malformed, DecodeError, Decoder, Tag};
+use crate::xml::write_pattern;
 use std::sync::Arc;
 use yat_algebra::{Alg, CmpOp, Operand, Pred, SortDir, Template};
-use yat_model::{Atom, AtomType};
-use yat_xml::Element;
+use yat_xml::Out;
 
-fn err(msg: impl Into<String>) -> WireError {
-    WireError::Malformed(msg.into())
-}
-
-/// Serializes a plan.
-pub fn plan_to_xml(plan: &Alg) -> Element {
+/// Writes a plan.
+pub(crate) fn write_plan<O: Out>(plan: &Alg, out: &mut O) {
     match plan {
-        Alg::Source { source, name } => {
-            let mut el = Element::new("source").with_attr("name", name.clone());
-            if let Some(s) = source {
-                el.set_attr("at", s.clone());
-            }
-            el
-        }
+        Alg::Source { source, name } => Tag::new(out, "source")
+            .attr("name", name)
+            .opt("at", source.as_deref())
+            .end(),
         Alg::Bind {
             input,
             filter,
             over,
-        } => {
-            let mut el = Element::new("bind");
-            if let Some(v) = over {
-                el.set_attr("over", v.clone());
+        } => Tag::new(out, "bind")
+            .opt("over", over.as_deref())
+            .with(|out: &mut O| {
+                Tag::new(out, "filter").with(|out| write_pattern(filter, out));
+                write_plan(input, out);
+            }),
+        Alg::TreeOp { input, template } => Tag::new(out, "tree").with(|out: &mut O| {
+            Tag::new(out, "template").with(|out| write_template(template, out));
+            write_plan(input, out);
+        }),
+        Alg::Select { input, pred } => Tag::new(out, "select").with(|out: &mut O| {
+            Tag::new(out, "where").with(|out| write_pred(pred, out));
+            write_plan(input, out);
+        }),
+        Alg::Project { input, cols } => Tag::new(out, "project").with(|out: &mut O| {
+            for (src, dst) in cols {
+                Tag::new(out, "col").attr("src", src).attr("as", dst).end();
             }
-            el.push_element(Element::new("filter").with_child(pattern_to_xml(filter)));
-            el.push_element(plan_to_xml(input));
-            el
+            write_plan(input, out);
+        }),
+        Alg::Join { left, right, pred } => Tag::new(out, "join").with(|out: &mut O| {
+            Tag::new(out, "on").with(|out| write_pred(pred, out));
+            write_plan(left, out);
+            write_plan(right, out);
+        }),
+        Alg::DJoin { left, right }
+        | Alg::Union { left, right }
+        | Alg::Intersect { left, right }
+        | Alg::Diff { left, right } => {
+            let tag = match plan {
+                Alg::DJoin { .. } => "djoin",
+                Alg::Union { .. } => "union",
+                Alg::Intersect { .. } => "intersect",
+                _ => "diff",
+            };
+            Tag::new(out, tag).with(|out: &mut O| {
+                write_plan(left, out);
+                write_plan(right, out);
+            })
         }
-        Alg::TreeOp { input, template } => Element::new("tree")
-            .with_child(Element::new("template").with_child(template_to_xml(template)))
-            .with_child(plan_to_xml(input)),
-        Alg::Select { input, pred } => Element::new("select")
-            .with_child(Element::new("where").with_child(pred_to_xml(pred)))
-            .with_child(plan_to_xml(input)),
-        Alg::Project { input, cols } => {
-            let mut el = Element::new("project");
-            for (s, d) in cols {
-                el.push_element(
-                    Element::new("col")
-                        .with_attr("src", s.clone())
-                        .with_attr("as", d.clone()),
-                );
+        Alg::Group { input, keys } => Tag::new(out, "group")
+            .attr("keys", &keys.join(" "))
+            .with(|out: &mut O| write_plan(input, out)),
+        Alg::Sort { input, keys } => Tag::new(out, "sort").with(|out: &mut O| {
+            for (col, dir) in keys {
+                let dir = match dir {
+                    SortDir::Asc => "asc",
+                    SortDir::Desc => "desc",
+                };
+                Tag::new(out, "key").attr("col", col).attr("dir", dir).end();
             }
-            el.push_element(plan_to_xml(input));
-            el
+            write_plan(input, out);
+        }),
+        Alg::Map { input, col, expr } => {
+            Tag::new(out, "map").attr("col", col).with(|out: &mut O| {
+                Tag::new(out, "expr").with(|out| write_operand(expr, out));
+                write_plan(input, out);
+            })
         }
-        Alg::Join { left, right, pred } => Element::new("join")
-            .with_child(Element::new("on").with_child(pred_to_xml(pred)))
-            .with_child(plan_to_xml(left))
-            .with_child(plan_to_xml(right)),
-        Alg::DJoin { left, right } => Element::new("djoin")
-            .with_child(plan_to_xml(left))
-            .with_child(plan_to_xml(right)),
-        Alg::Union { left, right } => Element::new("union")
-            .with_child(plan_to_xml(left))
-            .with_child(plan_to_xml(right)),
-        Alg::Intersect { left, right } => Element::new("intersect")
-            .with_child(plan_to_xml(left))
-            .with_child(plan_to_xml(right)),
-        Alg::Diff { left, right } => Element::new("diff")
-            .with_child(plan_to_xml(left))
-            .with_child(plan_to_xml(right)),
-        Alg::Group { input, keys } => Element::new("group")
-            .with_attr("keys", keys.join(" "))
-            .with_child(plan_to_xml(input)),
-        Alg::Sort { input, keys } => {
-            let mut el = Element::new("sort");
-            for (k, d) in keys {
-                el.push_element(Element::new("key").with_attr("col", k.clone()).with_attr(
-                    "dir",
-                    match d {
-                        SortDir::Asc => "asc",
-                        SortDir::Desc => "desc",
-                    },
-                ));
-            }
-            el.push_element(plan_to_xml(input));
-            el
-        }
-        Alg::Map { input, col, expr } => Element::new("map")
-            .with_attr("col", col.clone())
-            .with_child(Element::new("expr").with_child(operand_to_xml(expr)))
-            .with_child(plan_to_xml(input)),
-        Alg::Push { source, plan } => Element::new("push")
-            .with_attr("source", source.clone())
-            .with_child(plan_to_xml(plan)),
-    }
-}
-
-/// Parses a plan.
-pub fn plan_from_xml(el: &Element) -> Result<Arc<Alg>, WireError> {
-    let nth_plan = |el: &Element, skip: usize| -> Result<Arc<Alg>, WireError> {
-        el.elements()
-            .filter(|c| is_plan_tag(&c.name))
-            .nth(skip)
-            .ok_or_else(|| err(format!("<{}> missing input plan", el.name)))
-            .and_then(plan_from_xml)
-    };
-    match el.name.as_str() {
-        "source" => {
-            let name = el
-                .attr("name")
-                .ok_or_else(|| err("<source> missing name"))?;
-            Ok(Arc::new(Alg::Source {
-                source: el.attr("at").map(str::to_string),
-                name: name.to_string(),
-            }))
-        }
-        "bind" => {
-            let filter_el = el
-                .child("filter")
-                .and_then(|f| f.elements().next())
-                .ok_or_else(|| err("<bind> missing <filter>"))?;
-            Ok(Arc::new(Alg::Bind {
-                input: nth_plan(el, 0)?,
-                filter: pattern_from_xml(filter_el)?,
-                over: el.attr("over").map(str::to_string),
-            }))
-        }
-        "tree" => {
-            let template_el = el
-                .child("template")
-                .and_then(|t| t.elements().next())
-                .ok_or_else(|| err("<tree> missing <template>"))?;
-            Ok(Arc::new(Alg::TreeOp {
-                input: nth_plan(el, 0)?,
-                template: template_from_xml(template_el)?,
-            }))
-        }
-        "select" => {
-            let pred_el = el
-                .child("where")
-                .and_then(|w| w.elements().next())
-                .ok_or_else(|| err("<select> missing <where>"))?;
-            Ok(Arc::new(Alg::Select {
-                input: nth_plan(el, 0)?,
-                pred: pred_from_xml(pred_el)?,
-            }))
-        }
-        "project" => {
-            let cols = el
-                .children_named("col")
-                .map(|c| {
-                    let s = c.attr("src").ok_or_else(|| err("<col> missing src"))?;
-                    let d = c.attr("as").unwrap_or(s);
-                    Ok((s.to_string(), d.to_string()))
-                })
-                .collect::<Result<_, WireError>>()?;
-            Ok(Arc::new(Alg::Project {
-                input: nth_plan(el, 0)?,
-                cols,
-            }))
-        }
-        "join" => {
-            let pred_el = el
-                .child("on")
-                .and_then(|w| w.elements().next())
-                .ok_or_else(|| err("<join> missing <on>"))?;
-            Ok(Arc::new(Alg::Join {
-                left: nth_plan(el, 0)?,
-                right: nth_plan(el, 1)?,
-                pred: pred_from_xml(pred_el)?,
-            }))
-        }
-        "djoin" => Ok(Arc::new(Alg::DJoin {
-            left: nth_plan(el, 0)?,
-            right: nth_plan(el, 1)?,
-        })),
-        "union" => Ok(Arc::new(Alg::Union {
-            left: nth_plan(el, 0)?,
-            right: nth_plan(el, 1)?,
-        })),
-        "intersect" => Ok(Arc::new(Alg::Intersect {
-            left: nth_plan(el, 0)?,
-            right: nth_plan(el, 1)?,
-        })),
-        "diff" => Ok(Arc::new(Alg::Diff {
-            left: nth_plan(el, 0)?,
-            right: nth_plan(el, 1)?,
-        })),
-        "group" => {
-            let keys = el
-                .attr("keys")
-                .unwrap_or("")
-                .split_whitespace()
-                .map(str::to_string)
-                .collect();
-            Ok(Arc::new(Alg::Group {
-                input: nth_plan(el, 0)?,
-                keys,
-            }))
-        }
-        "sort" => {
-            let keys = el
-                .children_named("key")
-                .map(|k| {
-                    let col = k.attr("col").ok_or_else(|| err("<key> missing col"))?;
-                    let dir = match k.attr("dir") {
-                        Some("desc") => SortDir::Desc,
-                        _ => SortDir::Asc,
-                    };
-                    Ok((col.to_string(), dir))
-                })
-                .collect::<Result<_, WireError>>()?;
-            Ok(Arc::new(Alg::Sort {
-                input: nth_plan(el, 0)?,
-                keys,
-            }))
-        }
-        "map" => {
-            let col = el.attr("col").ok_or_else(|| err("<map> missing col"))?;
-            let expr_el = el
-                .child("expr")
-                .and_then(|x| x.elements().next())
-                .ok_or_else(|| err("<map> missing <expr>"))?;
-            Ok(Arc::new(Alg::Map {
-                input: nth_plan(el, 0)?,
-                col: col.to_string(),
-                expr: operand_from_xml(expr_el)?,
-            }))
-        }
-        "push" => {
-            let source = el
-                .attr("source")
-                .ok_or_else(|| err("<push> missing source"))?;
-            Ok(Arc::new(Alg::Push {
-                source: source.to_string(),
-                plan: nth_plan(el, 0)?,
-            }))
-        }
-        other => Err(err(format!("unknown plan element <{other}>"))),
+        Alg::Push { source, plan } => Tag::new(out, "push")
+            .attr("source", source)
+            .with(|out: &mut O| write_plan(plan, out)),
     }
 }
 
@@ -265,239 +115,331 @@ fn is_plan_tag(name: &str) -> bool {
     )
 }
 
-// ------------------------------------------------------------- predicates
-
-/// Serializes a predicate.
-pub fn pred_to_xml(p: &Pred) -> Element {
+fn write_pred<O: Out>(p: &Pred, out: &mut O) {
     match p {
-        Pred::True => Element::new("true"),
-        Pred::And(a, b) => Element::new("and")
-            .with_child(pred_to_xml(a))
-            .with_child(pred_to_xml(b)),
-        Pred::Or(a, b) => Element::new("or")
-            .with_child(pred_to_xml(a))
-            .with_child(pred_to_xml(b)),
-        Pred::Not(x) => Element::new("not").with_child(pred_to_xml(x)),
-        Pred::Cmp { op, left, right } => Element::new("cmp")
-            .with_attr(
-                "op",
-                match op {
-                    CmpOp::Eq => "eq",
-                    CmpOp::Ne => "ne",
-                    CmpOp::Lt => "lt",
-                    CmpOp::Le => "le",
-                    CmpOp::Gt => "gt",
-                    CmpOp::Ge => "ge",
-                },
-            )
-            .with_child(operand_to_xml(left))
-            .with_child(operand_to_xml(right)),
-        Pred::Call { name, args } => {
-            let mut el = Element::new("predicate").with_attr("name", name.clone());
-            for a in args {
-                el.push_element(operand_to_xml(a));
-            }
-            el
-        }
-    }
-}
-
-/// Parses a predicate.
-pub fn pred_from_xml(el: &Element) -> Result<Pred, WireError> {
-    let two = |el: &Element| -> Result<(Pred, Pred), WireError> {
-        let mut it = el.elements();
-        let a = it
-            .next()
-            .ok_or_else(|| err(format!("<{}> needs 2 operands", el.name)))?;
-        let b = it
-            .next()
-            .ok_or_else(|| err(format!("<{}> needs 2 operands", el.name)))?;
-        Ok((pred_from_xml(a)?, pred_from_xml(b)?))
-    };
-    match el.name.as_str() {
-        "true" => Ok(Pred::True),
-        "and" => {
-            let (a, b) = two(el)?;
-            Ok(Pred::And(Box::new(a), Box::new(b)))
-        }
-        "or" => {
-            let (a, b) = two(el)?;
-            Ok(Pred::Or(Box::new(a), Box::new(b)))
-        }
-        "not" => {
-            let x = el
-                .elements()
-                .next()
-                .ok_or_else(|| err("<not> needs an operand"))?;
-            Ok(Pred::Not(Box::new(pred_from_xml(x)?)))
-        }
-        "cmp" => {
-            let op = match el.attr("op") {
-                Some("eq") => CmpOp::Eq,
-                Some("ne") => CmpOp::Ne,
-                Some("lt") => CmpOp::Lt,
-                Some("le") => CmpOp::Le,
-                Some("gt") => CmpOp::Gt,
-                Some("ge") => CmpOp::Ge,
-                other => return Err(err(format!("bad cmp op {other:?}"))),
+        Pred::True => Tag::new(out, "true").end(),
+        Pred::And(a, b) | Pred::Or(a, b) => {
+            let tag = if matches!(p, Pred::And(..)) {
+                "and"
+            } else {
+                "or"
             };
-            let mut it = el.elements();
-            let l = it.next().ok_or_else(|| err("<cmp> needs 2 operands"))?;
-            let r = it.next().ok_or_else(|| err("<cmp> needs 2 operands"))?;
-            Ok(Pred::Cmp {
-                op,
-                left: operand_from_xml(l)?,
-                right: operand_from_xml(r)?,
+            Tag::new(out, tag).with(|out: &mut O| {
+                write_pred(a, out);
+                write_pred(b, out);
             })
         }
-        "predicate" => {
-            let name = el
-                .attr("name")
-                .ok_or_else(|| err("<predicate> missing name"))?;
-            let args = el
-                .elements()
-                .map(operand_from_xml)
-                .collect::<Result<_, _>>()?;
-            Ok(Pred::Call {
-                name: name.to_string(),
-                args,
+        Pred::Not(x) => Tag::new(out, "not").with(|out: &mut O| write_pred(x, out)),
+        Pred::Cmp { op, left, right } => {
+            let op = match op {
+                CmpOp::Eq => "eq",
+                CmpOp::Ne => "ne",
+                CmpOp::Lt => "lt",
+                CmpOp::Le => "le",
+                CmpOp::Gt => "gt",
+                CmpOp::Ge => "ge",
+            };
+            Tag::new(out, "cmp").attr("op", op).with(|out: &mut O| {
+                write_operand(left, out);
+                write_operand(right, out);
             })
         }
-        other => Err(err(format!("unknown predicate element <{other}>"))),
+        Pred::Call { name, args } => {
+            Tag::new(out, "predicate")
+                .attr("name", name)
+                .body(args.is_empty(), |out: &mut O| {
+                    for a in args {
+                        write_operand(a, out);
+                    }
+                })
+        }
     }
 }
 
-fn operand_to_xml(o: &Operand) -> Element {
+fn write_operand<O: Out>(o: &Operand, out: &mut O) {
     match o {
-        Operand::Var(v) => Element::new("var").with_attr("name", v.clone()),
-        Operand::Const(a) => Element::new("const")
-            .with_attr("type", a.atom_type().name())
-            .with_attr("value", a.to_string()),
+        Operand::Var(v) => Tag::new(out, "var").attr("name", v).end(),
+        Operand::Const(a) => Tag::new(out, "const")
+            .attr("type", a.atom_type().name())
+            .attr("value", &a.text())
+            .end(),
         Operand::Call { name, args } => {
-            let mut el = Element::new("call").with_attr("name", name.clone());
-            for a in args {
-                el.push_element(operand_to_xml(a));
-            }
-            el
+            Tag::new(out, "call")
+                .attr("name", name)
+                .body(args.is_empty(), |out: &mut O| {
+                    for a in args {
+                        write_operand(a, out);
+                    }
+                })
         }
     }
 }
 
-fn operand_from_xml(el: &Element) -> Result<Operand, WireError> {
-    match el.name.as_str() {
-        "var" => Ok(Operand::Var(
-            el.attr("name")
-                .ok_or_else(|| err("<var> missing name"))?
-                .to_string(),
-        )),
-        "const" => {
-            let t = el
-                .attr("type")
-                .and_then(AtomType::from_name)
-                .ok_or_else(|| err("<const> with unknown type"))?;
-            let raw = el
-                .attr("value")
-                .ok_or_else(|| err("<const> missing value"))?;
-            let a = Atom::parse_typed(raw, t)
-                .ok_or_else(|| err(format!("`{raw}` is not a valid {t}")))?;
-            Ok(Operand::Const(a))
+fn write_template<O: Out>(t: &Template, out: &mut O) {
+    let children = |out: &mut O, children: &[Template]| {
+        for c in children {
+            write_template(c, out);
         }
-        "call" => {
-            let name = el.attr("name").ok_or_else(|| err("<call> missing name"))?;
-            let args = el
-                .elements()
-                .map(operand_from_xml)
-                .collect::<Result<_, _>>()?;
-            Ok(Operand::Call {
-                name: name.to_string(),
-                args,
-            })
-        }
-        other => Err(err(format!("unknown operand element <{other}>"))),
-    }
-}
-
-// --------------------------------------------------------------- templates
-
-/// Serializes a construction template.
-pub fn template_to_xml(t: &Template) -> Element {
+    };
     match t {
-        Template::Sym { name, children } => {
-            let mut el = Element::new("tsym").with_attr("name", name.clone());
-            for c in children {
-                el.push_element(template_to_xml(c));
-            }
-            el
-        }
-        Template::Var(v) => Element::new("tvar").with_attr("name", v.clone()),
-        Template::LabelVar { var, children } => {
-            let mut el = Element::new("tlabelvar").with_attr("var", var.clone());
-            for c in children {
-                el.push_element(template_to_xml(c));
-            }
-            el
-        }
-        Template::Group { key, skolem, body } => {
-            let mut el = Element::new("tgroup").with_attr("keys", key.join(" "));
-            if let Some(s) = skolem {
-                el.set_attr("skolem", s.clone());
-            }
-            el.push_element(template_to_xml(body));
-            el
-        }
-        Template::Text(s) => Element::new("ttext").with_attr("value", s.clone()),
+        Template::Sym { name, children: c } => Tag::new(out, "tsym")
+            .attr("name", name)
+            .body(c.is_empty(), |out| children(out, c)),
+        Template::Var(v) => Tag::new(out, "tvar").attr("name", v).end(),
+        Template::LabelVar { var, children: c } => Tag::new(out, "tlabelvar")
+            .attr("var", var)
+            .body(c.is_empty(), |out| children(out, c)),
+        Template::Group { key, skolem, body } => Tag::new(out, "tgroup")
+            .attr("keys", &key.join(" "))
+            .opt("skolem", skolem.as_deref())
+            .with(|out: &mut O| write_template(body, out)),
+        Template::Text(s) => Tag::new(out, "ttext").attr("value", s).end(),
     }
 }
 
-/// Parses a construction template.
-pub fn template_from_xml(el: &Element) -> Result<Template, WireError> {
-    match el.name.as_str() {
-        "tsym" => Ok(Template::Sym {
-            name: el
-                .attr("name")
-                .ok_or_else(|| err("<tsym> missing name"))?
-                .to_string(),
-            children: el
-                .elements()
-                .map(template_from_xml)
-                .collect::<Result<_, _>>()?,
-        }),
-        "tvar" => Ok(Template::Var(
-            el.attr("name")
-                .ok_or_else(|| err("<tvar> missing name"))?
-                .to_string(),
-        )),
-        "tlabelvar" => Ok(Template::LabelVar {
-            var: el
-                .attr("var")
-                .ok_or_else(|| err("<tlabelvar> missing var"))?
-                .to_string(),
-            children: el
-                .elements()
-                .map(template_from_xml)
-                .collect::<Result<_, _>>()?,
-        }),
-        "tgroup" => {
-            let body = el
-                .elements()
-                .next()
-                .ok_or_else(|| err("<tgroup> missing body"))?;
-            Ok(Template::Group {
-                key: el
-                    .attr("keys")
-                    .unwrap_or("")
-                    .split_whitespace()
-                    .map(str::to_string)
-                    .collect(),
-                skolem: el.attr("skolem").map(str::to_string),
-                body: Box::new(template_from_xml(body)?),
-            })
+impl<'a> Decoder<'a> {
+    /// The plan of the element `tag` just started.
+    pub(crate) fn plan(&mut self, tag: &'a str) -> Result<Arc<Alg>, DecodeError> {
+        let alg = match tag {
+            "source" => {
+                let name = self.need("name", "<source> missing name")?;
+                let source = self.attr_string("at");
+                self.skip()?;
+                Alg::Source { source, name }
+            }
+            "bind" => {
+                let over = self.attr_string("over");
+                let mut filter = None;
+                let [input] =
+                    self.operator(tag, "filter", |d| d.once(&mut filter, Decoder::pattern))?;
+                let filter = filter
+                    .flatten()
+                    .ok_or_else(|| malformed("<bind> missing <filter>"))?;
+                Alg::Bind {
+                    input,
+                    filter,
+                    over,
+                }
+            }
+            "tree" => {
+                let mut template = None;
+                let [input] = self.operator(tag, "template", |d| {
+                    d.once(&mut template, Decoder::template)
+                })?;
+                let template = template
+                    .flatten()
+                    .ok_or_else(|| malformed("<tree> missing <template>"))?;
+                Alg::TreeOp { input, template }
+            }
+            "select" => {
+                let mut pred = None;
+                let [input] = self.operator(tag, "where", |d| d.once(&mut pred, Decoder::pred))?;
+                let pred = pred
+                    .flatten()
+                    .ok_or_else(|| malformed("<select> missing <where>"))?;
+                Alg::Select { input, pred }
+            }
+            "project" => {
+                let mut cols = Vec::new();
+                let [input] = self.operator(tag, "col", |d| {
+                    let src = d.need("src", "<col> missing src")?;
+                    let dst = d.attr_string("as").unwrap_or_else(|| src.clone());
+                    cols.push((src, dst));
+                    d.skip()
+                })?;
+                Alg::Project { input, cols }
+            }
+            "join" => {
+                let mut pred = None;
+                let [left, right] =
+                    self.operator(tag, "on", |d| d.once(&mut pred, Decoder::pred))?;
+                let pred = pred
+                    .flatten()
+                    .ok_or_else(|| malformed("<join> missing <on>"))?;
+                Alg::Join { left, right, pred }
+            }
+            "djoin" | "union" | "intersect" | "diff" => {
+                let [left, right] = self.operator(tag, "", Decoder::skip)?;
+                match tag {
+                    "djoin" => Alg::DJoin { left, right },
+                    "union" => Alg::Union { left, right },
+                    "intersect" => Alg::Intersect { left, right },
+                    _ => Alg::Diff { left, right },
+                }
+            }
+            "group" => {
+                let keys = self.words("keys");
+                let [input] = self.operator(tag, "", Decoder::skip)?;
+                Alg::Group { input, keys }
+            }
+            "sort" => {
+                let mut keys = Vec::new();
+                let [input] = self.operator(tag, "key", |d| {
+                    let col = d.need("col", "<key> missing col")?;
+                    let dir = match d.reader.attr("dir") {
+                        Some("desc") => SortDir::Desc,
+                        _ => SortDir::Asc,
+                    };
+                    keys.push((col, dir));
+                    d.skip()
+                })?;
+                Alg::Sort { input, keys }
+            }
+            "map" => {
+                let col = self.need("col", "<map> missing col")?;
+                let mut expr = None;
+                let [input] =
+                    self.operator(tag, "expr", |d| d.once(&mut expr, Decoder::operand))?;
+                let expr = expr
+                    .flatten()
+                    .ok_or_else(|| malformed("<map> missing <expr>"))?;
+                Alg::Map { input, col, expr }
+            }
+            "push" => {
+                let source = self.need("source", "<push> missing source")?;
+                let [plan] = self.operator(tag, "", Decoder::skip)?;
+                Alg::Push { source, plan }
+            }
+            other => return Err(malformed(format!("unknown plan element <{other}>"))),
+        };
+        Ok(Arc::new(alg))
+    }
+
+    /// The children of the plan element `tag` just started: its first
+    /// `N` plan children, read in order, are its inputs; `on_arg` reads
+    /// each child named `arg`; any other child is skipped.
+    fn operator<const N: usize>(
+        &mut self,
+        tag: &str,
+        arg: &str,
+        mut on_arg: impl FnMut(&mut Decoder<'a>) -> Result<(), DecodeError>,
+    ) -> Result<[Arc<Alg>; N], DecodeError> {
+        let mut inputs = Vec::with_capacity(N);
+        self.each_child(|d, name| {
+            if name == arg {
+                on_arg(d)
+            } else if inputs.len() < N && is_plan_tag(name) {
+                inputs.push(d.plan(name)?);
+                Ok(())
+            } else {
+                d.skip()
+            }
+        })?;
+        inputs
+            .try_into()
+            .map_err(|_| malformed(format!("<{tag}> missing input plan")))
+    }
+
+    /// Reads the first element inside the child just started into
+    /// `slot` with `read` — `Some(None)` when it holds none — unless an
+    /// earlier child already filled the slot: the first one wins and
+    /// later ones are skipped.
+    pub(crate) fn once<T>(
+        &mut self,
+        slot: &mut Option<Option<T>>,
+        read: impl FnOnce(&mut Decoder<'a>, &'a str) -> Result<T, DecodeError>,
+    ) -> Result<(), DecodeError> {
+        if slot.is_some() {
+            return self.skip();
         }
-        "ttext" => Ok(Template::Text(
-            el.attr("value")
-                .ok_or_else(|| err("<ttext> missing value"))?
-                .to_string(),
-        )),
-        other => Err(err(format!("unknown template element <{other}>"))),
+        *slot = Some(self.first_child(read)?);
+        Ok(())
+    }
+
+    /// The predicate of the element `tag` just started.
+    fn pred(&mut self, tag: &'a str) -> Result<Pred, DecodeError> {
+        match tag {
+            "true" => {
+                self.skip()?;
+                Ok(Pred::True)
+            }
+            "and" | "or" => {
+                let [a, b] = self
+                    .leading(Decoder::pred)?
+                    .ok_or_else(|| malformed(format!("<{tag}> needs 2 operands")))?;
+                let (a, b) = (Box::new(a), Box::new(b));
+                Ok(if tag == "and" {
+                    Pred::And(a, b)
+                } else {
+                    Pred::Or(a, b)
+                })
+            }
+            "not" => {
+                let x = self
+                    .first_child(Decoder::pred)?
+                    .ok_or_else(|| malformed("<not> needs an operand"))?;
+                Ok(Pred::Not(Box::new(x)))
+            }
+            "cmp" => {
+                let op = match self.reader.attr("op") {
+                    Some("eq") => CmpOp::Eq,
+                    Some("ne") => CmpOp::Ne,
+                    Some("lt") => CmpOp::Lt,
+                    Some("le") => CmpOp::Le,
+                    Some("gt") => CmpOp::Gt,
+                    Some("ge") => CmpOp::Ge,
+                    other => return Err(malformed(format!("bad cmp op {other:?}"))),
+                };
+                let [left, right] = self
+                    .leading(Decoder::operand)?
+                    .ok_or_else(|| malformed("<cmp> needs 2 operands"))?;
+                Ok(Pred::Cmp { op, left, right })
+            }
+            "predicate" => {
+                let name = self.need("name", "<predicate> missing name")?;
+                let args = self.children(Decoder::operand)?;
+                Ok(Pred::Call { name, args })
+            }
+            other => Err(malformed(format!("unknown predicate element <{other}>"))),
+        }
+    }
+
+    /// The operand of the element `tag` just started.
+    fn operand(&mut self, tag: &'a str) -> Result<Operand, DecodeError> {
+        let operand = match tag {
+            "var" => Operand::Var(self.need("name", "<var> missing name")?),
+            "const" => Operand::Const(self.typed_atom(tag)?),
+            "call" => {
+                let name = self.need("name", "<call> missing name")?;
+                let args = self.children(Decoder::operand)?;
+                return Ok(Operand::Call { name, args });
+            }
+            other => return Err(malformed(format!("unknown operand element <{other}>"))),
+        };
+        self.skip()?;
+        Ok(operand)
+    }
+
+    /// The construction template of the element `tag` just started.
+    fn template(&mut self, tag: &'a str) -> Result<Template, DecodeError> {
+        let template = match tag {
+            "tsym" => {
+                let name = self.need("name", "<tsym> missing name")?;
+                let children = self.children(Decoder::template)?;
+                return Ok(Template::Sym { name, children });
+            }
+            "tvar" => Template::Var(self.need("name", "<tvar> missing name")?),
+            "tlabelvar" => {
+                let var = self.need("var", "<tlabelvar> missing var")?;
+                let children = self.children(Decoder::template)?;
+                return Ok(Template::LabelVar { var, children });
+            }
+            "tgroup" => {
+                let key = self.words("keys");
+                let skolem = self.attr_string("skolem");
+                let body = self
+                    .first_child(Decoder::template)?
+                    .ok_or_else(|| malformed("<tgroup> missing body"))?;
+                return Ok(Template::Group {
+                    key,
+                    skolem,
+                    body: Box::new(body),
+                });
+            }
+            "ttext" => Template::Text(self.need("value", "<ttext> missing value")?),
+            other => return Err(malformed(format!("unknown template element <{other}>"))),
+        };
+        self.skip()?;
+        Ok(template)
     }
 }

@@ -12,13 +12,13 @@
 //!   passing: a `DJoin` ships its distinct left-hand values together
 //!   instead of one `execute` per value).
 //!
-//! Every message is an XML element; transports move the serialized bytes
-//! and account for them.
+//! Every message is an XML document with one serialization, written and
+//! read by [`crate::codec`]; transports move the serialized bytes and
+//! account for them.
 
 use crate::interface::Interface;
-use crate::plan_xml::{plan_from_xml, plan_to_xml};
-use crate::tab_xml::{tab_from_xml, tab_to_xml, value_from_xml, value_to_xml};
-use crate::xml::{interface_from_xml, interface_to_xml, WireError};
+use crate::tab_xml::{tab_from_xml, tab_to_xml};
+use crate::xml::WireError;
 use std::sync::Arc;
 use yat_algebra::{Alg, EvalOut, Tab, Value};
 use yat_model::xml_convert::{tree_from_xml, tree_to_xml};
@@ -57,64 +57,6 @@ impl Bindings {
             vars: Vec::new(),
             rows: vec![Vec::new()],
         }
-    }
-
-    /// Serializes the table:
-    /// `<bindings vars="a t"><b><a type=".." value=".."/>..</b>..</bindings>`
-    /// (cells are encoded like the atoms of a result table).
-    pub fn to_xml(&self) -> Element {
-        let mut el = Element::new("bindings").with_attr("vars", self.vars.join(" "));
-        for row in &self.rows {
-            let mut b = Element::new("b");
-            for a in row {
-                b.push_element(value_to_xml(&Value::Atom(a.clone())));
-            }
-            el.push_element(b);
-        }
-        el
-    }
-
-    /// Parses the table, refusing rows of the wrong arity, non-atomic
-    /// cells, and more than [`MAX_BATCH_BINDINGS`] rows.
-    pub fn from_xml(el: &Element) -> Result<Bindings, WireError> {
-        if el.name != "bindings" {
-            return Err(WireError::Malformed(format!(
-                "expected <bindings>, found <{}>",
-                el.name
-            )));
-        }
-        let vars: Vec<String> = el
-            .attr("vars")
-            .unwrap_or("")
-            .split_whitespace()
-            .map(str::to_string)
-            .collect();
-        let mut rows = Vec::new();
-        for b in el.children_named("b") {
-            if rows.len() == MAX_BATCH_BINDINGS {
-                return Err(WireError::Malformed(format!(
-                    "<bindings> carries more than {MAX_BATCH_BINDINGS} rows"
-                )));
-            }
-            let row: Vec<Atom> = b
-                .elements()
-                .map(|cell| match value_from_xml(cell)? {
-                    Value::Atom(a) => Ok(a),
-                    other => Err(WireError::Malformed(format!(
-                        "a binding must be atomic, found {other}"
-                    ))),
-                })
-                .collect::<Result<_, _>>()?;
-            if row.len() != vars.len() {
-                return Err(WireError::Malformed(format!(
-                    "binding arity {} does not match {} variables",
-                    row.len(),
-                    vars.len()
-                )));
-            }
-            rows.push(row);
-        }
-        Ok(Bindings { vars, rows })
     }
 }
 
@@ -202,59 +144,6 @@ impl Request {
             Request::ExecuteBatch { .. } => "execute-batch",
         }
     }
-
-    /// Serializes the request.
-    pub fn to_xml(&self) -> Element {
-        match self {
-            Request::GetInterface => Element::new(self.kind()),
-            Request::GetDocument { name } => {
-                Element::new(self.kind()).with_attr("name", name.clone())
-            }
-            Request::Execute { plan } => Element::new(self.kind()).with_child(plan_to_xml(plan)),
-            Request::ExecuteBatch { plan, bindings } => Element::new(self.kind())
-                .with_child(plan_to_xml(plan))
-                .with_child(bindings.to_xml()),
-        }
-    }
-
-    /// Parses a request.
-    pub fn from_xml(el: &Element) -> Result<Request, WireError> {
-        match el.name.as_str() {
-            "get-interface" => Ok(Request::GetInterface),
-            "get-document" => Ok(Request::GetDocument {
-                name: el
-                    .attr("name")
-                    .ok_or_else(|| WireError::Missing {
-                        element: "get-document".into(),
-                        what: "name".into(),
-                    })?
-                    .to_string(),
-            }),
-            "execute" => {
-                let body = el.elements().next().ok_or_else(|| WireError::Missing {
-                    element: "execute".into(),
-                    what: "plan".into(),
-                })?;
-                Ok(Request::Execute {
-                    plan: plan_from_xml(body)?,
-                })
-            }
-            "execute-batch" => {
-                let mut parts = el.elements();
-                let (Some(plan), Some(bindings)) = (parts.next(), parts.next()) else {
-                    return Err(WireError::Missing {
-                        element: "execute-batch".into(),
-                        what: "a plan and a bindings table".into(),
-                    });
-                };
-                Ok(Request::ExecuteBatch {
-                    plan: plan_from_xml(plan)?,
-                    bindings: Bindings::from_xml(bindings)?,
-                })
-            }
-            other => Err(WireError::UnknownVerb(format!("unknown request <{other}>"))),
-        }
-    }
 }
 
 /// A wrapper's response.
@@ -278,60 +167,6 @@ pub enum Response {
     Refused(String),
     /// A failure.
     Error(String),
-}
-
-impl Response {
-    /// Serializes the response.
-    pub fn to_xml(&self) -> Element {
-        match self {
-            Response::Interface(i) => interface_to_xml(i),
-            Response::Document { name, tree } => Element::new("document")
-                .with_attr("name", name.clone())
-                .with_child(tree_to_xml(tree)),
-            Response::Result(tab) => Element::new("result").with_child(tab_to_xml(tab)),
-            Response::Refused(reason) => {
-                Element::new("refused").with_attr("reason", reason.clone())
-            }
-            Response::Error(msg) => Element::new("error").with_attr("message", msg.clone()),
-        }
-    }
-
-    /// Parses a response.
-    pub fn from_xml(el: &Element) -> Result<Response, WireError> {
-        match el.name.as_str() {
-            "interface" => Ok(Response::Interface(interface_from_xml(el)?)),
-            "document" => {
-                let name = el.attr("name").ok_or_else(|| WireError::Missing {
-                    element: "document".into(),
-                    what: "name".into(),
-                })?;
-                let body = el.elements().next().ok_or_else(|| WireError::Missing {
-                    element: "document".into(),
-                    what: "a document tree".into(),
-                })?;
-                Ok(Response::Document {
-                    name: name.to_string(),
-                    tree: tree_from_xml(body),
-                })
-            }
-            "result" => {
-                let body = el.elements().next().ok_or_else(|| WireError::Missing {
-                    element: "result".into(),
-                    what: "a result table".into(),
-                })?;
-                Ok(Response::Result(tab_from_xml(body)?))
-            }
-            "refused" => Ok(Response::Refused(
-                el.attr("reason").unwrap_or("").to_string(),
-            )),
-            "error" => Ok(Response::Error(
-                el.attr("message").unwrap_or("").to_string(),
-            )),
-            other => Err(WireError::UnknownVerb(format!(
-                "unknown response <{other}>"
-            ))),
-        }
-    }
 }
 
 // ------------------------------------------------------- client ↔ server
@@ -384,65 +219,6 @@ impl ClientRequest {
             ClientRequest::Shutdown => "shutdown",
         }
     }
-
-    /// Serializes the request.
-    pub fn to_xml(&self) -> Element {
-        match self {
-            ClientRequest::Query {
-                text,
-                deadline_ms,
-                stream,
-            } => {
-                let mut el = Element::new(self.kind()).with_text(text.clone());
-                if let Some(ms) = deadline_ms {
-                    el = el.with_attr("deadline-ms", ms.to_string());
-                }
-                if *stream {
-                    el = el.with_attr("stream", "chunked");
-                }
-                el
-            }
-            ClientRequest::Explain { text } => Element::new(self.kind()).with_text(text.clone()),
-            ClientRequest::Stats | ClientRequest::Shutdown => Element::new(self.kind()),
-        }
-    }
-
-    /// Parses a request.
-    pub fn from_xml(el: &Element) -> Result<ClientRequest, WireError> {
-        match el.name.as_str() {
-            "query" => {
-                let deadline_ms = match el.attr("deadline-ms") {
-                    Some(raw) => Some(raw.parse::<u64>().map_err(|_| {
-                        WireError::Malformed(format!(
-                            "<query> deadline-ms `{raw}` is not a non-negative integer"
-                        ))
-                    })?),
-                    None => None,
-                };
-                let stream = match el.attr("stream") {
-                    None => false,
-                    Some("chunked") => true,
-                    Some(other) => {
-                        return Err(WireError::Malformed(format!(
-                            "<query> stream `{other}` is not a known streaming mode \
-                             (only `chunked`)"
-                        )))
-                    }
-                };
-                Ok(ClientRequest::Query {
-                    text: el.text(),
-                    deadline_ms,
-                    stream,
-                })
-            }
-            "explain" => Ok(ClientRequest::Explain { text: el.text() }),
-            "stats" => Ok(ClientRequest::Stats),
-            "shutdown" => Ok(ClientRequest::Shutdown),
-            other => Err(WireError::UnknownVerb(format!(
-                "unknown client request <{other}>"
-            ))),
-        }
-    }
 }
 
 /// Per-source activity reported by [`ServerStats`].
@@ -488,6 +264,10 @@ pub struct ServerStats {
     pub errors: u64,
     /// Frames that failed to decode as a [`ClientRequest`].
     pub protocol_errors: u64,
+    /// Reply writes cut because the client stopped reading for
+    /// `WRITE_TIMEOUT`; the connection was closed. A client that hangs
+    /// up is not counted.
+    pub cut_writes: u64,
     /// Whether the server is draining toward shutdown.
     pub draining: bool,
     /// Answer-cache hits across all sessions.
@@ -552,7 +332,9 @@ impl ServerReply {
         }
     }
 
-    /// Serializes the reply.
+    /// The reply as a DOM element: the answer built directly, any other
+    /// reply parsed from its [`ServerReply::encode`] text. Kept for
+    /// callers that compare replies as DOM text; the wire uses `encode`.
     pub fn to_xml(&self) -> Element {
         match self {
             ServerReply::Answer { out } => {
@@ -562,138 +344,35 @@ impl ServerReply {
                 };
                 Element::new(self.kind()).with_child(body)
             }
-            ServerReply::Explained { text } => Element::new(self.kind()).with_text(text.clone()),
-            ServerReply::Stats(stats) => {
-                let mut el = Element::new(self.kind())
-                    .with_attr("workers", stats.workers.to_string())
-                    .with_attr("queue-capacity", stats.queue_capacity.to_string())
-                    .with_attr("queue-depth", stats.queue_depth.to_string())
-                    .with_attr("in-flight", stats.in_flight.to_string())
-                    .with_attr("connections", stats.connections.to_string())
-                    .with_attr("admitted", stats.admitted.to_string())
-                    .with_attr("served", stats.served.to_string())
-                    .with_attr("shed", stats.shed.to_string())
-                    .with_attr("errors", stats.errors.to_string())
-                    .with_attr("protocol-errors", stats.protocol_errors.to_string())
-                    .with_attr("draining", stats.draining.to_string())
-                    .with_attr("cache-hits", stats.cache_hits.to_string())
-                    .with_attr("cache-misses", stats.cache_misses.to_string());
-                for s in &stats.sources {
-                    let mut gauge = Element::new("source")
-                        .with_attr("name", s.name.clone())
-                        .with_attr("round-trips", s.round_trips.to_string())
-                        .with_attr("in-flight", s.in_flight.to_string());
-                    // federation gauges ride along only for registered
-                    // members, so plain servers keep their old bytes
-                    if let Some(group) = &s.group {
-                        gauge.set_attr("group", group.clone());
-                        gauge.set_attr("ewma-latency-us", s.ewma_latency_us.to_string());
-                        gauge.set_attr("errors", s.errors.to_string());
-                    }
-                    el.push_element(gauge);
-                }
-                el
-            }
-            ServerReply::Overloaded { retry_after_ms } => {
-                Element::new(self.kind()).with_attr("retry-after-ms", retry_after_ms.to_string())
-            }
-            ServerReply::Error { message } => {
-                Element::new(self.kind()).with_attr("message", message.clone())
-            }
-            ServerReply::Bye { drained } => {
-                Element::new(self.kind()).with_attr("drained", drained.to_string())
+            _ => {
+                let mut text = String::new();
+                self.encode(&mut text);
+                yat_xml::parse_element(&text).expect("the codec writes well-formed XML")
             }
         }
     }
 
-    /// Parses a reply.
+    /// Reads a reply from a DOM element: an answer through the DOM
+    /// table and tree readers, any other reply through
+    /// [`ServerReply::decode`] of the element's text.
     pub fn from_xml(el: &Element) -> Result<ServerReply, WireError> {
-        let counter = |el: &Element, name: &str| -> Result<u64, WireError> {
-            let raw = el.attr(name).ok_or_else(|| WireError::Missing {
-                element: el.name.clone(),
-                what: name.to_string(),
-            })?;
-            raw.parse::<u64>().map_err(|_| {
-                WireError::Malformed(format!(
-                    "<{}> {name} `{raw}` is not a non-negative integer",
-                    el.name
-                ))
-            })
-        };
-        match el.name.as_str() {
-            "answer" => {
-                let body = el.elements().next().ok_or_else(|| WireError::Missing {
-                    element: "answer".into(),
-                    what: "a result or document body".into(),
-                })?;
-                let out = if body.name == "result" {
-                    let inner = body.elements().next().ok_or_else(|| WireError::Missing {
-                        element: "result".into(),
-                        what: "a result table".into(),
-                    })?;
-                    EvalOut::Tab(tab_from_xml(inner)?)
-                } else {
-                    EvalOut::Tree(tree_from_xml(body))
-                };
-                Ok(ServerReply::Answer { out })
-            }
-            "explained" => Ok(ServerReply::Explained { text: el.text() }),
-            "server-stats" => {
-                let mut stats = ServerStats {
-                    workers: counter(el, "workers")?,
-                    queue_capacity: counter(el, "queue-capacity")?,
-                    queue_depth: counter(el, "queue-depth")?,
-                    in_flight: counter(el, "in-flight")?,
-                    connections: counter(el, "connections")?,
-                    admitted: counter(el, "admitted")?,
-                    served: counter(el, "served")?,
-                    shed: counter(el, "shed")?,
-                    errors: counter(el, "errors")?,
-                    protocol_errors: counter(el, "protocol-errors")?,
-                    draining: el.attr("draining") == Some("true"),
-                    cache_hits: counter(el, "cache-hits")?,
-                    cache_misses: counter(el, "cache-misses")?,
-                    sources: Vec::new(),
-                };
-                for s in el.children_named("source") {
-                    stats.sources.push(SourceGauge {
-                        name: s
-                            .attr("name")
-                            .ok_or_else(|| WireError::Missing {
-                                element: "source".into(),
-                                what: "name".into(),
-                            })?
-                            .to_string(),
-                        round_trips: counter(s, "round-trips")?,
-                        in_flight: counter(s, "in-flight")?,
-                        group: s.attr("group").map(str::to_string),
-                        ewma_latency_us: if s.attr("ewma-latency-us").is_some() {
-                            counter(s, "ewma-latency-us")?
-                        } else {
-                            0
-                        },
-                        errors: if s.attr("errors").is_some() {
-                            counter(s, "errors")?
-                        } else {
-                            0
-                        },
-                    });
-                }
-                Ok(ServerReply::Stats(stats))
-            }
-            "overloaded" => Ok(ServerReply::Overloaded {
-                retry_after_ms: counter(el, "retry-after-ms")?,
-            }),
-            "error" => Ok(ServerReply::Error {
-                message: el.attr("message").unwrap_or("").to_string(),
-            }),
-            "bye" => Ok(ServerReply::Bye {
-                drained: counter(el, "drained")?,
-            }),
-            other => Err(WireError::UnknownVerb(format!(
-                "unknown server reply <{other}>"
-            ))),
+        if el.name != "answer" {
+            return ServerReply::decode(&el.to_xml()).map_err(WireError::from);
         }
+        let body = el.elements().next().ok_or_else(|| WireError::Missing {
+            element: "answer".into(),
+            what: "a result or document body".into(),
+        })?;
+        let out = if body.name == "result" {
+            let inner = body.elements().next().ok_or_else(|| WireError::Missing {
+                element: "result".into(),
+                what: "a result table".into(),
+            })?;
+            EvalOut::Tab(tab_from_xml(inner)?)
+        } else {
+            EvalOut::Tree(tree_from_xml(body))
+        };
+        Ok(ServerReply::Answer { out })
     }
 }
 
@@ -742,82 +421,16 @@ impl StreamFrame {
             StreamFrame::Abort { .. } => "stream-abort",
         }
     }
-
-    /// Serializes the frame. A chunk's body is exactly an `answer`
-    /// body (`<result><tab…/></result>` or a tree), so the reassembled
-    /// stream and the single-frame answer share one serialization.
-    pub fn to_xml(&self) -> Element {
-        match self {
-            StreamFrame::Chunk { seq, payload } => {
-                let body = match payload {
-                    EvalOut::Tab(tab) => Element::new("result").with_child(tab_to_xml(tab)),
-                    EvalOut::Tree(tree) => tree_to_xml(tree),
-                };
-                Element::new(self.kind())
-                    .with_attr("seq", seq.to_string())
-                    .with_child(body)
-            }
-            StreamFrame::End { chunks, rows } => Element::new(self.kind())
-                .with_attr("chunks", chunks.to_string())
-                .with_attr("rows", rows.to_string()),
-            StreamFrame::Abort { message } => {
-                Element::new(self.kind()).with_attr("message", message.clone())
-            }
-        }
-    }
-
-    /// Parses a stream frame; `Err` for anything that is not one (the
-    /// caller then falls back to [`ServerReply::from_xml`]).
-    pub fn from_xml(el: &Element) -> Result<StreamFrame, WireError> {
-        let counter = |name: &str| -> Result<u64, WireError> {
-            let raw = el.attr(name).ok_or_else(|| WireError::Missing {
-                element: el.name.clone(),
-                what: name.to_string(),
-            })?;
-            raw.parse::<u64>().map_err(|_| {
-                WireError::Malformed(format!(
-                    "<{}> {name} `{raw}` is not a non-negative integer",
-                    el.name
-                ))
-            })
-        };
-        match el.name.as_str() {
-            "answer-chunk" => {
-                let seq = counter("seq")?;
-                let body = el.elements().next().ok_or_else(|| WireError::Missing {
-                    element: "answer-chunk".into(),
-                    what: "a result or document body".into(),
-                })?;
-                let payload = if body.name == "result" {
-                    let inner = body.elements().next().ok_or_else(|| WireError::Missing {
-                        element: "result".into(),
-                        what: "a result table".into(),
-                    })?;
-                    EvalOut::Tab(tab_from_xml(inner)?)
-                } else {
-                    EvalOut::Tree(tree_from_xml(body))
-                };
-                Ok(StreamFrame::Chunk { seq, payload })
-            }
-            "answer-end" => Ok(StreamFrame::End {
-                chunks: counter("chunks")?,
-                rows: counter("rows")?,
-            }),
-            "stream-abort" => Ok(StreamFrame::Abort {
-                message: el.attr("message").unwrap_or("").to_string(),
-            }),
-            other => Err(WireError::UnknownVerb(format!(
-                "unknown stream frame <{other}>"
-            ))),
-        }
-    }
 }
 
 /// The server side of the protocol, implemented by each wrapper.
 ///
 /// Kept object-safe and string-free on purpose: the transport layer in
-/// `yat-mediator` serializes [`Request`]/[`Response`] to XML text and
-/// counts the bytes, simulating the paper's networked deployment (Fig. 2).
+/// `yat-mediator` encodes each [`Request`] to XML text with
+/// [`Request::encode`], decodes it on the wrapper's side, and sends the
+/// [`Response`] back the same way through [`crate::codec`], counting
+/// the bytes — the conversion work of the paper's networked deployment
+/// (Fig. 2), with no DOM on either leg.
 pub trait WrapperServer: Send + Sync {
     /// The wrapper's advertised name (`o2artifact`).
     fn name(&self) -> &str;
@@ -877,17 +490,24 @@ mod tests {
             },
         ];
         for r in reqs {
-            let back = Request::from_xml(&r.to_xml()).unwrap();
-            assert_eq!(r, back);
-            assert_eq!(r.to_xml().name, r.kind(), "kind() is the wire label");
+            assert_eq!(survives_the_wire(&r), r);
+            let mut text = String::new();
+            r.encode(&mut text);
+            assert!(
+                text.starts_with(&format!("<{}", r.kind())),
+                "kind() is the wire label: {text}"
+            );
         }
-        let bad = yat_xml::parse_element("<nonsense/>").unwrap();
-        assert!(Request::from_xml(&bad).is_err());
+        assert!(matches!(
+            Request::decode("<nonsense/>"),
+            Err(crate::codec::DecodeError::Wire(WireError::UnknownVerb(_)))
+        ));
     }
 
     fn survives_the_wire(r: &Request) -> Request {
-        let text = r.to_xml().to_xml();
-        Request::from_xml(&yat_xml::parse_element(&text).unwrap()).unwrap()
+        let mut text = String::new();
+        r.encode(&mut text);
+        Request::decode(&text).unwrap()
     }
 
     #[test]
@@ -939,8 +559,8 @@ mod tests {
 
     #[test]
     fn malformed_batch_requests_are_refused() {
-        let parse = |xml: &str| Request::from_xml(&yat_xml::parse_element(xml).unwrap());
-        let plan = plan_to_xml(&Alg::source("works")).to_xml();
+        let parse = |xml: &str| Request::decode(xml).map_err(WireError::from);
+        let plan = "<source name=\"works\"/>";
         // no bindings table
         assert!(parse(&format!("<execute-batch>{plan}</execute-batch>")).is_err());
         // row arity differs from the variable list
@@ -992,8 +612,11 @@ mod tests {
             plan: Alg::source("works"),
             bindings: Bindings::unit(),
         };
-        let reply = NoBatches.handle(&survives_the_wire(&req)).to_xml().to_xml();
-        let reply = Response::from_xml(&yat_xml::parse_element(&reply).unwrap()).unwrap();
+        let mut reply = String::new();
+        NoBatches
+            .handle(&survives_the_wire(&req))
+            .encode(&mut reply);
+        let reply = Response::decode(&reply).unwrap();
         assert_eq!(reply, Response::Error("cannot run <execute-batch>".into()));
     }
 
@@ -1013,8 +636,9 @@ mod tests {
             Response::Error("nope".into()),
         ];
         for r in resps {
-            let back = Response::from_xml(&r.to_xml()).unwrap();
-            assert_eq!(r, back);
+            let mut text = String::new();
+            r.encode(&mut text);
+            assert_eq!(Response::decode(&text).unwrap(), r, "{text}");
         }
     }
 }

@@ -1,5 +1,7 @@
-//! XML serialization of `Tab` results — how wrappers return the outcome
-//! of a pushed plan to the mediator.
+//! The DOM serialization of `Tab` results. The wire writes and reads
+//! tables through [`crate::codec`]; this is the reference
+//! `tests/prop_wire_codec.rs` holds the codec to, and what
+//! `ServerReply::to_xml`/`from_xml` build an answer's table with.
 
 use crate::xml::WireError;
 use yat_algebra::{Tab, Value};
@@ -60,7 +62,7 @@ pub fn tab_from_xml(el: &Element) -> Result<Tab, WireError> {
 }
 
 /// Serializes a single cell value.
-pub fn value_to_xml(v: &Value) -> Element {
+fn value_to_xml(v: &Value) -> Element {
     match v {
         Value::Tree(t) => Element::new("t").with_child(tree_to_xml(t)),
         Value::Atom(a) => Element::new("a")
@@ -79,7 +81,7 @@ pub fn value_to_xml(v: &Value) -> Element {
 }
 
 /// Parses a single cell value.
-pub fn value_from_xml(el: &Element) -> Result<Value, WireError> {
+fn value_from_xml(el: &Element) -> Result<Value, WireError> {
     match el.name.as_str() {
         "t" => {
             let body = el.elements().next().ok_or_else(|| err("<t> is empty"))?;

@@ -1,17 +1,70 @@
 //! Cross-module tests: Fig. 6 round-trips, capability matching on the
 //! paper's filters, plan wire format.
 
+use crate::codec::DecodeError::Wire;
 use crate::fpattern::{o2_fmodel, wais_fmodel};
 use crate::interface::{Equivalence, Interface, OpKind, OperationDecl, SigItem};
 use crate::matcher::{accepts_filter, pushable};
-use crate::plan_xml::{plan_from_xml, plan_to_xml, pred_from_xml, pred_to_xml};
-use crate::xml::{
-    fmodel_from_xml, fmodel_to_xml, interface_from_xml, interface_to_xml, model_from_xml,
-    model_to_xml, pattern_from_xml, pattern_to_xml,
-};
+use crate::protocol::Request;
+use std::sync::Arc;
 use yat_algebra::{Alg, CmpOp, Operand, Pred, Template};
 use yat_model::{AtomType, Model, Pattern};
 use yat_yatl::parse_filter;
+
+/// A message's wire text.
+fn wire<T>(message: &T, encode: fn(&T, &mut String)) -> String {
+    let mut text = String::new();
+    encode(message, &mut text);
+    text
+}
+
+/// The wire text of an interface.
+fn interface_text(i: &Interface) -> String {
+    let mut text = String::new();
+    i.encode(&mut text);
+    text
+}
+
+/// An interface after a trip over the wire.
+fn interface_round_trip(i: &Interface) -> Interface {
+    Interface::decode(&interface_text(i)).unwrap()
+}
+
+/// The wire text of a plan, inside the `<execute>` that carries it.
+fn plan_text(plan: &Arc<Alg>) -> String {
+    let mut text = String::new();
+    Request::Execute { plan: plan.clone() }.encode(&mut text);
+    text
+}
+
+/// Reads the plan of an `<execute>` text.
+fn read_plan(text: &str) -> Result<Arc<Alg>, crate::codec::DecodeError> {
+    match Request::decode(text)? {
+        Request::Execute { plan } => Ok(plan),
+        other => panic!("an execute reads back as {other:?}"),
+    }
+}
+
+/// A plan after a trip over the wire.
+fn plan_round_trip(plan: &Arc<Alg>) -> Arc<Alg> {
+    read_plan(&plan_text(plan)).unwrap()
+}
+
+/// A predicate after a trip over the wire, inside a `<select>`.
+fn pred_round_trip(pred: &Pred) -> Pred {
+    match plan_round_trip(&Alg::select(Alg::source("d"), pred.clone())).as_ref() {
+        Alg::Select { pred, .. } => pred.clone(),
+        other => panic!("a select reads back as {other:?}"),
+    }
+}
+
+/// A filter after a trip over the wire, inside a `<bind>`.
+fn pattern_round_trip(filter: &Pattern) -> Pattern {
+    match plan_round_trip(&Alg::bind(Alg::source("d"), filter.clone())).as_ref() {
+        Alg::Bind { filter, .. } => filter.clone(),
+        other => panic!("a bind reads back as {other:?}"),
+    }
+}
 
 /// The operational part of the O2 interface (Fig. 6 lines 35–43), plus
 /// the `project`/`join` operators OQL evidently supports and the exported
@@ -113,9 +166,10 @@ fn wais_interface() -> Interface {
 #[test]
 fn fig6_fmodel_roundtrips_through_xml() {
     let m = o2_fmodel();
-    let xml = fmodel_to_xml(&m);
+    let mut i = Interface::new("o2artifact");
+    i.fmodels.push(m.clone());
     // spot-check the paper's exact serialization details
-    let s = xml.to_xml();
+    let s = interface_text(&i);
     assert!(s.contains(r#"<fmodel name="o2fmodel">"#), "{s}");
     assert!(s.contains(r#"<node label="class" bind="tree">"#), "{s}");
     assert!(
@@ -125,15 +179,14 @@ fn fig6_fmodel_roundtrips_through_xml() {
     assert!(s.contains(r#"<leaf label="Int"/>"#), "{s}");
     assert!(s.contains(r#"<star inst="none">"#), "{s}");
     assert!(s.contains(r#"<ref pattern="Fclass"/>"#), "{s}");
-    let back = fmodel_from_xml(&xml).unwrap();
-    assert_eq!(m, back);
+    let back = interface_round_trip(&i);
+    assert_eq!(back.fmodels, [m]);
 }
 
 #[test]
 fn fig6_interface_roundtrips_through_xml() {
     let i = o2_interface();
-    let xml = interface_to_xml(&i);
-    let s = xml.to_xml();
+    let s = interface_text(&i);
     assert!(s.starts_with(r#"<interface name="o2artifact">"#), "{s}");
     assert!(
         s.contains(r#"<operation name="bind" kind="algebra">"#),
@@ -143,25 +196,31 @@ fn fig6_interface_roundtrips_through_xml() {
         s.contains(r#"<filter model="o2fmodel" pattern="Ftype"/>"#),
         "{s}"
     );
-    let reparsed = yat_xml::parse_element(&s).unwrap();
-    let back = interface_from_xml(&reparsed).unwrap();
+    let back = Interface::decode(&s).unwrap();
     assert_eq!(i, back);
+    // the indented form reads back the same
+    let pretty = yat_xml::parse_element(&s).unwrap().to_pretty_xml();
+    assert_eq!(Interface::decode(&pretty).unwrap(), i);
 }
 
 #[test]
 fn fig6_value_label_synonym_accepted() {
     // Fig. 6 line 17 writes <value label="Ftype"/> where line 6 writes
     // <value pattern="Ftype"/> — both must parse as a reference
-    let el = yat_xml::parse_element(r#"<value label="Ftype"/>"#).unwrap();
-    let p = crate::xml::fpattern_from_xml(&el).unwrap();
-    assert_eq!(p, crate::fpattern::FPattern::Ref("Ftype".into()));
+    for synonym in [r#"<value label="Ftype"/>"#, r#"<value pattern="Ftype"/>"#] {
+        let text = format!(
+            r#"<interface name="i"><fmodel name="f"><fpattern name="p">{synonym}</fpattern></fmodel></interface>"#
+        );
+        let i = Interface::decode(&text).unwrap();
+        let p = i.fmodel("f").and_then(|f| f.get("p"));
+        assert_eq!(p, Some(&crate::fpattern::FPattern::Ref("Ftype".into())));
+    }
 }
 
 #[test]
 fn wais_interface_roundtrips() {
     let i = wais_interface();
-    let back = interface_from_xml(&interface_to_xml(&i)).unwrap();
-    assert_eq!(i, back);
+    assert_eq!(interface_round_trip(&i), i);
 }
 
 #[test]
@@ -193,9 +252,9 @@ fn structural_model_roundtrips() {
         ),
     );
     let _ = m;
-    let xml = model_to_xml(&m2);
-    let back = model_from_xml(&xml).unwrap();
-    assert_eq!(m2, back);
+    let mut i = Interface::new("art");
+    i.models.push(m2.clone());
+    assert_eq!(interface_round_trip(&i).models, [m2]);
 }
 
 #[test]
@@ -208,7 +267,7 @@ fn filters_with_variables_roundtrip() {
         "Int | String | &Class",
     ] {
         let f = parse_filter(src).unwrap();
-        let back = pattern_from_xml(&pattern_to_xml(&f)).unwrap();
+        let back = pattern_round_trip(&f);
         assert_eq!(f, back, "round-trip failed for `{src}`");
     }
 }
@@ -396,7 +455,7 @@ fn element_sets_push_only_where_declared() {
     assert!(pushable(&i, map).is_err());
     assert!(pushable(&i, &Alg::project(fragment, cols.clone())).is_err());
     // and the projected fragment travels as an ordinary plan
-    assert_eq!(plan_from_xml(&plan_to_xml(&projected)).unwrap(), projected);
+    assert_eq!(plan_round_trip(&projected), projected);
 }
 
 #[test]
@@ -435,12 +494,13 @@ fn plans_roundtrip_through_xml() {
             )],
         ),
     );
-    let xml = plan_to_xml(&plan);
-    let back = plan_from_xml(&xml).unwrap();
-    assert_eq!(plan, back, "\nxml was:\n{}", xml.to_pretty_xml());
-    // and the serialized form survives a parse of its printed text
-    let reparsed = yat_xml::parse_element(&xml.to_xml()).unwrap();
-    assert_eq!(plan, plan_from_xml(&reparsed).unwrap());
+    let text = plan_text(&plan);
+    let back = read_plan(&text).unwrap();
+    assert_eq!(plan, back, "\nxml was:\n{text}");
+    // and the indented form reads back the same: whitespace between
+    // children is not a child
+    let pretty = yat_xml::parse_element(&text).unwrap().to_pretty_xml();
+    assert_eq!(plan, read_plan(&pretty).unwrap());
 }
 
 #[test]
@@ -481,8 +541,7 @@ fn all_operator_shapes_roundtrip() {
         Alg::djoin(b.clone(), b.clone()),
     ];
     for p in plans {
-        let back = plan_from_xml(&plan_to_xml(&p)).unwrap();
-        assert_eq!(p, back);
+        assert_eq!(plan_round_trip(&p), p);
     }
 }
 
@@ -502,8 +561,7 @@ fn predicates_roundtrip_through_xml() {
         ))),
     ];
     for p in preds {
-        let back = pred_from_xml(&pred_to_xml(&p)).unwrap();
-        assert_eq!(p, back);
+        assert_eq!(pred_round_trip(&p), p);
     }
 }
 
@@ -516,14 +574,18 @@ fn malformed_wire_documents_are_rejected() {
         "<wat/>",
         "<const type=\"Int\" value=\"xyz\"/>",
     ] {
-        let el = yat_xml::parse_element(bad).unwrap();
+        let as_plan = format!("<execute>{bad}</execute>");
+        let as_pred =
+            format!("<execute><select><where>{bad}</where><source name=\"d\"/></select></execute>");
         assert!(
-            plan_from_xml(&el).is_err() && pred_from_xml(&el).is_err(),
+            read_plan(&as_plan).is_err() && read_plan(&as_pred).is_err(),
             "should reject {bad}"
         );
     }
-    let el = yat_xml::parse_element("<interface><export name=\"e\"/></interface>").unwrap();
-    assert!(interface_from_xml(&el).is_err(), "interface missing name");
+    assert!(
+        Interface::decode("<interface><export name=\"e\"/></interface>").is_err(),
+        "interface missing name"
+    );
 }
 
 // ----------------------------------------------- client ↔ server protocol
@@ -549,21 +611,21 @@ fn client_requests_roundtrip() {
         ClientRequest::Shutdown,
     ];
     for r in reqs {
-        let text = r.to_xml().to_xml();
-        let el = yat_xml::parse_element(&text).unwrap();
-        assert_eq!(ClientRequest::from_xml(&el).unwrap(), r, "{text}");
-        assert_eq!(r.to_xml().name, r.kind());
+        let text = wire(&r, ClientRequest::encode);
+        assert_eq!(ClientRequest::decode(&text).unwrap(), r, "{text}");
+        assert!(text.starts_with(&format!("<{}", r.kind())), "{text}");
     }
-    let bad = yat_xml::parse_element("<get-interface/>").unwrap();
     assert!(
         matches!(
-            ClientRequest::from_xml(&bad),
-            Err(crate::xml::WireError::UnknownVerb(_))
+            ClientRequest::decode("<get-interface/>"),
+            Err(Wire(crate::xml::WireError::UnknownVerb(_)))
         ),
         "wrapper verbs are not client verbs"
     );
-    let bad = yat_xml::parse_element("<query deadline-ms=\"soon\">q</query>").unwrap();
-    assert!(ClientRequest::from_xml(&bad).is_err(), "bad deadline");
+    assert!(
+        ClientRequest::decode("<query deadline-ms=\"soon\">q</query>").is_err(),
+        "bad deadline"
+    );
 }
 
 #[test]
@@ -578,17 +640,15 @@ fn streamed_queries_and_chunk_frames_roundtrip() {
         deadline_ms: Some(100),
         stream: true,
     };
-    let text = req.to_xml().to_xml();
+    let text = wire(&req, ClientRequest::encode);
     assert!(text.contains("stream=\"chunked\""), "{text}");
-    let el = yat_xml::parse_element(&text).unwrap();
-    assert_eq!(ClientRequest::from_xml(&el).unwrap(), req);
+    assert_eq!(ClientRequest::decode(&text).unwrap(), req);
     // an unknown streaming mode is refused, not silently materialized:
     // silently dropping the attribute would make the client wait for
     // chunk frames that never come
-    let bad = yat_xml::parse_element("<query stream=\"firehose\">q</query>").unwrap();
     assert!(matches!(
-        ClientRequest::from_xml(&bad),
-        Err(crate::xml::WireError::Malformed(_))
+        ClientRequest::decode("<query stream=\"firehose\">q</query>"),
+        Err(Wire(crate::xml::WireError::Malformed(_)))
     ));
 
     let mut tab = yat_algebra::Tab::new(vec!["t".into()]);
@@ -611,21 +671,26 @@ fn streamed_queries_and_chunk_frames_roundtrip() {
         },
     ];
     for f in frames {
-        let text = f.to_xml().to_xml();
-        let el = yat_xml::parse_element(&text).unwrap();
-        assert_eq!(StreamFrame::from_xml(&el).unwrap(), f, "{text}");
-        assert_eq!(f.to_xml().name, f.kind(), "kind() is the wire label");
+        let text = wire(&f, StreamFrame::encode);
+        assert_eq!(StreamFrame::decode(&text).unwrap(), f, "{text}");
+        assert!(
+            text.starts_with(&format!("<{}", f.kind())),
+            "kind() is the wire label: {text}"
+        );
     }
     // non-stream frames fall through so the reader can try ServerReply
-    let answer = yat_xml::parse_element("<answer><result/></answer>").unwrap();
     assert!(matches!(
-        StreamFrame::from_xml(&answer),
-        Err(crate::xml::WireError::UnknownVerb(_))
+        StreamFrame::decode("<answer><result/></answer>"),
+        Err(Wire(crate::xml::WireError::UnknownVerb(_)))
     ));
-    let bad = yat_xml::parse_element("<answer-chunk seq=\"x\"><result/></answer-chunk>").unwrap();
-    assert!(StreamFrame::from_xml(&bad).is_err(), "bad seq");
-    let bad = yat_xml::parse_element("<answer-end chunks=\"1\"/>").unwrap();
-    assert!(StreamFrame::from_xml(&bad).is_err(), "missing rows");
+    assert!(
+        StreamFrame::decode("<answer-chunk seq=\"x\"><result/></answer-chunk>").is_err(),
+        "bad seq"
+    );
+    assert!(
+        StreamFrame::decode("<answer-end chunks=\"1\"/>").is_err(),
+        "missing rows"
+    );
 }
 
 #[test]
@@ -659,6 +724,7 @@ fn server_replies_roundtrip() {
             shed: 7,
             errors: 3,
             protocol_errors: 1,
+            cut_writes: 2,
             draining: true,
             cache_hits: 40,
             cache_misses: 80,
@@ -688,11 +754,22 @@ fn server_replies_roundtrip() {
         ServerReply::Bye { drained: 5 },
     ];
     for r in replies {
-        let text = r.to_xml().to_xml();
+        let text = wire(&r, ServerReply::encode);
+        assert_eq!(ServerReply::decode(&text).unwrap(), r, "{text}");
+        assert!(text.starts_with(&format!("<{}", r.kind())), "{text}");
+        // the DOM shim writes and reads the same bytes
+        assert_eq!(r.to_xml().to_xml(), text);
         let el = yat_xml::parse_element(&text).unwrap();
         assert_eq!(ServerReply::from_xml(&el).unwrap(), r, "{text}");
-        assert_eq!(r.to_xml().name, r.kind());
     }
+    assert!(
+        wire(
+            &ServerReply::Stats(ServerStats::default()),
+            ServerReply::encode
+        )
+        .contains(" cut-writes=\"0\""),
+        "stats carry the cut writes"
+    );
     let bad = yat_xml::parse_element("<answer/>").unwrap();
     assert!(ServerReply::from_xml(&bad).is_err(), "empty answer");
     let bad = yat_xml::parse_element("<interface name=\"x\"/>").unwrap();
@@ -711,7 +788,7 @@ fn server_replies_roundtrip() {
 /// time. A panic anywhere in the pipeline fails the test.
 #[test]
 fn corrupted_wire_bytes_never_panic_the_decoders() {
-    use crate::protocol::{ClientRequest, Request, Response, ServerReply};
+    use crate::protocol::{ClientRequest, Request, Response, ServerReply, StreamFrame};
     use yat_prng::Rng;
 
     let seed = std::env::var("YAT_FUZZ_SEED")
@@ -730,36 +807,40 @@ fn corrupted_wire_bytes_never_panic_the_decoders() {
         "title", "Nympheas",
     ))]);
     let corpus: Vec<String> = vec![
-        Request::GetInterface.to_xml().to_xml(),
-        Request::GetDocument {
-            name: "works".into(),
-        }
-        .to_xml()
-        .to_xml(),
-        Request::Execute { plan: plan.clone() }.to_xml().to_xml(),
-        Request::ExecuteBatch {
-            plan: plan.clone(),
-            bindings: crate::protocol::Bindings {
-                vars: vec!["t".into()],
-                rows: vec![vec![yat_model::Atom::Str("Nympheas".into())]],
+        wire(&Request::GetInterface, Request::encode),
+        wire(
+            &Request::GetDocument {
+                name: "works".into(),
             },
-        }
-        .to_xml()
-        .to_xml(),
-        Response::Result(tab).to_xml().to_xml(),
-        Response::Error("nope".into()).to_xml().to_xml(),
-        ClientRequest::Query {
-            text: "q() <- works *$w;".into(),
-            deadline_ms: Some(100),
-            stream: false,
-        }
-        .to_xml()
-        .to_xml(),
-        ClientRequest::Stats.to_xml().to_xml(),
-        ServerReply::Overloaded { retry_after_ms: 9 }
-            .to_xml()
-            .to_xml(),
-        ServerReply::Bye { drained: 1 }.to_xml().to_xml(),
+            Request::encode,
+        ),
+        wire(&Request::Execute { plan: plan.clone() }, Request::encode),
+        wire(
+            &Request::ExecuteBatch {
+                plan: plan.clone(),
+                bindings: crate::protocol::Bindings {
+                    vars: vec!["t".into()],
+                    rows: vec![vec![yat_model::Atom::Str("Nympheas".into())]],
+                },
+            },
+            Request::encode,
+        ),
+        wire(&Response::Result(tab), Response::encode),
+        wire(&Response::Error("nope".into()), Response::encode),
+        wire(
+            &ClientRequest::Query {
+                text: "q() <- works *$w;".into(),
+                deadline_ms: Some(100),
+                stream: false,
+            },
+            ClientRequest::encode,
+        ),
+        wire(&ClientRequest::Stats, ClientRequest::encode),
+        wire(
+            &ServerReply::Overloaded { retry_after_ms: 9 },
+            ServerReply::encode,
+        ),
+        wire(&ServerReply::Bye { drained: 1 }, ServerReply::encode),
     ];
 
     let mut decoded = 0u32;
@@ -789,17 +870,18 @@ fn corrupted_wire_bytes_never_panic_the_decoders() {
 
         let outcome = std::panic::catch_unwind(move || {
             let mut r = framed.as_slice();
-            let el = match crate::framing::read_element(&mut r) {
-                Ok(Some(el)) => el,
+            let text = match crate::framing::read_frame(&mut r) {
+                Ok(Some(text)) => text,
                 Ok(None) => return (0u32, 1u32),
                 Err(_) => return (0, 1),
             };
-            // all four decoders must survive whatever parsed
+            // every decoder must survive whatever arrived
             let mut ok = 0;
-            ok += Request::from_xml(&el).is_ok() as u32;
-            ok += Response::from_xml(&el).is_ok() as u32;
-            ok += ClientRequest::from_xml(&el).is_ok() as u32;
-            ok += ServerReply::from_xml(&el).is_ok() as u32;
+            ok += Request::decode(&text).is_ok() as u32;
+            ok += Response::decode(&text).is_ok() as u32;
+            ok += ClientRequest::decode(&text).is_ok() as u32;
+            ok += ServerReply::decode(&text).is_ok() as u32;
+            ok += StreamFrame::decode(&text).is_ok() as u32;
             (ok.min(1), (ok == 0) as u32)
         });
         match outcome {
@@ -814,4 +896,46 @@ fn corrupted_wire_bytes_never_panic_the_decoders() {
     // so the test exercises success and failure paths
     assert!(rejected > 0, "seed {seed} never produced a rejection");
     assert!(decoded > 0, "seed {seed} never survived a corruption");
+}
+
+#[test]
+fn padded_strings_survive_every_wire_leg() {
+    use crate::protocol::{Bindings, Response, ServerReply};
+    use yat_algebra::{EvalOut, Tab, Value};
+    use yat_model::Atom;
+    let padded = || Atom::Str(" padded ".to_string());
+    for text in [" padded ", " ", "\t tab\n"] {
+        let atom = Atom::Str(text.to_string());
+        // a plan constant and a pattern constant
+        let pred = Pred::cmp(CmpOp::Eq, Operand::var("c"), Operand::Const(atom.clone()));
+        assert_eq!(pred_round_trip(&pred), pred, "{text:?}");
+        let filter = Pattern::sym(
+            "c",
+            vec![yat_model::Edge::one(Pattern::constant(atom.clone()))],
+        );
+        assert_eq!(pattern_round_trip(&filter), filter, "{text:?}");
+        // a binding
+        let batch = Request::ExecuteBatch {
+            plan: Alg::source("d"),
+            bindings: Bindings {
+                vars: vec!["c".into()],
+                rows: vec![vec![atom.clone()]],
+            },
+        };
+        let back = Request::decode(&wire(&batch, Request::encode)).unwrap();
+        assert_eq!(back, batch, "{text:?}");
+    }
+    // a result cell and an answer cell
+    let mut tab = Tab::new(vec!["c".into()]);
+    tab.push(vec![Value::Atom(padded())]);
+    let result = Response::Result(tab.clone());
+    assert_eq!(
+        Response::decode(&wire(&result, Response::encode)).unwrap(),
+        result
+    );
+    let answer = ServerReply::answer(EvalOut::Tab(tab));
+    assert_eq!(
+        ServerReply::decode(&wire(&answer, ServerReply::encode)).unwrap(),
+        answer
+    );
 }

@@ -1,12 +1,15 @@
-//! XML (de)serialization of interfaces, Fpatterns and structural
-//! patterns — the wire format of Fig. 6.
+//! The wire form of interfaces, Fpatterns and structural patterns —
+//! the document of Fig. 6 — written onto an [`Out`] and read through the
+//! codec's decoder. The structural patterns are also the filters a
+//! pushed plan's `<bind>` carries.
 
+use crate::codec::{malformed, DecodeError, Decoder, Tag};
 use crate::flags::{BindFlag, InstFlag};
 use crate::fpattern::{FEdge, FLabel, FOcc, FPattern, Fmodel};
 use crate::interface::{Equivalence, ExportDecl, Interface, OpKind, OperationDecl, SigItem};
 use std::fmt;
-use yat_model::{Atom, AtomType, Edge, Model, Occ, PLabel, Pattern, StarBind};
-use yat_xml::Element;
+use yat_model::{AtomType, Edge, Model, Occ, PLabel, Pattern, StarBind};
+use yat_xml::Out;
 
 /// A failure anywhere on the wire: a payload that does not decode, a
 /// frame that ends early, a verb no protocol knows, or the socket-level
@@ -86,201 +89,105 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn err(msg: impl Into<String>) -> WireError {
-    WireError::Malformed(msg.into())
-}
-
 // ---------------------------------------------------------------- interface
 
-/// Serializes a full interface (Fig. 6 shape).
-pub fn interface_to_xml(i: &Interface) -> Element {
-    let mut el = Element::new("interface").with_attr("name", i.name.clone());
-    for m in &i.models {
-        el.push_element(model_to_xml(m));
-    }
-    for fm in &i.fmodels {
-        el.push_element(fmodel_to_xml(fm));
-    }
-    for e in &i.exports {
-        el.push_element(
-            Element::new("export")
-                .with_attr("name", e.name.clone())
-                .with_attr("model", e.model.clone())
-                .with_attr("pattern", e.pattern.clone()),
-        );
-    }
-    for o in &i.operations {
-        el.push_element(operation_to_xml(o));
-    }
-    for eq in &i.equivalences {
-        match eq {
-            Equivalence::EqImpliesContains { predicate } => el.push_element(
-                Element::new("equivalence")
-                    .with_attr("kind", "eq-implies-contains")
-                    .with_attr("predicate", predicate.clone()),
-            ),
-        }
-    }
-    el
-}
-
-/// Parses an interface document.
-pub fn interface_from_xml(el: &Element) -> Result<Interface, WireError> {
-    if el.name != "interface" {
-        return Err(err(format!("expected <interface>, found <{}>", el.name)));
-    }
-    let mut i = Interface::new(
-        el.attr("name")
-            .ok_or_else(|| err("<interface> missing name"))?,
-    );
-    for child in el.elements() {
-        match child.name.as_str() {
-            "model" => i.models.push(model_from_xml(child)?),
-            "fmodel" => i.fmodels.push(fmodel_from_xml(child)?),
-            "export" => i.exports.push(ExportDecl {
-                name: child
-                    .attr("name")
-                    .ok_or_else(|| err("<export> missing name"))?
-                    .into(),
-                model: child.attr("model").unwrap_or_default().into(),
-                pattern: child.attr("pattern").unwrap_or_default().into(),
-            }),
-            "operation" => i.operations.push(operation_from_xml(child)?),
-            "equivalence" => match child.attr("kind") {
-                Some("eq-implies-contains") => {
-                    i.equivalences.push(Equivalence::EqImpliesContains {
-                        predicate: child
-                            .attr("predicate")
-                            .ok_or_else(|| err("<equivalence> missing predicate"))?
-                            .into(),
-                    })
+impl Interface {
+    /// Writes the interface document (Fig. 6 shape).
+    pub fn encode(&self, out: &mut impl Out) {
+        let empty = self.models.is_empty()
+            && self.fmodels.is_empty()
+            && self.exports.is_empty()
+            && self.operations.is_empty()
+            && self.equivalences.is_empty();
+        Tag::new(out, "interface")
+            .attr("name", &self.name)
+            .body(empty, |out| {
+                for m in &self.models {
+                    write_model(m, out);
                 }
-                other => return Err(err(format!("unknown equivalence kind {other:?}"))),
-            },
-            other => return Err(err(format!("unexpected <{other}> in <interface>"))),
-        }
+                for fm in &self.fmodels {
+                    write_fmodel(fm, out);
+                }
+                for e in &self.exports {
+                    Tag::new(out, "export")
+                        .attr("name", &e.name)
+                        .attr("model", &e.model)
+                        .attr("pattern", &e.pattern)
+                        .end();
+                }
+                for o in &self.operations {
+                    write_operation(o, out);
+                }
+                for eq in &self.equivalences {
+                    match eq {
+                        Equivalence::EqImpliesContains { predicate } => {
+                            Tag::new(out, "equivalence")
+                                .attr("kind", "eq-implies-contains")
+                                .attr("predicate", predicate)
+                                .end()
+                        }
+                    }
+                }
+            });
     }
-    Ok(i)
+
+    /// Reads an interface document.
+    pub fn decode(text: &str) -> Result<Interface, DecodeError> {
+        let (d, root) = Decoder::open(text)?;
+        d.decode(|d| d.interface(root))
+    }
 }
 
-fn operation_to_xml(o: &OperationDecl) -> Element {
-    let mut el = Element::new("operation")
-        .with_attr("name", o.name.clone())
-        .with_attr("kind", o.kind.attr());
-    if !o.input.is_empty() {
-        let mut input = Element::new("input");
-        for s in &o.input {
-            input.push_element(sig_to_xml(s));
-        }
-        el.push_element(input);
-    }
-    if !o.output.is_empty() {
-        let mut output = Element::new("output");
-        for s in &o.output {
-            output.push_element(sig_to_xml(s));
-        }
-        el.push_element(output);
-    }
-    el
-}
-
-fn operation_from_xml(el: &Element) -> Result<OperationDecl, WireError> {
-    let name = el
-        .attr("name")
-        .ok_or_else(|| err("<operation> missing name"))?
-        .to_string();
-    let kind = el
-        .attr("kind")
-        .and_then(OpKind::from_attr)
-        .ok_or_else(|| err(format!("operation `{name}` has a bad kind")))?;
-    let sig = |tag: &str| -> Result<Vec<SigItem>, WireError> {
-        match el.child(tag) {
-            None => Ok(vec![]),
-            Some(s) => s.elements().map(sig_from_xml).collect(),
+fn write_operation<O: Out>(o: &OperationDecl, out: &mut O) {
+    let signature = |out: &mut O, tag: &'static str, items: &[SigItem]| {
+        if !items.is_empty() {
+            Tag::new(out, tag).with(|out: &mut O| {
+                for s in items {
+                    write_sig(s, out);
+                }
+            });
         }
     };
-    Ok(OperationDecl {
-        name,
-        kind,
-        input: sig("input")?,
-        output: sig("output")?,
-    })
+    Tag::new(out, "operation")
+        .attr("name", &o.name)
+        .attr("kind", o.kind.attr())
+        .body(o.input.is_empty() && o.output.is_empty(), |out| {
+            signature(out, "input", &o.input);
+            signature(out, "output", &o.output);
+        });
 }
 
-fn sig_to_xml(s: &SigItem) -> Element {
+fn write_sig(s: &SigItem, out: &mut impl Out) {
     match s {
-        SigItem::Value { model, pattern } => Element::new("value")
-            .with_attr("model", model.clone())
-            .with_attr("pattern", pattern.clone()),
-        SigItem::Filter { model, pattern } => Element::new("filter")
-            .with_attr("model", model.clone())
-            .with_attr("pattern", pattern.clone()),
-        SigItem::Leaf(t) => Element::new("leaf").with_attr("label", t.name()),
-    }
-}
-
-fn sig_from_xml(el: &Element) -> Result<SigItem, WireError> {
-    match el.name.as_str() {
-        "value" => Ok(SigItem::Value {
-            model: el.attr("model").unwrap_or_default().into(),
-            pattern: el
-                .attr("pattern")
-                .or(el.attr("label"))
-                .unwrap_or_default()
-                .into(),
-        }),
-        "filter" => Ok(SigItem::Filter {
-            model: el.attr("model").unwrap_or_default().into(),
-            pattern: el.attr("pattern").unwrap_or_default().into(),
-        }),
-        "leaf" => {
-            let t = el
-                .attr("label")
-                .and_then(AtomType::from_name)
-                .ok_or_else(|| err("<leaf> with unknown label"))?;
-            Ok(SigItem::Leaf(t))
-        }
-        other => Err(err(format!("unexpected <{other}> in signature"))),
+        SigItem::Value { model, pattern } => Tag::new(out, "value")
+            .attr("model", model)
+            .attr("pattern", pattern)
+            .end(),
+        SigItem::Filter { model, pattern } => Tag::new(out, "filter")
+            .attr("model", model)
+            .attr("pattern", pattern)
+            .end(),
+        SigItem::Leaf(t) => Tag::new(out, "leaf").attr("label", t.name()).end(),
     }
 }
 
 // ---------------------------------------------------------------- fpatterns
 
-/// Serializes an Fmodel (Fig. 6 lines 2–33).
-pub fn fmodel_to_xml(m: &Fmodel) -> Element {
-    let mut el = Element::new("fmodel").with_attr("name", m.name.clone());
-    for (name, p) in &m.patterns {
-        el.push_element(
-            Element::new("fpattern")
-                .with_attr("name", name.clone())
-                .with_child(fpattern_to_xml(p)),
-        );
-    }
-    el
+/// Writes an Fmodel (Fig. 6 lines 2–33).
+fn write_fmodel<O: Out>(m: &Fmodel, out: &mut O) {
+    Tag::new(out, "fmodel")
+        .attr("name", &m.name)
+        .body(m.patterns.is_empty(), |out: &mut O| {
+            for (name, p) in &m.patterns {
+                Tag::new(out, "fpattern")
+                    .attr("name", name)
+                    .with(|out| write_fpattern(p, out));
+            }
+        });
 }
 
-/// Parses an Fmodel element.
-pub fn fmodel_from_xml(el: &Element) -> Result<Fmodel, WireError> {
-    let mut m = Fmodel::new(
-        el.attr("name")
-            .ok_or_else(|| err("<fmodel> missing name"))?,
-    );
-    for fp in el.children_named("fpattern") {
-        let name = fp
-            .attr("name")
-            .ok_or_else(|| err("<fpattern> missing name"))?;
-        let body = fp
-            .elements()
-            .next()
-            .ok_or_else(|| err(format!("<fpattern name=\"{name}\"> is empty")))?;
-        m.patterns
-            .push((name.to_string(), fpattern_from_xml(body)?));
-    }
-    Ok(m)
-}
-
-/// Serializes one Fpattern node.
-pub fn fpattern_to_xml(p: &FPattern) -> Element {
+/// Writes one Fpattern node.
+fn write_fpattern<O: Out>(p: &FPattern, out: &mut O) {
     match p {
         FPattern::Node {
             label,
@@ -288,295 +195,340 @@ pub fn fpattern_to_xml(p: &FPattern) -> Element {
             inst,
             edges,
         } => {
-            let mut el = Element::new("node").with_attr(
-                "label",
-                match label {
-                    FLabel::Sym(s) => s.clone(),
-                    FLabel::AnySym => "Symbol".to_string(),
-                },
-            );
-            if let Some(b) = bind.attr() {
-                el.set_attr("bind", b);
-            }
-            if let Some(i) = inst.attr() {
-                el.set_attr("inst", i);
-            }
-            for e in edges {
-                match e.occ {
-                    FOcc::One => el.push_element(fpattern_to_xml(&e.child)),
-                    FOcc::Star => {
-                        let mut star = Element::new("star");
-                        if let Some(i) = e.inst.attr() {
-                            star.set_attr("inst", i);
+            let label = match label {
+                FLabel::Sym(s) => s,
+                FLabel::AnySym => "Symbol",
+            };
+            Tag::new(out, "node")
+                .attr("label", label)
+                .opt("bind", bind.attr())
+                .opt("inst", inst.attr())
+                .body(edges.is_empty(), |out: &mut O| {
+                    for e in edges {
+                        match e.occ {
+                            FOcc::One => write_fpattern(&e.child, out),
+                            FOcc::Star => Tag::new(out, "star")
+                                .opt("inst", e.inst.attr())
+                                .with(|out| write_fpattern(&e.child, out)),
                         }
-                        star.push_element(fpattern_to_xml(&e.child));
-                        el.push_element(star);
                     }
-                }
-            }
-            el
+                })
         }
         FPattern::Union(branches) => {
-            let mut el = Element::new("union");
-            for b in branches {
-                el.push_element(fpattern_to_xml(b));
-            }
-            el
-        }
-        FPattern::Ref(name) => Element::new("ref").with_attr("pattern", name.clone()),
-        FPattern::Leaf(t) => Element::new("leaf").with_attr("label", t.name()),
-    }
-}
-
-/// Parses one Fpattern node. Accepts the Fig. 6 synonyms: `<value
-/// pattern="X"/>` and `<value label="X"/>` as references.
-pub fn fpattern_from_xml(el: &Element) -> Result<FPattern, WireError> {
-    match el.name.as_str() {
-        "node" => {
-            let label = match el.attr("label") {
-                Some("Symbol") => FLabel::AnySym,
-                Some(s) => FLabel::Sym(s.to_string()),
-                None => return Err(err("<node> missing label")),
-            };
-            let bind = match el.attr("bind") {
-                None => BindFlag::Any,
-                Some(b) => {
-                    BindFlag::from_attr(b).ok_or_else(|| err(format!("bad bind flag `{b}`")))?
+            Tag::new(out, "union").body(branches.is_empty(), |out: &mut O| {
+                for b in branches {
+                    write_fpattern(b, out);
                 }
-            };
-            let inst = match el.attr("inst") {
-                None => InstFlag::Free,
-                Some(i) => {
-                    InstFlag::from_attr(i).ok_or_else(|| err(format!("bad inst flag `{i}`")))?
-                }
-            };
-            let mut edges = Vec::new();
-            for c in el.elements() {
-                if c.name == "star" {
-                    let inst = match c.attr("inst") {
-                        None => InstFlag::Free,
-                        Some(i) => InstFlag::from_attr(i)
-                            .ok_or_else(|| err(format!("bad inst flag `{i}`")))?,
-                    };
-                    let body = c
-                        .elements()
-                        .next()
-                        .ok_or_else(|| err("<star> must wrap a pattern"))?;
-                    edges.push(FEdge {
-                        occ: FOcc::Star,
-                        inst,
-                        child: fpattern_from_xml(body)?,
-                    });
-                } else {
-                    edges.push(FEdge::one(fpattern_from_xml(c)?));
-                }
-            }
-            Ok(FPattern::Node {
-                label,
-                bind,
-                inst,
-                edges,
             })
         }
-        "union" => Ok(FPattern::Union(
-            el.elements()
-                .map(fpattern_from_xml)
-                .collect::<Result<_, _>>()?,
-        )),
-        "ref" | "value" => {
-            let name = el
-                .attr("pattern")
-                .or(el.attr("label"))
-                .ok_or_else(|| err(format!("<{}> missing pattern reference", el.name)))?;
-            Ok(FPattern::Ref(name.to_string()))
-        }
-        "leaf" => {
-            let t = el
-                .attr("label")
-                .and_then(AtomType::from_name)
-                .ok_or_else(|| err("<leaf> with unknown label"))?;
-            Ok(FPattern::Leaf(t))
-        }
-        other => Err(err(format!("unexpected <{other}> in fpattern"))),
+        FPattern::Ref(name) => Tag::new(out, "ref").attr("pattern", name).end(),
+        FPattern::Leaf(t) => Tag::new(out, "leaf").attr("label", t.name()).end(),
     }
 }
 
 // ----------------------------------------------------- structural patterns
 
-/// Serializes a structural model (Fig. 3 metadata).
-pub fn model_to_xml(m: &Model) -> Element {
-    let mut el = Element::new("model").with_attr("name", m.name.clone());
-    for (name, p) in m.defs() {
-        el.push_element(
-            Element::new("pattern")
-                .with_attr("name", name)
-                .with_child(pattern_to_xml(p)),
-        );
-    }
-    el
+/// Writes a structural model (Fig. 3 metadata).
+fn write_model<O: Out>(m: &Model, out: &mut O) {
+    Tag::new(out, "model")
+        .attr("name", &m.name)
+        .body(m.is_empty(), |out: &mut O| {
+            for (name, p) in m.defs() {
+                Tag::new(out, "pattern")
+                    .attr("name", name)
+                    .with(|out| write_pattern(p, out));
+            }
+        });
 }
 
-/// Parses a structural model element.
-pub fn model_from_xml(el: &Element) -> Result<Model, WireError> {
-    let mut m = Model::new(el.attr("name").ok_or_else(|| err("<model> missing name"))?);
-    for p in el.children_named("pattern") {
-        let name = p
-            .attr("name")
-            .ok_or_else(|| err("<pattern> missing name"))?;
-        let body = p
-            .elements()
-            .next()
-            .ok_or_else(|| err(format!("<pattern name=\"{name}\"> is empty")))?;
-        m.define(name, pattern_from_xml(body)?);
-    }
-    Ok(m)
-}
-
-/// Serializes a structural pattern / filter.
-pub fn pattern_to_xml(p: &Pattern) -> Element {
+/// Writes a structural pattern or filter.
+pub(crate) fn write_pattern<O: Out>(p: &Pattern, out: &mut O) {
     match p {
         Pattern::Node { label, edges } => {
-            let mut el = match label {
-                PLabel::Sym(s) => Element::new("node").with_attr("label", s.clone()),
-                PLabel::Const(a) => Element::new("const")
-                    .with_attr("type", a.atom_type().name())
-                    .with_attr("value", a.to_string()),
-                PLabel::Atom(t) => Element::new("leaf").with_attr("label", t.name()),
-                PLabel::AnySym => Element::new("anysym"),
-                PLabel::Any => Element::new("anylabel"),
-                PLabel::Var(v) => Element::new("labelvar").with_attr("name", v.clone()),
+            let tag = match label {
+                PLabel::Sym(s) => Tag::new(out, "node").attr("label", s.as_str()),
+                PLabel::Const(a) => Tag::new(out, "const")
+                    .attr("type", a.atom_type().name())
+                    .attr("value", &a.text()),
+                PLabel::Atom(t) => Tag::new(out, "leaf").attr("label", t.name()),
+                PLabel::AnySym => Tag::new(out, "anysym"),
+                PLabel::Any => Tag::new(out, "anylabel"),
+                PLabel::Var(v) => Tag::new(out, "labelvar").attr("name", v),
             };
-            for e in edges {
-                let child = pattern_to_xml(&e.pattern);
-                match (e.occ, &e.star_var) {
-                    (Occ::One, _) => el.push_element(child),
-                    (Occ::Opt, _) => el.push_element(Element::new("opt").with_child(child)),
-                    (Occ::Star, None) => el.push_element(Element::new("star").with_child(child)),
-                    (Occ::Star, Some((v, mode))) => el.push_element(
-                        Element::new("star")
-                            .with_attr("var", v.clone())
-                            .with_attr(
-                                "mode",
-                                match mode {
-                                    StarBind::Iterate => "iterate",
-                                    StarBind::Collect => "collect",
-                                },
-                            )
-                            .with_child(child),
-                    ),
+            tag.body(edges.is_empty(), |out: &mut O| {
+                for e in edges {
+                    let child = |out: &mut O| write_pattern(&e.pattern, out);
+                    match (e.occ, &e.star_var) {
+                        (Occ::One, _) => child(out),
+                        (Occ::Opt, _) => Tag::new(out, "opt").with(child),
+                        (Occ::Star, None) => Tag::new(out, "star").with(child),
+                        (Occ::Star, Some((v, mode))) => {
+                            let mode = match mode {
+                                StarBind::Iterate => "iterate",
+                                StarBind::Collect => "collect",
+                            };
+                            Tag::new(out, "star")
+                                .attr("var", v)
+                                .attr("mode", mode)
+                                .with(child)
+                        }
+                    }
                 }
-            }
-            el
+            })
         }
         Pattern::Union(branches) => {
-            let mut el = Element::new("union");
-            for b in branches {
-                el.push_element(pattern_to_xml(b));
-            }
-            el
+            Tag::new(out, "union").body(branches.is_empty(), |out: &mut O| {
+                for b in branches {
+                    write_pattern(b, out);
+                }
+            })
         }
-        Pattern::Ref(name) => Element::new("ref").with_attr("name", name.clone()),
-        Pattern::TreeVar(v) => Element::new("var").with_attr("name", v.clone()),
-        Pattern::Wildcard => Element::new("any"),
+        Pattern::Ref(name) => Tag::new(out, "ref").attr("name", name).end(),
+        Pattern::TreeVar(v) => Tag::new(out, "var").attr("name", v).end(),
+        Pattern::Wildcard => Tag::new(out, "any").end(),
     }
 }
 
-/// Parses a structural pattern / filter element.
-pub fn pattern_from_xml(el: &Element) -> Result<Pattern, WireError> {
-    let edges = |el: &Element| -> Result<Vec<Edge>, WireError> {
-        let mut out = Vec::new();
-        for c in el.elements() {
-            match c.name.as_str() {
-                "star" => {
-                    let body = c
-                        .elements()
-                        .next()
-                        .map(pattern_from_xml)
-                        .transpose()?
-                        .unwrap_or(Pattern::Wildcard);
-                    let star_var = match (c.attr("var"), c.attr("mode")) {
-                        (Some(v), Some("collect")) => Some((v.to_string(), StarBind::Collect)),
-                        (Some(v), _) => Some((v.to_string(), StarBind::Iterate)),
-                        (None, _) => None,
-                    };
-                    out.push(Edge {
-                        occ: Occ::Star,
-                        star_var,
-                        pattern: body,
+// ------------------------------------------------------------------ readers
+
+impl<'a> Decoder<'a> {
+    /// The interface of the element `tag` just started.
+    pub(crate) fn interface(&mut self, tag: &str) -> Result<Interface, DecodeError> {
+        if tag != "interface" {
+            return Err(malformed(format!("expected <interface>, found <{tag}>")));
+        }
+        let mut i = Interface::new(self.need("name", "<interface> missing name")?);
+        self.each_child(|d, name| {
+            match name {
+                "model" => i.models.push(d.model()?),
+                "fmodel" => i.fmodels.push(d.fmodel()?),
+                "export" => {
+                    i.exports.push(ExportDecl {
+                        name: d.need("name", "<export> missing name")?,
+                        model: d.attr_or_empty("model"),
+                        pattern: d.attr_or_empty("pattern"),
                     });
+                    d.skip()?;
                 }
-                "opt" => {
-                    let body = c
-                        .elements()
-                        .next()
-                        .ok_or_else(|| err("<opt> must wrap a pattern"))?;
-                    out.push(Edge::opt(pattern_from_xml(body)?));
+                "operation" => i.operations.push(d.operation()?),
+                "equivalence" => {
+                    match d.reader.attr("kind") {
+                        Some("eq-implies-contains") => {
+                            i.equivalences.push(Equivalence::EqImpliesContains {
+                                predicate: d
+                                    .need("predicate", "<equivalence> missing predicate")?,
+                            })
+                        }
+                        other => {
+                            return Err(malformed(format!("unknown equivalence kind {other:?}")))
+                        }
+                    }
+                    d.skip()?;
                 }
-                _ => out.push(Edge::one(pattern_from_xml(c)?)),
+                other => return Err(malformed(format!("unexpected <{other}> in <interface>"))),
             }
-        }
-        Ok(out)
-    };
-    match el.name.as_str() {
-        "node" => {
-            let label = el
-                .attr("label")
-                .ok_or_else(|| err("<node> missing label"))?;
-            Ok(Pattern::Node {
-                label: PLabel::Sym(label.into()),
-                edges: edges(el)?,
-            })
-        }
-        "anysym" => Ok(Pattern::Node {
-            label: PLabel::AnySym,
-            edges: edges(el)?,
-        }),
-        "anylabel" => Ok(Pattern::Node {
-            label: PLabel::Any,
-            edges: edges(el)?,
-        }),
-        "labelvar" => {
-            let v = el
-                .attr("name")
-                .ok_or_else(|| err("<labelvar> missing name"))?;
-            Ok(Pattern::Node {
-                label: PLabel::Var(v.to_string()),
-                edges: edges(el)?,
-            })
-        }
-        "leaf" => {
-            let t = el
-                .attr("label")
-                .and_then(AtomType::from_name)
-                .ok_or_else(|| err("<leaf> with unknown label"))?;
-            Ok(Pattern::atom(t))
-        }
-        "const" => {
-            let t = el
-                .attr("type")
-                .and_then(AtomType::from_name)
-                .ok_or_else(|| err("<const> with unknown type"))?;
-            let raw = el
-                .attr("value")
-                .ok_or_else(|| err("<const> missing value"))?;
-            let a = Atom::parse_typed(raw, t)
-                .ok_or_else(|| err(format!("`{raw}` is not a valid {t}")))?;
-            Ok(Pattern::constant(a))
-        }
-        "union" => Ok(Pattern::Union(
-            el.elements()
-                .map(pattern_from_xml)
-                .collect::<Result<_, _>>()?,
-        )),
-        "ref" => {
-            let name = el.attr("name").ok_or_else(|| err("<ref> missing name"))?;
-            Ok(Pattern::Ref(name.to_string()))
-        }
-        "var" => {
-            let v = el.attr("name").ok_or_else(|| err("<var> missing name"))?;
-            Ok(Pattern::TreeVar(v.to_string()))
-        }
-        "any" => Ok(Pattern::Wildcard),
-        other => Err(err(format!("unexpected <{other}> in pattern"))),
+            Ok(())
+        })?;
+        Ok(i)
+    }
+
+    /// The `<operation>` just started.
+    fn operation(&mut self) -> Result<OperationDecl, DecodeError> {
+        let name = self.need("name", "<operation> missing name")?;
+        let kind = self
+            .reader
+            .attr("kind")
+            .and_then(OpKind::from_attr)
+            .ok_or_else(|| malformed(format!("operation `{name}` has a bad kind")))?;
+        let (mut input, mut output) = (None, None);
+        self.each_child(|d, tag| {
+            let slot = match tag {
+                "input" => &mut input,
+                "output" => &mut output,
+                _ => return d.skip(),
+            };
+            if slot.is_some() {
+                return d.skip();
+            }
+            *slot = Some(d.children(Decoder::sig)?);
+            Ok(())
+        })?;
+        Ok(OperationDecl {
+            name,
+            kind,
+            input: input.unwrap_or_default(),
+            output: output.unwrap_or_default(),
+        })
+    }
+
+    /// The signature item of the element `tag` just started.
+    fn sig(&mut self, tag: &'a str) -> Result<SigItem, DecodeError> {
+        let item = match tag {
+            "value" => SigItem::Value {
+                model: self.attr_or_empty("model"),
+                pattern: self
+                    .reader
+                    .attr("pattern")
+                    .or(self.reader.attr("label"))
+                    .unwrap_or_default()
+                    .into(),
+            },
+            "filter" => SigItem::Filter {
+                model: self.attr_or_empty("model"),
+                pattern: self.attr_or_empty("pattern"),
+            },
+            "leaf" => SigItem::Leaf(self.leaf_label()?),
+            other => return Err(malformed(format!("unexpected <{other}> in signature"))),
+        };
+        self.skip()?;
+        Ok(item)
+    }
+
+    /// The atomic type named by the `label` of the `<leaf>` just started.
+    fn leaf_label(&self) -> Result<AtomType, DecodeError> {
+        self.reader
+            .attr("label")
+            .and_then(AtomType::from_name)
+            .ok_or_else(|| malformed("<leaf> with unknown label"))
+    }
+
+    /// The `<fmodel>` just started.
+    fn fmodel(&mut self) -> Result<Fmodel, DecodeError> {
+        let mut m = Fmodel::new(self.need("name", "<fmodel> missing name")?);
+        self.each_child(|d, tag| {
+            if tag != "fpattern" {
+                return d.skip();
+            }
+            let name = d.need("name", "<fpattern> missing name")?;
+            let body = d
+                .first_child(Decoder::fpattern)?
+                .ok_or_else(|| malformed(format!("<fpattern name=\"{name}\"> is empty")))?;
+            m.patterns.push((name, body));
+            Ok(())
+        })?;
+        Ok(m)
+    }
+
+    /// The Fpattern of the element `tag` just started. Accepts the
+    /// Fig. 6 synonyms: `<value pattern="X"/>` and `<value label="X"/>`
+    /// as references.
+    fn fpattern(&mut self, tag: &'a str) -> Result<FPattern, DecodeError> {
+        let inst = |d: &Decoder<'a>| match d.reader.attr("inst") {
+            None => Ok(InstFlag::Free),
+            Some(i) => {
+                InstFlag::from_attr(i).ok_or_else(|| malformed(format!("bad inst flag `{i}`")))
+            }
+        };
+        let pattern = match tag {
+            "node" => {
+                let label = match self.reader.attr("label") {
+                    Some("Symbol") => FLabel::AnySym,
+                    Some(s) => FLabel::Sym(s.to_string()),
+                    None => return Err(malformed("<node> missing label")),
+                };
+                let bind = match self.reader.attr("bind") {
+                    None => BindFlag::Any,
+                    Some(b) => BindFlag::from_attr(b)
+                        .ok_or_else(|| malformed(format!("bad bind flag `{b}`")))?,
+                };
+                let inst_flag = inst(self)?;
+                let edges = self.children(|d, tag| {
+                    if tag != "star" {
+                        return Ok(FEdge::one(d.fpattern(tag)?));
+                    }
+                    let inst = inst(d)?;
+                    let child = d
+                        .first_child(Decoder::fpattern)?
+                        .ok_or_else(|| malformed("<star> must wrap a pattern"))?;
+                    Ok(FEdge {
+                        occ: FOcc::Star,
+                        inst,
+                        child,
+                    })
+                })?;
+                return Ok(FPattern::Node {
+                    label,
+                    bind,
+                    inst: inst_flag,
+                    edges,
+                });
+            }
+            "union" => return Ok(FPattern::Union(self.children(Decoder::fpattern)?)),
+            "ref" | "value" => FPattern::Ref(
+                self.reader
+                    .attr("pattern")
+                    .or(self.reader.attr("label"))
+                    .ok_or_else(|| malformed(format!("<{tag}> missing pattern reference")))?
+                    .to_string(),
+            ),
+            "leaf" => FPattern::Leaf(self.leaf_label()?),
+            other => return Err(malformed(format!("unexpected <{other}> in fpattern"))),
+        };
+        self.skip()?;
+        Ok(pattern)
+    }
+
+    /// The structural `<model>` just started.
+    fn model(&mut self) -> Result<Model, DecodeError> {
+        let mut m = Model::new(self.need("name", "<model> missing name")?);
+        self.each_child(|d, tag| {
+            if tag != "pattern" {
+                return d.skip();
+            }
+            let name = d.need("name", "<pattern> missing name")?;
+            let body = d
+                .first_child(Decoder::pattern)?
+                .ok_or_else(|| malformed(format!("<pattern name=\"{name}\"> is empty")))?;
+            m.define(name, body);
+            Ok(())
+        })?;
+        Ok(m)
+    }
+
+    /// The structural pattern or filter of the element `tag` just
+    /// started.
+    pub(crate) fn pattern(&mut self, tag: &'a str) -> Result<Pattern, DecodeError> {
+        let label = match tag {
+            "node" => PLabel::Sym(self.need("label", "<node> missing label")?.into()),
+            "anysym" => PLabel::AnySym,
+            "anylabel" => PLabel::Any,
+            "labelvar" => PLabel::Var(self.need("name", "<labelvar> missing name")?),
+            _ => {
+                let pattern = match tag {
+                    "leaf" => Pattern::atom(self.leaf_label()?),
+                    "const" => Pattern::constant(self.typed_atom(tag)?),
+                    "union" => return Ok(Pattern::Union(self.children(Decoder::pattern)?)),
+                    "ref" => Pattern::Ref(self.need("name", "<ref> missing name")?),
+                    "var" => Pattern::TreeVar(self.need("name", "<var> missing name")?),
+                    "any" => Pattern::Wildcard,
+                    other => return Err(malformed(format!("unexpected <{other}> in pattern"))),
+                };
+                self.skip()?;
+                return Ok(pattern);
+            }
+        };
+        let edges = self.children(|d, tag| match tag {
+            "star" => {
+                let star_var = match (d.reader.attr("var"), d.reader.attr("mode")) {
+                    (Some(v), Some("collect")) => Some((v.to_string(), StarBind::Collect)),
+                    (Some(v), _) => Some((v.to_string(), StarBind::Iterate)),
+                    (None, _) => None,
+                };
+                let pattern = d
+                    .first_child(Decoder::pattern)?
+                    .unwrap_or(Pattern::Wildcard);
+                Ok(Edge {
+                    occ: Occ::Star,
+                    star_var,
+                    pattern,
+                })
+            }
+            "opt" => Ok(Edge::opt(
+                d.first_child(Decoder::pattern)?
+                    .ok_or_else(|| malformed("<opt> must wrap a pattern"))?,
+            )),
+            _ => Ok(Edge::one(d.pattern(tag)?)),
+        })?;
+        Ok(Pattern::Node { label, edges })
     }
 }

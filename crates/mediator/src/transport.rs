@@ -7,10 +7,9 @@
 //! costs observable: every request and response crosses the boundary as
 //! serialized XML text which is parsed again on the other side — exactly
 //! the work a networked deployment would do — and a [`Meter`] accumulates
-//! the traffic. Data responses (`<document>`, `<result>`) cross through
-//! the DOM-free [`yat_capability::codec`] — a `<result>` in pieces of
-//! whole rows, each read and handed on before the next is written —
-//! and requests, interfaces and errors through the `Element` path. When
+//! the traffic. Every message crosses through the DOM-free
+//! [`yat_capability::codec`] — a `<result>` in pieces of whole rows,
+//! each read and handed on before the next is written. When
 //! a [`yat_obs::Collector`] is attached
 //! ([`Connection::call_traced`]) each round trip additionally records an
 //! `rpc` span carrying the request kind and the same byte/document
@@ -499,8 +498,8 @@ impl Connection {
         each: &mut dyn FnMut(Tab) -> Result<(), E>,
         handed: &mut Handed,
     ) -> Result<(Option<Response>, u64, u64, u64), Cut<E>> {
-        #[allow(unused_mut)]
-        let mut request_text = request.to_xml().to_xml();
+        let mut request_text = String::new();
+        request.encode(&mut request_text);
         #[cfg(test)]
         let fault = self.take_fault();
         #[cfg(test)]
@@ -528,9 +527,8 @@ impl Connection {
         }
 
         // --- wrapper side -------------------------------------------------
-        let parsed = yat_xml::parse_element(&request_text)
-            .map_err(|e| WireError::Malformed(format!("request did not survive the wire: {e}")))?;
-        let request = Request::from_xml(&parsed)?;
+        let request = Request::decode(&request_text)
+            .map_err(|e| e.in_context("request did not survive the wire"))?;
         // A wrapper crash must surface as a wire error naming the source,
         // not take down the calling (possibly worker) thread.
         let response =

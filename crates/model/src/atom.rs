@@ -122,7 +122,9 @@ impl Atom {
 
     /// Parses text as a specific atomic type, used when schema information
     /// is available. Returns `None` when the text does not denote a value of
-    /// that type.
+    /// that type. A string is taken exactly as written — its surrounding
+    /// whitespace is part of the value — while a number or boolean may be
+    /// padded.
     pub fn parse_typed(s: &str, ty: AtomType) -> Option<Atom> {
         let t = s.trim();
         match ty {
@@ -133,7 +135,7 @@ impl Atom {
                 "false" => Some(Atom::Bool(false)),
                 _ => None,
             },
-            AtomType::Str => Some(Atom::Str(t.to_string())),
+            AtomType::Str => Some(Atom::Str(s.to_string())),
         }
     }
 
@@ -347,6 +349,20 @@ mod tests {
         );
         assert_eq!(Atom::parse_typed("Monet", AtomType::Int), None);
         assert_eq!(Atom::parse_typed("maybe", AtomType::Bool), None);
+        // a string keeps its padding; a number or boolean may be padded
+        assert_eq!(
+            Atom::parse_typed(" Mary Cassatt ", AtomType::Str),
+            Some(Atom::Str(" Mary Cassatt ".into()))
+        );
+        assert_eq!(
+            Atom::parse_typed(" ", AtomType::Str),
+            Some(Atom::Str(" ".into()))
+        );
+        assert_eq!(Atom::parse_typed(" 7 ", AtomType::Int), Some(Atom::Int(7)));
+        assert_eq!(
+            Atom::parse_typed(" true", AtomType::Bool),
+            Some(Atom::Bool(true))
+        );
     }
 
     #[test]

@@ -310,8 +310,9 @@ mod tests {
         assert!(i.operation("current_price").is_some());
         assert!(i.supports_comparisons());
         // and it survives the wire
-        let xml = yat_capability::xml::interface_to_xml(&i);
-        let back = yat_capability::xml::interface_from_xml(&xml).unwrap();
+        let mut text = String::new();
+        i.encode(&mut text);
+        let back = Interface::decode(&text).unwrap();
         assert_eq!(i, back);
     }
 

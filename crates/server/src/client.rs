@@ -163,7 +163,8 @@ impl<S: Read + Write> Client<S> {
 /// client's delayed ACK of the header holds the payload (~44 ms per
 /// loopback round trip).
 fn send(w: &mut impl Write, request: &ClientRequest) -> Result<(), WireError> {
-    let text = request.to_xml().to_xml();
+    let mut text = String::new();
+    request.encode(&mut text);
     let mut frame = Vec::with_capacity(4 + text.len());
     framing::write_frame(&mut frame, &text)?;
     w.write_all(&frame)

@@ -28,10 +28,11 @@
 //! the drain began. A query leaves the house only once its connection
 //! thread has written its whole reply, materialized or streamed — or
 //! given up on a client that stopped reading: a write that makes no
-//! progress for [`WRITE_TIMEOUT`] closes the connection and retires the
-//! query. The worker does not wait for that write: it hands its last
-//! event to the connection thread, which retires the query, and takes
-//! the next job at once. A connection may idle between requests for as
+//! progress for [`WRITE_TIMEOUT`] closes the connection, retires the
+//! query and counts the cut in `ServerStats::cut_writes`. The worker
+//! does not wait for that write: it hands its last event to the
+//! connection thread, which retires the query, and takes the next job
+//! at once. A connection may idle between requests for as
 //! long as it likes, but once a request frame's first byte has arrived
 //! the rest must follow within [`READ_TIMEOUT`], or the connection
 //! closes as it does on a truncated frame.
@@ -195,6 +196,7 @@ pub(crate) struct Shared {
     shed: AtomicU64,
     errors: AtomicU64,
     protocol_errors: AtomicU64,
+    cut_writes: AtomicU64,
 }
 
 impl Shared {
@@ -217,6 +219,7 @@ impl Shared {
             shed: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
+            cut_writes: AtomicU64::new(0),
         }
     }
 }
@@ -379,12 +382,12 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
     let mut reader = FrameReader::new(stream_for_reads);
     let mut writer = stream;
     loop {
-        let read = framing::read_element(&mut reader);
+        let read = framing::read_frame(&mut reader);
         if reader.frame_done().is_err() {
             return;
         }
-        let el = match read {
-            Ok(Some(el)) => el,
+        let frame = match read {
+            Ok(Some(frame)) => frame,
             Ok(None) => return, // client hung up between frames
             Err(e @ WireError::Malformed(_)) => {
                 // the frame was consumed whole — the stream is still
@@ -406,11 +409,11 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
                 return;
             }
         };
-        let request = match ClientRequest::from_xml(&el) {
+        let request = match ClientRequest::decode(&frame) {
             Ok(request) => request,
             Err(e) => {
                 shared.protocol_errors.fetch_add(1, Ordering::SeqCst);
-                let message = e.to_string();
+                let message = WireError::from(e).to_string();
                 if respond(shared, &mut writer, &ServerReply::Error { message }).is_err() {
                     return;
                 }
@@ -661,7 +664,7 @@ pub(crate) fn stream_reply(
             StreamEvent::Chunk(frame) => {
                 chunks += 1;
                 bytes += frame.len() as u64;
-                if let Err(e) = write_reply_frame(writer, &frame) {
+                if let Err(e) = write_reply_frame(shared, writer, &frame) {
                     span.record_str(attr::ERROR, e.to_string());
                     return Err(e);
                 }
@@ -670,7 +673,7 @@ pub(crate) fn stream_reply(
                 bytes += frame.len() as u64;
                 span.record_u64(attr::CHUNKS, chunks);
                 span.record_u64(attr::BYTES_SENT, bytes);
-                let result = write_reply_frame(writer, &frame);
+                let result = write_reply_frame(shared, writer, &frame);
                 if let Err(e) = &result {
                     span.record_str(attr::ERROR, e.to_string());
                 }
@@ -680,9 +683,22 @@ pub(crate) fn stream_reply(
     }
 }
 
-/// Writes one reply frame, giving up on a client that stopped reading.
-fn write_reply_frame(writer: &mut TcpStream, frame: &str) -> Result<(), WireError> {
-    framing::write_frame(&mut Impatient(writer), frame)
+/// Writes one reply frame, giving up on a client that stopped reading
+/// (counted in `cut_writes`).
+fn write_reply_frame(
+    shared: &Shared,
+    writer: &mut TcpStream,
+    frame: &str,
+) -> Result<(), WireError> {
+    let mut impatient = Impatient {
+        stream: writer,
+        cut: false,
+    };
+    let result = framing::write_frame(&mut impatient, frame);
+    if impatient.cut {
+        shared.cut_writes.fetch_add(1, Ordering::SeqCst);
+    }
+    result
 }
 
 /// A reply writer that gives up on a client that stopped reading. Each
@@ -691,14 +707,25 @@ fn write_reply_frame(writer: &mut TcpStream, frame: &str) -> Result<(), WireErro
 /// that ran into the timeout fails even when it placed part of its slice
 /// (the socket then returns the short count): a client that needs longer
 /// than the timeout to make room for one slice has stopped reading.
-struct Impatient<'s>(&'s mut TcpStream);
+/// `cut` records that the timeout, and not a closed socket, ended the
+/// write.
+struct Impatient<'s> {
+    stream: &'s mut TcpStream,
+    cut: bool,
+}
 
 impl io::Write for Impatient<'_> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         let slice = &buf[..buf.len().min(WRITE_SLICE)];
         let started = Instant::now();
-        let placed = self.0.write(slice)?;
+        let placed = self.stream.write(slice).inspect_err(|e| {
+            self.cut = matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            )
+        })?;
         if placed < slice.len() && started.elapsed() >= WRITE_TIMEOUT {
+            self.cut = true;
             return Err(io::Error::new(
                 io::ErrorKind::TimedOut,
                 format!("the client read nothing for {WRITE_TIMEOUT:?}"),
@@ -708,7 +735,7 @@ impl io::Write for Impatient<'_> {
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        self.0.flush()
+        self.stream.flush()
     }
 }
 
@@ -718,7 +745,7 @@ fn respond(shared: &Shared, writer: &mut TcpStream, reply: &ServerReply) -> Resu
     let mut text = String::new();
     reply.encode(&mut text);
     span.record_u64(attr::BYTES_SENT, text.len() as u64);
-    let result = write_reply_frame(writer, &text);
+    let result = write_reply_frame(shared, writer, &text);
     if let Err(e) = &result {
         span.record_str(attr::ERROR, e.to_string());
     }
@@ -1011,6 +1038,7 @@ fn build_stats(shared: &Shared) -> ServerStats {
         shed: shared.shed.load(Ordering::SeqCst),
         errors: shared.errors.load(Ordering::SeqCst),
         protocol_errors: shared.protocol_errors.load(Ordering::SeqCst),
+        cut_writes: shared.cut_writes.load(Ordering::SeqCst),
         draining: shared.draining.load(Ordering::SeqCst),
         cache_hits: cache.hits,
         cache_misses: cache.misses,

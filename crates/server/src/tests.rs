@@ -64,6 +64,28 @@ fn wait_until(what: &str, condition: impl Fn() -> bool) {
     }
 }
 
+/// A client request's wire text.
+fn request_text(request: &ClientRequest) -> String {
+    let mut text = String::new();
+    request.encode(&mut text);
+    text
+}
+
+/// A stream frame's wire text.
+fn frame_text(frame: &StreamFrame) -> String {
+    let mut text = String::new();
+    frame.encode(&mut text);
+    text
+}
+
+/// Reads one reply frame off a raw connection.
+fn read_reply(r: &mut impl std::io::Read) -> ServerReply {
+    let text = framing::read_frame(r)
+        .expect("reply arrives")
+        .expect("reply present");
+    ServerReply::decode(&text).expect("reply parses")
+}
+
 /// Serialized reply bytes for an in-process answer — the byte-identity
 /// yardstick the wire must match.
 fn expected_answer(mediator: &Mediator, query: &str) -> String {
@@ -255,39 +277,31 @@ fn hostile_frames_leave_the_server_alive_and_the_connection_usable() {
     // a well-framed payload that is not XML: typed error, stream stays up
     let mut stream = TcpStream::connect(addr).expect("raw connect");
     framing::write_frame(&mut stream, "<unclosed").expect("frame writes");
-    match framing::read_element(&mut stream).expect("reply arrives") {
-        Some(el) => {
-            let reply = ServerReply::from_xml(&el).expect("reply parses");
+    match framing::read_frame(&mut stream).expect("reply arrives") {
+        Some(text) => {
+            let reply = ServerReply::decode(&text).expect("reply parses");
             assert!(matches!(reply, ServerReply::Error { .. }), "{reply:?}");
         }
         None => panic!("server hung up instead of answering the error"),
     }
     // a wrapper verb on the client port: rejected, stream still up
     framing::write_frame(&mut stream, "<get-interface/>").expect("frame writes");
-    let el = framing::read_element(&mut stream)
-        .expect("reply arrives")
-        .expect("reply present");
-    match ServerReply::from_xml(&el).expect("reply parses") {
+    match read_reply(&mut stream) {
         ServerReply::Error { message } => assert!(message.contains("unknown"), "{message}"),
         other => panic!("{other:?}"),
     }
     // and the same connection still executes real queries afterwards
     framing::write_frame(
         &mut stream,
-        &ClientRequest::Query {
+        &request_text(&ClientRequest::Query {
             text: paper::Q1.into(),
             deadline_ms: None,
             stream: false,
-        }
-        .to_xml()
-        .to_xml(),
+        }),
     )
     .expect("frame writes");
-    let el = framing::read_element(&mut stream)
-        .expect("reply arrives")
-        .expect("reply present");
     assert!(matches!(
-        ServerReply::from_xml(&el).expect("reply parses"),
+        read_reply(&mut stream),
         ServerReply::Answer { .. }
     ));
 
@@ -299,10 +313,7 @@ fn hostile_frames_leave_the_server_alive_and_the_connection_usable() {
             .write_all(&[0xff, 0xff, 0xff, 0xff])
             .expect("header writes");
     }
-    let el = framing::read_element(&mut bomber)
-        .expect("reply arrives")
-        .expect("reply present");
-    match ServerReply::from_xml(&el).expect("reply parses") {
+    match read_reply(&mut bomber) {
         ServerReply::Error { message } => assert!(message.contains("frame"), "{message}"),
         other => panic!("{other:?}"),
     }
@@ -402,7 +413,7 @@ fn a_drain_waits_until_a_materialized_reply_is_written() {
         deadline_ms: None,
         stream: false,
     };
-    framing::write_frame(&mut socket, &request.to_xml().to_xml()).expect("request is written");
+    framing::write_frame(&mut socket, &request_text(&request)).expect("request is written");
     // once the `execute` span closes the answer is built, and only its
     // write is outstanding
     wait_until("the query executed", || {
@@ -427,11 +438,11 @@ fn a_drain_waits_until_a_materialized_reply_is_written() {
             !drained.load(std::sync::atomic::Ordering::SeqCst),
             "the drain returned while the reply was still being written"
         );
-        let reply = framing::read_element(&mut socket)
+        let reply = framing::read_frame(&mut socket)
             .expect("the reply reads")
             .expect("the server answers");
-        assert_eq!(reply.name, "answer", "{}", reply.name);
-        assert!(reply.to_xml().len() > UNBUFFERED_REPLY_BYTES);
+        assert!(reply.starts_with("<answer>"), "{reply:.40}");
+        assert!(reply.len() > UNBUFFERED_REPLY_BYTES);
         assert_eq!(
             drain.join().unwrap(),
             1,
@@ -457,7 +468,7 @@ fn stalled_reader(handle: &crate::ServerHandle, stream: bool) -> TcpStream {
         deadline_ms: None,
         stream,
     };
-    framing::write_frame(&mut socket, &request.to_xml().to_xml()).expect("request is written");
+    framing::write_frame(&mut socket, &request_text(&request)).expect("request is written");
     wait_until("the stalled query executed", || {
         executed(&handle.spans()) > before
     });
@@ -490,6 +501,9 @@ fn a_client_that_stops_reading_does_not_pin_the_only_worker() {
         Ok(other) => panic!("the second client got {other:?}"),
         Err(_) => panic!("the second client was not answered within {patience:?}"),
     }
+    // the stalled write is cut once, and counted
+    wait_until("the stalled write is cut", || handle.stats().cut_writes > 0);
+    assert_eq!(handle.stats().cut_writes, 1);
 }
 
 #[test]
@@ -515,6 +529,12 @@ fn a_drain_with_never_reading_clients_returns_within_the_write_timeout() {
 /// One way an admitted query ends: its name, the mediator its server
 /// serves, and the client side of the ending.
 type Ending = (&'static str, fn() -> Mediator, fn(&crate::ServerHandle));
+
+/// How many reply writes an ending cuts: only a client that stops
+/// reading is cut; one that hangs up is not.
+fn cuts_of(ending: &str) -> u64 {
+    u64::from(ending == "a stalled reader cut by the write timeout")
+}
 
 /// [`works_federation`] streaming [`WORKS_SCAN`] in 13 chunks of 16
 /// subtrees, so a latched stream still has chunks to produce.
@@ -641,6 +661,7 @@ fn every_ending_of_an_admitted_query_retires_it_exactly_once() {
             (1, 0, 0),
             "{ending}: {stats:?}"
         );
+        assert_eq!(stats.cut_writes, cuts_of(ending), "{ending}: {stats:?}");
         assert_eq!(handle.shutdown(), 0, "{ending}: nothing is left to drain");
     }
 }
@@ -658,10 +679,10 @@ fn a_client_that_stops_inside_a_frame_is_cut_within_the_read_timeout() {
         // two of a header's four bytes, then nothing
         half.write_all(&[0, 0]).expect("half a header writes");
     }
-    let el = framing::read_element(&mut half)
+    let text = framing::read_frame(&mut half)
         .unwrap_or_else(|e| panic!("no reply within {patience:?}: {e}"))
         .expect("the server answers before it hangs up");
-    match ServerReply::from_xml(&el).expect("reply parses") {
+    match ServerReply::decode(&text).expect("reply parses") {
         ServerReply::Error { message } => assert!(message.contains("frame"), "{message}"),
         other => panic!("{other:?}"),
     }
@@ -876,7 +897,7 @@ fn corrupted_chunk_streams_yield_typed_errors_never_short_answers() {
     }
     fn frame_bytes(frame: &StreamFrame) -> Vec<u8> {
         let mut buf = Vec::new();
-        framing::write_frame(&mut buf, &frame.to_xml().to_xml()).expect("frame writes");
+        framing::write_frame(&mut buf, &frame_text(frame)).expect("frame writes");
         buf
     }
     let frames = [
@@ -1074,7 +1095,7 @@ impl<S: BatchSink> BatchSink for GatedSink<S> {
 struct ParkedStream {
     release: Sender<Release>,
     socket: TcpStream,
-    first: yat_xml::Element,
+    first: String,
 }
 
 impl ParkedStream {
@@ -1092,13 +1113,13 @@ impl ParkedStream {
             deadline_ms: None,
             stream: true,
         };
-        framing::write_frame(&mut socket, &request.to_xml().to_xml()).expect("request is written");
-        let first = framing::read_element(&mut socket)
+        framing::write_frame(&mut socket, &request_text(&request)).expect("request is written");
+        let first = framing::read_frame(&mut socket)
             .expect("first frame reads")
             .expect("server answers");
         assert!(
             matches!(
-                StreamFrame::from_xml(&first),
+                StreamFrame::decode(&first),
                 Ok(StreamFrame::Chunk { seq: 0, .. })
             ),
             "{first:?}"
@@ -1124,7 +1145,7 @@ impl ParkedStream {
             .send(release)
             .expect("the worker is waiting on the latch");
         let mut head = Vec::new();
-        framing::write_frame(&mut head, &self.first.to_xml()).expect("frame re-encodes");
+        framing::write_frame(&mut head, &self.first).expect("frame re-encodes");
         read_streamed_reply(&mut Cursor::new(head).chain(&self.socket))
     }
 
@@ -1227,7 +1248,7 @@ struct FrameBytes {
 
 impl FrameBytes {
     fn push(&mut self, frame: &StreamFrame) {
-        framing::write_frame(&mut self.bytes, &frame.to_xml().to_xml()).expect("frame writes");
+        framing::write_frame(&mut self.bytes, &frame_text(frame)).expect("frame writes");
     }
 
     fn finish(mut self) -> Vec<u8> {
@@ -1361,7 +1382,7 @@ fn every_request_leaves_in_one_write() {
         let mut wire = Wire::answering(&reply);
         drive(&mut Client::over(&mut wire)).unwrap_or_else(|e| panic!("{verb}: {e}"));
         let mut framed = Vec::new();
-        framing::write_frame(&mut framed, &request.to_xml().to_xml()).expect("the request frames");
+        framing::write_frame(&mut framed, &request_text(&request)).expect("the request frames");
         assert_eq!(
             wire.writes.iter().map(Vec::len).collect::<Vec<_>>(),
             vec![framed.len()],
@@ -1409,10 +1430,10 @@ fn a_worker_vanishing_mid_stream_ends_the_stream_with_an_abort() {
     stream_reply(&shared, &mut served, received).expect("the frames are written");
 
     let mut next = || {
-        let el = framing::read_element(&mut client)
+        let text = framing::read_frame(&mut client)
             .expect("a frame reads")
             .expect("the server wrote it");
-        StreamFrame::from_xml(&el).expect("a stream frame")
+        StreamFrame::decode(&text).expect("a stream frame")
     };
     assert_eq!(next(), chunk);
     match next() {

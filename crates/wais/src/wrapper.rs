@@ -458,8 +458,9 @@ mod tests {
             }]
         );
         // wire round-trip
-        let xml = yat_capability::xml::interface_to_xml(&i);
-        let back = yat_capability::xml::interface_from_xml(&xml).unwrap();
+        let mut text = String::new();
+        i.encode(&mut text);
+        let back = Interface::decode(&text).unwrap();
         assert_eq!(i, back);
     }
 

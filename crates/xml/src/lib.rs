@@ -43,7 +43,7 @@ pub use escape::{escape_attr, escape_text, unescape};
 pub use node::{Attribute, Content, Element};
 pub use parser::{parse, parse_element};
 pub use reader::{Attr, Event, ParseError, Position, Reader};
-pub use writer::{push_attribute, push_text, write_pretty, write_xml, ByteCount, Out};
+pub use writer::{push_attribute, push_text, write_pretty, ByteCount, Out};
 
 #[cfg(test)]
 mod tests;

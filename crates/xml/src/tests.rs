@@ -197,7 +197,7 @@ fn reader_events_borrow_and_balance() {
 fn byte_count_measures_what_a_string_receives() {
     let el = parse_element(r#"<n a="say &quot;hi&quot;">Tom &amp; é</n>"#).unwrap();
     let mut count = ByteCount::default();
-    write_xml(&el, &mut count);
+    crate::writer::write_xml(&el, &mut count);
     assert_eq!(count.0, el.to_xml().len() as u64);
 }
 

@@ -47,7 +47,7 @@ pub fn push_attribute(out: &mut impl Out, name: &str, value: &str) {
 
 /// Writes `el` compactly onto `out`. No whitespace is introduced, so
 /// `parse(write(el)) == el`.
-pub fn write_xml(el: &Element, out: &mut impl Out) {
+pub(crate) fn write_xml(el: &Element, out: &mut impl Out) {
     out.push_str("<");
     out.push_str(&el.name);
     for a in &el.attributes {

@@ -8,7 +8,7 @@
 
 use yat::yat_algebra::{Alg, CmpOp, Operand, Pred};
 use yat::yat_capability::matcher::{accepts_filter, pushable};
-use yat::yat_capability::xml::interface_to_xml;
+use yat::yat_capability::Interface;
 use yat::yat_oql::art::fig1_store;
 use yat::yat_oql::translate::plan_to_oql;
 use yat::yat_oql::O2Wrapper;
@@ -21,9 +21,9 @@ fn main() {
 
     // ---- the exported interfaces (Fig. 6) ------------------------------
     println!("O2 interface (exact Fig. 6 wire format):");
-    println!("{}", interface_to_xml(&o2.interface()).to_pretty_xml());
+    println!("{}", pretty(&o2.interface()));
     println!("Wais interface (Section 4.2):");
-    println!("{}", interface_to_xml(&wais.interface()).to_pretty_xml());
+    println!("{}", pretty(&wais.interface()));
 
     // ---- what each source accepts ---------------------------------------
     let filters = [
@@ -85,4 +85,13 @@ fn main() {
     );
     let oql = plan_to_oql(&with_method).expect("methods translate as path steps");
     println!("\nwith the wrapped method:\n  {}", oql.oql);
+}
+
+/// The interface's wire text, indented.
+fn pretty(interface: &Interface) -> String {
+    let mut text = String::new();
+    interface.encode(&mut text);
+    yat::yat_xml::parse_element(&text)
+        .expect("an interface encodes as XML")
+        .to_pretty_xml()
 }

@@ -147,3 +147,24 @@ fn views_on_views_compose() {
     // artists of impressionist works that joined with artifacts
     assert!(t.size() >= 1);
 }
+
+#[test]
+fn a_padded_string_constant_answers_alike_pushed_and_naive() {
+    // the pushed `Select` carries the constant to O2 as a typed string:
+    // it must arrive with its padding, or the source matches the
+    // unpadded name where the mediator would not
+    use yat::yat_capability::protocol::ServerReply;
+    let m = yat_bench::workload::fig1_mediator();
+    let monet = yat::yat_oql::art::ARTISTS[0];
+    let query = format!(
+        "MAKE $t MATCH artifacts WITH set *class: artifact: tuple [ title: $t, \
+         creator: $c ] WHERE $c = \" {monet} \""
+    );
+    let answer = |options| {
+        let out = m.query(&query, options).expect("the query answers");
+        ServerReply::answer(out).to_xml().to_xml()
+    };
+    let naive = answer(OptimizerOptions::naive());
+    assert_eq!(answer(OptimizerOptions::default()), naive);
+    assert!(!naive.contains("Nympheas"), "{naive}");
+}

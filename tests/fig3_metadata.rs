@@ -152,11 +152,13 @@ fn wais_structure_matches_its_documents() {
 #[test]
 fn metadata_travels_the_wire() {
     // the Fig. 3 metadata survives the XML interface exchange
-    use yat::yat_capability::xml::{interface_from_xml, interface_to_xml};
+    use yat::yat_capability::Interface;
     let store = fig1_store();
     let o2 = yat::yat_oql::O2Wrapper::new("o2artifact", store);
     let sent = o2.interface();
-    let received = interface_from_xml(&interface_to_xml(&sent)).unwrap();
+    let mut text = String::new();
+    sent.encode(&mut text);
+    let received = Interface::decode(&text).unwrap();
     let art = received.model("art").unwrap();
     assert!(art.get("Artifact").is_some());
     let odmg = odmg_model();

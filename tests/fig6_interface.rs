@@ -4,8 +4,7 @@
 //! accepted).
 
 use yat::yat_capability::fpattern::{o2_fmodel, FPattern};
-use yat::yat_capability::interface::OpKind;
-use yat::yat_capability::xml::{fmodel_from_xml, fmodel_to_xml, interface_from_xml};
+use yat::yat_capability::interface::{Interface, OpKind};
 use yat::yat_capability::{BindFlag, InstFlag};
 use yat::yat_xml::parse_element;
 
@@ -57,8 +56,8 @@ const FIG6: &str = r#"
 
 #[test]
 fn the_papers_interface_parses() {
-    let el = parse_element(FIG6).expect("Fig. 6 is well-formed XML");
-    let iface = interface_from_xml(&el).expect("Fig. 6 is a valid interface");
+    parse_element(FIG6).expect("Fig. 6 is well-formed XML");
+    let iface = Interface::decode(FIG6).expect("Fig. 6 is a valid interface");
     assert_eq!(iface.name, "o2artifact");
     assert_eq!(iface.fmodels.len(), 1);
     assert_eq!(iface.operations.len(), 4);
@@ -69,8 +68,7 @@ fn the_papers_interface_parses() {
 
 #[test]
 fn the_papers_fmodel_matches_the_builtin() {
-    let el = parse_element(FIG6).unwrap();
-    let iface = interface_from_xml(&el).unwrap();
+    let iface = Interface::decode(FIG6).unwrap();
     let parsed = iface.fmodel("o2fmodel").unwrap();
     // the crate ships the same model programmatically
     let built = o2_fmodel();
@@ -81,8 +79,7 @@ fn the_papers_fmodel_matches_the_builtin() {
 
 #[test]
 fn flags_land_where_the_figure_puts_them() {
-    let el = parse_element(FIG6).unwrap();
-    let iface = interface_from_xml(&el).unwrap();
+    let iface = Interface::decode(FIG6).unwrap();
     let fm = iface.fmodel("o2fmodel").unwrap();
     // line 4-5: class binds trees; the class name is ground and unbound
     let FPattern::Node { bind, edges, .. } = fm.get("Fclass").unwrap() else {
@@ -114,16 +111,17 @@ fn flags_land_where_the_figure_puts_them() {
 
 #[test]
 fn serialization_round_trips_the_fmodel() {
-    let el = parse_element(FIG6).unwrap();
-    let iface = interface_from_xml(&el).unwrap();
+    let iface = Interface::decode(FIG6).unwrap();
     let fm = iface.fmodel("o2fmodel").unwrap();
-    let printed = fmodel_to_xml(fm);
-    let back = fmodel_from_xml(&printed).unwrap();
-    assert_eq!(*fm, back);
-    // and the wire text itself re-parses
-    let text = printed.to_xml();
-    let reparsed = fmodel_from_xml(&parse_element(&text).unwrap()).unwrap();
-    assert_eq!(*fm, reparsed);
+    let mut alone = Interface::new("o2artifact");
+    alone.fmodels.push(fm.clone());
+    let mut text = String::new();
+    alone.encode(&mut text);
+    let back = Interface::decode(&text).unwrap();
+    assert_eq!(back.fmodel("o2fmodel"), Some(fm));
+    // and the printed form reads back the same
+    let printed = parse_element(&text).unwrap().to_pretty_xml();
+    assert_eq!(Interface::decode(&printed).unwrap(), back);
 }
 
 #[test]
@@ -133,8 +131,7 @@ fn wrapper_generated_interface_covers_the_figure() {
     // hand-written figure declares, plus the schema/export/method extras
     let w = yat::yat_oql::O2Wrapper::new("o2artifact", yat::yat_oql::art::fig1_store());
     let generated = w.interface();
-    let el = parse_element(FIG6).unwrap();
-    let figure = interface_from_xml(&el).unwrap();
+    let figure = Interface::decode(FIG6).unwrap();
     for op in ["bind", "select", "eq"] {
         assert!(
             generated.operation(op).is_some(),

@@ -1,20 +1,22 @@
 //! Differential property test for the DOM-free wire codec.
 //!
-//! The data frames — `<document>` and `<result>` on the mediator↔wrapper
-//! transport, `<answer>` and `<answer-chunk>` on the client wire — are
-//! encoded and decoded without an `Element` DOM
-//! (`yat_capability::codec`). The `Element` path (`to_xml`/`from_xml`
-//! over `parse_element`) is their reference, and this harness holds the
-//! codec to it on random frames (override the master seed with
+//! Every frame is encoded and decoded without an `Element` DOM
+//! (`yat_capability::codec`). For the data frames — `<document>` and
+//! `<result>` on the mediator↔wrapper transport, `<answer>` and
+//! `<answer-chunk>` on the client wire — this harness rebuilds a DOM
+//! reference from `tab_to_xml`/`tree_to_xml` and reads it back with
+//! `tab_from_xml`/`tree_from_xml` over `parse_element` (the `<answer>`
+//! through `ServerReply::to_xml`/`from_xml`), and holds the codec to it
+//! on random frames (override the master seed with
 //! `YAT_CODEC_SEED=<u64>`):
 //!
-//! 1. **Writer.** `encode` writes exactly the bytes of
-//!    `to_xml().to_xml()`, for all four data frame kinds and for a
-//!    wrapper's `<refused>`.
-//! 2. **Reader.** `decode` reads exactly what `from_xml(parse_element(..))`
-//!    reads: equal values, or the same error — the same `ParseError` for
-//!    text that is not XML, the same `WireError` variant for XML that is
-//!    not a message.
+//! 1. **Writer.** `encode` writes exactly the bytes of the reference
+//!    element, for all four data frame kinds and for a wrapper's
+//!    `<refused>`.
+//! 2. **Reader.** `decode` reads exactly what the reference reads from
+//!    `parse_element(..)`: equal values, or the same error — the same
+//!    `ParseError` for text that is not XML, the same `WireError` variant
+//!    for XML that is not a message.
 //! 3. **Damage.** Truncated and mutated texts give the same outcome under
 //!    both readers.
 //! 4. **Pieces.** A `<result>` written in pieces (`ResultPieces`, for
@@ -22,6 +24,14 @@
 //!    frame; read in order (`ResultReader`), the pieces give what
 //!    `Response::decode` gives for the whole frame — with one piece
 //!    damaged too, down to the error's variant.
+//! 5. **Requests.** Random `execute`/`execute-batch` requests (plans over
+//!    every operator, predicate, operand, template and pattern variant,
+//!    bindings of every atom type), `get-document`/`get-interface`, and
+//!    random client requests read back to the value written — a client
+//!    request's text as XML character data reads it, trimmed and with
+//!    line ends normalized — and re-encoding a decoded frame gives the
+//!    same bytes. A truncated text is a `WireError`; a mutated one is a
+//!    `WireError` or a frame, never a panic.
 //!
 //! The generated values lean on what makes the encoding subtle: oids
 //! (which become `id` attributes, replacing an `@id` child's), reference
@@ -35,11 +45,16 @@
 
 use std::fmt::Debug;
 use std::mem::discriminant;
-use yat::yat_algebra::{EvalOut, Tab, Value};
+use std::sync::Arc;
+use yat::yat_algebra::{Alg, CmpOp, EvalOut, Operand, Pred, SortDir, Tab, Template, Value};
 use yat::yat_capability::codec::{DecodeError, ResultPieces, ResultReader};
-use yat::yat_capability::protocol::{Response, ServerReply, StreamFrame, BATCH_ORDINAL};
+use yat::yat_capability::protocol::{
+    Bindings, ClientRequest, Request, Response, ServerReply, StreamFrame, BATCH_ORDINAL,
+};
+use yat::yat_capability::tab_xml::{tab_from_xml, tab_to_xml};
 use yat::yat_capability::xml::WireError;
-use yat::yat_model::{Atom, Node, Oid, Tree};
+use yat::yat_model::xml_convert::{tree_from_xml, tree_to_xml};
+use yat::yat_model::{Atom, AtomType, Edge, Node, Oid, PLabel, Pattern, Tree};
 use yat::yat_xml::{parse_element, Element};
 use yat_prng::Rng;
 
@@ -214,12 +229,26 @@ impl Frame {
         text
     }
 
+    /// The frame as the DOM reference writes it.
     fn reference_text(&self) -> String {
-        match self {
-            Frame::Response(r) => r.to_xml().to_xml(),
-            Frame::Reply(r) => r.to_xml().to_xml(),
-            Frame::Stream(f) => f.to_xml().to_xml(),
-        }
+        let el = match self {
+            Frame::Response(Response::Document { name, tree }) => Element::new("document")
+                .with_attr("name", name.clone())
+                .with_child(tree_to_xml(tree)),
+            Frame::Response(Response::Result(tab)) => result_element(tab),
+            Frame::Response(Response::Refused(reason)) => {
+                Element::new("refused").with_attr("reason", reason.clone())
+            }
+            Frame::Reply(r) => r.to_xml(),
+            Frame::Stream(StreamFrame::Chunk { seq, payload }) => Element::new("answer-chunk")
+                .with_attr("seq", seq.to_string())
+                .with_child(match payload {
+                    EvalOut::Tab(tab) => result_element(tab),
+                    EvalOut::Tree(tree) => tree_to_xml(tree),
+                }),
+            other => unreachable!("the generator makes no {other:?}"),
+        };
+        el.to_xml()
     }
 
     /// The frame with half its table rows or tree children, if it has
@@ -266,6 +295,73 @@ impl Frame {
     }
 }
 
+/// `<result>` and the table, as DOM.
+fn result_element(tab: &Tab) -> Element {
+    Element::new("result").with_child(tab_to_xml(tab))
+}
+
+fn missing(element: &str, what: &str) -> WireError {
+    WireError::Missing {
+        element: element.into(),
+        what: what.into(),
+    }
+}
+
+/// The first child element of `el`, or `Missing`.
+fn first<'e>(el: &'e Element, what: &str) -> Result<&'e Element, WireError> {
+    el.elements().next().ok_or_else(|| missing(&el.name, what))
+}
+
+/// The DOM reference reader of a wrapper's response frame.
+fn response_from_xml(el: &Element) -> Result<Response, WireError> {
+    match el.name.as_str() {
+        "document" => {
+            let name = el.attr("name").ok_or_else(|| missing("document", "name"))?;
+            let tree = tree_from_xml(first(el, "a document tree")?);
+            Ok(Response::Document {
+                name: name.to_string(),
+                tree,
+            })
+        }
+        "result" => Ok(Response::Result(tab_from_xml(first(
+            el,
+            "a result table",
+        )?)?)),
+        "refused" => Ok(Response::Refused(
+            el.attr("reason").unwrap_or("").to_string(),
+        )),
+        "error" => Ok(Response::Error(
+            el.attr("message").unwrap_or("").to_string(),
+        )),
+        other => Err(WireError::UnknownVerb(format!(
+            "unknown response <{other}>"
+        ))),
+    }
+}
+
+/// The DOM reference reader of a chunk frame.
+fn stream_from_xml(el: &Element) -> Result<StreamFrame, WireError> {
+    if el.name != "answer-chunk" {
+        return Err(WireError::UnknownVerb(format!(
+            "unknown stream frame <{}>",
+            el.name
+        )));
+    }
+    let raw = el
+        .attr("seq")
+        .ok_or_else(|| missing("answer-chunk", "seq"))?;
+    let seq = raw
+        .parse::<u64>()
+        .map_err(|_| WireError::Malformed(format!("bad seq `{raw}`")))?;
+    let body = first(el, "a result or document body")?;
+    let payload = if body.name == "result" {
+        EvalOut::Tab(tab_from_xml(first(body, "a result table")?)?)
+    } else {
+        EvalOut::Tree(tree_from_xml(body))
+    };
+    Ok(StreamFrame::Chunk { seq, payload })
+}
+
 /// `from_xml(parse_element(text))`, with the reader's error split.
 fn reference<T>(
     text: &str,
@@ -303,7 +399,7 @@ fn readers_disagree(text: &str) -> Option<String> {
     check(
         "Response",
         Response::decode(text),
-        reference(text, Response::from_xml),
+        reference(text, response_from_xml),
     )
     .or_else(|| {
         check(
@@ -316,7 +412,7 @@ fn readers_disagree(text: &str) -> Option<String> {
         check(
             "StreamFrame",
             StreamFrame::decode(text),
-            reference(text, StreamFrame::from_xml),
+            reference(text, stream_from_xml),
         )
     })
 }
@@ -418,9 +514,9 @@ fn codec_matches_the_element_reference_on_random_frames_and_their_damage() {
                 let fault = readers_disagree(&small).unwrap_or_default();
                 panic!("readers disagree on a damaged frame (seed {seed}, case {case}): {fault}\nsmallest failing text: {small:?}");
             }
-            let any_ok = reference(&damaged, Response::from_xml).is_ok()
+            let any_ok = reference(&damaged, response_from_xml).is_ok()
                 || reference(&damaged, ServerReply::from_xml).is_ok()
-                || reference(&damaged, StreamFrame::from_xml).is_ok();
+                || reference(&damaged, stream_from_xml).is_ok();
             if any_ok {
                 decoded += 1;
             } else {
@@ -576,5 +672,332 @@ fn result_pieces_concatenate_to_the_frame_and_read_as_the_whole_frame() {
     assert!(
         damaged_ok > 0 && damaged_err > CASES,
         "seed {seed}: {damaged_ok} damaged piece sets read, {damaged_err} refused"
+    );
+}
+
+// ------------------------------------------------------------- requests
+
+/// Variable, column and label names: identifiers, so no whitespace (the
+/// wire joins lists of them with spaces), but markup characters,
+/// primes and non-ASCII.
+const NAMES: &[&str] = &["t", "a", "w'", "x_1", "œuvre", "a&b", "\"q\"", "<n>"];
+
+fn name(rng: &mut Rng) -> String {
+    (*rng.choose(NAMES)).to_string()
+}
+
+fn names(rng: &mut Rng) -> Vec<String> {
+    (0..rng.gen_range(0..3usize)).map(|_| name(rng)).collect()
+}
+
+fn operand(rng: &mut Rng, depth: usize) -> Operand {
+    match rng.gen_range(0..4usize) {
+        0 => Operand::Var(name(rng)),
+        1 if depth > 0 => Operand::Call {
+            name: name(rng),
+            args: (0..rng.gen_range(0..3usize))
+                .map(|_| operand(rng, depth - 1))
+                .collect(),
+        },
+        _ => Operand::Const(atom(rng)),
+    }
+}
+
+fn pred(rng: &mut Rng, depth: usize) -> Pred {
+    let ops = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+    match rng.gen_range(0..6usize) {
+        0 => Pred::True,
+        1 if depth > 0 => Pred::And(
+            Box::new(pred(rng, depth - 1)),
+            Box::new(pred(rng, depth - 1)),
+        ),
+        2 if depth > 0 => Pred::Or(
+            Box::new(pred(rng, depth - 1)),
+            Box::new(pred(rng, depth - 1)),
+        ),
+        3 if depth > 0 => Pred::Not(Box::new(pred(rng, depth - 1))),
+        4 => Pred::Call {
+            name: name(rng),
+            args: (0..rng.gen_range(0..3usize))
+                .map(|_| operand(rng, depth))
+                .collect(),
+        },
+        _ => Pred::cmp(*rng.choose(&ops), operand(rng, depth), operand(rng, depth)),
+    }
+}
+
+fn template(rng: &mut Rng, depth: usize) -> Template {
+    let kids = |rng: &mut Rng| -> Vec<Template> {
+        match depth {
+            0 => vec![],
+            _ => (0..rng.gen_range(0..3usize))
+                .map(|_| template(rng, depth - 1))
+                .collect(),
+        }
+    };
+    match rng.gen_range(0..5usize) {
+        0 => Template::Var(name(rng)),
+        1 => Template::Text((*rng.choose(TEXTS)).to_string()),
+        2 => Template::LabelVar {
+            var: name(rng),
+            children: kids(rng),
+        },
+        3 if depth > 0 => Template::Group {
+            key: names(rng),
+            skolem: rng.gen_bool(0.5).then(|| name(rng)),
+            body: Box::new(template(rng, depth - 1)),
+        },
+        _ => Template::Sym {
+            name: name(rng),
+            children: kids(rng),
+        },
+    }
+}
+
+fn pattern(rng: &mut Rng, depth: usize) -> Pattern {
+    let types = [
+        AtomType::Int,
+        AtomType::Float,
+        AtomType::Bool,
+        AtomType::Str,
+    ];
+    match rng.gen_range(0..8usize) {
+        // atoms and constants are leaves
+        0 => Pattern::atom(*rng.choose(&types)),
+        1 => Pattern::constant(atom(rng)),
+        2 => Pattern::Ref(name(rng)),
+        3 => Pattern::TreeVar(name(rng)),
+        4 => Pattern::Wildcard,
+        5 if depth > 0 => Pattern::Union(
+            (0..rng.gen_range(0..3usize))
+                .map(|_| pattern(rng, depth - 1))
+                .collect(),
+        ),
+        _ => {
+            let label = match rng.gen_range(0..4usize) {
+                0 => PLabel::AnySym,
+                1 => PLabel::Any,
+                2 => PLabel::Var(name(rng)),
+                _ => PLabel::Sym(name(rng).into()),
+            };
+            let edges = match depth {
+                0 => vec![],
+                _ => (0..rng.gen_range(0..4usize))
+                    .map(|_| {
+                        let child = pattern(rng, depth - 1);
+                        match rng.gen_range(0..5usize) {
+                            0 => Edge::opt(child),
+                            1 => Edge::star(child),
+                            2 => Edge::star_iter(name(rng), child),
+                            3 => Edge::star_collect(name(rng), child),
+                            _ => Edge::one(child),
+                        }
+                    })
+                    .collect(),
+            };
+            Pattern::Node { label, edges }
+        }
+    }
+}
+
+fn plan(rng: &mut Rng, depth: usize) -> Arc<Alg> {
+    if depth == 0 {
+        return match rng.gen_bool(0.5) {
+            true => Alg::source(name(rng)),
+            false => Alg::source_at(name(rng), name(rng)),
+        };
+    }
+    let d = depth - 1;
+    match rng.gen_range(0..13usize) {
+        0 => Alg::bind(plan(rng, d), pattern(rng, 3)),
+        1 => Alg::bind_over(plan(rng, d), name(rng), pattern(rng, 3)),
+        2 => Alg::tree(plan(rng, d), template(rng, 3)),
+        3 => Alg::select(plan(rng, d), pred(rng, 3)),
+        4 => Alg::project(
+            plan(rng, d),
+            (0..rng.gen_range(0..3usize))
+                .map(|_| (name(rng), name(rng)))
+                .collect(),
+        ),
+        5 => Alg::join(plan(rng, d), plan(rng, d), pred(rng, 2)),
+        6 => Alg::djoin(plan(rng, d), plan(rng, d)),
+        7 => {
+            let (left, right) = (plan(rng, d), plan(rng, d));
+            Arc::new(match rng.gen_range(0..3usize) {
+                0 => Alg::Union { left, right },
+                1 => Alg::Intersect { left, right },
+                _ => Alg::Diff { left, right },
+            })
+        }
+        8 => Arc::new(Alg::Group {
+            input: plan(rng, d),
+            keys: names(rng),
+        }),
+        9 => Arc::new(Alg::Sort {
+            input: plan(rng, d),
+            keys: (0..rng.gen_range(0..3usize))
+                .map(|_| {
+                    let dir = *rng.choose(&[SortDir::Asc, SortDir::Desc]);
+                    (name(rng), dir)
+                })
+                .collect(),
+        }),
+        10 => Arc::new(Alg::Map {
+            input: plan(rng, d),
+            col: name(rng),
+            expr: operand(rng, 2),
+        }),
+        11 => Alg::push(name(rng), plan(rng, d)),
+        _ => plan(rng, 0),
+    }
+}
+
+fn bindings(rng: &mut Rng) -> Bindings {
+    let vars = names(rng);
+    let rows = match rng.gen_range(0..5usize) {
+        0 => 0,
+        _ => rng.gen_range(1..5usize),
+    };
+    let rows = (0..rows)
+        .map(|_| vars.iter().map(|_| atom(rng)).collect())
+        .collect();
+    Bindings { vars, rows }
+}
+
+fn request(rng: &mut Rng) -> Request {
+    match rng.gen_range(0..8usize) {
+        0 => Request::GetInterface,
+        1 => Request::GetDocument {
+            name: (*rng.choose(TEXTS)).to_string(),
+        },
+        2..=4 => Request::Execute { plan: plan(rng, 3) },
+        _ => Request::ExecuteBatch {
+            plan: plan(rng, 3),
+            bindings: bindings(rng),
+        },
+    }
+}
+
+fn client_request(rng: &mut Rng) -> ClientRequest {
+    let text = (*rng.choose(TEXTS)).to_string();
+    match rng.gen_range(0..6usize) {
+        0 => ClientRequest::Explain { text },
+        1 => ClientRequest::Stats,
+        2 => ClientRequest::Shutdown,
+        _ => ClientRequest::Query {
+            text,
+            deadline_ms: rng.gen_bool(0.5).then(|| rng.gen_range(0..100_000u64)),
+            stream: rng.gen_bool(0.5),
+        },
+    }
+}
+
+/// A client request as its reader gives it back: its text is XML
+/// character data, read with line ends normalized and trimmed.
+fn as_read(request: &ClientRequest) -> ClientRequest {
+    let read = |text: &str| {
+        text.replace("\r\n", "\n")
+            .replace('\r', "\n")
+            .trim()
+            .to_string()
+    };
+    match request {
+        ClientRequest::Query {
+            text,
+            deadline_ms,
+            stream,
+        } => ClientRequest::Query {
+            text: read(text),
+            deadline_ms: *deadline_ms,
+            stream: *stream,
+        },
+        ClientRequest::Explain { text } => ClientRequest::Explain { text: read(text) },
+        other => other.clone(),
+    }
+}
+
+/// Holds one message kind to its round trip: `decode(encode(value))` is
+/// `expected` (compared by `Debug`, which is total on NaN atoms) and
+/// re-encodes to the same bytes; every damaged copy of the text decodes
+/// to a frame or a `WireError`, and one cut short to a `WireError`.
+/// Returns how many damaged copies were refused.
+fn round_trips<T: Debug>(
+    rng: &mut Rng,
+    seed: u64,
+    case: usize,
+    value: &T,
+    expected: &T,
+    encode: fn(&T, &mut String),
+    decode: fn(&str) -> Result<T, DecodeError>,
+) -> usize {
+    let mut text = String::new();
+    encode(value, &mut text);
+    let back = decode(&text)
+        .unwrap_or_else(|e| panic!("seed {seed}, case {case}: {text} does not read back: {e:?}"));
+    assert_eq!(
+        format!("{back:?}"),
+        format!("{expected:?}"),
+        "seed {seed}, case {case}: {text}"
+    );
+    let mut again = String::new();
+    encode(&back, &mut again);
+    let mut want = String::new();
+    encode(expected, &mut want);
+    assert_eq!(
+        again, want,
+        "seed {seed}, case {case}: re-encoded bytes differ"
+    );
+    let mut refused = 0;
+    for _ in 0..DAMAGES_PER_CASE {
+        let damaged = damage(rng, &again);
+        match decode(&damaged).map_err(WireError::from) {
+            Ok(_) => assert!(
+                !again.starts_with(&damaged) || damaged == again,
+                "seed {seed}, case {case}: a cut-short text decoded: {damaged:?}"
+            ),
+            Err(_) => refused += 1,
+        }
+    }
+    refused
+}
+
+#[test]
+fn requests_and_client_requests_round_trip_and_refuse_their_damage() {
+    let seed = master_seed();
+    let mut rng = Rng::seed_from_u64(seed ^ 0x4e0e);
+    let mut refused = 0;
+    for case in 0..CASES {
+        let r = request(&mut rng);
+        refused += round_trips(
+            &mut rng,
+            seed,
+            case,
+            &r,
+            &r,
+            |r, out| r.encode(out),
+            Request::decode,
+        );
+        let c = client_request(&mut rng);
+        refused += round_trips(
+            &mut rng,
+            seed,
+            case,
+            &c,
+            &as_read(&c),
+            |r, out| r.encode(out),
+            ClientRequest::decode,
+        );
+    }
+    // the damage must reach the readers' refusals, or it tests nothing
+    assert!(
+        refused > CASES,
+        "seed {seed}: only {refused} damaged texts refused"
     );
 }
